@@ -8,8 +8,9 @@ under --out with fixed names (diagnostics.jsonl, moments.csv,
 report.json, deviations.json).
 
 Exit codes: 0 success, 1 config error, 2 condition failure, 3 diverged /
-not converged / nonexistent, 4 deviation test failure.  Solver flags
-override config-file "solver" entries, which override built-in defaults.
+numerical blow-up / not converged / nonexistent, 4 deviation test
+failure.  Solver flags override config-file "solver" entries, which
+override built-in defaults.
 """
 
 from __future__ import annotations
@@ -119,6 +120,21 @@ def _build_problem(kind: str, cfg: dict):
     return lqgame.build_aggregated(gs, force=True)
 
 
+def _scheme_params(args, settings: dict) -> fixpoint.SchemeParams:
+    keys = ("delta", "tol", "max_outer", "inner_sweeps", "particles")
+    return fixpoint.SchemeParams(**{k: settings[k] for k in keys}, basis=RegressionBasis(degree=args.basis_degree))
+
+
+def _write_diverged(outdir: Path, exc: fixpoint.Diverged, report: dict) -> int:
+    """Write a diverged solve's history and report; returns the exit code."""
+    with open(outdir / "diagnostics.jsonl", "w") as fh:
+        fixpoint.diagnostics_to_jsonl(exc.history, fh)
+    with open(outdir / "report.json", "w") as fh:
+        _dump_json({**report, "converged": False, "diverged": True, "message": str(exc)}, fh)
+    print(f"diverged: {exc}", file=sys.stderr)
+    return EXIT_NOT_CONVERGED
+
+
 def _write_solution(outdir: Path, sol, prob) -> None:
     with open(outdir / "diagnostics.jsonl", "w") as fh:
         fixpoint.diagnostics_to_jsonl(sol.history, fh)
@@ -162,25 +178,13 @@ def cmd_solve(args) -> int:
     settings = _solver_settings(args, cfg)
     prob = _build_problem(kind, cfg)
     grid = TimeGrid(horizon=prob.horizon, steps=settings["steps"])
-    params = fixpoint.SchemeParams(
-        delta=settings["delta"],
-        tol=settings["tol"],
-        max_outer=settings["max_outer"],
-        inner_sweeps=settings["inner_sweeps"],
-        particles=settings["particles"],
-        basis=RegressionBasis(degree=args.basis_degree),
-    )
+    params = _scheme_params(args, settings)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         sol = fixpoint.solve(prob, grid, params, seed=settings["seed"])
     except fixpoint.Diverged as exc:
-        with open(outdir / "diagnostics.jsonl", "w") as fh:
-            fixpoint.diagnostics_to_jsonl(exc.history, fh)
-        with open(outdir / "report.json", "w") as fh:
-            _dump_json({"converged": False, "diverged": True, "message": str(exc)}, fh)
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        return _write_diverged(outdir, exc, {})
     _write_solution(outdir, sol, prob)
     print(f"converged={sol.converged} after {len(sol.history)} outer iterations; outputs in {outdir}")
     return EXIT_OK if sol.converged else EXIT_NOT_CONVERGED
@@ -194,25 +198,13 @@ def cmd_game(args) -> int:
     settings = _solver_settings(args, cfg)
     grid = TimeGrid(horizon=gs.horizon, steps=settings["steps"])
     h2 = lqgame.check_H2(gs, grid)
-    params = fixpoint.SchemeParams(
-        delta=settings["delta"],
-        tol=settings["tol"],
-        max_outer=settings["max_outer"],
-        inner_sweeps=settings["inner_sweeps"],
-        particles=settings["particles"],
-        basis=RegressionBasis(degree=args.basis_degree),
-    )
+    params = _scheme_params(args, settings)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         nash = lqgame.solve_nash(gs, grid, params, seed=settings["seed"], threads=_threads(args))
     except fixpoint.Diverged as exc:
-        with open(outdir / "diagnostics.jsonl", "w") as fh:
-            fixpoint.diagnostics_to_jsonl(exc.history, fh)
-        with open(outdir / "report.json", "w") as fh:
-            _dump_json({"h2": h2.to_dict(), "converged": False, "diverged": True, "message": str(exc)}, fh)
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        return _write_diverged(outdir, exc, {"h2": h2.to_dict()})
 
     if args.corrupt_control is not None:
         # test hook: shift player 0's control and re-evaluate
@@ -350,6 +342,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except FloatingPointError as exc:
+        print(f"numerical blow-up: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "IterationDiagnostics",
     "MfSolution",
     "Diverged",
+    "diverging",
     "solve",
     "residual",
     "diagnostics_to_jsonl",
@@ -50,6 +52,15 @@ __all__ = [
 
 _DIVERGENCE_FACTOR = 10.0
 _DIVERGENCE_WINDOW = 3
+
+
+def diverging(gaps: Sequence[float]) -> bool:
+    """The divergence rule: the last gap exceeds _DIVERGENCE_FACTOR times
+    the positive gap _DIVERGENCE_WINDOW iterations earlier."""
+    if len(gaps) <= _DIVERGENCE_WINDOW:
+        return False
+    ref = gaps[-1 - _DIVERGENCE_WINDOW]
+    return ref > 0 and gaps[-1] > _DIVERGENCE_FACTOR * ref
 
 
 @dataclass
@@ -341,14 +352,12 @@ def solve(
             break
         if not math.isfinite(gap_total):
             raise Diverged(f"non-finite Cauchy gap at outer iteration {n}", history)
-        if len(history) > _DIVERGENCE_WINDOW:
-            ref = history[-1 - _DIVERGENCE_WINDOW].gap_total
-            if ref > 0 and gap_total > _DIVERGENCE_FACTOR * ref:
-                raise Diverged(
-                    f"Cauchy gap grew more than {_DIVERGENCE_FACTOR:g}x over "
-                    f"{_DIVERGENCE_WINDOW} outer steps (n={n})",
-                    history,
-                )
+        if diverging([rec.gap_total for rec in history]):
+            raise Diverged(
+                f"Cauchy gap grew more than {_DIVERGENCE_FACTOR:g}x over "
+                f"{_DIVERGENCE_WINDOW} outer steps (n={n})",
+                history,
+            )
 
     return MfSolution(
         grid=grid,

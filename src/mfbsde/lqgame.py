@@ -43,14 +43,16 @@ from . import fixpoint
 from .backward import solve_backward
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, joint_marginal, marginal
 from .problem import (
+    AffineCoeffs,
     LipschitzProfile,
     MfProblem,
     MonotonicityProfile,
     PiecewiseConstant,
-    as_path,
+    affine_problem,
+    coerce,
+    map_path,
+    shaped_path,
     sup_spectral_norm,
-    _coerce_matrix,
-    _coerce_vector,
 )
 
 __all__ = [
@@ -75,24 +77,6 @@ __all__ = [
 _SYMMETRY_TOL = 1e-12
 _COMMUTATION_TOL = 1e-10
 _SINGULARITY_RTOL = 1e-9
-
-
-def _shaped_matrix_path(spec, n_rows: int, n_cols: int, name: str):
-    path = as_path(spec)
-    coerce = lambda v: _coerce_matrix(v, n_rows, n_cols, name)
-    if isinstance(path, PiecewiseConstant):
-        path.values = np.stack([coerce(v) for v in path.values])
-        return path
-    return lambda t, _p=path, _c=coerce: _c(np.asarray(_p(t), dtype=float))
-
-
-def _shaped_vector_path(spec, n: int, name: str):
-    path = as_path(spec)
-    coerce = lambda v: _coerce_vector(v, n, name)
-    if isinstance(path, PiecewiseConstant):
-        path.values = np.stack([coerce(v) for v in path.values])
-        return path
-    return lambda t, _p=path, _c=coerce: _c(np.asarray(_p(t), dtype=float))
 
 
 def _sample_times(horizon: float, paths, samples: int = 257) -> np.ndarray:
@@ -142,13 +126,13 @@ class GameSpec:
             raise ValueError("state dimension n must be positive")
         if not (self.horizon > 0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        self.x0 = _coerce_vector(np.asarray(self.x0, dtype=float), n, "x0")
+        self.x0 = coerce(self.x0, (n,), "x0")
 
-        self.A = _shaped_matrix_path(self.A, n, n, "A")
-        self.D = _shaped_matrix_path(self.D, n, n, "D")
-        self.sigma = _shaped_matrix_path(self.sigma, n, n, "sigma")
-        self.beta = _shaped_vector_path(self.beta, n, "beta")
-        self.alpha = _shaped_vector_path(self.alpha, n, "alpha")
+        self.A = shaped_path(self.A, (n, n), "A")
+        self.D = shaped_path(self.D, (n, n), "D")
+        self.sigma = shaped_path(self.sigma, (n, n), "sigma")
+        self.beta = shaped_path(self.beta, (n,), "beta")
+        self.alpha = shaped_path(self.alpha, (n,), "alpha")
 
         players = len(self.C)
         if players < 1:
@@ -165,7 +149,7 @@ class GameSpec:
             if c.shape[0] != n:
                 raise ValueError(f"C[{i}] must have {n} rows, got shape {c.shape}")
             m_i = c.shape[1]
-            nn = _coerce_matrix(np.asarray(nn, dtype=float), m_i, m_i, f"N[{i}]")
+            nn = coerce(nn, (m_i, m_i), f"N[{i}]")
             _check_symmetric(nn, f"N[{i}]")
             try:
                 np.linalg.cholesky(nn)
@@ -175,39 +159,29 @@ class GameSpec:
             N_list.append(nn)
         self.C, self.N = C_list, N_list
 
-        def per_player_const(values, name):
+        def one_each(values, what):
             vals = list(values) if len(values) else [np.zeros((n, n))] * players
             if len(vals) != players:
-                raise ValueError(f"need one {name} matrix per player")
+                raise ValueError(f"need one {what} per player")
+            return enumerate(vals)
+
+        def symmetric_matrices(values, name):
             out = []
-            for i, v in enumerate(vals):
-                v = _coerce_matrix(np.asarray(v, dtype=float), n, n, f"{name}[{i}]")
-                _check_symmetric(v, f"{name}[{i}]")
-                out.append(v)
+            for i, v in one_each(values, f"{name} matrix"):
+                out.append(coerce(v, (n, n), f"{name}[{i}]"))
+                _check_symmetric(out[-1], f"{name}[{i}]")
             return out
 
-        self.Q = per_player_const(self.Q, "Q")
-        self.R = per_player_const(self.R, "R")
-
-        def per_player_path(values, name):
-            vals = list(values) if len(values) else [np.zeros((n, n))] * players
-            if len(vals) != players:
-                raise ValueError(f"need one {name} path per player")
+        def symmetric_paths(values, name):
             out = []
-            for i, v in enumerate(vals):
-                path = _shaped_matrix_path(v, n, n, f"{name}[{i}]")
-                for t in self._symmetry_sample(path):
-                    _check_symmetric(np.asarray(path(t), dtype=float), f"{name}[{i}](t={t:g})")
-                out.append(path)
+            for i, v in one_each(values, f"{name} path"):
+                out.append(shaped_path(v, (n, n), f"{name}[{i}]"))
+                for t in _sample_times(self.horizon, out[-1:], samples=5):
+                    _check_symmetric(out[-1](t), f"{name}[{i}](t={t:g})")
             return out
 
-        self.M = per_player_path(self.M, "M")
-        self.Gamma = per_player_path(self.Gamma, "Gamma")
-
-    def _symmetry_sample(self, path) -> np.ndarray:
-        if isinstance(path, PiecewiseConstant):
-            return np.clip(path.breakpoints, 0.0, self.horizon)
-        return np.linspace(0.0, self.horizon, 5)
+        self.Q, self.R = symmetric_matrices(self.Q, "Q"), symmetric_matrices(self.R, "R")
+        self.M, self.Gamma = symmetric_paths(self.M, "M"), symmetric_paths(self.Gamma, "Gamma")
 
     @property
     def players(self) -> int:
@@ -278,6 +252,13 @@ class H2Report:
         }
 
 
+def _weighted_sums(gs: GameSpec):
+    """K_i, sum K_i Q_i, sum K_i R_i and the path t -> sum K_i M_i(t)."""
+    K = gs.k_matrices()
+    skm = map_path(lambda *ms: sum(k @ m for k, m in zip(K, ms)), *gs.M)
+    return K, sum(k @ q for k, q in zip(K, gs.Q)), sum(k @ r for k, r in zip(K, gs.R)), skm
+
+
 def _sym_min_eig(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
 
@@ -293,17 +274,13 @@ def coupling_bound(eta1: float, eta2: float) -> float:
 
 def check_H2(gs: GameSpec, grid: TimeGrid) -> H2Report:
     """Evaluate the structural and smallness conditions on ``grid``'s nodes."""
-    K = gs.k_matrices()
-    skq = sum(k @ q for k, q in zip(K, gs.Q))
+    K, skq, skr, skm = _weighted_sums(gs)
     eta1 = _sym_min_eig(skq)
-
-    times = grid.nodes
     eta2 = math.inf
     commut = 0.0
     norm_d = 0.0
-    for t in times:
-        skm = sum(k @ np.asarray(mi(t), dtype=float) for k, mi in zip(K, gs.M))
-        eta2 = min(eta2, _sym_min_eig(skm))
+    for t in grid.nodes:
+        eta2 = min(eta2, _sym_min_eig(skm(t)))
         a_t = np.asarray(gs.A(t), dtype=float)
         d_t = np.asarray(gs.D(t), dtype=float)
         s_t = np.asarray(gs.sigma(t), dtype=float)
@@ -312,7 +289,7 @@ def check_H2(gs: GameSpec, grid: TimeGrid) -> H2Report:
             for mat in (a_t.T, d_t.T, s_t.T):
                 commut = max(commut, _spectral(k @ mat - mat @ k))
 
-    norm_kr = _spectral(sum(k @ r for k, r in zip(K, gs.R)))
+    norm_kr = _spectral(skr)
     bound = coupling_bound(eta1, eta2)
     positivity_ok = eta1 > 0 and eta2 > 0
     commutation_ok = commut < _COMMUTATION_TOL
@@ -357,13 +334,7 @@ def build_aggregated(gs: GameSpec, force: bool = False) -> MfProblem:
     monotonicity profile, for counterexample studies.
     """
     n = gs.n
-    K = gs.k_matrices()
-    skq = sum(k @ q for k, q in zip(K, gs.Q))
-    skr = sum(k @ r for k, r in zip(K, gs.R))
-
-    def skm(t):
-        return sum(k @ np.asarray(mi(t), dtype=float) for k, mi in zip(K, gs.M))
-
+    _, skq, skr, skm = _weighted_sums(gs)
     times = _sample_times(gs.horizon, [gs.A, gs.D, gs.sigma] + list(gs.M))
     eta1 = _sym_min_eig(skq)
     eta2 = min(_sym_min_eig(skm(t)) for t in times)
@@ -373,36 +344,10 @@ def build_aggregated(gs: GameSpec, force: bool = False) -> MfProblem:
             "pass force=True to build anyway"
         )
 
-    A, D, sig = gs.A, gs.D, gs.sigma
-    beta, alpha = gs.beta, gs.alpha
-
-    def f_cb(t, x, y, z, nu):
-        out = x @ np.asarray(A(t)).T - y + beta(t)
-        d_t = np.asarray(D(t))
-        if np.any(d_t):
-            out = out + d_t @ nu.mean()[:n]
-        return out
-
-    def sigma_cb(t, x, y, z, nu):
-        return (x @ np.asarray(sig(t)).T + alpha(t))[:, :, None]
-
-    def h_cb(t, x, y, z, nu):
-        out = y @ np.asarray(A(t)) + x @ skm(t).T + z[:, :, 0] @ np.asarray(sig(t))
-        d_t = np.asarray(D(t))
-        if np.any(d_t):
-            out = out + d_t.T @ nu.mean()[n:]
-        return -out
-
-    def g_cb(x, mu):
-        out = x @ skq.T
-        if np.any(skr):
-            out = out + skr @ mu.mean()
-        return out
-
     sup_skm = max(_spectral(skm(t)) for t in times)
     lip = LipschitzProfile(
-        c_u=max(sup_spectral_norm(A, gs.horizon), 1.0, sup_skm, sup_spectral_norm(sig, gs.horizon)),
-        c_nu=sup_spectral_norm(D, gs.horizon),
+        c_u=max(sup_spectral_norm(gs.A, gs.horizon), 1.0, sup_skm, sup_spectral_norm(gs.sigma, gs.horizon)),
+        c_nu=sup_spectral_norm(gs.D, gs.horizon),
         c_g_x=_spectral(skq),
         c_g_nu=_spectral(skr),
     )
@@ -410,19 +355,16 @@ def build_aggregated(gs: GameSpec, force: bool = False) -> MfProblem:
     if eta1 > 0 and eta2 > 0:
         mono = MonotonicityProfile(k=min(1.0, eta2), k_prime=eta1, variant="H1prime")
 
-    return MfProblem(
-        dim_state=n,
-        dim_bm=1,
-        x0=gs.x0,
-        horizon=gs.horizon,
-        f=f_cb,
-        sigma=sigma_cb,
-        h=h_cb,
-        g=g_cb,
-        law_free_sigma=True,
-        lipschitz=lip,
-        monotonicity=mono,
-    )
+    f = AffineCoeffs(n, "f", x=gs.A, y=-np.eye(n), mean_x=gs.D, const=gs.beta)
+    h = AffineCoeffs(n, "h", x=map_path(np.negative, skm), y=_neg_t(gs.A), z=_neg_t(gs.sigma), mean_y=_neg_t(gs.D))
+    sigma = AffineCoeffs(n, "sigma", x=gs.sigma, const=gs.alpha)
+    g = AffineCoeffs(n, "g", x=skq, mean_x=skr)
+    return affine_problem(gs.x0, gs.horizon, f, h, sigma, g, lipschitz=lip, monotonicity=mono)
+
+
+def _neg_t(path):
+    """The path t -> -M(t)', kept as a transposed view so products see M's memory layout (same rounding)."""
+    return map_path(lambda a: -np.swapaxes(a, -1, -2), path)
 
 
 # ---------------------------------------------------------------------------
@@ -581,39 +523,16 @@ class NashResult:
 
 def _adjoint_problem(gs: GameSpec, i: int) -> MfProblem:
     """Player i's adjoint backward equation packaged for the regression
-    solver; the measure argument carries the joint (X, p_i) cloud."""
+    solver; the measure argument carries the joint (X, p_i) cloud:
+
+        h(t, x, y, z, nu) = -A_t' y - M_i(t) x - D_t' E[p_i] - sigma_t' z - Gamma_i(t) E[X]
+        g(x, mu)          = Q_i x + R_i E[mu]
+    """
     n = gs.n
-    A, D, sig, Mi, Gi = gs.A, gs.D, gs.sigma, gs.M[i], gs.Gamma[i]
-    Qi, Ri = gs.Q[i], gs.R[i]
-
-    def h_cb(t, x, y, z, nu):
-        mu = nu.mean()
-        out = y @ np.asarray(A(t)) + x @ np.asarray(Mi(t)).T + z[:, :, 0] @ np.asarray(sig(t))
-        d_t = np.asarray(D(t))
-        if np.any(d_t):
-            out = out + d_t.T @ mu[n:]
-        g_t = np.asarray(Gi(t))
-        if np.any(g_t):
-            out = out + g_t @ mu[:n]
-        return -out
-
-    def g_cb(x, mu):
-        out = x @ Qi.T
-        if np.any(Ri):
-            out = out + Ri @ mu.mean()
-        return out
-
-    return MfProblem(
-        dim_state=n,
-        dim_bm=1,
-        x0=gs.x0,
-        horizon=gs.horizon,
-        f=lambda t, x, y, z, nu: np.zeros_like(x),
-        sigma=lambda t, x, y, z, nu: np.zeros((x.shape[0], n, 1)),
-        h=h_cb,
-        g=g_cb,
-        law_free_sigma=True,
-    )
+    h = AffineCoeffs(n, "h", x=map_path(np.negative, gs.M[i]), y=_neg_t(gs.A), z=_neg_t(gs.sigma),
+                     mean_x=map_path(np.negative, gs.Gamma[i]), mean_y=_neg_t(gs.D))
+    g = AffineCoeffs(n, "g", x=gs.Q[i], mean_x=gs.R[i])
+    return affine_problem(gs.x0, gs.horizon, f=AffineCoeffs(n), h=h, sigma=AffineCoeffs(n), g=g)
 
 
 def _solve_adjoint(gs, i, sol, params) -> tuple[PathEnsemble, PathEnsemble, int]:
@@ -638,7 +557,7 @@ def _solve_adjoint(gs, i, sol, params) -> tuple[PathEnsemble, PathEnsemble, int]
         p_ens = p_new
         if gap < params.tol**2:
             return p_ens, q_ens, it
-        if len(gaps) > 3 and gaps[-4] > 0 and gap > 10.0 * gaps[-4]:
+        if fixpoint.diverging(gaps):
             raise fixpoint.Diverged(f"adjoint reconstruction diverged for player {i}", sol.history)
     return p_ens, q_ens, max_iter
 
@@ -990,14 +909,14 @@ def hamiltonian(gs: GameSpec, i: int, t: float, x, u_all, zeta, p_i, q_i) -> flo
     ``zeta`` is the placeholder variable standing for the state
     expectation.  The minimizer over u_i is -N_i^{-1} C_i' p_i.
     """
-    x = _coerce_vector(np.asarray(x, dtype=float), gs.n, "x")
-    zeta = _coerce_vector(np.asarray(zeta, dtype=float), gs.n, "zeta")
-    p_i = _coerce_vector(np.asarray(p_i, dtype=float), gs.n, "p_i")
-    q_i = _coerce_vector(np.asarray(q_i, dtype=float), gs.n, "q_i")
+    x = coerce(x, (gs.n,), "x")
+    zeta = coerce(zeta, (gs.n,), "zeta")
+    p_i = coerce(p_i, (gs.n,), "p_i")
+    q_i = coerce(q_i, (gs.n,), "q_i")
     if len(u_all) != gs.players:
         raise ValueError(f"need one control per player, got {len(u_all)}")
     us = [
-        _coerce_vector(np.asarray(u, dtype=float), m_k, f"u_{k}")
+        coerce(u, (m_k,), f"u_{k}")
         for k, (u, m_k) in enumerate(zip(u_all, gs.control_dims))
     ]
     drift = np.asarray(gs.A(t)) @ x + np.asarray(gs.D(t)) @ zeta + gs.beta(t)

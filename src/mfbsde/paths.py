@@ -23,7 +23,6 @@ __all__ = [
     "make_bundle",
     "marginal",
     "joint_marginal",
-    "ensemble_to_csv",
     "moments_to_csv",
 ]
 
@@ -143,16 +142,6 @@ def _node_times(e: PathEnsemble, grid: TimeGrid) -> np.ndarray:
     # X/Y ensembles carry steps+1 nodes; Z carries one value per step,
     # stamped with the left endpoint.
     return grid.nodes[: e.nodes]
-
-
-def ensemble_to_csv(e: PathEnsemble, grid: TimeGrid, fileobj) -> None:
-    """Write rows (time, particle, component_0, ...) for every node/particle."""
-    times = _node_times(e, grid)
-    writer = csv.writer(fileobj)
-    writer.writerow(["time", "particle"] + [f"component_{j}" for j in range(e.dim)])
-    for k, t in enumerate(times):
-        for p in range(e.particles):
-            writer.writerow([repr(float(t)), p] + [repr(float(v)) for v in e.values[p, k]])
 
 
 def moments_to_csv(e: PathEnsemble, grid: TimeGrid, fileobj) -> None:

@@ -54,7 +54,11 @@ __all__ = [
     "contraction_constants",
     "PiecewiseConstant",
     "as_path",
+    "shaped_path",
+    "map_path",
     "sup_spectral_norm",
+    "AffineCoeffs",
+    "affine_problem",
     "problem_from_config",
 ]
 
@@ -166,9 +170,9 @@ class MfProblem:
 
 
 def _unpack(u, m, d):
-    x = np.asarray(u[0], dtype=float).reshape(m)
-    y = np.asarray(u[1], dtype=float).reshape(m)
-    z = np.asarray(u[2], dtype=float).reshape(m, d)
+    x = np.asarray(u[0], dtype=float).reshape(1, m)
+    y = np.asarray(u[1], dtype=float).reshape(1, m)
+    z = np.asarray(u[2], dtype=float).reshape(1, m, d)
     return x, y, z
 
 
@@ -186,18 +190,18 @@ def eval_A(
     sigma difference is contracted against z - z' column-wise.
     """
     m, d = p.dim_state, p.dim_bm
-    x, y, z = _unpack(u, m, d)
-    xp, yp, zp = _unpack(u_prime, m, d)
-    X = np.stack([x, xp])
-    Y = np.stack([y, yp])
-    Z = np.stack([z, zp])
-    fv = np.asarray(p.f(t, X, Y, Z, nu))
-    hv = np.asarray(p.h(t, X, Y, Z, nu))
-    sv = np.asarray(p.sigma(t, X, Y, Z, None if p.law_free_sigma else nu))
-    a = float(np.dot(fv[0] - fv[1], y - yp))
-    a += float(np.dot(hv[0] - hv[1], x - xp))
-    a += float(np.sum((sv[0] - sv[1]) * (z - zp)))
-    return a
+    return float(_a_values(p, t, _unpack(u, m, d), _unpack(u_prime, m, d), nu)[0])
+
+
+def _a_values(p: MfProblem, t: float, u: tuple, u_prime: tuple, nu: EmpiricalMeasure) -> np.ndarray:
+    """A(t, u, u', nu) over a batch of pairs: x, y of shape (b, m), z (b, m, d)."""
+    (x, y, z), (xp, yp, zp) = u, u_prime
+    nu_sig = None if p.law_free_sigma else nu
+    fv = np.asarray(p.f(t, x, y, z, nu)) - np.asarray(p.f(t, xp, yp, zp, nu))
+    hv = np.asarray(p.h(t, x, y, z, nu)) - np.asarray(p.h(t, xp, yp, zp, nu))
+    sv = np.asarray(p.sigma(t, x, y, z, nu_sig)) - np.asarray(p.sigma(t, xp, yp, zp, nu_sig))
+    a_vals = np.sum(fv * (y - yp), axis=1) + np.sum(hv * (x - xp), axis=1)
+    return a_vals + np.sum(sv * (z - zp), axis=(1, 2))
 
 
 @dataclass
@@ -260,12 +264,7 @@ def check_H1(p: MfProblem, samples: int = 4000, rng_seed: int = 0) -> Monotonici
         x, xp = rng.standard_normal((2, b, m))
         y, yp = rng.standard_normal((2, b, m))
         z, zp = rng.standard_normal((2, b, m, d))
-        fv = np.asarray(p.f(t, x, y, z, nu)) - np.asarray(p.f(t, xp, yp, zp, nu))
-        hv = np.asarray(p.h(t, x, y, z, nu)) - np.asarray(p.h(t, xp, yp, zp, nu))
-        nu_sig = None if p.law_free_sigma else nu
-        sv = np.asarray(p.sigma(t, x, y, z, nu_sig)) - np.asarray(p.sigma(t, xp, yp, zp, nu_sig))
-        a_vals = np.sum(fv * (y - yp), axis=1) + np.sum(hv * (x - xp), axis=1)
-        a_vals += np.sum(sv * (z - zp), axis=(1, 2))
+        a_vals = _a_values(p, t, (x, y, z), (xp, yp, zp), nu)
         denom = np.sum((x - xp) ** 2, axis=1) + np.sum((y - yp) ** 2, axis=1)
         if variant == H1:
             denom = denom + np.sum((z - zp) ** 2, axis=(1, 2))
@@ -429,10 +428,6 @@ class PiecewiseConstant:
         idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         return self.values[max(idx, 0)]
 
-    @property
-    def is_constant(self) -> bool:
-        return self.values.shape[0] == 1
-
 
 def as_path(spec) -> Callable[[float], np.ndarray]:
     """Coerce a coefficient spec to a callable path t -> ndarray.
@@ -441,8 +436,6 @@ def as_path(spec) -> Callable[[float], np.ndarray]:
     scalar/array (constant path), or the config-file forms
     ``{"const": value}`` and ``{"piecewise": [{"t_from": t0, "value": v0}, ...]}``.
     """
-    if isinstance(spec, PiecewiseConstant):
-        return spec
     if callable(spec):
         return spec
     if isinstance(spec, dict):
@@ -452,11 +445,10 @@ def as_path(spec) -> Callable[[float], np.ndarray]:
             pieces = sorted(spec["piecewise"], key=lambda p: float(p["t_from"]))
             if not pieces:
                 raise ValueError("piecewise spec must contain at least one piece")
-            bp = [float(p["t_from"]) for p in pieces]
-            vals = [np.asarray(p.get("value", p.get("matrix")), dtype=float) for p in pieces]
+            vals = [p.get("value", p.get("matrix")) for p in pieces]
             if any(v is None for v in vals):
                 raise ValueError("each piece needs a 'value' (or 'matrix') entry")
-            return PiecewiseConstant(bp, vals)
+            return PiecewiseConstant([float(p["t_from"]) for p in pieces], vals)
         raise ValueError(f"coefficient dict must contain 'const' or 'piecewise', got keys {sorted(spec)}")
     return PiecewiseConstant([0.0], [np.asarray(spec, dtype=float)])
 
@@ -473,79 +465,123 @@ def sup_spectral_norm(path, horizon: float, samples: int = 257) -> float:
     return max(float(np.linalg.norm(np.atleast_2d(np.asarray(path(t), dtype=float)), 2)) for t in ts)
 
 
-def _coerce_matrix(value: np.ndarray, rows: int, cols: int, name: str) -> np.ndarray:
+def coerce(value, shape: tuple, name: str) -> np.ndarray:
+    """Coerce a coefficient value to ``shape``, (n,) or (rows, cols).
+
+    A scalar fills a vector and scales the identity of a square matrix;
+    a vector may be given in any layout with n entries.
+    """
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
-        if rows == cols == 1:
-            return arr.reshape(1, 1)
-        if rows == cols:
-            return float(arr) * np.eye(rows)
-        raise ValueError(f"{name}: scalar given for a {rows}x{cols} coefficient")
-    if arr.shape != (rows, cols):
-        raise ValueError(f"{name}: expected shape ({rows}, {cols}), got {arr.shape}")
+        if len(shape) == 1:
+            return np.full(shape, float(arr))
+        if shape[0] == shape[1]:
+            return float(arr) * np.eye(shape[0])
+        raise ValueError(f"{name}: scalar given for a {shape[0]}x{shape[1]} coefficient")
+    if len(shape) == 1:
+        arr = arr.reshape(-1)
+    if arr.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
     return arr
 
 
-def _coerce_vector(value: np.ndarray, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    arr = arr.reshape(-1)
-    if arr.shape != (n,):
-        raise ValueError(f"{name}: expected shape ({n},), got {arr.shape}")
-    return arr
+def shaped_path(spec, shape: tuple, name: str) -> Callable[[float], np.ndarray]:
+    """:func:`as_path` with every value coerced to ``shape``.
 
-
-def _shaped_path(spec, name: str, coerce) -> Callable[[float], np.ndarray] | None:
-    if spec is None:
-        return None
+    A piecewise table comes back as a new :class:`PiecewiseConstant` (the
+    caller's table is not rewritten); a callable is wrapped so that its
+    values are coerced when evaluated.
+    """
     path = as_path(spec)
     if isinstance(path, PiecewiseConstant):
-        path.values = np.stack([coerce(v, name) for v in path.values])
-        return path
-
-    def shaped(t, _p=path, _c=coerce, _n=name):
-        return _c(np.asarray(_p(t), dtype=float), _n)
-
-    return shaped
+        values = path.values
+        if values.shape[1:] != shape:
+            values = [coerce(v, shape, name) for v in values]
+        return PiecewiseConstant(path.breakpoints, values)
+    return lambda t: coerce(path(t), shape, name)
 
 
-def _affine_rhs(terms: dict, m: int, name: str):
-    """Build a drift/driver callback from affine term paths.
+def map_path(fn: Callable, *paths) -> Callable[[float], np.ndarray]:
+    """The path t -> fn(p_1(t), ..., p_k(t)).
 
-    Recognized keys: x, y, z (matrix paths applied to the respective
-    argument), mean_x, mean_y (matrix paths applied to the measure's
-    marginal means) and const (vector path).  The z coupling assumes a
-    one-dimensional Brownian motion (z is treated as an m-vector).
+    When every p_i is piecewise constant the result is one table on the
+    union of their breakpoints, and ``fn`` is applied once to the stacked
+    piece values (it must act on a leading piece axis); otherwise ``fn``
+    runs at each evaluation.
     """
-    mat = lambda v, nm: _coerce_matrix(v, m, m, nm)
-    vec = lambda v, nm: _coerce_vector(v, m, nm)
-    px = _shaped_path(terms.get("x"), f"{name}.x", mat)
-    py = _shaped_path(terms.get("y"), f"{name}.y", mat)
-    pz = _shaped_path(terms.get("z"), f"{name}.z", mat)
-    pmx = _shaped_path(terms.get("mean_x"), f"{name}.mean_x", mat)
-    pmy = _shaped_path(terms.get("mean_y"), f"{name}.mean_y", mat)
-    pc = _shaped_path(terms.get("const"), f"{name}.const", vec)
+    if all(isinstance(p, PiecewiseConstant) for p in paths):
+        bp = np.unique(np.concatenate([p.breakpoints for p in paths]))
+        pieces = [p.values[np.maximum(np.searchsorted(p.breakpoints, bp, side="right") - 1, 0)] for p in paths]
+        return PiecewiseConstant(bp, fn(*pieces))
+    return lambda t: fn(*(p(t) for p in paths))
 
-    def rhs(t, x, y, z, nu):
+
+class AffineCoeffs:
+    """Affine coefficient table of a drift, driver, diffusion or terminal map
+
+        c(t, x, y, z, nu) = C^x_t x + C^y_t y + C^z_t z
+                          + C^mean_x_t E[xi_1] + C^mean_y_t E[xi_2] + c^const_t
+
+    with (m, m) matrix paths for the terms x, y, z, mean_x, mean_y and an
+    m-vector path for const; (xi_1, xi_2) are the X and Y halves of the
+    measure's points.  Terms are coefficient specs (see :func:`as_path`)
+    coerced once to their shapes; absent terms, and piecewise terms that
+    are zero everywhere, are dropped.  The z term assumes a
+    one-dimensional Brownian motion (z is taken as an m-vector).
+    """
+
+    TERMS = ("x", "y", "z", "mean_x", "mean_y", "const")
+
+    def __init__(self, dim: int, name: str = "coeffs", x=None, y=None, z=None, mean_x=None, mean_y=None, const=None):
+        self.dim = dim
+        self.terms = {}
+        for key, spec in zip(self.TERMS, (x, y, z, mean_x, mean_y, const)):
+            if spec is None:
+                continue
+            path = shaped_path(spec, (dim,) if key == "const" else (dim, dim), f"{name}.{key}")
+            if not (isinstance(path, PiecewiseConstant) and not np.any(path.values)):
+                self.terms[key] = path
+
+    def __call__(self, t: float, x, y=None, z=None, nu=None) -> np.ndarray:
+        """The map at time t on particle arrays x, y (P, m) and z (P, m, 1)."""
+        c = {key: path(t) for key, path in self.terms.items()}
         out = np.zeros_like(x)
-        if px is not None:
-            out = out + x @ px(t).T
-        if py is not None:
-            out = out + y @ py(t).T
-        if pz is not None:
-            out = out + z[:, :, 0] @ pz(t).T
-        if pmx is not None or pmy is not None:
+        if "x" in c:
+            out = out + x @ c["x"].T
+        if "y" in c:
+            out = out + y @ c["y"].T
+        if "z" in c:
+            out = out + z[:, :, 0] @ c["z"].T
+        if "mean_x" in c or "mean_y" in c:
             mu = nu.mean()
-            if pmx is not None:
-                out = out + pmx(t) @ mu[:m]
-            if pmy is not None:
-                out = out + pmy(t) @ mu[m:]
-        if pc is not None:
-            out = out + pc(t)
+            if "mean_x" in c:
+                out = out + c["mean_x"] @ mu[: self.dim]
+            if "mean_y" in c:
+                out = out + c["mean_y"] @ mu[self.dim :]
+        if "const" in c:
+            out = out + c["const"]
         return out
 
-    return rhs
+
+def affine_problem(x0, horizon: float, f: AffineCoeffs, h: AffineCoeffs, sigma: AffineCoeffs, g: AffineCoeffs,
+                   lipschitz: LipschitzProfile | None = None,
+                   monotonicity: MonotonicityProfile | None = None) -> MfProblem:
+    """MfProblem of four affine tables, with a one-dimensional Brownian
+    motion.  sigma must have no measure terms (it is marked law-free) and
+    g(x, mu) reads its terms (x, mean_x, const) at the horizon."""
+    return MfProblem(
+        dim_state=f.dim,
+        dim_bm=1,
+        x0=x0,
+        horizon=horizon,
+        f=f,
+        sigma=lambda t, x, y, z, nu: sigma(t, x, y, z)[:, :, None],
+        h=h,
+        g=lambda x, mu: g(horizon, x, nu=mu),
+        law_free_sigma=True,
+        lipschitz=lipschitz,
+        monotonicity=monotonicity,
+    )
 
 
 def problem_from_config(cfg: dict) -> MfProblem:
@@ -561,9 +597,9 @@ def problem_from_config(cfg: dict) -> MfProblem:
          "monotonicity": {"k":, "k_prime":, "variant":}}           # optional
 
     where each coeff is a number, a matrix, ``{"const": ...}`` or
-    ``{"piecewise": [{"t_from":, "value":}, ...]}``.  Config problems are
-    restricted to a one-dimensional Brownian motion and a law-free sigma;
-    anything richer needs library callbacks.
+    ``{"piecewise": [{"t_from":, "value":}, ...]}`` (g's are read at T).
+    Config problems are restricted to a one-dimensional Brownian motion
+    and a law-free sigma; anything richer needs library callbacks.
     """
     if cfg.get("kind", "problem") != "problem":
         raise ValueError(f"expected a problem config, got kind={cfg.get('kind')!r}")
@@ -572,65 +608,21 @@ def problem_from_config(cfg: dict) -> MfProblem:
             raise ValueError(f"problem config is missing required field {key!r}")
     m = int(cfg["dim"])
     horizon = float(cfg["horizon"])
-    x0 = _coerce_vector(np.asarray(cfg["x0"], dtype=float), m, "x0")
-
-    f_terms = cfg.get("f", {})
-    h_terms = cfg.get("h", {})
-    s_terms = dict(cfg.get("sigma", {}))
-    g_terms = cfg.get("g", {})
-    for bad in ("mean_x", "mean_y"):
-        if bad in s_terms:
-            raise ValueError("config sigma must be law-free; measure terms are not allowed")
-    unknown = set(g_terms) - {"x", "mean_x", "const"}
+    x0 = coerce(cfg["x0"], (m,), "x0")
+    if {"mean_x", "mean_y"} & set(cfg.get("sigma", {})):
+        raise ValueError("config sigma must be law-free; measure terms are not allowed")
+    unknown = set(cfg.get("g", {})) - {"x", "mean_x", "const"}
     if unknown:
         raise ValueError(f"g supports keys x, mean_x, const; got {sorted(unknown)}")
+    tables = {}
+    for name in ("f", "h", "sigma", "g"):
+        terms = cfg.get(name, {})
+        tables[name] = AffineCoeffs(m, name, **{key: terms.get(key) for key in AffineCoeffs.TERMS})
 
-    f_cb = _affine_rhs(f_terms, m, "f")
-    h_cb = _affine_rhs(h_terms, m, "h")
-    s_core = _affine_rhs(s_terms, m, "sigma")
-
-    def sigma_cb(t, x, y, z, nu):
-        return s_core(t, x, y, z, nu)[:, :, None]
-
-    gx = _coerce_matrix(np.asarray(g_terms["x"], dtype=float), m, m, "g.x") if "x" in g_terms else None
-    gm = _coerce_matrix(np.asarray(g_terms["mean_x"], dtype=float), m, m, "g.mean_x") if "mean_x" in g_terms else None
-    gc = _coerce_vector(np.asarray(g_terms["const"], dtype=float), m, "g.const") if "const" in g_terms else None
-
-    def g_cb(x, mu):
-        out = np.zeros_like(x)
-        if gx is not None:
-            out = out + x @ gx.T
-        if gm is not None:
-            out = out + gm @ mu.mean()
-        if gc is not None:
-            out = out + gc
-        return out
-
-    lip = None
+    lip = mono = None
     if "lipschitz" in cfg:
-        lc = cfg["lipschitz"]
-        lip = LipschitzProfile(
-            c_u=float(lc["c_u"]), c_nu=float(lc["c_nu"]),
-            c_g_x=float(lc["c_g_x"]), c_g_nu=float(lc["c_g_nu"]),
-        )
-    mono = None
+        lip = LipschitzProfile(*(float(cfg["lipschitz"][key]) for key in ("c_u", "c_nu", "c_g_x", "c_g_nu")))
     if "monotonicity" in cfg:
         mc = cfg["monotonicity"]
-        mono = MonotonicityProfile(
-            k=float(mc["k"]), k_prime=float(mc["k_prime"]),
-            variant=str(mc.get("variant", H1PRIME)),
-        )
-
-    return MfProblem(
-        dim_state=m,
-        dim_bm=1,
-        x0=x0,
-        horizon=horizon,
-        f=f_cb,
-        sigma=sigma_cb,
-        h=h_cb,
-        g=g_cb,
-        law_free_sigma=True,
-        lipschitz=lip,
-        monotonicity=mono,
-    )
+        mono = MonotonicityProfile(float(mc["k"]), float(mc["k_prime"]), str(mc.get("variant", H1PRIME)))
+    return affine_problem(x0, horizon, **tables, lipschitz=lip, monotonicity=mono)

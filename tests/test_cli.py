@@ -107,6 +107,14 @@ class TestSolveCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
 
+    def test_piece_without_value_is_config_error(self, tmp_path, capsys):
+        pieces = [{"t_from": 0.0}, {"t_from": 0.1, "value": -1.0}]
+        payload = dict(TOY_PROBLEM, f={"y": {"piecewise": pieces}, "mean_x": 0.1})
+        cfg = write_config(tmp_path, payload)
+        code = cli.main(["solve", cfg, "--particles", "100", "--steps", "10", "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert "'value'" in capsys.readouterr().err
+
     def test_invalid_max_outer_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, TOY_PROBLEM)
         assert cli.main(["solve", cfg, "--max-outer", "0", "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
@@ -156,6 +164,16 @@ class TestGameCommand:
             "--out", str(tmp_path / "bad"),
         ])
         assert code == cli.EXIT_DEVIATION
+
+    def test_overflowing_deviation_is_numerical_blowup(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SCALAR_GAME)
+        code = cli.main([
+            "game", cfg, "--particles", "200", "--steps", "20", "--deviations", "2",
+            "--deviation-magnitude", "1e300", "--out", str(tmp_path / "o"),
+        ])
+        assert code == cli.EXIT_NOT_CONVERGED
+        err = capsys.readouterr().err
+        assert err.strip().splitlines()[-1].startswith("numerical blow-up: ")
 
     def test_problem_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, TOY_PROBLEM)

@@ -6,6 +6,7 @@ import pytest
 from mfbsde import fixpoint, lqgame
 from mfbsde.measure import EmpiricalMeasure
 from mfbsde.paths import PathEnsemble, TimeGrid
+from mfbsde.problem import PiecewiseConstant
 from oracles import (
     example3_boundary_det,
     example3_mean_path,
@@ -42,6 +43,15 @@ class TestGameSpec:
                 C=[np.eye(2)], N=[np.eye(2)],
                 Q=[np.array([[1.0, 0.5], [0.0, 1.0]])],
             )
+
+    def test_piecewise_table_is_not_rewritten(self):
+        # one table shared by two specs of different dimensions
+        pw = PiecewiseConstant([0.0, 0.5], [0.1, 0.2])
+        two = lqgame.GameSpec(n=2, horizon=1.0, x0=[0.0, 0.0], A=pw, C=[np.eye(2)], N=[np.eye(2)], Q=[np.eye(2)])
+        one = lqgame.GameSpec(n=1, horizon=1.0, x0=[0.0], A=pw, C=[[[1.0]]], N=[[[1.0]]], Q=[[[1.0]]])
+        assert pw.values.shape == (2,)
+        assert np.array_equal(two.A(0.7), 0.2 * np.eye(2))
+        assert np.array_equal(one.A(0.2), [[0.1]])
 
     def test_k_matrices_symmetric_psd(self):
         rng = np.random.default_rng(0)
@@ -135,6 +145,52 @@ class TestBuildAggregated:
             dx, dy = u[0] - v[0], u[1] - v[1]
             expected = -float(dy @ dy) - float(dx @ skm @ dx)
             assert eval_A(agg, 0.4, u, v, nu) == pytest.approx(expected, abs=1e-10)
+
+    @staticmethod
+    def coupled_game():
+        # nonzero D, sigma and Gamma, piecewise A and M switching at t = 0.5
+        sym = lambda a, b, c: np.array([[a, b], [b, c]])
+        return lqgame.GameSpec(
+            n=2, horizon=1.0, x0=[0.3, -0.2],
+            A=PiecewiseConstant([0.0, 0.5], [[[0.3, 0.1], [-0.2, 0.2]], [[0.1, 0.4], [0.0, -0.3]]]),
+            D=[[0.1, -0.05], [0.2, 0.1]], sigma=[[0.2, 0.1], [0.0, 0.3]],
+            beta=[0.05, -0.1], alpha=[0.4, 0.1],
+            C=[np.array([[1.0], [0.5]]), np.array([[0.2], [1.0]])], N=[[[1.0]], [[2.0]]],
+            Q=[sym(1.0, 0.2, 0.5), sym(0.5, 0.0, 1.0)], R=[sym(0.1, 0.0, 0.1), sym(0.0, 0.05, 0.2)],
+            M=[PiecewiseConstant([0.0, 0.5], [sym(1.0, 0.1, 0.5), sym(2.0, -0.3, 1.0)]), sym(0.5, 0.0, 0.5)],
+            Gamma=[sym(0.3, 0.1, 0.2), PiecewiseConstant([0.0, 0.25], [sym(0.1, 0.0, 0.1), sym(0.4, 0.2, 0.3)])],
+        )
+
+    def test_aggregated_and_adjoint_coefficients_match_formulas(self):
+        gs = self.coupled_game()
+        K = gs.k_matrices()
+        agg = lqgame.build_aggregated(gs, force=True)
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal((2, 6, 2))
+        z = rng.standard_normal((6, 2, 1))
+        nu = EmpiricalMeasure(rng.standard_normal((9, 4)))
+        mu = EmpiricalMeasure(rng.standard_normal((9, 2)))
+        m1, m2 = nu.mean()[:2], nu.mean()[2:]
+        zv = z[:, :, 0]
+        for t in (0.2, 0.5, 0.7):
+            a, d, s = gs.A(t), gs.D(t), gs.sigma(t)
+            skm = sum(k @ m(t) for k, m in zip(K, gs.M))
+            checks = [
+                (agg.f(t, x, y, z, nu), x @ a.T - y + m1 @ d.T + gs.beta(t)),
+                (agg.sigma(t, x, y, z, None)[:, :, 0], x @ s.T + gs.alpha(t)),
+                (agg.h(t, x, y, z, nu), -(y @ a + x @ skm.T + m2 @ d + zv @ s)),
+            ]
+            for i in range(gs.players):
+                adj = lqgame._adjoint_problem(gs, i)
+                want = -(y @ a + x @ gs.M[i](t).T + m2 @ d + zv @ s + m1 @ gs.Gamma[i](t).T)
+                checks.append((adj.h(t, x, y, z, nu), want))
+                checks.append((adj.f(t, x, y, z, nu), np.zeros_like(x)))
+                checks.append((adj.g(x, mu), x @ gs.Q[i].T + gs.R[i] @ mu.mean()))
+            for got, want in checks:
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        skq = sum(k @ q for k, q in zip(K, gs.Q))
+        skr = sum(k @ r for k, r in zip(K, gs.R))
+        assert np.allclose(agg.g(x, mu), x @ skq.T + skr @ mu.mean(), rtol=0.0, atol=1e-12)
 
     def test_force_flag_required_when_monotonicity_missing(self):
         gs = lqgame.example3_game(0.5)

@@ -6,7 +6,6 @@ import pytest
 from mfbsde.paths import (
     PathEnsemble,
     TimeGrid,
-    ensemble_to_csv,
     joint_marginal,
     make_bundle,
     marginal,
@@ -107,15 +106,6 @@ class TestMarginal:
 
 
 class TestExports:
-    def test_ensemble_csv_layout(self):
-        g = TimeGrid(1.0, 2)
-        e = PathEnsemble(np.arange(2 * 3 * 2, dtype=float).reshape(2, 3, 2))
-        buf = io.StringIO()
-        ensemble_to_csv(e, g, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "time,particle,component_0,component_1"
-        assert len(lines) == 1 + 3 * 2
-
     def test_moments_csv_values(self):
         g = TimeGrid(1.0, 1)
         vals = np.array([[[0.0], [2.0]], [[4.0], [6.0]]])

@@ -7,11 +7,14 @@ from mfbsde.measure import EmpiricalMeasure
 from mfbsde.problem import (
     H1,
     H1PRIME,
+    AffineCoeffs,
     LipschitzProfile,
     MfProblem,
     MonotonicityProfile,
     PiecewiseConstant,
     as_path,
+    map_path,
+    shaped_path,
     check_H1,
     check_smallness,
     contraction_constants,
@@ -307,10 +310,67 @@ class TestPiecewisePaths:
         with pytest.raises(ValueError):
             as_path({"weird": 1})
 
+    def test_as_path_rejects_piece_without_value(self):
+        with pytest.raises(ValueError, match="'value'"):
+            as_path({"piecewise": [{"t_from": 0.0}, {"t_from": 0.1, "value": -1.0}]})
+        with pytest.raises(ValueError, match="'value'"):
+            as_path({"piecewise": [{"t_from": 0.0, "value": None}]})
+
+    def test_shaped_path_builds_a_new_table(self):
+        pw = PiecewiseConstant([0.0, 0.5], [0.1, 0.2])
+        shaped = shaped_path(pw, (2, 2), "A")
+        assert shaped is not pw
+        assert pw.values.shape == (2,)
+        assert np.array_equal(shaped(0.7), 0.2 * np.eye(2))
+        assert np.array_equal(shaped_path(pw, (3,), "b")(0.0), np.full(3, 0.1))
+        with pytest.raises(ValueError, match=r"b: expected shape \(2,\), got \(3,\)"):
+            shaped_path(lambda t: np.ones(3), (2,), "b")(0.0)
+
+    def test_map_path_merges_breakpoints(self):
+        a = PiecewiseConstant([0.0, 0.5], [np.eye(2), 2 * np.eye(2)])
+        b = PiecewiseConstant([0.0, 0.25], [np.ones((2, 2)), np.zeros((2, 2))])
+        ab = map_path(lambda u, v: u @ v, a, b)
+        assert isinstance(ab, PiecewiseConstant)
+        assert np.array_equal(ab.breakpoints, [0.0, 0.25, 0.5])
+        for t in (-1.0, 0.1, 0.3, 0.6):
+            assert np.array_equal(ab(t), a(t) @ b(t))
+        call = map_path(lambda u, v: u @ v, a, lambda t: t * np.ones((2, 2)))
+        assert np.array_equal(call(0.6), 2 * 0.6 * np.ones((2, 2)))
+
     def test_sup_spectral_norm(self):
         pw = PiecewiseConstant([0.0, 0.5], [np.diag([1.0, 2.0]), np.diag([3.0, 0.5])])
         assert sup_spectral_norm(pw, 1.0) == pytest.approx(3.0)
         assert sup_spectral_norm(lambda t: np.array([[t]]), 2.0) == pytest.approx(2.0)
+
+
+class TestAffineCoeffs:
+    def test_terms_match_written_formula(self):
+        rng = np.random.default_rng(3)
+        cx, cy, cz, cmx, cmy = rng.standard_normal((5, 2, 2))
+        c0 = rng.standard_normal(2)
+        table = AffineCoeffs(2, "f", x=cx, y=cy, z=cz, mean_x=cmx, mean_y=cmy, const=c0)
+        x, y = rng.standard_normal((2, 5, 2))
+        z = rng.standard_normal((5, 2, 1))
+        nu = EmpiricalMeasure(rng.standard_normal((7, 4)))
+        mu = nu.mean()
+        want = x @ cx.T + y @ cy.T + z[:, :, 0] @ cz.T + cmx @ mu[:2] + cmy @ mu[2:] + c0
+        assert np.allclose(table(0.3, x, y, z, nu), want, rtol=0.0, atol=1e-12)
+
+    def test_zero_piecewise_terms_are_dropped(self):
+        table = AffineCoeffs(
+            2, "h", x=0.0, y={"piecewise": [{"t_from": 0.0, "value": 0.0}, {"t_from": 0.5, "value": 1.0}]},
+            mean_x=np.zeros((2, 2)), const=lambda t: np.zeros(2),
+        )
+        assert sorted(table.terms) == ["const", "y"]
+        x = np.ones((3, 2))
+        # no measure is needed once the mean terms are gone
+        assert np.array_equal(table(0.7, x, 2 * x), 2 * x)
+
+    def test_shapes_checked_once_with_term_names(self):
+        with pytest.raises(ValueError, match=r"g\.x: expected shape \(2, 2\)"):
+            AffineCoeffs(2, "g", x=np.ones((3, 3)))
+        with pytest.raises(TypeError):
+            AffineCoeffs(2, "g", w=1.0)
 
 
 class TestProblemFromConfig:
@@ -357,6 +417,17 @@ class TestProblemFromConfig:
         cfg["sigma"]["mean_x"] = 0.5
         with pytest.raises(ValueError, match="law-free"):
             problem_from_config(cfg)
+
+    def test_piecewise_driver_switches_at_breakpoint(self):
+        cfg = self.config()
+        cfg["h"]["x"] = {"piecewise": [{"t_from": 0.0, "value": -1.0}, {"t_from": 0.1, "value": -2.0}]}
+        p = problem_from_config(cfg)
+        x = np.ones((3, 1))
+        y = np.zeros((3, 1))
+        z = np.zeros((3, 1, 1))
+        nu = EmpiricalMeasure(np.zeros((4, 2)))
+        assert np.allclose(p.h(0.05, x, y, z, nu), -1.0)
+        assert np.allclose(p.h(0.2, x, y, z, nu), -2.0)
 
     def test_wrong_kind_rejected(self):
         cfg = self.config()
