@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .measure import EmpiricalMeasure
-from .paths import BrownianBundle, PathEnsemble, TimeGrid
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_time_major
 from .problem import MfProblem
 
 __all__ = ["RegressionBasis", "RegressionDiagnostics", "solve_backward"]
@@ -84,9 +84,12 @@ class RegressionDiagnostics:
         return bool(self.ridge_steps)
 
 
-def _fit_predict(design: np.ndarray, targets: np.ndarray, step: int, diag: RegressionDiagnostics):
-    """Ridge-stabilized least squares via the normal equations.
+def _ridge_fit(design: np.ndarray, step: int, diag: RegressionDiagnostics):
+    """Ridge-stabilized least squares via the normal equations: returns the
+    map from targets to fitted values at the sample points.
 
+    The Gram matrix, its ridge shift and the rank-deficiency flag are
+    formed once per step and shared by every fit on that step's design.
     The tiny relative regularizer is always on: it keeps the fit a smooth
     (branch-free) function of the particle states even when the cloud
     degenerates onto an affine subspace and the design matrix turns rank
@@ -97,11 +100,10 @@ def _fit_predict(design: np.ndarray, targets: np.ndarray, step: int, diag: Regre
     """
     gram = design.T @ design
     scale = np.trace(gram) / design.shape[1]
-    lam = _RIDGE * (scale + 1.0)
-    coef = np.linalg.solve(gram + lam * np.eye(design.shape[1]), design.T @ targets)
-    if np.linalg.eigvalsh(gram)[0] < 1e-10 * (scale + 1.0) and step not in diag.ridge_steps:
+    shifted = gram + _RIDGE * (scale + 1.0) * np.eye(design.shape[1])
+    if np.linalg.eigvalsh(gram)[0] < 1e-10 * (scale + 1.0):
         diag.ridge_steps.append(step)
-    return design @ coef
+    return lambda targets: design @ np.linalg.solve(shifted, design.T @ targets)
 
 
 def solve_backward(
@@ -133,43 +135,38 @@ def solve_backward(
 
     dt = grid.dt
     times = grid.nodes
-    xv = x_ens.values
-    y = np.empty((particles, steps + 1, m))
-    z = np.empty((particles, steps, m, d))
+    xv = x_ens.time_major
+    y = np.empty((steps + 1, particles, m))
+    z = np.empty((steps, particles, m, d))
     diag = RegressionDiagnostics()
 
-    y[:, steps, :] = np.asarray(p.g(xv[:, steps, :], terminal_law))
-    if not np.all(np.isfinite(y[:, steps, :])):
+    y[steps] = np.asarray(p.g(xv[steps], terminal_law))
+    if not np.all(np.isfinite(y[steps])):
         raise FloatingPointError("terminal condition produced non-finite values")
 
     for k in range(steps - 1, -1, -1):
         t_k = float(times[k])
         nu_k = frozen_flow[k]
-        xk = xv[:, k, :]
-        y_next = y[:, k + 1, :]
-        design = basis.features(xk)
+        xk = xv[k]
+        y_next = y[k + 1]
+        fit = _ridge_fit(basis.features(xk), k, diag)
 
-        dw = bundle.increments[:, k, :]
+        dw = bundle.time_major[k]
         z_targets = (y_next[:, :, None] * dw[:, None, :] / dt).reshape(particles, m * d)
-        z_fit = _fit_predict(design, z_targets, k, diag)
+        z_fit = fit(z_targets)
         diag.z_residuals.append(float(np.sqrt(np.mean((z_targets - z_fit) ** 2))))
-        z[:, k, :, :] = z_fit.reshape(particles, m, d)
+        z[k] = z_fit.reshape(particles, m, d)
 
         y_guess = y_next
         for _ in range(picard_inner):
-            hk = np.asarray(p.h(t_k, xk, y_guess, z[:, k, :, :], nu_k))
+            hk = np.asarray(p.h(t_k, xk, y_guess, z[k], nu_k))
             targets = y_next - hk * dt
-            y_fit = _fit_predict(design, targets, k, diag)
-            y_guess = y_fit
-        diag.y_residuals.append(float(np.sqrt(np.mean((targets - y_fit) ** 2))))
-        if not np.all(np.isfinite(y_fit)):
+            y_guess = fit(targets)
+        diag.y_residuals.append(float(np.sqrt(np.mean((targets - y_guess) ** 2))))
+        if not np.all(np.isfinite(y_guess)):
             raise FloatingPointError(f"backward regression produced non-finite values at step {k}")
-        y[:, k, :] = y_fit
+        y[k] = y_guess
 
     diag.y_residuals.reverse()
     diag.z_residuals.reverse()
-    return (
-        PathEnsemble(values=y),
-        PathEnsemble(values=z.reshape(particles, steps, m * d)),
-        diag,
-    )
+    return from_time_major(y), from_time_major(z.reshape(steps, particles, m * d)), diag

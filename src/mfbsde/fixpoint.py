@@ -36,7 +36,9 @@ import numpy as np
 from .backward import RegressionBasis, solve_backward
 from .forward import propagate
 from .measure import EmpiricalMeasure
-from .paths import BrownianBundle, PathEnsemble, TimeGrid, joint_marginal, make_bundle, marginal
+from .paths import (
+    BrownianBundle, PathEnsemble, TimeGrid, from_time_major, joint_marginal, make_bundle, marginal, node_msd,
+)
 from .problem import MfProblem, contraction_constants
 
 __all__ = [
@@ -186,40 +188,66 @@ def _gaps(grid: TimeGrid, new, old) -> tuple[float, float]:
     (trapezoid on nodes for X and Y, left rectangles for the step-indexed Z)."""
     xn, yn, zn = new
     xo, yo, zo = old
-    dxt = xn.values[:, -1, :] - xo.values[:, -1, :]
-    gap_xt = float(np.mean(np.sum(dxt * dxt, axis=1)))
-    per_node = np.mean(np.sum((xn.values - xo.values) ** 2, axis=2), axis=0)
-    per_node = per_node + np.mean(np.sum((yn.values - yo.values) ** 2, axis=2), axis=0)
+    per_x = node_msd(xn.time_major, xo.time_major)
+    per_node = per_x + node_msd(yn.time_major, yo.time_major)
     gap_u = float(np.trapezoid(per_node, dx=grid.dt))
-    dz = zn.values - zo.values
-    gap_u += float(np.sum(np.mean(np.sum(dz * dz, axis=2), axis=0)) * grid.dt)
-    return gap_xt, gap_u
+    gap_u += float(np.sum(node_msd(zn.time_major, zo.time_major)) * grid.dt)
+    return float(per_x[-1]), gap_u
 
 
 def _flatten_pair(y: PathEnsemble, z: PathEnsemble) -> np.ndarray:
-    return np.concatenate([y.values.ravel(), z.values.ravel()])
+    return np.concatenate([y.time_major.ravel(), z.time_major.ravel()])
 
 
 def _split_pair(u: np.ndarray, y_shape, z_shape) -> tuple[PathEnsemble, PathEnsemble]:
+    """Inverse of :func:`_flatten_pair`; the shapes are time-major."""
     cut = int(np.prod(y_shape))
-    return (
-        PathEnsemble(u[:cut].reshape(y_shape)),
-        PathEnsemble(u[cut:].reshape(z_shape)),
-    )
+    return from_time_major(u[:cut].reshape(y_shape)), from_time_major(u[cut:].reshape(z_shape))
 
 
-def _anderson_next(hist_u: list, hist_fu: list) -> np.ndarray:
-    """Anderson mixing step over the stored (input, output) sweep pairs."""
-    r = [fu - u for u, fu in zip(hist_u, hist_fu)]
-    if len(r) < 2:
-        return hist_fu[-1]
-    dr = np.stack([r[i] - r[i - 1] for i in range(1, len(r))], axis=1)
-    dfu = np.stack([hist_fu[i] - hist_fu[i - 1] for i in range(1, len(hist_fu))], axis=1)
-    gamma, _, _, _ = np.linalg.lstsq(dr, r[-1], rcond=None)
-    out = hist_fu[-1] - dfu @ gamma
-    if not np.all(np.isfinite(out)):
-        return hist_fu[-1]
-    return out
+class _Anderson:
+    """Anderson mixing of the sweep map u -> F(u) with memory ``depth``
+    (Walker & Ni, SIAM J. Numer. Anal. 2011).
+
+    Each step stores the residual r = F(u) - u once, keeps the last
+    ``depth`` differences of residuals and of outputs, and picks gamma
+    from the small Gram system of the residual differences,
+    (dR' dR) gamma = dR' r.  ``lstsq`` keeps the minimum-norm answer when
+    that system is singular, as on the stacked residuals.  The mixed
+    iterate is F(u) - dFU gamma, or F(u) itself when the step is not
+    finite.
+    """
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.r = self.fu = None
+        self.dr: list[np.ndarray] = []
+        self.dfu: list[np.ndarray] = []
+        self.gram = np.zeros((0, 0))
+
+    def next(self, u: np.ndarray, fu: np.ndarray) -> np.ndarray:
+        r = fu - u
+        if self.r is not None:
+            dr = r - self.r
+            self.dr.append(dr)
+            self.dfu.append(fu - self.fu)
+            row = np.array([dr @ v for v in self.dr])
+            gram = np.empty((len(row), len(row)))
+            gram[:-1, :-1] = self.gram
+            gram[-1, :] = gram[:, -1] = row
+            if len(self.dr) > self.depth:
+                del self.dr[0], self.dfu[0]
+                gram = gram[1:, 1:]
+            self.gram = gram
+        self.r, self.fu = r, fu
+        rhs = np.array([v @ r for v in self.dr])
+        if not (self.dr and np.all(np.isfinite(self.gram)) and np.all(np.isfinite(rhs))):
+            return fu
+        gamma = np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
+        out = fu.copy()
+        for g, v in zip(gamma, self.dfu):
+            out -= g * v
+        return out if np.all(np.isfinite(out)) else fu
 
 
 def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
@@ -236,8 +264,7 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
     target = (0.1 * params.tol) ** 2
     omega = params.inner_relaxation
     x_cur, y_cur, z_cur = x_prev, y_prev, z_prev
-    hist_u: list[np.ndarray] = []
-    hist_fu: list[np.ndarray] = []
+    accel = _Anderson(params.inner_accel)
     reg_diag = None
     gap_min = math.inf
     growing = 0
@@ -247,8 +274,8 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
             p, grid, bundle, x_new, flow, mu_t, params.basis, params.picard_inner
         )
         if omega is not None and omega < 1.0:
-            y_hat = PathEnsemble(y_cur.values + omega * (y_hat.values - y_cur.values))
-            z_hat = PathEnsemble(z_cur.values + omega * (z_hat.values - z_cur.values))
+            y_hat = from_time_major(y_cur.time_major + omega * (y_hat.time_major - y_cur.time_major))
+            z_hat = from_time_major(z_cur.time_major + omega * (z_hat.time_major - z_cur.time_major))
         gap = sum(_gaps(grid, (x_new, y_hat, z_hat), (x_cur, y_cur, z_cur)))
         if not math.isfinite(gap):
             raise FloatingPointError(f"inner sweep gap became non-finite at sweep {sweep}")
@@ -260,13 +287,8 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
         if growing >= 3 and sweep >= params.inner_sweeps:
             return x_new, y_hat, z_hat, reg_diag
         if params.inner_accel > 0:
-            hist_u.append(_flatten_pair(y_cur, z_cur))
-            hist_fu.append(_flatten_pair(y_hat, z_hat))
-            if len(hist_u) > params.inner_accel + 1:
-                hist_u.pop(0)
-                hist_fu.pop(0)
-            mixed = _anderson_next(hist_u, hist_fu)
-            y_next, z_next = _split_pair(mixed, y_hat.values.shape, z_hat.values.shape)
+            mixed = accel.next(_flatten_pair(y_cur, z_cur), _flatten_pair(y_hat, z_hat))
+            y_next, z_next = _split_pair(mixed, y_hat.time_major.shape, z_hat.time_major.shape)
         else:
             y_next, z_next = y_hat, z_hat
         x_cur, y_cur, z_cur = x_new, y_next, z_next
@@ -383,8 +405,8 @@ def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:
     grid, bundle = sol.grid, sol.bundle
     m, d = p.dim_state, p.dim_bm
     particles, steps = bundle.particles, bundle.steps
-    xv, yv = sol.x_ens.values, sol.y_ens.values
-    zv = sol.z_ens.values.reshape(particles, steps, m, d)
+    xv, yv = sol.x_ens.time_major, sol.y_ens.time_major
+    zv = sol.z_ens.time_major.reshape(steps, particles, m, d)
     dt = grid.dt
     times = grid.nodes
 
@@ -393,17 +415,17 @@ def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:
     for k in range(steps):
         t_k = float(times[k])
         nu_k = sol.flow[k]
-        xk, yk, zk = xv[:, k, :], yv[:, k, :], zv[:, k, :, :]
-        dw = bundle.increments[:, k, :]
+        xk, yk, zk = xv[k], yv[k], zv[k]
+        dw = bundle.time_major[k]
         fv = np.asarray(p.f(t_k, xk, yk, zk, nu_k))
         sv = np.asarray(p.sigma(t_k, xk, yk, zk, None if p.law_free_sigma else nu_k))
-        fdef = xv[:, k + 1, :] - xk - fv * dt - np.einsum("pmd,pd->pm", sv, dw)
+        fdef = xv[k + 1] - xk - fv * dt - np.einsum("pmd,pd->pm", sv, dw)
         fwd = max(fwd, float(np.mean(np.sum(fdef * fdef, axis=1))))
         hv = np.asarray(p.h(t_k, xk, yk, zk, nu_k))
-        bdef = yv[:, k + 1, :] - yk - hv * dt - np.einsum("pmd,pd->pm", zk, dw)
+        bdef = yv[k + 1] - yk - hv * dt - np.einsum("pmd,pd->pm", zk, dw)
         bwd = max(bwd, float(np.mean(np.sum(bdef * bdef, axis=1))))
 
-    tdef = yv[:, steps, :] - np.asarray(p.g(xv[:, steps, :], sol.terminal_law))
+    tdef = yv[steps] - np.asarray(p.g(xv[steps], sol.terminal_law))
     term = float(np.mean(np.sum(tdef * tdef, axis=1)))
     return fwd, bwd, term
 

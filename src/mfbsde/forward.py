@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .measure import EmpiricalMeasure
-from .paths import BrownianBundle, PathEnsemble, TimeGrid
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_time_major
 from .problem import MfProblem
 
 __all__ = ["propagate"]
@@ -59,32 +59,28 @@ def propagate(
 
     dt = grid.dt
     times = grid.nodes
-    x = np.empty((particles, steps + 1, m))
-    x[:, 0, :] = p.x0
-    yv = y_ens.values
-    ypv = y_prev.values
-    zv = z_ens.values.reshape(particles, steps, m, d)
-    zpv = z_prev.values.reshape(particles, steps, m, d)
+    x = np.empty((steps + 1, particles, m))
+    x[0] = p.x0
+    yv = y_ens.time_major
+    ypv = y_prev.time_major
+    zv = z_ens.time_major.reshape(steps, particles, m, d)
+    zpv = z_prev.time_major.reshape(steps, particles, m, d)
 
     for k in range(steps):
         t_k = float(times[k])
         nu_k: EmpiricalMeasure = frozen_flow[k]
-        xk = x[:, k, :]
-        yk = yv[:, k, :]
-        zk = zv[:, k, :, :]
+        xk, yk, zk = x[k], yv[k], zv[k]
         drift = np.asarray(p.f(t_k, xk, yk, zk, nu_k))
         if delta > 0.0:
-            drift = drift - delta * (yk - ypv[:, k, :])
+            drift = drift - delta * (yk - ypv[k])
         if p.law_free_sigma:
             diff = np.asarray(p.sigma(t_k, xk, yk, zk, None))
         else:
             diff = np.asarray(p.sigma(t_k, xk, yk, zk, nu_k))
             if delta > 0.0:
-                diff = diff - delta * (zk - zpv[:, k, :, :])
-        dw = bundle.increments[:, k, :]
-        x_next = xk + drift * dt + np.einsum("pmd,pd->pm", diff, dw)
-        if not np.all(np.isfinite(x_next)):
+                diff = diff - delta * (zk - zpv[k])
+        x[k + 1] = xk + drift * dt + np.einsum("pmd,pd->pm", diff, bundle.time_major[k])
+        if not np.all(np.isfinite(x[k + 1])):
             raise FloatingPointError(f"forward propagation produced non-finite values at step {k}")
-        x[:, k + 1, :] = x_next
 
-    return PathEnsemble(values=x)
+    return from_time_major(x)

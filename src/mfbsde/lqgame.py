@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ from scipy.linalg import expm
 
 from . import fixpoint
 from .backward import solve_backward
-from .paths import BrownianBundle, PathEnsemble, TimeGrid, joint_marginal, marginal
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_time_major, joint_marginal, marginal, node_msd
 from .problem import (
     AffineCoeffs,
     LipschitzProfile,
@@ -374,8 +374,8 @@ def _neg_t(path):
 
 def _control_fn(u) -> Callable:
     if isinstance(u, PathEnsemble):
-        arr = u.values
-        return lambda k, t, x: arr[:, k, :]
+        arr = u.time_major
+        return lambda k, t, x: arr[k]
     if callable(u):
         return u
     arr = np.asarray(u, dtype=float)
@@ -400,11 +400,11 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
     n = gs.n
     dt = grid.dt
     times = grid.nodes
-    x = np.empty((particles, steps + 1, n))
-    x[:, 0, :] = gs.x0
+    x = np.empty((steps + 1, particles, n))
+    x[0] = gs.x0
     for k in range(steps):
         t_k = float(times[k])
-        xk = x[:, k, :]
+        xk = x[k]
         drift = xk @ np.asarray(gs.A(t_k)).T + gs.beta(t_k)
         d_t = np.asarray(gs.D(t_k))
         if np.any(d_t):
@@ -412,10 +412,10 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
         for i, fn in enumerate(fns):
             drift = drift + fn(k, t_k, xk) @ gs.C[i].T
         diff = xk @ np.asarray(gs.sigma(t_k)).T + gs.alpha(t_k)
-        x[:, k + 1, :] = xk + drift * dt + diff * bundle.increments[:, k, :]
-        if not np.all(np.isfinite(x[:, k + 1, :])):
+        x[k + 1] = xk + drift * dt + diff * bundle.time_major[k]
+        if not np.all(np.isfinite(x[k + 1])):
             raise FloatingPointError(f"state simulation produced non-finite values at step {k}")
-    return PathEnsemble(values=x)
+    return from_time_major(x)
 
 
 # ---------------------------------------------------------------------------
@@ -430,40 +430,43 @@ def _trapezoid_weights(grid: TimeGrid) -> np.ndarray:
     return w
 
 
-def _cost_of_slice(gs: GameSpec, i: int, x_vals: np.ndarray, u_vals: np.ndarray, grid: TimeGrid) -> float:
-    """Plug-in cost of player i over one particle slice (means taken
-    within the slice)."""
+def _cost_with_batches(
+    gs: GameSpec, i: int, x_tm: np.ndarray, u_tm: np.ndarray, grid: TimeGrid, n_batches: int = 20
+) -> tuple[float, float, np.ndarray]:
+    """Plug-in cost of player i, its batch-means standard error and the
+    costs of ``n_batches`` contiguous particle blocks (E[X] terms use the
+    means within each block).  ``x_tm`` and ``u_tm`` are time-major
+    (nodes, particles, dim); the per-particle terms are formed once."""
     w = _trapezoid_weights(grid)
-    times = grid.nodes
-    x_t = x_vals[:, -1, :]
-    total = float(np.mean(np.einsum("pi,ij,pj->p", x_t, gs.Q[i], x_t)))
-    m_t = x_t.mean(axis=0)
-    total += float(m_t @ gs.R[i] @ m_t)
-    run = np.einsum("pki,ij,pkj->pk", u_vals, gs.N[i], u_vals)
-    means = x_vals.mean(axis=0)
-    for k, t in enumerate(times):
+    x_t = x_tm[-1]
+    terminal = np.einsum("pi,ij,pj->p", x_t, gs.Q[i], x_t)
+    run = np.einsum("kpi,ij,kpj->pk", u_tm, gs.N[i], u_tm)
+    mean_terms = []
+    for k, t in enumerate(grid.nodes):
         m_k = np.asarray(gs.M[i](t), dtype=float)
         if np.any(m_k):
-            run[:, k] += np.einsum("pi,ij,pj->p", x_vals[:, k, :], m_k, x_vals[:, k, :])
+            run[:, k] += np.einsum("pi,ij,pj->p", x_tm[k], m_k, x_tm[k])
         g_k = np.asarray(gs.Gamma[i](t), dtype=float)
         if np.any(g_k):
-            total += w[k] * float(means[k] @ g_k @ means[k])
-    total += float(np.mean(run @ w))
-    return 0.5 * total
+            mean_terms.append((k, g_k))
+    running = run @ w
 
+    def block(a: int, b: int) -> float:
+        total = float(np.mean(terminal[a:b]))
+        m_t = x_t[a:b].mean(axis=0)
+        total += float(m_t @ gs.R[i] @ m_t)
+        for k, g_k in mean_terms:
+            m_k = x_tm[k, a:b].mean(axis=0)
+            total += w[k] * float(m_k @ g_k @ m_k)
+        total += float(np.mean(running[a:b]))
+        return 0.5 * total
 
-def _cost_with_batches(
-    gs: GameSpec, i: int, x_vals: np.ndarray, u_vals: np.ndarray, grid: TimeGrid, n_batches: int = 20
-) -> tuple[float, float, np.ndarray]:
-    value = _cost_of_slice(gs, i, x_vals, u_vals, grid)
-    particles = x_vals.shape[0]
+    particles = x_tm.shape[1]
     n_batches = min(n_batches, particles)
     bounds = np.linspace(0, particles, n_batches + 1).astype(int)
-    batch_vals = np.array(
-        [_cost_of_slice(gs, i, x_vals[a:b], u_vals[a:b], grid) for a, b in zip(bounds[:-1], bounds[1:])]
-    )
+    batch_vals = np.array([block(a, b) for a, b in zip(bounds[:-1], bounds[1:])])
     stderr = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches)) if n_batches > 1 else 0.0
-    return value, stderr, batch_vals
+    return block(0, particles), stderr, batch_vals
 
 
 def cost(gs: GameSpec, i: int, x_ens: PathEnsemble, controls, grid: TimeGrid) -> tuple[float, float]:
@@ -474,10 +477,10 @@ def cost(gs: GameSpec, i: int, x_ens: PathEnsemble, controls, grid: TimeGrid) ->
     contiguous particle blocks.
     """
     u = controls[i] if isinstance(controls, (list, tuple)) else controls
-    u_vals = u.values if isinstance(u, PathEnsemble) else np.asarray(u, dtype=float)
-    if u_vals.shape[0] != x_ens.particles or u_vals.shape[1] != x_ens.nodes:
+    u_tm = u.time_major if isinstance(u, PathEnsemble) else np.swapaxes(np.asarray(u, dtype=float), 0, 1)
+    if u_tm.shape[1] != x_ens.particles or u_tm.shape[0] != x_ens.nodes:
         raise ValueError("control and state ensembles must share particles and nodes")
-    value, stderr, _ = _cost_with_batches(gs, i, x_ens.values, u_vals, grid)
+    value, stderr, _ = _cost_with_batches(gs, i, x_ens.time_major, u_tm, grid)
     return value, stderr
 
 
@@ -499,6 +502,9 @@ class NashResult:
     aggregation_residual_y: float
     aggregation_residual_z: float
     adjoint_iterations: list
+    # ((game, aggregated, *controls), state) of the last base simulation in
+    # deviation_test; dataclasses.replace starts a new result without it
+    _deviation_base: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def x_ens(self) -> PathEnsemble:
@@ -551,8 +557,7 @@ def _solve_adjoint(gs, i, sol, params) -> tuple[PathEnsemble, PathEnsemble, int]
         p_new, q_ens, _ = solve_backward(
             prob, grid, bundle, x_ens, flow, terminal, params.basis, params.picard_inner
         )
-        diff = np.mean(np.sum((p_new.values - p_ens.values) ** 2, axis=2), axis=0)
-        gap = float(np.trapezoid(diff, dx=grid.dt))
+        gap = float(np.trapezoid(node_msd(p_new.time_major, p_ens.time_major), dx=grid.dt))
         gaps.append(gap)
         p_ens = p_new
         if gap < params.tol**2:
@@ -592,15 +597,13 @@ def solve_nash(
     iters = [r[2] for r in results]
 
     gains = gs.control_gains()
-    controls = [
-        PathEnsemble(values=-(p.values @ gain.T)) for p, gain in zip(p_list, gains)
-    ]
+    controls = [from_time_major(-(p.time_major @ gain.T)) for p, gain in zip(p_list, gains)]
 
     K = gs.k_matrices()
-    ky = sum(p.values @ k.T for p, k in zip(p_list, K))
-    res_y = np.mean(np.sum((ky - sol.y_ens.values) ** 2, axis=2), axis=0)
-    kq = sum(q.values @ k.T for q, k in zip(q_list, K))
-    res_z = np.mean(np.sum((kq - sol.z_ens.values) ** 2, axis=2), axis=0)
+    ky = sum(p.time_major @ k.T for p, k in zip(p_list, K))
+    res_y = node_msd(ky, sol.y_ens.time_major)
+    kq = sum(q.time_major @ k.T for q, k in zip(q_list, K))
+    res_z = node_msd(kq, sol.z_ens.time_major)
 
     costs, stderrs = [], []
     for i in range(players):
@@ -654,6 +657,17 @@ class DeviationReport:
         }
 
 
+def _base_state(gs: GameSpec, nash: NashResult) -> PathEnsemble:
+    """The state under the candidate controls on the solve's bundle,
+    simulated once per (game, solve, controls) and kept on ``nash``."""
+    key = (gs, nash.aggregated, *nash.controls)
+    cached = nash._deviation_base
+    if cached is None or len(cached[0]) != len(key) or any(a is not b for a, b in zip(cached[0], key)):
+        sol = nash.aggregated
+        cached = nash._deviation_base = (key, simulate_state(gs, sol.grid, sol.bundle, list(nash.controls)))
+    return cached[1]
+
+
 def deviation_test(
     gs: GameSpec,
     nash: NashResult,
@@ -674,31 +688,31 @@ def deviation_test(
     numerically; this finite family is a documented limitation.
     """
     grid, bundle = nash.aggregated.grid, nash.aggregated.bundle
-    base_controls = [u.values for u in nash.controls]
+    base_controls = list(nash.controls)
     m_i = gs.control_dims[i]
     rng = np.random.default_rng(seed)
 
-    x_base = simulate_state(gs, grid, bundle, base_controls)
-    j_base, _, base_batches = _cost_with_batches(gs, i, x_base.values, base_controls[i], grid)
+    x_base = _base_state(gs, nash)
+    base_i = base_controls[i].time_major
+    j_base, _, base_batches = _cost_with_batches(gs, i, x_base.time_major, base_i, grid)
 
     deltas, stderrs = [], []
-    base_i = base_controls[i]
     for j in range(perturbations):
         if j % 2 == 0:
             v = rng.standard_normal(m_i)
-            dev = lambda k, t, x, _v=v: base_i[:, k, :] + magnitude * _v
+            dev = lambda k, t, x, _v=v: base_i[k] + magnitude * _v
         else:
             a = rng.standard_normal(m_i)
             b = rng.standard_normal((m_i, gs.n)) / math.sqrt(gs.n)
-            dev = lambda k, t, x, _a=a, _b=b: base_i[:, k, :] + magnitude * (_a + x @ _b.T)
+            dev = lambda k, t, x, _a=a, _b=b: base_i[k] + magnitude * (_a + x @ _b.T)
         controls = list(base_controls)
         controls[i] = dev
-        x_dev = simulate_state(gs, grid, bundle, controls)
-        u_dev = np.stack(
-            [dev(k, float(grid.nodes[k]), x_dev.values[:, k, :]) for k in range(grid.steps + 1)],
-            axis=1,
-        )
-        j_dev, _, dev_batches = _cost_with_batches(gs, i, x_dev.values, u_dev, grid)
+        # an overflowing deviation raises here instead of warning first
+        with np.errstate(over="raise", invalid="raise"):
+            x_dev = simulate_state(gs, grid, bundle, controls)
+            x_tm = x_dev.time_major
+            u_dev = np.stack([dev(k, float(t), x_tm[k]) for k, t in enumerate(grid.nodes)])
+            j_dev, _, dev_batches = _cost_with_batches(gs, i, x_tm, u_dev, grid)
         deltas.append(j_dev - j_base)
         paired = dev_batches - base_batches
         stderrs.append(float(np.std(paired, ddof=1) / math.sqrt(len(paired))) if len(paired) > 1 else 0.0)
@@ -791,27 +805,29 @@ def _augmented(G, b, t: float, dim: int) -> np.ndarray:
     return out
 
 
-def _backward_transition(gs: GameSpec, G, b, dim: int, t_hi: float, t_lo: float, rk_steps: int = 512) -> np.ndarray:
+def _backward_transition(gs: GameSpec, G, b, dim: int, t_hi: float, t_lo: float, cache: dict,
+                         rk_steps: int = 512) -> np.ndarray:
     """Transition matrix of the augmented mean ODE from t_hi down to t_lo.
 
     Exact (matrix exponentials per piece) when every coefficient path is
-    piecewise constant; dense RK4 otherwise.
+    piecewise constant; dense RK4 otherwise.  ``cache`` keeps the piece
+    exponentials of one mean solve, keyed by (piece, exact step length).
     """
     if t_hi <= t_lo:
         return np.eye(dim + 1)
     paths = [gs.A, gs.D, gs.beta] + list(gs.M) + list(gs.Gamma)
     if all(isinstance(p, PiecewiseConstant) for p in paths):
-        cuts = np.unique(
-            np.concatenate(
-                [[t_lo, t_hi]]
-                + [p.breakpoints[(p.breakpoints > t_lo) & (p.breakpoints < t_hi)] for p in paths]
-            )
-        )
+        bps = [p.breakpoints for p in paths]
+        cuts = np.unique(np.concatenate([[t_lo, t_hi]] + [bp[(bp > t_lo) & (bp < t_hi)] for bp in bps]))
+        union = np.unique(np.concatenate(bps))
         # left-to-right product: factor j maps across the j-th lowest piece
         total = np.eye(dim + 1)
         for a, c in zip(cuts[:-1], cuts[1:]):
             mid = 0.5 * (a + c)
-            total = total @ expm(-_augmented(G, b, mid, dim) * (c - a))
+            key = (int(np.searchsorted(union, mid, side="right")), float(c - a))
+            if key not in cache:
+                cache[key] = expm(-_augmented(G, b, mid, dim) * (c - a))
+            total = total @ cache[key]
         return total
     # general deterministic callables: RK4 on Phi' = G_hat Phi integrated backward
     phi = np.eye(dim + 1)
@@ -848,7 +864,8 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
     G, b, dim = _mean_system(gs)
     T = gs.horizon
 
-    transition = _backward_transition(gs, G, b, dim, T, 0.0)
+    cache: dict = {}
+    transition = _backward_transition(gs, G, b, dim, T, 0.0, cache)
     stack = np.zeros((dim, n))
     stack[:n, :] = np.eye(n)
     for i in range(players):
@@ -877,7 +894,7 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
     t_prev = T
     for idx in order:
         t = float(times[idx])
-        v = _backward_transition(gs, G, b, dim, t_prev, t) @ v
+        v = _backward_transition(gs, G, b, dim, t_prev, t, cache) @ v
         values[idx] = v[:dim]
         t_prev = t
 

@@ -59,12 +59,19 @@ class EmpiricalMeasure:
         return self.points.shape[0]
 
     def mean(self) -> np.ndarray:
-        return mean(self)
+        """Coordinate-wise mean of the cloud, shape (d,): computed on first
+        use, then kept and returned read-only."""
+        cached = self.__dict__.get("_mean")
+        if cached is None:
+            cached = self.points.mean(axis=0)
+            cached.flags.writeable = False
+            object.__setattr__(self, "_mean", cached)
+        return cached
 
 
 def mean(m: EmpiricalMeasure) -> np.ndarray:
     """Coordinate-wise mean of the cloud, shape (d,)."""
-    return m.points.mean(axis=0)
+    return m.mean()
 
 
 def _check_pair(a: EmpiricalMeasure, b: EmpiricalMeasure) -> None:

@@ -5,6 +5,13 @@ the N_t + 1 grid nodes; Z values live on the N_t steps (left endpoints),
 because Z multiplies dW over a step.  One ``BrownianBundle`` is drawn per
 solve and reused across all outer iterations (common random numbers), so
 two runs with the same configuration and seed are bit-identical.
+
+Ensembles and bundles are stored time-major: one C-contiguous
+``(nodes, particles, dim)`` array, ``time_major``, so the solver's
+per-step work reads one contiguous block ``time_major[k]``.  The
+particle-major ``(particles, nodes, dim)`` arrays of the public API
+(``PathEnsemble.values``, ``BrownianBundle.increments``) are read-only
+transposed views of it.
 """
 
 from __future__ import annotations
@@ -20,10 +27,12 @@ __all__ = [
     "TimeGrid",
     "BrownianBundle",
     "PathEnsemble",
+    "from_time_major",
     "make_bundle",
     "marginal",
     "joint_marginal",
     "moments_to_csv",
+    "node_msd",
 ]
 
 
@@ -49,6 +58,13 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
+def _time_major_copy(arr: np.ndarray) -> np.ndarray:
+    """Read-only C-contiguous (nodes, particles, dim) copy of a particle-major array."""
+    out = np.swapaxes(arr, 0, 1).copy()
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class BrownianBundle:
     """Reusable bundle of Brownian increments, one N(0, dt) draw per
@@ -56,30 +72,39 @@ class BrownianBundle:
 
     Drawn from a counter-based Philox stream keyed on ``seed``, so the
     array is reproducible bit-for-bit and independent of scheduling order.
+    ``time_major`` is (steps, particles, dim); ``increments`` is its
+    read-only (particles, steps, dim) view.
     """
 
     seed: int
-    increments: np.ndarray  # (particles, steps, dim)
+    time_major: np.ndarray
+
+    @property
+    def increments(self) -> np.ndarray:
+        return np.swapaxes(self.time_major, 0, 1)
 
     @property
     def particles(self) -> int:
-        return self.increments.shape[0]
+        return self.time_major.shape[1]
 
     @property
     def steps(self) -> int:
-        return self.increments.shape[1]
+        return self.time_major.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.increments.shape[2]
+        return self.time_major.shape[2]
 
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Per-particle process values: array (particles, nodes, dim).
+    """Per-particle process values, given as an array (particles, nodes, dim).
 
-    For matrix-valued processes (Z) the trailing axis stores the row-major
-    flattening; ``dim`` is then rows * cols.
+    The constructor copies and checks the array and stores it time-major
+    (``time_major``, C-contiguous (nodes, particles, dim)); ``values`` is
+    the read-only particle-major view.  For matrix-valued processes (Z)
+    the trailing axis stores the row-major flattening; ``dim`` is then
+    rows * cols.
     """
 
     values: np.ndarray
@@ -88,23 +113,28 @@ class PathEnsemble:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 3:
             raise ValueError(f"values must be (particles, nodes, dim), got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        tm = _time_major_copy(vals)
+        if not np.all(np.isfinite(tm)):
             raise ValueError("ensemble values must be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "time_major", tm)
+        object.__setattr__(self, "values", np.swapaxes(tm, 0, 1))
 
     @property
     def particles(self) -> int:
-        return self.values.shape[0]
+        return self.time_major.shape[1]
 
     @property
     def nodes(self) -> int:
-        return self.values.shape[1]
+        return self.time_major.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.values.shape[2]
+        return self.time_major.shape[2]
+
+
+def from_time_major(arr: np.ndarray) -> PathEnsemble:
+    """The ensemble whose ``time_major`` array equals ``arr`` (nodes, particles, dim)."""
+    return PathEnsemble(values=np.swapaxes(arr, 0, 1))
 
 
 def make_bundle(grid: TimeGrid, particles: int, dim: int, seed: int) -> BrownianBundle:
@@ -116,15 +146,14 @@ def make_bundle(grid: TimeGrid, particles: int, dim: int, seed: int) -> Brownian
         raise ValueError(f"particles and dim must be positive, got {particles}, {dim}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
     incr = rng.standard_normal((particles, grid.steps, dim)) * np.sqrt(grid.dt)
-    incr.flags.writeable = False
-    return BrownianBundle(seed=seed, increments=incr)
+    return BrownianBundle(seed=seed, time_major=_time_major_copy(incr))
 
 
 def marginal(e: PathEnsemble, node: int, components: slice | None = None) -> EmpiricalMeasure:
     """Cloud of the selected components at a grid node, one point per particle."""
     if not (0 <= node < e.nodes):
         raise IndexError(f"node {node} out of range [0, {e.nodes})")
-    pts = e.values[:, node, :] if components is None else e.values[:, node, components]
+    pts = e.time_major[node] if components is None else e.time_major[node][:, components]
     return EmpiricalMeasure(points=pts)
 
 
@@ -134,8 +163,16 @@ def joint_marginal(x_ens: PathEnsemble, y_ens: PathEnsemble, node: int) -> Empir
         raise ValueError("x and y ensembles must share particle and node counts")
     if not (0 <= node < x_ens.nodes):
         raise IndexError(f"node {node} out of range [0, {x_ens.nodes})")
-    pts = np.concatenate([x_ens.values[:, node, :], y_ens.values[:, node, :]], axis=1)
+    pts = np.concatenate([x_ens.time_major[node], y_ens.time_major[node]], axis=1)
     return EmpiricalMeasure(points=pts)
+
+
+def node_msd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-node mean over particles of |a - b|^2, for time-major arrays
+    (nodes, particles, dim)."""
+    d = a - b
+    d *= d
+    return d.reshape(d.shape[0], -1).sum(axis=1) / d.shape[1]
 
 
 def _node_times(e: PathEnsemble, grid: TimeGrid) -> np.ndarray:
@@ -147,8 +184,8 @@ def _node_times(e: PathEnsemble, grid: TimeGrid) -> np.ndarray:
 def moments_to_csv(e: PathEnsemble, grid: TimeGrid, fileobj) -> None:
     """Write rows (time, mean_0, ..., var_0, ...) of the cross-particle moments."""
     times = _node_times(e, grid)
-    means = e.values.mean(axis=0)
-    variances = e.values.var(axis=0)
+    means = e.time_major.mean(axis=1)
+    variances = e.time_major.var(axis=1)
     writer = csv.writer(fileobj)
     writer.writerow(["time"] + [f"mean_{j}" for j in range(e.dim)] + [f"var_{j}" for j in range(e.dim)])
     for k, t in enumerate(times):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,13 +168,16 @@ class TestGameCommand:
 
     def test_overflowing_deviation_is_numerical_blowup(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SCALAR_GAME)
-        code = cli.main([
-            "game", cfg, "--particles", "200", "--steps", "20", "--deviations", "2",
-            "--deviation-magnitude", "1e300", "--out", str(tmp_path / "o"),
-        ])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([
+                "game", cfg, "--particles", "200", "--steps", "20", "--deviations", "2",
+                "--deviation-magnitude", "1e300", "--out", str(tmp_path / "o"),
+            ])
         assert code == cli.EXIT_NOT_CONVERGED
-        err = capsys.readouterr().err
-        assert err.strip().splitlines()[-1].startswith("numerical blow-up: ")
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical blow-up: ")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_problem_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, TOY_PROBLEM)

@@ -195,6 +195,57 @@ class TestSolve:
         assert np.allclose(sol.terminal_law.points[:, 0], sol.x_ens.values[:, -1, 0])
 
 
+def stacked_anderson(hist_u, hist_fu):
+    """Reference Anderson step: lstsq over the stacked (size, k) matrix of
+    residual differences."""
+    r = [fu - u for u, fu in zip(hist_u, hist_fu)]
+    if len(r) < 2:
+        return hist_fu[-1]
+    dr = np.stack([r[i] - r[i - 1] for i in range(1, len(r))], axis=1)
+    dfu = np.stack([hist_fu[i] - hist_fu[i - 1] for i in range(1, len(hist_fu))], axis=1)
+    gamma, _, _, _ = np.linalg.lstsq(dr, r[-1], rcond=None)
+    return hist_fu[-1] - dfu @ gamma
+
+
+class TestAnderson:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_gram_step_matches_stacked_least_squares(self, depth):
+        rng = np.random.default_rng(depth)
+        size = 400
+        # an affine contraction F(u) = A u + b, iterated on the mixed output
+        a = rng.standard_normal((size, size)) * (0.6 / np.sqrt(size))
+        b = rng.standard_normal(size)
+        acc = fixpoint._Anderson(depth)
+        hist_u, hist_fu = [], []
+        u = np.zeros(size)
+        for _ in range(6):
+            fu = a @ u + b
+            hist_u, hist_fu = (hist_u + [u])[-depth - 1 :], (hist_fu + [fu])[-depth - 1 :]
+            ref = stacked_anderson(hist_u, hist_fu)
+            np.testing.assert_allclose(acc.next(u, fu), ref, rtol=1e-9, atol=0.0)
+            u = ref
+
+    def test_rank_deficient_history_gives_min_norm_step(self):
+        # residual differences d and 2d are collinear (exact in floating point)
+        d = np.array([1.0, -2.0, 0.5, 3.0, 0.0, 1.0])
+        base = np.array([4.0, 1.0, -1.0, 2.0, 0.5, -3.0])
+        hist_u = [np.zeros(6)] * 3
+        hist_fu = [base, base + d, base + 3.0 * d]
+        acc = fixpoint._Anderson(2)
+        for u, fu in zip(hist_u, hist_fu):
+            out = acc.next(u, fu)
+        assert np.linalg.matrix_rank(acc.gram) == 1
+        np.testing.assert_allclose(out, stacked_anderson(hist_u, hist_fu), rtol=1e-9, atol=0.0)
+
+    def test_non_finite_mix_falls_back_to_the_sweep_output(self):
+        acc = fixpoint._Anderson(2)
+        acc.next(np.zeros(3), np.ones(3))
+        fu = np.array([1e308, 2.0, 3.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(acc.next(np.full(3, -1e308), fu), fu)
+            assert np.array_equal(acc.next(np.zeros(3), 2 * fu), 2 * fu)
+
+
 class TestResidual:
     def test_exact_discrete_solution_has_zero_residuals(self):
         p = MfProblem(

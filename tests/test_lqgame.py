@@ -321,7 +321,56 @@ class TestNash:
             assert np.array_equal(pa.values, pb.values)
 
 
+class TestIterationCounts:
+    @pytest.mark.parametrize("seed,gap", [(1, 8.557979e-07), (3, 8.397955e-07)])
+    def test_example3_counts_and_final_gap(self, monkeypatch, seed, gap):
+        # a faster inner loop must keep the iteration counts of the scheme
+        sweeps = []
+        real = fixpoint.propagate
+        monkeypatch.setattr(fixpoint, "propagate", lambda *a, **k: sweeps.append(1) or real(*a, **k))
+        params = fixpoint.SchemeParams(particles=2000, max_outer=30, tol=1e-3)
+        nash = lqgame.solve_nash(lqgame.example3_game(0.25), TimeGrid(0.25, 50), params, seed=seed)
+        history = nash.aggregated.history
+        assert (len(history), len(sweeps), nash.adjoint_iterations) == (8, 45, [5, 5])
+        assert history[-1].gap_total == pytest.approx(gap, rel=1e-6)
+
+
 class TestDeviation:
+    @staticmethod
+    def example3_nash():
+        gs = lqgame.example3_game(0.25)
+        params = fixpoint.SchemeParams(particles=400, max_outer=30, tol=1e-3)
+        return gs, lqgame.solve_nash(gs, TimeGrid(0.25, 20), params, seed=2)
+
+    def test_base_state_is_simulated_once_per_result(self, monkeypatch):
+        gs, nash = self.example3_nash()
+        # each fresh copy simulates its own base state
+        expected = [lqgame.deviation_test(gs, dataclasses.replace(nash), i, perturbations=3, seed=i) for i in (0, 1)]
+        calls = []
+        real = lqgame.simulate_state
+        monkeypatch.setattr(lqgame, "simulate_state", lambda *a: calls.append(1) or real(*a))
+        reports = [lqgame.deviation_test(gs, nash, i, perturbations=3, seed=i) for i in (0, 1)]
+        assert len(calls) == 1 + 2 * 3
+        for rep, ref in zip(reports, expected):
+            assert rep.deltas == ref.deltas and rep.baseline_cost == ref.baseline_cost
+
+    def test_replaced_controls_do_not_reuse_the_base_state(self, monkeypatch):
+        gs, nash = self.example3_nash()
+        lqgame.deviation_test(gs, nash, 0, perturbations=2, seed=0)
+        corrupted = list(nash.controls)
+        corrupted[0] = dataclasses.replace(corrupted[0], values=corrupted[0].values + 0.5)
+        bad = dataclasses.replace(nash, controls=corrupted)
+        calls = []
+        real = lqgame.simulate_state
+        monkeypatch.setattr(lqgame, "simulate_state", lambda *a: calls.append(1) or real(*a))
+        rep = lqgame.deviation_test(gs, bad, 0, perturbations=2, seed=0)
+        assert len(calls) == 1 + 2
+        x_bad = real(gs, nash.aggregated.grid, nash.aggregated.bundle, corrupted)
+        assert rep.baseline_cost == lqgame.cost(gs, 0, x_bad, corrupted, nash.aggregated.grid)[0]
+        # and the same result object picks up an in-place swap of its controls
+        nash.controls = corrupted
+        assert lqgame.deviation_test(gs, nash, 0, perturbations=2, seed=0).deltas == rep.deltas
+
     def test_zero_magnitude_gives_exact_zero_deltas(self):
         gs = scalar_game()
         grid = TimeGrid(1.0, 30)

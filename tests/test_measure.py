@@ -27,6 +27,14 @@ class TestEmpiricalMeasure:
 
 
 class TestMean:
+    def test_computed_once_and_read_only(self):
+        m = cloud([1, 2], [3, 4])
+        first = m.mean()
+        assert m.mean() is first and mean(m) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
     def test_two_points(self):
         assert np.allclose(mean(cloud([1, 2], [3, 4])), [2, 3])
 

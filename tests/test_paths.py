@@ -6,10 +6,12 @@ import pytest
 from mfbsde.paths import (
     PathEnsemble,
     TimeGrid,
+    from_time_major,
     joint_marginal,
     make_bundle,
     marginal,
     moments_to_csv,
+    node_msd,
 )
 
 
@@ -75,6 +77,45 @@ class TestPathEnsemble:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             PathEnsemble(np.zeros((2, 3)))
+
+
+class TestTimeMajorLayout:
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (1, 4, 2), (5, 1, 1), (1, 1, 1)])
+    def test_values_are_a_read_only_view_of_a_private_copy(self, shape):
+        src = np.random.default_rng(0).standard_normal(shape)
+        keep = src.copy()
+        e = PathEnsemble(src)
+        assert e.values.tobytes() == keep.tobytes()
+        assert not e.values.flags.writeable and not e.time_major.flags.writeable
+        assert e.time_major.flags.c_contiguous
+        assert np.array_equal(e.time_major, keep.transpose(1, 0, 2))
+        assert (e.particles, e.nodes, e.dim) == shape
+        src[...] = 99.0
+        assert np.array_equal(e.values, keep)
+
+    def test_from_time_major_round_trip(self):
+        tm = np.random.default_rng(1).standard_normal((3, 4, 2))
+        e = from_time_major(tm)
+        assert np.array_equal(e.time_major, tm) and e.time_major is not tm
+        assert np.array_equal(e.values[2, 1], tm[1, 2])
+
+    def test_bundle_layout_and_draws(self):
+        g = TimeGrid(1.0, 7)
+        b = make_bundle(g, 6, 2, seed=3)
+        assert b.time_major.flags.c_contiguous and not b.time_major.flags.writeable
+        assert not b.increments.flags.writeable
+        assert np.array_equal(b.increments, b.time_major.transpose(1, 0, 2))
+        assert (b.particles, b.steps, b.dim) == (6, 7, 2)
+        # the draws are the particle-major stream of the seed's Philox generator
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+        expected = rng.standard_normal((6, 7, 2)) * np.sqrt(g.dt)
+        assert b.increments.tobytes() == expected.tobytes()
+
+    def test_node_msd(self):
+        rng = np.random.default_rng(2)
+        a, b = rng.standard_normal((2, 3, 50, 2))
+        expected = [np.mean(np.sum((a[k] - b[k]) ** 2, axis=1)) for k in range(3)]
+        assert np.allclose(node_msd(a, b), expected, rtol=1e-14, atol=0.0)
 
 
 class TestMarginal:
