@@ -42,12 +42,10 @@ class RegressionBasis:
     """Polynomial regression basis in the state components.
 
     ``degree`` 0 gives the plain Monte Carlo mean, 1 an affine fit
-    (exact for LQ problems), 2 adds squares and, with ``include_cross``,
-    the pairwise products.
+    (exact for LQ problems), 2 adds the squares and the pairwise products.
     """
 
     degree: int = 1
-    include_cross: bool = True
 
     def __post_init__(self):
         if self.degree < 0 or self.degree > 2:
@@ -60,9 +58,8 @@ class RegressionBasis:
             cols.append(x)
         if self.degree >= 2:
             cols.append(x * x)
-            if self.include_cross and x.shape[1] > 1:
-                for i, j in combinations(range(x.shape[1]), 2):
-                    cols.append((x[:, i] * x[:, j])[:, None])
+            for i, j in combinations(range(x.shape[1]), 2):
+                cols.append((x[:, i] * x[:, j])[:, None])
         return np.concatenate(cols, axis=1)
 
 
@@ -163,7 +160,7 @@ def solve_backward(
             targets = y_next - hk * dt
             y_guess = fit(targets)
         diag.y_residuals.append(float(np.sqrt(np.mean((targets - y_guess) ** 2))))
-        if not np.all(np.isfinite(y_guess)):
+        if not (np.all(np.isfinite(y_guess)) and np.all(np.isfinite(z[k]))):
             raise FloatingPointError(f"backward regression produced non-finite values at step {k}")
         y[k] = y_guess
 

@@ -191,6 +191,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_game(args) -> int:
+    if args.deviations < 1:
+        raise ValueError(f"--deviations must be >= 1, got {args.deviations}")
     kind, cfg = _load_config(args.config)
     if kind != "game":
         raise ValueError("the game command needs a game config")

@@ -70,24 +70,19 @@ class SchemeParams:
     """Knobs of the outer scheme.
 
     delta is the damping weight of the iteration (any small positive
-    value is admissible; 0 disables the damping terms).  eps, alpha and
-    rho are the Young-inequality parameters used only to evaluate the
-    theoretical contraction ratio for diagnostics; alpha=None picks the
-    variant's optimizer.
+    value is admissible; 0 disables the damping terms); the diagnostics'
+    theoretical contraction ratio uses it with the default Young parameters.
 
     Each outer step's standard FBSDE is solved by forward/backward
     alternations: at least inner_sweeps of them, and up to
     inner_max_sweeps until the sweep self-consistency gap falls below
     (tol/10)^2.  Sweep updates are Anderson-accelerated with memory
-    depth inner_accel (0 disables), which keeps strongly coupled inner
-    problems convergent where plain alternation stalls or oscillates;
-    inner_relaxation optionally damps the raw sweep update.
+    depth inner_accel (0 gives plain alternation), which keeps strongly
+    coupled inner problems convergent where plain alternation stalls or
+    oscillates.
     """
 
     delta: float = 1e-3
-    eps: float = 1.0
-    alpha: float | None = None
-    rho: float = 1.0
     tol: float = 1e-3
     max_outer: int = 50
     inner_sweeps: int = 3
@@ -96,7 +91,6 @@ class SchemeParams:
     picard_inner: int = 2
     inner_max_sweeps: int = 60
     inner_accel: int = 3
-    inner_relaxation: float | None = None
 
     def __post_init__(self):
         if self.delta < 0:
@@ -115,8 +109,6 @@ class SchemeParams:
             raise ValueError("inner_max_sweeps must be >= inner_sweeps")
         if self.inner_accel < 0:
             raise ValueError("inner_accel must be >= 0")
-        if self.inner_relaxation is not None and not (0 < self.inner_relaxation <= 1):
-            raise ValueError("inner_relaxation must lie in (0, 1]")
 
 
 @dataclass
@@ -262,7 +254,6 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
     """
     x_prev, y_prev, z_prev = start
     target = (0.1 * params.tol) ** 2
-    omega = params.inner_relaxation
     x_cur, y_cur, z_cur = x_prev, y_prev, z_prev
     accel = _Anderson(params.inner_accel)
     reg_diag = None
@@ -273,9 +264,6 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
         y_hat, z_hat, reg_diag = solve_backward(
             p, grid, bundle, x_new, flow, mu_t, params.basis, params.picard_inner
         )
-        if omega is not None and omega < 1.0:
-            y_hat = from_time_major(y_cur.time_major + omega * (y_hat.time_major - y_cur.time_major))
-            z_hat = from_time_major(z_cur.time_major + omega * (z_hat.time_major - z_cur.time_major))
         gap = sum(_gaps(grid, (x_new, y_hat, z_hat), (x_cur, y_cur, z_cur)))
         if not math.isfinite(gap):
             raise FloatingPointError(f"inner sweep gap became non-finite at sweep {sweep}")
@@ -286,22 +274,16 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
         growing = growing + 1 if gap > 100.0 * gap_min else 0
         if growing >= 3 and sweep >= params.inner_sweeps:
             return x_new, y_hat, z_hat, reg_diag
-        if params.inner_accel > 0:
-            mixed = accel.next(_flatten_pair(y_cur, z_cur), _flatten_pair(y_hat, z_hat))
-            y_next, z_next = _split_pair(mixed, y_hat.time_major.shape, z_hat.time_major.shape)
-        else:
-            y_next, z_next = y_hat, z_hat
-        x_cur, y_cur, z_cur = x_new, y_next, z_next
+        mixed = accel.next(_flatten_pair(y_cur, z_cur), _flatten_pair(y_hat, z_hat))
+        y_cur, z_cur = _split_pair(mixed, y_hat.time_major.shape, z_hat.time_major.shape)
+        x_cur = x_new
     return x_cur, y_cur, z_cur, reg_diag
 
 
 def _theory_ratio(p: MfProblem, params: SchemeParams) -> float:
     if p.lipschitz is None or p.monotonicity is None or params.delta <= 0:
         return math.nan
-    lam, theta = contraction_constants(
-        p.lipschitz, p.monotonicity, eps=params.eps, alpha=params.alpha,
-        rho=params.rho, delta=params.delta,
-    )
+    lam, theta = contraction_constants(p.lipschitz, p.monotonicity, delta=params.delta)
     if lam <= 0:
         return math.nan
     return theta / lam

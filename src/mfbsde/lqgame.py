@@ -41,6 +41,7 @@ from scipy.linalg import expm
 
 from . import fixpoint
 from .backward import solve_backward
+from .measure import EmpiricalMeasure
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_time_major, joint_marginal, marginal, node_msd
 from .problem import (
     AffineCoeffs,
@@ -355,9 +356,8 @@ def build_aggregated(gs: GameSpec, force: bool = False) -> MfProblem:
     if eta1 > 0 and eta2 > 0:
         mono = MonotonicityProfile(k=min(1.0, eta2), k_prime=eta1, variant="H1prime")
 
-    f = AffineCoeffs(n, "f", x=gs.A, y=-np.eye(n), mean_x=gs.D, const=gs.beta)
+    f, sigma = _dynamics(gs, y=-np.eye(n))
     h = AffineCoeffs(n, "h", x=map_path(np.negative, skm), y=_neg_t(gs.A), z=_neg_t(gs.sigma), mean_y=_neg_t(gs.D))
-    sigma = AffineCoeffs(n, "sigma", x=gs.sigma, const=gs.alpha)
     g = AffineCoeffs(n, "g", x=skq, mean_x=skr)
     return affine_problem(gs.x0, gs.horizon, f, h, sigma, g, lipschitz=lip, monotonicity=mono)
 
@@ -365,6 +365,12 @@ def build_aggregated(gs: GameSpec, force: bool = False) -> MfProblem:
 def _neg_t(path):
     """The path t -> -M(t)', kept as a transposed view so products see M's memory layout (same rounding)."""
     return map_path(lambda a: -np.swapaxes(a, -1, -2), path)
+
+
+def _dynamics(gs: GameSpec, **terms) -> tuple[AffineCoeffs, AffineCoeffs]:
+    """Affine tables of the state drift A x + D E[X] + beta (plus ``terms``) and diffusion sigma x + alpha."""
+    drift = AffineCoeffs(gs.n, "f", x=gs.A, mean_x=gs.D, const=gs.beta, **terms)
+    return drift, AffineCoeffs(gs.n, "sigma", x=gs.sigma, const=gs.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -396,23 +402,16 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
     if len(controls) != gs.players:
         raise ValueError(f"need one control per player, got {len(controls)}")
     fns = [_control_fn(u) for u in controls]
-    particles, steps = bundle.particles, bundle.steps
-    n = gs.n
-    dt = grid.dt
-    times = grid.nodes
-    x = np.empty((steps + 1, particles, n))
+    f, sigma = _dynamics(gs)
+    x = np.empty((grid.steps + 1, bundle.particles, gs.n))
     x[0] = gs.x0
-    for k in range(steps):
-        t_k = float(times[k])
+    for k in range(grid.steps):
+        t_k = float(grid.nodes[k])
         xk = x[k]
-        drift = xk @ np.asarray(gs.A(t_k)).T + gs.beta(t_k)
-        d_t = np.asarray(gs.D(t_k))
-        if np.any(d_t):
-            drift = drift + d_t @ xk.mean(axis=0)
+        drift = f(t_k, xk, nu=EmpiricalMeasure(xk))
         for i, fn in enumerate(fns):
             drift = drift + fn(k, t_k, xk) @ gs.C[i].T
-        diff = xk @ np.asarray(gs.sigma(t_k)).T + gs.alpha(t_k)
-        x[k + 1] = xk + drift * dt + diff * bundle.time_major[k]
+        x[k + 1] = xk + drift * grid.dt + sigma(t_k, xk) * bundle.time_major[k]
         if not np.all(np.isfinite(x[k + 1])):
             raise FloatingPointError(f"state simulation produced non-finite values at step {k}")
     return from_time_major(x)
@@ -687,6 +686,8 @@ def deviation_test(
     Full open-loop function-space deviations are not verifiable
     numerically; this finite family is a documented limitation.
     """
+    if perturbations < 1:
+        raise ValueError(f"perturbations must be >= 1, got {perturbations}")
     grid, bundle = nash.aggregated.grid, nash.aggregated.bundle
     base_controls = list(nash.controls)
     m_i = gs.control_dims[i]
@@ -770,74 +771,58 @@ class Nonexistence:
         return {"exists": False, "det": self.det, "cond": self.cond, "horizon": self.horizon}
 
 
-def _mean_system(gs: GameSpec):
-    """Block matrix G(t) and affine term b(t) of the joint mean ODE in
-    (state mean, adjoint means), dimension (players + 1) * n."""
+def _mean_generator(gs: GameSpec):
+    """The path t -> [[G(t), b(t)], [0, 0]] of the mean ODE in (state mean,
+    adjoint means, 1): state rows (A + D, -K_1, ..., -K_m | beta), player
+    i's rows -(M_i + Gamma_i) in the state columns and -(A + D)' in its own."""
     n, players = gs.n, gs.players
     K = gs.k_matrices()
-    dim = (players + 1) * n
+    size = (players + 1) * n + 1
 
-    def G(t: float) -> np.ndarray:
-        a_t = np.asarray(gs.A(t), dtype=float)
-        d_t = np.asarray(gs.D(t), dtype=float)
-        ad = a_t + d_t
-        out = np.zeros((dim, dim))
-        out[:n, :n] = ad
+    def augmented(a, d, beta, *costs):
+        ad = a + d
+        out = np.zeros(ad.shape[:-2] + (size, size))
+        out[..., :n, :n] = ad
+        out[..., :n, -1] = beta
         for i in range(players):
             sl = slice((i + 1) * n, (i + 2) * n)
-            out[:n, sl] = -K[i]
-            out[sl, :n] = -(np.asarray(gs.M[i](t), dtype=float) + np.asarray(gs.Gamma[i](t), dtype=float))
-            out[sl, sl] = -ad.T
+            out[..., :n, sl] = -K[i]
+            out[..., sl, :n] = -(costs[i] + costs[players + i])
+            out[..., sl, sl] = -np.swapaxes(ad, -1, -2)
         return out
 
-    def b(t: float) -> np.ndarray:
-        out = np.zeros(dim)
-        out[:n] = gs.beta(t)
-        return out
-
-    return G, b, dim
+    return map_path(augmented, gs.A, gs.D, gs.beta, *gs.M, *gs.Gamma)
 
 
-def _augmented(G, b, t: float, dim: int) -> np.ndarray:
-    out = np.zeros((dim + 1, dim + 1))
-    out[:dim, :dim] = G(t)
-    out[:dim, dim] = b(t)
-    return out
-
-
-def _backward_transition(gs: GameSpec, G, b, dim: int, t_hi: float, t_lo: float, cache: dict,
-                         rk_steps: int = 512) -> np.ndarray:
+def _backward_transition(gen, t_hi: float, t_lo: float, cache: dict, rk_steps: int = 512) -> np.ndarray:
     """Transition matrix of the augmented mean ODE from t_hi down to t_lo.
 
-    Exact (matrix exponentials per piece) when every coefficient path is
+    Exact (matrix exponentials per piece) when the generator ``gen`` is
     piecewise constant; dense RK4 otherwise.  ``cache`` keeps the piece
     exponentials of one mean solve, keyed by (piece, exact step length).
     """
+    phi = np.eye(len(gen(t_hi)))
     if t_hi <= t_lo:
-        return np.eye(dim + 1)
-    paths = [gs.A, gs.D, gs.beta] + list(gs.M) + list(gs.Gamma)
-    if all(isinstance(p, PiecewiseConstant) for p in paths):
-        bps = [p.breakpoints for p in paths]
-        cuts = np.unique(np.concatenate([[t_lo, t_hi]] + [bp[(bp > t_lo) & (bp < t_hi)] for bp in bps]))
-        union = np.unique(np.concatenate(bps))
+        return phi
+    if isinstance(gen, PiecewiseConstant):
+        bp = gen.breakpoints
+        cuts = np.unique(np.concatenate([[t_lo, t_hi], bp[(bp > t_lo) & (bp < t_hi)]]))
         # left-to-right product: factor j maps across the j-th lowest piece
-        total = np.eye(dim + 1)
         for a, c in zip(cuts[:-1], cuts[1:]):
             mid = 0.5 * (a + c)
-            key = (int(np.searchsorted(union, mid, side="right")), float(c - a))
+            key = (gen.piece(mid), float(c - a))
             if key not in cache:
-                cache[key] = expm(-_augmented(G, b, mid, dim) * (c - a))
-            total = total @ cache[key]
-        return total
+                cache[key] = expm(-gen(mid) * (c - a))
+            phi = phi @ cache[key]
+        return phi
     # general deterministic callables: RK4 on Phi' = G_hat Phi integrated backward
-    phi = np.eye(dim + 1)
     hs = (t_hi - t_lo) / rk_steps
     t = t_hi
     for _ in range(rk_steps):
-        k1 = _augmented(G, b, t, dim) @ phi
-        k2 = _augmented(G, b, t - hs / 2, dim) @ (phi - hs / 2 * k1)
-        k3 = _augmented(G, b, t - hs / 2, dim) @ (phi - hs / 2 * k2)
-        k4 = _augmented(G, b, t - hs, dim) @ (phi - hs * k3)
+        k1 = gen(t) @ phi
+        k2 = gen(t - hs / 2) @ (phi - hs / 2 * k1)
+        k3 = gen(t - hs / 2) @ (phi - hs / 2 * k2)
+        k4 = gen(t - hs) @ (phi - hs * k3)
         phi = phi - hs / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t -= hs
     return phi
@@ -861,11 +846,12 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
             "(sigma = 0); the additive alpha term is fine"
         )
     n, players = gs.n, gs.players
-    G, b, dim = _mean_system(gs)
+    dim = (players + 1) * n
+    gen = _mean_generator(gs)
     T = gs.horizon
 
     cache: dict = {}
-    transition = _backward_transition(gs, G, b, dim, T, 0.0, cache)
+    transition = _backward_transition(gen, T, 0.0, cache)
     stack = np.zeros((dim, n))
     stack[:n, :] = np.eye(n)
     for i in range(players):
@@ -894,7 +880,7 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
     t_prev = T
     for idx in order:
         t = float(times[idx])
-        v = _backward_transition(gs, G, b, dim, t_prev, t, cache) @ v
+        v = _backward_transition(gen, t_prev, t, cache) @ v
         values[idx] = v[:dim]
         t_prev = t
 
@@ -936,14 +922,15 @@ def hamiltonian(gs: GameSpec, i: int, t: float, x, u_all, zeta, p_i, q_i) -> flo
         coerce(u, (m_k,), f"u_{k}")
         for k, (u, m_k) in enumerate(zip(u_all, gs.control_dims))
     ]
-    drift = np.asarray(gs.A(t)) @ x + np.asarray(gs.D(t)) @ zeta + gs.beta(t)
+    f, sigma = _dynamics(gs)
+    drift = f(t, x[None], nu=EmpiricalMeasure(zeta[None]))[0]
     for c, u in zip(gs.C, us):
         drift = drift + c @ u
     value = float(p_i @ drift)
     value += 0.5 * float(x @ np.asarray(gs.M[i](t)) @ x)
     value += 0.5 * float(us[i] @ gs.N[i] @ us[i])
     value += 0.5 * float(zeta @ np.asarray(gs.Gamma[i](t)) @ zeta)
-    value += float((np.asarray(gs.sigma(t)) @ x + gs.alpha(t)) @ q_i)
+    value += float(sigma(t, x[None])[0] @ q_i)
     return value
 
 

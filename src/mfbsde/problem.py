@@ -424,9 +424,12 @@ class PiecewiseConstant:
         self.breakpoints = bp
         self.values = vals
 
+    def piece(self, t: float) -> int:
+        """Index of the piece that holds t."""
+        return max(int(np.searchsorted(self.breakpoints, t, side="right")) - 1, 0)
+
     def __call__(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return self.values[max(idx, 0)]
+        return self.values[self.piece(t)]
 
 
 def as_path(spec) -> Callable[[float], np.ndarray]:

@@ -24,8 +24,7 @@ class TestBasis:
         x = np.random.default_rng(0).standard_normal((10, 3))
         assert RegressionBasis(0).features(x).shape == (10, 1)
         assert RegressionBasis(1).features(x).shape == (10, 4)
-        assert RegressionBasis(2, include_cross=False).features(x).shape == (10, 7)
-        assert RegressionBasis(2, include_cross=True).features(x).shape == (10, 10)
+        assert RegressionBasis(2).features(x).shape == (10, 10)
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):

@@ -120,6 +120,18 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, TOY_PROBLEM)
         assert cli.main(["solve", cfg, "--max-outer", "0", "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
 
+    def test_overflowing_z_regression_is_divergence(self, tmp_path, capsys):
+        # Y_T = 1e307 x is finite, but the Z targets Y_T dW / dt overflow
+        payload = {"kind": "problem", "dim": 1, "horizon": 0.25, "x0": [1.0],
+                   "f": {}, "h": {}, "sigma": {"const": 0.2}, "g": {"x": 1e307}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        code = cli.main(["solve", cfg, "--particles", "2", "--steps", "100", "--max-outer", "2",
+                         "--basis-degree", "0", "--out", str(out)])
+        assert code == cli.EXIT_NOT_CONVERGED
+        assert capsys.readouterr().err.startswith("diverged: ")
+        assert json.loads((out / "report.json").read_text())["diverged"] is True
+
     def test_flags_override_config_solver_block(self, tmp_path):
         payload = dict(TOY_PROBLEM, solver={"particles": 100, "steps": 10, "max_outer": 0})
         cfg = write_config(tmp_path, payload)
@@ -178,6 +190,16 @@ class TestGameCommand:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical blow-up: ")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_deviation_count_rejected_before_solving(self, tmp_path, capsys, monkeypatch, count):
+        calls = []
+        monkeypatch.setattr(cli.lqgame, "solve_nash", lambda *a, **k: calls.append(1))
+        cfg = write_config(tmp_path, SCALAR_GAME)
+        code = cli.main(["game", cfg, "--deviations", count, "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert not calls
+        assert f"--deviations must be >= 1, got {count}" in capsys.readouterr().err
 
     def test_problem_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, TOY_PROBLEM)

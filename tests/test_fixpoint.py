@@ -35,7 +35,6 @@ class TestSchemeParams:
             {"picard_inner": 0},
             {"inner_max_sweeps": 1, "inner_sweeps": 3},
             {"inner_accel": -1},
-            {"inner_relaxation": 0.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -159,15 +158,6 @@ class TestSolve:
             particles=500, max_outer=10, tol=1e-4, inner_accel=0, inner_max_sweeps=10
         )
         sol = fixpoint.solve(p, TimeGrid(0.25, 30), params, seed=5)
-        assert sol.converged
-
-    def test_fixed_relaxation_accepted(self):
-        p = h1prime_toy()
-        params = SchemeParams(
-            particles=300, max_outer=15, tol=1e-4, inner_accel=0,
-            inner_relaxation=0.7, inner_max_sweeps=15,
-        )
-        sol = fixpoint.solve(p, TimeGrid(0.25, 20), params, seed=5)
         assert sol.converged
 
     def test_warm_start_resumes(self):

@@ -5,7 +5,7 @@ import pytest
 
 from mfbsde import fixpoint, lqgame
 from mfbsde.measure import EmpiricalMeasure
-from mfbsde.paths import PathEnsemble, TimeGrid
+from mfbsde.paths import PathEnsemble, TimeGrid, make_bundle
 from mfbsde.problem import PiecewiseConstant
 from oracles import (
     example3_boundary_det,
@@ -240,6 +240,36 @@ class TestCost:
         assert value == pytest.approx(0.5 * (2.0 * 4.0 + 3.0 * 4.0))
 
 
+class TestSimulateState:
+    def test_euler_step_matches_hand_formula(self):
+        # A switches between the first and second step; one control is an
+        # ensemble, the other a state feedback
+        gs = lqgame.GameSpec(
+            n=2, horizon=1.0, x0=[0.3, -0.2],
+            A=PiecewiseConstant([0.0, 0.3], [[[0.3, 0.1], [-0.2, 0.2]], [[0.1, 0.4], [0.0, -0.3]]]),
+            D=[[0.1, -0.05], [0.2, 0.1]], sigma=[[0.2, 0.1], [0.0, 0.3]],
+            beta=[0.05, -0.1], alpha=[0.4, 0.1],
+            C=[np.array([[1.0], [0.5]]), np.array([[0.2, 0.0], [1.0, -0.4]])],
+            N=[[[1.0]], np.eye(2)], Q=[np.eye(2), np.eye(2)],
+        )
+        grid = TimeGrid(1.0, 4)
+        particles = 50
+        bundle = make_bundle(grid, particles, 1, seed=7)
+        rng = np.random.default_rng(8)
+        u0 = PathEnsemble(rng.standard_normal((particles, grid.steps + 1, 1)))
+        gain = rng.standard_normal((2, 2))
+        u1 = lambda k, t, x: x @ gain.T + t
+        x = lqgame.simulate_state(gs, grid, bundle, [u0, u1]).time_major
+        xk = np.broadcast_to(gs.x0, (particles, 2))
+        for k in range(2):
+            t = grid.nodes[k]
+            drift = (xk @ gs.A(t).T + xk.mean(axis=0) @ gs.D(t).T + gs.beta(t)
+                     + u0.time_major[k] @ gs.C[0].T + u1(k, t, xk) @ gs.C[1].T)
+            diffusion = xk @ gs.sigma(t).T + gs.alpha(t)
+            xk = xk + drift * grid.dt + diffusion * bundle.time_major[k]
+            assert np.allclose(x[k + 1], xk, rtol=1e-12, atol=0.0)
+
+
 class TestNash:
     def test_scalar_matches_riccati_oracle(self):
         gs = scalar_game()
@@ -371,6 +401,13 @@ class TestDeviation:
         nash.controls = corrupted
         assert lqgame.deviation_test(gs, nash, 0, perturbations=2, seed=0).deltas == rep.deltas
 
+    def test_perturbation_count_must_be_positive(self):
+        gs = scalar_game()
+        nash = lqgame.solve_nash(gs, TimeGrid(1.0, 10), fixpoint.SchemeParams(particles=200, max_outer=10), seed=1)
+        for count in (0, -2):
+            with pytest.raises(ValueError, match=f"perturbations must be >= 1, got {count}"):
+                lqgame.deviation_test(gs, nash, 0, perturbations=count)
+
     def test_zero_magnitude_gives_exact_zero_deltas(self):
         gs = scalar_game()
         grid = TimeGrid(1.0, 30)
@@ -424,6 +461,20 @@ class TestMeanReduction:
         times = np.linspace(0.0, 0.5, 21)
         res = lqgame.solve_mean_fbode(lqgame.example3_game(0.5), times=times)
         assert np.allclose(res.state_mean, example3_mean_path(0.5, times), atol=1e-9)
+
+    def test_callable_coefficients_match_exponentials(self):
+        # the same game with callable A and D goes through RK4 instead of
+        # piece exponentials; example 3 has A + D = 0, the scalar game a
+        # generator with nonzero state, cost and beta blocks
+        scalar = scalar_game(sigma=[[0.0]], D=[[0.2]], beta=[0.1])
+        for gs in (lqgame.example3_game(0.5), scalar):
+            a, d = gs.A(0.0), gs.D(0.0)
+            dense = dataclasses.replace(gs, A=lambda t: a, D=lambda t: d)
+            times = [0.0, 0.25, 0.5]
+            exact, rk4 = lqgame.solve_mean_fbode(gs, times), lqgame.solve_mean_fbode(dense, times)
+            assert rk4.det == pytest.approx(exact.det, rel=1e-12)
+            assert np.allclose(rk4.state_mean, exact.state_mean, rtol=1e-12, atol=1e-12)
+            assert np.allclose(rk4.adjoint_means, exact.adjoint_means, rtol=1e-12, atol=1e-12)
 
     def test_multiplicative_noise_rejected(self):
         gs = scalar_game()  # sigma = 0.2 x
