@@ -15,9 +15,9 @@ The recursion, for k = steps-1 .. 0 with dt the step size:
     Z_k = regress(Y_{k+1} dW_k / dt | X_k)
     Y_k = regress(Y_{k+1} - h(t_k, X_k, Y_k, Z_k, nu_k) dt | X_k)
 
-with h's implicit Y_k resolved by a fixed number of predictor-corrector
-sub-iterations started from Y_{k+1}, and nu_k always the FROZEN flow's
-cloud (the measure-freezing that decouples the outer iteration).
+with h's implicit Y_k resolved by two predictor-corrector sub-iterations
+started from Y_{k+1}, and nu_k always the FROZEN flow's cloud (the
+measure-freezing that decouples the outer iteration).
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ __all__ = ["RegressionBasis", "RegressionDiagnostics", "solve_backward"]
 
 # ridge scale used when the design matrix is rank deficient
 _RIDGE = 1e-10
+# predictor-corrector passes that resolve h's implicit Y_k on each step
+_PICARD_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,6 @@ def solve_backward(
     frozen_flow,
     terminal_law: EmpiricalMeasure,
     basis: RegressionBasis,
-    picard_inner: int = 2,
 ) -> tuple[PathEnsemble, PathEnsemble, RegressionDiagnostics]:
     """Backward regression sweep along given forward paths.
 
@@ -127,8 +128,6 @@ def solve_backward(
         )
     if len(frozen_flow) < steps:
         raise ValueError("frozen_flow must provide one measure per node")
-    if picard_inner < 1:
-        raise ValueError("picard_inner must be >= 1")
 
     dt = grid.dt
     times = grid.nodes
@@ -155,7 +154,7 @@ def solve_backward(
         z[k] = z_fit.reshape(particles, m, d)
 
         y_guess = y_next
-        for _ in range(picard_inner):
+        for _ in range(_PICARD_PASSES):
             hk = np.asarray(p.h(t_k, xk, y_guess, z[k], nu_k))
             targets = y_next - hk * dt
             y_guess = fit(targets)

@@ -36,7 +36,10 @@ EXIT_CONDITION = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_DEVIATION = 4
 
-_SOLVER_KEYS = ("particles", "steps", "seed", "delta", "tol", "max_outer", "inner_sweeps")
+# solver settings that SchemeParams holds (and whose defaults it owns); the
+# config "solver" block also takes the grid's steps and the run's seed
+_SCHEME_KEYS = ("particles", "delta", "tol", "max_outer", "inner_sweeps")
+_SOLVER_KEYS = ("steps", "seed") + _SCHEME_KEYS
 
 
 def _jsonable(obj):
@@ -97,15 +100,7 @@ def _solver_settings(args, cfg: dict) -> dict:
     unknown = set(block) - set(_SOLVER_KEYS)
     if unknown:
         raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
-    defaults = {
-        "particles": 4096,
-        "steps": 100,
-        "seed": 0,
-        "delta": 1e-3,
-        "tol": 1e-3,
-        "max_outer": 50,
-        "inner_sweeps": 3,
-    }
+    defaults = {"steps": 100, "seed": 0, **{key: getattr(fixpoint.SchemeParams, key) for key in _SCHEME_KEYS}}
     out = {}
     for key, dflt in defaults.items():
         flag = getattr(args, key, None)
@@ -121,8 +116,9 @@ def _build_problem(kind: str, cfg: dict):
 
 
 def _scheme_params(args, settings: dict) -> fixpoint.SchemeParams:
-    keys = ("delta", "tol", "max_outer", "inner_sweeps", "particles")
-    return fixpoint.SchemeParams(**{k: settings[k] for k in keys}, basis=RegressionBasis(degree=args.basis_degree))
+    return fixpoint.SchemeParams(
+        **{k: settings[k] for k in _SCHEME_KEYS}, basis=RegressionBasis(degree=args.basis_degree)
+    )
 
 
 def _write_diverged(outdir: Path, exc: fixpoint.Diverged, report: dict) -> int:
@@ -281,14 +277,17 @@ def cmd_counterexample(args) -> int:
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--particles", type=int, default=None, help="particle count (default 4096)")
+    sp = fixpoint.SchemeParams
+    sub.add_argument("--particles", type=int, default=None, help=f"particle count (default {sp.particles})")
     sub.add_argument("--steps", type=int, default=None, help="time steps (default 100)")
     sub.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    sub.add_argument("--delta", type=float, default=None, help="damping weight of the iteration (default 1e-3)")
-    sub.add_argument("--tol", type=float, default=None, help="L2 stopping threshold (default 1e-3)")
-    sub.add_argument("--max-outer", dest="max_outer", type=int, default=None, help="outer iteration cap (default 50)")
+    sub.add_argument("--delta", type=float, default=None,
+                     help=f"damping weight of the iteration (default {sp.delta:g})")
+    sub.add_argument("--tol", type=float, default=None, help=f"L2 stopping threshold (default {sp.tol:g})")
+    sub.add_argument("--max-outer", dest="max_outer", type=int, default=None,
+                     help=f"outer iteration cap (default {sp.max_outer})")
     sub.add_argument("--inner-sweeps", dest="inner_sweeps", type=int, default=None,
-                     help="forward/backward alternations per outer step (default 3)")
+                     help=f"minimum forward/backward alternations per outer step (default {sp.inner_sweeps})")
     sub.add_argument("--basis-degree", type=int, default=1, choices=(0, 1, 2),
                      help="regression basis degree (default 1)")
     sub.add_argument("--threads", type=int, default=None,

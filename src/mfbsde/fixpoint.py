@@ -65,6 +65,11 @@ def diverging(gaps: Sequence[float]) -> bool:
     return ref > 0 and gaps[-1] > _DIVERGENCE_FACTOR * ref
 
 
+# the inner solve's sweep cap and the memory depth of its Anderson mixing
+_INNER_MAX_SWEEPS = 60
+_ANDERSON_DEPTH = 3
+
+
 @dataclass
 class SchemeParams:
     """Knobs of the outer scheme.
@@ -74,12 +79,9 @@ class SchemeParams:
     theoretical contraction ratio uses it with the default Young parameters.
 
     Each outer step's standard FBSDE is solved by forward/backward
-    alternations: at least inner_sweeps of them, and up to
-    inner_max_sweeps until the sweep self-consistency gap falls below
-    (tol/10)^2.  Sweep updates are Anderson-accelerated with memory
-    depth inner_accel (0 gives plain alternation), which keeps strongly
-    coupled inner problems convergent where plain alternation stalls or
-    oscillates.
+    alternations: at least inner_sweeps of them (at most the fixed cap of
+    60), continuing until the sweep self-consistency gap falls below
+    (tol/10)^2.
     """
 
     delta: float = 1e-3
@@ -88,9 +90,6 @@ class SchemeParams:
     inner_sweeps: int = 3
     particles: int = 4096
     basis: RegressionBasis = field(default_factory=RegressionBasis)
-    picard_inner: int = 2
-    inner_max_sweeps: int = 60
-    inner_accel: int = 3
 
     def __post_init__(self):
         if self.delta < 0:
@@ -99,16 +98,10 @@ class SchemeParams:
             raise ValueError("tol must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.inner_sweeps < 1:
-            raise ValueError("inner_sweeps must be >= 1")
+        if not 1 <= self.inner_sweeps <= _INNER_MAX_SWEEPS:
+            raise ValueError(f"inner_sweeps must be between 1 and {_INNER_MAX_SWEEPS}")
         if self.particles < 2:
             raise ValueError("particles must be >= 2")
-        if self.picard_inner < 1:
-            raise ValueError("picard_inner must be >= 1")
-        if self.inner_max_sweeps < self.inner_sweeps:
-            raise ValueError("inner_max_sweeps must be >= inner_sweeps")
-        if self.inner_accel < 0:
-            raise ValueError("inner_accel must be >= 0")
 
 
 @dataclass
@@ -246,38 +239,36 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
     """Solve the frozen-flow (standard) FBSDE by alternating sweeps.
 
     One sweep propagates X under the current (Y, Z) and re-regresses the
-    backward pair along the new paths; updates between sweeps are
-    Anderson-accelerated.  Runs at least params.inner_sweeps sweeps and
-    stops once the sweep-to-sweep gap drops below (tol/10)^2, giving the
-    outer iteration an inner solution accurate well below its own
-    stopping threshold.
+    backward pair along the new paths; the next sweep starts from the
+    Anderson mix of the swept pairs.  Runs at least params.inner_sweeps
+    sweeps and stops once the sweep-to-sweep gap drops below (tol/10)^2
+    (well below the outer stopping threshold), when the gaps grow (left
+    to the outer divergence rule) or at the sweep cap.  Returns the last
+    swept (X, Y, Z), its regression diagnostics and whether its gap met
+    the target.
     """
     x_prev, y_prev, z_prev = start
     target = (0.1 * params.tol) ** 2
-    x_cur, y_cur, z_cur = x_prev, y_prev, z_prev
-    accel = _Anderson(params.inner_accel)
-    reg_diag = None
+    x_cur, y_cur, z_cur = start
+    u = _flatten_pair(y_cur, z_cur)
+    accel = _Anderson(_ANDERSON_DEPTH)
     gap_min = math.inf
     growing = 0
-    for sweep in range(1, params.inner_max_sweeps + 1):
+    for sweep in range(1, _INNER_MAX_SWEEPS + 1):
         x_new = propagate(p, grid, bundle, y_cur, z_cur, y_prev, z_prev, flow, params.delta)
-        y_hat, z_hat, reg_diag = solve_backward(
-            p, grid, bundle, x_new, flow, mu_t, params.basis, params.picard_inner
-        )
+        y_hat, z_hat, reg_diag = solve_backward(p, grid, bundle, x_new, flow, mu_t, params.basis)
         gap = sum(_gaps(grid, (x_new, y_hat, z_hat), (x_cur, y_cur, z_cur)))
         if not math.isfinite(gap):
             raise FloatingPointError(f"inner sweep gap became non-finite at sweep {sweep}")
-        if sweep >= params.inner_sweeps and gap < target:
-            return x_new, y_hat, z_hat, reg_diag
-        # hand clearly exploding inner iterations to the outer divergence detector
+        met = gap < target
         gap_min = min(gap_min, gap)
         growing = growing + 1 if gap > 100.0 * gap_min else 0
-        if growing >= 3 and sweep >= params.inner_sweeps:
-            return x_new, y_hat, z_hat, reg_diag
-        mixed = accel.next(_flatten_pair(y_cur, z_cur), _flatten_pair(y_hat, z_hat))
-        y_cur, z_cur = _split_pair(mixed, y_hat.time_major.shape, z_hat.time_major.shape)
+        if sweep == _INNER_MAX_SWEEPS or (sweep >= params.inner_sweeps and (met or growing >= 3)):
+            break
+        u = accel.next(u, _flatten_pair(y_hat, z_hat))
+        y_cur, z_cur = _split_pair(u, y_hat.time_major.shape, z_hat.time_major.shape)
         x_cur = x_new
-    return x_cur, y_cur, z_cur, reg_diag
+    return x_new, y_hat, z_hat, reg_diag, met
 
 
 def _theory_ratio(p: MfProblem, params: SchemeParams) -> float:
@@ -328,7 +319,7 @@ def solve(
         mu_t = marginal(x_prev, x_prev.nodes - 1)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                x_cur, y_cur, z_cur, reg_diag = _inner_solve(
+                x_cur, y_cur, z_cur, reg_diag, inner_met = _inner_solve(
                     p, grid, bundle, params, flow, mu_t, (x_prev, y_prev, z_prev)
                 )
         except FloatingPointError as exc:
@@ -337,7 +328,8 @@ def solve(
         gap_xt, gap_u = _gaps(grid, (x_cur, y_cur, z_cur), (x_prev, y_prev, z_prev))
         gap_total = gap_xt + gap_u
         ratio = gap_total / prev_gap if (math.isfinite(prev_gap) and prev_gap > 0) else math.nan
-        converged = gap_total < params.tol**2
+        # an outer step counts only when its inner solve met its own target
+        converged = gap_total < params.tol**2 and inner_met
         history.append(
             IterationDiagnostics(
                 n=n,

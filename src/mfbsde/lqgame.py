@@ -78,6 +78,8 @@ __all__ = [
 _SYMMETRY_TOL = 1e-12
 _COMMUTATION_TOL = 1e-10
 _SINGULARITY_RTOL = 1e-9
+# RK4 steps of the full-horizon mean transition when a coefficient is a callable
+_RK4_STEPS = 512
 
 
 def _sample_times(horizon: float, paths, samples: int = 257) -> np.ndarray:
@@ -215,8 +217,8 @@ class H2Report:
     """Structural conditions for aggregated solvability.
 
     eta1/eta2 are the smallest eigenvalues of the symmetric parts of
-    sum K_i Q_i and (over the grid) sum K_i M_i(t).  The mean couplings
-    ||sum K_i R_i|| and ||D|| must both stay below
+    sum K_i Q_i and (over the checked times) sum K_i M_i(t).  The mean
+    couplings ||sum K_i R_i|| and ||D|| must both stay below
     min{2(sqrt2-1) eta1, sqrt2/2, (sqrt2/2) eta2}.
     """
 
@@ -260,12 +262,20 @@ def _weighted_sums(gs: GameSpec):
     return K, sum(k @ q for k, q in zip(K, gs.Q)), sum(k @ r for k, r in zip(K, gs.R)), skm
 
 
+def _gate_times(gs: GameSpec) -> np.ndarray:
+    """Where the gate and the aggregated constants evaluate the coefficients:
+    uniform times plus every breakpoint of A, D, sigma and the M_i."""
+    return _sample_times(gs.horizon, [gs.A, gs.D, gs.sigma] + list(gs.M))
+
+
 def _sym_min_eig(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
+    """Smallest eigenvalue of the symmetric part of a matrix or of a stack of them."""
+    return float(np.linalg.eigvalsh((mat + np.swapaxes(mat, -1, -2)) / 2.0)[..., 0].min())
 
 
 def _spectral(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, 2))
+    """Spectral norm of a matrix, or the largest over a stack of them."""
+    return float(np.linalg.norm(mat, 2, axis=(-2, -1)).max())
 
 
 def coupling_bound(eta1: float, eta2: float) -> float:
@@ -274,22 +284,17 @@ def coupling_bound(eta1: float, eta2: float) -> float:
 
 
 def check_H2(gs: GameSpec, grid: TimeGrid) -> H2Report:
-    """Evaluate the structural and smallness conditions on ``grid``'s nodes."""
+    """Evaluate the structural and smallness conditions on ``grid``'s nodes
+    and at the times :func:`build_aggregated` samples (every coefficient
+    breakpoint among them), so a piece between two nodes is not missed."""
     K, skq, skr, skm = _weighted_sums(gs)
+    times = np.union1d(grid.nodes, _gate_times(gs))
+    a, d, s, m = (np.stack([path(t) for t in times]) for path in (gs.A, gs.D, gs.sigma, skm))
+    mats = np.swapaxes(np.concatenate([a, d, s]), -1, -2)
     eta1 = _sym_min_eig(skq)
-    eta2 = math.inf
-    commut = 0.0
-    norm_d = 0.0
-    for t in grid.nodes:
-        eta2 = min(eta2, _sym_min_eig(skm(t)))
-        a_t = np.asarray(gs.A(t), dtype=float)
-        d_t = np.asarray(gs.D(t), dtype=float)
-        s_t = np.asarray(gs.sigma(t), dtype=float)
-        norm_d = max(norm_d, _spectral(d_t))
-        for k in K:
-            for mat in (a_t.T, d_t.T, s_t.T):
-                commut = max(commut, _spectral(k @ mat - mat @ k))
-
+    eta2 = _sym_min_eig(m)
+    commut = max(_spectral(k @ mats - mats @ k) for k in K)
+    norm_d = _spectral(d)
     norm_kr = _spectral(skr)
     bound = coupling_bound(eta1, eta2)
     positivity_ok = eta1 > 0 and eta2 > 0
@@ -299,7 +304,7 @@ def check_H2(gs: GameSpec, grid: TimeGrid) -> H2Report:
     return H2Report(
         K=K,
         eta1=eta1,
-        eta2=float(eta2),
+        eta2=eta2,
         commutation_residual=commut,
         norm_KR=norm_kr,
         norm_D=norm_d,
@@ -336,16 +341,16 @@ def build_aggregated(gs: GameSpec, force: bool = False) -> MfProblem:
     """
     n = gs.n
     _, skq, skr, skm = _weighted_sums(gs)
-    times = _sample_times(gs.horizon, [gs.A, gs.D, gs.sigma] + list(gs.M))
+    skm_t = np.stack([skm(t) for t in _gate_times(gs)])
     eta1 = _sym_min_eig(skq)
-    eta2 = min(_sym_min_eig(skm(t)) for t in times)
+    eta2 = _sym_min_eig(skm_t)
     if not force and not (eta1 > 0 and eta2 > 0):
         raise ValueError(
             f"monotonicity constants unavailable (eta1={eta1:g}, eta2={eta2:g}); "
             "pass force=True to build anyway"
         )
 
-    sup_skm = max(_spectral(skm(t)) for t in times)
+    sup_skm = _spectral(skm_t)
     lip = LipschitzProfile(
         c_u=max(sup_spectral_norm(gs.A, gs.horizon), 1.0, sup_skm, sup_spectral_norm(gs.sigma, gs.horizon)),
         c_nu=sup_spectral_norm(gs.D, gs.horizon),
@@ -553,9 +558,7 @@ def _solve_adjoint(gs, i, sol, params) -> tuple[PathEnsemble, PathEnsemble, int]
     gaps = []
     for it in range(1, max_iter + 1):
         flow = [joint_marginal(x_ens, p_ens, k) for k in range(x_ens.nodes)]
-        p_new, q_ens, _ = solve_backward(
-            prob, grid, bundle, x_ens, flow, terminal, params.basis, params.picard_inner
-        )
+        p_new, q_ens, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal, params.basis)
         gap = float(np.trapezoid(node_msd(p_new.time_major, p_ens.time_major), dx=grid.dt))
         gaps.append(gap)
         p_ens = p_new
@@ -794,12 +797,13 @@ def _mean_generator(gs: GameSpec):
     return map_path(augmented, gs.A, gs.D, gs.beta, *gs.M, *gs.Gamma)
 
 
-def _backward_transition(gen, t_hi: float, t_lo: float, cache: dict, rk_steps: int = 512) -> np.ndarray:
+def _backward_transition(gen, t_hi: float, t_lo: float, cache: dict, max_step: float) -> np.ndarray:
     """Transition matrix of the augmented mean ODE from t_hi down to t_lo.
 
     Exact (matrix exponentials per piece) when the generator ``gen`` is
-    piecewise constant; dense RK4 otherwise.  ``cache`` keeps the piece
-    exponentials of one mean solve, keyed by (piece, exact step length).
+    piecewise constant; otherwise dense RK4 with equal steps no longer
+    than ``max_step``.  ``cache`` keeps the piece exponentials of one
+    mean solve, keyed by (piece, exact step length).
     """
     phi = np.eye(len(gen(t_hi)))
     if t_hi <= t_lo:
@@ -816,6 +820,7 @@ def _backward_transition(gen, t_hi: float, t_lo: float, cache: dict, rk_steps: i
             phi = phi @ cache[key]
         return phi
     # general deterministic callables: RK4 on Phi' = G_hat Phi integrated backward
+    rk_steps = math.ceil((t_hi - t_lo) / max_step)
     hs = (t_hi - t_lo) / rk_steps
     t = t_hi
     for _ in range(rk_steps):
@@ -851,7 +856,8 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
     T = gs.horizon
 
     cache: dict = {}
-    transition = _backward_transition(gen, T, 0.0, cache)
+    max_step = T / _RK4_STEPS
+    transition = _backward_transition(gen, T, 0.0, cache, max_step)
     stack = np.zeros((dim, n))
     stack[:n, :] = np.eye(n)
     for i in range(players):
@@ -880,7 +886,7 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
     t_prev = T
     for idx in order:
         t = float(times[idx])
-        v = _backward_transition(gen, t_prev, t, cache) @ v
+        v = _backward_transition(gen, t_prev, t, cache, max_step) @ v
         values[idx] = v[:dim]
         t_prev = t
 

@@ -149,12 +149,11 @@ def make_bundle(grid: TimeGrid, particles: int, dim: int, seed: int) -> Brownian
     return BrownianBundle(seed=seed, time_major=_time_major_copy(incr))
 
 
-def marginal(e: PathEnsemble, node: int, components: slice | None = None) -> EmpiricalMeasure:
-    """Cloud of the selected components at a grid node, one point per particle."""
+def marginal(e: PathEnsemble, node: int) -> EmpiricalMeasure:
+    """Cloud of the ensemble at a grid node, one point per particle."""
     if not (0 <= node < e.nodes):
         raise IndexError(f"node {node} out of range [0, {e.nodes})")
-    pts = e.time_major[node] if components is None else e.time_major[node][:, components]
-    return EmpiricalMeasure(points=pts)
+    return EmpiricalMeasure(points=e.time_major[node])
 
 
 def joint_marginal(x_ens: PathEnsemble, y_ens: PathEnsemble, node: int) -> EmpiricalMeasure:

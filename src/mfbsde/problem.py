@@ -448,9 +448,9 @@ def as_path(spec) -> Callable[[float], np.ndarray]:
             pieces = sorted(spec["piecewise"], key=lambda p: float(p["t_from"]))
             if not pieces:
                 raise ValueError("piecewise spec must contain at least one piece")
-            vals = [p.get("value", p.get("matrix")) for p in pieces]
+            vals = [p.get("value") for p in pieces]
             if any(v is None for v in vals):
-                raise ValueError("each piece needs a 'value' (or 'matrix') entry")
+                raise ValueError("each piece needs a 'value' entry")
             return PiecewiseConstant([float(p["t_from"]) for p in pieces], vals)
         raise ValueError(f"coefficient dict must contain 'const' or 'piecewise', got keys {sorted(spec)}")
     return PiecewiseConstant([0.0], [np.asarray(spec, dtype=float)])

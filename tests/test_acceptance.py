@@ -116,7 +116,7 @@ def test_criterion_4_bsde_oracle():
     zeros_z = PathEnsemble(np.zeros((particles, 100, 1)))
     flow = [joint_marginal(zeros_y, zeros_y, k) for k in range(101)]
     x = propagate(p, grid, bundle, zeros_y, zeros_z, zeros_y, zeros_z, flow, 0.0)
-    y, z, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 100), RegressionBasis(1), 2)
+    y, z, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 100), RegressionBasis(1))
     se_y0 = x.values[:, -1, 0].std() / math.sqrt(particles)
     y0_err = abs(y.values[:, 0, 0].mean() - 0.7)
     targets = x.values[:, 1:, 0][:, :, None] * bundle.increments / grid.dt
@@ -133,7 +133,7 @@ def test_criterion_4_bsde_oracle():
         g=lambda xx, mu: np.ones_like(xx),
         law_free_sigma=True,
     )
-    y2, _, _ = solve_backward(p2, grid, bundle, x, flow, marginal(x, 100), RegressionBasis(1), 2)
+    y2, _, _ = solve_backward(p2, grid, bundle, x, flow, marginal(x, 100), RegressionBasis(1))
     rel = abs(y2.values[:, 0, 0].mean() - math.exp(a)) / math.exp(a)
     driver_ok = rel < 0.01
     elapsed = time.time() - start

@@ -44,7 +44,7 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 20)
         particles = 2000
         bundle, x, flow = brownian_paths(p, grid, particles, seed=0)
-        y, z, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 20), RegressionBasis(1), 2)
+        y, z, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 20), RegressionBasis(1))
         assert np.allclose(y.values, 2.5, atol=1e-10)
         # Z is zero only in expectation: each fit carries Monte Carlo noise
         # of order std(c dW/dt) * sqrt(n_features / particles)
@@ -58,7 +58,7 @@ class TestSolveBackward:
         particles = 5000
         bundle, x, flow = brownian_paths(martingale_problem, grid, particles, seed=2)
         y, z, _ = solve_backward(
-            martingale_problem, grid, bundle, x, flow, marginal(x, 50), RegressionBasis(1), 2
+            martingale_problem, grid, bundle, x, flow, marginal(x, 50), RegressionBasis(1)
         )
         x0 = martingale_problem.x0[0]
         se_y0 = x.values[:, -1, 0].std() / math.sqrt(particles)
@@ -85,14 +85,14 @@ class TestSolveBackward:
         )
         grid = TimeGrid(1.0, 100)
         bundle, x, flow = brownian_paths(p, grid, 2000, seed=2)
-        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 100), RegressionBasis(1), 2)
+        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 100), RegressionBasis(1))
         assert y.values[:, 0, 0].mean() == pytest.approx(math.exp(a), rel=0.01)
 
     def test_tower_property_fitted_values_are_functions_of_state(self, martingale_problem):
         grid = TimeGrid(1.0, 10)
         bundle, x, flow = brownian_paths(martingale_problem, grid, 300, seed=3)
         y, z, _ = solve_backward(
-            martingale_problem, grid, bundle, x, flow, marginal(x, 10), RegressionBasis(1), 2
+            martingale_problem, grid, bundle, x, flow, marginal(x, 10), RegressionBasis(1)
         )
         # two particles with (numerically) equal states get equal fits
         xs = x.values[:, 5, 0]
@@ -115,7 +115,7 @@ class TestSolveBackward:
         )
         grid = TimeGrid(1.0, 20)
         bundle, x, flow = brownian_paths(p, grid, 50, seed=4)
-        _, _, diag = solve_backward(p, grid, bundle, x, flow, marginal(x, 20), RegressionBasis(1), 3)
+        _, _, diag = solve_backward(p, grid, bundle, x, flow, marginal(x, 20), RegressionBasis(1))
         # Y-fit exact by affinity up to the stabilizing ridge's O(1e-10)
         # shrinkage; Z targets carry dW noise by design
         assert max(diag.y_residuals) < 1e-8
@@ -125,7 +125,7 @@ class TestSolveBackward:
         particles = 4000
         bundle, x, flow = brownian_paths(martingale_problem, grid, particles, seed=7)
         y, z, _ = solve_backward(
-            martingale_problem, grid, bundle, x, flow, marginal(x, 40), RegressionBasis(1), 2
+            martingale_problem, grid, bundle, x, flow, marginal(x, 40), RegressionBasis(1)
         )
         zv = z.values.reshape(particles, 40, 1)
         for k in range(40):
@@ -153,7 +153,7 @@ class TestSolveBackward:
         bundle, x, _ = brownian_paths(p, grid, 200, seed=8)
         ones = PathEnsemble(np.ones((200, 11, 1)))
         flow_shifted = [joint_marginal(x, ones, k) for k in range(11)]
-        y, _, _ = solve_backward(p, grid, bundle, x, flow_shifted, marginal(x, 10), RegressionBasis(1), 2)
+        y, _, _ = solve_backward(p, grid, bundle, x, flow_shifted, marginal(x, 10), RegressionBasis(1))
         # dY = -1 dt integrated from T: Y_0 = 0 + 1.0
         assert y.values[:, 0, 0].mean() == pytest.approx(1.0, abs=1e-8)
 
@@ -163,14 +163,14 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 10)
         bundle, x, flow = brownian_paths(p, grid, 200, seed=9)
         frozen = PathEnsemble(np.full((200, 11, 1), 5.0))
-        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(frozen, 10), RegressionBasis(1), 2)
+        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(frozen, 10), RegressionBasis(1))
         assert np.allclose(y.values[:, -1, 0], x.values[:, -1, 0] + 5.0)
 
     def test_degenerate_cloud_flagged_as_ridge(self, martingale_problem):
         grid = TimeGrid(1.0, 5)
         bundle, x, flow = brownian_paths(martingale_problem, grid, 100, seed=10)
         _, _, diag = solve_backward(
-            martingale_problem, grid, bundle, x, flow, marginal(x, 5), RegressionBasis(1), 2
+            martingale_problem, grid, bundle, x, flow, marginal(x, 5), RegressionBasis(1)
         )
         assert 0 in diag.ridge_steps  # X_0 is a point mass
         assert diag.used_ridge
@@ -182,7 +182,7 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 40)
         particles = 4000
         bundle, x, flow = brownian_paths(p, grid, particles, seed=12)
-        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 40), RegressionBasis(2), 2)
+        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 40), RegressionBasis(2))
         x0 = p.x0[0]
         expected = x0**2 + 1.0
         se = (x.values[:, -1, 0] ** 2).std() / math.sqrt(particles)
@@ -191,16 +191,10 @@ class TestSolveBackward:
         err = np.abs(y.values[:, 20, 0] - mid_expected).mean()
         assert err < 0.1
 
-    def test_picard_inner_validation(self, martingale_problem):
-        grid = TimeGrid(1.0, 5)
-        bundle, x, flow = brownian_paths(martingale_problem, grid, 16, seed=0)
-        with pytest.raises(ValueError):
-            solve_backward(martingale_problem, grid, bundle, x, flow, marginal(x, 5), RegressionBasis(1), 0)
-
     def test_shape_mismatch_rejected(self, martingale_problem):
         grid = TimeGrid(1.0, 5)
         bundle = make_bundle(grid, 16, 1, seed=0)
         bad_x = PathEnsemble(np.zeros((16, 5, 1)))
         flow = [joint_marginal(bad_x, bad_x, k) for k in range(5)]
         with pytest.raises(ValueError, match="x_ens"):
-            solve_backward(martingale_problem, grid, bundle, bad_x, flow, marginal(bad_x, 4), RegressionBasis(1), 2)
+            solve_backward(martingale_problem, grid, bundle, bad_x, flow, marginal(bad_x, 4), RegressionBasis(1))

@@ -78,6 +78,16 @@ class TestCheckCommand:
     def test_missing_file_is_config_error(self, tmp_path):
         assert cli.main(["check", str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
 
+    def test_cost_weight_negative_between_grid_nodes_fails(self, tmp_path, capsys):
+        # M = -1 on [0.101, 0.102), between the nodes 0.1 and 0.1025 of the default 100-step grid
+        pieces = [{"t_from": t, "value": [[v]]} for t, v in ((0.0, 1.0), (0.101, -1.0), (0.102, 1.0))]
+        payload = {"kind": "game", "n": 1, "m": 1, "T": 0.25, "x0": [1.0],
+                   "C": [[[1.0]]], "N": [[[1.0]]], "Q": [[[1.0]]], "M": [{"piecewise": pieces}]}
+        assert cli.main(["check", write_config(tmp_path, payload)]) == cli.EXIT_CONDITION
+        report = json.loads(capsys.readouterr().out)
+        assert report["eta2"] == -1.0
+        assert report["pass"] is False
+
 
 class TestSolveCommand:
     def test_toy_problem_converges_with_monotone_gaps(self, tmp_path):
@@ -109,16 +119,19 @@ class TestSolveCommand:
         assert report["converged"] is False
 
     def test_piece_without_value_is_config_error(self, tmp_path, capsys):
-        pieces = [{"t_from": 0.0}, {"t_from": 0.1, "value": -1.0}]
-        payload = dict(TOY_PROBLEM, f={"y": {"piecewise": pieces}, "mean_x": 0.1})
-        cfg = write_config(tmp_path, payload)
-        code = cli.main(["solve", cfg, "--particles", "100", "--steps", "10", "--out", str(tmp_path / "o")])
-        assert code == cli.EXIT_CONFIG
-        assert "'value'" in capsys.readouterr().err
+        for first in ({"t_from": 0.0}, {"t_from": 0.0, "matrix": -1.0}):
+            pieces = [first, {"t_from": 0.1, "value": -1.0}]
+            payload = dict(TOY_PROBLEM, f={"y": {"piecewise": pieces}, "mean_x": 0.1})
+            cfg = write_config(tmp_path, payload)
+            code = cli.main(["solve", cfg, "--particles", "100", "--steps", "10", "--out", str(tmp_path / "o")])
+            assert code == cli.EXIT_CONFIG
+            assert "'value'" in capsys.readouterr().err
 
     def test_invalid_max_outer_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, TOY_PROBLEM)
         assert cli.main(["solve", cfg, "--max-outer", "0", "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+        # more minimum sweeps than the inner solve's cap of 60
+        assert cli.main(["solve", cfg, "--inner-sweeps", "61", "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
 
     def test_overflowing_z_regression_is_divergence(self, tmp_path, capsys):
         # Y_T = 1e307 x is finite, but the Z targets Y_T dW / dt overflow

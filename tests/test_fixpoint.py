@@ -32,9 +32,7 @@ class TestSchemeParams:
             {"inner_sweeps": 0},
             {"delta": -1.0},
             {"particles": 1},
-            {"picard_inner": 0},
-            {"inner_max_sweeps": 1, "inner_sweeps": 3},
-            {"inner_accel": -1},
+            {"inner_sweeps": 61},  # above the inner sweep cap
         ],
     )
     def test_validation(self, kwargs):
@@ -80,7 +78,7 @@ class TestSolve:
         from mfbsde.lqgame import build_aggregated, example3_game
 
         agg = build_aggregated(example3_game(1.0), force=True)
-        params = SchemeParams(particles=200, max_outer=40, tol=1e-3, inner_max_sweeps=20)
+        params = SchemeParams(particles=200, max_outer=40, tol=1e-3)
         with pytest.raises(Diverged) as err:
             fixpoint.solve(agg, TimeGrid(1.0, 40), params, seed=5)
         assert len(err.value.history) >= 1
@@ -152,13 +150,17 @@ class TestSolve:
         theory = sol.history[0].theory_ratio
         assert all(rec.ratio <= theory + 0.1 for rec in sol.history[1:])
 
-    def test_plain_sweeps_still_converge_on_mild_problems(self):
-        p = h1prime_toy()
-        params = SchemeParams(
-            particles=500, max_outer=10, tol=1e-4, inner_accel=0, inner_max_sweeps=10
-        )
-        sol = fixpoint.solve(p, TimeGrid(0.25, 30), params, seed=5)
-        assert sol.converged
+    def test_converged_needs_the_last_inner_solve_on_target(self, monkeypatch):
+        # one sweep per inner solve: the outer gap drops below tol^2 while
+        # that sweep's own gap is still above its (tol/10)^2 target
+        monkeypatch.setattr(fixpoint, "_INNER_MAX_SWEEPS", 1)
+        p, grid = h1prime_toy(), TimeGrid(0.25, 30)
+        short = fixpoint.solve(p, grid, SchemeParams(particles=500, max_outer=6, tol=1e-3, inner_sweeps=1), seed=5)
+        assert short.history[-1].gap_total < 1e-6
+        assert not short.converged
+        longer = fixpoint.solve(p, grid, SchemeParams(particles=500, max_outer=30, tol=1e-3, inner_sweeps=1), seed=5)
+        assert longer.converged
+        assert len(longer.history) == 7
 
     def test_warm_start_resumes(self):
         p = h1prime_toy()

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -465,12 +466,12 @@ class TestMeanReduction:
     def test_callable_coefficients_match_exponentials(self):
         # the same game with callable A and D goes through RK4 instead of
         # piece exponentials; example 3 has A + D = 0, the scalar game a
-        # generator with nonzero state, cost and beta blocks
+        # generator with nonzero state, cost and beta blocks; None gives
+        # the 201 default output times
         scalar = scalar_game(sigma=[[0.0]], D=[[0.2]], beta=[0.1])
-        for gs in (lqgame.example3_game(0.5), scalar):
+        for gs, times in itertools.product((lqgame.example3_game(0.5), scalar), ([0.0, 0.25, 0.5], None)):
             a, d = gs.A(0.0), gs.D(0.0)
             dense = dataclasses.replace(gs, A=lambda t: a, D=lambda t: d)
-            times = [0.0, 0.25, 0.5]
             exact, rk4 = lqgame.solve_mean_fbode(gs, times), lqgame.solve_mean_fbode(dense, times)
             assert rk4.det == pytest.approx(exact.det, rel=1e-12)
             assert np.allclose(rk4.state_mean, exact.state_mean, rtol=1e-12, atol=1e-12)

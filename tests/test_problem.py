@@ -315,6 +315,8 @@ class TestPiecewisePaths:
             as_path({"piecewise": [{"t_from": 0.0}, {"t_from": 0.1, "value": -1.0}]})
         with pytest.raises(ValueError, match="'value'"):
             as_path({"piecewise": [{"t_from": 0.0, "value": None}]})
+        with pytest.raises(ValueError, match="'value'"):
+            as_path({"piecewise": [{"t_from": 0.0, "matrix": 1.0}]})
 
     def test_shaped_path_builds_a_new_table(self):
         pw = PiecewiseConstant([0.0, 0.5], [0.1, 0.2])
