@@ -112,7 +112,7 @@ def _build_problem(kind: str, cfg: dict):
     if kind == "problem":
         return problem_from_config(cfg)
     gs = lqgame.game_from_config(cfg)
-    return lqgame.build_aggregated(gs, force=True)
+    return lqgame.build_aggregated(gs)
 
 
 def _scheme_params(args, settings: dict) -> fixpoint.SchemeParams:

@@ -35,7 +35,6 @@ import numpy as np
 
 from .backward import RegressionBasis, solve_backward
 from .forward import propagate
-from .measure import EmpiricalMeasure
 from .paths import (
     BrownianBundle, PathEnsemble, TimeGrid, from_time_major, joint_marginal, make_bundle, marginal, node_msd,
 )
@@ -106,7 +105,9 @@ class SchemeParams:
 
 @dataclass
 class IterationDiagnostics:
-    """One outer iteration's Cauchy gaps and contraction ratios."""
+    """One outer iteration's Cauchy gaps and contraction ratios, and how its
+    inner solve ended: its sweep count and why it stopped ("target",
+    "growth" or "cap")."""
 
     n: int
     gap_xt: float
@@ -116,6 +117,8 @@ class IterationDiagnostics:
     max_regression_residual: float
     ridge_fallback: bool
     converged: bool
+    inner_sweeps: int
+    inner_exit: str
 
     @property
     def gap_total(self) -> float:
@@ -131,20 +134,22 @@ class IterationDiagnostics:
             "gap_U": _num(self.gap_u),
             "ratio": _num(self.ratio),
             "theory_ratio": _num(self.theory_ratio),
+            "max_regression_residual": _num(self.max_regression_residual),
+            "ridge_fallback": self.ridge_fallback,
+            "inner_sweeps": self.inner_sweeps,
+            "inner_exit": self.inner_exit,
         }
 
 
 @dataclass
 class MfSolution:
-    """Converged (or last) iterate of the scheme with its own flow."""
+    """Converged (or last) iterate of the scheme."""
 
     grid: TimeGrid
     bundle: BrownianBundle
     x_ens: PathEnsemble
     y_ens: PathEnsemble
     z_ens: PathEnsemble
-    flow: list
-    terminal_law: EmpiricalMeasure
     history: list
     converged: bool
 
@@ -162,10 +167,6 @@ def _zero_ensembles(particles: int, steps: int, m: int, d: int):
     y = PathEnsemble(values=np.zeros((particles, steps + 1, m)))
     z = PathEnsemble(values=np.zeros((particles, steps, m * d)))
     return x, y, z
-
-
-def _freeze_flow(x_ens: PathEnsemble, y_ens: PathEnsemble):
-    return [joint_marginal(x_ens, y_ens, k) for k in range(x_ens.nodes)]
 
 
 def _gaps(grid: TimeGrid, new, old) -> tuple[float, float]:
@@ -244,8 +245,8 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
     sweeps and stops once the sweep-to-sweep gap drops below (tol/10)^2
     (well below the outer stopping threshold), when the gaps grow (left
     to the outer divergence rule) or at the sweep cap.  Returns the last
-    swept (X, Y, Z), its regression diagnostics and whether its gap met
-    the target.
+    swept (X, Y, Z), its regression diagnostics, why the solve stopped
+    ("target", "growth" or "cap") and its sweep count.
     """
     x_prev, y_prev, z_prev = start
     target = (0.1 * params.tol) ** 2
@@ -268,7 +269,7 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
         u = accel.next(u, _flatten_pair(y_hat, z_hat))
         y_cur, z_cur = _split_pair(u, y_hat.time_major.shape, z_hat.time_major.shape)
         x_cur = x_new
-    return x_new, y_hat, z_hat, reg_diag, met
+    return x_new, y_hat, z_hat, reg_diag, "target" if met else "growth" if growing >= 3 else "cap", sweep
 
 
 def _theory_ratio(p: MfProblem, params: SchemeParams) -> float:
@@ -315,11 +316,11 @@ def solve(
     prev_gap = math.nan
 
     for n in range(1, params.max_outer + 1):
-        flow = _freeze_flow(x_prev, y_prev)
+        flow = [joint_marginal(x_prev, y_prev, k) for k in range(x_prev.nodes)]
         mu_t = marginal(x_prev, x_prev.nodes - 1)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                x_cur, y_cur, z_cur, reg_diag, inner_met = _inner_solve(
+                x_cur, y_cur, z_cur, reg_diag, inner_exit, sweeps = _inner_solve(
                     p, grid, bundle, params, flow, mu_t, (x_prev, y_prev, z_prev)
                 )
         except FloatingPointError as exc:
@@ -329,7 +330,7 @@ def solve(
         gap_total = gap_xt + gap_u
         ratio = gap_total / prev_gap if (math.isfinite(prev_gap) and prev_gap > 0) else math.nan
         # an outer step counts only when its inner solve met its own target
-        converged = gap_total < params.tol**2 and inner_met
+        converged = gap_total < params.tol**2 and inner_exit == "target"
         history.append(
             IterationDiagnostics(
                 n=n,
@@ -340,6 +341,8 @@ def solve(
                 max_regression_residual=reg_diag.max_residual,
                 ridge_fallback=reg_diag.used_ridge,
                 converged=converged,
+                inner_sweeps=sweeps,
+                inner_exit=inner_exit,
             )
         )
         x_prev, y_prev, z_prev = x_cur, y_cur, z_cur
@@ -361,8 +364,6 @@ def solve(
         x_ens=x_cur,
         y_ens=y_cur,
         z_ens=z_cur,
-        flow=_freeze_flow(x_cur, y_cur),
-        terminal_law=marginal(x_cur, x_cur.nodes - 1),
         history=history,
         converged=converged,
     )
@@ -388,7 +389,7 @@ def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:
     bwd = 0.0
     for k in range(steps):
         t_k = float(times[k])
-        nu_k = sol.flow[k]
+        nu_k = joint_marginal(sol.x_ens, sol.y_ens, k)
         xk, yk, zk = xv[k], yv[k], zv[k]
         dw = bundle.time_major[k]
         fv = np.asarray(p.f(t_k, xk, yk, zk, nu_k))
@@ -399,7 +400,7 @@ def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:
         bdef = yv[k + 1] - yk - hv * dt - np.einsum("pmd,pd->pm", zk, dw)
         bwd = max(bwd, float(np.mean(np.sum(bdef * bdef, axis=1))))
 
-    tdef = yv[steps] - np.asarray(p.g(xv[steps], sol.terminal_law))
+    tdef = yv[steps] - np.asarray(p.g(xv[steps], marginal(sol.x_ens, steps)))
     term = float(np.mean(np.sum(tdef * tdef, axis=1)))
     return fwd, bwd, term
 

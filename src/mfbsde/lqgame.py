@@ -44,6 +44,7 @@ from .backward import solve_backward
 from .measure import EmpiricalMeasure
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_time_major, joint_marginal, marginal, node_msd
 from .problem import (
+    H1PRIME,
     AffineCoeffs,
     LipschitzProfile,
     MfProblem,
@@ -53,7 +54,7 @@ from .problem import (
     coerce,
     map_path,
     shaped_path,
-    sup_spectral_norm,
+    smallness_bound,
 )
 
 __all__ = [
@@ -218,7 +219,8 @@ class H2Report:
 
     eta1/eta2 are the smallest eigenvalues of the symmetric parts of
     sum K_i Q_i and (over the checked times) sum K_i M_i(t).  The mean
-    couplings ||sum K_i R_i|| and ||D|| must both stay below
+    couplings ||sum K_i R_i|| and ||D|| must both stay below the relaxed
+    smallness bound at (k, k') = (min{1, eta2}, eta1), that is
     min{2(sqrt2-1) eta1, sqrt2/2, (sqrt2/2) eta2}.
     """
 
@@ -255,16 +257,9 @@ class H2Report:
         }
 
 
-def _weighted_sums(gs: GameSpec):
-    """K_i, sum K_i Q_i, sum K_i R_i and the path t -> sum K_i M_i(t)."""
-    K = gs.k_matrices()
-    skm = map_path(lambda *ms: sum(k @ m for k, m in zip(K, ms)), *gs.M)
-    return K, sum(k @ q for k, q in zip(K, gs.Q)), sum(k @ r for k, r in zip(K, gs.R)), skm
-
-
 def _gate_times(gs: GameSpec) -> np.ndarray:
     """Where the gate and the aggregated constants evaluate the coefficients:
-    uniform times plus every breakpoint of A, D, sigma and the M_i."""
+    uniform times plus every breakpoint of A, D, sigma and the M_i in [0, T]."""
     return _sample_times(gs.horizon, [gs.A, gs.D, gs.sigma] + list(gs.M))
 
 
@@ -278,25 +273,30 @@ def _spectral(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2, axis=(-2, -1)).max())
 
 
-def coupling_bound(eta1: float, eta2: float) -> float:
-    """Admissible strict bound min{2(sqrt2-1) eta1, sqrt2/2, (sqrt2/2) eta2}."""
-    return min(2.0 * (math.sqrt(2.0) - 1.0) * eta1, math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0 * eta2)
+def _gate(gs: GameSpec, times: np.ndarray):
+    """The game's gate data at ``times``: K_i, sum K_i Q_i, sum K_i R_i, the
+    path t -> sum K_i M_i(t), the stacks (A, D, sigma, sum K_i M_i) at those
+    times, and eta1, eta2 (smallest eigenvalues of the symmetric parts of
+    sum K_i Q_i and of the sum K_i M_i stack).  Every sup the gate and the
+    aggregated constants take is a :func:`_spectral` over these stacks."""
+    K = gs.k_matrices()
+    skq = sum(k @ q for k, q in zip(K, gs.Q))
+    skm = map_path(lambda *ms: sum(k @ m for k, m in zip(K, ms)), *gs.M)
+    stacks = [np.stack([path(t) for t in times]) for path in (gs.A, gs.D, gs.sigma, skm)]
+    return K, skq, sum(k @ r for k, r in zip(K, gs.R)), skm, stacks, _sym_min_eig(skq), _sym_min_eig(stacks[-1])
 
 
 def check_H2(gs: GameSpec, grid: TimeGrid) -> H2Report:
     """Evaluate the structural and smallness conditions on ``grid``'s nodes
     and at the times :func:`build_aggregated` samples (every coefficient
-    breakpoint among them), so a piece between two nodes is not missed."""
-    K, skq, skr, skm = _weighted_sums(gs)
-    times = np.union1d(grid.nodes, _gate_times(gs))
-    a, d, s, m = (np.stack([path(t) for t in times]) for path in (gs.A, gs.D, gs.sigma, skm))
+    breakpoint in [0, T] among them), so a piece between two nodes is not
+    missed."""
+    K, _, skr, _, (a, d, s, _), eta1, eta2 = _gate(gs, np.union1d(grid.nodes, _gate_times(gs)))
     mats = np.swapaxes(np.concatenate([a, d, s]), -1, -2)
-    eta1 = _sym_min_eig(skq)
-    eta2 = _sym_min_eig(m)
     commut = max(_spectral(k @ mats - mats @ k) for k in K)
     norm_d = _spectral(d)
     norm_kr = _spectral(skr)
-    bound = coupling_bound(eta1, eta2)
+    bound = smallness_bound(min(1.0, eta2), eta1, H1PRIME)
     positivity_ok = eta1 > 0 and eta2 > 0
     commutation_ok = commut < _COMMUTATION_TOL
     coupling_r_ok = norm_kr < bound
@@ -323,7 +323,7 @@ def check_H2(gs: GameSpec, grid: TimeGrid) -> H2Report:
 # ---------------------------------------------------------------------------
 
 
-def build_aggregated(gs: GameSpec, force: bool = False) -> MfProblem:
+def build_aggregated(gs: GameSpec) -> MfProblem:
     """Aggregated mean-field BFSDE in (X, sum K_i p_i, sum K_i q_i).
 
     Coefficients:
@@ -333,33 +333,22 @@ def build_aggregated(gs: GameSpec, force: bool = False) -> MfProblem:
         h(t, x, y, z, nu)     = -A_t' y - (sum K_i M_i) x - D_t' E[xi_2] - sigma_t' z
         g(x, mu)              = (sum K_i Q_i) x + (sum K_i R_i) E[mu]
 
-    with attached constants C_nu = ||D||, C_g_nu = ||sum K_i R_i||,
-    k = min{1, eta2}, k' = eta1.  Without ``force`` the build fails when
-    eta1 or eta2 is nonpositive (the monotonicity constants do not
-    exist); with ``force`` the problem is built anyway, with no
-    monotonicity profile, for counterexample studies.
+    with attached constants C_nu = sup ||D||, C_g_nu = ||sum K_i R_i||,
+    k = min{1, eta2}, k' = eta1, the sups and eta2 taken at the gate's
+    times in [0, T].  When eta1 or eta2 is nonpositive the problem
+    carries no monotonicity profile (the constants do not exist).
     """
     n = gs.n
-    _, skq, skr, skm = _weighted_sums(gs)
-    skm_t = np.stack([skm(t) for t in _gate_times(gs)])
-    eta1 = _sym_min_eig(skq)
-    eta2 = _sym_min_eig(skm_t)
-    if not force and not (eta1 > 0 and eta2 > 0):
-        raise ValueError(
-            f"monotonicity constants unavailable (eta1={eta1:g}, eta2={eta2:g}); "
-            "pass force=True to build anyway"
-        )
-
-    sup_skm = _spectral(skm_t)
+    _, skq, skr, skm, (a, d, s, m), eta1, eta2 = _gate(gs, _gate_times(gs))
     lip = LipschitzProfile(
-        c_u=max(sup_spectral_norm(gs.A, gs.horizon), 1.0, sup_skm, sup_spectral_norm(gs.sigma, gs.horizon)),
-        c_nu=sup_spectral_norm(gs.D, gs.horizon),
+        c_u=max(_spectral(a), 1.0, _spectral(m), _spectral(s)),
+        c_nu=_spectral(d),
         c_g_x=_spectral(skq),
         c_g_nu=_spectral(skr),
     )
     mono = None
     if eta1 > 0 and eta2 > 0:
-        mono = MonotonicityProfile(k=min(1.0, eta2), k_prime=eta1, variant="H1prime")
+        mono = MonotonicityProfile(k=min(1.0, eta2), k_prime=eta1, variant=H1PRIME)
 
     f, sigma = _dynamics(gs, y=-np.eye(n))
     h = AffineCoeffs(n, "h", x=map_path(np.negative, skm), y=_neg_t(gs.A), z=_neg_t(gs.sigma), mean_y=_neg_t(gs.D))
@@ -578,14 +567,14 @@ def solve_nash(
 ) -> NashResult:
     """Synthesize the open-loop Nash candidate.
 
-    Solves the aggregated system with the frozen-measure scheme (built
-    with ``force=True`` so counterexample instances run and are caught by
-    divergence detection), reconstructs each player's adjoint pair by
+    Solves the aggregated system with the frozen-measure scheme
+    (counterexample instances run and are caught by divergence
+    detection), reconstructs each player's adjoint pair by
     regression backward solves along the solved state, and applies the
     closed-form control map.  The identity sum K_i p_i = Ytilde (and its
     q/Ztilde analogue) is recorded as an aggregation residual.
     """
-    agg = build_aggregated(gs, force=True)
+    agg = build_aggregated(gs)
     sol = fixpoint.solve(agg, grid, params, seed)
 
     players = gs.players
@@ -845,7 +834,7 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
     part is the boundary matrix B(T).  Returns the mean trajectories, or
     :class:`Nonexistence` when |det B(T)| < 1e-9 * (product of row norms).
     """
-    if sup_spectral_norm(gs.sigma, gs.horizon) > 1e-14:
+    if _spectral(np.stack([gs.sigma(t) for t in _sample_times(gs.horizon, [gs.sigma])])) > 1e-14:
         raise ValueError(
             "mean reduction requires a vanishing state-multiplicative diffusion "
             "(sigma = 0); the additive alpha term is fine"

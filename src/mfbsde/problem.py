@@ -56,7 +56,6 @@ __all__ = [
     "as_path",
     "shaped_path",
     "map_path",
-    "sup_spectral_norm",
     "AffineCoeffs",
     "affine_problem",
     "problem_from_config",
@@ -326,11 +325,11 @@ class ConditionReport:
         }
 
 
-def smallness_bound(mono: MonotonicityProfile) -> float:
+def smallness_bound(k: float, k_prime: float, variant: str) -> float:
     """Admissible strict upper bound for C_nu and C_g_nu under the variant."""
-    if mono.variant == H1:
-        return min((math.sqrt(3.0) - 1.0) * mono.k_prime, math.sqrt(3.0) / 3.0 * mono.k)
-    return min(2.0 * (math.sqrt(2.0) - 1.0) * mono.k_prime, math.sqrt(2.0) / 2.0 * mono.k)
+    if variant == H1:
+        return min((math.sqrt(3.0) - 1.0) * k_prime, math.sqrt(3.0) / 3.0 * k)
+    return min(2.0 * (math.sqrt(2.0) - 1.0) * k_prime, math.sqrt(2.0) / 2.0 * k)
 
 
 def check_smallness(prof: LipschitzProfile, mono: MonotonicityProfile) -> ConditionReport:
@@ -339,7 +338,7 @@ def check_smallness(prof: LipschitzProfile, mono: MonotonicityProfile) -> Condit
     The strong variant's bound is min{(sqrt3 - 1) k', (sqrt3/3) k}; the
     relaxed (law-free sigma) variant's is min{2(sqrt2 - 1) k', (sqrt2/2) k}.
     """
-    bound = smallness_bound(mono)
+    bound = smallness_bound(mono.k, mono.k_prime, mono.variant)
     margin_nu = bound - prof.c_nu
     margin_g = bound - prof.c_g_nu
     return ConditionReport(
@@ -454,18 +453,6 @@ def as_path(spec) -> Callable[[float], np.ndarray]:
             return PiecewiseConstant([float(p["t_from"]) for p in pieces], vals)
         raise ValueError(f"coefficient dict must contain 'const' or 'piecewise', got keys {sorted(spec)}")
     return PiecewiseConstant([0.0], [np.asarray(spec, dtype=float)])
-
-
-def sup_spectral_norm(path, horizon: float, samples: int = 257) -> float:
-    """Sup over [0, horizon] of the spectral norm of a matrix/vector path.
-
-    Exact for piecewise-constant paths; sampled on a uniform grid for
-    general callables.
-    """
-    if isinstance(path, PiecewiseConstant):
-        return max(float(np.linalg.norm(np.atleast_2d(v), 2)) for v in path.values)
-    ts = np.linspace(0.0, horizon, samples)
-    return max(float(np.linalg.norm(np.atleast_2d(np.asarray(path(t), dtype=float)), 2)) for t in ts)
 
 
 def coerce(value, shape: tuple, name: str) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 
 from mfbsde import fixpoint
 from mfbsde.fixpoint import Diverged, IterationDiagnostics, MfSolution, SchemeParams
-from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, marginal, make_bundle
+from mfbsde.paths import PathEnsemble, TimeGrid, make_bundle
 from mfbsde.problem import MfProblem, contraction_constants
 from conftest import h1prime_toy
 
@@ -77,7 +77,7 @@ class TestSolve:
     def test_counterexample_horizon_one_diverges(self):
         from mfbsde.lqgame import build_aggregated, example3_game
 
-        agg = build_aggregated(example3_game(1.0), force=True)
+        agg = build_aggregated(example3_game(1.0))
         params = SchemeParams(particles=200, max_outer=40, tol=1e-3)
         with pytest.raises(Diverged) as err:
             fixpoint.solve(agg, TimeGrid(1.0, 40), params, seed=5)
@@ -157,6 +157,7 @@ class TestSolve:
         p, grid = h1prime_toy(), TimeGrid(0.25, 30)
         short = fixpoint.solve(p, grid, SchemeParams(particles=500, max_outer=6, tol=1e-3, inner_sweeps=1), seed=5)
         assert short.history[-1].gap_total < 1e-6
+        assert short.history[-1].inner_exit == "cap"
         assert not short.converged
         longer = fixpoint.solve(p, grid, SchemeParams(particles=500, max_outer=30, tol=1e-3, inner_sweeps=1), seed=5)
         assert longer.converged
@@ -175,16 +176,6 @@ class TestSolve:
         p = h1prime_toy(horizon=0.25)
         with pytest.raises(ValueError, match="horizon"):
             fixpoint.solve(p, TimeGrid(1.0, 10), SchemeParams(particles=10), seed=0)
-
-    def test_solution_carries_consistent_flow(self):
-        p = h1prime_toy()
-        sol = fixpoint.solve(
-            p, TimeGrid(0.25, 20), SchemeParams(particles=300, max_outer=10, tol=1e-4), seed=6
-        )
-        assert len(sol.flow) == 21
-        assert sol.flow[0].dim == 2
-        assert np.allclose(sol.flow[5].points[:, 0], sol.x_ens.values[:, 5, 0])
-        assert np.allclose(sol.terminal_law.points[:, 0], sol.x_ens.values[:, -1, 0])
 
 
 def stacked_anderson(hist_u, hist_fu):
@@ -255,10 +246,7 @@ class TestResidual:
         y = PathEnsemble(np.full((particles, 11, 1), 3.0))
         z = PathEnsemble(np.zeros((particles, 10, 1)))
         sol = MfSolution(
-            grid=grid, bundle=bundle, x_ens=x, y_ens=y, z_ens=z,
-            flow=[joint_marginal(x, y, k) for k in range(11)],
-            terminal_law=marginal(x, 10),
-            history=[], converged=True,
+            grid=grid, bundle=bundle, x_ens=x, y_ens=y, z_ens=z, history=[], converged=True,
         )
         fwd, bwd, term = fixpoint.residual(p, sol)
         assert fwd == 0.0 and bwd == 0.0 and term == 0.0
@@ -272,10 +260,7 @@ class TestResidual:
         zeros_n = PathEnsemble(np.zeros((particles, 11, 1)))
         zeros_s = PathEnsemble(np.zeros((particles, 10, 1)))
         sol = MfSolution(
-            grid=grid, bundle=bundle, x_ens=zeros_n, y_ens=zeros_n, z_ens=zeros_s,
-            flow=[joint_marginal(zeros_n, zeros_n, k) for k in range(11)],
-            terminal_law=marginal(zeros_n, 10),
-            history=[], converged=False,
+            grid=grid, bundle=bundle, x_ens=zeros_n, y_ens=zeros_n, z_ens=zeros_s, history=[], converged=False,
         )
         _, _, term = fixpoint.residual(p, sol)
         assert term == pytest.approx(1.0)  # |g(0) - 0|^2
@@ -294,14 +279,17 @@ class TestResidual:
 class TestDiagnosticsStream:
     def test_jsonl_records(self):
         recs = [
-            IterationDiagnostics(1, 0.5, 0.25, math.nan, 0.08, 1e-3, False, False),
-            IterationDiagnostics(2, 0.05, 0.02, 0.093, 0.08, 1e-3, True, True),
+            IterationDiagnostics(1, 0.5, 0.25, math.nan, 0.08, 1e-3, False, False, 60, "cap"),
+            IterationDiagnostics(2, 0.05, 0.02, 0.093, 0.08, 1e-3, True, True, 4, "target"),
         ]
         buf = io.StringIO()
         fixpoint.diagnostics_to_jsonl(recs, buf)
         lines = buf.getvalue().strip().splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])
-        assert first == {"n": 1, "gap_XT": 0.5, "gap_U": 0.25, "ratio": None, "theory_ratio": 0.08}
+        assert first == {
+            "n": 1, "gap_XT": 0.5, "gap_U": 0.25, "ratio": None, "theory_ratio": 0.08,
+            "max_regression_residual": 1e-3, "ridge_fallback": False, "inner_sweeps": 60, "inner_exit": "cap",
+        }
         second = json.loads(lines[1])
         assert second["ratio"] == pytest.approx(0.093)

@@ -165,7 +165,7 @@ class TestBuildAggregated:
     def test_aggregated_and_adjoint_coefficients_match_formulas(self):
         gs = self.coupled_game()
         K = gs.k_matrices()
-        agg = lqgame.build_aggregated(gs, force=True)
+        agg = lqgame.build_aggregated(gs)
         rng = np.random.default_rng(4)
         x, y = rng.standard_normal((2, 6, 2))
         z = rng.standard_normal((6, 2, 1))
@@ -193,12 +193,24 @@ class TestBuildAggregated:
         skr = sum(k @ r for k, r in zip(K, gs.R))
         assert np.allclose(agg.g(x, mu), x @ skq.T + skr @ mu.mean(), rtol=0.0, atol=1e-12)
 
-    def test_force_flag_required_when_monotonicity_missing(self):
-        gs = lqgame.example3_game(0.5)
-        with pytest.raises(ValueError, match="force"):
-            lqgame.build_aggregated(gs)
-        agg = lqgame.build_aggregated(gs, force=True)
-        assert agg.monotonicity is None
+    def test_no_monotonicity_profile_when_the_gate_fails(self):
+        assert lqgame.build_aggregated(lqgame.example3_game(0.5)).monotonicity is None
+
+    def test_sups_are_taken_through_the_gate(self):
+        # a piecewise D switching inside [0, T] and a callable D sampled up to T = 2
+        for gs, sup in ((scalar_game(D=PiecewiseConstant([0.0, 0.5], [[[0.1]], [[-0.3]]])), 0.3),
+                        (scalar_game(horizon=2.0, D=lambda t: np.array([[0.1 * t]])), 0.2)):
+            assert lqgame.check_H2(gs, TimeGrid(gs.horizon, 7)).norm_D == pytest.approx(sup, abs=1e-15)
+            assert lqgame.build_aggregated(gs).lipschitz.c_nu == pytest.approx(sup, abs=1e-15)
+
+    def test_pieces_after_the_horizon_are_ignored(self):
+        # D jumps to 5 at t = 2, past T = 1
+        gs = scalar_game(D=PiecewiseConstant([0.0, 2.0], [[[0.1]], [[5.0]]]))
+        assert lqgame.check_H2(gs, TimeGrid(1.0, 20)).passed
+        agg = lqgame.build_aggregated(gs)
+        assert agg.lipschitz.c_nu == pytest.approx(0.1, abs=1e-15)
+        sol = fixpoint.solve(agg, TimeGrid(1.0, 10), fixpoint.SchemeParams(particles=200, max_outer=3), seed=0)
+        assert all(rec.to_record()["theory_ratio"] is not None for rec in sol.history)
 
 
 class TestCost:
@@ -481,6 +493,12 @@ class TestMeanReduction:
         gs = scalar_game()  # sigma = 0.2 x
         with pytest.raises(ValueError, match="sigma"):
             lqgame.solve_mean_fbode(gs)
+
+    def test_sigma_piece_after_the_horizon_is_ignored(self):
+        # sigma is zero on [0, T] = [0, 1] and switches on only at t = 2
+        late = scalar_game(sigma=PiecewiseConstant([0.0, 2.0], [[[0.0]], [[0.5]]]))
+        res = lqgame.solve_mean_fbode(late)
+        assert res.det == lqgame.solve_mean_fbode(scalar_game(sigma=[[0.0]])).det
 
     def test_piecewise_coefficients_exact_via_exponentials(self):
         # A jumps at t = 0.5; compare against a dense RK4 oracle

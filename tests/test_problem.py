@@ -20,7 +20,6 @@ from mfbsde.problem import (
     contraction_constants,
     eval_A,
     problem_from_config,
-    sup_spectral_norm,
 )
 
 
@@ -126,7 +125,7 @@ class TestCheckH1:
     def test_counterexample_terminal_monotonicity_fails(self):
         from mfbsde.lqgame import build_aggregated, example3_game
 
-        agg = build_aggregated(example3_game(1.0), force=True)
+        agg = build_aggregated(example3_game(1.0))
         rep = check_H1(agg, samples=3000, rng_seed=1)
         assert not rep.terminal_ok
         assert rep.k_prime_estimate < 0  # eigenvalues {-1, 3}
@@ -338,11 +337,6 @@ class TestPiecewisePaths:
             assert np.array_equal(ab(t), a(t) @ b(t))
         call = map_path(lambda u, v: u @ v, a, lambda t: t * np.ones((2, 2)))
         assert np.array_equal(call(0.6), 2 * 0.6 * np.ones((2, 2)))
-
-    def test_sup_spectral_norm(self):
-        pw = PiecewiseConstant([0.0, 0.5], [np.diag([1.0, 2.0]), np.diag([3.0, 0.5])])
-        assert sup_spectral_norm(pw, 1.0) == pytest.approx(3.0)
-        assert sup_spectral_norm(lambda t: np.array([[t]]), 2.0) == pytest.approx(2.0)
 
 
 class TestAffineCoeffs:
