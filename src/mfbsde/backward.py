@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .measure import EmpiricalMeasure
-from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_time_major
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major
 from .problem import MfProblem
 
 __all__ = ["RegressionBasis", "RegressionDiagnostics", "solve_backward"]
@@ -54,15 +54,16 @@ class RegressionBasis:
             raise ValueError(f"degree must be 0, 1 or 2, got {self.degree}")
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        """Design matrix (P, n_features) for states x of shape (P, m)."""
-        cols = [np.ones((x.shape[0], 1))]
+        """Design matrix (P, n_features) for states x of shape (P, m): the
+        transposed view of a C-contiguous (n_features, P) array."""
+        rows = [np.ones((1, x.shape[0]))]
         if self.degree >= 1:
-            cols.append(x)
+            rows.append(x.T)
         if self.degree >= 2:
-            cols.append(x * x)
+            rows.append(x.T * x.T)
             for i, j in combinations(range(x.shape[1]), 2):
-                cols.append((x[:, i] * x[:, j])[:, None])
-        return np.concatenate(cols, axis=1)
+                rows.append((x[:, i] * x[:, j])[None])
+        return np.concatenate(rows).T
 
 
 @dataclass
@@ -85,7 +86,8 @@ class RegressionDiagnostics:
 
 def _ridge_fit(design: np.ndarray, step: int, diag: RegressionDiagnostics):
     """Ridge-stabilized least squares via the normal equations: returns the
-    map from targets to fitted values at the sample points.
+    map from targets to fitted values at the sample points.  ``design`` is
+    (n_features, P) and targets and fitted values are (n_targets, P).
 
     The Gram matrix, its ridge shift and the rank-deficiency flag are
     formed once per step and shared by every fit on that step's design.
@@ -97,12 +99,12 @@ def _ridge_fit(design: np.ndarray, step: int, diag: RegressionDiagnostics):
     match the unregularized fit to O(ridge).  Steps with a near-singular
     design are flagged for diagnostics.
     """
-    gram = design.T @ design
-    scale = np.trace(gram) / design.shape[1]
-    shifted = gram + _RIDGE * (scale + 1.0) * np.eye(design.shape[1])
+    gram = design @ design.T
+    scale = np.trace(gram) / design.shape[0]
+    shifted = gram + _RIDGE * (scale + 1.0) * np.eye(design.shape[0])
     if np.linalg.eigvalsh(gram)[0] < 1e-10 * (scale + 1.0):
         diag.ridge_steps.append(step)
-    return lambda targets: design @ np.linalg.solve(shifted, design.T @ targets)
+    return lambda targets: np.linalg.solve(shifted, design @ targets.T).T @ design
 
 
 def solve_backward(
@@ -131,31 +133,33 @@ def solve_backward(
 
     dt = grid.dt
     times = grid.nodes
-    xv = x_ens.time_major
-    y = np.empty((steps + 1, particles, m))
-    z = np.empty((steps, particles, m, d))
+    # component-major (nodes, dim, particles); callbacks get (particles, ...) views
+    xv = x_ens.component_major
+    y = np.empty((steps + 1, m, particles))
+    z = np.empty((steps, m, d, particles))
     diag = RegressionDiagnostics()
 
-    y[steps] = np.asarray(p.g(xv[steps], terminal_law))
+    y[steps] = np.asarray(p.g(xv[steps].T, terminal_law)).T
     if not np.all(np.isfinite(y[steps])):
         raise FloatingPointError("terminal condition produced non-finite values")
 
     for k in range(steps - 1, -1, -1):
         t_k = float(times[k])
         nu_k = frozen_flow[k]
-        xk = xv[k]
+        xk = xv[k].T
         y_next = y[k + 1]
-        fit = _ridge_fit(basis.features(xk), k, diag)
+        fit = _ridge_fit(basis.features(xk).T, k, diag)
 
-        dw = bundle.time_major[k]
-        z_targets = (y_next[:, :, None] * dw[:, None, :] / dt).reshape(particles, m * d)
+        dw = bundle.component_major[k]
+        z_targets = (y_next[:, None, :] * dw[None, :, :] / dt).reshape(m * d, particles)
         z_fit = fit(z_targets)
         diag.z_residuals.append(float(np.sqrt(np.mean((z_targets - z_fit) ** 2))))
-        z[k] = z_fit.reshape(particles, m, d)
+        z[k] = z_fit.reshape(m, d, particles)
+        zk = z[k].transpose(2, 0, 1)
 
         y_guess = y_next
         for _ in range(_PICARD_PASSES):
-            hk = np.asarray(p.h(t_k, xk, y_guess, z[k], nu_k))
+            hk = np.asarray(p.h(t_k, xk, y_guess.T, zk, nu_k)).T
             targets = y_next - hk * dt
             y_guess = fit(targets)
         diag.y_residuals.append(float(np.sqrt(np.mean((targets - y_guess) ** 2))))
@@ -165,4 +169,4 @@ def solve_backward(
 
     diag.y_residuals.reverse()
     diag.z_residuals.reverse()
-    return from_time_major(y), from_time_major(z.reshape(steps, particles, m * d)), diag
+    return from_component_major(y), from_component_major(z.reshape(steps, m * d, particles)), diag

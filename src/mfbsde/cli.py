@@ -131,6 +131,14 @@ def _write_diverged(outdir: Path, exc: fixpoint.Diverged, report: dict) -> int:
     return EXIT_NOT_CONVERGED
 
 
+def _write_blowup(outdir: Path, exc: FloatingPointError, report: dict) -> int:
+    """Write the report of a run that overflowed; returns the exit code."""
+    with open(outdir / "report.json", "w") as fh:
+        _dump_json({**report, "numerical_blowup": True, "message": str(exc)}, fh)
+    print(f"numerical blow-up: {exc}", file=sys.stderr)
+    return EXIT_NOT_CONVERGED
+
+
 def _write_solution(outdir: Path, sol, prob) -> None:
     with open(outdir / "diagnostics.jsonl", "w") as fh:
         fixpoint.diagnostics_to_jsonl(sol.history, fh)
@@ -181,6 +189,8 @@ def cmd_solve(args) -> int:
         sol = fixpoint.solve(prob, grid, params, seed=settings["seed"])
     except fixpoint.Diverged as exc:
         return _write_diverged(outdir, exc, {})
+    except FloatingPointError as exc:
+        return _write_blowup(outdir, exc, {})
     _write_solution(outdir, sol, prob)
     print(f"converged={sol.converged} after {len(sol.history)} outer iterations; outputs in {outdir}")
     return EXIT_OK if sol.converged else EXIT_NOT_CONVERGED
@@ -201,26 +211,26 @@ def cmd_game(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         nash = lqgame.solve_nash(gs, grid, params, seed=settings["seed"], threads=_threads(args))
+        if args.corrupt_control is not None:
+            # test hook: shift player 0's control and re-evaluate
+            corrupted = list(nash.controls)
+            corrupted[0] = dataclasses.replace(
+                corrupted[0], values=corrupted[0].values + args.corrupt_control
+            )
+            nash = dataclasses.replace(nash, controls=corrupted)
+        reports = [
+            lqgame.deviation_test(
+                gs, nash, i,
+                perturbations=args.deviations,
+                magnitude=args.deviation_magnitude,
+                seed=settings["seed"] + 1 + i,
+            )
+            for i in range(gs.players)
+        ]
     except fixpoint.Diverged as exc:
         return _write_diverged(outdir, exc, {"h2": h2.to_dict()})
-
-    if args.corrupt_control is not None:
-        # test hook: shift player 0's control and re-evaluate
-        corrupted = list(nash.controls)
-        corrupted[0] = dataclasses.replace(
-            corrupted[0], values=corrupted[0].values + args.corrupt_control
-        )
-        nash = dataclasses.replace(nash, controls=corrupted)
-
-    reports = [
-        lqgame.deviation_test(
-            gs, nash, i,
-            perturbations=args.deviations,
-            magnitude=args.deviation_magnitude,
-            seed=settings["seed"] + 1 + i,
-        )
-        for i in range(gs.players)
-    ]
+    except FloatingPointError as exc:
+        return _write_blowup(outdir, exc, {"h2": h2.to_dict()})
 
     with open(outdir / "diagnostics.jsonl", "w") as fh:
         fixpoint.diagnostics_to_jsonl(nash.aggregated.history, fh)

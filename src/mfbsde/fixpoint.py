@@ -36,7 +36,7 @@ import numpy as np
 from .backward import RegressionBasis, solve_backward
 from .forward import propagate
 from .paths import (
-    BrownianBundle, PathEnsemble, TimeGrid, from_time_major, joint_marginal, make_bundle, marginal, node_msd,
+    BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle, marginal, node_msd,
 )
 from .problem import MfProblem, contraction_constants
 
@@ -106,8 +106,8 @@ class SchemeParams:
 @dataclass
 class IterationDiagnostics:
     """One outer iteration's Cauchy gaps and contraction ratios, and how its
-    inner solve ended: its sweep count and why it stopped ("target",
-    "growth" or "cap")."""
+    inner solve ended: its sweep count, its last sweep-to-sweep gap and why
+    it stopped ("target", "growth" or "cap")."""
 
     n: int
     gap_xt: float
@@ -118,6 +118,7 @@ class IterationDiagnostics:
     ridge_fallback: bool
     converged: bool
     inner_sweeps: int
+    inner_gap: float
     inner_exit: str
 
     @property
@@ -137,6 +138,7 @@ class IterationDiagnostics:
             "max_regression_residual": _num(self.max_regression_residual),
             "ridge_fallback": self.ridge_fallback,
             "inner_sweeps": self.inner_sweeps,
+            "inner_gap": _num(self.inner_gap),
             "inner_exit": self.inner_exit,
         }
 
@@ -163,9 +165,9 @@ class Diverged(RuntimeError):
 
 
 def _zero_ensembles(particles: int, steps: int, m: int, d: int):
-    x = PathEnsemble(values=np.zeros((particles, steps + 1, m)))
-    y = PathEnsemble(values=np.zeros((particles, steps + 1, m)))
-    z = PathEnsemble(values=np.zeros((particles, steps, m * d)))
+    x = from_component_major(np.zeros((steps + 1, m, particles)))
+    y = from_component_major(np.zeros((steps + 1, m, particles)))
+    z = from_component_major(np.zeros((steps, m * d, particles)))
     return x, y, z
 
 
@@ -174,21 +176,22 @@ def _gaps(grid: TimeGrid, new, old) -> tuple[float, float]:
     (trapezoid on nodes for X and Y, left rectangles for the step-indexed Z)."""
     xn, yn, zn = new
     xo, yo, zo = old
-    per_x = node_msd(xn.time_major, xo.time_major)
-    per_node = per_x + node_msd(yn.time_major, yo.time_major)
+    per_x = node_msd(xn.component_major, xo.component_major)
+    per_node = per_x + node_msd(yn.component_major, yo.component_major)
     gap_u = float(np.trapezoid(per_node, dx=grid.dt))
-    gap_u += float(np.sum(node_msd(zn.time_major, zo.time_major)) * grid.dt)
+    gap_u += float(np.sum(node_msd(zn.component_major, zo.component_major)) * grid.dt)
     return float(per_x[-1]), gap_u
 
 
 def _flatten_pair(y: PathEnsemble, z: PathEnsemble) -> np.ndarray:
-    return np.concatenate([y.time_major.ravel(), z.time_major.ravel()])
+    return np.concatenate([y.component_major.ravel(), z.component_major.ravel()])
 
 
 def _split_pair(u: np.ndarray, y_shape, z_shape) -> tuple[PathEnsemble, PathEnsemble]:
-    """Inverse of :func:`_flatten_pair`; the shapes are time-major."""
+    """Inverse of :func:`_flatten_pair`, as views of ``u``; the shapes are
+    component-major."""
     cut = int(np.prod(y_shape))
-    return from_time_major(u[:cut].reshape(y_shape)), from_time_major(u[cut:].reshape(z_shape))
+    return from_component_major(u[:cut].reshape(y_shape)), from_component_major(u[cut:].reshape(z_shape))
 
 
 class _Anderson:
@@ -246,7 +249,8 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
     (well below the outer stopping threshold), when the gaps grow (left
     to the outer divergence rule) or at the sweep cap.  Returns the last
     swept (X, Y, Z), its regression diagnostics, why the solve stopped
-    ("target", "growth" or "cap") and its sweep count.
+    ("target", "growth" or "cap"), its sweep count and its last
+    sweep-to-sweep gap.
     """
     x_prev, y_prev, z_prev = start
     target = (0.1 * params.tol) ** 2
@@ -267,9 +271,9 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
         if sweep == _INNER_MAX_SWEEPS or (sweep >= params.inner_sweeps and (met or growing >= 3)):
             break
         u = accel.next(u, _flatten_pair(y_hat, z_hat))
-        y_cur, z_cur = _split_pair(u, y_hat.time_major.shape, z_hat.time_major.shape)
+        y_cur, z_cur = _split_pair(u, y_hat.component_major.shape, z_hat.component_major.shape)
         x_cur = x_new
-    return x_new, y_hat, z_hat, reg_diag, "target" if met else "growth" if growing >= 3 else "cap", sweep
+    return x_new, y_hat, z_hat, reg_diag, "target" if met else "growth" if growing >= 3 else "cap", sweep, gap
 
 
 def _theory_ratio(p: MfProblem, params: SchemeParams) -> float:
@@ -320,7 +324,7 @@ def solve(
         mu_t = marginal(x_prev, x_prev.nodes - 1)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                x_cur, y_cur, z_cur, reg_diag, inner_exit, sweeps = _inner_solve(
+                x_cur, y_cur, z_cur, reg_diag, inner_exit, sweeps, inner_gap = _inner_solve(
                     p, grid, bundle, params, flow, mu_t, (x_prev, y_prev, z_prev)
                 )
         except FloatingPointError as exc:
@@ -342,6 +346,7 @@ def solve(
                 ridge_fallback=reg_diag.used_ridge,
                 converged=converged,
                 inner_sweeps=sweeps,
+                inner_gap=inner_gap,
                 inner_exit=inner_exit,
             )
         )
@@ -380,8 +385,8 @@ def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:
     grid, bundle = sol.grid, sol.bundle
     m, d = p.dim_state, p.dim_bm
     particles, steps = bundle.particles, bundle.steps
-    xv, yv = sol.x_ens.time_major, sol.y_ens.time_major
-    zv = sol.z_ens.time_major.reshape(steps, particles, m, d)
+    xv, yv = sol.x_ens.component_major, sol.y_ens.component_major
+    zv = sol.z_ens.component_major.reshape(steps, m, d, particles)
     dt = grid.dt
     times = grid.nodes
 
@@ -390,18 +395,18 @@ def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:
     for k in range(steps):
         t_k = float(times[k])
         nu_k = joint_marginal(sol.x_ens, sol.y_ens, k)
-        xk, yk, zk = xv[k], yv[k], zv[k]
-        dw = bundle.time_major[k]
-        fv = np.asarray(p.f(t_k, xk, yk, zk, nu_k))
+        xk, yk, zk = xv[k].T, yv[k].T, zv[k].transpose(2, 0, 1)
+        dw = bundle.component_major[k]
+        fv = np.asarray(p.f(t_k, xk, yk, zk, nu_k)).T
         sv = np.asarray(p.sigma(t_k, xk, yk, zk, None if p.law_free_sigma else nu_k))
-        fdef = xv[k + 1] - xk - fv * dt - np.einsum("pmd,pd->pm", sv, dw)
-        fwd = max(fwd, float(np.mean(np.sum(fdef * fdef, axis=1))))
-        hv = np.asarray(p.h(t_k, xk, yk, zk, nu_k))
-        bdef = yv[k + 1] - yk - hv * dt - np.einsum("pmd,pd->pm", zk, dw)
-        bwd = max(bwd, float(np.mean(np.sum(bdef * bdef, axis=1))))
+        fdef = xv[k + 1] - xv[k] - fv * dt - np.einsum("pmd,dp->mp", sv, dw)
+        fwd = max(fwd, float(np.mean(np.sum(fdef * fdef, axis=0))))
+        hv = np.asarray(p.h(t_k, xk, yk, zk, nu_k)).T
+        bdef = yv[k + 1] - yv[k] - hv * dt - np.einsum("mdp,dp->mp", zv[k], dw)
+        bwd = max(bwd, float(np.mean(np.sum(bdef * bdef, axis=0))))
 
-    tdef = yv[steps] - np.asarray(p.g(xv[steps], marginal(sol.x_ens, steps)))
-    term = float(np.mean(np.sum(tdef * tdef, axis=1)))
+    tdef = yv[steps] - np.asarray(p.g(xv[steps].T, marginal(sol.x_ens, steps))).T
+    term = float(np.mean(np.sum(tdef * tdef, axis=0)))
     return fwd, bwd, term
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .measure import EmpiricalMeasure
-from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_time_major
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major
 from .problem import MfProblem
 
 __all__ = ["propagate"]
@@ -59,28 +59,30 @@ def propagate(
 
     dt = grid.dt
     times = grid.nodes
-    x = np.empty((steps + 1, particles, m))
-    x[0] = p.x0
-    yv = y_ens.time_major
-    ypv = y_prev.time_major
-    zv = z_ens.time_major.reshape(steps, particles, m, d)
-    zpv = z_prev.time_major.reshape(steps, particles, m, d)
+    # component-major (nodes, dim, particles); callbacks get (particles, ...) views
+    x = np.empty((steps + 1, m, particles))
+    x[0] = p.x0[:, None]
+    yv = y_ens.component_major
+    ypv = y_prev.component_major
+    zv = z_ens.component_major.reshape(steps, m, d, particles)
+    zpv = z_prev.component_major.reshape(steps, m, d, particles)
+    dw = bundle.component_major
 
     for k in range(steps):
         t_k = float(times[k])
         nu_k: EmpiricalMeasure = frozen_flow[k]
-        xk, yk, zk = x[k], yv[k], zv[k]
-        drift = np.asarray(p.f(t_k, xk, yk, zk, nu_k))
+        xk, yk, zk = x[k].T, yv[k].T, zv[k].transpose(2, 0, 1)
+        drift = np.asarray(p.f(t_k, xk, yk, zk, nu_k)).T
         if delta > 0.0:
-            drift = drift - delta * (yk - ypv[k])
+            drift = drift - delta * (yv[k] - ypv[k])
         if p.law_free_sigma:
             diff = np.asarray(p.sigma(t_k, xk, yk, zk, None))
         else:
             diff = np.asarray(p.sigma(t_k, xk, yk, zk, nu_k))
             if delta > 0.0:
-                diff = diff - delta * (zk - zpv[k])
-        x[k + 1] = xk + drift * dt + np.einsum("pmd,pd->pm", diff, bundle.time_major[k])
+                diff = diff - delta * (zk - zpv[k].transpose(2, 0, 1))
+        x[k + 1] = x[k] + drift * dt + np.einsum("pmd,dp->mp", diff, dw[k])
         if not np.all(np.isfinite(x[k + 1])):
             raise FloatingPointError(f"forward propagation produced non-finite values at step {k}")
 
-    return from_time_major(x)
+    return from_component_major(x)

@@ -42,7 +42,7 @@ from scipy.linalg import expm
 from . import fixpoint
 from .backward import solve_backward
 from .measure import EmpiricalMeasure
-from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_time_major, joint_marginal, marginal, node_msd
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, marginal, node_msd
 from .problem import (
     H1PRIME,
     AffineCoeffs,
@@ -374,8 +374,8 @@ def _dynamics(gs: GameSpec, **terms) -> tuple[AffineCoeffs, AffineCoeffs]:
 
 def _control_fn(u) -> Callable:
     if isinstance(u, PathEnsemble):
-        arr = u.time_major
-        return lambda k, t, x: arr[k]
+        arr = u.component_major
+        return lambda k, t, x: arr[k].T
     if callable(u):
         return u
     arr = np.asarray(u, dtype=float)
@@ -397,18 +397,19 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
         raise ValueError(f"need one control per player, got {len(controls)}")
     fns = [_control_fn(u) for u in controls]
     f, sigma = _dynamics(gs)
-    x = np.empty((grid.steps + 1, bundle.particles, gs.n))
-    x[0] = gs.x0
+    # component-major (nodes, n, particles); the tables and controls get (particles, n) views
+    x = np.empty((grid.steps + 1, gs.n, bundle.particles))
+    x[0] = gs.x0[:, None]
     for k in range(grid.steps):
         t_k = float(grid.nodes[k])
-        xk = x[k]
-        drift = f(t_k, xk, nu=EmpiricalMeasure(xk))
+        xk = x[k].T
+        drift = f(t_k, xk, nu=EmpiricalMeasure(xk)).T
         for i, fn in enumerate(fns):
-            drift = drift + fn(k, t_k, xk) @ gs.C[i].T
-        x[k + 1] = xk + drift * grid.dt + sigma(t_k, xk) * bundle.time_major[k]
+            drift = drift + gs.C[i] @ np.asarray(fn(k, t_k, xk)).T
+        x[k + 1] = x[k] + drift * grid.dt + sigma(t_k, xk).T * bundle.component_major[k]
         if not np.all(np.isfinite(x[k + 1])):
             raise FloatingPointError(f"state simulation produced non-finite values at step {k}")
-    return from_time_major(x)
+    return from_component_major(x)
 
 
 # ---------------------------------------------------------------------------
@@ -424,37 +425,37 @@ def _trapezoid_weights(grid: TimeGrid) -> np.ndarray:
 
 
 def _cost_with_batches(
-    gs: GameSpec, i: int, x_tm: np.ndarray, u_tm: np.ndarray, grid: TimeGrid, n_batches: int = 20
+    gs: GameSpec, i: int, x_cm: np.ndarray, u_cm: np.ndarray, grid: TimeGrid, n_batches: int = 20
 ) -> tuple[float, float, np.ndarray]:
     """Plug-in cost of player i, its batch-means standard error and the
     costs of ``n_batches`` contiguous particle blocks (E[X] terms use the
-    means within each block).  ``x_tm`` and ``u_tm`` are time-major
-    (nodes, particles, dim); the per-particle terms are formed once."""
+    means within each block).  ``x_cm`` and ``u_cm`` are component-major
+    (nodes, dim, particles); the per-particle terms are formed once."""
     w = _trapezoid_weights(grid)
-    x_t = x_tm[-1]
-    terminal = np.einsum("pi,ij,pj->p", x_t, gs.Q[i], x_t)
-    run = np.einsum("kpi,ij,kpj->pk", u_tm, gs.N[i], u_tm)
+    x_t = x_cm[-1]
+    terminal = np.sum(x_t * (gs.Q[i] @ x_t), axis=0)
+    run = np.sum(u_cm * (gs.N[i] @ u_cm), axis=1)
     mean_terms = []
     for k, t in enumerate(grid.nodes):
         m_k = np.asarray(gs.M[i](t), dtype=float)
         if np.any(m_k):
-            run[:, k] += np.einsum("pi,ij,pj->p", x_tm[k], m_k, x_tm[k])
+            run[k] += np.sum(x_cm[k] * (m_k @ x_cm[k]), axis=0)
         g_k = np.asarray(gs.Gamma[i](t), dtype=float)
         if np.any(g_k):
             mean_terms.append((k, g_k))
-    running = run @ w
+    running = w @ run
 
     def block(a: int, b: int) -> float:
         total = float(np.mean(terminal[a:b]))
-        m_t = x_t[a:b].mean(axis=0)
+        m_t = x_t[:, a:b].mean(axis=1)
         total += float(m_t @ gs.R[i] @ m_t)
         for k, g_k in mean_terms:
-            m_k = x_tm[k, a:b].mean(axis=0)
+            m_k = x_cm[k, :, a:b].mean(axis=1)
             total += w[k] * float(m_k @ g_k @ m_k)
         total += float(np.mean(running[a:b]))
         return 0.5 * total
 
-    particles = x_tm.shape[1]
+    particles = x_cm.shape[-1]
     n_batches = min(n_batches, particles)
     bounds = np.linspace(0, particles, n_batches + 1).astype(int)
     batch_vals = np.array([block(a, b) for a, b in zip(bounds[:-1], bounds[1:])])
@@ -470,10 +471,10 @@ def cost(gs: GameSpec, i: int, x_ens: PathEnsemble, controls, grid: TimeGrid) ->
     contiguous particle blocks.
     """
     u = controls[i] if isinstance(controls, (list, tuple)) else controls
-    u_tm = u.time_major if isinstance(u, PathEnsemble) else np.swapaxes(np.asarray(u, dtype=float), 0, 1)
-    if u_tm.shape[1] != x_ens.particles or u_tm.shape[0] != x_ens.nodes:
+    u_cm = u.component_major if isinstance(u, PathEnsemble) else np.asarray(u, dtype=float).transpose(1, 2, 0)
+    if u_cm.shape[2] != x_ens.particles or u_cm.shape[0] != x_ens.nodes:
         raise ValueError("control and state ensembles must share particles and nodes")
-    value, stderr, _ = _cost_with_batches(gs, i, x_ens.time_major, u_tm, grid)
+    value, stderr, _ = _cost_with_batches(gs, i, x_ens.component_major, u_cm, grid)
     return value, stderr
 
 
@@ -495,6 +496,7 @@ class NashResult:
     aggregation_residual_y: float
     aggregation_residual_z: float
     adjoint_iterations: list
+    adjoint_gaps: list
     # ((game, aggregated, *controls), state) of the last base simulation in
     # deviation_test; dataclasses.replace starts a new result without it
     _deviation_base: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -517,6 +519,7 @@ class NashResult:
             "aggregation_residual_y": self.aggregation_residual_y,
             "aggregation_residual_z": self.aggregation_residual_z,
             "adjoint_iterations": self.adjoint_iterations,
+            "adjoint_gaps": self.adjoint_gaps,
         }
 
 
@@ -534,28 +537,29 @@ def _adjoint_problem(gs: GameSpec, i: int) -> MfProblem:
     return affine_problem(gs.x0, gs.horizon, f=AffineCoeffs(n), h=h, sigma=AffineCoeffs(n), g=g)
 
 
-def _solve_adjoint(gs, i, sol, params) -> tuple[PathEnsemble, PathEnsemble, int]:
+def _solve_adjoint(gs, i, sol, params) -> tuple[PathEnsemble, PathEnsemble, list]:
     """Iterate the adjoint mean-field BSDE to a fixed point of its own
-    mean coupling (frozen (X, p_i) flow, refrozen each pass)."""
+    mean coupling (frozen (X, p_i) flow, refrozen each pass).  Returns
+    (p_i, q_i) and the gap of every pass; the iteration count is its length."""
     prob = _adjoint_problem(gs, i)
     grid, bundle = sol.grid, sol.bundle
     x_ens = sol.x_ens
     terminal = marginal(x_ens, x_ens.nodes - 1)
-    p_ens = PathEnsemble(values=np.zeros((bundle.particles, grid.steps + 1, gs.n)))
+    p_ens = from_component_major(np.zeros((grid.steps + 1, gs.n, bundle.particles)))
     q_ens = None
     max_iter = 50
     gaps = []
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         flow = [joint_marginal(x_ens, p_ens, k) for k in range(x_ens.nodes)]
         p_new, q_ens, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal, params.basis)
-        gap = float(np.trapezoid(node_msd(p_new.time_major, p_ens.time_major), dx=grid.dt))
+        gap = float(np.trapezoid(node_msd(p_new.component_major, p_ens.component_major), dx=grid.dt))
         gaps.append(gap)
         p_ens = p_new
         if gap < params.tol**2:
-            return p_ens, q_ens, it
+            break
         if fixpoint.diverging(gaps):
             raise fixpoint.Diverged(f"adjoint reconstruction diverged for player {i}", sol.history)
-    return p_ens, q_ens, max_iter
+    return p_ens, q_ens, gaps
 
 
 def solve_nash(
@@ -585,16 +589,16 @@ def solve_nash(
         results = [_solve_adjoint(gs, i, sol, params) for i in range(players)]
     p_list = [r[0] for r in results]
     q_list = [r[1] for r in results]
-    iters = [r[2] for r in results]
+    adjoint_gaps = [r[2] for r in results]
 
     gains = gs.control_gains()
-    controls = [from_time_major(-(p.time_major @ gain.T)) for p, gain in zip(p_list, gains)]
+    controls = [from_component_major(-(gain @ p.component_major)) for p, gain in zip(p_list, gains)]
 
     K = gs.k_matrices()
-    ky = sum(p.time_major @ k.T for p, k in zip(p_list, K))
-    res_y = node_msd(ky, sol.y_ens.time_major)
-    kq = sum(q.time_major @ k.T for q, k in zip(q_list, K))
-    res_z = node_msd(kq, sol.z_ens.time_major)
+    ky = sum(k @ p.component_major for p, k in zip(p_list, K))
+    res_y = node_msd(ky, sol.y_ens.component_major)
+    kq = sum(k @ q.component_major for q, k in zip(q_list, K))
+    res_z = node_msd(kq, sol.z_ens.component_major)
 
     costs, stderrs = [], []
     for i in range(players):
@@ -611,7 +615,8 @@ def solve_nash(
         cost_stderrs=stderrs,
         aggregation_residual_y=float(np.max(res_y)),
         aggregation_residual_z=float(np.max(res_z)),
-        adjoint_iterations=iters,
+        adjoint_iterations=[len(gaps) for gaps in adjoint_gaps],
+        adjoint_gaps=adjoint_gaps,
     )
 
 
@@ -686,26 +691,25 @@ def deviation_test(
     rng = np.random.default_rng(seed)
 
     x_base = _base_state(gs, nash)
-    base_i = base_controls[i].time_major
-    j_base, _, base_batches = _cost_with_batches(gs, i, x_base.time_major, base_i, grid)
+    base_i = base_controls[i].component_major
+    j_base, _, base_batches = _cost_with_batches(gs, i, x_base.component_major, base_i, grid)
 
     deltas, stderrs = [], []
     for j in range(perturbations):
         if j % 2 == 0:
             v = rng.standard_normal(m_i)
-            dev = lambda k, t, x, _v=v: base_i[k] + magnitude * _v
+            dev = lambda k, t, x, _v=v: (base_i[k] + magnitude * _v[:, None]).T
         else:
             a = rng.standard_normal(m_i)
             b = rng.standard_normal((m_i, gs.n)) / math.sqrt(gs.n)
-            dev = lambda k, t, x, _a=a, _b=b: base_i[k] + magnitude * (_a + x @ _b.T)
+            dev = lambda k, t, x, _a=a, _b=b: (base_i[k] + magnitude * (_a[:, None] + _b @ x.T)).T
         controls = list(base_controls)
         controls[i] = dev
         # an overflowing deviation raises here instead of warning first
         with np.errstate(over="raise", invalid="raise"):
-            x_dev = simulate_state(gs, grid, bundle, controls)
-            x_tm = x_dev.time_major
-            u_dev = np.stack([dev(k, float(t), x_tm[k]) for k, t in enumerate(grid.nodes)])
-            j_dev, _, dev_batches = _cost_with_batches(gs, i, x_tm, u_dev, grid)
+            x_cm = simulate_state(gs, grid, bundle, controls).component_major
+            u_dev = np.stack([dev(k, float(t), x_cm[k].T).T for k, t in enumerate(grid.nodes)])
+            j_dev, _, dev_batches = _cost_with_batches(gs, i, x_cm, u_dev, grid)
         deltas.append(j_dev - j_base)
         paired = dev_batches - base_batches
         stderrs.append(float(np.std(paired, ddof=1) / math.sqrt(len(paired))) if len(paired) > 1 else 0.0)

@@ -6,12 +6,15 @@ because Z multiplies dW over a step.  One ``BrownianBundle`` is drawn per
 solve and reused across all outer iterations (common random numbers), so
 two runs with the same configuration and seed are bit-identical.
 
-Ensembles and bundles are stored time-major: one C-contiguous
-``(nodes, particles, dim)`` array, ``time_major``, so the solver's
-per-step work reads one contiguous block ``time_major[k]``.  The
-particle-major ``(particles, nodes, dim)`` arrays of the public API
+Ensembles and bundles are stored component-major: one read-only
+C-contiguous ``(nodes, dim, particles)`` array, ``component_major``, so
+the solver's per-step work reads one contiguous ``(dim, particles)``
+block per node, multiplies it by small coefficient matrices from the
+left and averages along its last axis.  The particle-major
+``(particles, nodes, dim)`` arrays of the public API
 (``PathEnsemble.values``, ``BrownianBundle.increments``) are read-only
-transposed views of it.
+transposed views of it, and ``component_major[k].T`` is the ``(particles,
+dim)`` view that coefficient callbacks receive.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ __all__ = [
     "TimeGrid",
     "BrownianBundle",
     "PathEnsemble",
-    "from_time_major",
+    "from_component_major",
     "make_bundle",
     "marginal",
     "joint_marginal",
@@ -58,9 +61,9 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
-def _time_major_copy(arr: np.ndarray) -> np.ndarray:
-    """Read-only C-contiguous (nodes, particles, dim) copy of a particle-major array."""
-    out = np.swapaxes(arr, 0, 1).copy()
+def _component_major_copy(arr: np.ndarray) -> np.ndarray:
+    """Read-only C-contiguous (nodes, dim, particles) copy of a particle-major array."""
+    out = arr.transpose(1, 2, 0).copy()
     out.flags.writeable = False
     return out
 
@@ -72,39 +75,39 @@ class BrownianBundle:
 
     Drawn from a counter-based Philox stream keyed on ``seed``, so the
     array is reproducible bit-for-bit and independent of scheduling order.
-    ``time_major`` is (steps, particles, dim); ``increments`` is its
+    ``component_major`` is (steps, dim, particles); ``increments`` is its
     read-only (particles, steps, dim) view.
     """
 
     seed: int
-    time_major: np.ndarray
+    component_major: np.ndarray
 
     @property
     def increments(self) -> np.ndarray:
-        return np.swapaxes(self.time_major, 0, 1)
+        return self.component_major.transpose(2, 0, 1)
 
     @property
     def particles(self) -> int:
-        return self.time_major.shape[1]
+        return self.component_major.shape[2]
 
     @property
     def steps(self) -> int:
-        return self.time_major.shape[0]
+        return self.component_major.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.time_major.shape[2]
+        return self.component_major.shape[1]
 
 
 @dataclass(frozen=True)
 class PathEnsemble:
     """Per-particle process values, given as an array (particles, nodes, dim).
 
-    The constructor copies and checks the array and stores it time-major
-    (``time_major``, C-contiguous (nodes, particles, dim)); ``values`` is
-    the read-only particle-major view.  For matrix-valued processes (Z)
-    the trailing axis stores the row-major flattening; ``dim`` is then
-    rows * cols.
+    The constructor copies and checks the array and stores it
+    component-major (``component_major``, C-contiguous (nodes, dim,
+    particles)); ``values`` is the read-only particle-major view.  For
+    matrix-valued processes (Z) the dim axis stores the row-major
+    flattening; ``dim`` is then rows * cols.
     """
 
     values: np.ndarray
@@ -113,28 +116,36 @@ class PathEnsemble:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 3:
             raise ValueError(f"values must be (particles, nodes, dim), got shape {vals.shape}")
-        tm = _time_major_copy(vals)
-        if not np.all(np.isfinite(tm)):
+        cm = _component_major_copy(vals)
+        if not np.all(np.isfinite(cm)):
             raise ValueError("ensemble values must be finite")
-        object.__setattr__(self, "time_major", tm)
-        object.__setattr__(self, "values", np.swapaxes(tm, 0, 1))
+        object.__setattr__(self, "component_major", cm)
+        object.__setattr__(self, "values", cm.transpose(2, 0, 1))
 
     @property
     def particles(self) -> int:
-        return self.time_major.shape[1]
+        return self.component_major.shape[2]
 
     @property
     def nodes(self) -> int:
-        return self.time_major.shape[0]
+        return self.component_major.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.time_major.shape[2]
+        return self.component_major.shape[1]
 
 
-def from_time_major(arr: np.ndarray) -> PathEnsemble:
-    """The ensemble whose ``time_major`` array equals ``arr`` (nodes, particles, dim)."""
-    return PathEnsemble(values=np.swapaxes(arr, 0, 1))
+def from_component_major(arr: np.ndarray) -> PathEnsemble:
+    """The ensemble that stores ``arr``, a finite C-contiguous (nodes, dim,
+    particles) array, itself: no copy and no finiteness scan (the solver's
+    steps check their own output), and ``arr`` becomes read-only."""
+    if arr.ndim != 3 or not arr.flags.c_contiguous:
+        raise ValueError(f"expected a C-contiguous (nodes, dim, particles) array, got shape {arr.shape}")
+    arr.flags.writeable = False
+    e = object.__new__(PathEnsemble)
+    object.__setattr__(e, "component_major", arr)
+    object.__setattr__(e, "values", arr.transpose(2, 0, 1))
+    return e
 
 
 def make_bundle(grid: TimeGrid, particles: int, dim: int, seed: int) -> BrownianBundle:
@@ -146,14 +157,14 @@ def make_bundle(grid: TimeGrid, particles: int, dim: int, seed: int) -> Brownian
         raise ValueError(f"particles and dim must be positive, got {particles}, {dim}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
     incr = rng.standard_normal((particles, grid.steps, dim)) * np.sqrt(grid.dt)
-    return BrownianBundle(seed=seed, time_major=_time_major_copy(incr))
+    return BrownianBundle(seed=seed, component_major=_component_major_copy(incr))
 
 
 def marginal(e: PathEnsemble, node: int) -> EmpiricalMeasure:
     """Cloud of the ensemble at a grid node, one point per particle."""
     if not (0 <= node < e.nodes):
         raise IndexError(f"node {node} out of range [0, {e.nodes})")
-    return EmpiricalMeasure(points=e.time_major[node])
+    return EmpiricalMeasure(points=e.component_major[node].T)
 
 
 def joint_marginal(x_ens: PathEnsemble, y_ens: PathEnsemble, node: int) -> EmpiricalMeasure:
@@ -162,16 +173,16 @@ def joint_marginal(x_ens: PathEnsemble, y_ens: PathEnsemble, node: int) -> Empir
         raise ValueError("x and y ensembles must share particle and node counts")
     if not (0 <= node < x_ens.nodes):
         raise IndexError(f"node {node} out of range [0, {x_ens.nodes})")
-    pts = np.concatenate([x_ens.time_major[node], y_ens.time_major[node]], axis=1)
-    return EmpiricalMeasure(points=pts)
+    pts = np.concatenate([x_ens.component_major[node], y_ens.component_major[node]])
+    return EmpiricalMeasure(points=pts.T)
 
 
 def node_msd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-node mean over particles of |a - b|^2, for time-major arrays
-    (nodes, particles, dim)."""
+    """Per-node mean over particles of |a - b|^2, for component-major
+    arrays (nodes, dim, particles)."""
     d = a - b
     d *= d
-    return d.reshape(d.shape[0], -1).sum(axis=1) / d.shape[1]
+    return d.reshape(d.shape[0], -1).sum(axis=1) / d.shape[-1]
 
 
 def _node_times(e: PathEnsemble, grid: TimeGrid) -> np.ndarray:
@@ -183,8 +194,8 @@ def _node_times(e: PathEnsemble, grid: TimeGrid) -> np.ndarray:
 def moments_to_csv(e: PathEnsemble, grid: TimeGrid, fileobj) -> None:
     """Write rows (time, mean_0, ..., var_0, ...) of the cross-particle moments."""
     times = _node_times(e, grid)
-    means = e.time_major.mean(axis=1)
-    variances = e.time_major.var(axis=1)
+    means = e.component_major.mean(axis=2)
+    variances = e.component_major.var(axis=2)
     writer = csv.writer(fileobj)
     writer.writerow(["time"] + [f"mean_{j}" for j in range(e.dim)] + [f"var_{j}" for j in range(e.dim)])
     for k, t in enumerate(times):

@@ -518,9 +518,17 @@ class AffineCoeffs:
     coerced once to their shapes; absent terms, and piecewise terms that
     are zero everywhere, are dropped.  The z term assumes a
     one-dimensional Brownian motion (z is taken as an m-vector).
+
+    The terms are compiled once per evaluation time (:meth:`at`): a
+    solver evaluates the table at its grid nodes on every sweep, so after
+    the first sweep a call looks up no piece and calls no coefficient
+    callable.
     """
 
     TERMS = ("x", "y", "z", "mean_x", "mean_y", "const")
+    # compiled times kept per table; a solve needs its grid's nodes, so the
+    # bound only stops random probe times from piling up
+    _TIMES_KEPT = 4096
 
     def __init__(self, dim: int, name: str = "coeffs", x=None, y=None, z=None, mean_x=None, mean_y=None, const=None):
         self.dim = dim
@@ -531,26 +539,45 @@ class AffineCoeffs:
             path = shaped_path(spec, (dim,) if key == "const" else (dim, dim), f"{name}.{key}")
             if not (isinstance(path, PiecewiseConstant) and not np.any(path.values)):
                 self.terms[key] = path
+        self._compiled: dict[float, dict] = {}
+
+    def at(self, t: float) -> dict:
+        """The terms' values at time t, {term: array}; each time is compiled
+        on its first use and kept."""
+        node = self._compiled.get(t)
+        if node is None:
+            if len(self._compiled) >= self._TIMES_KEPT:
+                self._compiled.clear()
+            node = self._compiled[t] = {key: np.asarray(path(t), dtype=float) for key, path in self.terms.items()}
+        return node
 
     def __call__(self, t: float, x, y=None, z=None, nu=None) -> np.ndarray:
-        """The map at time t on particle arrays x, y (P, m) and z (P, m, 1)."""
-        c = {key: path(t) for key, path in self.terms.items()}
-        out = np.zeros_like(x)
-        if "x" in c:
-            out = out + x @ c["x"].T
-        if "y" in c:
-            out = out + y @ c["y"].T
-        if "z" in c:
-            out = out + z[:, :, 0] @ c["z"].T
-        if "mean_x" in c or "mean_y" in c:
+        """The map at time t on particle arrays x, y (P, m) and z (P, m, 1).
+
+        Evaluated component-major, C x' + (const + mean terms)[:, None];
+        the (P, m) result is the transposed view of that (m, P) array.
+        """
+        node = self.at(t)
+        out = None
+        for key, arg in (("x", x), ("y", y), ("z", None if z is None else z[:, :, 0])):
+            if key in node:
+                term = node[key] @ arg.T
+                if out is None:
+                    out = term
+                else:
+                    out += term
+        shift = []
+        if "mean_x" in node or "mean_y" in node:
             mu = nu.mean()
-            if "mean_x" in c:
-                out = out + c["mean_x"] @ mu[: self.dim]
-            if "mean_y" in c:
-                out = out + c["mean_y"] @ mu[self.dim :]
-        if "const" in c:
-            out = out + c["const"]
-        return out
+            halves = (("mean_x", mu[: self.dim]), ("mean_y", mu[self.dim :]))
+            shift += [node[key] @ half for key, half in halves if key in node]
+        if "const" in node:
+            shift.append(node["const"])
+        if out is None:
+            out = np.zeros((self.dim, len(x)))
+        if shift:
+            out += sum(shift)[:, None]
+        return out.T
 
 
 def affine_problem(x0, horizon: float, f: AffineCoeffs, h: AffineCoeffs, sigma: AffineCoeffs, g: AffineCoeffs,

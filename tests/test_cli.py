@@ -203,6 +203,9 @@ class TestGameCommand:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical blow-up: ")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["numerical_blowup"] is True
+        assert lines[0] == f"numerical blow-up: {report['message']}"
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_nonpositive_deviation_count_rejected_before_solving(self, tmp_path, capsys, monkeypatch, count):

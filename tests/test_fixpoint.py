@@ -158,10 +158,19 @@ class TestSolve:
         short = fixpoint.solve(p, grid, SchemeParams(particles=500, max_outer=6, tol=1e-3, inner_sweeps=1), seed=5)
         assert short.history[-1].gap_total < 1e-6
         assert short.history[-1].inner_exit == "cap"
+        assert short.history[-1].inner_gap >= 1e-8
         assert not short.converged
         longer = fixpoint.solve(p, grid, SchemeParams(particles=500, max_outer=30, tol=1e-3, inner_sweeps=1), seed=5)
         assert longer.converged
         assert len(longer.history) == 7
+
+    def test_inner_gap_meets_the_target_it_reports(self):
+        sol = fixpoint.solve(h1prime_toy(), TimeGrid(0.25, 30), SchemeParams(particles=500, tol=1e-3), seed=5)
+        assert sol.converged
+        for rec in sol.history:
+            assert (rec.inner_gap < (1e-3 / 10) ** 2) == (rec.inner_exit == "target")
+        assert sol.history[-1].inner_exit == "target"
+        assert sol.history[-1].to_record()["inner_gap"] == sol.history[-1].inner_gap
 
     def test_warm_start_resumes(self):
         p = h1prime_toy()
@@ -279,8 +288,8 @@ class TestResidual:
 class TestDiagnosticsStream:
     def test_jsonl_records(self):
         recs = [
-            IterationDiagnostics(1, 0.5, 0.25, math.nan, 0.08, 1e-3, False, False, 60, "cap"),
-            IterationDiagnostics(2, 0.05, 0.02, 0.093, 0.08, 1e-3, True, True, 4, "target"),
+            IterationDiagnostics(1, 0.5, 0.25, math.nan, 0.08, 1e-3, False, False, 60, 2e-6, "cap"),
+            IterationDiagnostics(2, 0.05, 0.02, 0.093, 0.08, 1e-3, True, True, 4, 5e-9, "target"),
         ]
         buf = io.StringIO()
         fixpoint.diagnostics_to_jsonl(recs, buf)
@@ -289,7 +298,8 @@ class TestDiagnosticsStream:
         first = json.loads(lines[0])
         assert first == {
             "n": 1, "gap_XT": 0.5, "gap_U": 0.25, "ratio": None, "theory_ratio": 0.08,
-            "max_regression_residual": 1e-3, "ridge_fallback": False, "inner_sweeps": 60, "inner_exit": "cap",
+            "max_regression_residual": 1e-3, "ridge_fallback": False, "inner_sweeps": 60, "inner_gap": 2e-6,
+            "inner_exit": "cap",
         }
         second = json.loads(lines[1])
         assert second["ratio"] == pytest.approx(0.093)

@@ -272,15 +272,15 @@ class TestSimulateState:
         u0 = PathEnsemble(rng.standard_normal((particles, grid.steps + 1, 1)))
         gain = rng.standard_normal((2, 2))
         u1 = lambda k, t, x: x @ gain.T + t
-        x = lqgame.simulate_state(gs, grid, bundle, [u0, u1]).time_major
+        x = lqgame.simulate_state(gs, grid, bundle, [u0, u1]).values
         xk = np.broadcast_to(gs.x0, (particles, 2))
         for k in range(2):
             t = grid.nodes[k]
             drift = (xk @ gs.A(t).T + xk.mean(axis=0) @ gs.D(t).T + gs.beta(t)
-                     + u0.time_major[k] @ gs.C[0].T + u1(k, t, xk) @ gs.C[1].T)
+                     + u0.values[:, k] @ gs.C[0].T + u1(k, t, xk) @ gs.C[1].T)
             diffusion = xk @ gs.sigma(t).T + gs.alpha(t)
-            xk = xk + drift * grid.dt + diffusion * bundle.time_major[k]
-            assert np.allclose(x[k + 1], xk, rtol=1e-12, atol=0.0)
+            xk = xk + drift * grid.dt + diffusion * bundle.increments[:, k]
+            assert np.allclose(x[:, k + 1], xk, rtol=1e-12, atol=0.0)
 
 
 class TestNash:
@@ -376,6 +376,10 @@ class TestIterationCounts:
         history = nash.aggregated.history
         assert (len(history), len(sweeps), nash.adjoint_iterations) == (8, 45, [5, 5])
         assert history[-1].gap_total == pytest.approx(gap, rel=1e-6)
+        # the adjoint gap trace: one gap per pass, the last one below tol^2
+        assert [len(gaps) for gaps in nash.adjoint_gaps] == nash.adjoint_iterations
+        assert all(gaps[-1] < params.tol**2 <= gaps[-2] for gaps in nash.adjoint_gaps)
+        assert nash.summary()["adjoint_gaps"] == nash.adjoint_gaps
 
 
 class TestDeviation:

@@ -6,7 +6,7 @@ import pytest
 from mfbsde.paths import (
     PathEnsemble,
     TimeGrid,
-    from_time_major,
+    from_component_major,
     joint_marginal,
     make_bundle,
     marginal,
@@ -80,31 +80,39 @@ class TestPathEnsemble:
 
 
 class TestTimeMajorLayout:
+    """Storage is node-major (one block per node) and component-major within
+    the node: a read-only C-contiguous (nodes, dim, particles) array."""
+
     @pytest.mark.parametrize("shape", [(5, 4, 3), (1, 4, 2), (5, 1, 1), (1, 1, 1)])
     def test_values_are_a_read_only_view_of_a_private_copy(self, shape):
         src = np.random.default_rng(0).standard_normal(shape)
         keep = src.copy()
         e = PathEnsemble(src)
         assert e.values.tobytes() == keep.tobytes()
-        assert not e.values.flags.writeable and not e.time_major.flags.writeable
-        assert e.time_major.flags.c_contiguous
-        assert np.array_equal(e.time_major, keep.transpose(1, 0, 2))
+        assert not e.values.flags.writeable and not e.component_major.flags.writeable
+        assert e.component_major.flags.c_contiguous
+        assert np.array_equal(e.component_major, keep.transpose(1, 2, 0))
+        assert not np.shares_memory(e.component_major, src)
         assert (e.particles, e.nodes, e.dim) == shape
         src[...] = 99.0
         assert np.array_equal(e.values, keep)
 
-    def test_from_time_major_round_trip(self):
-        tm = np.random.default_rng(1).standard_normal((3, 4, 2))
-        e = from_time_major(tm)
-        assert np.array_equal(e.time_major, tm) and e.time_major is not tm
-        assert np.array_equal(e.values[2, 1], tm[1, 2])
+    def test_from_component_major_stores_the_array(self):
+        cm = np.random.default_rng(1).standard_normal((3, 2, 4))
+        e = from_component_major(cm)
+        assert e.component_major is cm and not cm.flags.writeable
+        assert (e.particles, e.nodes, e.dim) == (4, 3, 2)
+        assert np.array_equal(e.values[3, 1], cm[1, :, 3])
+        assert np.array_equal(marginal(e, 2).points, cm[2].T)
+        with pytest.raises(ValueError):
+            from_component_major(np.zeros((3, 4, 2)).transpose(0, 2, 1))
 
     def test_bundle_layout_and_draws(self):
         g = TimeGrid(1.0, 7)
         b = make_bundle(g, 6, 2, seed=3)
-        assert b.time_major.flags.c_contiguous and not b.time_major.flags.writeable
+        assert b.component_major.flags.c_contiguous and not b.component_major.flags.writeable
         assert not b.increments.flags.writeable
-        assert np.array_equal(b.increments, b.time_major.transpose(1, 0, 2))
+        assert np.array_equal(b.increments, b.component_major.transpose(2, 0, 1))
         assert (b.particles, b.steps, b.dim) == (6, 7, 2)
         # the draws are the particle-major stream of the seed's Philox generator
         rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
@@ -113,8 +121,8 @@ class TestTimeMajorLayout:
 
     def test_node_msd(self):
         rng = np.random.default_rng(2)
-        a, b = rng.standard_normal((2, 3, 50, 2))
-        expected = [np.mean(np.sum((a[k] - b[k]) ** 2, axis=1)) for k in range(3)]
+        a, b = rng.standard_normal((2, 3, 2, 50))
+        expected = [np.mean(np.sum((a[k] - b[k]) ** 2, axis=0)) for k in range(3)]
         assert np.allclose(node_msd(a, b), expected, rtol=1e-14, atol=0.0)
 
 

@@ -362,6 +362,32 @@ class TestAffineCoeffs:
         # no measure is needed once the mean terms are gone
         assert np.array_equal(table(0.7, x, 2 * x), 2 * x)
 
+    def test_terms_compiled_once_per_time(self):
+        calls = []
+
+        def mean_x(t):
+            calls.append(t)
+            return t * np.eye(2)
+
+        steps = {"piecewise": [{"t_from": 0.0, "value": 1.0}, {"t_from": 0.5, "value": 3.0}]}
+        table = AffineCoeffs(2, "f", x=steps, mean_x=mean_x)
+        # a time exactly on a breakpoint takes the right-hand piece
+        assert np.array_equal(table.at(0.5)["x"], 3.0 * np.eye(2))
+        assert np.array_equal(table.at(0.25)["x"], np.eye(2))
+        # a callable coefficient is called at t, once per time
+        assert calls == [0.5, 0.25]
+        assert np.array_equal(table.at(0.5)["mean_x"], 0.5 * np.eye(2))
+        assert calls == [0.5, 0.25]
+
+        rng = np.random.default_rng(4)
+        cm = rng.standard_normal((2, 6))
+        nu = EmpiricalMeasure(rng.standard_normal((7, 4)))
+        f_ordered = table(0.5, cm.T, nu=nu)
+        c_ordered = table(0.5, np.ascontiguousarray(cm.T), nu=nu)
+        assert f_ordered.shape == (6, 2) and f_ordered.T.flags.c_contiguous
+        assert np.array_equal(f_ordered, c_ordered)
+        assert np.allclose(f_ordered, 3.0 * cm.T + 0.5 * nu.mean()[:2], rtol=0.0, atol=1e-12)
+
     def test_shapes_checked_once_with_term_names(self):
         with pytest.raises(ValueError, match=r"g\.x: expected shape \(2, 2\)"):
             AffineCoeffs(2, "g", x=np.ones((3, 3)))
