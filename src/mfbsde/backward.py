@@ -56,14 +56,21 @@ class RegressionBasis:
     def features(self, x: np.ndarray) -> np.ndarray:
         """Design matrix (P, n_features) for states x of shape (P, m): the
         transposed view of a C-contiguous (n_features, P) array."""
-        rows = [np.ones((1, x.shape[0]))]
-        if self.degree >= 1:
-            rows.append(x.T)
-        if self.degree >= 2:
-            rows.append(x.T * x.T)
-            for i, j in combinations(range(x.shape[1]), 2):
-                rows.append((x[:, i] * x[:, j])[None])
-        return np.concatenate(rows).T
+        return self._design(x.T).T
+
+    def _design(self, x: np.ndarray) -> np.ndarray:
+        """Design array (..., n_features, P) of component-major states x of
+        shape (..., m, P): the constant, the components, then (degree 2)
+        their squares and pairwise products."""
+        m = x.shape[-2]
+        linear = m if self.degree >= 1 else 0
+        products = [(i, i) for i in range(m)] + list(combinations(range(m), 2)) if self.degree >= 2 else []
+        out = np.empty((*x.shape[:-2], 1 + linear + len(products), x.shape[-1]))
+        out[..., 0, :] = 1.0
+        out[..., 1 : 1 + linear, :] = x[..., :linear, :]
+        for row, (i, j) in enumerate(products, start=1 + m):
+            np.multiply(x[..., i, :], x[..., j, :], out=out[..., row, :])
+        return out
 
 
 @dataclass
@@ -84,27 +91,22 @@ class RegressionDiagnostics:
         return bool(self.ridge_steps)
 
 
-def _ridge_fit(design: np.ndarray, step: int, diag: RegressionDiagnostics):
-    """Ridge-stabilized least squares via the normal equations: returns the
-    map from targets to fitted values at the sample points.  ``design`` is
-    (n_features, P) and targets and fitted values are (n_targets, P).
-
-    The Gram matrix, its ridge shift and the rank-deficiency flag are
-    formed once per step and shared by every fit on that step's design.
-    The tiny relative regularizer is always on: it keeps the fit a smooth
+def _ridge_factors(design: np.ndarray, diag: RegressionDiagnostics) -> np.ndarray:
+    """Ridge-shifted Gram matrices (steps, F, F) of the designs (steps, F,
+    P) of all steps, shared by each step's Z fit and Y fits.  The tiny relative regularizer is always on: it keeps the fit a smooth
     (branch-free) function of the particle states even when the cloud
     degenerates onto an affine subspace and the design matrix turns rank
     deficient, where hard rank decisions would flip between sweeps and
     destabilize the outer iteration.  Fitted values at the sample points
     match the unregularized fit to O(ridge).  Steps with a near-singular
-    design are flagged for diagnostics.
+    design are recorded in ``diag.ridge_steps``, last step first.
     """
-    gram = design @ design.T
-    scale = np.trace(gram) / design.shape[0]
-    shifted = gram + _RIDGE * (scale + 1.0) * np.eye(design.shape[0])
-    if np.linalg.eigvalsh(gram)[0] < 1e-10 * (scale + 1.0):
-        diag.ridge_steps.append(step)
-    return lambda targets: np.linalg.solve(shifted, design @ targets.T).T @ design
+    features = design.shape[1]
+    gram = np.einsum("kfp,kgp->kfg", design, design)
+    scale = np.trace(gram, axis1=1, axis2=2) / features + 1.0
+    flagged = np.linalg.eigvalsh(gram)[:, 0] < 1e-10 * scale
+    diag.ridge_steps.extend(np.flatnonzero(flagged)[::-1].tolist())
+    return gram + (_RIDGE * scale)[:, None, None] * np.eye(features)
 
 
 def solve_backward(
@@ -142,13 +144,16 @@ def solve_backward(
     y[steps] = np.asarray(p.g(xv[steps].T, terminal_law)).T
     if not np.all(np.isfinite(y[steps])):
         raise FloatingPointError("terminal condition produced non-finite values")
+    # the designs and ridge factors depend only on the forward paths
+    design = basis._design(xv[:steps])
+    shifted = _ridge_factors(design, diag)
 
     for k in range(steps - 1, -1, -1):
         t_k = float(times[k])
         nu_k = frozen_flow[k]
         xk = xv[k].T
         y_next = y[k + 1]
-        fit = _ridge_fit(basis.features(xk).T, k, diag)
+        fit = lambda targets: np.linalg.solve(shifted[k], design[k] @ targets.T).T @ design[k]
 
         dw = bundle.component_major[k]
         z_targets = (y_next[:, None, :] * dw[None, :, :] / dt).reshape(m * d, particles)

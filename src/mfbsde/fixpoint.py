@@ -171,75 +171,102 @@ def _zero_ensembles(particles: int, steps: int, m: int, d: int):
     return x, y, z
 
 
-def _gaps(grid: TimeGrid, new, old) -> tuple[float, float]:
-    """Cauchy gap pair: terminal X gap and the time-integrated U gap
-    (trapezoid on nodes for X and Y, left rectangles for the step-indexed Z)."""
-    xn, yn, zn = new
-    xo, yo, zo = old
-    per_x = node_msd(xn.component_major, xo.component_major)
-    per_node = per_x + node_msd(yn.component_major, yo.component_major)
-    gap_u = float(np.trapezoid(per_node, dx=grid.dt))
-    gap_u += float(np.sum(node_msd(zn.component_major, zo.component_major)) * grid.dt)
+def _gap_parts(per_x, per_y, per_z, dt: float) -> tuple[float, float]:
+    """Cauchy gap pair (terminal X gap, time-integrated U gap) from per-node mean squared
+    differences: trapezoid on nodes for X and Y, left rectangles for the step-indexed Z."""
+    gap_u = float(np.trapezoid(per_x + per_y, dx=dt))
+    gap_u += float(np.sum(per_z) * dt)
     return float(per_x[-1]), gap_u
 
 
-def _flatten_pair(y: PathEnsemble, z: PathEnsemble) -> np.ndarray:
-    return np.concatenate([y.component_major.ravel(), z.component_major.ravel()])
+def _gaps(grid: TimeGrid, new, old) -> tuple[float, float]:
+    """Cauchy gap pair of two (X, Y, Z) iterates."""
+    return _gap_parts(*(node_msd(a.component_major, b.component_major) for a, b in zip(new, old)), grid.dt)
 
 
-def _split_pair(u: np.ndarray, y_shape, z_shape) -> tuple[PathEnsemble, PathEnsemble]:
-    """Inverse of :func:`_flatten_pair`, as views of ``u``; the shapes are
-    component-major."""
-    cut = int(np.prod(y_shape))
-    return from_component_major(u[:cut].reshape(y_shape)), from_component_major(u[cut:].reshape(z_shape))
+def _rows(*arrays) -> list[np.ndarray]:
+    """The node blocks of component-major arrays in order, each a flat (dim * P,) view."""
+    return [row for a in arrays for row in a.reshape(len(a), -1)]
 
 
 class _Anderson:
-    """Anderson mixing of the sweep map u -> F(u) with memory ``depth``
-    (Walker & Ni, SIAM J. Numer. Anal. 2011).
+    """Anderson mixing of the sweep map u -> F(u), u = (Y, Z), with memory
+    ``depth`` (Walker & Ni, SIAM J. Numer. Anal. 2011).
 
-    Each step stores the residual r = F(u) - u once, keeps the last
-    ``depth`` differences of residuals and of outputs, and picks gamma
-    from the small Gram system of the residual differences,
-    (dR' dR) gamma = dR' r.  ``lstsq`` keeps the minimum-norm answer when
-    that system is singular, as on the stacked residuals.  The mixed
-    iterate is F(u) - dFU gamma, or F(u) itself when the step is not
-    finite.
+    The last residual r = F(u) - u and ring buffers of the last ``depth``
+    residual (dR) and output (dFU) differences are allocated once per
+    solve.  gamma solves the Gram system (dR' dR) gamma = dR' r with
+    ``lstsq`` (minimum norm when singular); the mix is F(u) - dFU gamma, or
+    F(u) when the Gram matrix, the right-hand side or the mix is not
+    finite.  Both passes of a sweep run one node block (a Y node or a Z
+    step, (dim, P)) at a time, while it is in cache: :meth:`observe` forms
+    r, the differences, the Gram row, the right-hand side and the sweep
+    gap, and :meth:`mix` writes the mix.
     """
 
-    def __init__(self, depth: int):
-        self.depth = depth
-        self.r = self.fu = None
-        self.dr: list[np.ndarray] = []
-        self.dfu: list[np.ndarray] = []
-        self.gram = np.zeros((0, 0))
+    def __init__(self, depth: int, y_shape: tuple, z_shape: tuple):
+        self.depth, self.shapes, self.cut = depth, (y_shape, z_shape), int(np.prod(y_shape))
+        cuts = np.cumsum([int(np.prod(s[1:])) for s in self.shapes for _ in range(s[0])])
+        ring = np.empty((2, depth, cuts[-1]))
+        self.r, self.out = np.empty((2, cuts[-1]))
+        # per node block: its columns of dR and dFU, and its part of r and of the mix
+        self.blocks = list(zip(*(np.split(a, cuts[:-1], axis=-1) for a in (*ring, self.r, self.out))))
+        self.gram, self.rhs = np.zeros((depth, depth)), np.zeros(depth)
+        self.restart()
 
-    def next(self, u: np.ndarray, fu: np.ndarray) -> np.ndarray:
-        r = fu - u
-        if self.r is not None:
-            dr = r - self.r
-            self.dr.append(dr)
-            self.dfu.append(fu - self.fu)
-            row = np.array([dr @ v for v in self.dr])
-            gram = np.empty((len(row), len(row)))
-            gram[:-1, :-1] = self.gram
-            gram[-1, :] = gram[:, -1] = row
-            if len(self.dr) > self.depth:
-                del self.dr[0], self.dfu[0]
-                gram = gram[1:, 1:]
-            self.gram = gram
-        self.r, self.fu = r, fu
-        rhs = np.array([v @ r for v in self.dr])
-        if not (self.dr and np.all(np.isfinite(self.gram)) and np.all(np.isfinite(rhs))):
-            return fu
-        gamma = np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
-        out = fu.copy()
-        for g, v in zip(gamma, self.dfu):
-            out -= g * v
-        return out if np.all(np.isfinite(out)) else fu
+    def restart(self) -> None:
+        """Forget the history (a new inner solve starts)."""
+        self.fu, self.stored = None, 0
+
+    def observe(self, new, old, dt: float) -> float:
+        """Pass 1 for the sweep from the iterate ``old`` = (X, Y, Z) to
+        ``new``, whose (Y, Z) is F of old's; returns the sweep gap."""
+        fu = tuple(new[1:])
+        new, old = [e.component_major for e in new], [e.component_major for e in old]
+        first = self.fu is None
+        if not first:
+            slot, self.stored = self.stored % self.depth, self.stored + 1
+            hist = min(self.stored, self.depth)
+            row, rhs = np.zeros(hist), np.zeros(hist)
+            prev = _rows(*(e.component_major for e in self.fu))
+        sq = np.empty(len(self.blocks))
+        for b, (f, v, (dr, dfu, r_old, _)) in enumerate(zip(_rows(*new[1:]), _rows(*old[1:]), self.blocks)):
+            r = f - v
+            sq[b] = r @ r
+            if not first:
+                np.subtract(r, r_old, out=dr[slot])
+                np.subtract(f, prev[b], out=dfu[slot])
+                row += dr[:hist] @ dr[slot]
+                rhs += dr[:hist] @ r
+            r_old[:] = r
+        per_x = np.array([d @ d for d in map(np.subtract, _rows(new[0]), _rows(old[0]))])
+        if not first:
+            self.gram[slot, :hist] = self.gram[:hist, slot] = row
+            self.rhs[:hist] = rhs
+        self.fu = fu
+        particles, nodes = new[0].shape[-1], len(new[0])
+        return sum(_gap_parts(per_x / particles, sq[:nodes] / particles, sq[nodes:] / particles, dt))
+
+    def mix(self) -> tuple[PathEnsemble, PathEnsemble]:
+        """Pass 2: the next iterate (Y, Z) after the output last observed,
+        or that output itself when there is no history or the step is not
+        finite."""
+        hist = min(self.stored, self.depth)
+        order = [(self.stored - hist + i) % self.depth for i in range(hist)]
+        gram, rhs = self.gram[np.ix_(order, order)], self.rhs[order]
+        if not (order and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+            return self.fu
+        gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        for f, (_, dfu, _, out) in zip(_rows(*(e.component_major for e in self.fu)), self.blocks):
+            np.copyto(out, f)
+            for g, j in zip(gamma, order):
+                out -= g * dfu[j]
+            if not np.all(np.isfinite(out)):
+                return self.fu
+        return tuple(from_component_major(a.reshape(s)) for a, s in zip(np.split(self.out, [self.cut]), self.shapes))
 
 
-def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
+def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel: _Anderson):
     """Solve the frozen-flow (standard) FBSDE by alternating sweeps.
 
     One sweep propagates X under the current (Y, Z) and re-regresses the
@@ -255,14 +282,13 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
     x_prev, y_prev, z_prev = start
     target = (0.1 * params.tol) ** 2
     x_cur, y_cur, z_cur = start
-    u = _flatten_pair(y_cur, z_cur)
-    accel = _Anderson(_ANDERSON_DEPTH)
+    accel.restart()
     gap_min = math.inf
     growing = 0
     for sweep in range(1, _INNER_MAX_SWEEPS + 1):
         x_new = propagate(p, grid, bundle, y_cur, z_cur, y_prev, z_prev, flow, params.delta)
         y_hat, z_hat, reg_diag = solve_backward(p, grid, bundle, x_new, flow, mu_t, params.basis)
-        gap = sum(_gaps(grid, (x_new, y_hat, z_hat), (x_cur, y_cur, z_cur)))
+        gap = accel.observe((x_new, y_hat, z_hat), (x_cur, y_cur, z_cur), grid.dt)
         if not math.isfinite(gap):
             raise FloatingPointError(f"inner sweep gap became non-finite at sweep {sweep}")
         met = gap < target
@@ -270,8 +296,7 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start):
         growing = growing + 1 if gap > 100.0 * gap_min else 0
         if sweep == _INNER_MAX_SWEEPS or (sweep >= params.inner_sweeps and (met or growing >= 3)):
             break
-        u = accel.next(u, _flatten_pair(y_hat, z_hat))
-        y_cur, z_cur = _split_pair(u, y_hat.component_major.shape, z_hat.component_major.shape)
+        y_cur, z_cur = accel.mix()
         x_cur = x_new
     return x_new, y_hat, z_hat, reg_diag, "target" if met else "growth" if growing >= 3 else "cap", sweep, gap
 
@@ -318,6 +343,7 @@ def solve(
     converged = False
     x_cur, y_cur, z_cur = x_prev, y_prev, z_prev
     prev_gap = math.nan
+    accel = _Anderson(_ANDERSON_DEPTH, (grid.steps + 1, m, params.particles), (grid.steps, m * d, params.particles))
 
     for n in range(1, params.max_outer + 1):
         flow = [joint_marginal(x_prev, y_prev, k) for k in range(x_prev.nodes)]
@@ -325,7 +351,7 @@ def solve(
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 x_cur, y_cur, z_cur, reg_diag, inner_exit, sweeps, inner_gap = _inner_solve(
-                    p, grid, bundle, params, flow, mu_t, (x_prev, y_prev, z_prev)
+                    p, grid, bundle, params, flow, mu_t, (x_prev, y_prev, z_prev), accel
                 )
         except FloatingPointError as exc:
             raise Diverged(f"particle system blew up at outer iteration {n}: {exc}", history) from exc

@@ -41,7 +41,7 @@ from scipy.linalg import expm
 
 from . import fixpoint
 from .backward import solve_backward
-from .measure import EmpiricalMeasure
+from .measure import EmpiricalMeasure, from_checked
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, marginal, node_msd
 from .problem import (
     H1PRIME,
@@ -137,6 +137,9 @@ class GameSpec:
         self.sigma = shaped_path(self.sigma, (n, n), "sigma")
         self.beta = shaped_path(self.beta, (n,), "beta")
         self.alpha = shaped_path(self.alpha, (n,), "alpha")
+        for path in (self.A, self.D, self.sigma, self.beta, self.alpha):
+            for t in _sample_times(self.horizon, [path], samples=5):
+                path(t)  # a callable's values are coerced, and so checked, where the symmetry check samples
 
         players = len(self.C)
         if players < 1:
@@ -152,6 +155,7 @@ class GameSpec:
                 c = c.reshape(n, 1)
             if c.shape[0] != n:
                 raise ValueError(f"C[{i}] must have {n} rows, got shape {c.shape}")
+            c = coerce(c, c.shape, f"C[{i}]")
             m_i = c.shape[1]
             nn = coerce(nn, (m_i, m_i), f"N[{i}]")
             _check_symmetric(nn, f"N[{i}]")
@@ -403,11 +407,17 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
     for k in range(grid.steps):
         t_k = float(grid.nodes[k])
         xk = x[k].T
-        drift = f(t_k, xk, nu=EmpiricalMeasure(xk)).T
-        for i, fn in enumerate(fns):
-            drift = drift + gs.C[i] @ np.asarray(fn(k, t_k, xk)).T
-        x[k + 1] = x[k] + drift * grid.dt + sigma(t_k, xk).T * bundle.component_major[k]
-        if not np.all(np.isfinite(x[k + 1])):
+        # x[k] is finite: GameSpec checks x0, and each step checks the row it writes
+        drift = f(t_k, xk, nu=from_checked(xk)).T
+        for c, fn in zip(gs.C, fns):
+            u = np.asarray(fn(k, t_k, xk)).T
+            # a one-column C as a broadcast product: the bits of the k = 1 matmul without its BLAS call
+            drift += c * u if c.shape[1] == 1 else c @ u
+        # (x + drift dt) + sigma dW, built in place
+        nxt = np.multiply(drift, grid.dt, out=x[k + 1])
+        nxt += x[k]
+        nxt += sigma(t_k, xk).T * bundle.component_major[k]
+        if not np.all(np.isfinite(nxt)):
             raise FloatingPointError(f"state simulation produced non-finite values at step {k}")
     return from_component_major(x)
 

@@ -69,6 +69,15 @@ class EmpiricalMeasure:
         return cached
 
 
+def from_checked(points: np.ndarray) -> EmpiricalMeasure:
+    """The measure on ``points``, a nonempty (n, d) float array whose
+    producer has already checked that it is finite (a solver's particle
+    cloud): no copy and no finiteness scan."""
+    m = object.__new__(EmpiricalMeasure)
+    object.__setattr__(m, "points", points)
+    return m
+
+
 def mean(m: EmpiricalMeasure) -> np.ndarray:
     """Coordinate-wise mean of the cloud, shape (d,)."""
     return m.mean()

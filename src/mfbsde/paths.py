@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import EmpiricalMeasure
+from .measure import EmpiricalMeasure, from_checked
 
 __all__ = [
     "TimeGrid",
@@ -164,7 +164,7 @@ def marginal(e: PathEnsemble, node: int) -> EmpiricalMeasure:
     """Cloud of the ensemble at a grid node, one point per particle."""
     if not (0 <= node < e.nodes):
         raise IndexError(f"node {node} out of range [0, {e.nodes})")
-    return EmpiricalMeasure(points=e.component_major[node].T)
+    return from_checked(e.component_major[node].T)
 
 
 def joint_marginal(x_ens: PathEnsemble, y_ens: PathEnsemble, node: int) -> EmpiricalMeasure:
@@ -174,7 +174,7 @@ def joint_marginal(x_ens: PathEnsemble, y_ens: PathEnsemble, node: int) -> Empir
     if not (0 <= node < x_ens.nodes):
         raise IndexError(f"node {node} out of range [0, {x_ens.nodes})")
     pts = np.concatenate([x_ens.component_major[node], y_ens.component_major[node]])
-    return EmpiricalMeasure(points=pts.T)
+    return from_checked(pts.T)
 
 
 def node_msd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

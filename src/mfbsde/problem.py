@@ -459,9 +459,12 @@ def coerce(value, shape: tuple, name: str) -> np.ndarray:
     """Coerce a coefficient value to ``shape``, (n,) or (rows, cols).
 
     A scalar fills a vector and scales the identity of a square matrix;
-    a vector may be given in any layout with n entries.
+    a vector may be given in any layout with n entries.  Non-finite
+    values are rejected.
     """
     arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     if arr.ndim == 0:
         if len(shape) == 1:
             return np.full(shape, float(arr))
@@ -479,15 +482,12 @@ def shaped_path(spec, shape: tuple, name: str) -> Callable[[float], np.ndarray]:
     """:func:`as_path` with every value coerced to ``shape``.
 
     A piecewise table comes back as a new :class:`PiecewiseConstant` (the
-    caller's table is not rewritten); a callable is wrapped so that its
-    values are coerced when evaluated.
+    caller's table is not rewritten) with every piece coerced; a callable
+    is wrapped so that its values are coerced when evaluated.
     """
     path = as_path(spec)
     if isinstance(path, PiecewiseConstant):
-        values = path.values
-        if values.shape[1:] != shape:
-            values = [coerce(v, shape, name) for v in values]
-        return PiecewiseConstant(path.breakpoints, values)
+        return PiecewiseConstant(path.breakpoints, [coerce(v, shape, name) for v in path.values])
     return lambda t: coerce(path(t), shape, name)
 
 

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from mfbsde import backward
 from mfbsde.backward import RegressionBasis, solve_backward
 from mfbsde.forward import propagate
 from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle, marginal
-from mfbsde.problem import MfProblem
+from mfbsde.problem import AffineCoeffs, MfProblem, affine_problem
 from conftest import pure_martingale
 
 
@@ -17,6 +18,35 @@ def brownian_paths(problem, grid, particles, seed):
     flow = [joint_marginal(y, y, k) for k in range(grid.steps + 1)]
     x = propagate(problem, grid, bundle, y, z, y, z, flow, 0.0)
     return bundle, x, flow
+
+
+def per_step_backward(p, grid, bundle, x_ens, flow, mu, basis):
+    """Reference recursion: each step's Gram matrix, ridge shift and
+    eigenvalue flag formed on its own, particle-major."""
+    m, d, steps, dt = p.dim_state, p.dim_bm, grid.steps, grid.dt
+    xv, dw = x_ens.values, bundle.increments
+    y = np.empty((xv.shape[0], steps + 1, m))
+    z = np.empty((xv.shape[0], steps, m, d))
+    ridge = []
+    y[:, steps] = p.g(xv[:, steps], mu)
+    for k in range(steps - 1, -1, -1):
+        design = basis.features(xv[:, k])
+        gram = design.T @ design
+        scale = np.trace(gram) / gram.shape[0] + 1.0
+        shifted = gram + backward._RIDGE * scale * np.eye(gram.shape[0])
+        if np.linalg.eigvalsh(gram)[0] < 1e-10 * scale:
+            ridge.append(k)
+
+        def fit(targets):
+            return design @ np.linalg.solve(shifted, design.T @ targets)
+
+        z_targets = y[:, k + 1, :, None] * dw[:, k, None, :] / dt
+        z[:, k] = fit(z_targets.reshape(-1, m * d)).reshape(-1, m, d)
+        guess = y[:, k + 1]
+        for _ in range(backward._PICARD_PASSES):
+            guess = fit(y[:, k + 1] - p.h(grid.nodes[k], xv[:, k], guess, z[:, k], flow[k]) * dt)
+        y[:, k] = guess
+    return y, z.reshape(-1, steps, m * d), ridge
 
 
 class TestBasis:
@@ -190,6 +220,33 @@ class TestSolveBackward:
         mid_expected = x.values[:, 20, 0] ** 2 + 0.5
         err = np.abs(y.values[:, 20, 0] - mid_expected).mean()
         assert err < 0.1
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_batched_factors_match_the_per_step_reference(self, degree):
+        # a 2-D cloud that is collinear (rank deficient) on the first 3 steps
+        grid, particles = TimeGrid(0.5, 8), 400
+        bundle = make_bundle(grid, particles, 1, seed=2)
+        rng = np.random.default_rng(3)
+        walk = np.concatenate([np.zeros((particles, 1)), np.cumsum(bundle.increments[:, :, 0], axis=1)], axis=1)
+        spread = rng.standard_normal((particles, grid.steps + 1)) * (np.arange(grid.steps + 1) >= 3)
+        x = PathEnsemble(np.stack([1.0 + walk, 0.5 - 2.0 * walk + 0.3 * spread], axis=2))
+        p = affine_problem(
+            [1.0, 0.5], 0.5, f=AffineCoeffs(2), sigma=AffineCoeffs(2, const=[1.0, -2.0]),
+            h=AffineCoeffs(2, x=[[0.3, 0.1], [0.0, 0.2]], y=-0.5, z=0.2, mean_x=0.1, mean_y=[[0.0, 0.1], [0.2, 0.0]],
+                           const=[0.1, -0.2]),
+            g=AffineCoeffs(2, x=[[1.0, 0.5], [0.5, 2.0]], mean_x=0.1, const=[0.0, 0.3]),
+        )
+        flow = [joint_marginal(x, x, k) for k in range(grid.steps + 1)]
+        basis = RegressionBasis(degree)
+        y, z, diag = solve_backward(p, grid, bundle, x, flow, marginal(x, grid.steps), basis)
+        y_ref, z_ref, ridge = per_step_backward(p, grid, bundle, x, flow, marginal(x, grid.steps), basis)
+        assert diag.ridge_steps == ridge
+        assert ridge == ([] if degree == 0 else [2, 1, 0])
+        # the Gram sums run in another order; on the collinear steps the
+        # ridge-shifted solve turns that into ~1e-12 absolute, so entries
+        # are compared at 1e-10 of their array's scale
+        for got, ref in ((y.values, y_ref), (z.values, z_ref)):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
     def test_shape_mismatch_rejected(self, martingale_problem):
         grid = TimeGrid(1.0, 5)

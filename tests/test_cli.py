@@ -54,6 +54,12 @@ class TestCheckCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
 
+    def test_non_finite_coefficient_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**SCALAR_GAME, "A": float("nan")})
+        assert cli.main(["check", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "A must be finite" in err[0]
+
     def test_counterexample_reports_violations(self, tmp_path, capsys):
         cfg = write_config(tmp_path, EXAMPLE3)
         assert cli.main(["check", cfg]) == cli.EXIT_CONDITION

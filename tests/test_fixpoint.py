@@ -7,7 +7,7 @@ import pytest
 
 from mfbsde import fixpoint
 from mfbsde.fixpoint import Diverged, IterationDiagnostics, MfSolution, SchemeParams
-from mfbsde.paths import PathEnsemble, TimeGrid, make_bundle
+from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, make_bundle
 from mfbsde.problem import MfProblem, contraction_constants
 from conftest import h1prime_toy
 
@@ -199,6 +199,25 @@ def stacked_anderson(hist_u, hist_fu):
     return hist_fu[-1] - dfu @ gamma
 
 
+def split(v, y_shape, z_shape):
+    cut = int(np.prod(y_shape))
+    return [from_component_major(a.reshape(s)) for a, s in zip(np.split(v.copy(), [cut]), (y_shape, z_shape))]
+
+
+class FlatAnderson:
+    """Drives fixpoint._Anderson on flat vectors, each split into a
+    component-major (Y, Z) pair."""
+
+    def __init__(self, depth, y_shape, z_shape):
+        self.acc = fixpoint._Anderson(depth, y_shape, z_shape)
+        self.shapes = (y_shape, z_shape)
+        self.x = from_component_major(np.zeros(y_shape))
+
+    def next(self, u, fu):
+        self.acc.observe((self.x, *split(fu, *self.shapes)), (self.x, *split(u, *self.shapes)), 0.1)
+        return np.concatenate([e.component_major.ravel() for e in self.acc.mix()])
+
+
 class TestAnderson:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_gram_step_matches_stacked_least_squares(self, depth):
@@ -207,7 +226,7 @@ class TestAnderson:
         # an affine contraction F(u) = A u + b, iterated on the mixed output
         a = rng.standard_normal((size, size)) * (0.6 / np.sqrt(size))
         b = rng.standard_normal(size)
-        acc = fixpoint._Anderson(depth)
+        acc = FlatAnderson(depth, (3, 2, 40), (2, 2, 40))
         hist_u, hist_fu = [], []
         u = np.zeros(size)
         for _ in range(6):
@@ -223,19 +242,33 @@ class TestAnderson:
         base = np.array([4.0, 1.0, -1.0, 2.0, 0.5, -3.0])
         hist_u = [np.zeros(6)] * 3
         hist_fu = [base, base + d, base + 3.0 * d]
-        acc = fixpoint._Anderson(2)
+        acc = FlatAnderson(2, (2, 1, 2), (1, 1, 2))
         for u, fu in zip(hist_u, hist_fu):
             out = acc.next(u, fu)
-        assert np.linalg.matrix_rank(acc.gram) == 1
+        assert np.linalg.matrix_rank(acc.acc.gram) == 1
         np.testing.assert_allclose(out, stacked_anderson(hist_u, hist_fu), rtol=1e-9, atol=0.0)
 
     def test_non_finite_mix_falls_back_to_the_sweep_output(self):
-        acc = fixpoint._Anderson(2)
+        acc = FlatAnderson(2, (2, 1, 1), (1, 1, 1))
         acc.next(np.zeros(3), np.ones(3))
         fu = np.array([1e308, 2.0, 3.0])
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.array_equal(acc.next(np.full(3, -1e308), fu), fu)
             assert np.array_equal(acc.next(np.zeros(3), 2 * fu), 2 * fu)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_blocked_sweep_gap_equals_the_cauchy_gap(self, d):
+        # with d = 2 a Z block holds twice the entries of a Y block
+        rng = np.random.default_rng(d)
+        grid, m, particles = TimeGrid(0.5, 6), 2, 30
+        shapes = [(grid.steps + 1, m, particles)] * 2 + [(grid.steps, m * d, particles)]
+        acc = fixpoint._Anderson(3, *shapes[1:])
+        old = [from_component_major(rng.standard_normal(s)) for s in shapes]
+        for _ in range(3):
+            new = [from_component_major(rng.standard_normal(s)) for s in shapes]
+            gap = acc.observe(new, old, grid.dt)
+            assert gap == pytest.approx(sum(fixpoint._gaps(grid, new, old)), rel=1e-12, abs=0.0)
+            old = new
 
 
 class TestResidual:

@@ -45,6 +45,20 @@ class TestGameSpec:
                 Q=[np.array([[1.0, 0.5], [0.0, 1.0]])],
             )
 
+    @pytest.mark.parametrize("field,overrides", [
+        ("x0", dict(x0=[np.inf])),
+        ("A", dict(A=np.nan)),
+        ("A", dict(A=lambda t: [[np.nan if t > 0.5 else 0.3]])),
+        ("alpha", dict(alpha=PiecewiseConstant([0.0, 2.0], [0.1, np.inf]))),
+        ("C", dict(C=[[[np.nan]]])),
+        ("N", dict(N=[[[np.inf]]])),
+        ("Q", dict(Q=[[[np.nan]]])),
+        ("M", dict(M=[lambda t: [[np.nan]]])),
+    ])
+    def test_non_finite_data_rejected(self, field, overrides):
+        with pytest.raises(ValueError, match=rf"^{field}(\[0\])? must be finite"):
+            scalar_game(**overrides)
+
     def test_piecewise_table_is_not_rewritten(self):
         # one table shared by two specs of different dimensions
         pw = PiecewiseConstant([0.0, 0.5], [0.1, 0.2])
@@ -281,6 +295,33 @@ class TestSimulateState:
             diffusion = xk @ gs.sigma(t).T + gs.alpha(t)
             xk = xk + drift * grid.dt + diffusion * bundle.increments[:, k]
             assert np.allclose(x[:, k + 1], xk, rtol=1e-12, atol=0.0)
+
+
+    def test_one_column_controls_match_the_matmul_step(self):
+        # players with m_i = 1 and m_i = 2: the broadcast product and the
+        # in-place step give the bits of the per-step C_i @ u_i reference
+        gs = lqgame.GameSpec(
+            n=2, horizon=1.0, x0=[0.3, -0.2], A=[[0.3, 0.1], [-0.2, 0.2]], D=[[0.1, -0.05], [0.2, 0.1]],
+            sigma=[[0.2, 0.1], [0.0, 0.3]], beta=[0.05, -0.1], alpha=[0.4, 0.1],
+            C=[np.array([[1.0], [0.5]]), np.array([[0.2, 0.0], [1.0, -0.4]])],
+            N=[[[1.0]], np.eye(2)], Q=[np.eye(2), np.eye(2)],
+        )
+        grid = TimeGrid(1.0, 20)
+        particles = 300
+        bundle = make_bundle(grid, particles, 1, seed=3)
+        rng = np.random.default_rng(4)
+        u0 = lambda k, t, x: 0.7 * x[:, :1] - t
+        u1 = PathEnsemble(rng.standard_normal((particles, grid.steps + 1, 2)))
+        x = lqgame.simulate_state(gs, grid, bundle, [u0, u1]).component_major
+        f, sigma = lqgame._dynamics(gs)
+        ref = np.empty_like(x)
+        ref[0] = gs.x0[:, None]
+        for k in range(grid.steps):
+            t, xk = float(grid.nodes[k]), ref[k].T
+            drift = f(t, xk, nu=EmpiricalMeasure(xk)).T
+            drift = drift + gs.C[0] @ u0(k, t, xk).T + gs.C[1] @ u1.component_major[k]
+            ref[k + 1] = ref[k] + drift * grid.dt + sigma(t, xk).T * bundle.component_major[k]
+        assert np.array_equal(x, ref)
 
 
 class TestNash:

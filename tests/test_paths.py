@@ -139,6 +139,12 @@ class TestMarginal:
         m = marginal(PathEnsemble(vals), 1)
         assert sorted(m.points[:, 0]) == [1.0, 3.0]
 
+    def test_cloud_shares_the_ensemble_memory(self):
+        e = PathEnsemble(np.random.default_rng(1).standard_normal((5, 3, 2)))
+        m = marginal(e, 1)
+        assert np.shares_memory(m.points, e.component_major[1])
+        assert np.array_equal(m.points, e.values[:, 1, :])
+
     def test_out_of_range(self):
         e = PathEnsemble(np.zeros((2, 3, 1)))
         with pytest.raises(IndexError):
