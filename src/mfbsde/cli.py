@@ -7,9 +7,9 @@ game's mean reduction).  Reports are JSON, trajectories CSV; files land
 under --out with fixed names (diagnostics.jsonl, moments.csv,
 report.json, deviations.json).
 
-Exit codes: 0 success, 1 config error, 2 condition failure, 3 diverged /
-numerical blow-up / not converged / nonexistent, 4 deviation test
-failure.  Solver flags override config-file "solver" entries, which
+Exit codes: 0 success, 1 config or usage error, 2 condition failure, 3
+diverged / numerical blow-up / not converged / nonexistent, 4 deviation
+test failure.  Solver flags override config-file "solver" entries, which
 override built-in defaults.
 """
 
@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -80,18 +79,6 @@ def _load_config(path: str) -> tuple[str, dict]:
     if kind not in ("game", "problem"):
         raise ValueError(f"config kind must be 'game' or 'problem', got {kind!r}")
     return kind, cfg
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("MFBSDE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"MFBSDE_THREADS must be an integer, got {env!r}") from exc
-    return 1
 
 
 def _solver_settings(args, cfg: dict) -> dict:
@@ -210,7 +197,7 @@ def cmd_game(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        nash = lqgame.solve_nash(gs, grid, params, seed=settings["seed"], threads=_threads(args))
+        nash = lqgame.solve_nash(gs, grid, params, seed=settings["seed"])
         if args.corrupt_control is not None:
             # test hook: shift player 0's control and re-evaluate
             corrupted = list(nash.controls)
@@ -300,8 +287,6 @@ def _add_solver_flags(sub) -> None:
                      help=f"minimum forward/backward alternations per outer step (default {sp.inner_sweeps})")
     sub.add_argument("--basis-degree", type=int, default=1, choices=(0, 1, 2),
                      help="regression basis degree (default 1)")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker cap for per-player solves (default: MFBSDE_THREADS or 1)")
     sub.add_argument("--out", default="out", help="output directory (default ./out)")
 
 
@@ -344,7 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage or the help; a usage error is a config error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.handler(args)
     except (ValueError, KeyError, TypeError) as exc:

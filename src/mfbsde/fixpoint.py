@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -46,6 +47,7 @@ __all__ = [
     "MfSolution",
     "Diverged",
     "diverging",
+    "blowups_diverge",
     "solve",
     "residual",
     "diagnostics_to_jsonl",
@@ -56,8 +58,11 @@ _DIVERGENCE_WINDOW = 3
 
 
 def diverging(gaps: Sequence[float]) -> bool:
-    """The divergence rule: the last gap exceeds _DIVERGENCE_FACTOR times
-    the positive gap _DIVERGENCE_WINDOW iterations earlier."""
+    """The divergence rule: the last gap is not finite, or it exceeds
+    _DIVERGENCE_FACTOR times the positive gap _DIVERGENCE_WINDOW iterations
+    earlier."""
+    if gaps and not math.isfinite(gaps[-1]):
+        return True
     if len(gaps) <= _DIVERGENCE_WINDOW:
         return False
     ref = gaps[-1 - _DIVERGENCE_WINDOW]
@@ -162,6 +167,19 @@ class Diverged(RuntimeError):
     def __init__(self, message: str, history: list):
         super().__init__(message)
         self.history = history
+
+
+@contextmanager
+def blowups_diverge(what: str, history: list):
+    """The failure rule of an iteration step: numpy overflow and invalid
+    values pass silently (every step checks its own output), and a
+    FloatingPointError raised inside is re-raised as :class:`Diverged`
+    with the message "``what``: error" and ``history``."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except FloatingPointError as exc:
+        raise Diverged(f"{what}: {exc}", history) from exc
 
 
 def _zero_ensembles(particles: int, steps: int, m: int, d: int):
@@ -322,8 +340,9 @@ def solve(
 
     The iterate starts from the zero triple (a warm start from a previous
     solution can be supplied for parameter sweeps).  Raises
-    :class:`Diverged` when the gap grows by more than 10x across 3
-    consecutive outer steps or the particle system blows up.
+    :class:`Diverged` when the gap is not finite or grows by more than 10x
+    across 3 consecutive outer steps, or when the particle system blows up
+    (:func:`blowups_diverge`).
     """
     if abs(grid.horizon - p.horizon) > 1e-12 * max(1.0, p.horizon):
         raise ValueError(f"grid horizon {grid.horizon} does not match problem horizon {p.horizon}")
@@ -348,13 +367,10 @@ def solve(
     for n in range(1, params.max_outer + 1):
         flow = [joint_marginal(x_prev, y_prev, k) for k in range(x_prev.nodes)]
         mu_t = marginal(x_prev, x_prev.nodes - 1)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_cur, y_cur, z_cur, reg_diag, inner_exit, sweeps, inner_gap = _inner_solve(
-                    p, grid, bundle, params, flow, mu_t, (x_prev, y_prev, z_prev), accel
-                )
-        except FloatingPointError as exc:
-            raise Diverged(f"particle system blew up at outer iteration {n}: {exc}", history) from exc
+        with blowups_diverge(f"particle system blew up at outer iteration {n}", history):
+            x_cur, y_cur, z_cur, reg_diag, inner_exit, sweeps, inner_gap = _inner_solve(
+                p, grid, bundle, params, flow, mu_t, (x_prev, y_prev, z_prev), accel
+            )
 
         gap_xt, gap_u = _gaps(grid, (x_cur, y_cur, z_cur), (x_prev, y_prev, z_prev))
         gap_total = gap_xt + gap_u
@@ -380,12 +396,10 @@ def solve(
         prev_gap = gap_total
         if converged:
             break
-        if not math.isfinite(gap_total):
-            raise Diverged(f"non-finite Cauchy gap at outer iteration {n}", history)
         if diverging([rec.gap_total for rec in history]):
             raise Diverged(
-                f"Cauchy gap grew more than {_DIVERGENCE_FACTOR:g}x over "
-                f"{_DIVERGENCE_WINDOW} outer steps (n={n})",
+                f"Cauchy gap {gap_total:.3g} at outer iteration {n} is not finite or more than "
+                f"{_DIVERGENCE_FACTOR:g}x the gap {_DIVERGENCE_WINDOW} steps earlier",
                 history,
             )
 

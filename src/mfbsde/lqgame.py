@@ -32,7 +32,6 @@ horizon (the built-in two-player counterexample has det B(T) =
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -268,8 +267,9 @@ def _gate_times(gs: GameSpec) -> np.ndarray:
 
 
 def _sym_min_eig(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric part of a matrix or of a stack of them."""
-    return float(np.linalg.eigvalsh((mat + np.swapaxes(mat, -1, -2)) / 2.0)[..., 0].min())
+    """Smallest eigenvalue of the symmetric part of a matrix or of a stack of them
+    (halved before the sum, so finite entries near the overflow threshold stay finite)."""
+    return float(np.linalg.eigvalsh(mat / 2.0 + np.swapaxes(mat, -1, -2) / 2.0)[..., 0].min())
 
 
 def _spectral(mat: np.ndarray) -> float:
@@ -550,7 +550,9 @@ def _adjoint_problem(gs: GameSpec, i: int) -> MfProblem:
 def _solve_adjoint(gs, i, sol, params) -> tuple[PathEnsemble, PathEnsemble, list]:
     """Iterate the adjoint mean-field BSDE to a fixed point of its own
     mean coupling (frozen (X, p_i) flow, refrozen each pass).  Returns
-    (p_i, q_i) and the gap of every pass; the iteration count is its length."""
+    (p_i, q_i) and the gap of every pass; the iteration count is its length.
+    A pass that blows up, and gaps that :func:`fixpoint.diverging` flags,
+    raise :class:`fixpoint.Diverged` with the aggregated solve's history."""
     prob = _adjoint_problem(gs, i)
     grid, bundle = sol.grid, sol.bundle
     x_ens = sol.x_ens
@@ -559,10 +561,11 @@ def _solve_adjoint(gs, i, sol, params) -> tuple[PathEnsemble, PathEnsemble, list
     q_ens = None
     max_iter = 50
     gaps = []
-    for _ in range(max_iter):
-        flow = [joint_marginal(x_ens, p_ens, k) for k in range(x_ens.nodes)]
-        p_new, q_ens, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal, params.basis)
-        gap = float(np.trapezoid(node_msd(p_new.component_major, p_ens.component_major), dx=grid.dt))
+    for n in range(1, max_iter + 1):
+        with fixpoint.blowups_diverge(f"adjoint of player {i} blew up at pass {n}", sol.history):
+            flow = [joint_marginal(x_ens, p_ens, k) for k in range(x_ens.nodes)]
+            p_new, q_ens, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal, params.basis)
+            gap = float(np.trapezoid(node_msd(p_new.component_major, p_ens.component_major), dx=grid.dt))
         gaps.append(gap)
         p_ens = p_new
         if gap < params.tol**2:
@@ -586,17 +589,16 @@ def solve_nash(
     detection), reconstructs each player's adjoint pair by
     regression backward solves along the solved state, and applies the
     closed-form control map.  The identity sum K_i p_i = Ytilde (and its
-    q/Ztilde analogue) is recorded as an aggregation residual.
+    q/Ztilde analogue) is recorded as an aggregation residual.  Everything
+    runs on one thread; ``threads`` is kept for existing callers and must be 1.
     """
+    if threads != 1:
+        raise ValueError(f"solve_nash runs on one thread; threads must be 1, got {threads!r}")
     agg = build_aggregated(gs)
     sol = fixpoint.solve(agg, grid, params, seed)
 
     players = gs.players
-    if threads > 1 and players > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, players)) as pool:
-            results = list(pool.map(lambda i: _solve_adjoint(gs, i, sol, params), range(players)))
-    else:
-        results = [_solve_adjoint(gs, i, sol, params) for i in range(players)]
+    results = [_solve_adjoint(gs, i, sol, params) for i in range(players)]
     p_list = [r[0] for r in results]
     q_list = [r[1] for r in results]
     adjoint_gaps = [r[2] for r in results]
@@ -957,7 +959,7 @@ def game_from_config(cfg: dict) -> GameSpec:
     coefficients are constants, ``{"const": ...}`` or piecewise tables,
     and the per-player lists hold one entry per player (M and Gamma
     entries may be piecewise; C, N, Q, R are constant matrices).
-    Omitted zero blocks (D, beta, sigma, alpha, M, Gamma, R) default to
+    Omitted blocks (A, D, beta, sigma, alpha, M, Gamma, Q, R) default to
     zero.  Coefficients are deterministic; adapted random coefficients
     need library callbacks.
     """
@@ -966,32 +968,12 @@ def game_from_config(cfg: dict) -> GameSpec:
     for key in ("n", "m", "T", "x0", "C", "N"):
         if key not in cfg:
             raise ValueError(f"game config is missing required field {key!r}")
-    n = int(cfg["n"])
-    players = int(cfg["m"])
-    for name in ("C", "N"):
-        if len(cfg[name]) != players:
-            raise ValueError(f"{name} must list one entry per player ({players})")
-    for name in ("M", "Gamma", "Q", "R"):
-        if name in cfg and len(cfg[name]) != players:
-            raise ValueError(f"{name} must list one entry per player ({players})")
-    zeros_mat = np.zeros((n, n))
-    zeros_vec = np.zeros(n)
-    return GameSpec(
-        n=n,
-        horizon=float(cfg["T"]),
-        x0=np.asarray(cfg["x0"], dtype=float),
-        A=cfg.get("A", zeros_mat),
-        D=cfg.get("D", zeros_mat),
-        beta=cfg.get("beta", zeros_vec),
-        sigma=cfg.get("sigma", zeros_mat),
-        alpha=cfg.get("alpha", zeros_vec),
-        C=[np.asarray(c, dtype=float) for c in cfg["C"]],
-        N=[np.asarray(v, dtype=float) for v in cfg["N"]],
-        M=list(cfg.get("M", ())),
-        Gamma=list(cfg.get("Gamma", ())),
-        Q=[np.asarray(v, dtype=float) for v in cfg.get("Q", [zeros_mat] * players)],
-        R=[np.asarray(v, dtype=float) for v in cfg.get("R", [zeros_mat] * players)],
-    )
+    if len(cfg["C"]) != int(cfg["m"]):
+        raise ValueError(f"C must list one entry per player ({int(cfg['m'])})")
+    # GameSpec checks the shapes, the per-player lengths and the values, and zero-fills the omitted blocks
+    optional = {key: cfg[key] for key in ("D", "beta", "sigma", "alpha", "M", "Gamma", "R") if key in cfg}
+    return GameSpec(n=int(cfg["n"]), horizon=float(cfg["T"]), x0=cfg["x0"], A=cfg.get("A", 0.0),
+                    C=cfg["C"], N=cfg["N"], Q=cfg.get("Q", ()), **optional)
 
 
 def example3_game(horizon: float = 1.0) -> GameSpec:

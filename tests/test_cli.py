@@ -242,19 +242,38 @@ class TestGameCommand:
         assert report["nash"]["converged"] is True
         assert len(report["nash"]["costs"]) == 2
 
-    def test_threads_env_var_fallback(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, SCALAR_GAME)
-        monkeypatch.setenv("MFBSDE_THREADS", "2")
-        code = cli.main([
-            "game", cfg, "--particles", "400", "--steps", "20",
-            "--deviations", "2", "--out", str(tmp_path / "thr"),
-        ])
-        assert code == cli.EXIT_OK
-        monkeypatch.setenv("MFBSDE_THREADS", "junk")
-        assert cli.main([
-            "game", cfg, "--particles", "400", "--steps", "20",
-            "--deviations", "2", "--out", str(tmp_path / "thr2"),
-        ]) == cli.EXIT_CONFIG
+    def test_adjoint_blowup_is_divergence(self, tmp_path, capsys):
+        # the aggregated weights K_i Q_i stay small, but player 0's terminal adjoint Q_0 x_T overflows
+        payload = {"kind": "game", "n": 2, "m": 2, "T": 0.25, "x0": [1, 2], "A": 0, "alpha": [0.1, 0.1],
+                   "C": [[[1], [0]], [[0], [1]]], "N": [[[1]], [[1]]],
+                   "M": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]], "Q": [[[1, 0], [0, 1e308]], [[0, 0], [0, 1]]]}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["game", cfg, "--particles", "400", "--steps", "20", "--deviations", "2",
+                             "--out", str(out)])
+        assert code == cli.EXIT_NOT_CONVERGED
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("diverged: ") and "player 0" in lines[0]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert (out / "diagnostics.jsonl").read_text().strip()
+        assert json.loads((out / "report.json").read_text())["diverged"] is True
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["game", "cfg.json", "--bogus", "1"],
+        ["solve", "cfg.json", "--particles", "abc"],
+        [],
+    ])
+    def test_usage_error_is_config_error(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "usage: mfbsde" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert "usage: mfbsde" in capsys.readouterr().out
 
 
 class TestCounterexampleCommand:

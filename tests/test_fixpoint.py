@@ -40,6 +40,27 @@ class TestSchemeParams:
             SchemeParams(**kwargs)
 
 
+class TestDivergenceRule:
+    @pytest.mark.parametrize("gaps", [[math.inf], [1.0, math.inf], [1.0, math.nan]])
+    def test_non_finite_last_gap_diverges(self, gaps):
+        assert fixpoint.diverging(gaps)
+
+    def test_growth_over_the_window(self):
+        assert not fixpoint.diverging([])
+        assert not fixpoint.diverging([1.0, 2.0, 5.0])
+        assert not fixpoint.diverging([1.0, 2.0, 5.0, 10.0])
+        assert fixpoint.diverging([1.0, 2.0, 5.0, 10.5])
+
+    def test_blowups_diverge_reclassifies_floating_point_errors(self):
+        history = [object()]
+        with pytest.raises(Diverged, match="^stage 3: boom$") as err:
+            with fixpoint.blowups_diverge("stage 3", history):
+                raise FloatingPointError("boom")
+        assert err.value.history is history
+        with fixpoint.blowups_diverge("quiet", []):
+            assert np.isinf(np.float64(1e308) * 10)  # overflow passes without a warning
+
+
 class TestSolve:
     def test_decoupled_converges_in_two_outer_iterations(self):
         # no mean-field coupling: the frozen flow is exact after one pass
