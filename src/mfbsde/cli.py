@@ -37,7 +37,7 @@ EXIT_DEVIATION = 4
 
 # solver settings that SchemeParams holds (and whose defaults it owns); the
 # config "solver" block also takes the grid's steps and the run's seed
-_SCHEME_KEYS = ("particles", "delta", "tol", "max_outer", "inner_sweeps")
+_SCHEME_KEYS = ("particles", "delta", "tol", "max_outer")
 _SOLVER_KEYS = ("steps", "seed") + _SCHEME_KEYS
 
 
@@ -95,35 +95,33 @@ def _solver_settings(args, cfg: dict) -> dict:
     return out
 
 
-def _build_problem(kind: str, cfg: dict):
-    if kind == "problem":
-        return problem_from_config(cfg)
-    gs = lqgame.game_from_config(cfg)
-    return lqgame.build_aggregated(gs)
-
-
 def _scheme_params(args, settings: dict) -> fixpoint.SchemeParams:
     return fixpoint.SchemeParams(
         **{k: settings[k] for k in _SCHEME_KEYS}, basis=RegressionBasis(degree=args.basis_degree)
     )
 
 
-def _write_diverged(outdir: Path, exc: fixpoint.Diverged, report: dict) -> int:
-    """Write a diverged solve's history and report; returns the exit code."""
-    with open(outdir / "diagnostics.jsonl", "w") as fh:
-        fixpoint.diagnostics_to_jsonl(exc.history, fh)
-    with open(outdir / "report.json", "w") as fh:
-        _dump_json({**report, "converged": False, "diverged": True, "message": str(exc)}, fh)
-    print(f"diverged: {exc}", file=sys.stderr)
-    return EXIT_NOT_CONVERGED
+# The failure map: exception type -> (exit code, stderr prefix, report fields).
+# An entry with report fields writes report.json to the --out directory
+# registered by :func:`_open_out`, if any (a divergence also writes its
+# diagnostics.jsonl).
+_FAILURES = {
+    fixpoint.Diverged: (EXIT_NOT_CONVERGED, "diverged", {"converged": False, "diverged": True}),
+    FloatingPointError: (EXIT_NOT_CONVERGED, "numerical blow-up", {"numerical_blowup": True}),
+    ValueError: (EXIT_CONFIG, "config error", None),
+    KeyError: (EXIT_CONFIG, "config error", None),
+    TypeError: (EXIT_CONFIG, "config error", None),
+    OSError: (EXIT_CONFIG, "io error", None),
+}
 
 
-def _write_blowup(outdir: Path, exc: FloatingPointError, report: dict) -> int:
-    """Write the report of a run that overflowed; returns the exit code."""
-    with open(outdir / "report.json", "w") as fh:
-        _dump_json({**report, "numerical_blowup": True, "message": str(exc)}, fh)
-    print(f"numerical blow-up: {exc}", file=sys.stderr)
-    return EXIT_NOT_CONVERGED
+def _open_out(args, report: dict) -> Path:
+    """Create --out and register it, with the command's partial report,
+    for the failure map in :func:`main`."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    args.registered_out = (outdir, report)
+    return outdir
 
 
 def _write_solution(outdir: Path, sol, prob) -> None:
@@ -167,17 +165,11 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     kind, cfg = _load_config(args.config)
     settings = _solver_settings(args, cfg)
-    prob = _build_problem(kind, cfg)
+    prob = problem_from_config(cfg) if kind == "problem" else lqgame.build_aggregated(lqgame.game_from_config(cfg))
     grid = TimeGrid(horizon=prob.horizon, steps=settings["steps"])
     params = _scheme_params(args, settings)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        sol = fixpoint.solve(prob, grid, params, seed=settings["seed"])
-    except fixpoint.Diverged as exc:
-        return _write_diverged(outdir, exc, {})
-    except FloatingPointError as exc:
-        return _write_blowup(outdir, exc, {})
+    outdir = _open_out(args, {})
+    sol = fixpoint.solve(prob, grid, params, seed=settings["seed"])
     _write_solution(outdir, sol, prob)
     print(f"converged={sol.converged} after {len(sol.history)} outer iterations; outputs in {outdir}")
     return EXIT_OK if sol.converged else EXIT_NOT_CONVERGED
@@ -194,30 +186,22 @@ def cmd_game(args) -> int:
     grid = TimeGrid(horizon=gs.horizon, steps=settings["steps"])
     h2 = lqgame.check_H2(gs, grid)
     params = _scheme_params(args, settings)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        nash = lqgame.solve_nash(gs, grid, params, seed=settings["seed"])
-        if args.corrupt_control is not None:
-            # test hook: shift player 0's control and re-evaluate
-            corrupted = list(nash.controls)
-            corrupted[0] = dataclasses.replace(
-                corrupted[0], values=corrupted[0].values + args.corrupt_control
-            )
-            nash = dataclasses.replace(nash, controls=corrupted)
-        reports = [
-            lqgame.deviation_test(
-                gs, nash, i,
-                perturbations=args.deviations,
-                magnitude=args.deviation_magnitude,
-                seed=settings["seed"] + 1 + i,
-            )
-            for i in range(gs.players)
-        ]
-    except fixpoint.Diverged as exc:
-        return _write_diverged(outdir, exc, {"h2": h2.to_dict()})
-    except FloatingPointError as exc:
-        return _write_blowup(outdir, exc, {"h2": h2.to_dict()})
+    outdir = _open_out(args, {"h2": h2.to_dict()})
+    nash = lqgame.solve_nash(gs, grid, params, seed=settings["seed"])
+    if args.corrupt_control is not None:
+        # test hook: shift player 0's control and re-evaluate
+        corrupted = list(nash.controls)
+        corrupted[0] = dataclasses.replace(corrupted[0], values=corrupted[0].values + args.corrupt_control)
+        nash = dataclasses.replace(nash, controls=corrupted)
+    reports = [
+        lqgame.deviation_test(
+            gs, nash, i,
+            perturbations=args.deviations,
+            magnitude=args.deviation_magnitude,
+            seed=settings["seed"] + 1 + i,
+        )
+        for i in range(gs.players)
+    ]
 
     with open(outdir / "diagnostics.jsonl", "w") as fh:
         fixpoint.diagnostics_to_jsonl(nash.aggregated.history, fh)
@@ -283,8 +267,6 @@ def _add_solver_flags(sub) -> None:
     sub.add_argument("--tol", type=float, default=None, help=f"L2 stopping threshold (default {sp.tol:g})")
     sub.add_argument("--max-outer", dest="max_outer", type=int, default=None,
                      help=f"outer iteration cap (default {sp.max_outer})")
-    sub.add_argument("--inner-sweeps", dest="inner_sweeps", type=int, default=None,
-                     help=f"minimum forward/backward alternations per outer step (default {sp.inner_sweeps})")
     sub.add_argument("--basis-degree", type=int, default=1, choices=(0, 1, 2),
                      help="regression basis degree (default 1)")
     sub.add_argument("--out", default="out", help="output directory (default ./out)")
@@ -336,15 +318,18 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.handler(args)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FloatingPointError as exc:
-        print(f"numerical blow-up: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    except tuple(_FAILURES) as exc:
+        code, prefix, fields = next(row for kind, row in _FAILURES.items() if isinstance(exc, kind))
+        registered = getattr(args, "registered_out", None)
+        if fields is not None and registered is not None:
+            outdir, report = registered
+            if isinstance(exc, fixpoint.Diverged):
+                with open(outdir / "diagnostics.jsonl", "w") as fh:
+                    fixpoint.diagnostics_to_jsonl(exc.history, fh)
+            with open(outdir / "report.json", "w") as fh:
+                _dump_json({**report, **fields, "message": str(exc)}, fh)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -69,7 +69,8 @@ def diverging(gaps: Sequence[float]) -> bool:
     return ref > 0 and gaps[-1] > _DIVERGENCE_FACTOR * ref
 
 
-# the inner solve's sweep cap and the memory depth of its Anderson mixing
+# the inner solve's sweep floor and cap, and the memory depth of its Anderson mixing
+_INNER_MIN_SWEEPS = 3
 _INNER_MAX_SWEEPS = 60
 _ANDERSON_DEPTH = 3
 
@@ -82,28 +83,27 @@ class SchemeParams:
     value is admissible; 0 disables the damping terms); the diagnostics'
     theoretical contraction ratio uses it with the default Young parameters.
 
-    Each outer step's standard FBSDE is solved by forward/backward
-    alternations: at least inner_sweeps of them (at most the fixed cap of
-    60), continuing until the sweep self-consistency gap falls below
-    (tol/10)^2.
+    Each outer step's standard FBSDE is solved by 3 to 60 forward/backward
+    alternations, continuing until the sweep self-consistency gap falls
+    below (tol/10)^2.
     """
 
     delta: float = 1e-3
     tol: float = 1e-3
     max_outer: int = 50
-    inner_sweeps: int = 3
     particles: int = 4096
     basis: RegressionBasis = field(default_factory=RegressionBasis)
 
     def __post_init__(self):
+        for name in ("delta", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if not 1 <= self.inner_sweeps <= _INNER_MAX_SWEEPS:
-            raise ValueError(f"inner_sweeps must be between 1 and {_INNER_MAX_SWEEPS}")
         if self.particles < 2:
             raise ValueError("particles must be >= 2")
 
@@ -121,7 +121,6 @@ class IterationDiagnostics:
     theory_ratio: float
     max_regression_residual: float
     ridge_fallback: bool
-    converged: bool
     inner_sweeps: int
     inner_gap: float
     inner_exit: str
@@ -289,34 +288,32 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel
 
     One sweep propagates X under the current (Y, Z) and re-regresses the
     backward pair along the new paths; the next sweep starts from the
-    Anderson mix of the swept pairs.  Runs at least params.inner_sweeps
+    Anderson mix of the swept pairs.  Runs at least _INNER_MIN_SWEEPS
     sweeps and stops once the sweep-to-sweep gap drops below (tol/10)^2
-    (well below the outer stopping threshold), when the gaps grow (left
-    to the outer divergence rule) or at the sweep cap.  Returns the last
-    swept (X, Y, Z), its regression diagnostics, why the solve stopped
-    ("target", "growth" or "cap"), its sweep count and its last
-    sweep-to-sweep gap.
+    (well below the outer stopping threshold), when :func:`diverging`
+    flags the sweep gaps (left to the outer solve to classify) or at the
+    sweep cap.  Returns the last swept (X, Y, Z), its regression
+    diagnostics, why the solve stopped ("target", "growth" or "cap"), its
+    sweep count and its last sweep-to-sweep gap.
     """
     x_prev, y_prev, z_prev = start
     target = (0.1 * params.tol) ** 2
     x_cur, y_cur, z_cur = start
     accel.restart()
-    gap_min = math.inf
-    growing = 0
+    gaps = []
     for sweep in range(1, _INNER_MAX_SWEEPS + 1):
         x_new = propagate(p, grid, bundle, y_cur, z_cur, y_prev, z_prev, flow, params.delta)
         y_hat, z_hat, reg_diag = solve_backward(p, grid, bundle, x_new, flow, mu_t, params.basis)
         gap = accel.observe((x_new, y_hat, z_hat), (x_cur, y_cur, z_cur), grid.dt)
         if not math.isfinite(gap):
             raise FloatingPointError(f"inner sweep gap became non-finite at sweep {sweep}")
-        met = gap < target
-        gap_min = min(gap_min, gap)
-        growing = growing + 1 if gap > 100.0 * gap_min else 0
-        if sweep == _INNER_MAX_SWEEPS or (sweep >= params.inner_sweeps and (met or growing >= 3)):
+        gaps.append(gap)
+        stop = "target" if gap < target else "growth" if diverging(gaps) else None
+        if sweep == _INNER_MAX_SWEEPS or (sweep >= _INNER_MIN_SWEEPS and stop):
             break
         y_cur, z_cur = accel.mix()
         x_cur = x_new
-    return x_new, y_hat, z_hat, reg_diag, "target" if met else "growth" if growing >= 3 else "cap", sweep, gap
+    return x_new, y_hat, z_hat, reg_diag, stop or "cap", sweep, gap
 
 
 def _theory_ratio(p: MfProblem, params: SchemeParams) -> float:
@@ -361,7 +358,6 @@ def solve(
     history: list[IterationDiagnostics] = []
     converged = False
     x_cur, y_cur, z_cur = x_prev, y_prev, z_prev
-    prev_gap = math.nan
     accel = _Anderson(_ANDERSON_DEPTH, (grid.steps + 1, m, params.particles), (grid.steps, m * d, params.particles))
 
     for n in range(1, params.max_outer + 1):
@@ -374,7 +370,8 @@ def solve(
 
         gap_xt, gap_u = _gaps(grid, (x_cur, y_cur, z_cur), (x_prev, y_prev, z_prev))
         gap_total = gap_xt + gap_u
-        ratio = gap_total / prev_gap if (math.isfinite(prev_gap) and prev_gap > 0) else math.nan
+        prev_gap = history[-1].gap_total if history else math.nan
+        ratio = gap_total / prev_gap if 0 < prev_gap < math.inf else math.nan
         # an outer step counts only when its inner solve met its own target
         converged = gap_total < params.tol**2 and inner_exit == "target"
         history.append(
@@ -386,14 +383,12 @@ def solve(
                 theory_ratio=theory,
                 max_regression_residual=reg_diag.max_residual,
                 ridge_fallback=reg_diag.used_ridge,
-                converged=converged,
                 inner_sweeps=sweeps,
                 inner_gap=inner_gap,
                 inner_exit=inner_exit,
             )
         )
         x_prev, y_prev, z_prev = x_cur, y_cur, z_cur
-        prev_gap = gap_total
         if converged:
             break
         if diverging([rec.gap_total for rec in history]):

@@ -80,6 +80,8 @@ _COMMUTATION_TOL = 1e-10
 _SINGULARITY_RTOL = 1e-9
 # RK4 steps of the full-horizon mean transition when a coefficient is a callable
 _RK4_STEPS = 512
+# cap on the passes of one player's adjoint iteration
+_ADJOINT_MAX_PASSES = 50
 
 
 def _sample_times(horizon: float, paths, samples: int = 257) -> np.ndarray:
@@ -222,8 +224,10 @@ class H2Report:
 
     eta1/eta2 are the smallest eigenvalues of the symmetric parts of
     sum K_i Q_i and (over the checked times) sum K_i M_i(t).  The mean
-    couplings ||sum K_i R_i|| and ||D|| must both stay below the relaxed
-    smallness bound at (k, k') = (min{1, eta2}, eta1), that is
+    couplings ||sum K_i R_i|| and norm_D, the sup of
+    ||[[D, 0], [sum K_i Gamma_i, D']]|| (the sup of ||D|| when every
+    Gamma_i is 0), must both stay below the relaxed smallness bound at
+    (k, k') = (min{1, eta2}, eta1), that is
     min{2(sqrt2-1) eta1, sqrt2/2, (sqrt2/2) eta2}.
     """
 
@@ -262,8 +266,9 @@ class H2Report:
 
 def _gate_times(gs: GameSpec) -> np.ndarray:
     """Where the gate and the aggregated constants evaluate the coefficients:
-    uniform times plus every breakpoint of A, D, sigma and the M_i in [0, T]."""
-    return _sample_times(gs.horizon, [gs.A, gs.D, gs.sigma] + list(gs.M))
+    uniform times plus every breakpoint of A, D, sigma, the M_i and the
+    Gamma_i in [0, T]."""
+    return _sample_times(gs.horizon, [gs.A, gs.D, gs.sigma, *gs.M, *gs.Gamma])
 
 
 def _sym_min_eig(mat: np.ndarray) -> float:
@@ -279,15 +284,19 @@ def _spectral(mat: np.ndarray) -> float:
 
 def _gate(gs: GameSpec, times: np.ndarray):
     """The game's gate data at ``times``: K_i, sum K_i Q_i, sum K_i R_i, the
-    path t -> sum K_i M_i(t), the stacks (A, D, sigma, sum K_i M_i) at those
-    times, and eta1, eta2 (smallest eigenvalues of the symmetric parts of
-    sum K_i Q_i and of the sum K_i M_i stack).  Every sup the gate and the
-    aggregated constants take is a :func:`_spectral` over these stacks."""
+    paths t -> sum K_i M_i(t) and t -> sum K_i Gamma_i(t), the stacks
+    (A, D, sigma, sum K_i M_i) at those times with the stack of the
+    aggregated mean coupling [[D, 0], [sum K_i Gamma_i, D']], and eta1, eta2
+    (smallest eigenvalues of the symmetric parts of sum K_i Q_i and of the
+    sum K_i M_i stack).  Every sup the gate and the aggregated constants
+    take is a :func:`_spectral` over these stacks."""
     K = gs.k_matrices()
     skq = sum(k @ q for k, q in zip(K, gs.Q))
-    skm = map_path(lambda *ms: sum(k @ m for k, m in zip(K, ms)), *gs.M)
-    stacks = [np.stack([path(t) for t in times]) for path in (gs.A, gs.D, gs.sigma, skm)]
-    return K, skq, sum(k @ r for k, r in zip(K, gs.R)), skm, stacks, _sym_min_eig(skq), _sym_min_eig(stacks[-1])
+    skm, skg = (map_path(lambda *ps: sum(k @ p for k, p in zip(K, ps)), *paths) for paths in (gs.M, gs.Gamma))
+    a, d, s, m, g = (np.stack([path(t) for t in times]) for path in (gs.A, gs.D, gs.sigma, skm, skg))
+    coupling = np.block([[d, np.zeros_like(d)], [g, np.swapaxes(d, -1, -2)]])
+    skr = sum(k @ r for k, r in zip(K, gs.R))
+    return K, skq, skr, skm, skg, (a, d, s, m, coupling), _sym_min_eig(skq), _sym_min_eig(m)
 
 
 def check_H2(gs: GameSpec, grid: TimeGrid) -> H2Report:
@@ -295,10 +304,10 @@ def check_H2(gs: GameSpec, grid: TimeGrid) -> H2Report:
     and at the times :func:`build_aggregated` samples (every coefficient
     breakpoint in [0, T] among them), so a piece between two nodes is not
     missed."""
-    K, _, skr, _, (a, d, s, _), eta1, eta2 = _gate(gs, np.union1d(grid.nodes, _gate_times(gs)))
+    K, _, skr, _, _, (a, d, s, _, coupling), eta1, eta2 = _gate(gs, np.union1d(grid.nodes, _gate_times(gs)))
     mats = np.swapaxes(np.concatenate([a, d, s]), -1, -2)
     commut = max(_spectral(k @ mats - mats @ k) for k in K)
-    norm_d = _spectral(d)
+    norm_d = _spectral(coupling)
     norm_kr = _spectral(skr)
     bound = smallness_bound(min(1.0, eta2), eta1, H1PRIME)
     positivity_ok = eta1 > 0 and eta2 > 0
@@ -334,19 +343,22 @@ def build_aggregated(gs: GameSpec) -> MfProblem:
 
         f(t, x, y, z, nu)     = A_t x - y + D_t E[xi_1] + beta_t
         sigma(t, x, y, z)     = sigma_t x + alpha_t              (law-free)
-        h(t, x, y, z, nu)     = -A_t' y - (sum K_i M_i) x - D_t' E[xi_2] - sigma_t' z
+        h(t, x, y, z, nu)     = -A_t' y - (sum K_i M_i) x - (sum K_i Gamma_i) E[xi_1]
+                                - D_t' E[xi_2] - sigma_t' z
         g(x, mu)              = (sum K_i Q_i) x + (sum K_i R_i) E[mu]
 
-    with attached constants C_nu = sup ||D||, C_g_nu = ||sum K_i R_i||,
-    k = min{1, eta2}, k' = eta1, the sups and eta2 taken at the gate's
-    times in [0, T].  When eta1 or eta2 is nonpositive the problem
-    carries no monotonicity profile (the constants do not exist).
+    (h and g are the K-weighted sums of the players' adjoint tables) with
+    attached constants C_nu = sup ||[[D, 0], [sum K_i Gamma_i, D']]||,
+    C_g_nu = ||sum K_i R_i||, k = min{1, eta2}, k' = eta1, the sups and
+    eta2 taken at the gate's times in [0, T].  When eta1 or eta2 is
+    nonpositive the problem carries no monotonicity profile (the
+    constants do not exist).
     """
     n = gs.n
-    _, skq, skr, skm, (a, d, s, m), eta1, eta2 = _gate(gs, _gate_times(gs))
+    _, skq, skr, skm, skg, (a, _, s, m, coupling), eta1, eta2 = _gate(gs, _gate_times(gs))
     lip = LipschitzProfile(
         c_u=max(_spectral(a), 1.0, _spectral(m), _spectral(s)),
-        c_nu=_spectral(d),
+        c_nu=_spectral(coupling),
         c_g_x=_spectral(skq),
         c_g_nu=_spectral(skr),
     )
@@ -355,9 +367,20 @@ def build_aggregated(gs: GameSpec) -> MfProblem:
         mono = MonotonicityProfile(k=min(1.0, eta2), k_prime=eta1, variant=H1PRIME)
 
     f, sigma = _dynamics(gs, y=-np.eye(n))
-    h = AffineCoeffs(n, "h", x=map_path(np.negative, skm), y=_neg_t(gs.A), z=_neg_t(gs.sigma), mean_y=_neg_t(gs.D))
-    g = AffineCoeffs(n, "g", x=skq, mean_x=skr)
+    h, g = _adjoint_tables(gs, skm, skg, skq, skr)
     return affine_problem(gs.x0, gs.horizon, f, h, sigma, g, lipschitz=lip, monotonicity=mono)
+
+
+def _adjoint_tables(gs: GameSpec, m, gamma, q, r) -> tuple[AffineCoeffs, AffineCoeffs]:
+    """The adjoint equation's driver and terminal map for the cost weights
+    (M, Gamma, Q, R), on the joint (X, p) measure:
+
+        h(t, x, y, z, nu) = -A_t' y - M_t x - Gamma_t E[X] - D_t' E[p] - sigma_t' z
+        g(x, mu)          = Q x + R E[mu]
+    """
+    h = AffineCoeffs(gs.n, "h", x=map_path(np.negative, m), y=_neg_t(gs.A), z=_neg_t(gs.sigma),
+                     mean_x=map_path(np.negative, gamma), mean_y=_neg_t(gs.D))
+    return h, AffineCoeffs(gs.n, "g", x=q, mean_x=r)
 
 
 def _neg_t(path):
@@ -495,9 +518,12 @@ def cost(gs: GameSpec, i: int, x_ens: PathEnsemble, controls, grid: TimeGrid) ->
 
 @dataclass
 class NashResult:
-    """Synthesized equilibrium candidate with Monte Carlo costs."""
+    """Synthesized equilibrium candidate with Monte Carlo costs; converged
+    means the aggregated solve converged and every player's adjoint gap
+    trace ends below tol^2."""
 
     aggregated: fixpoint.MfSolution
+    converged: bool
     controls: list
     adjoints_p: list
     adjoints_q: list
@@ -515,10 +541,6 @@ class NashResult:
     def x_ens(self) -> PathEnsemble:
         return self.aggregated.x_ens
 
-    @property
-    def converged(self) -> bool:
-        return self.aggregated.converged
-
     def summary(self) -> dict:
         return {
             "converged": self.converged,
@@ -534,34 +556,28 @@ class NashResult:
 
 
 def _adjoint_problem(gs: GameSpec, i: int) -> MfProblem:
-    """Player i's adjoint backward equation packaged for the regression
-    solver; the measure argument carries the joint (X, p_i) cloud:
-
-        h(t, x, y, z, nu) = -A_t' y - M_i(t) x - D_t' E[p_i] - sigma_t' z - Gamma_i(t) E[X]
-        g(x, mu)          = Q_i x + R_i E[mu]
-    """
-    n = gs.n
-    h = AffineCoeffs(n, "h", x=map_path(np.negative, gs.M[i]), y=_neg_t(gs.A), z=_neg_t(gs.sigma),
-                     mean_x=map_path(np.negative, gs.Gamma[i]), mean_y=_neg_t(gs.D))
-    g = AffineCoeffs(n, "g", x=gs.Q[i], mean_x=gs.R[i])
-    return affine_problem(gs.x0, gs.horizon, f=AffineCoeffs(n), h=h, sigma=AffineCoeffs(n), g=g)
+    """Player i's adjoint backward equation (:func:`_adjoint_tables` with
+    (M_i, Gamma_i, Q_i, R_i)) packaged for the regression solver; the
+    measure argument carries the joint (X, p_i) cloud."""
+    h, g = _adjoint_tables(gs, gs.M[i], gs.Gamma[i], gs.Q[i], gs.R[i])
+    return affine_problem(gs.x0, gs.horizon, f=AffineCoeffs(gs.n), h=h, sigma=AffineCoeffs(gs.n), g=g)
 
 
 def _solve_adjoint(gs, i, sol, params) -> tuple[PathEnsemble, PathEnsemble, list]:
     """Iterate the adjoint mean-field BSDE to a fixed point of its own
-    mean coupling (frozen (X, p_i) flow, refrozen each pass).  Returns
-    (p_i, q_i) and the gap of every pass; the iteration count is its length.
-    A pass that blows up, and gaps that :func:`fixpoint.diverging` flags,
-    raise :class:`fixpoint.Diverged` with the aggregated solve's history."""
+    mean coupling (frozen (X, p_i) flow, refrozen each pass) until a gap is
+    below tol^2, for at most _ADJOINT_MAX_PASSES passes.  Returns (p_i, q_i)
+    and the gap of every pass; the iteration count is its length.  A pass
+    that blows up, and gaps that :func:`fixpoint.diverging` flags, raise
+    :class:`fixpoint.Diverged` with the aggregated solve's history."""
     prob = _adjoint_problem(gs, i)
     grid, bundle = sol.grid, sol.bundle
     x_ens = sol.x_ens
     terminal = marginal(x_ens, x_ens.nodes - 1)
     p_ens = from_component_major(np.zeros((grid.steps + 1, gs.n, bundle.particles)))
     q_ens = None
-    max_iter = 50
     gaps = []
-    for n in range(1, max_iter + 1):
+    for n in range(1, _ADJOINT_MAX_PASSES + 1):
         with fixpoint.blowups_diverge(f"adjoint of player {i} blew up at pass {n}", sol.history):
             flow = [joint_marginal(x_ens, p_ens, k) for k in range(x_ens.nodes)]
             p_new, q_ens, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal, params.basis)
@@ -620,6 +636,7 @@ def solve_nash(
 
     return NashResult(
         aggregated=sol,
+        converged=sol.converged and all(gaps[-1] < params.tol**2 for gaps in adjoint_gaps),
         controls=controls,
         adjoints_p=p_list,
         adjoints_q=q_list,

@@ -304,3 +304,26 @@ class TestCounterexampleCommand:
         signs = np.sign(dets)
         changes = np.sum(signs[1:] * signs[:-1] < 0)
         assert changes == 1
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("flag,value", [("--delta", "nan"), ("--tol", "inf"), ("--tol", "nan")])
+    def test_non_finite_scheme_value_is_config_error(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, TOY_PROBLEM)
+        out = tmp_path / "o"
+        assert cli.main(["solve", cfg, flag, value, "--out", str(out)]) == cli.EXIT_CONFIG
+        name = flag.lstrip("-")
+        assert capsys.readouterr().err == f"config error: {name} must be finite, got {float(value)}\n"
+        assert not out.exists()
+
+    def test_adjoint_pass_cap_blocks_convergence(self, tmp_path, monkeypatch):
+        # one adjoint pass: its gap against the zero start is far above tol^2
+        monkeypatch.setattr(cli.lqgame, "_ADJOINT_MAX_PASSES", 1)
+        cfg = write_config(tmp_path, SCALAR_GAME)
+        out = tmp_path / "game"
+        code = cli.main(["game", cfg, "--particles", "500", "--steps", "30", "--deviations", "2",
+                         "--out", str(out)])
+        assert code == cli.EXIT_NOT_CONVERGED
+        nash = json.loads((out / "report.json").read_text())["nash"]
+        assert nash["converged"] is False and nash["adjoint_iterations"] == [1]
+        assert nash["adjoint_gaps"][0][0] >= 1e-3**2

@@ -29,10 +29,12 @@ class TestSchemeParams:
         [
             {"tol": 0.0},
             {"max_outer": 0},
-            {"inner_sweeps": 0},
+            {"delta": math.nan},
             {"delta": -1.0},
             {"particles": 1},
-            {"inner_sweeps": 61},  # above the inner sweep cap
+            {"tol": math.inf},
+            {"tol": math.nan},
+            {"delta": math.inf},
         ],
     )
     def test_validation(self, kwargs):
@@ -89,7 +91,7 @@ class TestSolve:
         p = h1prime_toy()
         sol = fixpoint.solve(
             p, TimeGrid(0.25, 60),
-            SchemeParams(delta=0.01, particles=1500, max_outer=6, tol=1e-12, inner_sweeps=3),
+            SchemeParams(delta=0.01, particles=1500, max_outer=6, tol=1e-12),
             seed=11,
         )
         gaps = [rec.gap_total for rec in sol.history]
@@ -103,6 +105,8 @@ class TestSolve:
         with pytest.raises(Diverged) as err:
             fixpoint.solve(agg, TimeGrid(1.0, 40), params, seed=5)
         assert len(err.value.history) >= 1
+        # every inner solve's sweep gaps trip the divergence rule too
+        assert all(rec.inner_exit == "growth" for rec in err.value.history)
 
     def test_common_random_numbers_repeat_bit_identical(self):
         p = h1prime_toy()
@@ -176,12 +180,12 @@ class TestSolve:
         # that sweep's own gap is still above its (tol/10)^2 target
         monkeypatch.setattr(fixpoint, "_INNER_MAX_SWEEPS", 1)
         p, grid = h1prime_toy(), TimeGrid(0.25, 30)
-        short = fixpoint.solve(p, grid, SchemeParams(particles=500, max_outer=6, tol=1e-3, inner_sweeps=1), seed=5)
+        short = fixpoint.solve(p, grid, SchemeParams(particles=500, max_outer=6, tol=1e-3), seed=5)
         assert short.history[-1].gap_total < 1e-6
         assert short.history[-1].inner_exit == "cap"
         assert short.history[-1].inner_gap >= 1e-8
         assert not short.converged
-        longer = fixpoint.solve(p, grid, SchemeParams(particles=500, max_outer=30, tol=1e-3, inner_sweeps=1), seed=5)
+        longer = fixpoint.solve(p, grid, SchemeParams(particles=500, max_outer=30, tol=1e-3), seed=5)
         assert longer.converged
         assert len(longer.history) == 7
 
@@ -342,8 +346,8 @@ class TestResidual:
 class TestDiagnosticsStream:
     def test_jsonl_records(self):
         recs = [
-            IterationDiagnostics(1, 0.5, 0.25, math.nan, 0.08, 1e-3, False, False, 60, 2e-6, "cap"),
-            IterationDiagnostics(2, 0.05, 0.02, 0.093, 0.08, 1e-3, True, True, 4, 5e-9, "target"),
+            IterationDiagnostics(1, 0.5, 0.25, math.nan, 0.08, 1e-3, False, 60, 2e-6, "cap"),
+            IterationDiagnostics(2, 0.05, 0.02, 0.093, 0.08, 1e-3, True, 4, 5e-9, "target"),
         ]
         buf = io.StringIO()
         fixpoint.diagnostics_to_jsonl(recs, buf)

@@ -151,6 +151,12 @@ class TestBuildAggregated:
         assert agg.lipschitz.c_nu == pytest.approx(0.3)
         assert agg.lipschitz.c_g_nu == pytest.approx(0.2)  # ||sum K_i R_i||, K = 1
 
+    def test_the_mean_coupling_bound_covers_gamma(self):
+        gs = scalar_game(D=[[0.3]], Gamma=[[[0.4]]])
+        block = np.array([[0.3, 0.0], [0.4, 0.3]])  # [[D, 0], [K Gamma, D']], K = 1
+        assert lqgame.check_H2(gs, TimeGrid(1.0, 10)).norm_D == pytest.approx(np.linalg.norm(block, 2))
+        assert lqgame.build_aggregated(gs).lipschitz.c_nu == pytest.approx(np.linalg.norm(block, 2))
+
     def test_operator_form_matches_reduced_expression(self):
         # A(t, u, u', nu) = -|dy|^2 - dx' (sum K_i M_i) dx for any spec
         gs = lqgame.GameSpec(
@@ -202,10 +208,11 @@ class TestBuildAggregated:
         for t in (0.2, 0.5, 0.7):
             a, d, s = gs.A(t), gs.D(t), gs.sigma(t)
             skm = sum(k @ m(t) for k, m in zip(K, gs.M))
+            skg = sum(k @ g(t) for k, g in zip(K, gs.Gamma))
             checks = [
                 (agg.f(t, x, y, z, nu), x @ a.T - y + m1 @ d.T + gs.beta(t)),
                 (agg.sigma(t, x, y, z, None)[:, :, 0], x @ s.T + gs.alpha(t)),
-                (agg.h(t, x, y, z, nu), -(y @ a + x @ skm.T + m2 @ d + zv @ s)),
+                (agg.h(t, x, y, z, nu), -(y @ a + x @ skm.T + m2 @ d + zv @ s + m1 @ skg.T)),
             ]
             for i in range(gs.players):
                 adj = lqgame._adjoint_problem(gs, i)
@@ -406,6 +413,23 @@ class TestNash:
         for i in range(2):
             rep = lqgame.deviation_test(gs, nash, i, perturbations=8, magnitude=0.1, seed=20 + i)
             assert rep.passed
+
+    def test_mean_cost_weights_enter_the_aggregated_driver(self):
+        # mean cost weights Gamma_i = 2: sum K_i Gamma_i E[X] drives the
+        # aggregated adjoint, or sum K_i p_i drifts off Ytilde and the means
+        # off the mean reduction
+        gs = lqgame.GameSpec(
+            n=1, horizon=1.0, x0=[1.0], A=0.2, D=0.15, beta=0.1, alpha=0.4,
+            C=[[[1.0]], [[0.8]]], N=[[[1.0]], [[2.0]]], Q=[[[1.0]], [[0.5]]],
+            M=[[[0.8]], [[1.0]]], Gamma=[[[2.0]], [[2.0]]],
+        )
+        grid, particles = TimeGrid(1.0, 80), 4000
+        nash = lqgame.solve_nash(gs, grid, fixpoint.SchemeParams(particles=particles), seed=3)
+        assert nash.converged
+        assert nash.aggregation_residual_y < 1e-5
+        oracle = lqgame.solve_mean_fbode(gs, times=grid.nodes)
+        emp = nash.x_ens.values.mean(axis=0)[:, 0]
+        assert np.abs(emp - oracle.state_mean[:, 0]).max() < 3 * (grid.dt + particles**-0.5)
 
     @pytest.mark.parametrize("threads", [0, 2])
     def test_only_one_thread_accepted(self, threads):
