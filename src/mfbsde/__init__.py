@@ -15,7 +15,7 @@ from .lqgame import (
     solve_mean_fbode,
     solve_nash,
 )
-from .measure import EmpiricalMeasure, mean, w2_exact, w2_paired_bound
+from .measure import EmpiricalMeasure, w2_exact, w2_paired_bound
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, make_bundle, marginal
 from .problem import (
     LipschitzProfile,
@@ -54,7 +54,6 @@ __all__ = [
     "example3_game",
     "make_bundle",
     "marginal",
-    "mean",
     "propagate",
     "residual",
     "solve",

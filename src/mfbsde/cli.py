@@ -178,6 +178,8 @@ def cmd_solve(args) -> int:
 def cmd_game(args) -> int:
     if args.deviations < 1:
         raise ValueError(f"--deviations must be >= 1, got {args.deviations}")
+    if not math.isfinite(args.deviation_magnitude):
+        raise ValueError(f"--deviation-magnitude must be finite, got {args.deviation_magnitude}")
     kind, cfg = _load_config(args.config)
     if kind != "game":
         raise ValueError("the game command needs a game config")
@@ -228,10 +230,12 @@ def _parse_sweep(spec: str) -> np.ndarray:
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise ValueError(f"--T-sweep expects a:b:step, got {spec!r}") from exc
-    if step <= 0 or hi < lo:
-        raise ValueError(f"--T-sweep expects a <= b and step > 0, got {spec!r}")
-    count = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(count)
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise ValueError(f"--T-sweep expects finite a <= b and step > 0, got {spec!r}")
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ValueError(f"--T-sweep step is too small for its range, got {spec!r}")
+    return lo + step * np.arange(int(round(span)) + 1)
 
 
 def cmd_counterexample(args) -> int:

@@ -330,15 +330,13 @@ def solve(
     grid: TimeGrid,
     params: SchemeParams,
     seed: int = 0,
-    warm_start: MfSolution | None = None,
 ) -> MfSolution:
     """Run the frozen-measure iteration until the Cauchy gap is below
     tol^2 or max_outer is reached.
 
-    The iterate starts from the zero triple (a warm start from a previous
-    solution can be supplied for parameter sweeps).  Raises
-    :class:`Diverged` when the gap is not finite or grows by more than 10x
-    across 3 consecutive outer steps, or when the particle system blows up
+    The iterate starts from the zero triple.  Raises :class:`Diverged`
+    when the gap is not finite or grows by more than 10x across 3
+    consecutive outer steps, or when the particle system blows up
     (:func:`blowups_diverge`).
     """
     if abs(grid.horizon - p.horizon) > 1e-12 * max(1.0, p.horizon):
@@ -348,12 +346,7 @@ def solve(
     bundle = make_bundle(grid, params.particles, d, seed)
     theory = _theory_ratio(p, params)
 
-    if warm_start is not None:
-        x_prev, y_prev, z_prev = warm_start.x_ens, warm_start.y_ens, warm_start.z_ens
-        if x_prev.particles != params.particles or x_prev.nodes != grid.steps + 1:
-            raise ValueError("warm start shapes do not match the requested grid/particles")
-    else:
-        x_prev, y_prev, z_prev = _zero_ensembles(params.particles, grid.steps, m, d)
+    x_prev, y_prev, z_prev = _zero_ensembles(params.particles, grid.steps, m, d)
 
     history: list[IterationDiagnostics] = []
     converged = False

@@ -40,7 +40,7 @@ from scipy.linalg import expm
 
 from . import fixpoint
 from .backward import solve_backward
-from .measure import EmpiricalMeasure, from_checked
+from .measure import from_checked
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, marginal, node_msd
 from .problem import (
     H1PRIME,
@@ -69,7 +69,6 @@ __all__ = [
     "cost",
     "deviation_test",
     "solve_mean_fbode",
-    "hamiltonian",
     "simulate_state",
     "game_from_config",
     "example3_game",
@@ -82,6 +81,8 @@ _SINGULARITY_RTOL = 1e-9
 _RK4_STEPS = 512
 # cap on the passes of one player's adjoint iteration
 _ADJOINT_MAX_PASSES = 50
+# contiguous particle blocks behind a cost's batch-means standard error
+_COST_BATCHES = 20
 
 
 def _sample_times(horizon: float, paths, samples: int = 257) -> np.ndarray:
@@ -403,16 +404,13 @@ def _control_fn(u) -> Callable:
     if isinstance(u, PathEnsemble):
         arr = u.component_major
         return lambda k, t, x: arr[k].T
-    if callable(u):
-        return u
-    arr = np.asarray(u, dtype=float)
-    return lambda k, t, x: arr[:, k, :]
+    return u
 
 
 def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, controls) -> PathEnsemble:
     """Euler simulation of the controlled state with plug-in ensemble mean.
 
-    ``controls`` holds one entry per player: a PathEnsemble/array of
+    ``controls`` holds one entry per player: a PathEnsemble of
     per-particle control values on the grid nodes, or an adapted callable
     ``(step, t, x) -> (particles, m_i)`` used for feedback deviations.
     """
@@ -458,10 +456,10 @@ def _trapezoid_weights(grid: TimeGrid) -> np.ndarray:
 
 
 def _cost_with_batches(
-    gs: GameSpec, i: int, x_cm: np.ndarray, u_cm: np.ndarray, grid: TimeGrid, n_batches: int = 20
+    gs: GameSpec, i: int, x_cm: np.ndarray, u_cm: np.ndarray, grid: TimeGrid
 ) -> tuple[float, float, np.ndarray]:
     """Plug-in cost of player i, its batch-means standard error and the
-    costs of ``n_batches`` contiguous particle blocks (E[X] terms use the
+    costs of _COST_BATCHES contiguous particle blocks (E[X] terms use the
     means within each block).  ``x_cm`` and ``u_cm`` are component-major
     (nodes, dim, particles); the per-particle terms are formed once."""
     w = _trapezoid_weights(grid)
@@ -489,22 +487,22 @@ def _cost_with_batches(
         return 0.5 * total
 
     particles = x_cm.shape[-1]
-    n_batches = min(n_batches, particles)
-    bounds = np.linspace(0, particles, n_batches + 1).astype(int)
+    batches = min(_COST_BATCHES, particles)
+    bounds = np.linspace(0, particles, batches + 1).astype(int)
     batch_vals = np.array([block(a, b) for a, b in zip(bounds[:-1], bounds[1:])])
-    stderr = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches)) if n_batches > 1 else 0.0
+    stderr = float(np.std(batch_vals, ddof=1) / math.sqrt(batches)) if batches > 1 else 0.0
     return block(0, particles), stderr, batch_vals
 
 
 def cost(gs: GameSpec, i: int, x_ens: PathEnsemble, controls, grid: TimeGrid) -> tuple[float, float]:
     """Monte Carlo estimate of J_i with its standard error.
 
-    Quadrature is trapezoidal in time; the E[X]-product terms use plug-in
-    ensemble means, and the standard error comes from batch means over
-    contiguous particle blocks.
+    ``controls`` holds one PathEnsemble per player.  Quadrature is
+    trapezoidal in time; the E[X]-product terms use plug-in ensemble
+    means, and the standard error comes from batch means over contiguous
+    particle blocks.
     """
-    u = controls[i] if isinstance(controls, (list, tuple)) else controls
-    u_cm = u.component_major if isinstance(u, PathEnsemble) else np.asarray(u, dtype=float).transpose(1, 2, 0)
+    u_cm = controls[i].component_major
     if u_cm.shape[2] != x_ens.particles or u_cm.shape[0] != x_ens.nodes:
         raise ValueError("control and state ensembles must share particles and nodes")
     value, stderr, _ = _cost_with_batches(gs, i, x_ens.component_major, u_cm, grid)
@@ -714,6 +712,8 @@ def deviation_test(
     """
     if perturbations < 1:
         raise ValueError(f"perturbations must be >= 1, got {perturbations}")
+    if not math.isfinite(magnitude):
+        raise ValueError(f"magnitude must be finite, got {magnitude}")
     grid, bundle = nash.aggregated.grid, nash.aggregated.bundle
     base_controls = list(nash.controls)
     m_i = gs.control_dims[i]
@@ -927,39 +927,6 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
         det=det,
         cond=cond,
     )
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonians
-# ---------------------------------------------------------------------------
-
-
-def hamiltonian(gs: GameSpec, i: int, t: float, x, u_all, zeta, p_i, q_i) -> float:
-    """Player i's Hamiltonian at a single point.
-
-    ``zeta`` is the placeholder variable standing for the state
-    expectation.  The minimizer over u_i is -N_i^{-1} C_i' p_i.
-    """
-    x = coerce(x, (gs.n,), "x")
-    zeta = coerce(zeta, (gs.n,), "zeta")
-    p_i = coerce(p_i, (gs.n,), "p_i")
-    q_i = coerce(q_i, (gs.n,), "q_i")
-    if len(u_all) != gs.players:
-        raise ValueError(f"need one control per player, got {len(u_all)}")
-    us = [
-        coerce(u, (m_k,), f"u_{k}")
-        for k, (u, m_k) in enumerate(zip(u_all, gs.control_dims))
-    ]
-    f, sigma = _dynamics(gs)
-    drift = f(t, x[None], nu=EmpiricalMeasure(zeta[None]))[0]
-    for c, u in zip(gs.C, us):
-        drift = drift + c @ u
-    value = float(p_i @ drift)
-    value += 0.5 * float(x @ np.asarray(gs.M[i](t)) @ x)
-    value += 0.5 * float(us[i] @ gs.N[i] @ us[i])
-    value += 0.5 * float(zeta @ np.asarray(gs.Gamma[i](t)) @ zeta)
-    value += float(sigma(t, x[None])[0] @ q_i)
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-__all__ = ["EmpiricalMeasure", "mean", "w2_exact", "w2_paired_bound"]
+__all__ = ["EmpiricalMeasure", "w2_exact", "w2_paired_bound"]
 
 #: default point-count cap for the exact assignment solve in d > 1
 DEFAULT_ASSIGNMENT_CAP = 512
@@ -76,11 +76,6 @@ def from_checked(points: np.ndarray) -> EmpiricalMeasure:
     m = object.__new__(EmpiricalMeasure)
     object.__setattr__(m, "points", points)
     return m
-
-
-def mean(m: EmpiricalMeasure) -> np.ndarray:
-    """Coordinate-wise mean of the cloud, shape (d,)."""
-    return m.mean()
 
 
 def _check_pair(a: EmpiricalMeasure, b: EmpiricalMeasure) -> None:

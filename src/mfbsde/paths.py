@@ -73,13 +73,12 @@ class BrownianBundle:
     """Reusable bundle of Brownian increments, one N(0, dt) draw per
     (particle, step, component).
 
-    Drawn from a counter-based Philox stream keyed on ``seed``, so the
-    array is reproducible bit-for-bit and independent of scheduling order.
+    :func:`make_bundle` draws it from a Philox stream keyed on its seed, so
+    the array is reproducible bit-for-bit and independent of scheduling order.
     ``component_major`` is (steps, dim, particles); ``increments`` is its
     read-only (particles, steps, dim) view.
     """
 
-    seed: int
     component_major: np.ndarray
 
     @property
@@ -157,7 +156,7 @@ def make_bundle(grid: TimeGrid, particles: int, dim: int, seed: int) -> Brownian
         raise ValueError(f"particles and dim must be positive, got {particles}, {dim}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
     incr = rng.standard_normal((particles, grid.steps, dim)) * np.sqrt(grid.dt)
-    return BrownianBundle(seed=seed, component_major=_component_major_copy(incr))
+    return BrownianBundle(component_major=_component_major_copy(incr))
 
 
 def marginal(e: PathEnsemble, node: int) -> EmpiricalMeasure:

@@ -223,6 +223,18 @@ class TestGameCommand:
         assert not calls
         assert f"--deviations must be >= 1, got {count}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("magnitude", ["nan", "inf"])
+    def test_non_finite_deviation_magnitude_rejected_before_solving(self, tmp_path, capsys, monkeypatch, magnitude):
+        calls = []
+        monkeypatch.setattr(cli.lqgame, "solve_nash", lambda *a, **k: calls.append(1))
+        cfg = write_config(tmp_path, SCALAR_GAME)
+        code = cli.main(["game", cfg, "--deviation-magnitude", magnitude, "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert not calls
+        assert capsys.readouterr().err == (
+            f"config error: --deviation-magnitude must be finite, got {float(magnitude)}\n"
+        )
+
     def test_problem_config_rejected(self, tmp_path):
         cfg = write_config(tmp_path, TOY_PROBLEM)
         assert cli.main(["game", cfg, "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
@@ -304,6 +316,14 @@ class TestCounterexampleCommand:
         signs = np.sign(dets)
         changes = np.sum(signs[1:] * signs[:-1] < 0)
         assert changes == 1
+
+    @pytest.mark.parametrize("spec", ["0:inf:1", "0:nan:1", "nan:1:0.5", "0:1:inf", "0:1e308:1e-308"])
+    def test_non_finite_sweep_is_config_error(self, capsys, spec):
+        assert cli.main(["counterexample", "--T-sweep", spec]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: --T-sweep ")
 
 
 class TestExitCodes:

@@ -197,15 +197,6 @@ class TestSolve:
         assert sol.history[-1].inner_exit == "target"
         assert sol.history[-1].to_record()["inner_gap"] == sol.history[-1].inner_gap
 
-    def test_warm_start_resumes(self):
-        p = h1prime_toy()
-        grid = TimeGrid(0.25, 30)
-        params = SchemeParams(particles=500, max_outer=10, tol=1e-6)
-        first = fixpoint.solve(p, grid, params, seed=4)
-        again = fixpoint.solve(p, grid, params, seed=4, warm_start=first)
-        assert again.converged
-        assert len(again.history) <= 2
-
     def test_grid_problem_horizon_mismatch(self):
         p = h1prime_toy(horizon=0.25)
         with pytest.raises(ValueError, match="horizon"):

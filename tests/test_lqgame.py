@@ -499,6 +499,14 @@ class TestDeviation:
             with pytest.raises(ValueError, match=f"perturbations must be >= 1, got {count}"):
                 lqgame.deviation_test(gs, nash, 0, perturbations=count)
 
+    def test_magnitude_must_be_finite(self, monkeypatch):
+        gs = scalar_game()
+        nash = lqgame.solve_nash(gs, TimeGrid(1.0, 10), fixpoint.SchemeParams(particles=200, max_outer=10), seed=1)
+        monkeypatch.setattr(lqgame, "simulate_state", lambda *a: pytest.fail("simulated a non-finite deviation"))
+        for magnitude in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="magnitude must be finite"):
+                lqgame.deviation_test(gs, nash, 0, magnitude=magnitude)
+
     def test_zero_magnitude_gives_exact_zero_deltas(self):
         gs = scalar_game()
         grid = TimeGrid(1.0, 30)
@@ -595,63 +603,15 @@ class TestMeanReduction:
             a = 0.5 if t < 0.5 else -0.3
             return np.array([a * x - k * p, -(a * p + 0.2 * x)])
 
-        # shooting oracle on the terminal state mean
+        # shooting oracle on the terminal state mean: the ODE is linear, so
+        # the shot x0(s) is affine in s and two shots locate x0(s) = 1
         def x0_of(s):
             return rk4(odes, np.array([s, 1.0 * s]), 1.0, 0.0, 8000)[0]
 
-        lo, hi = 0.0, 5.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if x0_of(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
+        at0, at1 = x0_of(0.0), x0_of(1.0)
+        root = (1.0 - at0) / (at1 - at0)
         # the RK4 oracle loses an order at the coefficient jump, so allow 2e-5
-        assert res.terminal_state_mean[0] == pytest.approx(0.5 * (lo + hi), abs=2e-5)
-
-
-class TestHamiltonian:
-    def test_zero_everything(self):
-        gs = scalar_game(A=[[0.0]], sigma=[[0.0]], alpha=[0.0], M=[[[0.0]]], Q=[[[0.0]]])
-        val = lqgame.hamiltonian(gs, 0, 0.1, [0.0], [[0.0]], [0.0], [0.0], [0.0])
-        assert val == pytest.approx(0.0)
-
-    def test_scalar_square_completion(self):
-        gs = scalar_game(A=[[0.0]], sigma=[[0.0]], alpha=[0.0], M=[[[0.0]]])
-        # H = p u + u^2 / 2, argmin at u = -p = -0.5
-        vals = {u: lqgame.hamiltonian(gs, 0, 0.1, [0.0], [[u]], [0.0], [0.5], [0.0]) for u in (-0.5, 0.0, 0.5)}
-        assert vals[-0.5] == pytest.approx(0.5 * (-0.5) + 0.5 * 0.25)
-        assert vals[-0.5] < vals[0.0] < vals[0.5]
-
-    def test_closed_form_minimizer_on_random_specs(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            n, m_i = 2, 2
-            c = rng.standard_normal((n, m_i))
-            a_mat = rng.standard_normal((m_i, m_i))
-            nn = a_mat @ a_mat.T + 0.5 * np.eye(m_i)
-            raw = rng.standard_normal((n, n))
-            gs = lqgame.GameSpec(
-                n=n, horizon=1.0, x0=np.zeros(n),
-                A=rng.standard_normal((n, n)),
-                D=rng.standard_normal((n, n)),
-                beta=rng.standard_normal(n),
-                sigma=rng.standard_normal((n, n)),
-                alpha=rng.standard_normal(n),
-                C=[c], N=[nn], Q=[raw @ raw.T], M=[raw.T @ raw],
-            )
-            x = rng.standard_normal(n)
-            zeta = rng.standard_normal(n)
-            p_i = rng.standard_normal(n)
-            q_i = rng.standard_normal(n)
-            u_star = -np.linalg.solve(nn, c.T @ p_i)
-            h_star = lqgame.hamiltonian(gs, 0, 0.4, x, [u_star], zeta, p_i, q_i)
-            # grid search around the closed form
-            grid_pts = np.linspace(-0.3, 0.3, 7)
-            for d0 in grid_pts:
-                for d1 in grid_pts:
-                    u = u_star + np.array([d0, d1])
-                    assert lqgame.hamiltonian(gs, 0, 0.4, x, [u], zeta, p_i, q_i) >= h_star - 1e-12
+        assert res.terminal_state_mean[0] == pytest.approx(root, abs=2e-5)
 
 
 class TestConfig:
