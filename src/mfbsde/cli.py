@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import fixpoint, lqgame
-from .backward import RegressionBasis
 from .paths import TimeGrid, moments_to_csv
 from .problem import check_H1, check_smallness, problem_from_config
 
@@ -95,12 +94,6 @@ def _solver_settings(args, cfg: dict) -> dict:
     return out
 
 
-def _scheme_params(args, settings: dict) -> fixpoint.SchemeParams:
-    return fixpoint.SchemeParams(
-        **{k: settings[k] for k in _SCHEME_KEYS}, basis=RegressionBasis(degree=args.basis_degree)
-    )
-
-
 # The failure map: exception type -> (exit code, stderr prefix, report fields).
 # An entry with report fields writes report.json to the --out directory
 # registered by :func:`_open_out`, if any (a divergence also writes its
@@ -112,6 +105,7 @@ _FAILURES = {
     KeyError: (EXIT_CONFIG, "config error", None),
     TypeError: (EXIT_CONFIG, "config error", None),
     OSError: (EXIT_CONFIG, "io error", None),
+    MemoryError: (EXIT_CONFIG, "out of memory", None),
 }
 
 
@@ -167,7 +161,7 @@ def cmd_solve(args) -> int:
     settings = _solver_settings(args, cfg)
     prob = problem_from_config(cfg) if kind == "problem" else lqgame.build_aggregated(lqgame.game_from_config(cfg))
     grid = TimeGrid(horizon=prob.horizon, steps=settings["steps"])
-    params = _scheme_params(args, settings)
+    params = fixpoint.SchemeParams(**{k: settings[k] for k in _SCHEME_KEYS})
     outdir = _open_out(args, {})
     sol = fixpoint.solve(prob, grid, params, seed=settings["seed"])
     _write_solution(outdir, sol, prob)
@@ -187,7 +181,7 @@ def cmd_game(args) -> int:
     settings = _solver_settings(args, cfg)
     grid = TimeGrid(horizon=gs.horizon, steps=settings["steps"])
     h2 = lqgame.check_H2(gs, grid)
-    params = _scheme_params(args, settings)
+    params = fixpoint.SchemeParams(**{k: settings[k] for k in _SCHEME_KEYS})
     outdir = _open_out(args, {"h2": h2.to_dict()})
     nash = lqgame.solve_nash(gs, grid, params, seed=settings["seed"])
     if args.corrupt_control is not None:
@@ -271,8 +265,6 @@ def _add_solver_flags(sub) -> None:
     sub.add_argument("--tol", type=float, default=None, help=f"L2 stopping threshold (default {sp.tol:g})")
     sub.add_argument("--max-outer", dest="max_outer", type=int, default=None,
                      help=f"outer iteration cap (default {sp.max_outer})")
-    sub.add_argument("--basis-degree", type=int, default=1, choices=(0, 1, 2),
-                     help="regression basis degree (default 1)")
     sub.add_argument("--out", default="out", help="output directory (default ./out)")
 
 
@@ -285,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = subs.add_parser("check", help="run the condition gates on a config")
     p_check.add_argument("config")
-    p_check.add_argument("--steps", type=int, default=None, help="grid steps for time-dependent checks")
     p_check.add_argument("--samples", type=int, default=4000, help="monotonicity probe count")
     p_check.add_argument("--seed", type=int, default=None)
     p_check.set_defaults(handler=cmd_check)

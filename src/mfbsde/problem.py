@@ -78,8 +78,8 @@ class LipschitzProfile:
 
     def __post_init__(self):
         for name in ("c_u", "c_nu", "c_g_x", "c_g_nu"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,9 @@ class MonotonicityProfile:
     variant: str = H1PRIME
 
     def __post_init__(self):
-        if self.k <= 0 or self.k_prime <= 0:
-            raise ValueError("k and k_prime must be positive")
+        for name in ("k", "k_prime"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
 
@@ -601,6 +602,28 @@ def affine_problem(x0, horizon: float, f: AffineCoeffs, h: AffineCoeffs, sigma: 
     )
 
 
+# the keys each config block takes; any other key is a config error
+_CONFIG_KEYS = {
+    "problem": ("kind", "dim", "horizon", "x0", "f", "h", "sigma", "g", "lipschitz", "monotonicity", "solver"),
+    "game": ("kind", "n", "m", "T", "x0", "A", "D", "beta", "sigma", "alpha", "C", "N", "M", "Gamma", "Q", "R",
+             "solver"),
+    "f": AffineCoeffs.TERMS,
+    "h": AffineCoeffs.TERMS,
+    "sigma": ("x", "y", "z", "const"),
+    "g": ("x", "mean_x", "const"),
+    "lipschitz": ("c_u", "c_nu", "c_g_x", "c_g_nu"),
+    "monotonicity": ("k", "k_prime", "variant"),
+}
+
+
+def check_config_keys(block, name: str) -> None:
+    """Reject the keys of config block ``name`` that its row of ``_CONFIG_KEYS`` does not list."""
+    unknown = sorted(set(block) - set(_CONFIG_KEYS[name]))
+    if unknown:
+        law_free = " (config sigma must be law-free; measure terms are not allowed)" if name == "sigma" else ""
+        raise ValueError(f"{name} supports keys {', '.join(_CONFIG_KEYS[name])}{law_free}; got {unknown}")
+
+
 def problem_from_config(cfg: dict) -> MfProblem:
     """Build an affine MfProblem from a config dict (JSON schema).
 
@@ -620,21 +643,16 @@ def problem_from_config(cfg: dict) -> MfProblem:
     """
     if cfg.get("kind", "problem") != "problem":
         raise ValueError(f"expected a problem config, got kind={cfg.get('kind')!r}")
+    check_config_keys(cfg, "problem")
+    for name in ("f", "h", "sigma", "g", "lipschitz", "monotonicity"):
+        check_config_keys(cfg.get(name, {}), name)
     for key in ("dim", "horizon", "x0"):
         if key not in cfg:
             raise ValueError(f"problem config is missing required field {key!r}")
     m = int(cfg["dim"])
     horizon = float(cfg["horizon"])
     x0 = coerce(cfg["x0"], (m,), "x0")
-    if {"mean_x", "mean_y"} & set(cfg.get("sigma", {})):
-        raise ValueError("config sigma must be law-free; measure terms are not allowed")
-    unknown = set(cfg.get("g", {})) - {"x", "mean_x", "const"}
-    if unknown:
-        raise ValueError(f"g supports keys x, mean_x, const; got {sorted(unknown)}")
-    tables = {}
-    for name in ("f", "h", "sigma", "g"):
-        terms = cfg.get(name, {})
-        tables[name] = AffineCoeffs(m, name, **{key: terms.get(key) for key in AffineCoeffs.TERMS})
+    tables = {name: AffineCoeffs(m, name, **cfg.get(name, {})) for name in ("f", "h", "sigma", "g")}
 
     lip = mono = None
     if "lipschitz" in cfg:

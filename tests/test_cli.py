@@ -136,7 +136,7 @@ class TestSolveCommand:
     def test_invalid_max_outer_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, TOY_PROBLEM)
         assert cli.main(["solve", cfg, "--max-outer", "0", "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
-        # more minimum sweeps than the inner solve's cap of 60
+        # the retired --inner-sweeps flag is a usage error
         assert cli.main(["solve", cfg, "--inner-sweeps", "61", "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
 
     def test_overflowing_z_regression_is_divergence(self, tmp_path, capsys):
@@ -146,7 +146,7 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "o"
         code = cli.main(["solve", cfg, "--particles", "2", "--steps", "100", "--max-outer", "2",
-                         "--basis-degree", "0", "--out", str(out)])
+                         "--out", str(out)])
         assert code == cli.EXIT_NOT_CONVERGED
         assert capsys.readouterr().err.startswith("diverged: ")
         assert json.loads((out / "report.json").read_text())["diverged"] is True
@@ -278,6 +278,8 @@ class TestUsage:
         ["game", "cfg.json", "--bogus", "1"],
         ["solve", "cfg.json", "--particles", "abc"],
         [],
+        ["solve", "cfg.json", "--basis-degree", "1"],
+        ["check", "cfg.json", "--steps", "10"],
     ])
     def test_usage_error_is_config_error(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_CONFIG
@@ -303,6 +305,16 @@ class TestCounterexampleCommand:
 
     def test_nonpositive_horizon_rejected(self):
         assert cli.main(["counterexample", "--T", "-1.0"]) == cli.EXIT_CONFIG
+
+    def test_overflowing_horizon_is_numerical_blowup(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["counterexample", "--T", "1e308"]) == cli.EXIT_NOT_CONVERGED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical blow-up: ")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_sweep_csv_has_single_sign_change(self, capsys):
         assert cli.main(["counterexample", "--T-sweep", "0:2:0.1"]) == cli.EXIT_OK
@@ -335,6 +347,36 @@ class TestExitCodes:
         name = flag.lstrip("-")
         assert capsys.readouterr().err == f"config error: {name} must be finite, got {float(value)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("payload,key", [
+        (dict(TOY_PROBLEM, f={"y": -1.0, "mean_xx": 0.1}, horizn=0.5), "horizn"),
+        (dict(TOY_PROBLEM, f={"y": -1.0, "mean_xx": 0.1}), "mean_xx"),
+        (dict(SCALAR_GAME, Gama=[[[1.0]]]), "Gama"),
+    ])
+    def test_misspelled_config_key_is_config_error(self, tmp_path, capsys, payload, key):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert cli.main(["solve", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and repr(key) in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_non_finite_declared_constant_is_config_error(self, tmp_path, capsys, command):
+        payload = dict(TOY_PROBLEM, lipschitz={**TOY_PROBLEM["lipschitz"], "c_nu": float("nan")},
+                       monotonicity={**TOY_PROBLEM["monotonicity"], "k": float("inf")})
+        argv = [command, write_config(tmp_path, payload)] + (["--out", str(tmp_path / "o")] if command == "solve" else [])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: c_nu must be finite and nonnegative\n"
+
+    def test_allocation_failure_is_reported(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.11 PiB")
+
+        monkeypatch.setattr(cli.fixpoint, "make_bundle", out_of_memory)
+        cfg = write_config(tmp_path, TOY_PROBLEM)
+        assert cli.main(["solve", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "out of memory: Unable to allocate 7.11 PiB\n"
 
     def test_adjoint_pass_cap_blocks_convergence(self, tmp_path, monkeypatch):
         # one adjoint pass: its gap against the zero start is far above tol^2

@@ -463,15 +463,14 @@ class TestDeviation:
         params = fixpoint.SchemeParams(particles=400, max_outer=30, tol=1e-3)
         return gs, lqgame.solve_nash(gs, TimeGrid(0.25, 20), params, seed=2)
 
-    def test_base_state_is_simulated_once_per_result(self, monkeypatch):
+    def test_base_state_is_simulated_once_per_call(self, monkeypatch):
         gs, nash = self.example3_nash()
-        # each fresh copy simulates its own base state
         expected = [lqgame.deviation_test(gs, dataclasses.replace(nash), i, perturbations=3, seed=i) for i in (0, 1)]
         calls = []
         real = lqgame.simulate_state
         monkeypatch.setattr(lqgame, "simulate_state", lambda *a: calls.append(1) or real(*a))
         reports = [lqgame.deviation_test(gs, nash, i, perturbations=3, seed=i) for i in (0, 1)]
-        assert len(calls) == 1 + 2 * 3
+        assert len(calls) == 2 + 2 * 3
         for rep, ref in zip(reports, expected):
             assert rep.deltas == ref.deltas and rep.baseline_cost == ref.baseline_cost
 
@@ -560,6 +559,28 @@ class TestMeanReduction:
         times = np.linspace(0.0, 0.5, 21)
         res = lqgame.solve_mean_fbode(lqgame.example3_game(0.5), times=times)
         assert np.allclose(res.state_mean, example3_mean_path(0.5, times), atol=1e-9)
+
+    @staticmethod
+    def growing_game(horizon):
+        # B(T) = 4.6e193 at T = 200, and the transition overflows at T = 400
+        return lqgame.GameSpec(n=1, horizon=horizon, x0=[1.0], A=[[2.0]], alpha=[0.1],
+                               C=[[[1.0]]], N=[[[1.0]]], Q=[[[1.0]]], M=[[[1.0]]])
+
+    def test_singularity_test_is_scale_invariant(self):
+        # the row norm of B(T) squares its entry and overflows; the row-normalized ratio is 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lqgame.solve_mean_fbode(self.growing_game(200.0))
+        assert isinstance(res, lqgame.MeanSolution)
+        assert res.det == pytest.approx(4.6124e193, rel=1e-4)
+        assert res.terminal_state_mean[0] * res.det == pytest.approx(1.0, rel=1e-12)
+        assert res.state_mean[0, 0] == pytest.approx(1.0, rel=1e-9)
+
+    def test_overflowing_transition_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=r"boundary matrix B\(400\) is not finite"):
+                lqgame.solve_mean_fbode(self.growing_game(400.0))
 
     def test_callable_coefficients_match_exponentials(self):
         # the same game with callable A and D goes through RK4 instead of

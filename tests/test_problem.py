@@ -258,6 +258,15 @@ class TestProfiles:
         with pytest.raises(ValueError):
             LipschitzProfile(-0.1, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["c_u", "c_nu", "c_g_x", "c_g_nu", "k", "k_prime"])
+    def test_non_finite_constant_rejected(self, name, value):
+        lip = {"c_u": 1.0, "c_nu": 0.1, "c_g_x": 1.0, "c_g_nu": 0.1}
+        profile = LipschitzProfile if name in lip else MonotonicityProfile
+        kwargs = {**(lip if name in lip else {"k": 1.0, "k_prime": 1.0}), name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            profile(**kwargs)
+
     def test_monotonicity_validation(self):
         with pytest.raises(ValueError):
             MonotonicityProfile(0.0, 1.0)
@@ -438,6 +447,16 @@ class TestProblemFromConfig:
         cfg = self.config()
         cfg["sigma"]["mean_x"] = 0.5
         with pytest.raises(ValueError, match="law-free"):
+            problem_from_config(cfg)
+
+    @pytest.mark.parametrize("block,key", [
+        (None, "horizn"), ("f", "mean_xx"), ("h", "zz"), ("sigma", "mean_y"), ("g", "y"),
+        ("lipschitz", "c_x"), ("monotonicity", "kprime"),
+    ])
+    def test_unknown_keys_rejected(self, block, key):
+        cfg = self.config()
+        (cfg if block is None else cfg[block])[key] = 0.5
+        with pytest.raises(ValueError, match=rf"\['{key}'\]"):
             problem_from_config(cfg)
 
     def test_piecewise_driver_switches_at_breakpoint(self):
