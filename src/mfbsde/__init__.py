@@ -1,7 +1,7 @@
 """Particle solver for fully coupled mean-field backward-forward SDEs
 and open-loop Nash equilibria of linear-quadratic mean-field games."""
 
-from .backward import RegressionBasis, solve_backward
+from .backward import solve_backward
 from .fixpoint import Diverged, MfSolution, SchemeParams, residual, solve
 from .forward import propagate
 from .lqgame import (
@@ -41,7 +41,6 @@ __all__ = [
     "NashResult",
     "Nonexistence",
     "PathEnsemble",
-    "RegressionBasis",
     "SchemeParams",
     "TimeGrid",
     "build_aggregated",

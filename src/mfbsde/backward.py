@@ -1,13 +1,15 @@
 """Least-squares Monte Carlo solver for the backward pair (Y, Z).
 
-Conditional expectations are estimated by global polynomial regression
-on the state: at each step the targets are projected onto a basis of
-monomials in the components of X_k, so the fitted Y_k and Z_k are
-measurable functions of X_k by construction.  Degree 1 is exact for the
+Conditional expectations are estimated by global affine regression on
+the state: at each step the targets are projected onto the constant and
+the components of X_k (the scheme of Gobet, Lemor & Warin, AAP 2005,
+with an affine basis), so the fitted Y_k and Z_k are measurable
+functions of X_k by construction.  The affine design is exact for the
 linear-quadratic problems this library targets (the solution is affine
-in the state); degree 2 is available for mildly nonlinear drivers, and
-the per-step regression residuals are reported so users can judge basis
-adequacy beyond that.
+in the state).  A nonlinear problem gets the L2 projection of its
+conditional expectations on affine functions of the state, not the
+conditional expectations themselves; the per-step regression residuals
+in :class:`RegressionDiagnostics` show that misfit.
 
 The recursion, for k = steps-1 .. 0 with dt the step size:
 
@@ -23,7 +25,6 @@ measure-freezing that decouples the outer iteration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .measure import EmpiricalMeasure
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major
 from .problem import MfProblem
 
-__all__ = ["RegressionBasis", "RegressionDiagnostics", "solve_backward"]
+__all__ = ["RegressionDiagnostics", "solve_backward"]
 
 # ridge scale used when the design matrix is rank deficient
 _RIDGE = 1e-10
@@ -39,38 +40,13 @@ _RIDGE = 1e-10
 _PICARD_PASSES = 2
 
 
-@dataclass(frozen=True)
-class RegressionBasis:
-    """Polynomial regression basis in the state components.
-
-    ``degree`` 0 gives the plain Monte Carlo mean, 1 an affine fit
-    (exact for LQ problems), 2 adds the squares and the pairwise products.
-    """
-
-    degree: int = 1
-
-    def __post_init__(self):
-        if self.degree < 0 or self.degree > 2:
-            raise ValueError(f"degree must be 0, 1 or 2, got {self.degree}")
-
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """Design matrix (P, n_features) for states x of shape (P, m): the
-        transposed view of a C-contiguous (n_features, P) array."""
-        return self._design(x.T).T
-
-    def _design(self, x: np.ndarray) -> np.ndarray:
-        """Design array (..., n_features, P) of component-major states x of
-        shape (..., m, P): the constant, the components, then (degree 2)
-        their squares and pairwise products."""
-        m = x.shape[-2]
-        linear = m if self.degree >= 1 else 0
-        products = [(i, i) for i in range(m)] + list(combinations(range(m), 2)) if self.degree >= 2 else []
-        out = np.empty((*x.shape[:-2], 1 + linear + len(products), x.shape[-1]))
-        out[..., 0, :] = 1.0
-        out[..., 1 : 1 + linear, :] = x[..., :linear, :]
-        for row, (i, j) in enumerate(products, start=1 + m):
-            np.multiply(x[..., i, :], x[..., j, :], out=out[..., row, :])
-        return out
+def _design(x: np.ndarray) -> np.ndarray:
+    """Affine design array (..., 1 + m, P) of component-major states x of
+    shape (..., m, P): the constant, then the components."""
+    out = np.empty((*x.shape[:-2], 1 + x.shape[-2], x.shape[-1]))
+    out[..., 0, :] = 1.0
+    out[..., 1:, :] = x
+    return out
 
 
 @dataclass
@@ -116,7 +92,6 @@ def solve_backward(
     x_ens: PathEnsemble,
     frozen_flow,
     terminal_law: EmpiricalMeasure,
-    basis: RegressionBasis,
 ) -> tuple[PathEnsemble, PathEnsemble, RegressionDiagnostics]:
     """Backward regression sweep along given forward paths.
 
@@ -145,7 +120,7 @@ def solve_backward(
     if not np.all(np.isfinite(y[steps])):
         raise FloatingPointError("terminal condition produced non-finite values")
     # the designs and ridge factors depend only on the forward paths
-    design = basis._design(xv[:steps])
+    design = _design(xv[:steps])
     shifted = _ridge_factors(design, diag)
 
     for k in range(steps - 1, -1, -1):

@@ -29,12 +29,12 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .backward import RegressionBasis, solve_backward
+from .backward import solve_backward
 from .forward import propagate
 from .paths import (
     BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle, marginal, node_msd,
@@ -92,7 +92,6 @@ class SchemeParams:
     tol: float = 1e-3
     max_outer: int = 50
     particles: int = 4096
-    basis: RegressionBasis = field(default_factory=RegressionBasis)
 
     def __post_init__(self):
         for name in ("delta", "tol"):
@@ -303,7 +302,7 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel
     gaps = []
     for sweep in range(1, _INNER_MAX_SWEEPS + 1):
         x_new = propagate(p, grid, bundle, y_cur, z_cur, y_prev, z_prev, flow, params.delta)
-        y_hat, z_hat, reg_diag = solve_backward(p, grid, bundle, x_new, flow, mu_t, params.basis)
+        y_hat, z_hat, reg_diag = solve_backward(p, grid, bundle, x_new, flow, mu_t)
         gap = accel.observe((x_new, y_hat, z_hat), (x_cur, y_cur, z_cur), grid.dt)
         if not math.isfinite(gap):
             raise FloatingPointError(f"inner sweep gap became non-finite at sweep {sweep}")

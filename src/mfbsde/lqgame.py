@@ -78,8 +78,6 @@ __all__ = [
 _SYMMETRY_TOL = 1e-12
 _COMMUTATION_TOL = 1e-10
 _SINGULARITY_RTOL = 1e-9
-# RK4 steps of the full-horizon mean transition when a coefficient is a callable
-_RK4_STEPS = 512
 # cap on the passes of one player's adjoint iteration
 _ADJOINT_MAX_PASSES = 50
 # contiguous particle blocks behind a cost's batch-means standard error
@@ -88,12 +86,8 @@ _COST_BATCHES = 20
 
 def _sample_times(horizon: float, paths, samples: int = 257) -> np.ndarray:
     """Uniform sampling times plus every piecewise breakpoint in [0, T]."""
-    ts = [np.linspace(0.0, horizon, samples)]
-    for p in paths:
-        if isinstance(p, PiecewiseConstant):
-            bp = p.breakpoints
-            ts.append(bp[(bp >= 0.0) & (bp <= horizon)])
-    return np.unique(np.concatenate(ts))
+    ts = [p.breakpoints[(p.breakpoints >= 0.0) & (p.breakpoints <= horizon)] for p in paths]
+    return np.unique(np.concatenate([np.linspace(0.0, horizon, samples), *ts]))
 
 
 def _check_symmetric(mat: np.ndarray, name: str) -> None:
@@ -105,10 +99,11 @@ def _check_symmetric(mat: np.ndarray, name: str) -> None:
 class GameSpec:
     """Coefficients of one LQ mean-field game.
 
-    Dynamics paths (A, D, sigma: t -> n x n; beta, alpha: t -> n) accept
-    constants, piecewise tables or callables.  Per-player data: C_i
-    (n x m_i) and N_i (m_i x m_i symmetric positive definite) must be
-    constant; M_i and Gamma_i are symmetric nonnegative paths; Q_i and
+    Dynamics paths (A, D, sigma: t -> n x n; beta, alpha: t -> n) are
+    constants or piecewise tables, stored as :class:`PiecewiseConstant`
+    tables; a callable is rejected.  Per-player data: C_i (n x m_i) and
+    N_i (m_i x m_i symmetric positive definite) must be constant; M_i and
+    Gamma_i are symmetric nonnegative paths (constants or tables); Q_i and
     R_i constant symmetric nonnegative matrices.
     """
 
@@ -140,9 +135,6 @@ class GameSpec:
         self.sigma = shaped_path(self.sigma, (n, n), "sigma")
         self.beta = shaped_path(self.beta, (n,), "beta")
         self.alpha = shaped_path(self.alpha, (n,), "alpha")
-        for path in (self.A, self.D, self.sigma, self.beta, self.alpha):
-            for t in _sample_times(self.horizon, [path], samples=5):
-                path(t)  # a callable's values are coerced, and so checked, where the symmetry check samples
 
         players = len(self.C)
         if players < 1:
@@ -351,16 +343,17 @@ def build_aggregated(gs: GameSpec) -> MfProblem:
     C_g_nu = ||sum K_i R_i||, k = min{1, eta2}, k' = eta1, the sups and
     eta2 taken at the gate's times in [0, T].  When eta1 or eta2 is
     nonpositive the problem carries no monotonicity profile (the
-    constants do not exist).
+    constants do not exist).  A sup that overflows raises
+    FloatingPointError naming its coefficient.
     """
     n = gs.n
     _, skq, skr, skm, skg, (a, _, s, m, coupling), eta1, eta2 = _gate(gs, _gate_times(gs))
-    lip = LipschitzProfile(
-        c_u=max(_spectral(a), 1.0, _spectral(m), _spectral(s)),
-        c_nu=_spectral(coupling),
-        c_g_x=_spectral(skq),
-        c_g_nu=_spectral(skr),
-    )
+    names = ("A", "sum K_i M_i", "sigma", "[[D, 0], [sum K_i Gamma_i, D']]", "sum K_i Q_i", "sum K_i R_i")
+    sup_a, sup_m, sup_s, sup_coupling, sup_q, sup_r = sups = [_spectral(v) for v in (a, m, s, coupling, skq, skr)]
+    for name, sup in zip(names, sups):
+        if not math.isfinite(sup):
+            raise FloatingPointError(f"the sup norm of {name} over [0, {gs.horizon:g}] overflows")
+    lip = LipschitzProfile(c_u=max(sup_a, 1.0, sup_m, sup_s), c_nu=sup_coupling, c_g_x=sup_q, c_g_nu=sup_r)
     mono = None
     if eta1 > 0 and eta2 > 0:
         mono = MonotonicityProfile(k=min(1.0, eta2), k_prime=eta1, variant=H1PRIME)
@@ -466,10 +459,10 @@ def _cost_with_batches(
     run = np.sum(u_cm * (gs.N[i] @ u_cm), axis=1)
     mean_terms = []
     for k, t in enumerate(grid.nodes):
-        m_k = np.asarray(gs.M[i](t), dtype=float)
+        m_k = gs.M[i](t)
         if np.any(m_k):
             run[k] += np.sum(x_cm[k] * (m_k @ x_cm[k]), axis=0)
-        g_k = np.asarray(gs.Gamma[i](t), dtype=float)
+        g_k = gs.Gamma[i](t)
         if np.any(g_k):
             mean_terms.append((k, g_k))
     running = w @ run
@@ -573,7 +566,7 @@ def _solve_adjoint(gs, i, sol, params) -> tuple[PathEnsemble, PathEnsemble, list
     for n in range(1, _ADJOINT_MAX_PASSES + 1):
         with fixpoint.blowups_diverge(f"adjoint of player {i} blew up at pass {n}", sol.history):
             flow = [joint_marginal(x_ens, p_ens, k) for k in range(x_ens.nodes)]
-            p_new, q_ens, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal, params.basis)
+            p_new, q_ens, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal)
             gap = float(np.trapezoid(node_msd(p_new.component_major, p_ens.component_major), dx=grid.dt))
         gaps.append(gap)
         p_ens = p_new
@@ -803,39 +796,24 @@ def _mean_generator(gs: GameSpec):
     return map_path(augmented, gs.A, gs.D, gs.beta, *gs.M, *gs.Gamma)
 
 
-def _backward_transition(gen, t_hi: float, t_lo: float, cache: dict, max_step: float) -> np.ndarray:
-    """Transition matrix of the augmented mean ODE from t_hi down to t_lo.
-
-    Exact (matrix exponentials per piece) when the generator ``gen`` is
-    piecewise constant; otherwise dense RK4 with equal steps no longer
-    than ``max_step``.  ``cache`` keeps the piece exponentials of one
-    mean solve, keyed by (piece, exact step length).
+def _backward_transition(gen: PiecewiseConstant, t_hi: float, t_lo: float, cache: dict) -> np.ndarray:
+    """Transition matrix of the augmented mean ODE from t_hi down to t_lo:
+    the product of the exact matrix exponentials of the piecewise-constant
+    generator's pieces.  ``cache`` keeps the piece exponentials of one mean
+    solve, keyed by (piece, exact step length).
     """
     phi = np.eye(len(gen(t_hi)))
     if t_hi <= t_lo:
         return phi
-    if isinstance(gen, PiecewiseConstant):
-        bp = gen.breakpoints
-        cuts = np.unique(np.concatenate([[t_lo, t_hi], bp[(bp > t_lo) & (bp < t_hi)]]))
-        # left-to-right product: factor j maps across the j-th lowest piece
-        for a, c in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (a + c)
-            key = (gen.piece(mid), float(c - a))
-            if key not in cache:
-                cache[key] = expm(-gen(mid) * (c - a))
-            phi = phi @ cache[key]
-        return phi
-    # general deterministic callables: RK4 on Phi' = G_hat Phi integrated backward
-    rk_steps = math.ceil((t_hi - t_lo) / max_step)
-    hs = (t_hi - t_lo) / rk_steps
-    t = t_hi
-    for _ in range(rk_steps):
-        k1 = gen(t) @ phi
-        k2 = gen(t - hs / 2) @ (phi - hs / 2 * k1)
-        k3 = gen(t - hs / 2) @ (phi - hs / 2 * k2)
-        k4 = gen(t - hs) @ (phi - hs * k3)
-        phi = phi - hs / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t -= hs
+    bp = gen.breakpoints
+    cuts = np.unique(np.concatenate([[t_lo, t_hi], bp[(bp > t_lo) & (bp < t_hi)]]))
+    # left-to-right product: factor j maps across the j-th lowest piece
+    for a, c in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (a + c)
+        key = (gen.piece(mid), float(c - a))
+        if key not in cache:
+            cache[key] = expm(-gen(mid) * (c - a))
+        phi = phi @ cache[key]
     return phi
 
 
@@ -865,8 +843,7 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
     T = gs.horizon
 
     cache: dict = {}
-    max_step = T / _RK4_STEPS
-    transition = _backward_transition(gen, T, 0.0, cache, max_step)
+    transition = _backward_transition(gen, T, 0.0, cache)
     stack = np.zeros((dim, n))
     stack[:n, :] = np.eye(n)
     for i in range(players):
@@ -895,7 +872,7 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
     t_prev = T
     for idx in order:
         t = float(times[idx])
-        v = _backward_transition(gen, t_prev, t, cache, max_step) @ v
+        v = _backward_transition(gen, t_prev, t, cache) @ v
         values[idx] = v[:dim]
         t_prev = t
     if not np.all(np.isfinite(values)):
@@ -929,12 +906,14 @@ def game_from_config(cfg: dict) -> GameSpec:
     Schema: ``{"kind": "game", "n":, "m":, "T":, "x0": [...],
     "A"|"D"|"beta"|"sigma"|"alpha": coeff, "C": [...], "N": [...],
     "M": [...], "Gamma": [...], "Q": [...], "R": [...]}`` where dynamics
-    coefficients are constants, ``{"const": ...}`` or piecewise tables,
-    and the per-player lists hold one entry per player (M and Gamma
-    entries may be piecewise; C, N, Q, R are constant matrices).
+    coefficients are constants, ``{"const": ...}`` or piecewise tables
+    (``{"piecewise": [{"t_from":, "value":}, ...]}`` with finite, distinct
+    ``t_from``), and the per-player lists hold one entry per player (M and
+    Gamma entries may be piecewise; C, N, Q, R are constant matrices).
     Omitted blocks (A, D, beta, sigma, alpha, M, Gamma, Q, R) default to
-    zero.  Coefficients are deterministic; adapted random coefficients
-    need library callbacks.
+    zero.  Coefficients are deterministic and piecewise constant;
+    time-varying or adapted random coefficients need
+    :class:`~mfbsde.problem.MfProblem` callbacks.
     """
     if cfg.get("kind", "game") != "game":
         raise ValueError(f"expected a game config, got kind={cfg.get('kind')!r}")

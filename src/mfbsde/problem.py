@@ -53,7 +53,6 @@ __all__ = [
     "check_smallness",
     "contraction_constants",
     "PiecewiseConstant",
-    "as_path",
     "shaped_path",
     "map_path",
     "AffineCoeffs",
@@ -407,17 +406,17 @@ def contraction_constants(
 class PiecewiseConstant:
     """Deterministic piecewise-constant path t -> matrix/vector.
 
-    ``breakpoints`` are the left endpoints of the pieces (first one must
-    be <= 0 so the path is total on [0, T]); queries below the first
-    breakpoint clamp to the first piece.
+    ``breakpoints`` are the left endpoints of the pieces (finite and
+    strictly increasing; the first one must be <= 0 so the path is total
+    on [0, T]); queries below the first breakpoint clamp to the first piece.
     """
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence):
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size == 0:
             raise ValueError("breakpoints must be a nonempty 1-D sequence")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        if not (np.all(np.isfinite(bp)) and np.all(np.diff(bp) > 0)):
+            raise ValueError(f"breakpoints must be finite and strictly increasing, got {bp.tolist()}")
         vals = np.asarray(values, dtype=float)
         if vals.shape[0] != bp.size:
             raise ValueError("one value per breakpoint required")
@@ -430,30 +429,6 @@ class PiecewiseConstant:
 
     def __call__(self, t: float) -> np.ndarray:
         return self.values[self.piece(t)]
-
-
-def as_path(spec) -> Callable[[float], np.ndarray]:
-    """Coerce a coefficient spec to a callable path t -> ndarray.
-
-    Accepts a callable (returned as is), a :class:`PiecewiseConstant`, a
-    scalar/array (constant path), or the config-file forms
-    ``{"const": value}`` and ``{"piecewise": [{"t_from": t0, "value": v0}, ...]}``.
-    """
-    if callable(spec):
-        return spec
-    if isinstance(spec, dict):
-        if "const" in spec:
-            return PiecewiseConstant([0.0], [np.asarray(spec["const"], dtype=float)])
-        if "piecewise" in spec:
-            pieces = sorted(spec["piecewise"], key=lambda p: float(p["t_from"]))
-            if not pieces:
-                raise ValueError("piecewise spec must contain at least one piece")
-            vals = [p.get("value") for p in pieces]
-            if any(v is None for v in vals):
-                raise ValueError("each piece needs a 'value' entry")
-            return PiecewiseConstant([float(p["t_from"]) for p in pieces], vals)
-        raise ValueError(f"coefficient dict must contain 'const' or 'piecewise', got keys {sorted(spec)}")
-    return PiecewiseConstant([0.0], [np.asarray(spec, dtype=float)])
 
 
 def coerce(value, shape: tuple, name: str) -> np.ndarray:
@@ -479,32 +454,48 @@ def coerce(value, shape: tuple, name: str) -> np.ndarray:
     return arr
 
 
-def shaped_path(spec, shape: tuple, name: str) -> Callable[[float], np.ndarray]:
-    """:func:`as_path` with every value coerced to ``shape``.
+def shaped_path(spec, shape: tuple, name: str) -> PiecewiseConstant:
+    """Coefficient spec ``name`` as a new :class:`PiecewiseConstant` (the
+    caller's table is not rewritten) with every value coerced to ``shape``.
 
-    A piecewise table comes back as a new :class:`PiecewiseConstant` (the
-    caller's table is not rewritten) with every piece coerced; a callable
-    is wrapped so that its values are coerced when evaluated.
+    Accepts a :class:`PiecewiseConstant`, a scalar/array (constant path),
+    or the config-file forms ``{"const": value}`` and
+    ``{"piecewise": [{"t_from": t0, "value": v0}, ...]}``.  A callable is
+    rejected: time-varying or random coefficients are written as
+    :class:`MfProblem` callbacks.
     """
-    path = as_path(spec)
-    if isinstance(path, PiecewiseConstant):
-        return PiecewiseConstant(path.breakpoints, [coerce(v, shape, name) for v in path.values])
-    return lambda t: coerce(path(t), shape, name)
+    if isinstance(spec, PiecewiseConstant):
+        bp, vals = spec.breakpoints, spec.values
+    elif callable(spec):
+        raise ValueError(f"{name} must be a constant or a piecewise table, got a callable")
+    elif isinstance(spec, dict):
+        if "const" in spec:
+            bp, vals = [0.0], [spec["const"]]
+        elif "piecewise" in spec:
+            pieces = sorted(spec["piecewise"], key=lambda p: float(p["t_from"]))
+            if not pieces:
+                raise ValueError("piecewise spec must contain at least one piece")
+            bp, vals = [float(p["t_from"]) for p in pieces], [p.get("value") for p in pieces]
+            if any(v is None for v in vals):
+                raise ValueError("each piece needs a 'value' entry")
+        else:
+            raise ValueError(f"coefficient dict must contain 'const' or 'piecewise', got keys {sorted(spec)}")
+    else:
+        bp, vals = [0.0], [spec]
+    vals = [coerce(v, shape, name) for v in vals]
+    try:
+        return PiecewiseConstant(bp, vals)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
-def map_path(fn: Callable, *paths) -> Callable[[float], np.ndarray]:
-    """The path t -> fn(p_1(t), ..., p_k(t)).
-
-    When every p_i is piecewise constant the result is one table on the
-    union of their breakpoints, and ``fn`` is applied once to the stacked
-    piece values (it must act on a leading piece axis); otherwise ``fn``
-    runs at each evaluation.
-    """
-    if all(isinstance(p, PiecewiseConstant) for p in paths):
-        bp = np.unique(np.concatenate([p.breakpoints for p in paths]))
-        pieces = [p.values[np.maximum(np.searchsorted(p.breakpoints, bp, side="right") - 1, 0)] for p in paths]
-        return PiecewiseConstant(bp, fn(*pieces))
-    return lambda t: fn(*(p(t) for p in paths))
+def map_path(fn: Callable, *paths: PiecewiseConstant) -> PiecewiseConstant:
+    """The table t -> fn(p_1(t), ..., p_k(t)) on the union of the paths'
+    breakpoints; ``fn`` is applied once to the stacked piece values (it
+    must act on a leading piece axis)."""
+    bp = np.unique(np.concatenate([p.breakpoints for p in paths]))
+    pieces = [p.values[np.maximum(np.searchsorted(p.breakpoints, bp, side="right") - 1, 0)] for p in paths]
+    return PiecewiseConstant(bp, fn(*pieces))
 
 
 class AffineCoeffs:
@@ -515,15 +506,15 @@ class AffineCoeffs:
 
     with (m, m) matrix paths for the terms x, y, z, mean_x, mean_y and an
     m-vector path for const; (xi_1, xi_2) are the X and Y halves of the
-    measure's points.  Terms are coefficient specs (see :func:`as_path`)
-    coerced once to their shapes; absent terms, and piecewise terms that
-    are zero everywhere, are dropped.  The z term assumes a
-    one-dimensional Brownian motion (z is taken as an m-vector).
+    measure's points.  Terms are coefficient specs (see
+    :func:`shaped_path`) coerced once to piecewise tables of their shapes;
+    absent terms, and terms that are zero everywhere, are dropped.  The z
+    term assumes a one-dimensional Brownian motion (z is taken as an
+    m-vector).
 
     The terms are compiled once per evaluation time (:meth:`at`): a
     solver evaluates the table at its grid nodes on every sweep, so after
-    the first sweep a call looks up no piece and calls no coefficient
-    callable.
+    the first sweep a call looks up no piece.
     """
 
     TERMS = ("x", "y", "z", "mean_x", "mean_y", "const")
@@ -538,7 +529,7 @@ class AffineCoeffs:
             if spec is None:
                 continue
             path = shaped_path(spec, (dim,) if key == "const" else (dim, dim), f"{name}.{key}")
-            if not (isinstance(path, PiecewiseConstant) and not np.any(path.values)):
+            if np.any(path.values):
                 self.terms[key] = path
         self._compiled: dict[float, dict] = {}
 
@@ -549,7 +540,7 @@ class AffineCoeffs:
         if node is None:
             if len(self._compiled) >= self._TIMES_KEPT:
                 self._compiled.clear()
-            node = self._compiled[t] = {key: np.asarray(path(t), dtype=float) for key, path in self.terms.items()}
+            node = self._compiled[t] = {key: path(t) for key, path in self.terms.items()}
         return node
 
     def __call__(self, t: float, x, y=None, z=None, nu=None) -> np.ndarray:

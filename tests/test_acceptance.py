@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mfbsde import cli, fixpoint, lqgame
-from mfbsde.backward import RegressionBasis, solve_backward
+from mfbsde.backward import solve_backward
 from mfbsde.forward import propagate
 from mfbsde.measure import EmpiricalMeasure, w2_exact, w2_paired_bound
 from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle, marginal
@@ -116,7 +116,7 @@ def test_criterion_4_bsde_oracle():
     zeros_z = PathEnsemble(np.zeros((particles, 100, 1)))
     flow = [joint_marginal(zeros_y, zeros_y, k) for k in range(101)]
     x = propagate(p, grid, bundle, zeros_y, zeros_z, zeros_y, zeros_z, flow, 0.0)
-    y, z, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 100), RegressionBasis(1))
+    y, z, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 100))
     se_y0 = x.values[:, -1, 0].std() / math.sqrt(particles)
     y0_err = abs(y.values[:, 0, 0].mean() - 0.7)
     targets = x.values[:, 1:, 0][:, :, None] * bundle.increments / grid.dt
@@ -133,7 +133,7 @@ def test_criterion_4_bsde_oracle():
         g=lambda xx, mu: np.ones_like(xx),
         law_free_sigma=True,
     )
-    y2, _, _ = solve_backward(p2, grid, bundle, x, flow, marginal(x, 100), RegressionBasis(1))
+    y2, _, _ = solve_backward(p2, grid, bundle, x, flow, marginal(x, 100))
     rel = abs(y2.values[:, 0, 0].mean() - math.exp(a)) / math.exp(a)
     driver_ok = rel < 0.01
     elapsed = time.time() - start

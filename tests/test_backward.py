@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfbsde import backward
-from mfbsde.backward import RegressionBasis, solve_backward
+from mfbsde.backward import solve_backward
 from mfbsde.forward import propagate
 from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle, marginal
 from mfbsde.problem import AffineCoeffs, MfProblem, affine_problem
@@ -20,9 +20,14 @@ def brownian_paths(problem, grid, particles, seed):
     return bundle, x, flow
 
 
-def per_step_backward(p, grid, bundle, x_ens, flow, mu, basis):
-    """Reference recursion: each step's Gram matrix, ridge shift and
-    eigenvalue flag formed on its own, particle-major."""
+def affine_design(x):
+    """The [1, x] design (P, 1 + m) of particle-major states x (P, m)."""
+    return np.column_stack([np.ones(len(x)), x])
+
+
+def per_step_backward(p, grid, bundle, x_ens, flow, mu):
+    """Reference recursion: each step's affine design, Gram matrix, ridge
+    shift and eigenvalue flag formed on its own, particle-major."""
     m, d, steps, dt = p.dim_state, p.dim_bm, grid.steps, grid.dt
     xv, dw = x_ens.values, bundle.increments
     y = np.empty((xv.shape[0], steps + 1, m))
@@ -30,7 +35,7 @@ def per_step_backward(p, grid, bundle, x_ens, flow, mu, basis):
     ridge = []
     y[:, steps] = p.g(xv[:, steps], mu)
     for k in range(steps - 1, -1, -1):
-        design = basis.features(xv[:, k])
+        design = affine_design(xv[:, k])
         gram = design.T @ design
         scale = np.trace(gram) / gram.shape[0] + 1.0
         shifted = gram + backward._RIDGE * scale * np.eye(gram.shape[0])
@@ -49,18 +54,6 @@ def per_step_backward(p, grid, bundle, x_ens, flow, mu, basis):
     return y, z.reshape(-1, steps, m * d), ridge
 
 
-class TestBasis:
-    def test_feature_counts(self):
-        x = np.random.default_rng(0).standard_normal((10, 3))
-        assert RegressionBasis(0).features(x).shape == (10, 1)
-        assert RegressionBasis(1).features(x).shape == (10, 4)
-        assert RegressionBasis(2).features(x).shape == (10, 10)
-
-    def test_degree_validation(self):
-        with pytest.raises(ValueError):
-            RegressionBasis(3)
-
-
 class TestSolveBackward:
     def test_constant_terminal_no_driver(self):
         p = MfProblem(
@@ -74,7 +67,7 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 20)
         particles = 2000
         bundle, x, flow = brownian_paths(p, grid, particles, seed=0)
-        y, z, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 20), RegressionBasis(1))
+        y, z, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 20))
         assert np.allclose(y.values, 2.5, atol=1e-10)
         # Z is zero only in expectation: each fit carries Monte Carlo noise
         # of order std(c dW/dt) * sqrt(n_features / particles)
@@ -87,9 +80,7 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 50)
         particles = 5000
         bundle, x, flow = brownian_paths(martingale_problem, grid, particles, seed=2)
-        y, z, _ = solve_backward(
-            martingale_problem, grid, bundle, x, flow, marginal(x, 50), RegressionBasis(1)
-        )
+        y, z, _ = solve_backward(martingale_problem, grid, bundle, x, flow, marginal(x, 50))
         x0 = martingale_problem.x0[0]
         se_y0 = x.values[:, -1, 0].std() / math.sqrt(particles)
         assert abs(y.values[:, 0, 0].mean() - x0) < 3 * se_y0
@@ -115,22 +106,20 @@ class TestSolveBackward:
         )
         grid = TimeGrid(1.0, 100)
         bundle, x, flow = brownian_paths(p, grid, 2000, seed=2)
-        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 100), RegressionBasis(1))
+        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 100))
         assert y.values[:, 0, 0].mean() == pytest.approx(math.exp(a), rel=0.01)
 
     def test_tower_property_fitted_values_are_functions_of_state(self, martingale_problem):
         grid = TimeGrid(1.0, 10)
         bundle, x, flow = brownian_paths(martingale_problem, grid, 300, seed=3)
-        y, z, _ = solve_backward(
-            martingale_problem, grid, bundle, x, flow, marginal(x, 10), RegressionBasis(1)
-        )
+        y, z, _ = solve_backward(martingale_problem, grid, bundle, x, flow, marginal(x, 10))
         # two particles with (numerically) equal states get equal fits
         xs = x.values[:, 5, 0]
         i, j = np.argsort(xs)[:2]
         if abs(xs[i] - xs[j]) < 1e-3:
             assert abs(y.values[i, 5, 0] - y.values[j, 5, 0]) < 1e-2
         # fitted Y at node k is affine in X at node k: residual of refit is 0
-        design = RegressionBasis(1).features(x.values[:, 5, :])
+        design = affine_design(x.values[:, 5, :])
         coef, *_ = np.linalg.lstsq(design, y.values[:, 5, :], rcond=None)
         assert np.allclose(design @ coef, y.values[:, 5, :], atol=1e-9)
 
@@ -145,7 +134,7 @@ class TestSolveBackward:
         )
         grid = TimeGrid(1.0, 20)
         bundle, x, flow = brownian_paths(p, grid, 50, seed=4)
-        _, _, diag = solve_backward(p, grid, bundle, x, flow, marginal(x, 20), RegressionBasis(1))
+        _, _, diag = solve_backward(p, grid, bundle, x, flow, marginal(x, 20))
         # Y-fit exact by affinity up to the stabilizing ridge's O(1e-10)
         # shrinkage; Z targets carry dW noise by design
         assert max(diag.y_residuals) < 1e-8
@@ -154,9 +143,7 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 40)
         particles = 4000
         bundle, x, flow = brownian_paths(martingale_problem, grid, particles, seed=7)
-        y, z, _ = solve_backward(
-            martingale_problem, grid, bundle, x, flow, marginal(x, 40), RegressionBasis(1)
-        )
+        y, z, _ = solve_backward(martingale_problem, grid, bundle, x, flow, marginal(x, 40))
         zv = z.values.reshape(particles, 40, 1)
         for k in range(40):
             # the Y-update part has exactly zero mean (the regression
@@ -183,7 +170,7 @@ class TestSolveBackward:
         bundle, x, _ = brownian_paths(p, grid, 200, seed=8)
         ones = PathEnsemble(np.ones((200, 11, 1)))
         flow_shifted = [joint_marginal(x, ones, k) for k in range(11)]
-        y, _, _ = solve_backward(p, grid, bundle, x, flow_shifted, marginal(x, 10), RegressionBasis(1))
+        y, _, _ = solve_backward(p, grid, bundle, x, flow_shifted, marginal(x, 10))
         # dY = -1 dt integrated from T: Y_0 = 0 + 1.0
         assert y.values[:, 0, 0].mean() == pytest.approx(1.0, abs=1e-8)
 
@@ -193,36 +180,17 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 10)
         bundle, x, flow = brownian_paths(p, grid, 200, seed=9)
         frozen = PathEnsemble(np.full((200, 11, 1), 5.0))
-        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(frozen, 10), RegressionBasis(1))
+        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(frozen, 10))
         assert np.allclose(y.values[:, -1, 0], x.values[:, -1, 0] + 5.0)
 
     def test_degenerate_cloud_flagged_as_ridge(self, martingale_problem):
         grid = TimeGrid(1.0, 5)
         bundle, x, flow = brownian_paths(martingale_problem, grid, 100, seed=10)
-        _, _, diag = solve_backward(
-            martingale_problem, grid, bundle, x, flow, marginal(x, 5), RegressionBasis(1)
-        )
+        _, _, diag = solve_backward(martingale_problem, grid, bundle, x, flow, marginal(x, 5))
         assert 0 in diag.ridge_steps  # X_0 is a point mass
         assert diag.used_ridge
 
-    def test_degree_two_basis_captures_quadratic_terminal(self, martingale_problem):
-        # g(x) = x^2 on Brownian paths: Y_t = X_t^2 + (T - t)
-        p = pure_martingale()
-        p.g = lambda x, mu: x * x
-        grid = TimeGrid(1.0, 40)
-        particles = 4000
-        bundle, x, flow = brownian_paths(p, grid, particles, seed=12)
-        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 40), RegressionBasis(2))
-        x0 = p.x0[0]
-        expected = x0**2 + 1.0
-        se = (x.values[:, -1, 0] ** 2).std() / math.sqrt(particles)
-        assert abs(y.values[:, 0, 0].mean() - expected) < 3 * se
-        mid_expected = x.values[:, 20, 0] ** 2 + 0.5
-        err = np.abs(y.values[:, 20, 0] - mid_expected).mean()
-        assert err < 0.1
-
-    @pytest.mark.parametrize("degree", [0, 1, 2])
-    def test_batched_factors_match_the_per_step_reference(self, degree):
+    def test_batched_factors_match_the_per_step_reference(self):
         # a 2-D cloud that is collinear (rank deficient) on the first 3 steps
         grid, particles = TimeGrid(0.5, 8), 400
         bundle = make_bundle(grid, particles, 1, seed=2)
@@ -237,11 +205,9 @@ class TestSolveBackward:
             g=AffineCoeffs(2, x=[[1.0, 0.5], [0.5, 2.0]], mean_x=0.1, const=[0.0, 0.3]),
         )
         flow = [joint_marginal(x, x, k) for k in range(grid.steps + 1)]
-        basis = RegressionBasis(degree)
-        y, z, diag = solve_backward(p, grid, bundle, x, flow, marginal(x, grid.steps), basis)
-        y_ref, z_ref, ridge = per_step_backward(p, grid, bundle, x, flow, marginal(x, grid.steps), basis)
-        assert diag.ridge_steps == ridge
-        assert ridge == ([] if degree == 0 else [2, 1, 0])
+        y, z, diag = solve_backward(p, grid, bundle, x, flow, marginal(x, grid.steps))
+        y_ref, z_ref, ridge = per_step_backward(p, grid, bundle, x, flow, marginal(x, grid.steps))
+        assert diag.ridge_steps == ridge == [2, 1, 0]
         # the Gram sums run in another order; on the collinear steps the
         # ridge-shifted solve turns that into ~1e-12 absolute, so entries
         # are compared at 1e-10 of their array's scale
@@ -254,4 +220,4 @@ class TestSolveBackward:
         bad_x = PathEnsemble(np.zeros((16, 5, 1)))
         flow = [joint_marginal(bad_x, bad_x, k) for k in range(5)]
         with pytest.raises(ValueError, match="x_ens"):
-            solve_backward(martingale_problem, grid, bundle, bad_x, flow, marginal(bad_x, 4), RegressionBasis(1))
+            solve_backward(martingale_problem, grid, bundle, bad_x, flow, marginal(bad_x, 4))

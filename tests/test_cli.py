@@ -369,6 +369,30 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "config error: c_nu must be finite and nonnegative\n"
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_non_finite_breakpoint_is_config_error(self, tmp_path, capsys, command):
+        # json reads NaN; the pieces after a NaN t_from used to be dropped without a word
+        pieces = [{"t_from": 0, "value": 0.3}, {"t_from": float("nan"), "value": 2.0}, {"t_from": 0.5, "value": 3.0}]
+        cfg = write_config(tmp_path, dict(SCALAR_GAME, A={"piecewise": pieces}))
+        out = tmp_path / "o"
+        assert cli.main([command, cfg] + (["--out", str(out)] if command == "solve" else [])) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: A: breakpoints must be finite and strictly increasing")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "game"])
+    def test_overflowing_sup_norm_is_numerical_blowup(self, tmp_path, capsys, command):
+        # every entry of A is finite, but its spectral norm 2e308 is not
+        game = {"kind": "game", "n": 2, "m": 1, "T": 0.25, "x0": [1.0, 2.0], "A": [[1e308, 1e308], [1e308, 1e308]],
+                "C": [[[1.0], [0.0]]], "N": [[[1.0]]], "Q": [[[1.0, 0.0], [0.0, 1.0]]]}
+        out = tmp_path / "o"
+        assert cli.main([command, write_config(tmp_path, game), "--out", str(out)]) == cli.EXIT_NOT_CONVERGED
+        message = "the sup norm of A over [0, 0.25] overflows"
+        assert capsys.readouterr().err == f"numerical blow-up: {message}\n"
+        if command == "game":
+            report = json.loads((out / "report.json").read_text())
+            assert report["numerical_blowup"] is True and report["message"] == message
+
     def test_allocation_failure_is_reported(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):
             raise MemoryError("Unable to allocate 7.11 PiB")

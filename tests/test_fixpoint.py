@@ -197,6 +197,32 @@ class TestSolve:
         assert sol.history[-1].inner_exit == "target"
         assert sol.history[-1].to_record()["inner_gap"] == sol.history[-1].inner_gap
 
+    def test_two_dimensional_brownian_motion(self):
+        # X = W in R^2, f = h = 0, sigma = I and g(x) = A x: Y_t = A W_t and Z = A
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        p = MfProblem(
+            dim_state=2, dim_bm=2, x0=[0.0, 0.0], horizon=1.0,
+            f=lambda t, x, y, z, nu: np.zeros_like(x),
+            sigma=lambda t, x, y, z, nu: np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)),
+            h=lambda t, x, y, z, nu: np.zeros_like(x),
+            g=lambda x, mu: x @ a.T,
+            law_free_sigma=True,
+        )
+        grid, particles = TimeGrid(1.0, 20), 4000
+        sol = fixpoint.solve(p, grid, SchemeParams(particles=particles), seed=1)
+        assert sol.converged
+        z_mean = sol.z_ens.values.mean(axis=(0, 1)).reshape(2, 2)
+        # each Z fit keeps the mean of its targets Y_{k+1} dW_k' / dt (the
+        # constant is a feature), so Z's mean carries the Monte Carlo error of
+        # the per-particle time averages of those targets; bound: 4 of its
+        # standard errors per entry
+        y_next, dw = sol.y_ens.values[:, 1:, :], sol.bundle.increments
+        targets = y_next[:, :, :, None] * dw[:, :, None, :] / grid.dt
+        se = targets.mean(axis=1).std(axis=0) / math.sqrt(particles)
+        assert np.all(np.abs(z_mean - a) <= 4 * se)
+        fwd, _, _ = fixpoint.residual(p, sol)
+        assert fwd <= 1e-12
+
     def test_grid_problem_horizon_mismatch(self):
         p = h1prime_toy(horizon=0.25)
         with pytest.raises(ValueError, match="horizon"):

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import warnings
 
 import numpy as np
@@ -49,15 +48,23 @@ class TestGameSpec:
     @pytest.mark.parametrize("field,overrides", [
         ("x0", dict(x0=[np.inf])),
         ("A", dict(A=np.nan)),
-        ("A", dict(A=lambda t: [[np.nan if t > 0.5 else 0.3]])),
+        ("A", dict(A=PiecewiseConstant([0.0, 0.5], [0.3, np.nan]))),
         ("alpha", dict(alpha=PiecewiseConstant([0.0, 2.0], [0.1, np.inf]))),
         ("C", dict(C=[[[np.nan]]])),
         ("N", dict(N=[[[np.inf]]])),
         ("Q", dict(Q=[[[np.nan]]])),
-        ("M", dict(M=[lambda t: [[np.nan]]])),
+        ("M", dict(M=[{"piecewise": [{"t_from": 0.0, "value": 1.0}, {"t_from": 0.5, "value": np.nan}]}])),
     ])
     def test_non_finite_data_rejected(self, field, overrides):
         with pytest.raises(ValueError, match=rf"^{field}(\[0\])? must be finite"):
+            scalar_game(**overrides)
+
+    @pytest.mark.parametrize("field,overrides", [
+        ("A", dict(A=lambda t: [[0.3]])),
+        ("M", dict(M=[lambda t: [[1.0]]])),
+    ])
+    def test_callable_coefficient_rejected(self, field, overrides):
+        with pytest.raises(ValueError, match=rf"^{field}(\[0\])? must be a constant or a piecewise table, got a callable$"):
             scalar_game(**overrides)
 
     def test_piecewise_table_is_not_rewritten(self):
@@ -230,11 +237,21 @@ class TestBuildAggregated:
         assert lqgame.build_aggregated(lqgame.example3_game(0.5)).monotonicity is None
 
     def test_sups_are_taken_through_the_gate(self):
-        # a piecewise D switching inside [0, T] and a callable D sampled up to T = 2
-        for gs, sup in ((scalar_game(D=PiecewiseConstant([0.0, 0.5], [[[0.1]], [[-0.3]]])), 0.3),
-                        (scalar_game(horizon=2.0, D=lambda t: np.array([[0.1 * t]])), 0.2)):
-            assert lqgame.check_H2(gs, TimeGrid(gs.horizon, 7)).norm_D == pytest.approx(sup, abs=1e-15)
-            assert lqgame.build_aggregated(gs).lipschitz.c_nu == pytest.approx(sup, abs=1e-15)
+        # a piecewise D switching inside [0, T]
+        gs = scalar_game(D=PiecewiseConstant([0.0, 0.5], [[[0.1]], [[-0.3]]]))
+        assert lqgame.check_H2(gs, TimeGrid(gs.horizon, 7)).norm_D == pytest.approx(0.3, abs=1e-15)
+        assert lqgame.build_aggregated(gs).lipschitz.c_nu == pytest.approx(0.3, abs=1e-15)
+
+    @pytest.mark.parametrize("name,overrides", [
+        ("A", dict(A=np.full((2, 2), 1e308))),
+        ("sum K_i M_i", dict(M=[PiecewiseConstant([0.0, 0.5], [np.eye(2), np.full((2, 2), 1.5e308)])])),
+    ])
+    def test_overflowing_sup_raises_naming_the_coefficient(self, name, overrides):
+        # finite entries whose spectral norm, 2e308 or sqrt(2) 1.5e308, overflows
+        gs = scalar_game(**{"n": 2, "x0": [1.0, 2.0], "A": 0.0, "sigma": 0.0, "alpha": 0.0,
+                            "C": [[[1.0], [0.0]]], "Q": [np.eye(2)], "M": (), **overrides})
+        with pytest.raises(FloatingPointError, match=rf"^the sup norm of {name} over \[0, 1\] overflows$"):
+            lqgame.build_aggregated(gs)
 
     def test_pieces_after_the_horizon_are_ignored(self):
         # D jumps to 5 at t = 2, past T = 1
@@ -581,20 +598,6 @@ class TestMeanReduction:
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match=r"boundary matrix B\(400\) is not finite"):
                 lqgame.solve_mean_fbode(self.growing_game(400.0))
-
-    def test_callable_coefficients_match_exponentials(self):
-        # the same game with callable A and D goes through RK4 instead of
-        # piece exponentials; example 3 has A + D = 0, the scalar game a
-        # generator with nonzero state, cost and beta blocks; None gives
-        # the 201 default output times
-        scalar = scalar_game(sigma=[[0.0]], D=[[0.2]], beta=[0.1])
-        for gs, times in itertools.product((lqgame.example3_game(0.5), scalar), ([0.0, 0.25, 0.5], None)):
-            a, d = gs.A(0.0), gs.D(0.0)
-            dense = dataclasses.replace(gs, A=lambda t: a, D=lambda t: d)
-            exact, rk4 = lqgame.solve_mean_fbode(gs, times), lqgame.solve_mean_fbode(dense, times)
-            assert rk4.det == pytest.approx(exact.det, rel=1e-12)
-            assert np.allclose(rk4.state_mean, exact.state_mean, rtol=1e-12, atol=1e-12)
-            assert np.allclose(rk4.adjoint_means, exact.adjoint_means, rtol=1e-12, atol=1e-12)
 
     def test_multiplicative_noise_rejected(self):
         gs = scalar_game()  # sigma = 0.2 x

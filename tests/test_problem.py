@@ -12,7 +12,6 @@ from mfbsde.problem import (
     MfProblem,
     MonotonicityProfile,
     PiecewiseConstant,
-    as_path,
     map_path,
     shaped_path,
     check_H1,
@@ -306,25 +305,28 @@ class TestPiecewisePaths:
         assert p(1.0) == pytest.approx(2.0)
         assert p(7.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("breakpoints", [[0.0, np.nan, 0.5], [0.0, np.inf], [-np.inf, 0.0]])
+    def test_breakpoints_must_be_finite_and_increasing(self, breakpoints):
+        with pytest.raises(ValueError, match="breakpoints must be finite and strictly increasing"):
+            PiecewiseConstant(breakpoints, np.ones(len(breakpoints)))
+
     def test_as_path_forms(self):
-        assert np.allclose(as_path(3.0)(0.1), 3.0)
-        assert np.allclose(as_path({"const": [[1.0, 0.0], [0.0, 1.0]]})(0.5), np.eye(2))
-        pw = as_path({"piecewise": [{"t_from": 0.0, "value": 1.0}, {"t_from": 0.5, "value": 2.0}]})
+        assert np.allclose(shaped_path(3.0, (1, 1), "a")(0.1), 3.0)
+        assert np.allclose(shaped_path({"const": [[1.0, 0.0], [0.0, 1.0]]}, (2, 2), "a")(0.5), np.eye(2))
+        pw = shaped_path({"piecewise": [{"t_from": 0.0, "value": 1.0}, {"t_from": 0.5, "value": 2.0}]}, (1, 1), "a")
         assert pw(0.25) == pytest.approx(1.0) and pw(0.75) == pytest.approx(2.0)
-        fn = as_path(lambda t: np.array([[t]]))
-        assert fn(0.3) == pytest.approx(0.3)
 
     def test_as_path_rejects_bad_dict(self):
         with pytest.raises(ValueError):
-            as_path({"weird": 1})
+            shaped_path({"weird": 1}, (1, 1), "a")
 
     def test_as_path_rejects_piece_without_value(self):
         with pytest.raises(ValueError, match="'value'"):
-            as_path({"piecewise": [{"t_from": 0.0}, {"t_from": 0.1, "value": -1.0}]})
+            shaped_path({"piecewise": [{"t_from": 0.0}, {"t_from": 0.1, "value": -1.0}]}, (1, 1), "a")
         with pytest.raises(ValueError, match="'value'"):
-            as_path({"piecewise": [{"t_from": 0.0, "value": None}]})
+            shaped_path({"piecewise": [{"t_from": 0.0, "value": None}]}, (1, 1), "a")
         with pytest.raises(ValueError, match="'value'"):
-            as_path({"piecewise": [{"t_from": 0.0, "matrix": 1.0}]})
+            shaped_path({"piecewise": [{"t_from": 0.0, "matrix": 1.0}]}, (1, 1), "a")
 
     def test_shaped_path_builds_a_new_table(self):
         pw = PiecewiseConstant([0.0, 0.5], [0.1, 0.2])
@@ -334,7 +336,9 @@ class TestPiecewisePaths:
         assert np.array_equal(shaped(0.7), 0.2 * np.eye(2))
         assert np.array_equal(shaped_path(pw, (3,), "b")(0.0), np.full(3, 0.1))
         with pytest.raises(ValueError, match=r"b: expected shape \(2,\), got \(3,\)"):
-            shaped_path(lambda t: np.ones(3), (2,), "b")(0.0)
+            shaped_path(np.ones(3), (2,), "b")
+        with pytest.raises(ValueError, match="^b must be a constant or a piecewise table, got a callable$"):
+            shaped_path(lambda t: np.ones(2), (2,), "b")
 
     def test_map_path_merges_breakpoints(self):
         a = PiecewiseConstant([0.0, 0.5], [np.eye(2), 2 * np.eye(2)])
@@ -344,8 +348,6 @@ class TestPiecewisePaths:
         assert np.array_equal(ab.breakpoints, [0.0, 0.25, 0.5])
         for t in (-1.0, 0.1, 0.3, 0.6):
             assert np.array_equal(ab(t), a(t) @ b(t))
-        call = map_path(lambda u, v: u @ v, a, lambda t: t * np.ones((2, 2)))
-        assert np.array_equal(call(0.6), 2 * 0.6 * np.ones((2, 2)))
 
 
 class TestAffineCoeffs:
@@ -364,29 +366,23 @@ class TestAffineCoeffs:
     def test_zero_piecewise_terms_are_dropped(self):
         table = AffineCoeffs(
             2, "h", x=0.0, y={"piecewise": [{"t_from": 0.0, "value": 0.0}, {"t_from": 0.5, "value": 1.0}]},
-            mean_x=np.zeros((2, 2)), const=lambda t: np.zeros(2),
+            mean_x=np.zeros((2, 2)), const={"piecewise": [{"t_from": 0.0, "value": 0.0}, {"t_from": 0.3, "value": 0.0}]},
         )
-        assert sorted(table.terms) == ["const", "y"]
+        assert sorted(table.terms) == ["y"]
         x = np.ones((3, 2))
         # no measure is needed once the mean terms are gone
         assert np.array_equal(table(0.7, x, 2 * x), 2 * x)
 
     def test_terms_compiled_once_per_time(self):
-        calls = []
-
-        def mean_x(t):
-            calls.append(t)
-            return t * np.eye(2)
-
         steps = {"piecewise": [{"t_from": 0.0, "value": 1.0}, {"t_from": 0.5, "value": 3.0}]}
-        table = AffineCoeffs(2, "f", x=steps, mean_x=mean_x)
+        halves = {"piecewise": [{"t_from": 0.0, "value": 0.25}, {"t_from": 0.5, "value": 0.5}]}
+        table = AffineCoeffs(2, "f", x=steps, mean_x=halves)
         # a time exactly on a breakpoint takes the right-hand piece
         assert np.array_equal(table.at(0.5)["x"], 3.0 * np.eye(2))
         assert np.array_equal(table.at(0.25)["x"], np.eye(2))
-        # a callable coefficient is called at t, once per time
-        assert calls == [0.5, 0.25]
+        # each time is compiled once and kept
+        assert table.at(0.5) is table.at(0.5)
         assert np.array_equal(table.at(0.5)["mean_x"], 0.5 * np.eye(2))
-        assert calls == [0.5, 0.25]
 
         rng = np.random.default_rng(4)
         cm = rng.standard_normal((2, 6))
