@@ -9,8 +9,8 @@ report.json, deviations.json).
 
 Exit codes: 0 success, 1 config or usage error, 2 condition failure, 3
 diverged / numerical blow-up / not converged / nonexistent, 4 deviation
-test failure.  Solver flags override config-file "solver" entries, which
-override built-in defaults.
+test failure.  The solver settings (particles, steps, seed, delta, tol,
+max-outer) are flags only; a config file holds the problem or the game.
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ EXIT_CONDITION = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_DEVIATION = 4
 
-# solver settings that SchemeParams holds (and whose defaults it owns); the
-# config "solver" block also takes the grid's steps and the run's seed
-_SCHEME_KEYS = ("particles", "delta", "tol", "max_outer")
-_SOLVER_KEYS = ("steps", "seed") + _SCHEME_KEYS
+# time steps of the solve grid, and of the gate grid `check` uses on a game
+_STEPS = 100
 
 
 def _jsonable(obj):
@@ -80,18 +78,11 @@ def _load_config(path: str) -> tuple[str, dict]:
     return kind, cfg
 
 
-def _solver_settings(args, cfg: dict) -> dict:
-    """Resolve solver settings: flag > config 'solver' block > default."""
-    block = cfg.get("solver", {})
-    unknown = set(block) - set(_SOLVER_KEYS)
-    if unknown:
-        raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
-    defaults = {"steps": 100, "seed": 0, **{key: getattr(fixpoint.SchemeParams, key) for key in _SCHEME_KEYS}}
-    out = {}
-    for key, dflt in defaults.items():
-        flag = getattr(args, key, None)
-        out[key] = flag if flag is not None else block.get(key, dflt)
-    return out
+def _scheme(args, horizon: float) -> tuple[TimeGrid, fixpoint.SchemeParams]:
+    """The grid and the scheme parameters of a `solve` or `game` run."""
+    grid = TimeGrid(horizon=horizon, steps=args.steps)
+    params = fixpoint.SchemeParams(particles=args.particles, delta=args.delta, tol=args.tol, max_outer=args.max_outer)
+    return grid, params
 
 
 # The failure map: exception type -> (exit code, stderr prefix, report fields).
@@ -118,11 +109,17 @@ def _open_out(args, report: dict) -> Path:
     return outdir
 
 
-def _write_solution(outdir: Path, sol, prob) -> None:
+def _write_run(outdir: Path, history, x_ens=None, grid=None) -> None:
+    """Write diagnostics.jsonl and, for a run that finished, moments.csv."""
     with open(outdir / "diagnostics.jsonl", "w") as fh:
-        fixpoint.diagnostics_to_jsonl(sol.history, fh)
-    with open(outdir / "moments.csv", "w", newline="") as fh:
-        moments_to_csv(sol.x_ens, sol.grid, fh)
+        fixpoint.diagnostics_to_jsonl(history, fh)
+    if x_ens is not None:
+        with open(outdir / "moments.csv", "w", newline="") as fh:
+            moments_to_csv(x_ens, grid, fh)
+
+
+def _write_solution(outdir: Path, sol, prob) -> None:
+    _write_run(outdir, sol.history, sol.x_ens, sol.grid)
     fwd, bwd, term = fixpoint.residual(prob, sol)
     last = sol.history[-1]
     report = {
@@ -142,28 +139,24 @@ def cmd_check(args) -> int:
     kind, cfg = _load_config(args.config)
     if kind == "game":
         gs = lqgame.game_from_config(cfg)
-        settings = _solver_settings(args, cfg)
-        grid = TimeGrid(horizon=gs.horizon, steps=settings["steps"])
-        report = lqgame.check_H2(gs, grid)
+        report = lqgame.check_H2(gs, TimeGrid(horizon=gs.horizon, steps=_STEPS))
         _dump_json(report.to_dict(), sys.stdout)
         return EXIT_OK if report.passed else EXIT_CONDITION
     prob = problem_from_config(cfg)
     if prob.lipschitz is None or prob.monotonicity is None:
         raise ValueError("problem config must declare 'lipschitz' and 'monotonicity' blocks to be checked")
     smallness = check_smallness(prob.lipschitz, prob.monotonicity)
-    probe = check_H1(prob, samples=args.samples, rng_seed=args.seed or 0)
+    probe = check_H1(prob, samples=args.samples, rng_seed=args.seed)
     _dump_json({"smallness": smallness.to_dict(), "monotonicity": probe.to_dict()}, sys.stdout)
     return EXIT_OK if (smallness.passed and probe.passed) else EXIT_CONDITION
 
 
 def cmd_solve(args) -> int:
     kind, cfg = _load_config(args.config)
-    settings = _solver_settings(args, cfg)
     prob = problem_from_config(cfg) if kind == "problem" else lqgame.build_aggregated(lqgame.game_from_config(cfg))
-    grid = TimeGrid(horizon=prob.horizon, steps=settings["steps"])
-    params = fixpoint.SchemeParams(**{k: settings[k] for k in _SCHEME_KEYS})
+    grid, params = _scheme(args, prob.horizon)
     outdir = _open_out(args, {})
-    sol = fixpoint.solve(prob, grid, params, seed=settings["seed"])
+    sol = fixpoint.solve(prob, grid, params, seed=args.seed)
     _write_solution(outdir, sol, prob)
     print(f"converged={sol.converged} after {len(sol.history)} outer iterations; outputs in {outdir}")
     return EXIT_OK if sol.converged else EXIT_NOT_CONVERGED
@@ -178,12 +171,10 @@ def cmd_game(args) -> int:
     if kind != "game":
         raise ValueError("the game command needs a game config")
     gs = lqgame.game_from_config(cfg)
-    settings = _solver_settings(args, cfg)
-    grid = TimeGrid(horizon=gs.horizon, steps=settings["steps"])
+    grid, params = _scheme(args, gs.horizon)
     h2 = lqgame.check_H2(gs, grid)
-    params = fixpoint.SchemeParams(**{k: settings[k] for k in _SCHEME_KEYS})
     outdir = _open_out(args, {"h2": h2.to_dict()})
-    nash = lqgame.solve_nash(gs, grid, params, seed=settings["seed"])
+    nash = lqgame.solve_nash(gs, grid, params, seed=args.seed)
     if args.corrupt_control is not None:
         # test hook: shift player 0's control and re-evaluate
         corrupted = list(nash.controls)
@@ -194,15 +185,12 @@ def cmd_game(args) -> int:
             gs, nash, i,
             perturbations=args.deviations,
             magnitude=args.deviation_magnitude,
-            seed=settings["seed"] + 1 + i,
+            seed=args.seed + 1 + i,
         )
         for i in range(gs.players)
     ]
 
-    with open(outdir / "diagnostics.jsonl", "w") as fh:
-        fixpoint.diagnostics_to_jsonl(nash.aggregated.history, fh)
-    with open(outdir / "moments.csv", "w", newline="") as fh:
-        moments_to_csv(nash.x_ens, grid, fh)
+    _write_run(outdir, nash.aggregated.history, nash.x_ens, grid)
     with open(outdir / "report.json", "w") as fh:
         _dump_json({"h2": h2.to_dict(), "nash": nash.summary()}, fh)
     with open(outdir / "deviations.json", "w") as fh:
@@ -257,14 +245,14 @@ def cmd_counterexample(args) -> int:
 
 def _add_solver_flags(sub) -> None:
     sp = fixpoint.SchemeParams
-    sub.add_argument("--particles", type=int, default=None, help=f"particle count (default {sp.particles})")
-    sub.add_argument("--steps", type=int, default=None, help="time steps (default 100)")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    sub.add_argument("--delta", type=float, default=None,
-                     help=f"damping weight of the iteration (default {sp.delta:g})")
-    sub.add_argument("--tol", type=float, default=None, help=f"L2 stopping threshold (default {sp.tol:g})")
-    sub.add_argument("--max-outer", dest="max_outer", type=int, default=None,
-                     help=f"outer iteration cap (default {sp.max_outer})")
+    sub.add_argument("--particles", type=int, default=sp.particles, help="particle count (default %(default)s)")
+    sub.add_argument("--steps", type=int, default=_STEPS, help="time steps (default %(default)s)")
+    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
+    sub.add_argument("--delta", type=float, default=sp.delta,
+                     help="damping weight of the iteration (default %(default)s)")
+    sub.add_argument("--tol", type=float, default=sp.tol, help="L2 stopping threshold (default %(default)s)")
+    sub.add_argument("--max-outer", dest="max_outer", type=int, default=sp.max_outer,
+                     help="outer iteration cap (default %(default)s)")
     sub.add_argument("--out", default="out", help="output directory (default ./out)")
 
 
@@ -278,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = subs.add_parser("check", help="run the condition gates on a config")
     p_check.add_argument("config")
     p_check.add_argument("--samples", type=int, default=4000, help="monotonicity probe count")
-    p_check.add_argument("--seed", type=int, default=None)
+    p_check.add_argument("--seed", type=int, default=0, help="monotonicity probe seed (default %(default)s)")
     p_check.set_defaults(handler=cmd_check)
 
     p_solve = subs.add_parser("solve", help="solve the (aggregated) mean-field BFSDE")
@@ -319,8 +307,7 @@ def main(argv=None) -> int:
         if fields is not None and registered is not None:
             outdir, report = registered
             if isinstance(exc, fixpoint.Diverged):
-                with open(outdir / "diagnostics.jsonl", "w") as fh:
-                    fixpoint.diagnostics_to_jsonl(exc.history, fh)
+                _write_run(outdir, exc.history)
             with open(outdir / "report.json", "w") as fh:
                 _dump_json({**report, **fields, "message": str(exc)}, fh)
         print(f"{prefix}: {exc}", file=sys.stderr)

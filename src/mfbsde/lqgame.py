@@ -84,10 +84,10 @@ _ADJOINT_MAX_PASSES = 50
 _COST_BATCHES = 20
 
 
-def _sample_times(horizon: float, paths, samples: int = 257) -> np.ndarray:
-    """Uniform sampling times plus every piecewise breakpoint in [0, T]."""
+def _sample_times(horizon: float, paths) -> np.ndarray:
+    """t = 0 plus every breakpoint of ``paths`` in [0, T]: a time in each piece on [0, T]."""
     ts = [p.breakpoints[(p.breakpoints >= 0.0) & (p.breakpoints <= horizon)] for p in paths]
-    return np.unique(np.concatenate([np.linspace(0.0, horizon, samples), *ts]))
+    return np.unique(np.concatenate([[0.0], *ts]))
 
 
 def _check_symmetric(mat: np.ndarray, name: str) -> None:
@@ -179,7 +179,7 @@ class GameSpec:
             out = []
             for i, v in one_each(values, f"{name} path"):
                 out.append(shaped_path(v, (n, n), f"{name}[{i}]"))
-                for t in _sample_times(self.horizon, out[-1:], samples=5):
+                for t in _sample_times(self.horizon, out[-1:]):
                     _check_symmetric(out[-1](t), f"{name}[{i}](t={t:g})")
             return out
 
@@ -258,8 +258,7 @@ class H2Report:
 
 def _gate_times(gs: GameSpec) -> np.ndarray:
     """Where the gate and the aggregated constants evaluate the coefficients:
-    uniform times plus every breakpoint of A, D, sigma, the M_i and the
-    Gamma_i in [0, T]."""
+    t = 0 and every breakpoint of A, D, sigma, the M_i and the Gamma_i in [0, T]."""
     return _sample_times(gs.horizon, [gs.A, gs.D, gs.sigma, *gs.M, *gs.Gamma])
 
 

@@ -104,7 +104,7 @@ class MfProblem:
 
     ``law_free_sigma`` marks the variant where sigma ignores the measure;
     the solver then uses the relaxed iteration (no delta-perturbation of
-    the diffusion) and calls sigma with ``nu=None``.
+    the diffusion) and calls sigma with ``nu=None``; an H1prime profile needs it.
     """
 
     dim_state: int
@@ -130,6 +130,8 @@ class MfProblem:
         if not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be finite")
         self.x0 = x0
+        if self.monotonicity is not None and self.monotonicity.variant == H1PRIME and not self.law_free_sigma:
+            raise ValueError(f'variant "{H1PRIME}" needs a law-free sigma; declare variant="{H1}"')
 
     def spot_check(self, seed: int = 0) -> None:
         """Probe the callbacks on a small random batch.
@@ -407,8 +409,8 @@ class PiecewiseConstant:
     """Deterministic piecewise-constant path t -> matrix/vector.
 
     ``breakpoints`` are the left endpoints of the pieces (finite and
-    strictly increasing; the first one must be <= 0 so the path is total
-    on [0, T]); queries below the first breakpoint clamp to the first piece.
+    strictly increasing); a query before the first breakpoint takes the
+    first piece, so the path is defined at every t.
     """
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence):
@@ -595,9 +597,8 @@ def affine_problem(x0, horizon: float, f: AffineCoeffs, h: AffineCoeffs, sigma: 
 
 # the keys each config block takes; any other key is a config error
 _CONFIG_KEYS = {
-    "problem": ("kind", "dim", "horizon", "x0", "f", "h", "sigma", "g", "lipschitz", "monotonicity", "solver"),
-    "game": ("kind", "n", "m", "T", "x0", "A", "D", "beta", "sigma", "alpha", "C", "N", "M", "Gamma", "Q", "R",
-             "solver"),
+    "problem": ("kind", "dim", "horizon", "x0", "f", "h", "sigma", "g", "lipschitz", "monotonicity"),
+    "game": ("kind", "n", "m", "T", "x0", "A", "D", "beta", "sigma", "alpha", "C", "N", "M", "Gamma", "Q", "R"),
     "f": AffineCoeffs.TERMS,
     "h": AffineCoeffs.TERMS,
     "sigma": ("x", "y", "z", "const"),

@@ -151,13 +151,6 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("diverged: ")
         assert json.loads((out / "report.json").read_text())["diverged"] is True
 
-    def test_flags_override_config_solver_block(self, tmp_path):
-        payload = dict(TOY_PROBLEM, solver={"particles": 100, "steps": 10, "max_outer": 0})
-        cfg = write_config(tmp_path, payload)
-        # config's max_outer=0 would be invalid; the flag overrides it
-        code = cli.main(["solve", cfg, "--max-outer", "20", "--out", str(tmp_path / "o")])
-        assert code == cli.EXIT_OK
-
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, TOY_PROBLEM)
         outs = []
@@ -359,6 +352,17 @@ class TestExitCodes:
         assert cli.main(["solve", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ") and repr(key) in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "solve", "game"])
+    def test_config_solver_block_is_config_error(self, tmp_path, capsys, command):
+        # the solver settings are flags only; a config "solver" block is an unknown key
+        payload = dict(SCALAR_GAME if command == "game" else TOY_PROBLEM, solver={"particles": 100, "steps": 10})
+        out = tmp_path / "o"
+        argv = [command, write_config(tmp_path, payload)] + (["--out", str(out)] if command != "check" else [])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "'solver'" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["check", "solve"])

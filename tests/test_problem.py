@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -271,6 +272,17 @@ class TestProfiles:
             MonotonicityProfile(0.0, 1.0)
         with pytest.raises(ValueError):
             MonotonicityProfile(1.0, 1.0, variant="H2")
+
+    @pytest.mark.parametrize("law_free", [True, False])
+    def test_relaxed_variant_needs_law_free_sigma(self, law_free):
+        base = affine_problem_from_blocks(1.0, 0.0, 0.0, 1.0)
+        for variant in (H1, H1PRIME):
+            mono = MonotonicityProfile(1.0, 1.0, variant)
+            if variant == H1PRIME and not law_free:
+                with pytest.raises(ValueError, match='^variant "H1prime" needs a law-free sigma; declare variant="H1"$'):
+                    dataclasses.replace(base, law_free_sigma=law_free, monotonicity=mono)
+            else:
+                assert dataclasses.replace(base, law_free_sigma=law_free, monotonicity=mono).monotonicity is mono
 
 
 class TestSpotCheck:
