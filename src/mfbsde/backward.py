@@ -32,7 +32,7 @@ from .measure import EmpiricalMeasure
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major
 from .problem import MfProblem
 
-__all__ = ["RegressionDiagnostics", "solve_backward"]
+__all__ = ["RegressionDiagnostics", "regression_factors", "solve_backward"]
 
 # ridge scale used when the design matrix is rank deficient
 _RIDGE = 1e-10
@@ -67,22 +67,24 @@ class RegressionDiagnostics:
         return bool(self.ridge_steps)
 
 
-def _ridge_factors(design: np.ndarray, diag: RegressionDiagnostics) -> np.ndarray:
-    """Ridge-shifted Gram matrices (steps, F, F) of the designs (steps, F,
-    P) of all steps, shared by each step's Z fit and Y fits.  The tiny relative regularizer is always on: it keeps the fit a smooth
-    (branch-free) function of the particle states even when the cloud
-    degenerates onto an affine subspace and the design matrix turns rank
-    deficient, where hard rank decisions would flip between sweeps and
-    destabilize the outer iteration.  Fitted values at the sample points
-    match the unregularized fit to O(ridge).  Steps with a near-singular
-    design are recorded in ``diag.ridge_steps``, last step first.
+def regression_factors(x_ens: PathEnsemble) -> tuple[np.ndarray, np.ndarray, list]:
+    """What every backward sweep along the forward paths ``x_ens`` shares:
+    the affine designs (steps, F, P) of all steps, their ridge-shifted Gram
+    matrices (steps, F, F) and the steps with a near-singular design, last
+    step first.  The tiny relative regularizer is always on: it keeps the
+    fit a smooth (branch-free) function of the particle states even when
+    the cloud degenerates onto an affine subspace and the design matrix
+    turns rank deficient, where hard rank decisions would flip between
+    sweeps and destabilize the outer iteration.  Fitted values at the
+    sample points match the unregularized fit to O(ridge).
     """
+    design = _design(x_ens.component_major[:-1])
     features = design.shape[1]
     gram = np.einsum("kfp,kgp->kfg", design, design)
     scale = np.trace(gram, axis1=1, axis2=2) / features + 1.0
     flagged = np.linalg.eigvalsh(gram)[:, 0] < 1e-10 * scale
-    diag.ridge_steps.extend(np.flatnonzero(flagged)[::-1].tolist())
-    return gram + (_RIDGE * scale)[:, None, None] * np.eye(features)
+    shifted = gram + (_RIDGE * scale)[:, None, None] * np.eye(features)
+    return design, shifted, np.flatnonzero(flagged)[::-1].tolist()
 
 
 def solve_backward(
@@ -92,11 +94,14 @@ def solve_backward(
     x_ens: PathEnsemble,
     frozen_flow,
     terminal_law: EmpiricalMeasure,
+    factors: tuple | None = None,
 ) -> tuple[PathEnsemble, PathEnsemble, RegressionDiagnostics]:
     """Backward regression sweep along given forward paths.
 
     ``terminal_law`` must be the X_T cloud of the FROZEN iterate, not of
-    ``x_ens``.  Returns (y_ens, z_ens, diagnostics); z_ens stores one
+    ``x_ens``.  ``factors`` is :func:`regression_factors` of ``x_ens``,
+    for callers that sweep the same paths more than once; it is built here
+    when omitted.  Returns (y_ens, z_ens, diagnostics); z_ens stores one
     (m x d) matrix per step, flattened row-major.
     """
     m, d = p.dim_state, p.dim_bm
@@ -119,9 +124,8 @@ def solve_backward(
     y[steps] = np.asarray(p.g(xv[steps].T, terminal_law)).T
     if not np.all(np.isfinite(y[steps])):
         raise FloatingPointError("terminal condition produced non-finite values")
-    # the designs and ridge factors depend only on the forward paths
-    design = _design(xv[:steps])
-    shifted = _ridge_factors(design, diag)
+    design, shifted, ridge_steps = regression_factors(x_ens) if factors is None else factors
+    diag.ridge_steps.extend(ridge_steps)
 
     for k in range(steps - 1, -1, -1):
         t_k = float(times[k])

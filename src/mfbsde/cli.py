@@ -136,6 +136,8 @@ def _write_solution(outdir: Path, sol, prob) -> None:
 
 
 def cmd_check(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {args.samples}")
     kind, cfg = _load_config(args.config)
     if kind == "game":
         gs = lqgame.game_from_config(cfg)
@@ -265,8 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = subs.add_parser("check", help="run the condition gates on a config")
     p_check.add_argument("config")
-    p_check.add_argument("--samples", type=int, default=4000, help="monotonicity probe count")
-    p_check.add_argument("--seed", type=int, default=0, help="monotonicity probe seed (default %(default)s)")
+    p_check.add_argument("--samples", type=int, default=4000,
+                         help="monotonicity probe count, problem configs only (a game's gate is deterministic)")
+    p_check.add_argument("--seed", type=int, default=0,
+                         help="monotonicity probe seed, problem configs only (default %(default)s)")
     p_check.set_defaults(handler=cmd_check)
 
     p_solve = subs.add_parser("solve", help="solve the (aggregated) mean-field BFSDE")

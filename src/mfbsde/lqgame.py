@@ -36,10 +36,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import fixpoint
-from .backward import solve_backward
+from .backward import regression_factors, solve_backward
 from .measure import from_checked
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, marginal, node_msd
 from .problem import (
@@ -415,8 +414,9 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
     # component-major (nodes, n, particles); the tables and controls get (particles, n) views
     x = np.empty((grid.steps + 1, gs.n, bundle.particles))
     x[0] = gs.x0[:, None]
+    times = grid.nodes
     for k in range(grid.steps):
-        t_k = float(grid.nodes[k])
+        t_k = float(times[k])
         xk = x[k].T
         # x[k] is finite: GameSpec checks x0, and each step checks the row it writes
         drift = f(t_k, xk, nu=from_checked(xk)).T
@@ -559,13 +559,14 @@ def _solve_adjoint(gs, i, sol, params) -> tuple[PathEnsemble, PathEnsemble, list
     grid, bundle = sol.grid, sol.bundle
     x_ens = sol.x_ens
     terminal = marginal(x_ens, x_ens.nodes - 1)
+    factors = regression_factors(x_ens)
     p_ens = from_component_major(np.zeros((grid.steps + 1, gs.n, bundle.particles)))
     q_ens = None
     gaps = []
     for n in range(1, _ADJOINT_MAX_PASSES + 1):
         with fixpoint.blowups_diverge(f"adjoint of player {i} blew up at pass {n}", sol.history):
             flow = [joint_marginal(x_ens, p_ens, k) for k in range(x_ens.nodes)]
-            p_new, q_ens, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal)
+            p_new, q_ens, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal, factors=factors)
             gap = float(np.trapezoid(node_msd(p_new.component_major, p_ens.component_major), dx=grid.dt))
         gaps.append(gap)
         p_ens = p_new
@@ -713,7 +714,7 @@ def deviation_test(
         # an overflowing deviation raises here instead of warning first
         with np.errstate(over="raise", invalid="raise"):
             x_cm = simulate_state(gs, grid, bundle, controls).component_major
-            u_dev = np.stack([dev(k, float(t), x_cm[k].T).T for k, t in enumerate(grid.nodes)])
+            u_dev = base_i + magnitude * (v[:, None] if j % 2 == 0 else a[:, None] + b @ x_cm)
             j_dev, _, dev_batches = _cost_with_batches(gs, i, x_cm, u_dev, grid)
         deltas.append(j_dev - j_base)
         paired = dev_batches - base_batches
@@ -793,6 +794,12 @@ def _mean_generator(gs: GameSpec):
         return out
 
     return map_path(augmented, gs.A, gs.D, gs.beta, *gs.M, *gs.Gamma)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential; scipy.linalg loads on the first call, as only the mean reduction needs it."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 def _backward_transition(gen: PiecewiseConstant, t_hi: float, t_lo: float, cache: dict) -> np.ndarray:

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 __all__ = ["EmpiricalMeasure", "w2_exact", "w2_paired_bound"]
 
@@ -108,6 +106,9 @@ def w2_exact(a: EmpiricalMeasure, b: EmpiricalMeasure, max_points: int = DEFAULT
             f"cloud size {a.size} exceeds the exact-assignment cap {max_points}; "
             "use w2_paired_bound for large ensembles"
         )
+    # scipy loads on first use: no solver path calls the d > 1 assignment
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
     cost = cdist(a.points, b.points, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))

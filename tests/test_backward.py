@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfbsde import backward
+from mfbsde import backward, lqgame
 from mfbsde.backward import solve_backward
 from mfbsde.forward import propagate
 from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle, marginal
@@ -213,6 +213,26 @@ class TestSolveBackward:
         # are compared at 1e-10 of their array's scale
         for got, ref in ((y.values, y_ref), (z.values, z_ref)):
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+    def test_shared_factors_give_identical_sweeps(self):
+        # the adjoint problem of the 2-D example-3 game along a state whose
+        # X^1 - X^2 is deterministic, so every step is ridge-flagged
+        gs = lqgame.example3_game(0.25)
+        grid, particles = TimeGrid(gs.horizon, 10), 500
+        bundle = make_bundle(grid, particles, 1, seed=4)
+        zero = PathEnsemble(np.zeros((particles, grid.steps + 1, 1)))
+        x = lqgame.simulate_state(gs, grid, bundle, [zero, zero])
+        flow = [joint_marginal(x, x, k) for k in range(grid.steps + 1)]
+        args = (lqgame._adjoint_problem(gs, 0), grid, bundle, x, flow, marginal(x, grid.steps))
+        y_ref, z_ref, diag_ref = solve_backward(*args)
+        assert len(diag_ref.ridge_steps) == grid.steps
+        factors = backward.regression_factors(x)
+        for _ in range(2):  # a second sweep reuses the same factors
+            y, z, diag = solve_backward(*args, factors=factors)
+            assert y.values.tobytes() == y_ref.values.tobytes()
+            assert z.values.tobytes() == z_ref.values.tobytes()
+            assert (diag.y_residuals, diag.z_residuals) == (diag_ref.y_residuals, diag_ref.z_residuals)
+            assert diag.ridge_steps == diag_ref.ridge_steps
 
     def test_shape_mismatch_rejected(self, martingale_problem):
         grid = TimeGrid(1.0, 5)

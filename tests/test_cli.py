@@ -76,6 +76,13 @@ class TestCheckCommand:
         assert report["smallness"]["pass"] is True
         assert report["monotonicity"]["pass"] is True
 
+    @pytest.mark.parametrize("payload", [SCALAR_GAME, TOY_PROBLEM], ids=["game", "problem"])
+    def test_nonpositive_samples_is_config_error(self, tmp_path, capsys, payload):
+        # validated before the config is read, so a game (whose gate uses no probe) rejects it too
+        assert cli.main(["check", write_config(tmp_path, payload), "--samples", "0"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "config error: samples must be >= 1, got 0\n"
+
     def test_truncated_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"kind": "game", ')

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,22 @@ class TestW2Exact:
             b = rng.standard_normal((n, d))
             got = w2_exact(EmpiricalMeasure(a), EmpiricalMeasure(b))
             assert got == pytest.approx(w2_brute_force(a, b), abs=1e-12)
+
+    def test_scipy_loads_only_for_the_assignment(self):
+        # a fresh interpreter: importing the package and its CLI loads no scipy
+        # module, and the d > 1 assignment still finds the crossed pairing
+        code = (
+            "import sys\n"
+            "import mfbsde, mfbsde.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            "a = mfbsde.EmpiricalMeasure([[0.0, 0.0], [2.0, 0.0]])\n"
+            "b = mfbsde.EmpiricalMeasure([[2.0, 1.0], [0.0, 1.0]])\n"
+            "print(repr(mfbsde.w2_exact(a, b)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == ["[]", "1.0"]
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(4)
