@@ -34,7 +34,8 @@ EXIT_CONDITION = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_DEVIATION = 4
 
-# time steps of the solve grid, and of the gate grid `check` uses on a game
+# time steps of the solve grid, and of the grid whose nodes `check` reads a
+# game's or a problem's coefficients at
 _STEPS = 100
 
 
@@ -136,21 +137,19 @@ def _write_solution(outdir: Path, sol, prob) -> None:
 
 
 def cmd_check(args) -> int:
-    if args.samples < 1:
-        raise ValueError(f"samples must be >= 1, got {args.samples}")
     kind, cfg = _load_config(args.config)
     if kind == "game":
         gs = lqgame.game_from_config(cfg)
-        report = lqgame.check_H2(gs, TimeGrid(horizon=gs.horizon, steps=_STEPS))
+        report = lqgame.check_H2(gs, TimeGrid(gs.horizon, _STEPS))
         _dump_json(report.to_dict(), sys.stdout)
         return EXIT_OK if report.passed else EXIT_CONDITION
     prob = problem_from_config(cfg)
     if prob.lipschitz is None or prob.monotonicity is None:
         raise ValueError("problem config must declare 'lipschitz' and 'monotonicity' blocks to be checked")
     smallness = check_smallness(prob.lipschitz, prob.monotonicity)
-    probe = check_H1(prob, samples=args.samples, rng_seed=args.seed)
-    _dump_json({"smallness": smallness.to_dict(), "monotonicity": probe.to_dict()}, sys.stdout)
-    return EXIT_OK if (smallness.passed and probe.passed) else EXIT_CONDITION
+    mono = check_H1(prob, TimeGrid(prob.horizon, _STEPS))
+    _dump_json({"smallness": smallness.to_dict(), "monotonicity": mono.to_dict()}, sys.stdout)
+    return EXIT_OK if (smallness.passed and mono.passed) else EXIT_CONDITION
 
 
 def cmd_solve(args) -> int:
@@ -267,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = subs.add_parser("check", help="run the condition gates on a config")
     p_check.add_argument("config")
-    p_check.add_argument("--samples", type=int, default=4000,
-                         help="monotonicity probe count, problem configs only (a game's gate is deterministic)")
-    p_check.add_argument("--seed", type=int, default=0,
-                         help="monotonicity probe seed, problem configs only (default %(default)s)")
     p_check.set_defaults(handler=cmd_check)
 
     p_solve = subs.add_parser("solve", help="solve the (aggregated) mean-field BFSDE")

@@ -548,18 +548,17 @@ def _adjoint_problem(gs: GameSpec, i: int) -> MfProblem:
     return affine_problem(gs.x0, gs.horizon, f=AffineCoeffs(gs.n), h=h, sigma=AffineCoeffs(gs.n), g=g)
 
 
-def _solve_adjoint(gs, i, sol, params) -> tuple[PathEnsemble, PathEnsemble, list]:
-    """Iterate the adjoint mean-field BSDE to a fixed point of its own
-    mean coupling (frozen (X, p_i) flow, refrozen each pass) until a gap is
-    below tol^2, for at most _ADJOINT_MAX_PASSES passes.  Returns (p_i, q_i)
-    and the gap of every pass; the iteration count is its length.  A pass
-    that blows up, and gaps that :func:`fixpoint.diverging` flags, raise
+def _solve_adjoint(gs, i, sol, params, factors) -> tuple[PathEnsemble, PathEnsemble, list]:
+    """Iterate the adjoint mean-field BSDE, regressing on the solved
+    state's shared ``factors``, to a fixed point of its own mean coupling
+    (frozen (X, p_i) flow, refrozen each pass) until a gap is below tol^2,
+    for at most _ADJOINT_MAX_PASSES passes.  Returns (p_i, q_i) and the gap
+    of every pass; the iteration count is its length.  A pass that blows
+    up, and gaps that :func:`fixpoint.diverging` flags, raise
     :class:`fixpoint.Diverged` with the aggregated solve's history."""
     prob = _adjoint_problem(gs, i)
-    grid, bundle = sol.grid, sol.bundle
-    x_ens = sol.x_ens
+    grid, bundle, x_ens = sol.grid, sol.bundle, sol.x_ens
     terminal = marginal(x_ens, x_ens.nodes - 1)
-    factors = regression_factors(x_ens)
     p_ens = from_component_major(np.zeros((grid.steps + 1, gs.n, bundle.particles)))
     q_ens = None
     gaps = []
@@ -600,10 +599,9 @@ def solve_nash(
     sol = fixpoint.solve(agg, grid, params, seed)
 
     players = gs.players
-    results = [_solve_adjoint(gs, i, sol, params) for i in range(players)]
-    p_list = [r[0] for r in results]
-    q_list = [r[1] for r in results]
-    adjoint_gaps = [r[2] for r in results]
+    factors = regression_factors(sol.x_ens)
+    results = [_solve_adjoint(gs, i, sol, params, factors) for i in range(players)]
+    p_list, q_list, adjoint_gaps = map(list, zip(*results))
 
     gains = gs.control_gains()
     controls = [from_component_major(-(gain @ p.component_major)) for p, gain in zip(p_list, gains)]

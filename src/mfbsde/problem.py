@@ -19,17 +19,17 @@ functional
                     + (h(t,u,nu) - h(t,u',nu)) . (x - x')
                     + [sigma(t,u,nu) - sigma(t,u',nu), z - z']
 
-(with [A, B] the column-wise inner product), probes the one-sided bounds
+(with [A, B] the column-wise inner product), computes the best constants
+of the one-sided bounds
 
     A <= -k (|x-x'|^2 + |y-y'|^2 + |z-z'|^2)        (strong variant, "H1")
     A <= -k (|x-x'|^2 + |y-y'|^2)                   (relaxed variant, "H1prime")
     (g(x,nu) - g(x',nu)) . (x - x') >= k' |x-x'|^2
 
 and checks the mean-field smallness conditions under which the
-measure-freezing iteration contracts.  The declared constants are user
-metadata; probing verifies them on random samples only ("probed, not
-proven") since global certification of black-box callbacks is
-intractable.
+measure-freezing iteration contracts.  The constants are exact for affine
+coefficients, whose A is a quadratic form in u - u' (every config problem
+and every aggregated game); a coefficient that is not affine is rejected.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measure import EmpiricalMeasure
+from .paths import TimeGrid
 
 __all__ = [
     "LipschitzProfile",
@@ -170,28 +171,16 @@ class MfProblem:
                     raise ValueError("law_free_sigma is set but sigma output depends on the measure")
 
 
-def _unpack(u, m, d):
-    x = np.asarray(u[0], dtype=float).reshape(1, m)
-    y = np.asarray(u[1], dtype=float).reshape(1, m)
-    z = np.asarray(u[2], dtype=float).reshape(1, m, d)
-    return x, y, z
-
-
-def eval_A(
-    p: MfProblem,
-    t: float,
-    u: tuple,
-    u_prime: tuple,
-    nu: EmpiricalMeasure,
-) -> float:
+def eval_A(p: MfProblem, t: float, u: tuple, u_prime: tuple, nu: EmpiricalMeasure) -> float:
     """Dissipativity functional A(t, u, u', nu) at a single pair of points.
 
     ``u`` and ``u_prime`` are (x, y, z) triples with x, y of shape (m,)
     and z of shape (m, d); scalars are accepted when m = d = 1.  The
     sigma difference is contracted against z - z' column-wise.
     """
-    m, d = p.dim_state, p.dim_bm
-    return float(_a_values(p, t, _unpack(u, m, d), _unpack(u_prime, m, d), nu)[0])
+    shapes = ((1, p.dim_state), (1, p.dim_state), (1, p.dim_state, p.dim_bm))
+    pair = ([np.asarray(c, dtype=float).reshape(shape) for c, shape in zip(v, shapes)] for v in (u, u_prime))
+    return float(_a_values(p, t, *pair, nu)[0])
 
 
 def _a_values(p: MfProblem, t: float, u: tuple, u_prime: tuple, nu: EmpiricalMeasure) -> np.ndarray:
@@ -207,98 +196,106 @@ def _a_values(p: MfProblem, t: float, u: tuple, u_prime: tuple, nu: EmpiricalMea
 
 @dataclass
 class MonotonicityReport:
-    """Outcome of randomized monotonicity probing (probed, not proven)."""
+    """Computed and declared dissipativity constants; a margin is computed minus declared."""
 
     variant: str
-    samples: int
     k_declared: float
     k_prime_declared: float
-    k_estimate: float
-    k_prime_estimate: float
-    margin_operator: float
-    margin_terminal: float
+    k_computed: float
+    k_prime_computed: float
     operator_ok: bool
     terminal_ok: bool
     passed: bool
-    note: str = "probed on random samples, not proven"
 
     def to_dict(self) -> dict:
         return {
             "variant": self.variant,
-            "samples": self.samples,
             "declared": {"k": self.k_declared, "k_prime": self.k_prime_declared},
-            "estimates": {"k": self.k_estimate, "k_prime": self.k_prime_estimate},
-            "margins": {"operator": self.margin_operator, "terminal": self.margin_terminal},
+            "computed": {"k": self.k_computed, "k_prime": self.k_prime_computed},
+            "margins": {"operator": self.k_computed - self.k_declared,
+                        "terminal": self.k_prime_computed - self.k_prime_declared},
             "operator_ok": self.operator_ok,
             "terminal_ok": self.terminal_ok,
             "pass": self.passed,
-            "note": self.note,
         }
 
 
-def check_H1(p: MfProblem, samples: int = 4000, rng_seed: int = 0) -> MonotonicityReport:
-    """Probe the dissipativity bounds on random (t, u, u', nu) draws.
+# the two (base point entry, measure points) pairs a slope is read at, where an affine map's agree; the
+# tolerance of that test and of a zero z block (both times the largest slope entry past 1) and of a margin
+_BASES, _TOL = ((0.0, np.zeros(1)), (0.5, np.array([1.0, -2.0]))), 1e-10
 
-    Probe distribution: u, u', x, x' standard Gaussian; nu a Gaussian
-    cloud of 64 points; t uniform on [0, horizon] (the bounds are only
-    required there).  Exact for affine coefficients, heuristic otherwise.
-    A failed check is a report, not an error.
+
+def _slope(name: str, q: Callable, n: int) -> np.ndarray:
+    """The symmetric S with q(w, base, cloud) = w'Sw on R^n, read by
+    polarization at the rows w = e_i + e_j (i <= j) at each of
+    :data:`_BASES`.  An S that depends on them is a ValueError naming the
+    map, and an S that overflows a FloatingPointError."""
+    i, j = np.triu_indices(n)
+    w = np.eye(n)[i] + np.eye(n)[j]
+    slopes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for base, cloud in _BASES:
+            vals = q(w, np.full(n, base), cloud)
+            diag = vals[i == j] / 4.0
+            s = np.empty((n, n))
+            s[i, j] = s[j, i] = (vals - diag[i] - diag[j]) / 2.0
+            slopes.append(s)
+    if not np.all(np.isfinite(slopes)):
+        raise FloatingPointError(f"the slope of {name} overflows")
+    if not np.allclose(*slopes, rtol=0.0, atol=_TOL * max(1.0, float(np.max(np.abs(slopes[0]))))):
+        raise ValueError(f"{name} is not affine in its state arguments, or its slope depends on the measure")
+    return slopes[0]
+
+
+def _sup_over_z(s: np.ndarray, nv: int) -> np.ndarray | None:
+    """The form on the first nv coordinates that s's sup over the rest
+    leaves: the Schur complement S_vv - C' S_zz^+ C, or None when the sup
+    is unbounded (S_zz not negative semidefinite, or C not in its range)."""
+    lam, vec = np.linalg.eigh(s[nv:, nv:])
+    cross = vec.T @ s[nv:, :nv]
+    scale = _TOL * max(1.0, float(np.max(np.abs(s))))
+    null = np.abs(lam) <= scale
+    if np.any(lam > scale) or np.any(np.abs(cross[null]) > scale):
+        return None
+    neg = lam < -scale
+    return s[:nv, :nv] - cross[neg].T @ (cross[neg] / lam[neg, None])
+
+
+def check_H1(p: MfProblem, grid: TimeGrid) -> MonotonicityReport:
+    """k and k' of the dissipativity bounds, next to the declared ones.
+
+    For affine coefficients A(t, u, u', nu) = w'S(t)w in w = u - u'; S(t)
+    is read at ``grid``'s nodes, the times a solve on that grid evaluates.
+    k = min over t of -lambda_max of S(t) (H1) or of its sup over dz
+    (H1prime; -inf if unbounded); k' = lambda_min of sym(g's slope).  A
+    non-affine coefficient raises ValueError; a failed check is a report.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     m, d = p.dim_state, p.dim_bm
     variant = p.monotonicity.variant if p.monotonicity is not None else (H1PRIME if p.law_free_sigma else H1)
-    k_dec = p.monotonicity.k if p.monotonicity is not None else 0.0
-    kp_dec = p.monotonicity.k_prime if p.monotonicity is not None else 0.0
-    rng = np.random.default_rng(rng_seed)
+    k_dec, kp_dec = (p.monotonicity.k, p.monotonicity.k_prime) if p.monotonicity is not None else (0.0, 0.0)
 
-    group = 32
-    k_est = math.inf
-    kp_est = math.inf
-    margin_op = math.inf
-    margin_g = math.inf
-    done = 0
-    while done < samples:
-        b = min(group, samples - done)
-        t = float(rng.uniform(0.0, p.horizon))
-        nu = EmpiricalMeasure(rng.standard_normal((64, 2 * m)))
-        x, xp = rng.standard_normal((2, b, m))
-        y, yp = rng.standard_normal((2, b, m))
-        z, zp = rng.standard_normal((2, b, m, d))
-        a_vals = _a_values(p, t, (x, y, z), (xp, yp, zp), nu)
-        denom = np.sum((x - xp) ** 2, axis=1) + np.sum((y - yp) ** 2, axis=1)
-        if variant == H1:
-            denom = denom + np.sum((z - zp) ** 2, axis=(1, 2))
-        ok = denom > 1e-14
-        k_est = min(k_est, float(np.min(-a_vals[ok] / denom[ok])))
-        margin_op = min(margin_op, float(np.min(-a_vals - k_dec * denom)))
+    def split(w):
+        return w[:, :m], w[:, m : 2 * m], w[:, 2 * m :].reshape(-1, m, d)
 
-        xg, xgp = rng.standard_normal((2, b, m))
-        mu = EmpiricalMeasure(rng.standard_normal((64, m)))
-        gdiff = np.asarray(p.g(xg, mu)) - np.asarray(p.g(xgp, mu))
-        gval = np.sum(gdiff * (xg - xgp), axis=1)
-        gden = np.sum((xg - xgp) ** 2, axis=1)
-        okg = gden > 1e-14
-        kp_est = min(kp_est, float(np.min(gval[okg] / gden[okg])))
-        margin_g = min(margin_g, float(np.min(gval - kp_dec * gden)))
-        done += b
+    k = math.inf
+    for t in grid.nodes.tolist():
+        def q(w, base, cloud, t=t):
+            nu = EmpiricalMeasure(np.outer(cloud, np.ones(2 * m)))
+            return _a_values(p, t, split(w + base), split(np.tile(base, (len(w), 1))), nu)
 
-    tol = 1e-10
-    operator_ok = margin_op >= -tol and k_est > 0
-    terminal_ok = margin_g >= -tol and kp_est > 0
-    return MonotonicityReport(
-        variant=variant,
-        samples=samples,
-        k_declared=k_dec,
-        k_prime_declared=kp_dec,
-        k_estimate=k_est,
-        k_prime_estimate=kp_est,
-        margin_operator=margin_op,
-        margin_terminal=margin_g,
-        operator_ok=operator_ok,
-        terminal_ok=terminal_ok,
-        passed=operator_ok and terminal_ok,
-    )
+        s = _slope("the operator of f, h and sigma", q, 2 * m + m * d)
+        if variant == H1PRIME:
+            s = _sup_over_z(s, 2 * m)
+        k = min(k, -math.inf if s is None else 0.0 - float(np.linalg.eigvalsh(s)[-1]))  # 0.0 - x: no -0.0
+
+    def q_g(w, base, cloud):
+        mu = EmpiricalMeasure(np.outer(cloud, np.ones(m)))
+        return np.sum((np.asarray(p.g(w + base, mu)) - np.asarray(p.g(base[None], mu))) * w, axis=1)
+
+    kp = float(np.linalg.eigvalsh(_slope("g", q_g, m))[0])
+    operator_ok = k > 0 and k - k_dec >= -_TOL
+    terminal_ok = kp > 0 and kp - kp_dec >= -_TOL
+    return MonotonicityReport(variant, k_dec, kp_dec, k, kp, operator_ok, terminal_ok, operator_ok and terminal_ok)
 
 
 @dataclass
@@ -520,9 +517,6 @@ class AffineCoeffs:
     """
 
     TERMS = ("x", "y", "z", "mean_x", "mean_y", "const")
-    # compiled times kept per table; a solve needs its grid's nodes, so the
-    # bound only stops random probe times from piling up
-    _TIMES_KEPT = 4096
 
     def __init__(self, dim: int, name: str = "coeffs", x=None, y=None, z=None, mean_x=None, mean_y=None, const=None):
         self.dim = dim
@@ -540,8 +534,6 @@ class AffineCoeffs:
         on its first use and kept."""
         node = self._compiled.get(t)
         if node is None:
-            if len(self._compiled) >= self._TIMES_KEPT:
-                self._compiled.clear()
             node = self._compiled[t] = {key: path(t) for key, path in self.terms.items()}
         return node
 

@@ -41,6 +41,40 @@ TOY_PROBLEM = {
 }
 
 
+def seed4_matrix():
+    """sym(R) and skew(R) of R = randn(4x4) from ``default_rng(4)``."""
+    raw = np.random.default_rng(4).standard_normal((4, 4))
+    return (raw + raw.T) / 2, (raw - raw.T) / 2
+
+
+def block_problem(k):
+    """2-D problem with A = -w'Sw, S = sym(R) + 3I, declaring ``k`` and
+    k' = 1; its exact k is lambda_min(S) = 1.60710 and its exact k' is 1."""
+    s = seed4_matrix()[0] + 3.0 * np.eye(4)
+    return {
+        "kind": "problem", "dim": 2, "horizon": 1.0, "x0": [0.0, 0.0],
+        "f": {"x": (-s[2:, :2]).tolist(), "y": (-s[2:, 2:]).tolist()},
+        "h": {"x": (-s[:2, :2]).tolist(), "y": (-s[:2, 2:]).tolist()},
+        "sigma": {"const": 0.4}, "g": {"x": 1.0},
+        "lipschitz": {"c_u": 5.0, "c_nu": 0.0, "c_g_x": 1.0, "c_g_nu": 0.0},
+        "monotonicity": {"k": k, "k_prime": 1.0},
+    }
+
+
+def terminal_problem(k_prime_offset):
+    """4-D problem with k = 1 and g.x = sym(R) + 3I + 0.3 skew(R), declared
+    k' = lambda_min(sym(g.x)) + offset."""
+    sym, skew = seed4_matrix()
+    gx = sym + 3.0 * np.eye(4) + 0.3 * skew
+    k_prime = float(np.linalg.eigvalsh(sym + 3.0 * np.eye(4))[0]) + k_prime_offset
+    return {
+        "kind": "problem", "dim": 4, "horizon": 1.0, "x0": [0.0] * 4,
+        "f": {"y": -1.0}, "h": {"x": -1.0}, "sigma": {"const": 0.2}, "g": {"x": gx.tolist()},
+        "lipschitz": {"c_u": 1.0, "c_nu": 0.0, "c_g_x": 5.0, "c_g_nu": 0.0},
+        "monotonicity": {"k": 1.0, "k_prime": k_prime},
+    }
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -71,17 +105,43 @@ class TestCheckCommand:
 
     def test_problem_config_checked(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TOY_PROBLEM)
-        assert cli.main(["check", cfg, "--samples", "400"]) == cli.EXIT_OK
+        assert cli.main(["check", cfg]) == cli.EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["smallness"]["pass"] is True
         assert report["monotonicity"]["pass"] is True
+        assert report["monotonicity"]["computed"] == pytest.approx({"k": 1.0, "k_prime": 1.0}, abs=1e-12)
 
-    @pytest.mark.parametrize("payload", [SCALAR_GAME, TOY_PROBLEM], ids=["game", "problem"])
-    def test_nonpositive_samples_is_config_error(self, tmp_path, capsys, payload):
-        # validated before the config is read, so a game (whose gate uses no probe) rejects it too
-        assert cli.main(["check", write_config(tmp_path, payload), "--samples", "0"]) == cli.EXIT_CONFIG
+    def test_declared_k_above_the_exact_k_exits_2(self, tmp_path, capsys):
+        # a random probe's minimum (1.6206) passed this declaration
+        assert cli.main(["check", write_config(tmp_path, block_problem(1.615))]) == cli.EXIT_CONDITION
+        mono = json.loads(capsys.readouterr().out)["monotonicity"]
+        assert mono["computed"]["k"] == pytest.approx(1.6070996, abs=1e-7)
+        assert mono["operator_ok"] is False and mono["terminal_ok"] is True
+
+    @pytest.mark.parametrize("offset, code", [(1e-6, cli.EXIT_CONDITION), (-1e-6, cli.EXIT_OK)])
+    def test_declared_k_prime_against_the_exact_k_prime(self, tmp_path, capsys, offset, code):
+        # a random probe overestimated this k' by 7.2e-3 and passed the +1e-6 declaration
+        assert cli.main(["check", write_config(tmp_path, terminal_problem(offset))]) == code
+        mono = json.loads(capsys.readouterr().out)["monotonicity"]
+        assert mono["margins"]["terminal"] == pytest.approx(-offset, abs=1e-12)
+        assert mono["operator_ok"] is True
+
+    @pytest.mark.parametrize("block, value, name", [("f", {"y": -1e308}, "the operator of f, h and sigma"),
+                                                    ("g", {"x": 1e308}, "g")], ids=["f", "g"])
+    def test_overflowing_slope_is_numerical_blowup(self, tmp_path, capsys, block, value, name):
+        # the exact constants are finite, but the slope read at e_i + e_j overflows: no pass is reported
+        assert cli.main(["check", write_config(tmp_path, {**TOY_PROBLEM, block: value})]) == cli.EXIT_NOT_CONVERGED
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "config error: samples must be >= 1, got 0\n"
+        assert captured.out == "" and captured.err == f"numerical blow-up: the slope of {name} overflows\n"
+
+    def test_problem_check_output_is_deterministic(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, block_problem(1.5))
+        outs = []
+        for _ in range(2):
+            assert cli.main(["check", cfg]) == cli.EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "seed" not in outs[0] and "samples" not in outs[0]
 
     def test_truncated_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -280,6 +340,8 @@ class TestUsage:
         [],
         ["solve", "cfg.json", "--basis-degree", "1"],
         ["check", "cfg.json", "--steps", "10"],
+        ["check", "cfg.json", "--samples", "10"],
+        ["check", "cfg.json", "--seed", "1"],
     ])
     def test_usage_error_is_config_error(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_CONFIG

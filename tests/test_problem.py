@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mfbsde.measure import EmpiricalMeasure
+from mfbsde.paths import TimeGrid
 from mfbsde.problem import (
     H1,
     H1PRIME,
@@ -107,28 +108,34 @@ class TestEvalA:
             assert eval_A(p, 0.3, u, v, nu) == pytest.approx(expected, abs=1e-10)
 
 
+def block_matrix(seed):
+    """sym(randn(4x4)) + 3I from ``default_rng(seed)``: a 2-D block form
+    whose smallest eigenvalue is the exact k of its block problem."""
+    raw = np.random.default_rng(seed).standard_normal((4, 4))
+    return (raw + raw.T) / 2 + 3.0 * np.eye(4)
+
+
 class TestCheckH1:
     def test_lq_reduced_estimates_k(self):
         from mfbsde.lqgame import GameSpec, build_aggregated
 
         gs = GameSpec(n=1, horizon=1.0, x0=[0.0], A=np.zeros((1, 1)),
                       C=[[[1.0]]], N=[[[1.0]]], Q=[[[1.0]]], M=[[[0.5]]])
-        rep = check_H1(build_aggregated(gs), samples=3000, rng_seed=1)
+        rep = check_H1(build_aggregated(gs), TimeGrid(1.0, 10))
         assert rep.passed
-        assert rep.k_estimate >= min(1.0, 0.5) - 1e-9
-        assert rep.k_estimate == pytest.approx(0.5, abs=0.02)
+        assert rep.k_computed == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_terminal_estimates_k_prime(self, martingale_problem):
-        rep = check_H1(martingale_problem, samples=500, rng_seed=0)
-        assert rep.k_prime_estimate == pytest.approx(1.0, abs=1e-9)
+        rep = check_H1(martingale_problem, TimeGrid(1.0, 10))
+        assert rep.k_prime_computed == pytest.approx(1.0, abs=1e-12)
 
     def test_counterexample_terminal_monotonicity_fails(self):
         from mfbsde.lqgame import build_aggregated, example3_game
 
         agg = build_aggregated(example3_game(1.0))
-        rep = check_H1(agg, samples=3000, rng_seed=1)
+        rep = check_H1(agg, TimeGrid(1.0, 10))
         assert not rep.terminal_ok
-        assert rep.k_prime_estimate < 0  # eigenvalues {-1, 3}
+        assert rep.k_prime_computed == pytest.approx(-1.0, abs=1e-12)  # eigenvalues {-1, 3}
         assert not rep.passed
 
     def test_probe_estimates_match_eigen_bounds(self):
@@ -138,18 +145,70 @@ class TestCheckH1:
         s = (raw + raw.T) / 2 + 1.5 * np.eye(2)
         p = affine_problem_from_blocks(s[:1, :1], s[:1, 1:], s[1:, :1], s[1:, 1:])
         p.monotonicity = MonotonicityProfile(k=1e-6, k_prime=1e-6, variant=H1PRIME)
-        rep = check_H1(p, samples=10_000, rng_seed=4)
+        rep = check_H1(p, TimeGrid(1.0, 10))
         lam_min = float(np.linalg.eigvalsh(s)[0])
-        assert rep.k_estimate == pytest.approx(lam_min, rel=0.05)
+        assert rep.k_computed == pytest.approx(lam_min, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_block_problem_k_is_the_smallest_eigenvalue(self, seed):
+        s = block_matrix(seed)
+        p = affine_problem_from_blocks(s[:2, :2], s[:2, 2:], s[2:, :2], s[2:, 2:])
+        rep = check_H1(p, TimeGrid(1.0, 10))
+        assert rep.k_computed == pytest.approx(float(np.linalg.eigvalsh(s)[0]), abs=1e-12)
+
+    def test_declared_k_above_the_exact_k_fails(self):
+        # a random probe's minimum overestimates k (1.6206 against 1.6071) and passed this declaration
+        s = block_matrix(4)
+        p = affine_problem_from_blocks(s[:2, :2], s[:2, 2:], s[2:, :2], s[2:, 2:])
+        p.monotonicity = MonotonicityProfile(k=1.615, k_prime=1.0, variant=H1PRIME)
+        rep = check_H1(p, TimeGrid(1.0, 10))
+        assert rep.k_computed == pytest.approx(1.6070996, abs=1e-7)
+        assert not rep.operator_ok and rep.terminal_ok and not rep.passed
+        assert rep.to_dict()["margins"]["operator"] == pytest.approx(rep.k_computed - 1.615, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "a, c, k",
+        [(1.0, 1.0, 0.75), (0.0, 0.0, 1.0), (1.0, 0.0, -math.inf), (0.0, -1.0, -math.inf)],
+        ids=["absorbed", "no_z", "unabsorbed_cross", "positive_z_block"],
+    )
+    def test_relaxed_k_is_the_sup_over_z(self, a, c, k):
+        # A = -dx^2 - dy^2 + a dx dz - c dz^2: sup over dz is -(1 - a^2 / 4c) dx^2 - dy^2 for c > 0
+        p = problem_from_config({"dim": 1, "horizon": 1.0, "x0": [0.0], "f": {"y": -1.0},
+                                 "h": {"x": -1.0, "z": a}, "sigma": {"z": -c, "const": 0.2}, "g": {"x": 1.0}})
+        assert check_H1(p, TimeGrid(1.0, 10)).k_computed == pytest.approx(k, abs=1e-12)
+
+    def test_strong_variant_counts_dz(self):
+        # the same A under H1 bounds the whole form: k = -lambda_max([[-1, 1/2], [1/2, -1]]) = 1/2
+        p = problem_from_config({"dim": 1, "horizon": 1.0, "x0": [0.0], "f": {"y": -1.0},
+                                 "h": {"x": -1.0, "z": 1.0}, "sigma": {"z": -1.0},
+                                 "g": {"x": 1.0}, "monotonicity": {"k": 0.5, "k_prime": 1.0, "variant": "H1"}})
+        rep = check_H1(p, TimeGrid(1.0, 10))
+        assert rep.k_computed == pytest.approx(0.5, abs=1e-12) and rep.passed
+
+    def test_piecewise_coefficient_read_at_every_node(self):
+        # h.x = -0.2 on [0.5, 0.6): the worst node gives k = 0.2
+        pieces = [{"t_from": 0.0, "value": -1.0}, {"t_from": 0.5, "value": -0.2}, {"t_from": 0.6, "value": -1.0}]
+        p = problem_from_config({"dim": 1, "horizon": 1.0, "x0": [0.0], "f": {"y": -1.0},
+                                 "h": {"x": {"piecewise": pieces}}, "sigma": {"const": 0.2}, "g": {"x": 1.0}})
+        assert check_H1(p, TimeGrid(1.0, 10)).k_computed == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("f, g, name", [
+        (lambda t, x, y, z, nu: -y**3, lambda x, mu: x, "f, h and sigma"),
+        (lambda t, x, y, z, nu: -y * (1.0 + nu.mean()[0]), lambda x, mu: x, "f, h and sigma"),
+        (lambda t, x, y, z, nu: -y, lambda x, mu: x**3, "g"),
+    ], ids=["cubic_drift", "measure_dependent_slope", "cubic_terminal"])
+    def test_non_affine_coefficient_is_rejected(self, f, g, name):
+        p = MfProblem(dim_state=1, dim_bm=1, x0=[0.0], horizon=1.0, f=f,
+                      h=lambda t, x, y, z, nu: -x, sigma=lambda t, x, y, z, nu: np.zeros((len(x), 1, 1)),
+                      g=g, law_free_sigma=True)
+        with pytest.raises(ValueError, match=name):
+            check_H1(p, TimeGrid(1.0, 10))
 
     def test_report_serializes(self, toy_problem):
-        d = check_H1(toy_problem, samples=200, rng_seed=0).to_dict()
+        d = check_H1(toy_problem, TimeGrid(0.25, 100)).to_dict()
         assert d["pass"] is True
-        assert set(d) >= {"variant", "declared", "estimates", "margins", "note"}
-
-    def test_invalid_samples(self, toy_problem):
-        with pytest.raises(ValueError):
-            check_H1(toy_problem, samples=0)
+        assert d["computed"] == pytest.approx({"k": 1.0, "k_prime": 1.0}, abs=1e-12)
+        assert set(d) == {"variant", "declared", "computed", "margins", "operator_ok", "terminal_ok", "pass"}
 
 
 class TestCheckSmallness:
@@ -442,7 +501,7 @@ class TestProblemFromConfig:
     def test_probes_pass_on_config_problem(self):
         p = problem_from_config(self.config())
         p.spot_check()
-        assert check_H1(p, samples=400, rng_seed=0).passed
+        assert check_H1(p, TimeGrid(0.25, 100)).passed
         assert check_smallness(p.lipschitz, p.monotonicity).passed
 
     def test_missing_field_rejected(self):
