@@ -22,9 +22,9 @@ from .problem import (
     MfProblem,
     MonotonicityProfile,
     check_H1,
-    check_smallness,
     contraction_constants,
     eval_A,
+    smallness_bound,
 )
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "build_aggregated",
     "check_H1",
     "check_H2",
-    "check_smallness",
     "contraction_constants",
     "deviation_test",
     "eval_A",
@@ -55,6 +54,7 @@ __all__ = [
     "marginal",
     "propagate",
     "residual",
+    "smallness_bound",
     "solve",
     "solve_backward",
     "solve_mean_fbode",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fixpoint, lqgame
 from .paths import TimeGrid, moments_to_csv
-from .problem import check_H1, check_smallness, problem_from_config
+from .problem import check_H1, problem_from_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -34,8 +34,8 @@ EXIT_CONDITION = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_DEVIATION = 4
 
-# time steps of the solve grid, and of the grid whose nodes `check` reads a
-# game's or a problem's coefficients at
+# time steps of the solve grid; `check` reads a game's or a problem's
+# coefficients at this grid's nodes and at every breakpoint of their tables in [0, T]
 _STEPS = 100
 
 
@@ -138,18 +138,10 @@ def _write_solution(outdir: Path, sol, prob) -> None:
 
 def cmd_check(args) -> int:
     kind, cfg = _load_config(args.config)
-    if kind == "game":
-        gs = lqgame.game_from_config(cfg)
-        report = lqgame.check_H2(gs, TimeGrid(gs.horizon, _STEPS))
-        _dump_json(report.to_dict(), sys.stdout)
-        return EXIT_OK if report.passed else EXIT_CONDITION
-    prob = problem_from_config(cfg)
-    if prob.lipschitz is None or prob.monotonicity is None:
-        raise ValueError("problem config must declare 'lipschitz' and 'monotonicity' blocks to be checked")
-    smallness = check_smallness(prob.lipschitz, prob.monotonicity)
-    mono = check_H1(prob, TimeGrid(prob.horizon, _STEPS))
-    _dump_json({"smallness": smallness.to_dict(), "monotonicity": mono.to_dict()}, sys.stdout)
-    return EXIT_OK if (smallness.passed and mono.passed) else EXIT_CONDITION
+    spec = lqgame.game_from_config(cfg) if kind == "game" else problem_from_config(cfg)
+    report = (lqgame.check_H2 if kind == "game" else check_H1)(spec, TimeGrid(spec.horizon, _STEPS))
+    _dump_json(report.to_dict(), sys.stdout)
+    return EXIT_OK if report.passed else EXIT_CONDITION
 
 
 def cmd_solve(args) -> int:
@@ -218,7 +210,8 @@ def _parse_sweep(spec: str) -> np.ndarray:
     span = (hi - lo) / step
     if not math.isfinite(span):
         raise ValueError(f"--T-sweep step is too small for its range, got {spec!r}")
-    return lo + step * np.arange(int(round(span)) + 1)
+    # floored with a relative tolerance, so 0:0.3:0.1 still ends at 0.3; a row never passes b
+    return np.minimum(lo + step * np.arange(math.floor(span * (1.0 + 1e-9)) + 1), hi)
 
 
 def cmd_counterexample(args) -> int:

@@ -52,6 +52,7 @@ from .problem import (
     check_config_keys,
     coerce,
     map_path,
+    sample_times,
     shaped_path,
     smallness_bound,
 )
@@ -81,12 +82,6 @@ _SINGULARITY_RTOL = 1e-9
 _ADJOINT_MAX_PASSES = 50
 # contiguous particle blocks behind a cost's batch-means standard error
 _COST_BATCHES = 20
-
-
-def _sample_times(horizon: float, paths) -> np.ndarray:
-    """t = 0 plus every breakpoint of ``paths`` in [0, T]: a time in each piece on [0, T]."""
-    ts = [p.breakpoints[(p.breakpoints >= 0.0) & (p.breakpoints <= horizon)] for p in paths]
-    return np.unique(np.concatenate([[0.0], *ts]))
 
 
 def _check_symmetric(mat: np.ndarray, name: str) -> None:
@@ -178,7 +173,7 @@ class GameSpec:
             out = []
             for i, v in one_each(values, f"{name} path"):
                 out.append(shaped_path(v, (n, n), f"{name}[{i}]"))
-                for t in _sample_times(self.horizon, out[-1:]):
+                for t in sample_times(self.horizon, out[-1:]):
                     _check_symmetric(out[-1](t), f"{name}[{i}](t={t:g})")
             return out
 
@@ -258,7 +253,7 @@ class H2Report:
 def _gate_times(gs: GameSpec) -> np.ndarray:
     """Where the gate and the aggregated constants evaluate the coefficients:
     t = 0 and every breakpoint of A, D, sigma, the M_i and the Gamma_i in [0, T]."""
-    return _sample_times(gs.horizon, [gs.A, gs.D, gs.sigma, *gs.M, *gs.Gamma])
+    return sample_times(gs.horizon, [gs.A, gs.D, gs.sigma, *gs.M, *gs.Gamma])
 
 
 def _sym_min_eig(mat: np.ndarray) -> float:
@@ -836,7 +831,7 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
     on B(T) with each row divided by its largest entry (so at any scale);
     raises FloatingPointError when B(T) or a mean trajectory is not finite.
     """
-    if _spectral(np.stack([gs.sigma(t) for t in _sample_times(gs.horizon, [gs.sigma])])) > 1e-14:
+    if _spectral(np.stack([gs.sigma(t) for t in sample_times(gs.horizon, [gs.sigma])])) > 1e-14:
         raise ValueError(
             "mean reduction requires a vanishing state-multiplicative diffusion "
             "(sigma = 0); the additive alpha term is fine"

@@ -6,7 +6,7 @@ An :class:`MfProblem` bundles the four coefficient callbacks
     Y_t = g(X_T, mu_T) - int_t^T h(s, X, Y, Z, nu_s) ds - int_t^T Z_s dW_s
 
 where nu_s is the joint law of (X_s, Y_s) and mu_T the law of X_T, plus
-user-declared Lipschitz and monotonicity metadata.  Coefficient callbacks
+optional declared Lipschitz and monotonicity constants.  Coefficient callbacks
 are vectorized across the particle axis: x, y have shape (P, m), z has
 shape (P, m, d), and nu is an :class:`~mfbsde.measure.EmpiricalMeasure`
 whose points concatenate the X components (first m) and Y components
@@ -19,23 +19,24 @@ functional
                     + (h(t,u,nu) - h(t,u',nu)) . (x - x')
                     + [sigma(t,u,nu) - sigma(t,u',nu), z - z']
 
-(with [A, B] the column-wise inner product), computes the best constants
-of the one-sided bounds
+(with [A, B] the column-wise inner product).  Its one problem gate,
+:func:`check_H1`, computes the best constants of the one-sided bounds
 
     A <= -k (|x-x'|^2 + |y-y'|^2 + |z-z'|^2)        (strong variant, "H1")
     A <= -k (|x-x'|^2 + |y-y'|^2)                   (relaxed variant, "H1prime")
     (g(x,nu) - g(x',nu)) . (x - x') >= k' |x-x'|^2
 
-and checks the mean-field smallness conditions under which the
-measure-freezing iteration contracts.  The constants are exact for affine
-coefficients, whose A is a quadratic form in u - u' (every config problem
-and every aggregated game); a coefficient that is not affine is rejected.
+and the mean-field Lipschitz constants C_nu and C_g_nu, and gates them with
+the smallness condition under which the measure-freezing iteration
+contracts.  The constants are exact for coefficients affine in the state and
+the measure's mean (every config problem and aggregated game); any other
+coefficient is rejected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,11 +48,10 @@ __all__ = [
     "LipschitzProfile",
     "MonotonicityProfile",
     "MfProblem",
-    "MonotonicityReport",
-    "ConditionReport",
+    "H1Report",
     "eval_A",
     "check_H1",
-    "check_smallness",
+    "smallness_bound",
     "contraction_constants",
     "PiecewiseConstant",
     "shaped_path",
@@ -195,29 +195,25 @@ def _a_values(p: MfProblem, t: float, u: tuple, u_prime: tuple, nu: EmpiricalMea
 
 
 @dataclass
-class MonotonicityReport:
-    """Computed and declared dissipativity constants; a margin is computed minus declared."""
+class H1Report:
+    """The gate of one problem: its constants computed from the coefficients,
+    the declared ones, the smallness bound of the computed k and k', and one
+    margin per declared constant, positive on its safe side."""
 
     variant: str
-    k_declared: float
-    k_prime_declared: float
-    k_computed: float
-    k_prime_computed: float
+    computed: dict
+    declared: dict
+    margins: dict
+    bound: float
     operator_ok: bool
     terminal_ok: bool
+    smallness_ok: bool
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "declared": {"k": self.k_declared, "k_prime": self.k_prime_declared},
-            "computed": {"k": self.k_computed, "k_prime": self.k_prime_computed},
-            "margins": {"operator": self.k_computed - self.k_declared,
-                        "terminal": self.k_prime_computed - self.k_prime_declared},
-            "operator_ok": self.operator_ok,
-            "terminal_ok": self.terminal_ok,
-            "pass": self.passed,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 # the two (base point entry, measure points) pairs a slope is read at, where an affine map's agree; the
@@ -247,6 +243,25 @@ def _slope(name: str, q: Callable, n: int) -> np.ndarray:
     return slopes[0]
 
 
+def _mean_slope(name: str, q: Callable, n: int) -> np.ndarray:
+    """The L with q(base, points + v) = q(base, points) + L v for v in R^n
+    (q's slope in the mean of the points' measure), read at each of
+    :data:`_BASES` with a last column, q's move when the points collapse to
+    their mean, that must be 0.  An L that depends on them or a q that moves
+    is a ValueError naming the map, and an L that overflows a FloatingPointError."""
+    reads = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for base, cloud in _BASES:
+            points = np.outer(cloud, np.ones(n))
+            moved = [points + e for e in np.eye(n)] + [points.mean(axis=0, keepdims=True)]
+            reads.append(np.stack([q(base, pts) for pts in moved], axis=1) - q(base, points)[:, None])
+    if not np.all(np.isfinite(reads)):
+        raise FloatingPointError(f"the mean slope of {name} overflows")
+    if not np.allclose(*reads, rtol=0.0, atol=_TOL * max(1.0, float(np.max(np.abs(reads[0]))))):
+        raise ValueError(f"{name} is not affine in the mean of the measure")
+    return reads[0][:, :n]
+
+
 def _sup_over_z(s: np.ndarray, nv: int) -> np.ndarray | None:
     """The form on the first nv coordinates that s's sup over the rest
     leaves: the Schur complement S_vv - C' S_zz^+ C, or None when the sup
@@ -261,69 +276,6 @@ def _sup_over_z(s: np.ndarray, nv: int) -> np.ndarray | None:
     return s[:nv, :nv] - cross[neg].T @ (cross[neg] / lam[neg, None])
 
 
-def check_H1(p: MfProblem, grid: TimeGrid) -> MonotonicityReport:
-    """k and k' of the dissipativity bounds, next to the declared ones.
-
-    For affine coefficients A(t, u, u', nu) = w'S(t)w in w = u - u'; S(t)
-    is read at ``grid``'s nodes, the times a solve on that grid evaluates.
-    k = min over t of -lambda_max of S(t) (H1) or of its sup over dz
-    (H1prime; -inf if unbounded); k' = lambda_min of sym(g's slope).  A
-    non-affine coefficient raises ValueError; a failed check is a report.
-    """
-    m, d = p.dim_state, p.dim_bm
-    variant = p.monotonicity.variant if p.monotonicity is not None else (H1PRIME if p.law_free_sigma else H1)
-    k_dec, kp_dec = (p.monotonicity.k, p.monotonicity.k_prime) if p.monotonicity is not None else (0.0, 0.0)
-
-    def split(w):
-        return w[:, :m], w[:, m : 2 * m], w[:, 2 * m :].reshape(-1, m, d)
-
-    k = math.inf
-    for t in grid.nodes.tolist():
-        def q(w, base, cloud, t=t):
-            nu = EmpiricalMeasure(np.outer(cloud, np.ones(2 * m)))
-            return _a_values(p, t, split(w + base), split(np.tile(base, (len(w), 1))), nu)
-
-        s = _slope("the operator of f, h and sigma", q, 2 * m + m * d)
-        if variant == H1PRIME:
-            s = _sup_over_z(s, 2 * m)
-        k = min(k, -math.inf if s is None else 0.0 - float(np.linalg.eigvalsh(s)[-1]))  # 0.0 - x: no -0.0
-
-    def q_g(w, base, cloud):
-        mu = EmpiricalMeasure(np.outer(cloud, np.ones(m)))
-        return np.sum((np.asarray(p.g(w + base, mu)) - np.asarray(p.g(base[None], mu))) * w, axis=1)
-
-    kp = float(np.linalg.eigvalsh(_slope("g", q_g, m))[0])
-    operator_ok = k > 0 and k - k_dec >= -_TOL
-    terminal_ok = kp > 0 and kp - kp_dec >= -_TOL
-    return MonotonicityReport(variant, k_dec, kp_dec, k, kp, operator_ok, terminal_ok, operator_ok and terminal_ok)
-
-
-@dataclass
-class ConditionReport:
-    """Smallness condition on the mean-field Lipschitz constants."""
-
-    variant: str
-    regime: str
-    bound: float
-    c_nu: float
-    c_g_nu: float
-    k: float
-    k_prime: float
-    margin_c_nu: float
-    margin_c_g_nu: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "regime": self.regime,
-            "bound": self.bound,
-            "constants": {"C_nu": self.c_nu, "C_g_nu": self.c_g_nu, "k": self.k, "k_prime": self.k_prime},
-            "margins": {"C_nu": self.margin_c_nu, "C_g_nu": self.margin_c_g_nu},
-            "pass": self.passed,
-        }
-
-
 def smallness_bound(k: float, k_prime: float, variant: str) -> float:
     """Admissible strict upper bound for C_nu and C_g_nu under the variant."""
     if variant == H1:
@@ -331,27 +283,65 @@ def smallness_bound(k: float, k_prime: float, variant: str) -> float:
     return min(2.0 * (math.sqrt(2.0) - 1.0) * k_prime, math.sqrt(2.0) / 2.0 * k)
 
 
-def check_smallness(prof: LipschitzProfile, mono: MonotonicityProfile) -> ConditionReport:
-    """Check C_g_nu, C_nu < bound(k, k') for the declared variant.
+def check_H1(p: MfProblem, grid: TimeGrid) -> H1Report:
+    """The problem's gate: k, k', C_nu and C_g_nu computed from its
+    coefficients, next to the declared ones.
 
-    The strong variant's bound is min{(sqrt3 - 1) k', (sqrt3/3) k}; the
-    relaxed (law-free sigma) variant's is min{2(sqrt2 - 1) k', (sqrt2/2) k}.
+    The coefficients are read at ``grid``'s nodes and at every breakpoint in
+    [0, T] of an affine problem's f, h and sigma tables.  With A = w'S(t)w in
+    w = u - u', k = min over t of -lambda_max of S(t) (H1) or of its sup over
+    dz (H1prime; -inf if unbounded), and k' = lambda_min of sym(g's slope).
+    C_nu = sup over t of ||L(t)||, L(t) the slope of the stacked (f, h, sigma)
+    in the mean of the joint law (a law-free sigma adds no rows), and C_g_nu =
+    ||g's slope in the mean||.  The problem passes when k, k' > 0, both C are
+    below the smallness bound of (k, k'), and every declared constant is on
+    its safe side.  A coefficient not affine in the state and the measure's
+    mean raises ValueError; a failed check is a report.
     """
-    bound = smallness_bound(mono.k, mono.k_prime, mono.variant)
-    margin_nu = bound - prof.c_nu
-    margin_g = bound - prof.c_g_nu
-    return ConditionReport(
-        variant=mono.variant,
-        regime="strong" if mono.variant == H1 else "relaxed",
-        bound=bound,
-        c_nu=prof.c_nu,
-        c_g_nu=prof.c_g_nu,
-        k=mono.k,
-        k_prime=mono.k_prime,
-        margin_c_nu=margin_nu,
-        margin_c_g_nu=margin_g,
-        passed=margin_nu > 0 and margin_g > 0,
-    )
+    m, d = p.dim_state, p.dim_bm
+    mono, lip = p.monotonicity, p.lipschitz
+    variant = mono.variant if mono is not None else (H1PRIME if p.law_free_sigma else H1)
+    tables = [c for c in (p.f, p.h, getattr(p.sigma, "table", None)) if isinstance(c, AffineCoeffs)]
+
+    def split(w):
+        return w[:, :m], w[:, m : 2 * m], w[:, 2 * m :].reshape(-1, m, d)
+
+    k, c_nu = math.inf, 0.0
+    for t in np.union1d(grid.nodes, sample_times(p.horizon, tables)).tolist():
+        def q(w, base, cloud, t=t):
+            nu = EmpiricalMeasure(np.outer(cloud, np.ones(2 * m)))
+            return _a_values(p, t, split(w + base), split(np.tile(base, (len(w), 1))), nu)
+
+        def q_mean(base, points, t=t):
+            u, nu = split(np.full((1, 2 * m + m * d), base)), EmpiricalMeasure(points)
+            rows = [p.f(t, *u, nu), p.h(t, *u, nu)] + ([] if p.law_free_sigma else [p.sigma(t, *u, nu)])
+            return np.concatenate([np.ravel(r) for r in rows])
+
+        s = _slope("the operator of f, h and sigma", q, 2 * m + m * d)
+        if variant == H1PRIME:
+            s = _sup_over_z(s, 2 * m)
+        k = min(k, -math.inf if s is None else 0.0 - float(np.linalg.eigvalsh(s)[-1]))  # 0.0 - x: no -0.0
+        c_nu = max(c_nu, float(np.linalg.norm(_mean_slope("the operator of f, h and sigma", q_mean, 2 * m), 2)))
+
+    def q_g(w, base, cloud):
+        mu = EmpiricalMeasure(np.outer(cloud, np.ones(m)))
+        return np.sum((np.asarray(p.g(w + base, mu)) - np.asarray(p.g(base[None], mu))) * w, axis=1)
+
+    def q_g_mean(base, points):
+        return np.ravel(p.g(np.full((1, m), base), EmpiricalMeasure(points)))
+
+    kp = float(np.linalg.eigvalsh(_slope("g", q_g, m))[0])
+    computed = {"k": k, "k_prime": kp, "C_nu": c_nu, "C_g_nu": float(np.linalg.norm(_mean_slope("g", q_g_mean, m), 2))}
+    declared = {**({} if mono is None else {"k": mono.k, "k_prime": mono.k_prime}),
+                **({} if lip is None else {"C_nu": lip.c_nu, "C_g_nu": lip.c_g_nu})}
+    # 0.0 - (how far a declaration is past its safe side): no -0.0
+    margins = {key: 0.0 - (value - computed[key] if key.startswith("k") else computed[key] - value)
+               for key, value in declared.items()}
+    safe = {key: margins.get(key, 0.0) >= -_TOL for key in computed}
+    bound = smallness_bound(k, kp, variant)
+    checks = (k > 0 and safe["k"], kp > 0 and safe["k_prime"],
+              max(c_nu, computed["C_g_nu"]) < bound and safe["C_nu"] and safe["C_g_nu"])
+    return H1Report(variant, computed, declared, margins, bound, *checks, all(checks))
 
 
 def contraction_constants(
@@ -428,6 +418,12 @@ class PiecewiseConstant:
 
     def __call__(self, t: float) -> np.ndarray:
         return self.values[self.piece(t)]
+
+
+def sample_times(horizon: float, paths) -> np.ndarray:
+    """t = 0 plus every breakpoint of ``paths`` in [0, T]: a time in each piece on [0, T]."""
+    ts = [p.breakpoints[(p.breakpoints >= 0.0) & (p.breakpoints <= horizon)] for p in paths]
+    return np.unique(np.concatenate([[0.0], *ts]))
 
 
 def coerce(value, shape: tuple, name: str) -> np.ndarray:
@@ -529,6 +525,11 @@ class AffineCoeffs:
                 self.terms[key] = path
         self._compiled: dict[float, dict] = {}
 
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """The union of the terms' breakpoints: the table is constant between two of them."""
+        return np.unique(np.concatenate([np.zeros(0), *(path.breakpoints for path in self.terms.values())]))
+
     def at(self, t: float) -> dict:
         """The terms' values at time t, {term: array}; each time is compiled
         on its first use and kept."""
@@ -566,6 +567,16 @@ class AffineCoeffs:
         return out.T
 
 
+class _Diffusion:
+    """The law-free diffusion (P, m, 1) of an affine table for one Brownian motion; the table stays readable."""
+
+    def __init__(self, table: AffineCoeffs):
+        self.table = table
+
+    def __call__(self, t: float, x, y, z, nu) -> np.ndarray:
+        return self.table(t, x, y, z)[:, :, None]
+
+
 def affine_problem(x0, horizon: float, f: AffineCoeffs, h: AffineCoeffs, sigma: AffineCoeffs, g: AffineCoeffs,
                    lipschitz: LipschitzProfile | None = None,
                    monotonicity: MonotonicityProfile | None = None) -> MfProblem:
@@ -578,7 +589,7 @@ def affine_problem(x0, horizon: float, f: AffineCoeffs, h: AffineCoeffs, sigma: 
         x0=x0,
         horizon=horizon,
         f=f,
-        sigma=lambda t, x, y, z, nu: sigma(t, x, y, z)[:, :, None],
+        sigma=_Diffusion(sigma),
         h=h,
         g=lambda x, mu: g(horizon, x, nu=mu),
         law_free_sigma=True,

@@ -107,14 +107,42 @@ class TestCheckCommand:
         cfg = write_config(tmp_path, TOY_PROBLEM)
         assert cli.main(["check", cfg]) == cli.EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["smallness"]["pass"] is True
-        assert report["monotonicity"]["pass"] is True
-        assert report["monotonicity"]["computed"] == pytest.approx({"k": 1.0, "k_prime": 1.0}, abs=1e-12)
+        assert report["pass"] is True and report["smallness_ok"] is True
+        assert report["computed"] == pytest.approx({"k": 1.0, "k_prime": 1.0, "C_nu": 0.1, "C_g_nu": 0.1}, abs=1e-12)
+
+    def test_problem_without_declarations_is_checked(self, tmp_path, capsys):
+        # the declaration blocks are optional claims: the gate runs on the computed constants
+        payload = {key: value for key, value in TOY_PROBLEM.items() if key not in ("lipschitz", "monotonicity")}
+        assert cli.main(["check", write_config(tmp_path, payload)]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["declared"] == {} and report["margins"] == {}
+        assert report["computed"] == pytest.approx({"k": 1.0, "k_prime": 1.0, "C_nu": 0.1, "C_g_nu": 0.1}, abs=1e-12)
+
+    def test_mean_coupling_above_the_bound_exits_2(self, tmp_path, capsys):
+        # declared C_nu = C_g_nu = 0 used to be gated as typed, against a bound of 0.707
+        payload = dict(TOY_PROBLEM, f={"y": -1.0, "mean_x": 5.0}, g={"x": 1.0, "mean_x": 3.0},
+                       lipschitz={**TOY_PROBLEM["lipschitz"], "c_nu": 0.0, "c_g_nu": 0.0})
+        assert cli.main(["check", write_config(tmp_path, payload)]) == cli.EXIT_CONDITION
+        report = json.loads(capsys.readouterr().out)
+        assert report["computed"]["C_nu"] == pytest.approx(5.0, abs=1e-12)
+        assert report["computed"]["C_g_nu"] == pytest.approx(3.0, abs=1e-12)
+        assert report["margins"]["C_nu"] == pytest.approx(-5.0, abs=1e-12)
+        assert report["bound"] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert report["smallness_ok"] is False and report["operator_ok"] is True and report["terminal_ok"] is True
+
+    def test_piece_between_grid_nodes_is_read(self, tmp_path, capsys):
+        # h.x = +0.5 on [0.101, 0.102), between the nodes 0.1 and 0.1025 of the default 100-step grid
+        pieces = [{"t_from": t, "value": v} for t, v in ((0.0, -1.0), (0.101, 0.5), (0.102, -1.0))]
+        payload = dict(TOY_PROBLEM, h={**TOY_PROBLEM["h"], "x": {"piecewise": pieces}})
+        assert cli.main(["check", write_config(tmp_path, payload)]) == cli.EXIT_CONDITION
+        report = json.loads(capsys.readouterr().out)
+        assert report["computed"]["k"] == pytest.approx(-0.5, abs=1e-12)
+        assert report["operator_ok"] is False and report["pass"] is False
 
     def test_declared_k_above_the_exact_k_exits_2(self, tmp_path, capsys):
         # a random probe's minimum (1.6206) passed this declaration
         assert cli.main(["check", write_config(tmp_path, block_problem(1.615))]) == cli.EXIT_CONDITION
-        mono = json.loads(capsys.readouterr().out)["monotonicity"]
+        mono = json.loads(capsys.readouterr().out)
         assert mono["computed"]["k"] == pytest.approx(1.6070996, abs=1e-7)
         assert mono["operator_ok"] is False and mono["terminal_ok"] is True
 
@@ -122,8 +150,8 @@ class TestCheckCommand:
     def test_declared_k_prime_against_the_exact_k_prime(self, tmp_path, capsys, offset, code):
         # a random probe overestimated this k' by 7.2e-3 and passed the +1e-6 declaration
         assert cli.main(["check", write_config(tmp_path, terminal_problem(offset))]) == code
-        mono = json.loads(capsys.readouterr().out)["monotonicity"]
-        assert mono["margins"]["terminal"] == pytest.approx(-offset, abs=1e-12)
+        mono = json.loads(capsys.readouterr().out)
+        assert mono["margins"]["k_prime"] == pytest.approx(-offset, abs=1e-12)
         assert mono["operator_ok"] is True
 
     @pytest.mark.parametrize("block, value, name", [("f", {"y": -1e308}, "the operator of f, h and sigma"),
@@ -390,6 +418,14 @@ class TestCounterexampleCommand:
         signs = np.sign(dets)
         changes = np.sum(signs[1:] * signs[:-1] < 0)
         assert changes == 1
+
+    @pytest.mark.parametrize("spec, ts", [("0:1:0.6", [0.0, 0.6]), ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3])])
+    def test_sweep_never_passes_b(self, capsys, spec, ts):
+        # 0:1:0.6 used to round its point count up and print T = 1.2, past the nonexistence horizon T = 1
+        assert cli.main(["counterexample", "--T-sweep", spec]) == cli.EXIT_OK
+        values = [float(row.split(",")[0]) for row in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert values == pytest.approx(ts, abs=1e-15)
+        assert max(values) <= float(spec.split(":")[1])
 
     @pytest.mark.parametrize("spec", ["0:inf:1", "0:nan:1", "nan:1:0.5", "0:1:inf", "0:1e308:1e-308"])
     def test_non_finite_sweep_is_config_error(self, capsys, spec):

@@ -17,10 +17,10 @@ from mfbsde.problem import (
     map_path,
     shaped_path,
     check_H1,
-    check_smallness,
     contraction_constants,
     eval_A,
     problem_from_config,
+    smallness_bound,
 )
 
 
@@ -123,11 +123,11 @@ class TestCheckH1:
                       C=[[[1.0]]], N=[[[1.0]]], Q=[[[1.0]]], M=[[[0.5]]])
         rep = check_H1(build_aggregated(gs), TimeGrid(1.0, 10))
         assert rep.passed
-        assert rep.k_computed == pytest.approx(0.5, abs=1e-12)
+        assert rep.computed["k"] == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_terminal_estimates_k_prime(self, martingale_problem):
         rep = check_H1(martingale_problem, TimeGrid(1.0, 10))
-        assert rep.k_prime_computed == pytest.approx(1.0, abs=1e-12)
+        assert rep.computed["k_prime"] == pytest.approx(1.0, abs=1e-12)
 
     def test_counterexample_terminal_monotonicity_fails(self):
         from mfbsde.lqgame import build_aggregated, example3_game
@@ -135,7 +135,7 @@ class TestCheckH1:
         agg = build_aggregated(example3_game(1.0))
         rep = check_H1(agg, TimeGrid(1.0, 10))
         assert not rep.terminal_ok
-        assert rep.k_prime_computed == pytest.approx(-1.0, abs=1e-12)  # eigenvalues {-1, 3}
+        assert rep.computed["k_prime"] == pytest.approx(-1.0, abs=1e-12)  # eigenvalues {-1, 3}
         assert not rep.passed
 
     def test_probe_estimates_match_eigen_bounds(self):
@@ -147,14 +147,14 @@ class TestCheckH1:
         p.monotonicity = MonotonicityProfile(k=1e-6, k_prime=1e-6, variant=H1PRIME)
         rep = check_H1(p, TimeGrid(1.0, 10))
         lam_min = float(np.linalg.eigvalsh(s)[0])
-        assert rep.k_computed == pytest.approx(lam_min, abs=1e-12)
+        assert rep.computed["k"] == pytest.approx(lam_min, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_block_problem_k_is_the_smallest_eigenvalue(self, seed):
         s = block_matrix(seed)
         p = affine_problem_from_blocks(s[:2, :2], s[:2, 2:], s[2:, :2], s[2:, 2:])
         rep = check_H1(p, TimeGrid(1.0, 10))
-        assert rep.k_computed == pytest.approx(float(np.linalg.eigvalsh(s)[0]), abs=1e-12)
+        assert rep.computed["k"] == pytest.approx(float(np.linalg.eigvalsh(s)[0]), abs=1e-12)
 
     def test_declared_k_above_the_exact_k_fails(self):
         # a random probe's minimum overestimates k (1.6206 against 1.6071) and passed this declaration
@@ -162,9 +162,9 @@ class TestCheckH1:
         p = affine_problem_from_blocks(s[:2, :2], s[:2, 2:], s[2:, :2], s[2:, 2:])
         p.monotonicity = MonotonicityProfile(k=1.615, k_prime=1.0, variant=H1PRIME)
         rep = check_H1(p, TimeGrid(1.0, 10))
-        assert rep.k_computed == pytest.approx(1.6070996, abs=1e-7)
+        assert rep.computed["k"] == pytest.approx(1.6070996, abs=1e-7)
         assert not rep.operator_ok and rep.terminal_ok and not rep.passed
-        assert rep.to_dict()["margins"]["operator"] == pytest.approx(rep.k_computed - 1.615, abs=1e-15)
+        assert rep.to_dict()["margins"]["k"] == pytest.approx(rep.computed["k"] - 1.615, abs=1e-15)
 
     @pytest.mark.parametrize(
         "a, c, k",
@@ -175,7 +175,7 @@ class TestCheckH1:
         # A = -dx^2 - dy^2 + a dx dz - c dz^2: sup over dz is -(1 - a^2 / 4c) dx^2 - dy^2 for c > 0
         p = problem_from_config({"dim": 1, "horizon": 1.0, "x0": [0.0], "f": {"y": -1.0},
                                  "h": {"x": -1.0, "z": a}, "sigma": {"z": -c, "const": 0.2}, "g": {"x": 1.0}})
-        assert check_H1(p, TimeGrid(1.0, 10)).k_computed == pytest.approx(k, abs=1e-12)
+        assert check_H1(p, TimeGrid(1.0, 10)).computed["k"] == pytest.approx(k, abs=1e-12)
 
     def test_strong_variant_counts_dz(self):
         # the same A under H1 bounds the whole form: k = -lambda_max([[-1, 1/2], [1/2, -1]]) = 1/2
@@ -183,20 +183,23 @@ class TestCheckH1:
                                  "h": {"x": -1.0, "z": 1.0}, "sigma": {"z": -1.0},
                                  "g": {"x": 1.0}, "monotonicity": {"k": 0.5, "k_prime": 1.0, "variant": "H1"}})
         rep = check_H1(p, TimeGrid(1.0, 10))
-        assert rep.k_computed == pytest.approx(0.5, abs=1e-12) and rep.passed
+        assert rep.computed["k"] == pytest.approx(0.5, abs=1e-12) and rep.passed
 
     def test_piecewise_coefficient_read_at_every_node(self):
         # h.x = -0.2 on [0.5, 0.6): the worst node gives k = 0.2
         pieces = [{"t_from": 0.0, "value": -1.0}, {"t_from": 0.5, "value": -0.2}, {"t_from": 0.6, "value": -1.0}]
         p = problem_from_config({"dim": 1, "horizon": 1.0, "x0": [0.0], "f": {"y": -1.0},
                                  "h": {"x": {"piecewise": pieces}}, "sigma": {"const": 0.2}, "g": {"x": 1.0}})
-        assert check_H1(p, TimeGrid(1.0, 10)).k_computed == pytest.approx(0.2, abs=1e-12)
+        assert check_H1(p, TimeGrid(1.0, 10)).computed["k"] == pytest.approx(0.2, abs=1e-12)
 
     @pytest.mark.parametrize("f, g, name", [
         (lambda t, x, y, z, nu: -y**3, lambda x, mu: x, "f, h and sigma"),
         (lambda t, x, y, z, nu: -y * (1.0 + nu.mean()[0]), lambda x, mu: x, "f, h and sigma"),
         (lambda t, x, y, z, nu: -y, lambda x, mu: x**3, "g"),
-    ], ids=["cubic_drift", "measure_dependent_slope", "cubic_terminal"])
+        # A cancels nu, so only the read in the mean sees that the drift depends on the cloud's spread
+        (lambda t, x, y, z, nu: -y + nu.points.var(), lambda x, mu: x, "f, h and sigma is not affine in the mean"),
+        (lambda t, x, y, z, nu: -y, lambda x, mu: x + mu.points.var(), "g is not affine in the mean"),
+    ], ids=["cubic_drift", "measure_dependent_slope", "cubic_terminal", "variance_drift", "variance_terminal"])
     def test_non_affine_coefficient_is_rejected(self, f, g, name):
         p = MfProblem(dim_state=1, dim_bm=1, x0=[0.0], horizon=1.0, f=f,
                       h=lambda t, x, y, z, nu: -x, sigma=lambda t, x, y, z, nu: np.zeros((len(x), 1, 1)),
@@ -207,38 +210,60 @@ class TestCheckH1:
     def test_report_serializes(self, toy_problem):
         d = check_H1(toy_problem, TimeGrid(0.25, 100)).to_dict()
         assert d["pass"] is True
-        assert d["computed"] == pytest.approx({"k": 1.0, "k_prime": 1.0}, abs=1e-12)
-        assert set(d) == {"variant", "declared", "computed", "margins", "operator_ok", "terminal_ok", "pass"}
+        assert d["computed"] == pytest.approx({"k": 1.0, "k_prime": 1.0, "C_nu": 0.1, "C_g_nu": 0.1}, abs=1e-12)
+        assert set(d["declared"]) == set(d["margins"]) == set(d["computed"])
+        assert set(d) == {"variant", "computed", "declared", "margins", "bound",
+                          "operator_ok", "terminal_ok", "smallness_ok", "pass"}
+
+    def test_mean_constants_match_the_aggregated_game(self):
+        # build_aggregated's C_nu = ||[[D, 0], [sum K_i Gamma_i, D']]|| and C_g_nu = ||sum K_i R_i||
+        from mfbsde.lqgame import GameSpec, build_aggregated
+
+        gs = GameSpec(n=2, horizon=1.0, x0=[0.0, 0.0], A=np.zeros((2, 2)), D=[[0.3, 0.1], [-0.2, 0.1]],
+                      C=[np.eye(2)], N=[np.eye(2)], Q=[np.eye(2)], M=[np.eye(2)],
+                      Gamma=[[[0.4, 0.1], [0.1, 0.2]]], R=[[[0.2, 0.05], [0.05, 0.1]]])
+        agg = build_aggregated(gs)
+        rep = check_H1(agg, TimeGrid(1.0, 10))
+        assert rep.computed["C_nu"] == pytest.approx(agg.lipschitz.c_nu, abs=1e-12)
+        assert rep.computed["C_g_nu"] == pytest.approx(agg.lipschitz.c_g_nu, abs=1e-12)
+        assert rep.to_dict()["margins"]["C_nu"] == pytest.approx(0.0, abs=1e-12)
+
+
+def mean_coupled(c_nu, c_g_nu, variant):
+    """1-D problem with k = k' = 1 under both variants (sigma.z = -1 adds -dz^2 to A) and mean couplings
+    f.mean_x = c_nu, g.mean_x = c_g_nu, declaring the exact k and k'."""
+    return problem_from_config({"dim": 1, "horizon": 1.0, "x0": [0.0], "f": {"y": -1.0, "mean_x": c_nu},
+                                "h": {"x": -1.0}, "sigma": {"z": -1.0, "const": 0.2},
+                                "g": {"x": 1.0, "mean_x": c_g_nu},
+                                "monotonicity": {"k": 1.0, "k_prime": 1.0, "variant": variant}})
 
 
 class TestCheckSmallness:
     def test_zero_coupling_passes(self):
-        rep = check_smallness(
-            LipschitzProfile(2.0, 0.0, 1.0, 0.0), MonotonicityProfile(0.3, 0.7, H1)
-        )
-        assert rep.passed
+        rep = check_H1(mean_coupled(0.0, 0.0, H1), TimeGrid(1.0, 10))
+        assert rep.computed["C_nu"] == 0.0 and rep.computed["C_g_nu"] == 0.0
+        assert rep.smallness_ok and rep.passed
 
     def test_relaxed_variant_bound(self):
-        rep = check_smallness(
-            LipschitzProfile(1.0, 0.1, 1.0, 0.1), MonotonicityProfile(1.0, 1.0, H1PRIME)
-        )
+        rep = check_H1(mean_coupled(0.1, 0.1, H1PRIME), TimeGrid(1.0, 10))
+        assert rep.bound == smallness_bound(1.0, 1.0, H1PRIME)
         assert rep.bound == pytest.approx(min(2 * (math.sqrt(2) - 1), math.sqrt(2) / 2))
         assert rep.bound == pytest.approx(0.70710678, abs=1e-7)
-        assert rep.passed and rep.regime == "relaxed"
+        assert rep.passed and rep.variant == H1PRIME
 
     def test_strong_variant_fail(self):
-        rep = check_smallness(
-            LipschitzProfile(1.0, 0.6, 1.0, 0.0), MonotonicityProfile(1.0, 1.0, H1)
-        )
+        rep = check_H1(mean_coupled(0.6, 0.0, H1), TimeGrid(1.0, 10))
         assert rep.bound == pytest.approx(min(math.sqrt(3) - 1, math.sqrt(3) / 3))
         assert rep.bound == pytest.approx(0.57735027, abs=1e-7)
-        assert not rep.passed and rep.regime == "strong"
+        assert rep.computed["C_nu"] == pytest.approx(0.6, abs=1e-12)
+        assert rep.operator_ok and rep.terminal_ok
+        assert not rep.smallness_ok and not rep.passed and rep.variant == H1
 
     def test_report_json_shape(self):
-        d = check_smallness(
-            LipschitzProfile(1.0, 0.1, 1.0, 0.1), MonotonicityProfile(1.0, 1.0, H1PRIME)
-        ).to_dict()
-        assert set(d) == {"variant", "regime", "bound", "constants", "margins", "pass"}
+        d = check_H1(mean_coupled(0.1, 0.1, H1PRIME), TimeGrid(1.0, 10)).to_dict()
+        assert set(d["computed"]) == {"k", "k_prime", "C_nu", "C_g_nu"}
+        # only the declared constants get a margin
+        assert set(d["declared"]) == set(d["margins"]) == {"k", "k_prime"}
 
 
 class TestContractionConstants:
@@ -293,7 +318,7 @@ class TestContractionConstants:
             variant = H1 if rng.random() < 0.5 else H1PRIME
             prof = LipschitzProfile(1.0, c_nu, 1.0, c_g)
             mono = MonotonicityProfile(k, kp, variant)
-            if not check_smallness(prof, mono).passed:
+            if not max(c_nu, c_g) < smallness_bound(k, kp, variant):
                 continue
             found_pass += 1
             ok = False
@@ -501,8 +526,9 @@ class TestProblemFromConfig:
     def test_probes_pass_on_config_problem(self):
         p = problem_from_config(self.config())
         p.spot_check()
-        assert check_H1(p, TimeGrid(0.25, 100)).passed
-        assert check_smallness(p.lipschitz, p.monotonicity).passed
+        rep = check_H1(p, TimeGrid(0.25, 100))
+        assert rep.passed and rep.smallness_ok
+        assert (rep.computed["C_nu"], rep.computed["C_g_nu"]) == pytest.approx((0.1, 0.1), abs=1e-12)
 
     def test_missing_field_rejected(self):
         cfg = self.config()
