@@ -145,6 +145,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     kind, cfg = _load_config(args.config)
     prob = problem_from_config(cfg) if kind == "problem" else lqgame.build_aggregated(lqgame.game_from_config(cfg))
     grid, params = _scheme(args, prob.horizon)
@@ -156,6 +158,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_game(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.deviations < 1:
         raise ValueError(f"--deviations must be >= 1, got {args.deviations}")
     if not math.isfinite(args.deviation_magnitude):

@@ -19,9 +19,9 @@ expected outcome on nonexistence instances).  One Brownian bundle is
 reused across all iterations (common random numbers), so a run is a
 deterministic function of (problem, grid, params, seed).
 
-The observed gap ratio is reported next to the theoretical theta/lambda
-contraction ratio; with regression-approximate inner solves the observed
-ratio includes a bias floor, so agreement is indicative, not exact.
+The observed gap ratio is reported next to the theta/lambda contraction
+ratio of the constants :func:`check_H1` computes; with regression-approximate
+inner solves it includes a bias floor, so agreement is indicative, not exact.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .forward import propagate
 from .paths import (
     BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle, marginal, node_msd,
 )
-from .problem import MfProblem, contraction_constants
+from .problem import MfProblem, check_H1, contraction_constants
 
 __all__ = [
     "SchemeParams",
@@ -315,13 +315,17 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel
     return x_new, y_hat, z_hat, reg_diag, stop or "cap", sweep, gap
 
 
-def _theory_ratio(p: MfProblem, params: SchemeParams) -> float:
-    if p.lipschitz is None or p.monotonicity is None or params.delta <= 0:
+def _theory_ratio(p: MfProblem, grid: TimeGrid, params: SchemeParams) -> float:
+    """theta/lambda of the constants :func:`check_H1` computes; NaN with no damping, when k, k' or lambda is
+    not positive, or when the constants cannot be computed (a coefficient not affine, a slope that overflows)."""
+    if params.delta <= 0:
         return math.nan
-    lam, theta = contraction_constants(p.lipschitz, p.monotonicity, delta=params.delta)
-    if lam <= 0:
+    try:
+        rep = check_H1(p, grid)
+    except (ValueError, FloatingPointError):
         return math.nan
-    return theta / lam
+    lam, theta = contraction_constants(rep.computed, rep.variant, delta=params.delta)
+    return theta / lam if lam > 0 and min(rep.computed["k"], rep.computed["k_prime"]) > 0 else math.nan
 
 
 def solve(
@@ -343,7 +347,7 @@ def solve(
     p.spot_check(seed=seed)
     m, d = p.dim_state, p.dim_bm
     bundle = make_bundle(grid, params.particles, d, seed)
-    theory = _theory_ratio(p, params)
+    theory = _theory_ratio(p, grid, params)
 
     x_prev, y_prev, z_prev = _zero_ensembles(params.particles, grid.steps, m, d)
 

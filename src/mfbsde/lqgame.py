@@ -44,9 +44,7 @@ from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major,
 from .problem import (
     H1PRIME,
     AffineCoeffs,
-    LipschitzProfile,
     MfProblem,
-    MonotonicityProfile,
     PiecewiseConstant,
     affine_problem,
     check_config_keys,
@@ -251,7 +249,7 @@ class H2Report:
 
 
 def _gate_times(gs: GameSpec) -> np.ndarray:
-    """Where the gate and the aggregated constants evaluate the coefficients:
+    """Where the gate and build_aggregated's overflow guard evaluate the coefficients:
     t = 0 and every breakpoint of A, D, sigma, the M_i and the Gamma_i in [0, T]."""
     return sample_times(gs.horizon, [gs.A, gs.D, gs.sigma, *gs.M, *gs.Gamma])
 
@@ -271,17 +269,16 @@ def _gate(gs: GameSpec, times: np.ndarray):
     """The game's gate data at ``times``: K_i, sum K_i Q_i, sum K_i R_i, the
     paths t -> sum K_i M_i(t) and t -> sum K_i Gamma_i(t), the stacks
     (A, D, sigma, sum K_i M_i) at those times with the stack of the
-    aggregated mean coupling [[D, 0], [sum K_i Gamma_i, D']], and eta1, eta2
-    (smallest eigenvalues of the symmetric parts of sum K_i Q_i and of the
-    sum K_i M_i stack).  Every sup the gate and the aggregated constants
-    take is a :func:`_spectral` over these stacks."""
+    aggregated mean coupling [[D, 0], [sum K_i Gamma_i, D']].  Every sup the
+    gate and build_aggregated's overflow guard take is a :func:`_spectral`
+    over these stacks."""
     K = gs.k_matrices()
     skq = sum(k @ q for k, q in zip(K, gs.Q))
     skm, skg = (map_path(lambda *ps: sum(k @ p for k, p in zip(K, ps)), *paths) for paths in (gs.M, gs.Gamma))
     a, d, s, m, g = (np.stack([path(t) for t in times]) for path in (gs.A, gs.D, gs.sigma, skm, skg))
     coupling = np.block([[d, np.zeros_like(d)], [g, np.swapaxes(d, -1, -2)]])
     skr = sum(k @ r for k, r in zip(K, gs.R))
-    return K, skq, skr, skm, skg, (a, d, s, m, coupling), _sym_min_eig(skq), _sym_min_eig(m)
+    return K, skq, skr, skm, skg, (a, d, s, m, coupling)
 
 
 def check_H2(gs: GameSpec, grid: TimeGrid) -> H2Report:
@@ -289,7 +286,8 @@ def check_H2(gs: GameSpec, grid: TimeGrid) -> H2Report:
     and at the times :func:`build_aggregated` samples (every coefficient
     breakpoint in [0, T] among them), so a piece between two nodes is not
     missed."""
-    K, _, skr, _, _, (a, d, s, _, coupling), eta1, eta2 = _gate(gs, np.union1d(grid.nodes, _gate_times(gs)))
+    K, skq, skr, _, _, (a, d, s, m, coupling) = _gate(gs, np.union1d(grid.nodes, _gate_times(gs)))
+    eta1, eta2 = _sym_min_eig(skq), _sym_min_eig(m)
     mats = np.swapaxes(np.concatenate([a, d, s]), -1, -2)
     commut = max(_spectral(k @ mats - mats @ k) for k in K)
     norm_d = _spectral(coupling)
@@ -331,29 +329,20 @@ def build_aggregated(gs: GameSpec) -> MfProblem:
                                 - D_t' E[xi_2] - sigma_t' z
         g(x, mu)              = (sum K_i Q_i) x + (sum K_i R_i) E[mu]
 
-    (h and g are the K-weighted sums of the players' adjoint tables) with
-    attached constants C_nu = sup ||[[D, 0], [sum K_i Gamma_i, D']]||,
-    C_g_nu = ||sum K_i R_i||, k = min{1, eta2}, k' = eta1, the sups and
-    eta2 taken at the gate's times in [0, T].  When eta1 or eta2 is
-    nonpositive the problem carries no monotonicity profile (the
-    constants do not exist).  A sup that overflows raises
-    FloatingPointError naming its coefficient.
+    (h and g are the K-weighted sums of the players' adjoint tables).  The
+    problem declares no constants: :func:`~mfbsde.problem.check_H1` computes
+    them.  A coefficient whose sup norm over the gate's times in [0, T]
+    overflows raises FloatingPointError naming it.
     """
-    n = gs.n
-    _, skq, skr, skm, skg, (a, _, s, m, coupling), eta1, eta2 = _gate(gs, _gate_times(gs))
+    _, skq, skr, skm, skg, (a, _, s, m, coupling) = _gate(gs, _gate_times(gs))
     names = ("A", "sum K_i M_i", "sigma", "[[D, 0], [sum K_i Gamma_i, D']]", "sum K_i Q_i", "sum K_i R_i")
-    sup_a, sup_m, sup_s, sup_coupling, sup_q, sup_r = sups = [_spectral(v) for v in (a, m, s, coupling, skq, skr)]
-    for name, sup in zip(names, sups):
-        if not math.isfinite(sup):
+    for name, mat in zip(names, (a, m, s, coupling, skq, skr)):
+        if not math.isfinite(_spectral(mat)):
             raise FloatingPointError(f"the sup norm of {name} over [0, {gs.horizon:g}] overflows")
-    lip = LipschitzProfile(c_u=max(sup_a, 1.0, sup_m, sup_s), c_nu=sup_coupling, c_g_x=sup_q, c_g_nu=sup_r)
-    mono = None
-    if eta1 > 0 and eta2 > 0:
-        mono = MonotonicityProfile(k=min(1.0, eta2), k_prime=eta1, variant=H1PRIME)
 
-    f, sigma = _dynamics(gs, y=-np.eye(n))
+    f, sigma = _dynamics(gs, y=-np.eye(gs.n))
     h, g = _adjoint_tables(gs, skm, skg, skq, skr)
-    return affine_problem(gs.x0, gs.horizon, f, h, sigma, g, lipschitz=lip, monotonicity=mono)
+    return affine_problem(gs.x0, gs.horizon, f, h, sigma, g)
 
 
 def _adjoint_tables(gs: GameSpec, m, gamma, q, r) -> tuple[AffineCoeffs, AffineCoeffs]:

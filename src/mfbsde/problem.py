@@ -36,7 +36,7 @@ coefficient is rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -287,16 +287,17 @@ def check_H1(p: MfProblem, grid: TimeGrid) -> H1Report:
     """The problem's gate: k, k', C_nu and C_g_nu computed from its
     coefficients, next to the declared ones.
 
-    The coefficients are read at ``grid``'s nodes and at every breakpoint in
-    [0, T] of an affine problem's f, h and sigma tables.  With A = w'S(t)w in
-    w = u - u', k = min over t of -lambda_max of S(t) (H1) or of its sup over
-    dz (H1prime; -inf if unbounded), and k' = lambda_min of sym(g's slope).
-    C_nu = sup over t of ||L(t)||, L(t) the slope of the stacked (f, h, sigma)
-    in the mean of the joint law (a law-free sigma adds no rows), and C_g_nu =
-    ||g's slope in the mean||.  The problem passes when k, k' > 0, both C are
-    below the smallness bound of (k, k'), and every declared constant is on
-    its safe side.  A coefficient not affine in the state and the measure's
-    mean raises ValueError; a failed check is a report.
+    The coefficients are read once per piece of the f, h and sigma tables
+    (:func:`sample_times`), and at ``grid``'s nodes too when one of them is a
+    callback.  With A = w'S(t)w in w = u - u', k = min over t of -lambda_max
+    of S(t) (H1) or of its sup over dz (H1prime; -inf if unbounded), and k' =
+    lambda_min of sym(g's slope).  C_nu = sup over t of ||L(t)||, L(t) the
+    slope of the stacked (f, h, sigma) in the mean of the joint law (a
+    law-free sigma adds no rows), and C_g_nu = ||g's slope in the mean||.
+    The problem passes when k, k' > 0, both C are below the smallness bound
+    of (k, k'), and every declared constant is on its safe side.  A
+    coefficient not affine in the state and the measure's mean raises
+    ValueError; a failed check is a report.
     """
     m, d = p.dim_state, p.dim_bm
     mono, lip = p.monotonicity, p.lipschitz
@@ -306,8 +307,9 @@ def check_H1(p: MfProblem, grid: TimeGrid) -> H1Report:
     def split(w):
         return w[:, :m], w[:, m : 2 * m], w[:, 2 * m :].reshape(-1, m, d)
 
+    nodes = grid.nodes if len(tables) < 3 else []  # a callback is read at every node
     k, c_nu = math.inf, 0.0
-    for t in np.union1d(grid.nodes, sample_times(p.horizon, tables)).tolist():
+    for t in np.union1d(nodes, sample_times(p.horizon, tables)).tolist():
         def q(w, base, cloud, t=t):
             nu = EmpiricalMeasure(np.outer(cloud, np.ones(2 * m)))
             return _a_values(p, t, split(w + base), split(np.tile(base, (len(w), 1))), nu)
@@ -345,14 +347,14 @@ def check_H1(p: MfProblem, grid: TimeGrid) -> H1Report:
 
 
 def contraction_constants(
-    prof: LipschitzProfile,
-    mono: MonotonicityProfile,
+    constants: dict,
+    variant: str,
     eps: float = 1.0,
     alpha: float | None = None,
     rho: float = 1.0,
     delta: float = 1e-3,
 ) -> tuple[float, float]:
-    """Contraction pair (lambda, theta) of the frozen-measure iteration.
+    """Contraction pair (lambda, theta) of the frozen-measure iteration for the constants of an H1Report.computed.
 
     The outer iteration's Cauchy gaps satisfy gap(n+1) <= (theta/lambda)
     gap(n); the scheme contracts when theta < lambda.  For the relaxed
@@ -370,20 +372,20 @@ def contraction_constants(
     ``alpha`` defaults to the variant's optimizer (sqrt2/2 or sqrt3/3).
     """
     if alpha is None:
-        alpha = math.sqrt(2.0) / 2.0 if mono.variant == H1PRIME else math.sqrt(3.0) / 3.0
+        alpha = math.sqrt(2.0) / 2.0 if variant == H1PRIME else math.sqrt(3.0) / 3.0
     if eps <= 0 or alpha <= 0 or rho <= 0 or delta <= 0:
         raise ValueError("eps, alpha, rho and delta must be positive")
-    k, kp = mono.k, mono.k_prime
-    if mono.variant == H1PRIME:
-        lam = min(kp - prof.c_g_nu * eps / 2.0, delta / 2.0 + k - prof.c_nu / (2.0 * alpha))
-        theta = max(prof.c_g_nu / (2.0 * eps), delta / 2.0 + alpha * prof.c_nu)
+    k, kp, c_nu, c_g_nu = (constants[key] for key in ("k", "k_prime", "C_nu", "C_g_nu"))
+    if variant == H1PRIME:
+        lam = min(kp - c_g_nu * eps / 2.0, delta / 2.0 + k - c_nu / (2.0 * alpha))
+        theta = max(c_g_nu / (2.0 * eps), delta / 2.0 + alpha * c_nu)
     else:
         lam = min(
-            kp - prof.c_g_nu * eps / 2.0,
-            k - prof.c_nu / (2.0 * alpha),
-            delta * (1.0 - rho / 2.0) + k - prof.c_nu / (2.0 * alpha),
+            kp - c_g_nu * eps / 2.0,
+            k - c_nu / (2.0 * alpha),
+            delta * (1.0 - rho / 2.0) + k - c_nu / (2.0 * alpha),
         )
-        theta = max(prof.c_g_nu / (2.0 * eps), delta / (2.0 * rho) + 3.0 * alpha * prof.c_nu / 2.0)
+        theta = max(c_g_nu / (2.0 * eps), delta / (2.0 * rho) + 3.0 * alpha * c_nu / 2.0)
     return lam, theta
 
 
@@ -577,9 +579,8 @@ class _Diffusion:
         return self.table(t, x, y, z)[:, :, None]
 
 
-def affine_problem(x0, horizon: float, f: AffineCoeffs, h: AffineCoeffs, sigma: AffineCoeffs, g: AffineCoeffs,
-                   lipschitz: LipschitzProfile | None = None,
-                   monotonicity: MonotonicityProfile | None = None) -> MfProblem:
+def affine_problem(x0, horizon: float, f: AffineCoeffs, h: AffineCoeffs, sigma: AffineCoeffs,
+                   g: AffineCoeffs) -> MfProblem:
     """MfProblem of four affine tables, with a one-dimensional Brownian
     motion.  sigma must have no measure terms (it is marked law-free) and
     g(x, mu) reads its terms (x, mean_x, const) at the horizon."""
@@ -593,8 +594,6 @@ def affine_problem(x0, horizon: float, f: AffineCoeffs, h: AffineCoeffs, sigma: 
         h=h,
         g=lambda x, mu: g(horizon, x, nu=mu),
         law_free_sigma=True,
-        lipschitz=lipschitz,
-        monotonicity=monotonicity,
     )
 
 
@@ -612,11 +611,14 @@ _CONFIG_KEYS = {
 
 
 def check_config_keys(block, name: str) -> None:
-    """Reject the keys of config block ``name`` that its row of ``_CONFIG_KEYS`` does not list."""
+    """Reject the keys of block ``name`` that its ``_CONFIG_KEYS`` row does not list, and a non-integer dim, n or m."""
     unknown = sorted(set(block) - set(_CONFIG_KEYS[name]))
     if unknown:
         law_free = " (config sigma must be law-free; measure terms are not allowed)" if name == "sigma" else ""
         raise ValueError(f"{name} supports keys {', '.join(_CONFIG_KEYS[name])}{law_free}; got {unknown}")
+    for key in ("dim", "n", "m"):
+        if key in block and (isinstance(block[key], bool) or not isinstance(block[key], (int, np.integer))):
+            raise ValueError(f"{key} must be an integer, got {block[key]!r}")
 
 
 def problem_from_config(cfg: dict) -> MfProblem:
@@ -655,4 +657,4 @@ def problem_from_config(cfg: dict) -> MfProblem:
     if "monotonicity" in cfg:
         mc = cfg["monotonicity"]
         mono = MonotonicityProfile(float(mc["k"]), float(mc["k_prime"]), str(mc.get("variant", H1PRIME)))
-    return affine_problem(x0, horizon, **tables, lipschitz=lip, monotonicity=mono)
+    return replace(affine_problem(x0, horizon, **tables), lipschitz=lip, monotonicity=mono)

@@ -18,7 +18,7 @@ from mfbsde.backward import solve_backward
 from mfbsde.forward import propagate
 from mfbsde.measure import EmpiricalMeasure, w2_exact, w2_paired_bound
 from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle, marginal
-from mfbsde.problem import MfProblem, contraction_constants
+from mfbsde.problem import MfProblem, check_H1, contraction_constants
 from conftest import h1prime_toy, pure_martingale
 from oracles import example3_boundary_det, example3_solution, scalar_lq_riccati, w2_brute_force
 
@@ -88,9 +88,8 @@ def test_criterion_2_condition_gate():
 def test_criterion_3_contraction_property():
     start = time.time()
     p = h1prime_toy(horizon=0.25)
-    lam, theta = contraction_constants(
-        p.lipschitz, p.monotonicity, eps=1.0, alpha=math.sqrt(2) / 2, delta=0.01
-    )
+    rep = check_H1(p, TimeGrid(0.25, 100))
+    lam, theta = contraction_constants(rep.computed, rep.variant, eps=1.0, alpha=math.sqrt(2) / 2, delta=0.01)
     theory = theta / lam
     params = fixpoint.SchemeParams(delta=0.01, particles=5000, max_outer=8, tol=1e-5)
     sol = fixpoint.solve(p, TimeGrid(0.25, 100), params, seed=11)

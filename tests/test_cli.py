@@ -246,6 +246,17 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("diverged: ")
         assert json.loads((out / "report.json").read_text())["diverged"] is True
 
+    def test_mean_coupling_writes_no_theory_ratio(self, tmp_path):
+        # computed C_nu = 5 and C_g_nu = 3 leave lambda < 0; the declared C_nu = C_g_nu = 0 gave 0.0005
+        payload = dict(TOY_PROBLEM, f={"y": -1.0, "mean_x": 5.0}, g={"x": 1.0, "mean_x": 3.0},
+                       lipschitz={**TOY_PROBLEM["lipschitz"], "c_nu": 0.0, "c_g_nu": 0.0})
+        out = tmp_path / "o"
+        cli.main(["solve", write_config(tmp_path, payload), "--particles", "200", "--steps", "20",
+                  "--max-outer", "3", "--out", str(out)])
+        records = [json.loads(line) for line in (out / "diagnostics.jsonl").read_text().splitlines()]
+        assert records and all(rec["theory_ratio"] is None for rec in records)
+        assert json.loads((out / "report.json").read_text())["theory_ratio"] is None
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, TOY_PROBLEM)
         outs = []
@@ -501,6 +512,24 @@ class TestExitCodes:
         if command == "game":
             report = json.loads((out / "report.json").read_text())
             assert report["numerical_blowup"] is True and report["message"] == message
+
+    @pytest.mark.parametrize("payload, key", [
+        (dict(TOY_PROBLEM, dim=1.9), "dim"),
+        (dict(TOY_PROBLEM, dim=True), "dim"),
+        (dict(SCALAR_GAME, n=1.5), "n"),
+        (dict(SCALAR_GAME, m=1.99), "m"),
+    ], ids=["dim_float", "dim_bool", "n_float", "m_float"])
+    def test_non_integer_dimension_is_config_error(self, tmp_path, capsys, payload, key):
+        assert cli.main(["check", write_config(tmp_path, payload)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {key} must be an integer, got {payload[key]!r}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "game"])
+    def test_negative_seed_is_config_error_before_the_config_is_read(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        argv = [command, str(tmp_path / "missing.json"), "--seed", "-1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_allocation_failure_is_reported(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):

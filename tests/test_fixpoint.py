@@ -8,7 +8,7 @@ import pytest
 from mfbsde import fixpoint
 from mfbsde.fixpoint import Diverged, IterationDiagnostics, MfSolution, SchemeParams
 from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, make_bundle
-from mfbsde.problem import MfProblem, contraction_constants
+from mfbsde.problem import MfProblem, check_H1, contraction_constants
 from conftest import h1prime_toy
 
 
@@ -80,9 +80,8 @@ class TestSolve:
         p = h1prime_toy()
         params = SchemeParams(delta=0.01, particles=1500, max_outer=6, tol=1e-7)
         sol = fixpoint.solve(p, TimeGrid(0.25, 60), params, seed=11)
-        lam, theta = contraction_constants(
-            p.lipschitz, p.monotonicity, eps=1.0, alpha=math.sqrt(2) / 2, delta=0.01
-        )
+        rep = check_H1(p, TimeGrid(0.25, 60))
+        lam, theta = contraction_constants(rep.computed, rep.variant, eps=1.0, alpha=math.sqrt(2) / 2, delta=0.01)
         for rec in sol.history[1:6]:
             assert rec.ratio <= theta / lam + 0.1
             assert rec.theory_ratio == pytest.approx(theta / lam)

@@ -7,7 +7,7 @@ import pytest
 from mfbsde import fixpoint, lqgame
 from mfbsde.measure import EmpiricalMeasure
 from mfbsde.paths import PathEnsemble, TimeGrid, make_bundle
-from mfbsde.problem import PiecewiseConstant
+from mfbsde.problem import PiecewiseConstant, check_H1
 from oracles import (
     example3_boundary_det,
     example3_mean_path,
@@ -147,22 +147,24 @@ class TestBuildAggregated:
         z = rng.standard_normal((6, 1, 1))
         nu = EmpiricalMeasure(rng.standard_normal((8, 2)))
         assert np.allclose(agg.f(0.2, x, y, z, nu), 0.4 * x - y + 0.7)
-        assert agg.lipschitz.c_nu == 0.0
-        assert agg.monotonicity.k == pytest.approx(1.0)
-        assert agg.monotonicity.k_prime == pytest.approx(1.0)
+        computed = check_H1(agg, TimeGrid(1.0, 10)).computed
+        assert computed["C_nu"] == 0.0
+        assert computed["k"] == pytest.approx(1.0)
+        assert computed["k_prime"] == pytest.approx(1.0)
         assert agg.law_free_sigma
 
     def test_mean_coupling_constants(self):
         gs = scalar_game(D=[[0.3]], R=[[[0.2]]])
-        agg = lqgame.build_aggregated(gs)
-        assert agg.lipschitz.c_nu == pytest.approx(0.3)
-        assert agg.lipschitz.c_g_nu == pytest.approx(0.2)  # ||sum K_i R_i||, K = 1
+        computed = check_H1(lqgame.build_aggregated(gs), TimeGrid(1.0, 10)).computed
+        assert computed["C_nu"] == pytest.approx(0.3)
+        assert computed["C_g_nu"] == pytest.approx(0.2)  # ||sum K_i R_i||, K = 1
 
     def test_the_mean_coupling_bound_covers_gamma(self):
         gs = scalar_game(D=[[0.3]], Gamma=[[[0.4]]])
         block = np.array([[0.3, 0.0], [0.4, 0.3]])  # [[D, 0], [K Gamma, D']], K = 1
         assert lqgame.check_H2(gs, TimeGrid(1.0, 10)).norm_D == pytest.approx(np.linalg.norm(block, 2))
-        assert lqgame.build_aggregated(gs).lipschitz.c_nu == pytest.approx(np.linalg.norm(block, 2))
+        c_nu = check_H1(lqgame.build_aggregated(gs), TimeGrid(1.0, 10)).computed["C_nu"]
+        assert c_nu == pytest.approx(np.linalg.norm(block, 2))
 
     def test_operator_form_matches_reduced_expression(self):
         # A(t, u, u', nu) = -|dy|^2 - dx' (sum K_i M_i) dx for any spec
@@ -234,13 +236,17 @@ class TestBuildAggregated:
         assert np.allclose(agg.g(x, mu), x @ skq.T + skr @ mu.mean(), rtol=0.0, atol=1e-12)
 
     def test_no_monotonicity_profile_when_the_gate_fails(self):
-        assert lqgame.build_aggregated(lqgame.example3_game(0.5)).monotonicity is None
+        # the aggregated problem declares no constants; the computed k' of example 3 is -1
+        agg = lqgame.build_aggregated(lqgame.example3_game(0.5))
+        assert agg.monotonicity is None and agg.lipschitz is None
+        assert check_H1(agg, TimeGrid(0.5, 10)).computed["k_prime"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_sups_are_taken_through_the_gate(self):
         # a piecewise D switching inside [0, T]
         gs = scalar_game(D=PiecewiseConstant([0.0, 0.5], [[[0.1]], [[-0.3]]]))
         assert lqgame.check_H2(gs, TimeGrid(gs.horizon, 7)).norm_D == pytest.approx(0.3, abs=1e-15)
-        assert lqgame.build_aggregated(gs).lipschitz.c_nu == pytest.approx(0.3, abs=1e-15)
+        c_nu = check_H1(lqgame.build_aggregated(gs), TimeGrid(gs.horizon, 7)).computed["C_nu"]
+        assert c_nu == pytest.approx(0.3, abs=1e-15)
 
     @pytest.mark.parametrize("name,overrides", [
         ("A", dict(A=np.full((2, 2), 1e308))),
@@ -258,7 +264,7 @@ class TestBuildAggregated:
         gs = scalar_game(D=PiecewiseConstant([0.0, 2.0], [[[0.1]], [[5.0]]]))
         assert lqgame.check_H2(gs, TimeGrid(1.0, 20)).passed
         agg = lqgame.build_aggregated(gs)
-        assert agg.lipschitz.c_nu == pytest.approx(0.1, abs=1e-15)
+        assert check_H1(agg, TimeGrid(1.0, 10)).computed["C_nu"] == pytest.approx(0.1, abs=1e-15)
         sol = fixpoint.solve(agg, TimeGrid(1.0, 10), fixpoint.SchemeParams(particles=200, max_outer=3), seed=0)
         assert all(rec.to_record()["theory_ratio"] is not None for rec in sol.history)
 

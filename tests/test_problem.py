@@ -192,6 +192,26 @@ class TestCheckH1:
                                  "h": {"x": {"piecewise": pieces}}, "sigma": {"const": 0.2}, "g": {"x": 1.0}})
         assert check_H1(p, TimeGrid(1.0, 10)).computed["k"] == pytest.approx(0.2, abs=1e-12)
 
+    @pytest.mark.parametrize("h_x, pieces, k", [
+        (-1.0, [0.0], 1.0),
+        ({"piecewise": [{"t_from": 0.0, "value": -1.0}, {"t_from": 0.5, "value": -0.2}]}, [0.0, 0.5], 0.2),
+    ], ids=["constant", "two_pieces"])
+    def test_table_problem_is_read_once_per_piece(self, monkeypatch, h_x, pieces, k):
+        # a table is constant between its breakpoints, so the grid's 101 nodes add no read
+        p = problem_from_config({"dim": 1, "horizon": 1.0, "x0": [0.0], "f": {"y": -1.0},
+                                 "h": {"x": h_x}, "sigma": {"const": 0.2}, "g": {"x": 1.0}})
+        times, at = [], AffineCoeffs.at
+
+        def counted_at(table, t):
+            if table is p.f:
+                times.append(t)
+            return at(table, t)
+
+        monkeypatch.setattr(AffineCoeffs, "at", counted_at)
+        rep = check_H1(p, TimeGrid(1.0, 100))
+        assert sorted(set(times)) == pieces
+        assert rep.computed["k"] == pytest.approx(k, abs=1e-12)
+
     @pytest.mark.parametrize("f, g, name", [
         (lambda t, x, y, z, nu: -y**3, lambda x, mu: x, "f, h and sigma"),
         (lambda t, x, y, z, nu: -y * (1.0 + nu.mean()[0]), lambda x, mu: x, "f, h and sigma"),
@@ -216,17 +236,19 @@ class TestCheckH1:
                           "operator_ok", "terminal_ok", "smallness_ok", "pass"}
 
     def test_mean_constants_match_the_aggregated_game(self):
-        # build_aggregated's C_nu = ||[[D, 0], [sum K_i Gamma_i, D']]|| and C_g_nu = ||sum K_i R_i||
+        # the aggregated game's C_nu = ||[[D, 0], [sum K_i Gamma_i, D']]|| and C_g_nu = ||sum K_i R_i|| (K = I)
         from mfbsde.lqgame import GameSpec, build_aggregated
 
-        gs = GameSpec(n=2, horizon=1.0, x0=[0.0, 0.0], A=np.zeros((2, 2)), D=[[0.3, 0.1], [-0.2, 0.1]],
-                      C=[np.eye(2)], N=[np.eye(2)], Q=[np.eye(2)], M=[np.eye(2)],
-                      Gamma=[[[0.4, 0.1], [0.1, 0.2]]], R=[[[0.2, 0.05], [0.05, 0.1]]])
-        agg = build_aggregated(gs)
-        rep = check_H1(agg, TimeGrid(1.0, 10))
-        assert rep.computed["C_nu"] == pytest.approx(agg.lipschitz.c_nu, abs=1e-12)
-        assert rep.computed["C_g_nu"] == pytest.approx(agg.lipschitz.c_g_nu, abs=1e-12)
-        assert rep.to_dict()["margins"]["C_nu"] == pytest.approx(0.0, abs=1e-12)
+        d = np.array([[0.3, 0.1], [-0.2, 0.1]])
+        gamma = np.array([[0.4, 0.1], [0.1, 0.2]])
+        r = np.array([[0.2, 0.05], [0.05, 0.1]])
+        gs = GameSpec(n=2, horizon=1.0, x0=[0.0, 0.0], A=np.zeros((2, 2)), D=d,
+                      C=[np.eye(2)], N=[np.eye(2)], Q=[np.eye(2)], M=[np.eye(2)], Gamma=[gamma], R=[r])
+        rep = check_H1(build_aggregated(gs), TimeGrid(1.0, 10))
+        block = np.block([[d, np.zeros((2, 2))], [gamma, d.T]])
+        assert rep.computed["C_nu"] == pytest.approx(np.linalg.norm(block, 2), abs=1e-12)
+        assert rep.computed["C_g_nu"] == pytest.approx(np.linalg.norm(r, 2), abs=1e-12)
+        assert rep.declared == {} and rep.margins == {}
 
 
 def mean_coupled(c_nu, c_g_nu, variant):
@@ -266,11 +288,14 @@ class TestCheckSmallness:
         assert set(d["declared"]) == set(d["margins"]) == {"k", "k_prime"}
 
 
+def constants(k, k_prime, c_nu, c_g_nu):
+    return {"k": k, "k_prime": k_prime, "C_nu": c_nu, "C_g_nu": c_g_nu}
+
+
 class TestContractionConstants:
     def test_relaxed_variant_reference_values(self):
         lam, theta = contraction_constants(
-            LipschitzProfile(1.0, 0.1, 1.0, 0.1),
-            MonotonicityProfile(1.0, 1.0, H1PRIME),
+            constants(1.0, 1.0, 0.1, 0.1), H1PRIME,
             eps=1.0, alpha=math.sqrt(2) / 2, delta=0.01,
         )
         assert lam == pytest.approx(0.93428932, abs=1e-6)
@@ -278,10 +303,9 @@ class TestContractionConstants:
         assert theta / lam == pytest.approx(0.081, abs=5e-4)
 
     def test_zero_coupling_limit(self):
-        prof = LipschitzProfile(1.0, 0.0, 1.0, 0.0)
-        mono = MonotonicityProfile(2.0, 0.8, H1PRIME)
+        consts = constants(2.0, 0.8, 0.0, 0.0)
         for delta in (0.1, 1e-3, 1e-6):
-            lam, theta = contraction_constants(prof, mono, delta=delta)
+            lam, theta = contraction_constants(consts, H1PRIME, delta=delta)
             assert theta == pytest.approx(delta / 2)
             assert lam == pytest.approx(min(0.8, delta / 2 + 2.0))
         assert theta / lam < 1e-6
@@ -289,12 +313,11 @@ class TestContractionConstants:
     def test_strong_variant_canonical_parameters_minimize(self):
         # eps = 1 minimizes eps/2 + 1/(2 eps); alpha = sqrt(3)/3 minimizes
         # 1/(2 alpha) + 3 alpha / 2; the canonical choice maximizes lam - theta
-        prof = LipschitzProfile(1.0, 0.3, 1.0, 0.3)
-        mono = MonotonicityProfile(1.0, 1.0, H1)
+        consts = constants(1.0, 1.0, 0.3, 0.3)
         delta = 1e-4
 
         def margin(eps, alpha):
-            lam, theta = contraction_constants(prof, mono, eps=eps, alpha=alpha, rho=1.0, delta=delta)
+            lam, theta = contraction_constants(consts, H1, eps=eps, alpha=alpha, rho=1.0, delta=delta)
             return lam - theta
 
         best = margin(1.0, math.sqrt(3) / 3)
@@ -303,11 +326,10 @@ class TestContractionConstants:
                 assert margin(eps, alpha) <= best + 1e-12
 
     def test_invalid_parameters(self):
-        prof = LipschitzProfile(1.0, 0.1, 1.0, 0.1)
-        mono = MonotonicityProfile(1.0, 1.0, H1PRIME)
+        consts = constants(1.0, 1.0, 0.1, 0.1)
         for kwargs in ({"eps": 0.0}, {"alpha": -1.0}, {"rho": 0.0}, {"delta": 0.0}):
             with pytest.raises(ValueError):
-                contraction_constants(prof, mono, **kwargs)
+                contraction_constants(consts, H1PRIME, **kwargs)
 
     def test_smallness_pass_implies_contraction_params_exist(self):
         rng = np.random.default_rng(5)
@@ -316,8 +338,7 @@ class TestContractionConstants:
             k, kp = rng.uniform(0.2, 2.0, size=2)
             c_nu, c_g = rng.uniform(0.0, 1.0, size=2)
             variant = H1 if rng.random() < 0.5 else H1PRIME
-            prof = LipschitzProfile(1.0, c_nu, 1.0, c_g)
-            mono = MonotonicityProfile(k, kp, variant)
+            consts = constants(k, kp, c_nu, c_g)
             if not max(c_nu, c_g) < smallness_bound(k, kp, variant):
                 continue
             found_pass += 1
@@ -325,7 +346,7 @@ class TestContractionConstants:
             for eps in np.linspace(0.2, 3.0, 12):
                 for alpha in np.linspace(0.2, 2.0, 12):
                     for delta in (1e-6, 1e-4, 1e-2):
-                        lam, theta = contraction_constants(prof, mono, eps=eps, alpha=alpha, rho=1.0, delta=delta)
+                        lam, theta = contraction_constants(consts, variant, eps=eps, alpha=alpha, rho=1.0, delta=delta)
                         if lam > 0 and theta < lam:
                             ok = True
                             break
@@ -333,7 +354,7 @@ class TestContractionConstants:
                         break
                 if ok:
                     break
-            assert ok, f"no contraction parameters found for {prof}, {mono}"
+            assert ok, f"no contraction parameters found for {consts}, {variant}"
         assert found_pass >= 5
 
 
