@@ -169,8 +169,9 @@ def cmd_game(args) -> int:
         raise ValueError("the game command needs a game config")
     gs = lqgame.game_from_config(cfg)
     grid, params = _scheme(args, gs.horizon)
-    h2 = lqgame.check_H2(gs, grid)
-    outdir = _open_out(args, {"h2": h2.to_dict()})
+    report = {}
+    outdir = _open_out(args, report)  # registered first, so a gate that blows up still writes report.json
+    report["h2"] = lqgame.check_H2(gs, grid).to_dict()
     nash = lqgame.solve_nash(gs, grid, params, seed=args.seed)
     if args.corrupt_control is not None:
         # test hook: shift player 0's control and re-evaluate
@@ -189,7 +190,7 @@ def cmd_game(args) -> int:
 
     _write_run(outdir, nash.aggregated.history, nash.x_ens, grid)
     with open(outdir / "report.json", "w") as fh:
-        _dump_json({"h2": h2.to_dict(), "nash": nash.summary()}, fh)
+        _dump_json({**report, "nash": nash.summary()}, fh)
     with open(outdir / "deviations.json", "w") as fh:
         _dump_json([r.to_dict() for r in reports], fh)
 

@@ -18,9 +18,9 @@ synthesis runs in three stages: solve the aggregated system with the
 frozen-measure scheme, reconstruct per-player adjoints by regression
 backward solves along the solved state, and read off the controls.
 
-The module also provides the solvability gate (positivity of the
-weighted cost sums, commutation of K_i with the dynamics, and smallness
-of the mean couplings), Monte Carlo cost evaluation, a statistical
+The module also provides the solvability gate (the aggregated system's
+gate, :func:`~mfbsde.problem.check_H1`, plus the commutation of each K_i
+with the dynamics), Monte Carlo cost evaluation, a statistical
 unilateral-deviation check of the Nash property, and the deterministic
 mean reduction whose boundary matrix B(T) detects nonexistence: taking
 expectations turns the adjoint system into a linear two-point boundary
@@ -42,17 +42,17 @@ from .backward import regression_factors, solve_backward
 from .measure import from_checked
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, marginal, node_msd
 from .problem import (
-    H1PRIME,
     AffineCoeffs,
+    H1Report,
     MfProblem,
     PiecewiseConstant,
     affine_problem,
     check_config_keys,
+    check_H1,
     coerce,
     map_path,
     sample_times,
     shaped_path,
-    smallness_bound,
 )
 
 __all__ = [
@@ -206,58 +206,25 @@ class GameSpec:
 
 @dataclass
 class H2Report:
-    """Structural conditions for aggregated solvability.
+    """The game's gate: the gate of its aggregated problem (``aggregated``,
+    :func:`~mfbsde.problem.check_H1` of :func:`build_aggregated`) and the
+    largest residual ||K_i M - M K_i|| over M in (A, D, sigma), which must
+    vanish for the players' adjoints to aggregate."""
 
-    eta1/eta2 are the smallest eigenvalues of the symmetric parts of
-    sum K_i Q_i and (over the checked times) sum K_i M_i(t).  The mean
-    couplings ||sum K_i R_i|| and norm_D, the sup of
-    ||[[D, 0], [sum K_i Gamma_i, D']]|| (the sup of ||D|| when every
-    Gamma_i is 0), must both stay below the relaxed smallness bound at
-    (k, k') = (min{1, eta2}, eta1), that is
-    min{2(sqrt2-1) eta1, sqrt2/2, (sqrt2/2) eta2}.
-    """
-
-    K: list
-    eta1: float
-    eta2: float
+    aggregated: H1Report
     commutation_residual: float
-    norm_KR: float
-    norm_D: float
-    bound: float
-    positivity_ok: bool
     commutation_ok: bool
-    coupling_R_ok: bool
-    coupling_D_ok: bool
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "commutation_residual": self.commutation_residual,
-            "norm_KR": self.norm_KR,
-            "norm_D": self.norm_D,
-            "bound": self.bound,
-            "checks": {
-                "positivity": self.positivity_ok,
-                "commutation": self.commutation_ok,
-                "coupling_R": self.coupling_R_ok,
-                "coupling_D": self.coupling_D_ok,
-            },
-            "pass": self.passed,
-        }
+        return {**self.aggregated.to_dict(), "commutation_residual": self.commutation_residual,
+                "commutation_ok": self.commutation_ok, "pass": self.passed}
 
 
 def _gate_times(gs: GameSpec) -> np.ndarray:
-    """Where the gate and build_aggregated's overflow guard evaluate the coefficients:
-    t = 0 and every breakpoint of A, D, sigma, the M_i and the Gamma_i in [0, T]."""
+    """Where the commutation test and build_aggregated's overflow guard evaluate the
+    coefficients: t = 0 and every breakpoint of A, D, sigma, the M_i and the Gamma_i in [0, T]."""
     return sample_times(gs.horizon, [gs.A, gs.D, gs.sigma, *gs.M, *gs.Gamma])
-
-
-def _sym_min_eig(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric part of a matrix or of a stack of them
-    (halved before the sum, so finite entries near the overflow threshold stay finite)."""
-    return float(np.linalg.eigvalsh(mat / 2.0 + np.swapaxes(mat, -1, -2) / 2.0)[..., 0].min())
 
 
 def _spectral(mat: np.ndarray) -> float:
@@ -265,52 +232,18 @@ def _spectral(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2, axis=(-2, -1)).max())
 
 
-def _gate(gs: GameSpec, times: np.ndarray):
-    """The game's gate data at ``times``: K_i, sum K_i Q_i, sum K_i R_i, the
-    paths t -> sum K_i M_i(t) and t -> sum K_i Gamma_i(t), the stacks
-    (A, D, sigma, sum K_i M_i) at those times with the stack of the
-    aggregated mean coupling [[D, 0], [sum K_i Gamma_i, D']].  Every sup the
-    gate and build_aggregated's overflow guard take is a :func:`_spectral`
-    over these stacks."""
-    K = gs.k_matrices()
-    skq = sum(k @ q for k, q in zip(K, gs.Q))
-    skm, skg = (map_path(lambda *ps: sum(k @ p for k, p in zip(K, ps)), *paths) for paths in (gs.M, gs.Gamma))
-    a, d, s, m, g = (np.stack([path(t) for t in times]) for path in (gs.A, gs.D, gs.sigma, skm, skg))
-    coupling = np.block([[d, np.zeros_like(d)], [g, np.swapaxes(d, -1, -2)]])
-    skr = sum(k @ r for k, r in zip(K, gs.R))
-    return K, skq, skr, skm, skg, (a, d, s, m, coupling)
-
-
 def check_H2(gs: GameSpec, grid: TimeGrid) -> H2Report:
-    """Evaluate the structural and smallness conditions on ``grid``'s nodes
-    and at the times :func:`build_aggregated` samples (every coefficient
-    breakpoint in [0, T] among them), so a piece between two nodes is not
-    missed."""
-    K, skq, skr, _, _, (a, d, s, m, coupling) = _gate(gs, np.union1d(grid.nodes, _gate_times(gs)))
-    eta1, eta2 = _sym_min_eig(skq), _sym_min_eig(m)
-    mats = np.swapaxes(np.concatenate([a, d, s]), -1, -2)
-    commut = max(_spectral(k @ mats - mats @ k) for k in K)
-    norm_d = _spectral(coupling)
-    norm_kr = _spectral(skr)
-    bound = smallness_bound(min(1.0, eta2), eta1, H1PRIME)
-    positivity_ok = eta1 > 0 and eta2 > 0
+    """The aggregated problem's gate, ``check_H1(build_aggregated(gs), grid)``,
+    and the commutation of every K_i with A, D and sigma at
+    :func:`_gate_times`; the game passes when both do.  A coefficient
+    that overflows raises FloatingPointError, as in :func:`build_aggregated`
+    and :func:`~mfbsde.problem.check_H1`."""
+    aggregated = check_H1(build_aggregated(gs), grid)
+    times = _gate_times(gs)
+    mats = np.stack([path(t) for path in (gs.A, gs.D, gs.sigma) for t in times])
+    commut = max(_spectral(k @ mats - mats @ k) for k in gs.k_matrices())
     commutation_ok = commut < _COMMUTATION_TOL
-    coupling_r_ok = norm_kr < bound
-    coupling_d_ok = norm_d < bound
-    return H2Report(
-        K=K,
-        eta1=eta1,
-        eta2=eta2,
-        commutation_residual=commut,
-        norm_KR=norm_kr,
-        norm_D=norm_d,
-        bound=bound,
-        positivity_ok=positivity_ok,
-        commutation_ok=commutation_ok,
-        coupling_R_ok=coupling_r_ok,
-        coupling_D_ok=coupling_d_ok,
-        passed=positivity_ok and commutation_ok and coupling_r_ok and coupling_d_ok,
-    )
+    return H2Report(aggregated, commut, commutation_ok, aggregated.passed and commutation_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +264,16 @@ def build_aggregated(gs: GameSpec) -> MfProblem:
 
     (h and g are the K-weighted sums of the players' adjoint tables).  The
     problem declares no constants: :func:`~mfbsde.problem.check_H1` computes
-    them.  A coefficient whose sup norm over the gate's times in [0, T]
-    overflows raises FloatingPointError naming it.
+    them.  A coefficient whose sup norm over :func:`_gate_times` overflows
+    raises FloatingPointError naming it.
     """
-    _, skq, skr, skm, skg, (a, _, s, m, coupling) = _gate(gs, _gate_times(gs))
+    K = gs.k_matrices()
+    skq = sum(k @ q for k, q in zip(K, gs.Q))
+    skr = sum(k @ r for k, r in zip(K, gs.R))
+    skm, skg = (map_path(lambda *ps: sum(k @ p for k, p in zip(K, ps)), *paths) for paths in (gs.M, gs.Gamma))
+    times = _gate_times(gs)
+    a, d, s, m, g = (np.stack([path(t) for t in times]) for path in (gs.A, gs.D, gs.sigma, skm, skg))
+    coupling = np.block([[d, np.zeros_like(d)], [g, np.swapaxes(d, -1, -2)]])
     names = ("A", "sum K_i M_i", "sigma", "[[D, 0], [sum K_i Gamma_i, D']]", "sum K_i Q_i", "sum K_i R_i")
     for name, mat in zip(names, (a, m, s, coupling, skq, skr)):
         if not math.isfinite(_spectral(mat)):

@@ -150,11 +150,14 @@ def from_component_major(arr: np.ndarray) -> PathEnsemble:
 def make_bundle(grid: TimeGrid, particles: int, dim: int, seed: int) -> BrownianBundle:
     """Draw the (particles, steps, dim) increment array for ``grid``.
 
-    Deterministic given (grid, particles, dim, seed).
+    Deterministic given (grid, particles, dim, seed); ``seed`` is the
+    Philox key, so it must lie in [0, 2**64).
     """
     if particles < 1 or dim < 1:
         raise ValueError(f"particles and dim must be positive, got {particles}, {dim}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     incr = rng.standard_normal((particles, grid.steps, dim)) * np.sqrt(grid.dt)
     return BrownianBundle(component_major=_component_major_copy(incr))
 

@@ -61,21 +61,23 @@ def test_criterion_2_condition_gate():
     tol = 1e-10
     gs = lqgame.example3_game(1.0)
     rep = lqgame.check_H2(gs, TimeGrid(1.0, 100))
-    skq = sum(k @ q for k, q in zip(rep.K, gs.Q))
+    computed = rep.aggregated.computed
+    skq = sum(k @ q for k, q in zip(gs.k_matrices(), gs.Q))
     eigs = np.linalg.eigvalsh((skq + skq.T) / 2)
     bad_ok = (
         not rep.passed
-        and abs(rep.eta1 + 1.0) < tol
+        and abs(computed["k_prime"] + 1.0) < tol
         and np.allclose(eigs, [-1.0, 3.0], atol=tol)
-        and abs(rep.norm_D - 1.0) < tol
-        and rep.norm_D >= rep.bound
+        and abs(computed["C_nu"] - 1.0) < tol
+        and computed["C_nu"] >= rep.aggregated.bound
     )
     scalar = lqgame.GameSpec(
         n=1, horizon=1.0, x0=[0.0], A=[[0.0]],
         C=[[[1.0]]], N=[[[1.0]]], Q=[[[1.0]]], M=[[[1.0]]],
     )
     rep2 = lqgame.check_H2(scalar, TimeGrid(1.0, 100))
-    good_ok = rep2.passed and abs(rep2.eta1 - 1.0) < tol and abs(rep2.eta2 - 1.0) < tol
+    computed2 = rep2.aggregated.computed
+    good_ok = rep2.passed and abs(computed2["k_prime"] - 1.0) < tol and abs(computed2["k"] - 1.0) < tol
     elapsed = time.time() - start
     report(
         "criterion 2 (condition gate)",

@@ -98,9 +98,9 @@ class TestCheckCommand:
         cfg = write_config(tmp_path, EXAMPLE3)
         assert cli.main(["check", cfg]) == cli.EXIT_CONDITION
         report = json.loads(capsys.readouterr().out)
-        assert report["eta1"] == pytest.approx(-1.0, abs=1e-10)
-        assert report["norm_D"] == pytest.approx(1.0)
-        assert report["norm_D"] >= report["bound"]
+        assert report["computed"]["k_prime"] == pytest.approx(-1.0, abs=1e-10)
+        assert report["computed"]["C_nu"] == pytest.approx(1.0)
+        assert report["computed"]["C_nu"] >= report["bound"]
         assert report["pass"] is False
 
     def test_problem_config_checked(self, tmp_path, capsys):
@@ -186,7 +186,7 @@ class TestCheckCommand:
                    "C": [[[1.0]]], "N": [[[1.0]]], "Q": [[[1.0]]], "M": [{"piecewise": pieces}]}
         assert cli.main(["check", write_config(tmp_path, payload)]) == cli.EXIT_CONDITION
         report = json.loads(capsys.readouterr().out)
-        assert report["eta2"] == -1.0
+        assert report["computed"]["k"] == -1.0
         assert report["pass"] is False
 
 
@@ -500,13 +500,14 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error: A: breakpoints must be finite and strictly increasing")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["solve", "game"])
+    @pytest.mark.parametrize("command", ["check", "solve", "game"])
     def test_overflowing_sup_norm_is_numerical_blowup(self, tmp_path, capsys, command):
         # every entry of A is finite, but its spectral norm 2e308 is not
         game = {"kind": "game", "n": 2, "m": 1, "T": 0.25, "x0": [1.0, 2.0], "A": [[1e308, 1e308], [1e308, 1e308]],
                 "C": [[[1.0], [0.0]]], "N": [[[1.0]]], "Q": [[[1.0, 0.0], [0.0, 1.0]]]}
         out = tmp_path / "o"
-        assert cli.main([command, write_config(tmp_path, game), "--out", str(out)]) == cli.EXIT_NOT_CONVERGED
+        argv = [command, write_config(tmp_path, game)] + ([] if command == "check" else ["--out", str(out)])
+        assert cli.main(argv) == cli.EXIT_NOT_CONVERGED
         message = "the sup norm of A over [0, 0.25] overflows"
         assert capsys.readouterr().err == f"numerical blow-up: {message}\n"
         if command == "game":
@@ -530,6 +531,12 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
         assert not out.exists()
+
+    def test_seed_past_the_philox_key_range_is_config_error(self, tmp_path, capsys):
+        # taken mod 2**64, this seed would draw seed 0's bundle
+        argv = ["solve", write_config(tmp_path, TOY_PROBLEM), "--seed", str(2**64), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: seed must be in [0, 2**64), got {2**64}\n"
 
     def test_allocation_failure_is_reported(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):

@@ -97,43 +97,56 @@ class TestCheckH2:
         gs = lqgame.GameSpec(n=1, horizon=1.0, x0=[0.0], A=[[0.3]],
                              C=[[[1.0]]], N=[[[1.0]]], Q=[[[1.0]]], M=[[[1.0]]])
         rep = lqgame.check_H2(gs, TimeGrid(1.0, 50))
-        assert rep.eta1 == pytest.approx(1.0, abs=1e-12)
-        assert rep.eta2 == pytest.approx(1.0, abs=1e-12)
+        assert rep.aggregated.computed["k_prime"] == pytest.approx(1.0, abs=1e-12)
+        assert rep.aggregated.computed["k"] == pytest.approx(1.0, abs=1e-12)
         assert rep.commutation_residual < 1e-12
         assert rep.passed
 
     def test_counterexample_fails_with_expected_arithmetic(self):
         gs = lqgame.example3_game(1.0)
         rep = lqgame.check_H2(gs, TimeGrid(1.0, 50))
-        assert np.allclose(rep.K[0], [[1.0, -2.0], [-2.0, 4.0]], atol=1e-10)
-        assert np.allclose(rep.K[1], [[4.0, -2.0], [-2.0, 1.0]], atol=1e-10)
-        skq = sum(k @ q for k, q in zip(rep.K, gs.Q))
+        K = gs.k_matrices()
+        assert np.allclose(K[0], [[1.0, -2.0], [-2.0, 4.0]], atol=1e-10)
+        assert np.allclose(K[1], [[4.0, -2.0], [-2.0, 1.0]], atol=1e-10)
+        skq = sum(k @ q for k, q in zip(K, gs.Q))
         assert np.allclose(skq, [[1.0, -2.0], [-2.0, 1.0]], atol=1e-10)
         assert np.allclose(np.linalg.eigvalsh((skq + skq.T) / 2), [-1.0, 3.0], atol=1e-10)
-        assert rep.eta1 == pytest.approx(-1.0, abs=1e-10)
-        assert not rep.positivity_ok
-        assert rep.norm_D == pytest.approx(1.0, abs=1e-12)
-        assert rep.norm_D >= rep.bound  # violates the coupling condition
+        computed = rep.aggregated.computed
+        assert computed["k_prime"] == pytest.approx(-1.0, abs=1e-10)
+        assert not rep.aggregated.terminal_ok
+        assert computed["C_nu"] == pytest.approx(1.0, abs=1e-12)
+        assert computed["C_nu"] >= rep.aggregated.bound  # violates the coupling condition
         assert not rep.passed
 
     def test_symmetric_part_of_huge_finite_weights_does_not_overflow(self):
-        # sum K_i Q_i = diag(1e308, 1): M + M' would overflow, M/2 + M'/2 is exact
+        # sum K_i Q_i = diag(1e308, 1) is finite, but g's slope read at e_i + e_j overflows:
+        # a blow-up raised without a warning, as for a problem config
         cfg = {"kind": "game", "n": 2, "m": 2, "T": 0.25, "x0": [1, 2], "A": 0, "alpha": [0.1, 0.1],
                "C": [[[1], [0]], [[0], [1]]], "N": [[[1]], [[1]]],
                "M": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]], "Q": [[[1e308, 0], [0, 0]], [[0, 0], [0, 1]]]}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = lqgame.check_H2(lqgame.game_from_config(cfg), TimeGrid(0.25, 20))
-        assert rep.eta1 == 1.0
-        assert rep.positivity_ok and rep.passed
+            with pytest.raises(FloatingPointError, match="^the slope of g overflows$"):
+                lqgame.check_H2(lqgame.game_from_config(cfg), TimeGrid(0.25, 20))
+
+    def test_non_commuting_dynamics_fail_on_commutation_alone(self):
+        # A = [[0, 0.5], [0, 0]] on [0.101, 0.102) only, between two grid nodes; K_1 = e_1 e_1' does not commute
+        pieces = [{"t_from": t, "value": v} for t, v in ((0.0, 0.0), (0.101, [[0.0, 0.5], [0.0, 0.0]]), (0.102, 0.0))]
+        cfg = {"kind": "game", "n": 2, "m": 2, "T": 0.25, "x0": [1, 2], "A": {"piecewise": pieces},
+               "C": [[[1], [0]], [[0], [1]]], "N": [[[1]], [[1]]],
+               "M": [np.eye(2).tolist()] * 2, "Q": [np.eye(2).tolist()] * 2}
+        rep = lqgame.check_H2(lqgame.game_from_config(cfg), TimeGrid(0.25, 100))
+        assert rep.commutation_residual == pytest.approx(0.5, abs=1e-12)
+        assert rep.aggregated.passed and not rep.commutation_ok and not rep.passed
+        assert rep.to_dict()["commutation_ok"] is False and rep.to_dict()["pass"] is False
 
     def test_coupling_threshold_is_monotone(self):
         base = lqgame.check_H2(scalar_game(), TimeGrid(1.0, 20))
         assert base.passed
         for scale, expect in ((0.9, True), (1.1, False)):
-            gs = scalar_game(D=[[scale * base.bound]])
+            gs = scalar_game(D=[[scale * base.aggregated.bound]])
             rep = lqgame.check_H2(gs, TimeGrid(1.0, 20))
-            assert rep.coupling_D_ok is expect
+            assert rep.aggregated.smallness_ok is expect
             assert rep.passed is expect
 
 
@@ -162,9 +175,9 @@ class TestBuildAggregated:
     def test_the_mean_coupling_bound_covers_gamma(self):
         gs = scalar_game(D=[[0.3]], Gamma=[[[0.4]]])
         block = np.array([[0.3, 0.0], [0.4, 0.3]])  # [[D, 0], [K Gamma, D']], K = 1
-        assert lqgame.check_H2(gs, TimeGrid(1.0, 10)).norm_D == pytest.approx(np.linalg.norm(block, 2))
-        c_nu = check_H1(lqgame.build_aggregated(gs), TimeGrid(1.0, 10)).computed["C_nu"]
-        assert c_nu == pytest.approx(np.linalg.norm(block, 2))
+        rep = lqgame.check_H2(gs, TimeGrid(1.0, 10))
+        assert rep.aggregated == check_H1(lqgame.build_aggregated(gs), TimeGrid(1.0, 10))
+        assert rep.aggregated.computed["C_nu"] == pytest.approx(np.linalg.norm(block, 2))
 
     def test_operator_form_matches_reduced_expression(self):
         # A(t, u, u', nu) = -|dy|^2 - dx' (sum K_i M_i) dx for any spec
@@ -244,9 +257,9 @@ class TestBuildAggregated:
     def test_sups_are_taken_through_the_gate(self):
         # a piecewise D switching inside [0, T]
         gs = scalar_game(D=PiecewiseConstant([0.0, 0.5], [[[0.1]], [[-0.3]]]))
-        assert lqgame.check_H2(gs, TimeGrid(gs.horizon, 7)).norm_D == pytest.approx(0.3, abs=1e-15)
-        c_nu = check_H1(lqgame.build_aggregated(gs), TimeGrid(gs.horizon, 7)).computed["C_nu"]
-        assert c_nu == pytest.approx(0.3, abs=1e-15)
+        rep = lqgame.check_H2(gs, TimeGrid(gs.horizon, 7))
+        assert rep.aggregated == check_H1(lqgame.build_aggregated(gs), TimeGrid(gs.horizon, 7))
+        assert rep.aggregated.computed["C_nu"] == pytest.approx(0.3, abs=1e-15)
 
     @pytest.mark.parametrize("name,overrides", [
         ("A", dict(A=np.full((2, 2), 1e308))),

@@ -61,6 +61,12 @@ class TestMakeBundle:
         with pytest.raises(ValueError):
             make_bundle(g, 4, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_the_key_range_rejected(self, seed):
+        # the Philox key is a uint64: taken mod 2**64, these would alias 2**64 - 1, 0 and 5
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            make_bundle(TimeGrid(1.0, 4), 3, 1, seed)
+
 
 class TestPathEnsemble:
     def test_immutable(self):
