@@ -24,12 +24,13 @@ measure-freezing that decouples the outer iteration).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measure import EmpiricalMeasure
-from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major
 from .problem import MfProblem
 
 __all__ = ["RegressionDiagnostics", "regression_factors", "solve_backward"]
@@ -47,6 +48,12 @@ def _design(x: np.ndarray) -> np.ndarray:
     out[..., 0, :] = 1.0
     out[..., 1:, :] = x
     return out
+
+
+def _rms(targets: np.ndarray, fit: np.ndarray) -> float:
+    """Root mean square of targets - fit: the bits of np.sqrt(np.mean((targets - fit) ** 2)) with one temporary."""
+    r = targets - fit
+    return math.sqrt(np.square(r, out=r).sum() / r.size)
 
 
 @dataclass
@@ -102,7 +109,9 @@ def solve_backward(
     ``x_ens``.  ``factors`` is :func:`regression_factors` of ``x_ens``,
     for callers that sweep the same paths more than once; it is built here
     when omitted.  Returns (y_ens, z_ens, diagnostics); z_ens stores one
-    (m x d) matrix per step, flattened row-major.
+    (m x d) matrix per step, flattened row-major.  A non-finite Y or Z,
+    checked once after the last step, raises FloatingPointError naming the
+    step swept first that made one (later steps only carry it forward).
     """
     m, d = p.dim_state, p.dim_bm
     particles, steps = bundle.particles, bundle.steps
@@ -137,7 +146,7 @@ def solve_backward(
         dw = bundle.component_major[k]
         z_targets = (y_next[:, None, :] * dw[None, :, :] / dt).reshape(m * d, particles)
         z_fit = fit(z_targets)
-        diag.z_residuals.append(float(np.sqrt(np.mean((z_targets - z_fit) ** 2))))
+        diag.z_residuals.append(_rms(z_targets, z_fit))
         z[k] = z_fit.reshape(m, d, particles)
         zk = z[k].transpose(2, 0, 1)
 
@@ -146,11 +155,12 @@ def solve_backward(
             hk = np.asarray(p.h(t_k, xk, y_guess.T, zk, nu_k)).T
             targets = y_next - hk * dt
             y_guess = fit(targets)
-        diag.y_residuals.append(float(np.sqrt(np.mean((targets - y_guess) ** 2))))
-        if not (np.all(np.isfinite(y_guess)) and np.all(np.isfinite(z[k]))):
-            raise FloatingPointError(f"backward regression produced non-finite values at step {k}")
+        diag.y_residuals.append(_rms(targets, y_guess))
         y[k] = y_guess
 
+    if not (all_finite(y) and all_finite(z)):
+        k = next(k for k in range(steps - 1, -1, -1) if not (all_finite(y[k]) and all_finite(z[k])))
+        raise FloatingPointError(f"backward regression produced non-finite values at step {k}")
     diag.y_residuals.reverse()
     diag.z_residuals.reverse()
     return from_component_major(y), from_component_major(z.reshape(steps, m * d, particles)), diag

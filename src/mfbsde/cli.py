@@ -144,9 +144,14 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_CONDITION
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a --seed outside the Philox key range [0, 2**64) before the config is read and --out is made."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"--seed must be >= 0, got {seed}" if seed < 0 else f"seed must be in [0, 2**64), got {seed}")
+
+
 def cmd_solve(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    _check_seed(args.seed)
     kind, cfg = _load_config(args.config)
     prob = problem_from_config(cfg) if kind == "problem" else lqgame.build_aggregated(lqgame.game_from_config(cfg))
     grid, params = _scheme(args, prob.horizon)
@@ -158,8 +163,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_game(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    _check_seed(args.seed)
     if args.deviations < 1:
         raise ValueError(f"--deviations must be >= 1, got {args.deviations}")
     if not math.isfinite(args.deviation_magnitude):

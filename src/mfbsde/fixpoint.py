@@ -37,7 +37,8 @@ import numpy as np
 from .backward import solve_backward
 from .forward import propagate
 from .paths import (
-    BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle, marginal, node_msd,
+    BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major, joint_marginal, make_bundle, marginal,
+    node_msd,
 )
 from .problem import MfProblem, check_H1, contraction_constants
 
@@ -170,7 +171,7 @@ class Diverged(RuntimeError):
 @contextmanager
 def blowups_diverge(what: str, history: list):
     """The failure rule of an iteration step: numpy overflow and invalid
-    values pass silently (every step checks its own output), and a
+    values pass silently (every sweep checks its own output), and a
     FloatingPointError raised inside is re-raised as :class:`Diverged`
     with the message "``what``: error" and ``history``."""
     try:
@@ -217,7 +218,7 @@ class _Anderson:
     finite.  Both passes of a sweep run one node block (a Y node or a Z
     step, (dim, P)) at a time, while it is in cache: :meth:`observe` forms
     r, the differences, the Gram row, the right-hand side and the sweep
-    gap, and :meth:`mix` writes the mix.
+    gap, and :meth:`mix` writes the mix and checks it once, whole.
     """
 
     def __init__(self, depth: int, y_shape: tuple, z_shape: tuple):
@@ -277,8 +278,8 @@ class _Anderson:
             np.copyto(out, f)
             for g, j in zip(gamma, order):
                 out -= g * dfu[j]
-            if not np.all(np.isfinite(out)):
-                return self.fu
+        if not all_finite(self.out):
+            return self.fu
         return tuple(from_component_major(a.reshape(s)) for a, s in zip(np.split(self.out, [self.cut]), self.shapes))
 
 

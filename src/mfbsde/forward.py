@@ -13,14 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .measure import EmpiricalMeasure
-from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major
 from .problem import MfProblem
 
 __all__ = ["propagate"]
-
-
-def _shapes_ok(e: PathEnsemble, particles: int, nodes: int, dim: int) -> bool:
-    return e.particles == particles and e.nodes == nodes and e.dim == dim
 
 
 def propagate(
@@ -38,7 +34,9 @@ def propagate(
 
     ``frozen_flow`` supplies the joint (X, Y) cloud at each node of the
     previous iterate; the step from t_k uses the cloud at t_k.  All
-    particles start at the problem's x0.
+    particles start at the problem's x0.  A non-finite X, checked once after
+    the last step, raises FloatingPointError naming the first step that made
+    one (later steps only carry it forward).
     """
     m, d = p.dim_state, p.dim_bm
     particles, steps = bundle.particles, bundle.steps
@@ -52,7 +50,7 @@ def propagate(
         ("z_ens", z_ens, steps, m * d),
         ("z_prev", z_prev, steps, m * d),
     ):
-        if not _shapes_ok(e, particles, nodes, dim):
+        if e.values.shape != (particles, nodes, dim):
             raise ValueError(f"{name} has shape {e.values.shape}, expected ({particles}, {nodes}, {dim})")
     if len(frozen_flow) < steps:
         raise ValueError(f"frozen_flow must provide one measure per node, got {len(frozen_flow)}")
@@ -81,8 +79,10 @@ def propagate(
             diff = np.asarray(p.sigma(t_k, xk, yk, zk, nu_k))
             if delta > 0.0:
                 diff = diff - delta * (zk - zpv[k].transpose(2, 0, 1))
-        x[k + 1] = x[k] + drift * dt + np.einsum("pmd,dp->mp", diff, dw[k])
-        if not np.all(np.isfinite(x[k + 1])):
-            raise FloatingPointError(f"forward propagation produced non-finite values at step {k}")
+        # for d = 1 the noise is a broadcast: the einsum's values without its call (a zero keeps its sign)
+        x[k + 1] = x[k] + drift * dt + (diff[:, :, 0].T * dw[k] if d == 1 else np.einsum("pmd,dp->mp", diff, dw[k]))
 
+    if not all_finite(x):
+        k = next(k for k in range(steps) if not all_finite(x[k + 1]))
+        raise FloatingPointError(f"forward propagation produced non-finite values at step {k}")
     return from_component_major(x)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .problem import (
     check_H1,
     coerce,
     map_path,
+    matmul,
     sample_times,
     shaped_path,
 )
@@ -312,13 +313,6 @@ def _dynamics(gs: GameSpec, **terms) -> tuple[AffineCoeffs, AffineCoeffs]:
 # ---------------------------------------------------------------------------
 
 
-def _control_fn(u) -> Callable:
-    if isinstance(u, PathEnsemble):
-        arr = u.component_major
-        return lambda k, t, x: arr[k].T
-    return u
-
-
 def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, controls) -> PathEnsemble:
     """Euler simulation of the controlled state with plug-in ensemble mean.
 
@@ -332,7 +326,6 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
         raise ValueError("bundle and grid step counts differ")
     if len(controls) != gs.players:
         raise ValueError(f"need one control per player, got {len(controls)}")
-    fns = [_control_fn(u) for u in controls]
     f, sigma = _dynamics(gs)
     # component-major (nodes, n, particles); the tables and controls get (particles, n) views
     x = np.empty((grid.steps + 1, gs.n, bundle.particles))
@@ -343,10 +336,8 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
         xk = x[k].T
         # x[k] is finite: GameSpec checks x0, and each step checks the row it writes
         drift = f(t_k, xk, nu=from_checked(xk)).T
-        for c, fn in zip(gs.C, fns):
-            u = np.asarray(fn(k, t_k, xk)).T
-            # a one-column C as a broadcast product: the bits of the k = 1 matmul without its BLAS call
-            drift += c * u if c.shape[1] == 1 else c @ u
+        for c, u in zip(gs.C, controls):
+            drift += matmul(c, u.component_major[k] if isinstance(u, PathEnsemble) else np.asarray(u(k, t_k, xk)).T)
         # (x + drift dt) + sigma dW, built in place
         nxt = np.multiply(drift, grid.dt, out=x[k + 1])
         nxt += x[k]
@@ -361,13 +352,6 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid_weights(grid: TimeGrid) -> np.ndarray:
-    w = np.full(grid.steps + 1, grid.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def _cost_with_batches(
     gs: GameSpec, i: int, x_cm: np.ndarray, u_cm: np.ndarray, grid: TimeGrid
 ) -> tuple[float, float, np.ndarray]:
@@ -375,19 +359,24 @@ def _cost_with_batches(
     costs of _COST_BATCHES contiguous particle blocks (E[X] terms use the
     means within each block).  ``x_cm`` and ``u_cm`` are component-major
     (nodes, dim, particles); the per-particle terms are formed once."""
-    w = _trapezoid_weights(grid)
+    w = np.full(grid.steps + 1, grid.dt)  # trapezoid weights
+    w[[0, -1]] *= 0.5
     x_t = x_cm[-1]
     terminal = np.sum(x_t * (gs.Q[i] @ x_t), axis=0)
-    run = np.sum(u_cm * (gs.N[i] @ u_cm), axis=1)
+    # u' N u, its components added in order into the first: np.sum(..., axis=1)'s values without its slow path
+    run = matmul(gs.N[i], u_cm)
+    run *= u_cm
+    for j in range(1, u_cm.shape[1]):
+        run[:, 0] += run[:, j]
     mean_terms = []
     for k, t in enumerate(grid.nodes):
         m_k = gs.M[i](t)
         if np.any(m_k):
-            run[k] += np.sum(x_cm[k] * (m_k @ x_cm[k]), axis=0)
+            run[k, 0] += np.sum(x_cm[k] * (m_k @ x_cm[k]), axis=0)
         g_k = gs.Gamma[i](t)
         if np.any(g_k):
             mean_terms.append((k, g_k))
-    running = w @ run
+    running = w @ run[:, 0]
 
     def block(a: int, b: int) -> float:
         total = float(np.mean(terminal[a:b]))

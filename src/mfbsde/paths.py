@@ -137,7 +137,7 @@ class PathEnsemble:
 def from_component_major(arr: np.ndarray) -> PathEnsemble:
     """The ensemble that stores ``arr``, a finite C-contiguous (nodes, dim,
     particles) array, itself: no copy and no finiteness scan (the solver's
-    steps check their own output), and ``arr`` becomes read-only."""
+    sweeps check their own output), and ``arr`` becomes read-only."""
     if arr.ndim != 3 or not arr.flags.c_contiguous:
         raise ValueError(f"expected a C-contiguous (nodes, dim, particles) array, got shape {arr.shape}")
     arr.flags.writeable = False
@@ -185,6 +185,12 @@ def node_msd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = a - b
     d *= d
     return d.reshape(d.shape[0], -1).sum(axis=1) / d.shape[-1]
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every value of a is finite: one sum, no temporary, and a scan only if the sum is inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
 
 
 def _node_times(e: PathEnsemble, grid: TimeGrid) -> np.ndarray:

@@ -495,6 +495,11 @@ def map_path(fn: Callable, *paths: PiecewiseConstant) -> PiecewiseConstant:
     return PiecewiseConstant(bp, fn(*pieces))
 
 
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, or a * b for a one-column a: the same values without the matmul call (a zero keeps its sign)."""
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
 class AffineCoeffs:
     """Affine coefficient table of a drift, driver, diffusion or terminal map
 
@@ -550,7 +555,7 @@ class AffineCoeffs:
         out = None
         for key, arg in (("x", x), ("y", y), ("z", None if z is None else z[:, :, 0])):
             if key in node:
-                term = node[key] @ arg.T
+                term = matmul(node[key], arg.T)
                 if out is None:
                     out = term
                 else:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -233,6 +234,23 @@ class TestSolveBackward:
             assert z.values.tobytes() == z_ref.values.tobytes()
             assert (diag.y_residuals, diag.z_residuals) == (diag_ref.y_residuals, diag_ref.z_residuals)
             assert diag.ridge_steps == diag_ref.ridge_steps
+
+    def test_blowup_names_the_first_step_swept(self, martingale_problem):
+        # h is infinite on steps 2, 1, 0; step 2 is swept first
+        p = dataclasses.replace(
+            martingale_problem, h=lambda t, x, y, z, nu: np.full_like(x, np.inf if t < 0.3 else 0.0)
+        )
+        grid = TimeGrid(1.0, 10)
+        bundle, x, flow = brownian_paths(p, grid, 200, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="^backward regression produced non-finite values at step 2$"):
+                solve_backward(p, grid, bundle, x, flow, marginal(x, 10))
+
+    def test_residual_has_the_bits_of_the_numpy_formula(self):
+        rng = np.random.default_rng(5)
+        for shape in ((1, 5000), (3, 777)):
+            targets, fit = rng.standard_normal((2, *shape)) * 10.0 ** rng.integers(-6, 6, (2, *shape))
+            assert backward._rms(targets, fit) == float(np.sqrt(np.mean((targets - fit) ** 2)))
 
     def test_shape_mismatch_rejected(self, martingale_problem):
         grid = TimeGrid(1.0, 5)

@@ -532,11 +532,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
-    def test_seed_past_the_philox_key_range_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["solve", "game"])
+    def test_seed_past_the_philox_key_range_is_config_error(self, tmp_path, capsys, command):
         # taken mod 2**64, this seed would draw seed 0's bundle
-        argv = ["solve", write_config(tmp_path, TOY_PROBLEM), "--seed", str(2**64), "--out", str(tmp_path / "o")]
+        out = tmp_path / "o"
+        config = write_config(tmp_path, SCALAR_GAME if command == "game" else TOY_PROBLEM)
+        argv = [command, config, "--seed", str(2**64), "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: seed must be in [0, 2**64), got {2**64}\n"
+        assert not out.exists()
 
     def test_allocation_failure_is_reported(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):

@@ -107,6 +107,24 @@ class TestSolve:
         # every inner solve's sweep gaps trip the divergence rule too
         assert all(rec.inner_exit == "growth" for rec in err.value.history)
 
+    def test_particle_blowup_diverges_naming_the_step(self):
+        # the forward sweep of the first outer iteration overflows at step 1
+        p = MfProblem(
+            dim_state=1, dim_bm=1, x0=[10.0], horizon=1.0,
+            f=lambda t, x, y, z, nu: np.exp(x) * 1e6,
+            sigma=lambda t, x, y, z, nu: np.zeros((x.shape[0], 1, 1)),
+            h=lambda t, x, y, z, nu: np.zeros_like(x),
+            g=lambda x, mu: x,
+            law_free_sigma=True,
+        )
+        with pytest.raises(Diverged) as err:
+            fixpoint.solve(p, TimeGrid(1.0, 50), SchemeParams(particles=4), seed=0)
+        assert str(err.value) == (
+            "particle system blew up at outer iteration 1: "
+            "forward propagation produced non-finite values at step 1"
+        )
+        assert err.value.history == []
+
     def test_common_random_numbers_repeat_bit_identical(self):
         p = h1prime_toy()
         params = SchemeParams(particles=500, max_outer=5, tol=1e-5)

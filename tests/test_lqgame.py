@@ -321,6 +321,24 @@ class TestCost:
         value, _ = lqgame.cost(gs, 0, x, [u], grid)
         assert value == pytest.approx(0.5 * (2.0 * 4.0 + 3.0 * 4.0))
 
+    def test_two_component_control_prices_with_the_bits_of_the_axis_sum(self):
+        # the running term u' N u, summed over the control components by a
+        # loop, against np.sum(u * (N @ u), axis=1)
+        gs = lqgame.GameSpec(
+            n=2, horizon=1.0, x0=[0.3, -0.2], A=[[0.3, 0.1], [-0.2, 0.2]],
+            C=[np.array([[0.2, 0.0], [1.0, -0.4]])], N=[[[1.3, 0.4], [0.4, 0.9]]], Q=[[[1.0, 0.2], [0.2, 0.5]]],
+        )
+        grid = TimeGrid(1.0, 12)
+        rng = np.random.default_rng(9)
+        x_cm, u_cm = rng.standard_normal((2, grid.steps + 1, 2, 400))
+        w = np.full(grid.steps + 1, grid.dt)
+        w[[0, -1]] *= 0.5
+        terminal = np.sum(x_cm[-1] * (gs.Q[0] @ x_cm[-1]), axis=0)
+        running = w @ np.sum(u_cm * (gs.N[0] @ u_cm), axis=1)
+        m_t = x_cm[-1].mean(axis=1)
+        want = 0.5 * (float(np.mean(terminal)) + float(m_t @ gs.R[0] @ m_t) + float(np.mean(running)))
+        assert lqgame._cost_with_batches(gs, 0, x_cm, u_cm, grid)[0] == want
+
 
 class TestSimulateState:
     def test_euler_step_matches_hand_formula(self):

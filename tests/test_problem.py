@@ -15,6 +15,7 @@ from mfbsde.problem import (
     MonotonicityProfile,
     PiecewiseConstant,
     map_path,
+    matmul,
     shaped_path,
     check_H1,
     contraction_constants,
@@ -479,6 +480,15 @@ class TestAffineCoeffs:
         mu = nu.mean()
         want = x @ cx.T + y @ cy.T + z[:, :, 0] @ cz.T + cmx @ mu[:2] + cmy @ mu[2:] + c0
         assert np.allclose(table(0.3, x, y, z, nu), want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_one_column_product_equals_the_matmul(self, rows):
+        rng = np.random.default_rng(rows)
+        a, b = rng.standard_normal((rows, 1)), rng.standard_normal((1, 5000))
+        assert np.array_equal(matmul(a, b), a @ b)
+        # a stack of blocks, as the pricing's (nodes, 1, P) controls
+        stack = rng.standard_normal((4, 1, 300))
+        assert np.array_equal(matmul(a, stack), a @ stack)
 
     def test_zero_piecewise_terms_are_dropped(self):
         table = AffineCoeffs(
