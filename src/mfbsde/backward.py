@@ -83,11 +83,15 @@ def regression_factors(x_ens: PathEnsemble) -> tuple[np.ndarray, np.ndarray, lis
     the cloud degenerates onto an affine subspace and the design matrix
     turns rank deficient, where hard rank decisions would flip between
     sweeps and destabilize the outer iteration.  Fitted values at the
-    sample points match the unregularized fit to O(ridge).
+    sample points match the unregularized fit to O(ridge).  Gram sums that
+    overflow raise FloatingPointError naming the first such step.
     """
     design = _design(x_ens.component_major[:-1])
     features = design.shape[1]
     gram = np.einsum("kfp,kgp->kfg", design, design)
+    if not all_finite(gram):
+        k = int(np.argmin(np.isfinite(gram).all(axis=(1, 2))))
+        raise FloatingPointError(f"regression Gram matrix overflows at step {k}")
     scale = np.trace(gram, axis1=1, axis2=2) / features + 1.0
     flagged = np.linalg.eigvalsh(gram)[:, 0] < 1e-10 * scale
     shifted = gram + (_RIDGE * scale)[:, None, None] * np.eye(features)

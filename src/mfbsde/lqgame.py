@@ -32,7 +32,7 @@ horizon (the built-in two-player counterexample has det B(T) =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +52,7 @@ from .problem import (
     coerce,
     map_path,
     matmul,
+    require_keys,
     sample_times,
     shaped_path,
 )
@@ -316,9 +317,9 @@ def _dynamics(gs: GameSpec, **terms) -> tuple[AffineCoeffs, AffineCoeffs]:
 def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, controls) -> PathEnsemble:
     """Euler simulation of the controlled state with plug-in ensemble mean.
 
-    ``controls`` holds one entry per player: a PathEnsemble of
-    per-particle control values on the grid nodes, or an adapted callable
-    ``(step, t, x) -> (particles, m_i)`` used for feedback deviations.
+    ``controls`` holds one PathEnsemble per player: its per-particle
+    control values on the grid nodes, of shape (steps + 1, m_i, particles)
+    component-major.  Anything else raises ValueError naming the player.
     """
     if bundle.dim != 1:
         raise ValueError("the game layer uses a one-dimensional Brownian motion")
@@ -326,8 +327,13 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
         raise ValueError("bundle and grid step counts differ")
     if len(controls) != gs.players:
         raise ValueError(f"need one control per player, got {len(controls)}")
+    for i, (u, m_i) in enumerate(zip(controls, gs.control_dims)):
+        want = (grid.steps + 1, m_i, bundle.particles)
+        got = u.component_major.shape if isinstance(u, PathEnsemble) else type(u).__name__
+        if got != want:
+            raise ValueError(f"control of player {i} must be a PathEnsemble of shape {want}, got {got}")
     f, sigma = _dynamics(gs)
-    # component-major (nodes, n, particles); the tables and controls get (particles, n) views
+    # component-major (nodes, n, particles); the tables get (particles, n) views
     x = np.empty((grid.steps + 1, gs.n, bundle.particles))
     x[0] = gs.x0[:, None]
     times = grid.nodes
@@ -337,7 +343,7 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
         # x[k] is finite: GameSpec checks x0, and each step checks the row it writes
         drift = f(t_k, xk, nu=from_checked(xk)).T
         for c, u in zip(gs.C, controls):
-            drift += matmul(c, u.component_major[k] if isinstance(u, PathEnsemble) else np.asarray(u(k, t_k, xk)).T)
+            drift += matmul(c, u.component_major[k])
         # (x + drift dt) + sigma dW, built in place
         nxt = np.multiply(drift, grid.dt, out=x[k + 1])
         nxt += x[k]
@@ -369,13 +375,14 @@ def _cost_with_batches(
     for j in range(1, u_cm.shape[1]):
         run[:, 0] += run[:, j]
     mean_terms = []
-    for k, t in enumerate(grid.nodes):
-        m_k = gs.M[i](t)
-        if np.any(m_k):
-            run[k, 0] += np.sum(x_cm[k] * (m_k @ x_cm[k]), axis=0)
-        g_k = gs.Gamma[i](t)
-        if np.any(g_k):
-            mean_terms.append((k, g_k))
+    if np.any(gs.M[i].values) or np.any(gs.Gamma[i].values):  # else no node has a term
+        for k, t in enumerate(grid.nodes):
+            m_k = gs.M[i](t)
+            if np.any(m_k):
+                run[k, 0] += np.sum(x_cm[k] * (m_k @ x_cm[k]), axis=0)
+            g_k = gs.Gamma[i](t)
+            if np.any(g_k):
+                mean_terms.append((k, g_k))
     running = w @ run[:, 0]
 
     def block(a: int, b: int) -> float:
@@ -524,11 +531,7 @@ def solve_nash(
     kq = sum(k @ q.component_major for q, k in zip(q_list, K))
     res_z = node_msd(kq, sol.z_ens.component_major)
 
-    costs, stderrs = [], []
-    for i in range(players):
-        value, se = cost(gs, i, sol.x_ens, controls, grid)
-        costs.append(value)
-        stderrs.append(se)
+    costs, stderrs = map(list, zip(*(cost(gs, i, sol.x_ens, controls, grid) for i in range(players))))
 
     return NashResult(
         aggregated=sol,
@@ -565,17 +568,9 @@ class DeviationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "player": self.player,
-            "perturbations": self.perturbations,
-            "magnitude": self.magnitude,
-            "baseline_cost": self.baseline_cost,
-            "deltas": self.deltas,
-            "stderrs": self.stderrs,
-            "min_delta": self.min_delta,
-            "min_stderr": self.min_stderr,
-            "pass": self.passed,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 def deviation_test(
@@ -588,14 +583,16 @@ def deviation_test(
 ) -> DeviationReport:
     """Probe the Nash inequality J_i(u*) <= J_i(u* deviated in slot i).
 
-    Deviations are drawn from a finite adapted family (constant vectors
-    and affine state-feedback maps), scaled by ``magnitude`` and applied
-    on top of player i's candidate control; the state is re-simulated
-    with the SAME Brownian bundle, so cost differences are paired.  The
-    test passes when the most favorable deviation does not beat the
-    candidate by more than 3 standard errors of the paired difference.
-    Full open-loop function-space deviations are not verifiable
-    numerically; this finite family is a documented limitation.
+    Each probe is an open-loop control u_i* + magnitude * (a + b X*), with
+    X* the state under the candidate controls u*: a random vector a for an
+    even probe, and a random vector a and matrix b for an odd one.  The
+    state is re-simulated with the SAME Brownian bundle, so cost
+    differences are paired, and since a probe does not read the deviated
+    state its cost change is exactly quadratic in ``magnitude``.  The test
+    passes when the most favorable probe does not beat the candidate by
+    more than 3 standard errors of the paired difference.  Full open-loop
+    function-space deviations are not verifiable numerically; this finite
+    family is a documented limitation.
     """
     if perturbations < 1:
         raise ValueError(f"perturbations must be >= 1, got {perturbations}")
@@ -606,25 +603,20 @@ def deviation_test(
     m_i = gs.control_dims[i]
     rng = np.random.default_rng(seed)
 
-    x_base = simulate_state(gs, grid, bundle, base_controls)
+    x_base = simulate_state(gs, grid, bundle, base_controls).component_major
     base_i = base_controls[i].component_major
-    j_base, _, base_batches = _cost_with_batches(gs, i, x_base.component_major, base_i, grid)
+    j_base, _, base_batches = _cost_with_batches(gs, i, x_base, base_i, grid)
 
     deltas, stderrs = [], []
     for j in range(perturbations):
-        if j % 2 == 0:
-            v = rng.standard_normal(m_i)
-            dev = lambda k, t, x, _v=v: (base_i[k] + magnitude * _v[:, None]).T
-        else:
-            a = rng.standard_normal(m_i)
-            b = rng.standard_normal((m_i, gs.n)) / math.sqrt(gs.n)
-            dev = lambda k, t, x, _a=a, _b=b: (base_i[k] + magnitude * (_a[:, None] + _b @ x.T)).T
+        a = rng.standard_normal(m_i)[:, None]
+        b = rng.standard_normal((m_i, gs.n)) / math.sqrt(gs.n) if j % 2 else None
         controls = list(base_controls)
-        controls[i] = dev
         # an overflowing deviation raises here instead of warning first
         with np.errstate(over="raise", invalid="raise"):
+            u_dev = base_i + magnitude * (a if b is None else a + b @ x_base)
+            controls[i] = from_component_major(u_dev)
             x_cm = simulate_state(gs, grid, bundle, controls).component_major
-            u_dev = base_i + magnitude * (v[:, None] if j % 2 == 0 else a[:, None] + b @ x_cm)
             j_dev, _, dev_batches = _cost_with_batches(gs, i, x_cm, u_dev, grid)
         deltas.append(j_dev - j_base)
         paired = dev_batches - base_batches
@@ -834,9 +826,7 @@ def game_from_config(cfg: dict) -> GameSpec:
     if cfg.get("kind", "game") != "game":
         raise ValueError(f"expected a game config, got kind={cfg.get('kind')!r}")
     check_config_keys(cfg, "game")
-    for key in ("n", "m", "T", "x0", "C", "N"):
-        if key not in cfg:
-            raise ValueError(f"game config is missing required field {key!r}")
+    require_keys(cfg, "game config", ("n", "m", "T", "x0", "C", "N"))
     if len(cfg["C"]) != int(cfg["m"]):
         raise ValueError(f"C must list one entry per player ({int(cfg['m'])})")
     # GameSpec checks the shapes, the per-player lengths and the values, and zero-fills the omitted blocks

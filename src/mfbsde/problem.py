@@ -469,12 +469,10 @@ def shaped_path(spec, shape: tuple, name: str) -> PiecewiseConstant:
         if "const" in spec:
             bp, vals = [0.0], [spec["const"]]
         elif "piecewise" in spec:
+            for piece in spec["piecewise"]:
+                require_keys(piece, f"{name} piece", ("t_from", "value"))
             pieces = sorted(spec["piecewise"], key=lambda p: float(p["t_from"]))
-            if not pieces:
-                raise ValueError("piecewise spec must contain at least one piece")
-            bp, vals = [float(p["t_from"]) for p in pieces], [p.get("value") for p in pieces]
-            if any(v is None for v in vals):
-                raise ValueError("each piece needs a 'value' entry")
+            bp, vals = [float(p["t_from"]) for p in pieces], [p["value"] for p in pieces]
         else:
             raise ValueError(f"coefficient dict must contain 'const' or 'piecewise', got keys {sorted(spec)}")
     else:
@@ -626,6 +624,13 @@ def check_config_keys(block, name: str) -> None:
             raise ValueError(f"{key} must be an integer, got {block[key]!r}")
 
 
+def require_keys(block, name: str, keys) -> None:
+    """Reject a block that lacks one of ``keys`` or sets it to null; the error names ``name`` and the key."""
+    for key in keys:
+        if key not in block or block[key] is None:
+            raise ValueError(f"{name} is missing required field {key!r}")
+
+
 def problem_from_config(cfg: dict) -> MfProblem:
     """Build an affine MfProblem from a config dict (JSON schema).
 
@@ -648,9 +653,7 @@ def problem_from_config(cfg: dict) -> MfProblem:
     check_config_keys(cfg, "problem")
     for name in ("f", "h", "sigma", "g", "lipschitz", "monotonicity"):
         check_config_keys(cfg.get(name, {}), name)
-    for key in ("dim", "horizon", "x0"):
-        if key not in cfg:
-            raise ValueError(f"problem config is missing required field {key!r}")
+    require_keys(cfg, "problem config", ("dim", "horizon", "x0"))
     m = int(cfg["dim"])
     horizon = float(cfg["horizon"])
     x0 = coerce(cfg["x0"], (m,), "x0")
@@ -658,8 +661,10 @@ def problem_from_config(cfg: dict) -> MfProblem:
 
     lip = mono = None
     if "lipschitz" in cfg:
-        lip = LipschitzProfile(*(float(cfg["lipschitz"][key]) for key in ("c_u", "c_nu", "c_g_x", "c_g_nu")))
+        require_keys(cfg["lipschitz"], "lipschitz block", _CONFIG_KEYS["lipschitz"])
+        lip = LipschitzProfile(*(float(cfg["lipschitz"][key]) for key in _CONFIG_KEYS["lipschitz"]))
     if "monotonicity" in cfg:
         mc = cfg["monotonicity"]
+        require_keys(mc, "monotonicity block", ("k", "k_prime"))
         mono = MonotonicityProfile(float(mc["k"]), float(mc["k_prime"]), str(mc.get("variant", H1PRIME)))
     return replace(affine_problem(x0, horizon, **tables), lipschitz=lip, monotonicity=mono)

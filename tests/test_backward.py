@@ -246,6 +246,13 @@ class TestSolveBackward:
             with pytest.raises(FloatingPointError, match="^backward regression produced non-finite values at step 2$"):
                 solve_backward(p, grid, bundle, x, flow, marginal(x, 10))
 
+    def test_overflowing_gram_names_its_first_step(self):
+        # finite paths of size 1e200 from node 2 on: the Gram sums of steps 2 and 3 overflow
+        x = np.ones((5, 1, 10))
+        x[2:] = 1e200
+        with pytest.raises(FloatingPointError, match="^regression Gram matrix overflows at step 2$"):
+            backward.regression_factors(PathEnsemble(x.transpose(2, 0, 1)))
+
     def test_residual_has_the_bits_of_the_numpy_formula(self):
         rng = np.random.default_rng(5)
         for shape in ((1, 5000), (3, 777)):

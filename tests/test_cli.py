@@ -542,6 +542,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: seed must be in [0, 2**64), got {2**64}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "game"])
+    def test_overflowing_regression_gram_is_divergence(self, tmp_path, capsys, command):
+        # example 3 at T = 40: the forward paths stay finite, but their
+        # regression Gram sums overflow (eigvalsh used to fail on them, a config error)
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, dict(EXAMPLE3, T=40.0))
+        argv = [command, cfg, "--particles", "300", "--steps", "40", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_NOT_CONVERGED
+        message = "particle system blew up at outer iteration 3: regression Gram matrix overflows at step 3"
+        assert capsys.readouterr().err == f"diverged: {message}\n"
+        report = json.loads((out / "report.json").read_text())
+        assert report["diverged"] is True and report["message"] == message
+
+    @pytest.mark.parametrize("payload, message", [
+        (dict(TOY_PROBLEM, lipschitz={"c_nu": 0.1, "c_g_x": 1.0, "c_g_nu": 0.1}),
+         "lipschitz block is missing required field 'c_u'"),
+        (dict(TOY_PROBLEM, monotonicity={"k": 1.0}), "monotonicity block is missing required field 'k_prime'"),
+        (dict(TOY_PROBLEM, h={"x": {"piecewise": [{"value": -1.0}]}}), "h.x piece is missing required field 't_from'"),
+        (dict(SCALAR_GAME, A={"piecewise": [{"t_from": 0.0, "value": 0.3}, {"value": 0.5}]}),
+         "A piece is missing required field 't_from'"),
+    ], ids=["lipschitz_c_u", "monotonicity_k_prime", "problem_piece_t_from", "game_piece_t_from"])
+    def test_missing_config_key_names_its_block_and_key(self, tmp_path, capsys, payload, message):
+        assert cli.main(["check", write_config(tmp_path, payload)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_allocation_failure_is_reported(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):
             raise MemoryError("Unable to allocate 7.11 PiB")

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -341,49 +342,44 @@ class TestCost:
 
 
 class TestSimulateState:
-    def test_euler_step_matches_hand_formula(self):
-        # A switches between the first and second step; one control is an
-        # ensemble, the other a state feedback
-        gs = lqgame.GameSpec(
-            n=2, horizon=1.0, x0=[0.3, -0.2],
-            A=PiecewiseConstant([0.0, 0.3], [[[0.3, 0.1], [-0.2, 0.2]], [[0.1, 0.4], [0.0, -0.3]]]),
-            D=[[0.1, -0.05], [0.2, 0.1]], sigma=[[0.2, 0.1], [0.0, 0.3]],
-            beta=[0.05, -0.1], alpha=[0.4, 0.1],
+    @staticmethod
+    def two_player_game(A):
+        return lqgame.GameSpec(
+            n=2, horizon=1.0, x0=[0.3, -0.2], A=A, D=[[0.1, -0.05], [0.2, 0.1]],
+            sigma=[[0.2, 0.1], [0.0, 0.3]], beta=[0.05, -0.1], alpha=[0.4, 0.1],
             C=[np.array([[1.0], [0.5]]), np.array([[0.2, 0.0], [1.0, -0.4]])],
             N=[[[1.0]], np.eye(2)], Q=[np.eye(2), np.eye(2)],
         )
+
+    def test_euler_step_matches_hand_formula(self):
+        # A switches between the second and third step (at t = 0.3 on a
+        # 0.25 grid); both controls are ensembles, of widths 1 and 2
+        gs = self.two_player_game(PiecewiseConstant([0.0, 0.3], [[[0.3, 0.1], [-0.2, 0.2]], [[0.1, 0.4], [0.0, -0.3]]]))
         grid = TimeGrid(1.0, 4)
         particles = 50
         bundle = make_bundle(grid, particles, 1, seed=7)
         rng = np.random.default_rng(8)
         u0 = PathEnsemble(rng.standard_normal((particles, grid.steps + 1, 1)))
-        gain = rng.standard_normal((2, 2))
-        u1 = lambda k, t, x: x @ gain.T + t
+        u1 = PathEnsemble(rng.standard_normal((particles, grid.steps + 1, 2)))
         x = lqgame.simulate_state(gs, grid, bundle, [u0, u1]).values
         xk = np.broadcast_to(gs.x0, (particles, 2))
-        for k in range(2):
+        for k in range(grid.steps):
             t = grid.nodes[k]
             drift = (xk @ gs.A(t).T + xk.mean(axis=0) @ gs.D(t).T + gs.beta(t)
-                     + u0.values[:, k] @ gs.C[0].T + u1(k, t, xk) @ gs.C[1].T)
+                     + u0.values[:, k] @ gs.C[0].T + u1.values[:, k] @ gs.C[1].T)
             diffusion = xk @ gs.sigma(t).T + gs.alpha(t)
             xk = xk + drift * grid.dt + diffusion * bundle.increments[:, k]
             assert np.allclose(x[:, k + 1], xk, rtol=1e-12, atol=0.0)
 
-
     def test_one_column_controls_match_the_matmul_step(self):
         # players with m_i = 1 and m_i = 2: the broadcast product and the
         # in-place step give the bits of the per-step C_i @ u_i reference
-        gs = lqgame.GameSpec(
-            n=2, horizon=1.0, x0=[0.3, -0.2], A=[[0.3, 0.1], [-0.2, 0.2]], D=[[0.1, -0.05], [0.2, 0.1]],
-            sigma=[[0.2, 0.1], [0.0, 0.3]], beta=[0.05, -0.1], alpha=[0.4, 0.1],
-            C=[np.array([[1.0], [0.5]]), np.array([[0.2, 0.0], [1.0, -0.4]])],
-            N=[[[1.0]], np.eye(2)], Q=[np.eye(2), np.eye(2)],
-        )
+        gs = self.two_player_game([[0.3, 0.1], [-0.2, 0.2]])
         grid = TimeGrid(1.0, 20)
         particles = 300
         bundle = make_bundle(grid, particles, 1, seed=3)
         rng = np.random.default_rng(4)
-        u0 = lambda k, t, x: 0.7 * x[:, :1] - t
+        u0 = PathEnsemble(rng.standard_normal((particles, grid.steps + 1, 1)))
         u1 = PathEnsemble(rng.standard_normal((particles, grid.steps + 1, 2)))
         x = lqgame.simulate_state(gs, grid, bundle, [u0, u1]).component_major
         f, sigma = lqgame._dynamics(gs)
@@ -392,9 +388,22 @@ class TestSimulateState:
         for k in range(grid.steps):
             t, xk = float(grid.nodes[k]), ref[k].T
             drift = f(t, xk, nu=EmpiricalMeasure(xk)).T
-            drift = drift + gs.C[0] @ u0(k, t, xk).T + gs.C[1] @ u1.component_major[k]
+            drift = drift + gs.C[0] @ u0.component_major[k] + gs.C[1] @ u1.component_major[k]
             ref[k + 1] = ref[k] + drift * grid.dt + sigma(t, xk).T * bundle.component_major[k]
         assert np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("control, got", [
+        (PathEnsemble(np.zeros((1, 11, 2))), "(11, 2, 1)"),
+        (PathEnsemble(np.zeros((30, 10, 2))), "(10, 2, 30)"),
+        (PathEnsemble(np.zeros((30, 11, 1))), "(11, 1, 30)"),
+        (lambda k, t, x: np.zeros((30, 2)), "function"),
+    ], ids=["one_particle", "too_few_nodes", "too_narrow", "callable"])
+    def test_control_of_the_wrong_shape_is_rejected(self, control, got):
+        gs = self.two_player_game([[0.3, 0.1], [-0.2, 0.2]])
+        grid = TimeGrid(1.0, 10)
+        good = PathEnsemble(np.zeros((30, 11, 1)))
+        with pytest.raises(ValueError, match=rf"^control of player 1 must be a PathEnsemble of shape \(11, 2, 30\), got {re.escape(got)}$"):
+            lqgame.simulate_state(gs, grid, make_bundle(grid, 30, 1, seed=0), [good, control])
 
 
 class TestNash:
@@ -527,6 +536,15 @@ class TestDeviation:
         assert len(calls) == 2 + 2 * 3
         for rep, ref in zip(reports, expected):
             assert rep.deltas == ref.deltas and rep.baseline_cost == ref.baseline_cost
+
+    def test_deltas_are_exactly_quadratic_in_the_magnitude(self):
+        # an open-loop probe moves the state by magnitude * xi, with xi free
+        # of the magnitude, so Delta(e) = e G + e^2 H and
+        # Delta(0.2) = 3 Delta(0.1) + Delta(-0.1) up to rounding
+        gs, nash = self.example3_nash()
+        d01, d02, dm01 = (np.array(lqgame.deviation_test(gs, nash, 0, perturbations=4, magnitude=e, seed=3).deltas)
+                          for e in (0.1, 0.2, -0.1))
+        assert d02 == pytest.approx(3 * d01 + dm01, rel=1e-9, abs=0.0)
 
     def test_replaced_controls_do_not_reuse_the_base_state(self, monkeypatch):
         gs, nash = self.example3_nash()
