@@ -18,8 +18,9 @@ The recursion, for k = steps-1 .. 0 with dt the step size:
     Y_k = regress(Y_{k+1} - h(t_k, X_k, Y_k, Z_k, nu_k) dt | X_k)
 
 with h's implicit Y_k resolved by two predictor-corrector sub-iterations
-started from Y_{k+1}, and nu_k always the FROZEN flow's cloud (the
-measure-freezing that decouples the outer iteration).
+started from Y_{k+1} (one when h is an affine table that reads no Y), and
+nu_k always the FROZEN flow's cloud (the measure-freezing that decouples
+the outer iteration).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .measure import EmpiricalMeasure
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major
-from .problem import MfProblem
+from .problem import AffineCoeffs, MfProblem
 
 __all__ = ["RegressionDiagnostics", "regression_factors", "solve_backward"]
 
@@ -139,6 +140,7 @@ def solve_backward(
         raise FloatingPointError("terminal condition produced non-finite values")
     design, shifted, ridge_steps = regression_factors(x_ens) if factors is None else factors
     diag.ridge_steps.extend(ridge_steps)
+    passes = 1 if isinstance(p.h, AffineCoeffs) and "y" not in p.h.terms else _PICARD_PASSES
 
     for k in range(steps - 1, -1, -1):
         t_k = float(times[k])
@@ -155,7 +157,7 @@ def solve_backward(
         zk = z[k].transpose(2, 0, 1)
 
         y_guess = y_next
-        for _ in range(_PICARD_PASSES):
+        for _ in range(passes):
             hk = np.asarray(p.h(t_k, xk, y_guess.T, zk, nu_k)).T
             targets = y_next - hk * dt
             y_guess = fit(targets)

@@ -181,13 +181,6 @@ def blowups_diverge(what: str, history: list):
         raise Diverged(f"{what}: {exc}", history) from exc
 
 
-def _zero_ensembles(particles: int, steps: int, m: int, d: int):
-    x = from_component_major(np.zeros((steps + 1, m, particles)))
-    y = from_component_major(np.zeros((steps + 1, m, particles)))
-    z = from_component_major(np.zeros((steps, m * d, particles)))
-    return x, y, z
-
-
 def _gap_parts(per_x, per_y, per_z, dt: float) -> tuple[float, float]:
     """Cauchy gap pair (terminal X gap, time-integrated U gap) from per-node mean squared
     differences: trapezoid on nodes for X and Y, left rectangles for the step-indexed Z."""
@@ -210,76 +203,77 @@ class _Anderson:
     """Anderson mixing of the sweep map u -> F(u), u = (Y, Z), with memory
     ``depth`` (Walker & Ni, SIAM J. Numer. Anal. 2011).
 
-    The last residual r = F(u) - u and ring buffers of the last ``depth``
-    residual (dR) and output (dFU) differences are allocated once per
-    solve.  gamma solves the Gram system (dR' dR) gamma = dR' r with
-    ``lstsq`` (minimum norm when singular); the mix is F(u) - dFU gamma, or
-    F(u) when the Gram matrix, the right-hand side or the mix is not
-    finite.  Both passes of a sweep run one node block (a Y node or a Z
-    step, (dim, P)) at a time, while it is in cache: :meth:`observe` forms
-    r, the differences, the Gram row, the right-hand side and the sweep
-    gap, and :meth:`mix` writes the mix and checks it once, whole.
+    Ring buffers of the last ``depth`` residual (dR) and output (dFU)
+    differences, r = F(u) - u, are allocated once per solve; the slot the
+    next observe overwrites holds the last r and F themselves (observe
+    writes r once its products are taken, mix writes F once it has read
+    the slot, so a mix follows each observe), and no other buffer is kept.
+    gamma solves the Gram system (dR' dR) gamma = dR' r with ``lstsq``
+    (minimum norm when singular); the mix is F(u) - dFU gamma, or F(u) when
+    the Gram matrix, the right-hand side or the mix is not finite.  Both
+    passes of a sweep run one node block (a Y node or a Z step, (dim, P))
+    at a time, while it is in cache: :meth:`observe` forms r, the
+    differences, the Gram row, the right-hand side and the sweep gap, and
+    :meth:`mix` writes the mix and checks it once, whole.
     """
 
     def __init__(self, depth: int, y_shape: tuple, z_shape: tuple):
         self.depth, self.shapes, self.cut = depth, (y_shape, z_shape), int(np.prod(y_shape))
         cuts = np.cumsum([int(np.prod(s[1:])) for s in self.shapes for _ in range(s[0])])
-        ring = np.empty((2, depth, cuts[-1]))
-        self.r, self.out = np.empty((2, cuts[-1]))
-        # per node block: its columns of dR and dFU, and its part of r and of the mix
-        self.blocks = list(zip(*(np.split(a, cuts[:-1], axis=-1) for a in (*ring, self.r, self.out))))
+        ring = np.zeros((2, depth, cuts[-1]))
+        self.out = np.empty(cuts[-1])
+        # per node block: its columns of dR and dFU, and its part of the mix
+        self.blocks = list(zip(*(np.split(a, cuts[:-1], axis=-1) for a in (*ring, self.out))))
         self.gram, self.rhs = np.zeros((depth, depth)), np.zeros(depth)
         self.restart()
 
     def restart(self) -> None:
         """Forget the history (a new inner solve starts)."""
-        self.fu, self.stored = None, 0
+        self.fu, self.stored = None, -1
 
     def observe(self, new, old, dt: float) -> float:
         """Pass 1 for the sweep from the iterate ``old`` = (X, Y, Z) to
         ``new``, whose (Y, Z) is F of old's; returns the sweep gap."""
-        fu = tuple(new[1:])
+        self.fu = tuple(new[1:])
         new, old = [e.component_major for e in new], [e.component_major for e in old]
-        first = self.fu is None
-        if not first:
-            slot, self.stored = self.stored % self.depth, self.stored + 1
-            hist = min(self.stored, self.depth)
-            row, rhs = np.zeros(hist), np.zeros(hist)
-            prev = _rows(*(e.component_major for e in self.fu))
+        slot, self.stored = self.stored % self.depth, self.stored + 1
+        hist, nxt = min(self.stored, self.depth), self.stored % self.depth
+        row, rhs = np.zeros(hist), np.zeros(hist)
         sq = np.empty(len(self.blocks))
-        for b, (f, v, (dr, dfu, r_old, _)) in enumerate(zip(_rows(*new[1:]), _rows(*old[1:]), self.blocks)):
+        for b, (f, v, (dr, dfu, _)) in enumerate(zip(_rows(*new[1:]), _rows(*old[1:]), self.blocks)):
             r = f - v
             sq[b] = r @ r
-            if not first:
-                np.subtract(r, r_old, out=dr[slot])
-                np.subtract(f, prev[b], out=dfu[slot])
+            if hist:
+                np.subtract(r, dr[slot], out=dr[slot])
+                np.subtract(f, dfu[slot], out=dfu[slot])
                 row += dr[:hist] @ dr[slot]
                 rhs += dr[:hist] @ r
-            r_old[:] = r
+            dr[nxt] = r
         per_x = np.array([d @ d for d in map(np.subtract, _rows(new[0]), _rows(old[0]))])
-        if not first:
+        if hist:
             self.gram[slot, :hist] = self.gram[:hist, slot] = row
             self.rhs[:hist] = rhs
-        self.fu = fu
         particles, nodes = new[0].shape[-1], len(new[0])
         return sum(_gap_parts(per_x / particles, sq[:nodes] / particles, sq[nodes:] / particles, dt))
 
     def mix(self) -> tuple[PathEnsemble, PathEnsemble]:
         """Pass 2: the next iterate (Y, Z) after the output last observed,
         or that output itself when there is no history or the step is not
-        finite."""
-        hist = min(self.stored, self.depth)
+        finite.  The output moves into the ring; no reference to it is kept."""
+        hist, nxt = min(self.stored, self.depth), self.stored % self.depth
         order = [(self.stored - hist + i) % self.depth for i in range(hist)]
         gram, rhs = self.gram[np.ix_(order, order)], self.rhs[order]
-        if not (order and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
-            return self.fu
-        gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-        for f, (_, dfu, _, out) in zip(_rows(*(e.component_major for e in self.fu)), self.blocks):
-            np.copyto(out, f)
-            for g, j in zip(gamma, order):
-                out -= g * dfu[j]
-        if not all_finite(self.out):
-            return self.fu
+        mixing = bool(order) and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))
+        gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0] if mixing else ()
+        fu, self.fu = self.fu, None
+        for f, (_, dfu, out) in zip(_rows(*(e.component_major for e in fu)), self.blocks):
+            if mixing:
+                np.copyto(out, f)
+                for g, j in zip(gamma, order):
+                    out -= g * dfu[j]
+            dfu[nxt] = f
+        if not (mixing and all_finite(self.out)):
+            return fu
         return tuple(from_component_major(a.reshape(s)) for a, s in zip(np.split(self.out, [self.cut]), self.shapes))
 
 
@@ -296,9 +290,8 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel
     diagnostics, why the solve stopped ("target", "growth" or "cap"), its
     sweep count and its last sweep-to-sweep gap.
     """
-    x_prev, y_prev, z_prev = start
+    x_cur, y_cur, z_cur = x_prev, y_prev, z_prev = start
     target = (0.1 * params.tol) ** 2
-    x_cur, y_cur, z_cur = start
     accel.restart()
     gaps = []
     for sweep in range(1, _INNER_MAX_SWEEPS + 1):
@@ -313,6 +306,7 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel
             break
         y_cur, z_cur = accel.mix()
         x_cur = x_new
+        del y_hat, z_hat  # the sweep output lives in the mixer's ring now: free it before the next sweep allocates
     return x_new, y_hat, z_hat, reg_diag, stop or "cap", sweep, gap
 
 
@@ -350,12 +344,13 @@ def solve(
     bundle = make_bundle(grid, params.particles, d, seed)
     theory = _theory_ratio(p, grid, params)
 
-    x_prev, y_prev, z_prev = _zero_ensembles(params.particles, grid.steps, m, d)
+    # the (Y, Z) shapes; X shares Y's, and the iteration starts from the zero triple
+    shapes = (grid.steps + 1, m, params.particles), (grid.steps, m * d, params.particles)
+    x_cur, y_cur, z_cur = x_prev, y_prev, z_prev = [from_component_major(np.zeros(s)) for s in (shapes[0], *shapes)]
 
     history: list[IterationDiagnostics] = []
     converged = False
-    x_cur, y_cur, z_cur = x_prev, y_prev, z_prev
-    accel = _Anderson(_ANDERSON_DEPTH, (grid.steps + 1, m, params.particles), (grid.steps, m * d, params.particles))
+    accel = _Anderson(_ANDERSON_DEPTH, *shapes)
 
     for n in range(1, params.max_outer + 1):
         flow = [joint_marginal(x_prev, y_prev, k) for k in range(x_prev.nodes)]

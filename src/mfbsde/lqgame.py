@@ -52,6 +52,7 @@ from .problem import (
     coerce,
     map_path,
     matmul,
+    require_json,
     require_keys,
     sample_times,
     shaped_path,
@@ -827,6 +828,8 @@ def game_from_config(cfg: dict) -> GameSpec:
         raise ValueError(f"expected a game config, got kind={cfg.get('kind')!r}")
     check_config_keys(cfg, "game")
     require_keys(cfg, "game config", ("n", "m", "T", "x0", "C", "N"))
+    for key in ("C", "N", "M", "Gamma", "Q", "R"):
+        require_json(cfg.get(key, []), list, key)
     if len(cfg["C"]) != int(cfg["m"]):
         raise ValueError(f"C must list one entry per player ({int(cfg['m'])})")
     # GameSpec checks the shapes, the per-player lengths and the values, and zero-fills the omitted blocks

@@ -169,14 +169,25 @@ def marginal(e: PathEnsemble, node: int) -> EmpiricalMeasure:
     return from_checked(e.component_major[node].T)
 
 
+class _JointCloud(EmpiricalMeasure):
+    """The (X, Y) cloud of a node as a view of its two (dim, P) blocks: ``points`` concatenates them on each
+    read, and the mean, the concatenated blocks' means, has the bits of the concatenated cloud's."""
+
+    def __init__(self, *blocks: np.ndarray):
+        mean = np.concatenate([b.T.mean(axis=0) for b in blocks])
+        mean.flags.writeable = False
+        self.__dict__.update(blocks=blocks, _mean=mean)
+
+    points = property(lambda self: np.concatenate(self.blocks).T)
+
+
 def joint_marginal(x_ens: PathEnsemble, y_ens: PathEnsemble, node: int) -> EmpiricalMeasure:
-    """Joint (X, Y) cloud at a node: per-particle concatenation of components."""
+    """Joint (X, Y) cloud at a node: per-particle concatenation of components, a view of the two ensembles."""
     if x_ens.particles != y_ens.particles or x_ens.nodes != y_ens.nodes:
         raise ValueError("x and y ensembles must share particle and node counts")
     if not (0 <= node < x_ens.nodes):
         raise IndexError(f"node {node} out of range [0, {x_ens.nodes})")
-    pts = np.concatenate([x_ens.component_major[node], y_ens.component_major[node]])
-    return from_checked(pts.T)
+    return _JointCloud(x_ens.component_major[node], y_ens.component_major[node])
 
 
 def node_msd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -469,6 +469,7 @@ def shaped_path(spec, shape: tuple, name: str) -> PiecewiseConstant:
         if "const" in spec:
             bp, vals = [0.0], [spec["const"]]
         elif "piecewise" in spec:
+            require_json(spec["piecewise"], list, f"{name} piecewise")
             for piece in spec["piecewise"]:
                 require_keys(piece, f"{name} piece", ("t_from", "value"))
             pieces = sorted(spec["piecewise"], key=lambda p: float(p["t_from"]))
@@ -613,8 +614,18 @@ _CONFIG_KEYS = {
 }
 
 
+def require_json(value, kind: type, name: str) -> None:
+    """Reject a config value ``name`` that is not a JSON ``kind`` (dict or list), naming the JSON type given."""
+    if not isinstance(value, kind):
+        types = {dict: "object", list: "array", str: "string", bool: "boolean", int: "number", float: "number"}
+        given = "null" if value is None else types.get(type(value), type(value).__name__)
+        raise ValueError(f"{name} must be a JSON {types[kind]}, got {given}")
+
+
 def check_config_keys(block, name: str) -> None:
-    """Reject the keys of block ``name`` that its ``_CONFIG_KEYS`` row does not list, and a non-integer dim, n or m."""
+    """Reject a non-object block ``name``, the keys its ``_CONFIG_KEYS`` row does not list, and a non-integer
+    dim, n or m."""
+    require_json(block, dict, name)
     unknown = sorted(set(block) - set(_CONFIG_KEYS[name]))
     if unknown:
         law_free = " (config sigma must be law-free; measure terms are not allowed)" if name == "sigma" else ""
@@ -625,7 +636,8 @@ def check_config_keys(block, name: str) -> None:
 
 
 def require_keys(block, name: str, keys) -> None:
-    """Reject a block that lacks one of ``keys`` or sets it to null; the error names ``name`` and the key."""
+    """Reject a non-object block, or one that lacks one of ``keys`` or sets it to null; the error names ``name``."""
+    require_json(block, dict, name)
     for key in keys:
         if key not in block or block[key] is None:
             raise ValueError(f"{name} is missing required field {key!r}")

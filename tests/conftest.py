@@ -8,6 +8,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from mfbsde.problem import LipschitzProfile, MfProblem, MonotonicityProfile
 
+# the README's 1-D problem config: the toy problem of h1prime_toy as affine tables
+TOY_PROBLEM = {
+    "kind": "problem",
+    "dim": 1, "horizon": 0.25, "x0": [1.0],
+    "f": {"y": -1.0, "mean_x": 0.1},
+    "h": {"x": -1.0, "z": -0.3, "mean_y": 0.1},
+    "sigma": {"x": 0.3, "const": 0.2},
+    "g": {"x": 1.0, "mean_x": 0.1},
+    "lipschitz": {"c_u": 1.0, "c_nu": 0.1, "c_g_x": 1.0, "c_g_nu": 0.1},
+    "monotonicity": {"k": 1.0, "k_prime": 1.0, "variant": "H1prime"},
+}
+
 
 def h1prime_toy(horizon: float = 0.25) -> MfProblem:
     """1-D relaxed-monotonicity problem with k = k' = 1 and mean-field

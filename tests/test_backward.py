@@ -8,8 +8,8 @@ from mfbsde import backward, lqgame
 from mfbsde.backward import solve_backward
 from mfbsde.forward import propagate
 from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle, marginal
-from mfbsde.problem import AffineCoeffs, MfProblem, affine_problem
-from conftest import pure_martingale
+from mfbsde.problem import AffineCoeffs, MfProblem, affine_problem, problem_from_config
+from conftest import TOY_PROBLEM, pure_martingale
 
 
 def brownian_paths(problem, grid, particles, seed):
@@ -266,3 +266,26 @@ class TestSolveBackward:
         flow = [joint_marginal(bad_x, bad_x, k) for k in range(5)]
         with pytest.raises(ValueError, match="x_ens"):
             solve_backward(martingale_problem, grid, bundle, bad_x, flow, marginal(bad_x, 4))
+
+
+class TestPredictorPasses:
+    def test_affine_driver_that_reads_no_y_takes_one_pass(self):
+        # the README toy's h = -x - 0.3 z + 0.1 E[Y] reads no Y: a second pass would give the same fit
+        p = problem_from_config(TOY_PROBLEM)
+        grid = TimeGrid(0.25, 100)
+        bundle, x, flow = brownian_paths(p, grid, 500, 3)
+        calls = []
+
+        class Counted(AffineCoeffs):
+            def __call__(self, *args):
+                calls.append(args[0])
+                return super().__call__(*args)
+
+        counted = Counted(1, "h", **TOY_PROBLEM["h"])
+        outs = []
+        for h in (counted, lambda *args: counted(*args)):
+            y, z, _ = solve_backward(dataclasses.replace(p, h=h), grid, bundle, x, flow, marginal(x, grid.steps))
+            outs.append((y.component_major.tobytes(), z.component_major.tobytes(), len(calls)))
+            calls.clear()
+        assert outs[0][:2] == outs[1][:2]
+        assert (outs[0][2], outs[1][2]) == (100, 200)

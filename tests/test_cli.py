@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mfbsde import cli
+from conftest import TOY_PROBLEM
 from oracles import example3_boundary_det
 
 
@@ -27,17 +28,6 @@ EXAMPLE3 = {
     "C": [[[1.0], [-2.0]], [[-2.0], [1.0]]],
     "N": [[[1.0]], [[1.0]]],
     "Q": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]],
-}
-
-TOY_PROBLEM = {
-    "kind": "problem",
-    "dim": 1, "horizon": 0.25, "x0": [1.0],
-    "f": {"y": -1.0, "mean_x": 0.1},
-    "h": {"x": -1.0, "z": -0.3, "mean_y": 0.1},
-    "sigma": {"x": 0.3, "const": 0.2},
-    "g": {"x": 1.0, "mean_x": 0.1},
-    "lipschitz": {"c_u": 1.0, "c_nu": 0.1, "c_g_x": 1.0, "c_g_nu": 0.1},
-    "monotonicity": {"k": 1.0, "k_prime": 1.0, "variant": "H1prime"},
 }
 
 
@@ -564,6 +554,20 @@ class TestExitCodes:
          "A piece is missing required field 't_from'"),
     ], ids=["lipschitz_c_u", "monotonicity_k_prime", "problem_piece_t_from", "game_piece_t_from"])
     def test_missing_config_key_names_its_block_and_key(self, tmp_path, capsys, payload, message):
+        assert cli.main(["check", write_config(tmp_path, payload)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("payload, message", [
+        (dict(TOY_PROBLEM, lipschitz=5), "lipschitz must be a JSON object, got number"),
+        (dict(TOY_PROBLEM, h={"x": {"piecewise": [5]}}), "h.x piece must be a JSON object, got number"),
+        (dict(TOY_PROBLEM, h={"x": {"piecewise": 5}}), "h.x piecewise must be a JSON array, got number"),
+        (dict(TOY_PROBLEM, f=[1, 2]), "f must be a JSON object, got array"),
+        (dict(TOY_PROBLEM, monotonicity=None), "monotonicity must be a JSON object, got null"),
+        (dict(SCALAR_GAME, C=5), "C must be a JSON array, got number"),
+        (dict(SCALAR_GAME, Q="1"), "Q must be a JSON array, got string"),
+    ], ids=["lipschitz_number", "piece_number", "piecewise_number", "f_array", "monotonicity_null", "game_C_number",
+            "game_Q_string"])
+    def test_wrong_json_type_names_the_field_and_the_type(self, tmp_path, capsys, payload, message):
         assert cli.main(["check", write_config(tmp_path, payload)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 

@@ -1,6 +1,8 @@
 import json
 import io
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import pytest
 from mfbsde import fixpoint
 from mfbsde.fixpoint import Diverged, IterationDiagnostics, MfSolution, SchemeParams
 from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, make_bundle
-from mfbsde.problem import MfProblem, check_H1, contraction_constants
-from conftest import h1prime_toy
+from mfbsde.problem import MfProblem, check_H1, contraction_constants, problem_from_config
+from conftest import TOY_PROBLEM, h1prime_toy
 
 
 def decoupled_problem():
@@ -328,6 +330,41 @@ class TestAnderson:
             gap = acc.observe(new, old, grid.dt)
             assert gap == pytest.approx(sum(fixpoint._gaps(grid, new, old)), rel=1e-12, abs=0.0)
             old = new
+
+
+class TestAndersonMemory:
+    def test_mix_keeps_no_reference_to_the_sweep_output(self):
+        rng = np.random.default_rng(0)
+        shapes = (3, 1, 5), (2, 1, 5)
+        acc = fixpoint._Anderson(2, *shapes)
+        x = from_component_major(np.zeros(shapes[0]))
+        u = [from_component_major(np.zeros(s)) for s in shapes]
+        for _ in range(3):
+            fu = [from_component_major(rng.standard_normal(s)) for s in shapes]
+            acc.observe((x, *fu), (x, *u), 0.1)
+            u = acc.mix()
+        # the third mix has history: it returns a new iterate, and the output lives on only as ring data
+        assert u[0] is not fu[0]
+        swept_y = weakref.ref(fu[0].component_major)
+        del fu
+        assert swept_y() is None
+
+    def test_solve_peak_memory(self):
+        # U is one (Y, Z) path set: 41 Y nodes and 40 Z steps of 2,000 particles
+        unit = 81 * 2000 * 8
+        p = problem_from_config(TOY_PROBLEM)
+        # a small solve first, so that modules numpy imports on first use are not counted
+        fixpoint.solve(p, TimeGrid(0.25, 4), SchemeParams(particles=20), seed=0)
+        tracemalloc.start()
+        try:
+            sol = fixpoint.solve(p, TimeGrid(0.25, 40), SchemeParams(delta=0.01, tol=1e-5, max_outer=8, particles=2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(rec.inner_sweeps for rec in sol.history) == 24
+        # bundle, previous iterate, the two X paths of a sweep, the Anderson rings (6 U) and mix (1 U), and the
+        # sweep output and affine designs that the backward sweep allocates: 13.2 U
+        assert peak <= 13.5 * unit
 
 
 class TestResidual:

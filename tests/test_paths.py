@@ -165,6 +165,19 @@ class TestMarginal:
         assert np.array_equal(j.points, manual)
         assert j.dim == 3
 
+    @pytest.mark.parametrize("m, particles", [(1, 10_000), (2, 2_001), (3, 7)])
+    def test_joint_cloud_is_a_view_with_the_mean_of_the_copy(self, m, particles):
+        rng = np.random.default_rng(particles)
+        x = from_component_major(1e3 * rng.standard_normal((3, m, particles)) + 7.0)
+        y = from_component_major(rng.standard_normal((3, m, particles)) - 3.0)
+        copied = np.concatenate([x.component_major[1], y.component_major[1]]).T
+        j = joint_marginal(x, y, 1)
+        assert all(np.shares_memory(b, e.component_major) for b, e in zip(j.blocks, (x, y)))
+        assert j.mean().tobytes() == copied.mean(axis=0).tobytes()
+        assert not j.mean().flags.writeable
+        assert np.array_equal(j.points, copied)
+        assert (j.dim, j.size) == (2 * m, particles)
+
 
 class TestExports:
     def test_moments_csv_values(self):
