@@ -40,15 +40,9 @@ __all__ = ["RegressionDiagnostics", "regression_factors", "solve_backward"]
 _RIDGE = 1e-10
 # predictor-corrector passes that resolve h's implicit Y_k on each step
 _PICARD_PASSES = 2
-
-
-def _design(x: np.ndarray) -> np.ndarray:
-    """Affine design array (..., 1 + m, P) of component-major states x of
-    shape (..., m, P): the constant, then the components."""
-    out = np.empty((*x.shape[:-2], 1 + x.shape[-2], x.shape[-1]))
-    out[..., 0, :] = 1.0
-    out[..., 1:, :] = x
-    return out
+# steps per batched Gram product.  An einsum over >= 2 steps has the bits of the whole-path einsum; a 1-step one
+# does not for more than 8,192 particles (numpy's einsum buffer), so every batch holds this many steps, or all
+_GRAM_CHUNK = 8
 
 
 def _rms(targets: np.ndarray, fit: np.ndarray) -> float:
@@ -75,28 +69,36 @@ class RegressionDiagnostics:
         return bool(self.ridge_steps)
 
 
-def regression_factors(x_ens: PathEnsemble) -> tuple[np.ndarray, np.ndarray, list]:
+def regression_factors(x_ens: PathEnsemble) -> tuple[np.ndarray, list]:
     """What every backward sweep along the forward paths ``x_ens`` shares:
-    the affine designs (steps, F, P) of all steps, their ridge-shifted Gram
-    matrices (steps, F, F) and the steps with a near-singular design, last
-    step first.  The tiny relative regularizer is always on: it keeps the
-    fit a smooth (branch-free) function of the particle states even when
-    the cloud degenerates onto an affine subspace and the design matrix
-    turns rank deficient, where hard rank decisions would flip between
-    sweeps and destabilize the outer iteration.  Fitted values at the
-    sample points match the unregularized fit to O(ridge).  Gram sums that
-    overflow raise FloatingPointError naming the first such step.
+    the ridge-shifted Gram matrices (steps, F, F) of the affine designs
+    [1, X_k] and the steps with a near-singular design, last step first.
+    The Grams are formed through one design buffer of min(steps,
+    _GRAM_CHUNK) steps, the last chunk aligned to the final step, so no
+    whole-path design is held.  The tiny relative regularizer is always on:
+    it keeps the fit a smooth (branch-free) function of the particle states
+    even when the cloud degenerates onto an affine subspace and the design
+    matrix turns rank deficient, where hard rank decisions would flip
+    between sweeps and destabilize the outer iteration.  Fitted values at
+    the sample points match the unregularized fit to O(ridge).  Gram sums
+    that overflow raise FloatingPointError naming the first such step.
     """
-    design = _design(x_ens.component_major[:-1])
-    features = design.shape[1]
-    gram = np.einsum("kfp,kgp->kfg", design, design)
+    xv = x_ens.component_major
+    steps, features = len(xv) - 1, 1 + xv.shape[1]
+    chunk = min(steps, _GRAM_CHUNK)
+    design = np.ones((chunk, features, xv.shape[2]))
+    gram = np.empty((steps, features, features))
+    for start in range(0, steps, chunk):
+        lo = min(start, steps - chunk)
+        design[:, 1:] = xv[lo : lo + chunk]
+        gram[lo : lo + chunk] = np.einsum("kfp,kgp->kfg", design, design)
     if not all_finite(gram):
         k = int(np.argmin(np.isfinite(gram).all(axis=(1, 2))))
         raise FloatingPointError(f"regression Gram matrix overflows at step {k}")
     scale = np.trace(gram, axis1=1, axis2=2) / features + 1.0
     flagged = np.linalg.eigvalsh(gram)[:, 0] < 1e-10 * scale
     shifted = gram + (_RIDGE * scale)[:, None, None] * np.eye(features)
-    return design, shifted, np.flatnonzero(flagged)[::-1].tolist()
+    return shifted, np.flatnonzero(flagged)[::-1].tolist()
 
 
 def solve_backward(
@@ -138,16 +140,18 @@ def solve_backward(
     y[steps] = np.asarray(p.g(xv[steps].T, terminal_law)).T
     if not np.all(np.isfinite(y[steps])):
         raise FloatingPointError("terminal condition produced non-finite values")
-    design, shifted, ridge_steps = regression_factors(x_ens) if factors is None else factors
+    shifted, ridge_steps = regression_factors(x_ens) if factors is None else factors
     diag.ridge_steps.extend(ridge_steps)
     passes = 1 if isinstance(p.h, AffineCoeffs) and "y" not in p.h.terms else _PICARD_PASSES
+    design = np.ones((1 + m, particles))  # [1, X_k] of the step being swept
 
     for k in range(steps - 1, -1, -1):
         t_k = float(times[k])
         nu_k = frozen_flow[k]
         xk = xv[k].T
         y_next = y[k + 1]
-        fit = lambda targets: np.linalg.solve(shifted[k], design[k] @ targets.T).T @ design[k]
+        design[1:] = xv[k]
+        fit = lambda targets: np.linalg.solve(shifted[k], design @ targets.T).T @ design
 
         dw = bundle.component_major[k]
         z_targets = (y_next[:, None, :] * dw[None, :, :] / dt).reshape(m * d, particles)

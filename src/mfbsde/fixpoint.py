@@ -86,7 +86,8 @@ class SchemeParams:
 
     Each outer step's standard FBSDE is solved by 3 to 60 forward/backward
     alternations, continuing until the sweep self-consistency gap falls
-    below (tol/10)^2.
+    below (tol/10)^2; a tol for which that target underflows to 0 is
+    rejected.
     """
 
     delta: float = 1e-3
@@ -102,6 +103,8 @@ class SchemeParams:
             raise ValueError("delta must be nonnegative")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if (0.1 * self.tol) ** 2 == 0:
+            raise ValueError(f"tol {self.tol!r} is too small: the inner target (tol/10)^2 underflows to 0")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
         if self.particles < 2:
@@ -201,20 +204,23 @@ def _rows(*arrays) -> list[np.ndarray]:
 
 class _Anderson:
     """Anderson mixing of the sweep map u -> F(u), u = (Y, Z), with memory
-    ``depth`` (Walker & Ni, SIAM J. Numer. Anal. 2011).
+    ``depth`` (Walker & Ni, SIAM J. Numer. Anal. 2011).  X is not mixed, so
+    the mixer sees only (Y, Z) pairs.
 
     Ring buffers of the last ``depth`` residual (dR) and output (dFU)
-    differences, r = F(u) - u, are allocated once per solve; the slot the
-    next observe overwrites holds the last r and F themselves (observe
-    writes r once its products are taken, mix writes F once it has read
-    the slot, so a mix follows each observe), and no other buffer is kept.
-    gamma solves the Gram system (dR' dR) gamma = dR' r with ``lstsq``
-    (minimum norm when singular); the mix is F(u) - dFU gamma, or F(u) when
-    the Gram matrix, the right-hand side or the mix is not finite.  Both
-    passes of a sweep run one node block (a Y node or a Z step, (dim, P))
-    at a time, while it is in cache: :meth:`observe` forms r, the
-    differences, the Gram row, the right-hand side and the sweep gap, and
-    :meth:`mix` writes the mix and checks it once, whole.
+    differences, r = F(u) - u, are allocated once per solve, with one mix
+    buffer; the slot the next observe overwrites holds the last r and F
+    themselves (observe writes r once its products are taken, mix writes F
+    once it has read the slot, so a mix follows each observe), and no other
+    buffer is kept.  gamma solves the Gram system (dR' dR) gamma = dR' r
+    with ``lstsq`` (minimum norm when singular); the mix is F(u) - dFU gamma,
+    or F(u) when there is no history or the Gram matrix, the right-hand side
+    or the mix is not finite.  Either way it is written to the mix buffer,
+    so the caller may drop F.  Both passes of a sweep run one node block (a
+    Y node or a Z step, (dim, P)) at a time, while it is in cache:
+    :meth:`observe` forms r, the differences, the Gram row, the right-hand
+    side and the per-node squared residuals, and :meth:`mix` writes the mix
+    and checks it once, whole.
     """
 
     def __init__(self, depth: int, y_shape: tuple, z_shape: tuple):
@@ -231,16 +237,17 @@ class _Anderson:
         """Forget the history (a new inner solve starts)."""
         self.fu, self.stored = None, -1
 
-    def observe(self, new, old, dt: float) -> float:
-        """Pass 1 for the sweep from the iterate ``old`` = (X, Y, Z) to
-        ``new``, whose (Y, Z) is F of old's; returns the sweep gap."""
-        self.fu = tuple(new[1:])
-        new, old = [e.component_major for e in new], [e.component_major for e in old]
+    def observe(self, new, old) -> tuple[np.ndarray, np.ndarray]:
+        """Pass 1 for the sweep from the iterate ``old`` = (Y, Z) to
+        ``new`` = F(old); returns the per-node means over particles of
+        |r|^2, for the Y nodes and for the Z steps."""
+        self.fu = tuple(new)
         slot, self.stored = self.stored % self.depth, self.stored + 1
         hist, nxt = min(self.stored, self.depth), self.stored % self.depth
         row, rhs = np.zeros(hist), np.zeros(hist)
         sq = np.empty(len(self.blocks))
-        for b, (f, v, (dr, dfu, _)) in enumerate(zip(_rows(*new[1:]), _rows(*old[1:]), self.blocks)):
+        rows = (_rows(*(e.component_major for e in pair)) for pair in (new, old))
+        for b, (f, v, (dr, dfu, _)) in enumerate(zip(*rows, self.blocks)):
             r = f - v
             sq[b] = r @ r
             if hist:
@@ -249,17 +256,17 @@ class _Anderson:
                 row += dr[:hist] @ dr[slot]
                 rhs += dr[:hist] @ r
             dr[nxt] = r
-        per_x = np.array([d @ d for d in map(np.subtract, _rows(new[0]), _rows(old[0]))])
         if hist:
             self.gram[slot, :hist] = self.gram[:hist, slot] = row
             self.rhs[:hist] = rhs
-        particles, nodes = new[0].shape[-1], len(new[0])
-        return sum(_gap_parts(per_x / particles, sq[:nodes] / particles, sq[nodes:] / particles, dt))
+        (nodes, _, particles), _ = self.shapes
+        return sq[:nodes] / particles, sq[nodes:] / particles
 
     def mix(self) -> tuple[PathEnsemble, PathEnsemble]:
         """Pass 2: the next iterate (Y, Z) after the output last observed,
-        or that output itself when there is no history or the step is not
-        finite.  The output moves into the ring; no reference to it is kept."""
+        or a copy of that output when there is no history or the step is
+        not finite, as views of the mix buffer.  The output moves into the
+        ring; no reference to it is kept."""
         hist, nxt = min(self.stored, self.depth), self.stored % self.depth
         order = [(self.stored - hist + i) % self.depth for i in range(hist)]
         gram, rhs = self.gram[np.ix_(order, order)], self.rhs[order]
@@ -267,13 +274,13 @@ class _Anderson:
         gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0] if mixing else ()
         fu, self.fu = self.fu, None
         for f, (_, dfu, out) in zip(_rows(*(e.component_major for e in fu)), self.blocks):
-            if mixing:
-                np.copyto(out, f)
-                for g, j in zip(gamma, order):
-                    out -= g * dfu[j]
+            np.copyto(out, f)
+            for g, j in zip(gamma, order):
+                out -= g * dfu[j]
             dfu[nxt] = f
-        if not (mixing and all_finite(self.out)):
-            return fu
+        if mixing and not all_finite(self.out):
+            for _, dfu, out in self.blocks:
+                np.copyto(out, dfu[nxt])
         return tuple(from_component_major(a.reshape(s)) for a, s in zip(np.split(self.out, [self.cut]), self.shapes))
 
 
@@ -282,7 +289,9 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel
 
     One sweep propagates X under the current (Y, Z) and re-regresses the
     backward pair along the new paths; the next sweep starts from the
-    Anderson mix of the swept pairs.  Runs at least _INNER_MIN_SWEEPS
+    Anderson mix of the swept pairs.  The X part of the sweep gap is taken
+    as soon as the new paths exist, so the previous sweep's X is freed
+    before the backward sweep.  Runs at least _INNER_MIN_SWEEPS
     sweeps and stops once the sweep-to-sweep gap drops below (tol/10)^2
     (well below the outer stopping threshold), when :func:`diverging`
     flags the sweep gaps (left to the outer solve to classify) or at the
@@ -296,8 +305,10 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel
     gaps = []
     for sweep in range(1, _INNER_MAX_SWEEPS + 1):
         x_new = propagate(p, grid, bundle, y_cur, z_cur, y_prev, z_prev, flow, params.delta)
+        per_x = np.array([d @ d for d in map(np.subtract, *(_rows(e.component_major) for e in (x_new, x_cur)))])
+        x_cur = x_new
         y_hat, z_hat, reg_diag = solve_backward(p, grid, bundle, x_new, flow, mu_t)
-        gap = accel.observe((x_new, y_hat, z_hat), (x_cur, y_cur, z_cur), grid.dt)
+        gap = sum(_gap_parts(per_x / bundle.particles, *accel.observe((y_hat, z_hat), (y_cur, z_cur)), grid.dt))
         if not math.isfinite(gap):
             raise FloatingPointError(f"inner sweep gap became non-finite at sweep {sweep}")
         gaps.append(gap)
@@ -305,7 +316,6 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel
         if sweep == _INNER_MAX_SWEEPS or (sweep >= _INNER_MIN_SWEEPS and stop):
             break
         y_cur, z_cur = accel.mix()
-        x_cur = x_new
         del y_hat, z_hat  # the sweep output lives in the mixer's ring now: free it before the next sweep allocates
     return x_new, y_hat, z_hat, reg_diag, stop or "cap", sweep, gap
 

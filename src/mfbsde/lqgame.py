@@ -510,8 +510,10 @@ def solve_nash(
     detection), reconstructs each player's adjoint pair by
     regression backward solves along the solved state, and applies the
     closed-form control map.  The identity sum K_i p_i = Ytilde (and its
-    q/Ztilde analogue) is recorded as an aggregation residual.  Everything
-    runs on one thread; ``threads`` is kept for existing callers and must be 1.
+    q/Ztilde analogue) is recorded as an aggregation residual.  The solver
+    starts no threads of its own, but BLAS may use more, and the output
+    bits depend on how many; ``threads`` is kept for existing callers and
+    must be 1.
     """
     if threads != 1:
         raise ValueError(f"solve_nash runs on one thread; threads must be 1, got {threads!r}")

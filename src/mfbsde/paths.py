@@ -192,10 +192,14 @@ def joint_marginal(x_ens: PathEnsemble, y_ens: PathEnsemble, node: int) -> Empir
 
 def node_msd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-node mean over particles of |a - b|^2, for component-major
-    arrays (nodes, dim, particles)."""
-    d = a - b
-    d *= d
-    return d.reshape(d.shape[0], -1).sum(axis=1) / d.shape[-1]
+    arrays (nodes, dim, particles).  One node block is differenced and
+    squared at a time, in one (dim, particles) buffer; each block's sum has
+    the bits of the whole-array ``((a - b) ** 2).reshape(nodes, -1).sum(axis=1)``."""
+    d, sums = np.empty(a.shape[1:]), np.empty(len(a))
+    for k, (u, v) in enumerate(zip(a, b)):
+        np.subtract(u, v, out=d)
+        sums[k] = np.square(d, out=d).sum()
+    return sums / a.shape[-1]
 
 
 def all_finite(a: np.ndarray) -> bool:

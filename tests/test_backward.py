@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from mfbsde import backward, lqgame
 from mfbsde.backward import solve_backward
 from mfbsde.forward import propagate
-from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle, marginal
+from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle, marginal
 from mfbsde.problem import AffineCoeffs, MfProblem, affine_problem, problem_from_config
 from conftest import TOY_PROBLEM, pure_martingale
 
@@ -252,6 +253,33 @@ class TestSolveBackward:
         x[2:] = 1e200
         with pytest.raises(FloatingPointError, match="^regression Gram matrix overflows at step 2$"):
             backward.regression_factors(PathEnsemble(x.transpose(2, 0, 1)))
+
+    @pytest.mark.parametrize("particles", [777, 10_000])
+    @pytest.mark.parametrize("steps", [1, 2, 7, 9, 100])
+    def test_chunked_grams_have_the_bits_of_the_whole_path_product(self, steps, particles):
+        rng = np.random.default_rng(steps)
+        xv = rng.standard_normal((steps + 1, 2, particles))
+        xv[::2, 1] = 2.0 * xv[::2, 0] + 1.0  # even steps are rank deficient and flagged
+        design = np.ones((steps, 3, particles))
+        design[:, 1:] = xv[:-1]
+        gram = np.einsum("kfp,kgp->kfg", design, design)
+        scale = np.trace(gram, axis1=1, axis2=2) / 3 + 1.0
+        flagged = np.flatnonzero(np.linalg.eigvalsh(gram)[:, 0] < 1e-10 * scale)[::-1].tolist()
+        shifted, ridge_steps = backward.regression_factors(from_component_major(xv))
+        assert np.array_equal(shifted, gram + (1e-10 * scale)[:, None, None] * np.eye(3))
+        assert ridge_steps == flagged == [k for k in range(steps - 1, -1, -1) if k % 2 == 0]
+
+    def test_factors_hold_no_whole_path_design(self):
+        # a whole-path (100, 3, 10,000) design is 24 MB; one chunk of 8 steps is 1.9 MB
+        x = from_component_major(np.random.default_rng(0).standard_normal((101, 2, 10_000)))
+        backward.regression_factors(x)  # numpy's first-use imports are not counted
+        tracemalloc.start()
+        try:
+            backward.regression_factors(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     def test_residual_has_the_bits_of_the_numpy_formula(self):
         rng = np.random.default_rng(5)

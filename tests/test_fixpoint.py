@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from mfbsde import fixpoint
+from mfbsde.backward import solve_backward
 from mfbsde.fixpoint import Diverged, IterationDiagnostics, MfSolution, SchemeParams
-from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, make_bundle
+from mfbsde.forward import propagate
+from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, make_bundle, node_msd
 from mfbsde.problem import MfProblem, check_H1, contraction_constants, problem_from_config
 from conftest import TOY_PROBLEM, h1prime_toy
 
@@ -42,6 +44,12 @@ class TestSchemeParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SchemeParams(**kwargs)
+
+    def test_tol_whose_inner_target_underflows_is_rejected(self):
+        # (tol/10)^2 and tol^2 are both 0.0, so no sweep gap could meet either target
+        with pytest.raises(ValueError, match="^tol 1e-300 is too small"):
+            SchemeParams(tol=1e-300)
+        assert SchemeParams(tol=1e-150).tol == 1e-150
 
 
 class TestDivergenceRule:
@@ -272,10 +280,9 @@ class FlatAnderson:
     def __init__(self, depth, y_shape, z_shape):
         self.acc = fixpoint._Anderson(depth, y_shape, z_shape)
         self.shapes = (y_shape, z_shape)
-        self.x = from_component_major(np.zeros(y_shape))
 
     def next(self, u, fu):
-        self.acc.observe((self.x, *split(fu, *self.shapes)), (self.x, *split(u, *self.shapes)), 0.1)
+        self.acc.observe(split(fu, *self.shapes), split(u, *self.shapes))
         return np.concatenate([e.component_major.ravel() for e in self.acc.mix()])
 
 
@@ -327,9 +334,26 @@ class TestAnderson:
         old = [from_component_major(rng.standard_normal(s)) for s in shapes]
         for _ in range(3):
             new = [from_component_major(rng.standard_normal(s)) for s in shapes]
-            gap = acc.observe(new, old, grid.dt)
+            per_x = node_msd(new[0].component_major, old[0].component_major)
+            gap = sum(fixpoint._gap_parts(per_x, *acc.observe(new[1:], old[1:]), grid.dt))
             assert gap == pytest.approx(sum(fixpoint._gaps(grid, new, old)), rel=1e-12, abs=0.0)
             old = new
+
+
+@pytest.fixture(scope="class")
+def toy_solve_peak():
+    """The README toy solve (P = 2,000, 40 steps) and its tracemalloc peak in U, one (Y, Z) path set:
+    41 Y nodes and 40 Z steps of 2,000 particles."""
+    p = problem_from_config(TOY_PROBLEM)
+    # a small solve first, so that modules numpy imports on first use are not counted
+    fixpoint.solve(p, TimeGrid(0.25, 4), SchemeParams(particles=20), seed=0)
+    tracemalloc.start()
+    try:
+        sol = fixpoint.solve(p, TimeGrid(0.25, 40), SchemeParams(delta=0.01, tol=1e-5, max_outer=8, particles=2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sol, peak / (81 * 2000 * 8)
 
 
 class TestAndersonMemory:
@@ -337,11 +361,10 @@ class TestAndersonMemory:
         rng = np.random.default_rng(0)
         shapes = (3, 1, 5), (2, 1, 5)
         acc = fixpoint._Anderson(2, *shapes)
-        x = from_component_major(np.zeros(shapes[0]))
         u = [from_component_major(np.zeros(s)) for s in shapes]
         for _ in range(3):
             fu = [from_component_major(rng.standard_normal(s)) for s in shapes]
-            acc.observe((x, *fu), (x, *u), 0.1)
+            acc.observe(fu, u)
             u = acc.mix()
         # the third mix has history: it returns a new iterate, and the output lives on only as ring data
         assert u[0] is not fu[0]
@@ -349,22 +372,48 @@ class TestAndersonMemory:
         del fu
         assert swept_y() is None
 
-    def test_solve_peak_memory(self):
-        # U is one (Y, Z) path set: 41 Y nodes and 40 Z steps of 2,000 particles
-        unit = 81 * 2000 * 8
+    def test_mix_without_history_returns_a_copy_of_the_sweep_output(self):
+        rng = np.random.default_rng(1)
+        shapes = (3, 1, 5), (2, 1, 5)
+        acc = fixpoint._Anderson(2, *shapes)
+        fu = [from_component_major(rng.standard_normal(s)) for s in shapes]
+        acc.observe(fu, [from_component_major(np.zeros(s)) for s in shapes])
+        for got, swept in zip(acc.mix(), fu):
+            assert not np.shares_memory(got.component_major, swept.component_major)
+            assert got.component_major.tobytes() == swept.component_major.tobytes()
+        swept_y = weakref.ref(fu[0].component_major)
+        del fu, got, swept
+        assert swept_y() is None
+
+    def test_backward_sweep_runs_beside_two_forward_path_sets(self, monkeypatch):
+        # the newest paths and the outer iterate's: the previous sweep's X is gone once its gap is taken
+        paths, alive = [], []
+
+        def tracked_propagate(*args):
+            x = propagate(*args)
+            paths.append(weakref.ref(x.component_major))
+            return x
+
+        def counting_backward(*args):
+            alive.append(sum(ref() is not None for ref in paths))
+            return solve_backward(*args)
+
+        monkeypatch.setattr(fixpoint, "propagate", tracked_propagate)
+        monkeypatch.setattr(fixpoint, "solve_backward", counting_backward)
         p = problem_from_config(TOY_PROBLEM)
-        # a small solve first, so that modules numpy imports on first use are not counted
-        fixpoint.solve(p, TimeGrid(0.25, 4), SchemeParams(particles=20), seed=0)
-        tracemalloc.start()
-        try:
-            sol = fixpoint.solve(p, TimeGrid(0.25, 40), SchemeParams(delta=0.01, tol=1e-5, max_outer=8, particles=2000))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        sol = fixpoint.solve(p, TimeGrid(0.25, 10), SchemeParams(delta=0.01, tol=1e-5, max_outer=3, particles=200))
+        assert len(sol.history) == 3 and len(alive) == sum(rec.inner_sweeps for rec in sol.history)
+        assert max(alive) == 2
+
+    def test_solve_peak_memory(self, toy_solve_peak):
+        sol, peak = toy_solve_peak
         assert sum(rec.inner_sweeps for rec in sol.history) == 24
-        # bundle, previous iterate, the two X paths of a sweep, the Anderson rings (6 U) and mix (1 U), and the
-        # sweep output and affine designs that the backward sweep allocates: 13.2 U
-        assert peak <= 13.5 * unit
+        assert peak <= 13.5
+
+    def test_solve_peak_holds_only_what_a_sweep_reads(self, toy_solve_peak):
+        # bundle (0.5 U), previous iterate (1.5 U), the Anderson rings (6 U) and mix buffer (1 U), the
+        # newest X paths (0.5 U) and the sweep output being built (1 U): 10.5 U, and 10.83 U measured
+        assert toy_solve_peak[1] <= 11.2
 
 
 class TestResidual:

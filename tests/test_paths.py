@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,24 @@ class TestTimeMajorLayout:
         a, b = rng.standard_normal((2, 3, 2, 50))
         expected = [np.mean(np.sum((a[k] - b[k]) ** 2, axis=0)) for k in range(3)]
         assert np.allclose(node_msd(a, b), expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(101, 2, 10_000), (101, 1, 5_000), (41, 3, 777), (5, 2, 3)])
+    def test_node_msd_has_the_bits_of_the_whole_array_formula(self, shape):
+        a, b = np.random.default_rng(3).standard_normal((2, *shape))
+        d = (a - b) ** 2
+        assert node_msd(a, b).tobytes() == (d.reshape(len(d), -1).sum(axis=1) / shape[-1]).tobytes()
+
+    def test_node_msd_works_one_node_block_at_a_time(self):
+        # a whole-array difference of (101, 2, 10,000) is 16 MB; one node block is 160 kB
+        a, b = np.random.default_rng(4).standard_normal((2, 101, 2, 10_000))
+        node_msd(a, b)  # numpy's first-use imports are not counted
+        tracemalloc.start()
+        try:
+            node_msd(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
 
 class TestMarginal:
