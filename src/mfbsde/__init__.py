@@ -18,18 +18,19 @@ from .lqgame import (
 from .measure import EmpiricalMeasure, w2_exact, w2_paired_bound
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, make_bundle, marginal
 from .problem import (
+    AffineCoeffs,
     LipschitzProfile,
     MfProblem,
     MonotonicityProfile,
     check_H1,
     contraction_constants,
-    eval_A,
     smallness_bound,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "AffineCoeffs",
     "BrownianBundle",
     "Diverged",
     "EmpiricalMeasure",
@@ -48,7 +49,6 @@ __all__ = [
     "check_H2",
     "contraction_constants",
     "deviation_test",
-    "eval_A",
     "example3_game",
     "make_bundle",
     "marginal",

@@ -4,12 +4,10 @@ Conditional expectations are estimated by global affine regression on
 the state: at each step the targets are projected onto the constant and
 the components of X_k (the scheme of Gobet, Lemor & Warin, AAP 2005,
 with an affine basis), so the fitted Y_k and Z_k are measurable
-functions of X_k by construction.  The affine design is exact for the
-linear-quadratic problems this library targets (the solution is affine
-in the state).  A nonlinear problem gets the L2 projection of its
-conditional expectations on affine functions of the state, not the
-conditional expectations themselves; the per-step regression residuals
-in :class:`RegressionDiagnostics` show that misfit.
+functions of X_k by construction.  The problem's coefficients are affine
+tables, so the solution is affine in the state and the affine design is
+exact; the per-step regression residuals in :class:`RegressionDiagnostics`
+show the Monte Carlo misfit.
 
 The recursion, for k = steps-1 .. 0 with dt the step size:
 
@@ -18,7 +16,7 @@ The recursion, for k = steps-1 .. 0 with dt the step size:
     Y_k = regress(Y_{k+1} - h(t_k, X_k, Y_k, Z_k, nu_k) dt | X_k)
 
 with h's implicit Y_k resolved by two predictor-corrector sub-iterations
-started from Y_{k+1} (one when h is an affine table that reads no Y), and
+started from Y_{k+1} (one when h reads no Y), and
 nu_k always the FROZEN flow's cloud (the measure-freezing that decouples
 the outer iteration).
 """
@@ -32,7 +30,7 @@ import numpy as np
 
 from .measure import EmpiricalMeasure
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major
-from .problem import AffineCoeffs, MfProblem
+from .problem import MfProblem
 
 __all__ = ["RegressionDiagnostics", "regression_factors", "solve_backward"]
 
@@ -115,12 +113,12 @@ def solve_backward(
     ``terminal_law`` must be the X_T cloud of the FROZEN iterate, not of
     ``x_ens``.  ``factors`` is :func:`regression_factors` of ``x_ens``,
     for callers that sweep the same paths more than once; it is built here
-    when omitted.  Returns (y_ens, z_ens, diagnostics); z_ens stores one
-    (m x d) matrix per step, flattened row-major.  A non-finite Y or Z,
+    when omitted.  Returns (y_ens, z_ens, diagnostics); z_ens holds one
+    m-vector per step.  A non-finite Y or Z,
     checked once after the last step, raises FloatingPointError naming the
     step swept first that made one (later steps only carry it forward).
     """
-    m, d = p.dim_state, p.dim_bm
+    m = p.dim_state
     particles, steps = bundle.particles, bundle.steps
     if x_ens.particles != particles or x_ens.nodes != steps + 1 or x_ens.dim != m:
         raise ValueError(
@@ -131,18 +129,18 @@ def solve_backward(
 
     dt = grid.dt
     times = grid.nodes
-    # component-major (nodes, dim, particles); callbacks get (particles, ...) views
+    # component-major (nodes, dim, particles); the tables get (particles, dim) views
     xv = x_ens.component_major
     y = np.empty((steps + 1, m, particles))
-    z = np.empty((steps, m, d, particles))
+    z = np.empty((steps, m, particles))
     diag = RegressionDiagnostics()
 
-    y[steps] = np.asarray(p.g(xv[steps].T, terminal_law)).T
+    y[steps] = p.g(p.horizon, xv[steps].T, nu=terminal_law).T
     if not np.all(np.isfinite(y[steps])):
         raise FloatingPointError("terminal condition produced non-finite values")
     shifted, ridge_steps = regression_factors(x_ens) if factors is None else factors
     diag.ridge_steps.extend(ridge_steps)
-    passes = 1 if isinstance(p.h, AffineCoeffs) and "y" not in p.h.terms else _PICARD_PASSES
+    passes = 1 if "y" not in p.h.terms else _PICARD_PASSES
     design = np.ones((1 + m, particles))  # [1, X_k] of the step being swept
 
     for k in range(steps - 1, -1, -1):
@@ -153,16 +151,14 @@ def solve_backward(
         design[1:] = xv[k]
         fit = lambda targets: np.linalg.solve(shifted[k], design @ targets.T).T @ design
 
-        dw = bundle.component_major[k]
-        z_targets = (y_next[:, None, :] * dw[None, :, :] / dt).reshape(m * d, particles)
-        z_fit = fit(z_targets)
-        diag.z_residuals.append(_rms(z_targets, z_fit))
-        z[k] = z_fit.reshape(m, d, particles)
-        zk = z[k].transpose(2, 0, 1)
+        z_targets = y_next * bundle.component_major[k] / dt
+        z[k] = fit(z_targets)
+        diag.z_residuals.append(_rms(z_targets, z[k]))
+        zk = z[k].T
 
         y_guess = y_next
         for _ in range(passes):
-            hk = np.asarray(p.h(t_k, xk, y_guess.T, zk, nu_k)).T
+            hk = p.h(t_k, xk, y_guess.T, zk, nu_k).T
             targets = y_next - hk * dt
             y_guess = fit(targets)
         diag.y_residuals.append(_rms(targets, y_guess))
@@ -173,4 +169,4 @@ def solve_backward(
         raise FloatingPointError(f"backward regression produced non-finite values at step {k}")
     diag.y_residuals.reverse()
     diag.z_residuals.reverse()
-    return from_component_major(y), from_component_major(z.reshape(steps, m * d, particles)), diag
+    return from_component_major(y), from_component_major(z), diag

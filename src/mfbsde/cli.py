@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 config or usage error, 2 condition failure, 3
 diverged / numerical blow-up / not converged / nonexistent, 4 deviation
 test failure.  The solver settings (particles, steps, seed, delta, tol,
 max-outer) are flags only; a config file holds the problem or the game.
+A bad flag value is a usage error, and its message names the flag.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ EXIT_CONDITION = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_DEVIATION = 4
 
-# time steps of the solve grid; `check` reads a game's or a problem's
-# coefficients at this grid's nodes and at every breakpoint of their tables in [0, T]
+# the default --steps of `solve` and `game`
 _STEPS = 100
+
+
+class UsageError(ValueError):
+    """A flag value the command cannot run with; the message names the flag as typed."""
 
 
 def _jsonable(obj):
@@ -80,9 +84,16 @@ def _load_config(path: str) -> tuple[str, dict]:
 
 
 def _scheme(args, horizon: float) -> tuple[TimeGrid, fixpoint.SchemeParams]:
-    """The grid and the scheme parameters of a `solve` or `game` run."""
-    grid = TimeGrid(horizon=horizon, steps=args.steps)
-    params = fixpoint.SchemeParams(particles=args.particles, delta=args.delta, tol=args.tol, max_outer=args.max_outer)
+    """The grid and the scheme parameters of a `solve` or `game` run.  Each
+    rejection message starts with the setting it rejects, which is reworded
+    as the flag (``max_outer`` as ``--max-outer``)."""
+    try:
+        grid = TimeGrid(horizon=horizon, steps=args.steps)
+        params = fixpoint.SchemeParams(particles=args.particles, delta=args.delta, tol=args.tol,
+                                       max_outer=args.max_outer)
+    except ValueError as exc:
+        name, rest = str(exc).split(" ", 1)
+        raise UsageError(f"--{name.replace('_', '-')} {rest}") from None
     return grid, params
 
 
@@ -93,6 +104,7 @@ def _scheme(args, horizon: float) -> tuple[TimeGrid, fixpoint.SchemeParams]:
 _FAILURES = {
     fixpoint.Diverged: (EXIT_NOT_CONVERGED, "diverged", {"converged": False, "diverged": True}),
     FloatingPointError: (EXIT_NOT_CONVERGED, "numerical blow-up", {"numerical_blowup": True}),
+    UsageError: (EXIT_CONFIG, "usage error", None),
     ValueError: (EXIT_CONFIG, "config error", None),
     KeyError: (EXIT_CONFIG, "config error", None),
     TypeError: (EXIT_CONFIG, "config error", None),
@@ -138,8 +150,7 @@ def _write_solution(outdir: Path, sol, prob) -> None:
 
 def cmd_check(args) -> int:
     kind, cfg = _load_config(args.config)
-    spec = lqgame.game_from_config(cfg) if kind == "game" else problem_from_config(cfg)
-    report = (lqgame.check_H2 if kind == "game" else check_H1)(spec, TimeGrid(spec.horizon, _STEPS))
+    report = lqgame.check_H2(lqgame.game_from_config(cfg)) if kind == "game" else check_H1(problem_from_config(cfg))
     _dump_json(report.to_dict(), sys.stdout)
     return EXIT_OK if report.passed else EXIT_CONDITION
 
@@ -147,7 +158,8 @@ def cmd_check(args) -> int:
 def _check_seed(seed: int) -> None:
     """Reject a --seed outside the Philox key range [0, 2**64) before the config is read and --out is made."""
     if not 0 <= seed < 2**64:
-        raise ValueError(f"--seed must be >= 0, got {seed}" if seed < 0 else f"seed must be in [0, 2**64), got {seed}")
+        raise UsageError(f"--seed must be >= 0, got {seed}" if seed < 0 else
+                         f"--seed must be in [0, 2**64), got {seed}")
 
 
 def cmd_solve(args) -> int:
@@ -165,9 +177,9 @@ def cmd_solve(args) -> int:
 def cmd_game(args) -> int:
     _check_seed(args.seed)
     if args.deviations < 1:
-        raise ValueError(f"--deviations must be >= 1, got {args.deviations}")
+        raise UsageError(f"--deviations must be >= 1, got {args.deviations}")
     if not math.isfinite(args.deviation_magnitude):
-        raise ValueError(f"--deviation-magnitude must be finite, got {args.deviation_magnitude}")
+        raise UsageError(f"--deviation-magnitude must be finite, got {args.deviation_magnitude}")
     kind, cfg = _load_config(args.config)
     if kind != "game":
         raise ValueError("the game command needs a game config")
@@ -213,12 +225,12 @@ def _parse_sweep(spec: str) -> np.ndarray:
     try:
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
-        raise ValueError(f"--T-sweep expects a:b:step, got {spec!r}") from exc
+        raise UsageError(f"--T-sweep expects a:b:step, got {spec!r}") from exc
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
-        raise ValueError(f"--T-sweep expects finite a <= b and step > 0, got {spec!r}")
+        raise UsageError(f"--T-sweep expects finite a <= b and step > 0, got {spec!r}")
     span = (hi - lo) / step
     if not math.isfinite(span):
-        raise ValueError(f"--T-sweep step is too small for its range, got {spec!r}")
+        raise UsageError(f"--T-sweep step is too small for its range, got {spec!r}")
     # floored with a relative tolerance, so 0:0.3:0.1 still ends at 0.3; a row never passes b
     return np.minimum(lo + step * np.arange(math.floor(span * (1.0 + 1e-9)) + 1), hi)
 
@@ -227,7 +239,7 @@ def cmd_counterexample(args) -> int:
     if args.t_sweep:
         values = _parse_sweep(args.t_sweep)
         if values[0] < 0:
-            raise ValueError("--T-sweep horizons must be nonnegative")
+            raise UsageError("--T-sweep horizons must be nonnegative")
         print("T,det")
         for t in values:
             if t == 0.0:
@@ -237,9 +249,9 @@ def cmd_counterexample(args) -> int:
             print(f"{float(t)!r},{float(det)!r}")
         return EXIT_OK
     if args.T is None:
-        raise ValueError("provide --T or --T-sweep")
-    if args.T <= 0:
-        raise ValueError(f"--T must be positive, got {args.T}")
+        raise UsageError("provide --T or --T-sweep")
+    if not 0 < args.T < math.inf:
+        raise UsageError(f"--T must be positive and finite, got {args.T}")
     result = lqgame.solve_mean_fbode(lqgame.example3_game(args.T))
     payload = {"T": args.T, **result.to_dict()}
     _dump_json(payload, sys.stdout)

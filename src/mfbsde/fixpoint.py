@@ -320,14 +320,14 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel
     return x_new, y_hat, z_hat, reg_diag, stop or "cap", sweep, gap
 
 
-def _theory_ratio(p: MfProblem, grid: TimeGrid, params: SchemeParams) -> float:
+def _theory_ratio(p: MfProblem, params: SchemeParams) -> float:
     """theta/lambda of the constants :func:`check_H1` computes; NaN with no damping, when k, k' or lambda is
-    not positive, or when the constants cannot be computed (a coefficient not affine, a slope that overflows)."""
+    not positive, or when a slope overflows."""
     if params.delta <= 0:
         return math.nan
     try:
-        rep = check_H1(p, grid)
-    except (ValueError, FloatingPointError):
+        rep = check_H1(p)
+    except FloatingPointError:
         return math.nan
     lam, theta = contraction_constants(rep.computed, rep.variant, delta=params.delta)
     return theta / lam if lam > 0 and min(rep.computed["k"], rep.computed["k_prime"]) > 0 else math.nan
@@ -349,13 +349,12 @@ def solve(
     """
     if abs(grid.horizon - p.horizon) > 1e-12 * max(1.0, p.horizon):
         raise ValueError(f"grid horizon {grid.horizon} does not match problem horizon {p.horizon}")
-    p.spot_check(seed=seed)
-    m, d = p.dim_state, p.dim_bm
-    bundle = make_bundle(grid, params.particles, d, seed)
-    theory = _theory_ratio(p, grid, params)
+    m = p.dim_state
+    bundle = make_bundle(grid, params.particles, 1, seed)
+    theory = _theory_ratio(p, params)
 
     # the (Y, Z) shapes; X shares Y's, and the iteration starts from the zero triple
-    shapes = (grid.steps + 1, m, params.particles), (grid.steps, m * d, params.particles)
+    shapes = (grid.steps + 1, m, params.particles), (grid.steps, m, params.particles)
     x_cur, y_cur, z_cur = x_prev, y_prev, z_prev = [from_component_major(np.zeros(s)) for s in (shapes[0], *shapes)]
 
     history: list[IterationDiagnostics] = []
@@ -420,10 +419,8 @@ def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:
     and backward Euler relations, and the mean squared terminal mismatch.
     """
     grid, bundle = sol.grid, sol.bundle
-    m, d = p.dim_state, p.dim_bm
-    particles, steps = bundle.particles, bundle.steps
-    xv, yv = sol.x_ens.component_major, sol.y_ens.component_major
-    zv = sol.z_ens.component_major.reshape(steps, m, d, particles)
+    steps = bundle.steps
+    xv, yv, zv = sol.x_ens.component_major, sol.y_ens.component_major, sol.z_ens.component_major
     dt = grid.dt
     times = grid.nodes
 
@@ -432,17 +429,17 @@ def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:
     for k in range(steps):
         t_k = float(times[k])
         nu_k = joint_marginal(sol.x_ens, sol.y_ens, k)
-        xk, yk, zk = xv[k].T, yv[k].T, zv[k].transpose(2, 0, 1)
+        xk, yk, zk = xv[k].T, yv[k].T, zv[k].T
         dw = bundle.component_major[k]
-        fv = np.asarray(p.f(t_k, xk, yk, zk, nu_k)).T
-        sv = np.asarray(p.sigma(t_k, xk, yk, zk, None if p.law_free_sigma else nu_k))
-        fdef = xv[k + 1] - xv[k] - fv * dt - np.einsum("pmd,dp->mp", sv, dw)
+        fv = p.f(t_k, xk, yk, zk, nu_k).T
+        sv = p.sigma(t_k, xk, yk, zk, nu_k).T
+        fdef = xv[k + 1] - xv[k] - fv * dt - sv * dw
         fwd = max(fwd, float(np.mean(np.sum(fdef * fdef, axis=0))))
-        hv = np.asarray(p.h(t_k, xk, yk, zk, nu_k)).T
-        bdef = yv[k + 1] - yv[k] - hv * dt - np.einsum("mdp,dp->mp", zv[k], dw)
+        hv = p.h(t_k, xk, yk, zk, nu_k).T
+        bdef = yv[k + 1] - yv[k] - hv * dt - zv[k] * dw
         bwd = max(bwd, float(np.mean(np.sum(bdef * bdef, axis=0))))
 
-    tdef = yv[steps] - np.asarray(p.g(xv[steps].T, marginal(sol.x_ens, steps))).T
+    tdef = yv[steps] - p.g(p.horizon, xv[steps].T, nu=marginal(sol.x_ens, steps)).T
     term = float(np.mean(np.sum(tdef * tdef, axis=0)))
     return fwd, bwd, term
 

@@ -3,16 +3,15 @@
 Propagates under a frozen measure flow with the iteration's damping
 terms: the drift is perturbed by -delta (Y - Y_prev) and, for problems
 whose sigma depends on the measure, the diffusion by -delta (Z - Z_prev),
-where (Y_prev, Z_prev) come from the previous outer iterate.  For
-law-free sigma the diffusion perturbation is dropped and sigma is called
-with ``nu=None``.  Coefficients are evaluated at left endpoints.
+where (Y_prev, Z_prev) come from the previous outer iterate.  For a
+law-free sigma the diffusion perturbation is dropped.  Coefficients are
+evaluated at left endpoints, and the noise is one Brownian motion.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .measure import EmpiricalMeasure
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major
 from .problem import MfProblem
 
@@ -38,49 +37,40 @@ def propagate(
     the last step, raises FloatingPointError naming the first step that made
     one (later steps only carry it forward).
     """
-    m, d = p.dim_state, p.dim_bm
+    m = p.dim_state
     particles, steps = bundle.particles, bundle.steps
-    if steps != grid.steps or d != bundle.dim:
-        raise ValueError("bundle does not match the grid or the problem's Brownian dimension")
+    if steps != grid.steps or bundle.dim != 1:
+        raise ValueError("bundle does not match the grid or the one-dimensional Brownian motion")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    for name, e, nodes, dim in (
-        ("y_ens", y_ens, steps + 1, m),
-        ("y_prev", y_prev, steps + 1, m),
-        ("z_ens", z_ens, steps, m * d),
-        ("z_prev", z_prev, steps, m * d),
-    ):
-        if e.values.shape != (particles, nodes, dim):
-            raise ValueError(f"{name} has shape {e.values.shape}, expected ({particles}, {nodes}, {dim})")
+    for name, e, nodes in (("y_ens", y_ens, steps + 1), ("y_prev", y_prev, steps + 1),
+                           ("z_ens", z_ens, steps), ("z_prev", z_prev, steps)):
+        if e.values.shape != (particles, nodes, m):
+            raise ValueError(f"{name} has shape {e.values.shape}, expected ({particles}, {nodes}, {m})")
     if len(frozen_flow) < steps:
         raise ValueError(f"frozen_flow must provide one measure per node, got {len(frozen_flow)}")
 
     dt = grid.dt
     times = grid.nodes
-    # component-major (nodes, dim, particles); callbacks get (particles, ...) views
+    # component-major (nodes, dim, particles); the tables get (particles, dim) views
     x = np.empty((steps + 1, m, particles))
     x[0] = p.x0[:, None]
-    yv = y_ens.component_major
-    ypv = y_prev.component_major
-    zv = z_ens.component_major.reshape(steps, m, d, particles)
-    zpv = z_prev.component_major.reshape(steps, m, d, particles)
+    yv, ypv = y_ens.component_major, y_prev.component_major
+    zv, zpv = z_ens.component_major, z_prev.component_major
     dw = bundle.component_major
+    damp_sigma = delta > 0.0 and not p.law_free_sigma
 
     for k in range(steps):
         t_k = float(times[k])
-        nu_k: EmpiricalMeasure = frozen_flow[k]
-        xk, yk, zk = x[k].T, yv[k].T, zv[k].transpose(2, 0, 1)
-        drift = np.asarray(p.f(t_k, xk, yk, zk, nu_k)).T
+        nu_k = frozen_flow[k]
+        xk, yk, zk = x[k].T, yv[k].T, zv[k].T
+        drift = p.f(t_k, xk, yk, zk, nu_k).T
         if delta > 0.0:
             drift = drift - delta * (yv[k] - ypv[k])
-        if p.law_free_sigma:
-            diff = np.asarray(p.sigma(t_k, xk, yk, zk, None))
-        else:
-            diff = np.asarray(p.sigma(t_k, xk, yk, zk, nu_k))
-            if delta > 0.0:
-                diff = diff - delta * (zk - zpv[k].transpose(2, 0, 1))
-        # for d = 1 the noise is a broadcast: the einsum's values without its call (a zero keeps its sign)
-        x[k + 1] = x[k] + drift * dt + (diff[:, :, 0].T * dw[k] if d == 1 else np.einsum("pmd,dp->mp", diff, dw[k]))
+        diff = p.sigma(t_k, xk, yk, zk, nu_k).T
+        if damp_sigma:
+            diff = diff - delta * (zv[k] - zpv[k])
+        x[k + 1] = x[k] + drift * dt + diff * dw[k]
 
     if not all_finite(x):
         k = next(k for k in range(steps) if not all_finite(x[k + 1]))

@@ -46,7 +46,6 @@ from .problem import (
     H1Report,
     MfProblem,
     PiecewiseConstant,
-    affine_problem,
     check_config_keys,
     check_H1,
     coerce,
@@ -235,13 +234,14 @@ def _spectral(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2, axis=(-2, -1)).max())
 
 
-def check_H2(gs: GameSpec, grid: TimeGrid) -> H2Report:
-    """The aggregated problem's gate, ``check_H1(build_aggregated(gs), grid)``,
+def check_H2(gs: GameSpec, grid: TimeGrid | None = None) -> H2Report:
+    """The aggregated problem's gate, ``check_H1(build_aggregated(gs))``,
     and the commutation of every K_i with A, D and sigma at
     :func:`_gate_times`; the game passes when both do.  A coefficient
     that overflows raises FloatingPointError, as in :func:`build_aggregated`
-    and :func:`~mfbsde.problem.check_H1`."""
-    aggregated = check_H1(build_aggregated(gs), grid)
+    and :func:`~mfbsde.problem.check_H1`.  ``grid`` is not read (the gate
+    reads every table once per piece); it stays for existing callers."""
+    aggregated = check_H1(build_aggregated(gs))
     times = _gate_times(gs)
     mats = np.stack([path(t) for path in (gs.A, gs.D, gs.sigma) for t in times])
     commut = max(_spectral(k @ mats - mats @ k) for k in gs.k_matrices())
@@ -284,7 +284,7 @@ def build_aggregated(gs: GameSpec) -> MfProblem:
 
     f, sigma = _dynamics(gs, y=-np.eye(gs.n))
     h, g = _adjoint_tables(gs, skm, skg, skq, skr)
-    return affine_problem(gs.x0, gs.horizon, f, h, sigma, g)
+    return MfProblem(gs.x0, gs.horizon, f, h, sigma, g)
 
 
 def _adjoint_tables(gs: GameSpec, m, gamma, q, r) -> tuple[AffineCoeffs, AffineCoeffs]:
@@ -465,7 +465,7 @@ def _adjoint_problem(gs: GameSpec, i: int) -> MfProblem:
     (M_i, Gamma_i, Q_i, R_i)) packaged for the regression solver; the
     measure argument carries the joint (X, p_i) cloud."""
     h, g = _adjoint_tables(gs, gs.M[i], gs.Gamma[i], gs.Q[i], gs.R[i])
-    return affine_problem(gs.x0, gs.horizon, f=AffineCoeffs(gs.n), h=h, sigma=AffineCoeffs(gs.n), g=g)
+    return MfProblem(gs.x0, gs.horizon, f=AffineCoeffs(gs.n), h=h, sigma=AffineCoeffs(gs.n), g=g)
 
 
 def _solve_adjoint(gs, i, sol, params, factors) -> tuple[PathEnsemble, PathEnsemble, list]:
@@ -822,9 +822,7 @@ def game_from_config(cfg: dict) -> GameSpec:
     ``t_from``), and the per-player lists hold one entry per player (M and
     Gamma entries may be piecewise; C, N, Q, R are constant matrices).
     Omitted blocks (A, D, beta, sigma, alpha, M, Gamma, Q, R) default to
-    zero.  Coefficients are deterministic and piecewise constant;
-    time-varying or adapted random coefficients need
-    :class:`~mfbsde.problem.MfProblem` callbacks.
+    zero.  Coefficients are deterministic and piecewise constant.
     """
     if cfg.get("kind", "game") != "game":
         raise ValueError(f"expected a game config, got kind={cfg.get('kind')!r}")

@@ -14,7 +14,7 @@ left and averages along its last axis.  The particle-major
 ``(particles, nodes, dim)`` arrays of the public API
 (``PathEnsemble.values``, ``BrownianBundle.increments``) are read-only
 transposed views of it, and ``component_major[k].T`` is the ``(particles,
-dim)`` view that coefficient callbacks receive.
+dim)`` view that the coefficient tables receive.
 """
 
 from __future__ import annotations

@@ -1,26 +1,24 @@
 """Problem declaration for fully coupled mean-field backward-forward SDEs.
 
-An :class:`MfProblem` bundles the four coefficient callbacks
+An :class:`MfProblem` bundles four :class:`AffineCoeffs` tables
 
     X_t = x0 + int_0^t f(s, X, Y, Z, nu_s) ds + int_0^t sigma(s, X, Y, Z[, nu_s]) dW_s
     Y_t = g(X_T, mu_T) - int_t^T h(s, X, Y, Z, nu_s) ds - int_t^T Z_s dW_s
 
-where nu_s is the joint law of (X_s, Y_s) and mu_T the law of X_T, plus
-optional declared Lipschitz and monotonicity constants.  Coefficient callbacks
-are vectorized across the particle axis: x, y have shape (P, m), z has
-shape (P, m, d), and nu is an :class:`~mfbsde.measure.EmpiricalMeasure`
-whose points concatenate the X components (first m) and Y components
-(last m).  Callbacks must be pure functions of their arguments.
+driven by one Brownian motion, where nu_s is the joint law of (X_s, Y_s)
+and mu_T the law of X_T, plus optional declared Lipschitz and monotonicity
+constants.  Tables are evaluated across the particle axis: x, y and z have
+shape (P, m), and nu is an :class:`~mfbsde.measure.EmpiricalMeasure` whose
+points concatenate the X components (first m) and Y components (last m).
 
-This module also evaluates the coupled-coefficient dissipativity
-functional
+This module also gates the coupled-coefficient dissipativity functional
 
     A(t, u, u', nu) = (f(t,u,nu) - f(t,u',nu)) . (y - y')
                     + (h(t,u,nu) - h(t,u',nu)) . (x - x')
-                    + [sigma(t,u,nu) - sigma(t,u',nu), z - z']
+                    + (sigma(t,u,nu) - sigma(t,u',nu)) . (z - z').
 
-(with [A, B] the column-wise inner product).  Its one problem gate,
-:func:`check_H1`, computes the best constants of the one-sided bounds
+Its one problem gate, :func:`check_H1`, reads from the tables the best
+constants of the one-sided bounds
 
     A <= -k (|x-x'|^2 + |y-y'|^2 + |z-z'|^2)        (strong variant, "H1")
     A <= -k (|x-x'|^2 + |y-y'|^2)                   (relaxed variant, "H1prime")
@@ -28,28 +26,22 @@ functional
 
 and the mean-field Lipschitz constants C_nu and C_g_nu, and gates them with
 the smallness condition under which the measure-freezing iteration
-contracts.  The constants are exact for coefficients affine in the state and
-the measure's mean (every config problem and aggregated game); any other
-coefficient is rejected.
+contracts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .measure import EmpiricalMeasure
-from .paths import TimeGrid
 
 __all__ = [
     "LipschitzProfile",
     "MonotonicityProfile",
     "MfProblem",
     "H1Report",
-    "eval_A",
     "check_H1",
     "smallness_bound",
     "contraction_constants",
@@ -57,7 +49,6 @@ __all__ = [
     "shaped_path",
     "map_path",
     "AffineCoeffs",
-    "affine_problem",
     "problem_from_config",
 ]
 
@@ -101,97 +92,56 @@ class MonotonicityProfile:
 
 @dataclass
 class MfProblem:
-    """Coefficient callbacks and metadata of one mean-field BFSDE.
+    """The four coefficient tables and the metadata of one mean-field BFSDE.
 
-    ``law_free_sigma`` marks the variant where sigma ignores the measure;
-    the solver then uses the relaxed iteration (no delta-perturbation of
-    the diffusion) and calls sigma with ``nu=None``; an H1prime profile needs it.
+    g is read at the horizon, g(T, x, nu=mu_T).  sigma is law-free
+    (``law_free_sigma``) when it has no mean term; the solver then uses the
+    relaxed iteration (no delta-perturbation of the diffusion), and an
+    H1prime profile needs it.  The table invariants are checked on
+    construction (:meth:`spot_check`).
     """
 
-    dim_state: int
-    dim_bm: int
     x0: np.ndarray
     horizon: float
-    f: Callable
-    sigma: Callable
-    h: Callable
-    g: Callable
-    law_free_sigma: bool = False
+    f: AffineCoeffs
+    h: AffineCoeffs
+    sigma: AffineCoeffs
+    g: AffineCoeffs
     lipschitz: LipschitzProfile | None = None
     monotonicity: MonotonicityProfile | None = None
 
     def __post_init__(self):
-        if self.dim_state < 1 or self.dim_bm < 1:
-            raise ValueError("dim_state and dim_bm must be positive")
         if not (self.horizon > 0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if x0.shape != (self.dim_state,):
-            raise ValueError(f"x0 must have shape ({self.dim_state},), got {x0.shape}")
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("x0 must be finite")
+        if x0.ndim != 1 or not x0.size or not np.all(np.isfinite(x0)):
+            raise ValueError(f"x0 must be a nonempty finite vector, got shape {x0.shape}")
         self.x0 = x0
+        self.spot_check()
         if self.monotonicity is not None and self.monotonicity.variant == H1PRIME and not self.law_free_sigma:
             raise ValueError(f'variant "{H1PRIME}" needs a law-free sigma; declare variant="{H1}"')
 
-    def spot_check(self, seed: int = 0) -> None:
-        """Probe the callbacks on a small random batch.
+    @property
+    def dim_state(self) -> int:
+        return self.f.dim
 
-        Verifies output shapes and finiteness, and (when ``law_free_sigma``)
-        that sigma is insensitive to the measure argument, including
-        ``nu=None``.  Raises ValueError on the first violation.
-        """
-        rng = np.random.default_rng(seed)
-        m, d, batch = self.dim_state, self.dim_bm, 4
-        x = rng.standard_normal((batch, m))
-        y = rng.standard_normal((batch, m))
-        z = rng.standard_normal((batch, m, d))
-        nu_a = EmpiricalMeasure(rng.standard_normal((8, 2 * m)))
-        nu_b = EmpiricalMeasure(rng.standard_normal((8, 2 * m)))
-        mu = EmpiricalMeasure(rng.standard_normal((8, m)))
-        t = 0.5 * self.horizon
-        for name, out, want in (
-            ("f", self.f(t, x, y, z, nu_a), (batch, m)),
-            ("h", self.h(t, x, y, z, nu_a), (batch, m)),
-            ("g", self.g(x, mu), (batch, m)),
-        ):
-            out = np.asarray(out)
-            if out.shape != want:
-                raise ValueError(f"{name} returned shape {out.shape}, expected {want}")
-            if not np.all(np.isfinite(out)):
-                raise ValueError(f"{name} returned non-finite values on finite inputs")
-        sig_a = np.asarray(self.sigma(t, x, y, z, None if self.law_free_sigma else nu_a))
-        if sig_a.shape != (batch, m, d):
-            raise ValueError(f"sigma returned shape {sig_a.shape}, expected {(batch, m, d)}")
-        if not np.all(np.isfinite(sig_a)):
-            raise ValueError("sigma returned non-finite values on finite inputs")
-        if self.law_free_sigma:
-            for nu in (nu_a, nu_b):
-                if not np.allclose(sig_a, np.asarray(self.sigma(t, x, y, z, nu)), atol=1e-12, rtol=0.0):
-                    raise ValueError("law_free_sigma is set but sigma output depends on the measure")
+    @property
+    def law_free_sigma(self) -> bool:
+        return not {"mean_x", "mean_y"} & set(self.sigma.terms)
 
-
-def eval_A(p: MfProblem, t: float, u: tuple, u_prime: tuple, nu: EmpiricalMeasure) -> float:
-    """Dissipativity functional A(t, u, u', nu) at a single pair of points.
-
-    ``u`` and ``u_prime`` are (x, y, z) triples with x, y of shape (m,)
-    and z of shape (m, d); scalars are accepted when m = d = 1.  The
-    sigma difference is contracted against z - z' column-wise.
-    """
-    shapes = ((1, p.dim_state), (1, p.dim_state), (1, p.dim_state, p.dim_bm))
-    pair = ([np.asarray(c, dtype=float).reshape(shape) for c, shape in zip(v, shapes)] for v in (u, u_prime))
-    return float(_a_values(p, t, *pair, nu)[0])
-
-
-def _a_values(p: MfProblem, t: float, u: tuple, u_prime: tuple, nu: EmpiricalMeasure) -> np.ndarray:
-    """A(t, u, u', nu) over a batch of pairs: x, y of shape (b, m), z (b, m, d)."""
-    (x, y, z), (xp, yp, zp) = u, u_prime
-    nu_sig = None if p.law_free_sigma else nu
-    fv = np.asarray(p.f(t, x, y, z, nu)) - np.asarray(p.f(t, xp, yp, zp, nu))
-    hv = np.asarray(p.h(t, x, y, z, nu)) - np.asarray(p.h(t, xp, yp, zp, nu))
-    sv = np.asarray(p.sigma(t, x, y, z, nu_sig)) - np.asarray(p.sigma(t, xp, yp, zp, nu_sig))
-    a_vals = np.sum(fv * (y - yp), axis=1) + np.sum(hv * (x - xp), axis=1)
-    return a_vals + np.sum(sv * (z - zp), axis=(1, 2))
+    def spot_check(self) -> None:
+        """The table invariants: every coefficient is an :class:`AffineCoeffs`
+        of dimension len(x0), and g has only x, mean_x and const terms.
+        Raises ValueError naming the first coefficient that breaks one."""
+        for name in ("f", "h", "sigma", "g"):
+            table = getattr(self, name)
+            if not isinstance(table, AffineCoeffs):
+                raise ValueError(f"{name} must be an AffineCoeffs table, got {type(table).__name__}")
+            if table.dim != len(self.x0):
+                raise ValueError(f"{name} has dimension {table.dim}, but x0 has {len(self.x0)} entries")
+        extra = sorted(set(self.g.terms) - {"x", "mean_x", "const"})
+        if extra:
+            raise ValueError(f"g supports the terms x, mean_x and const; got {extra}")
 
 
 @dataclass
@@ -216,50 +166,23 @@ class H1Report:
         return out
 
 
-# the two (base point entry, measure points) pairs a slope is read at, where an affine map's agree; the
-# tolerance of that test and of a zero z block (both times the largest slope entry past 1) and of a margin
-_BASES, _TOL = ((0.0, np.zeros(1)), (0.5, np.array([1.0, -2.0]))), 1e-10
+# the tolerance of a zero z block (times the largest form entry past 1) and of a margin
+_TOL = 1e-10
 
 
-def _slope(name: str, q: Callable, n: int) -> np.ndarray:
-    """The symmetric S with q(w, base, cloud) = w'Sw on R^n, read by
-    polarization at the rows w = e_i + e_j (i <= j) at each of
-    :data:`_BASES`.  An S that depends on them is a ValueError naming the
-    map, and an S that overflows a FloatingPointError."""
-    i, j = np.triu_indices(n)
-    w = np.eye(n)[i] + np.eye(n)[j]
-    slopes = []
+def _sym(name: str, mat: np.ndarray) -> np.ndarray:
+    """The symmetric part of a slope matrix; one that overflows is a FloatingPointError naming the map."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for base, cloud in _BASES:
-            vals = q(w, np.full(n, base), cloud)
-            diag = vals[i == j] / 4.0
-            s = np.empty((n, n))
-            s[i, j] = s[j, i] = (vals - diag[i] - diag[j]) / 2.0
-            slopes.append(s)
-    if not np.all(np.isfinite(slopes)):
+        s = (mat + mat.T) / 2.0
+    if not np.all(np.isfinite(s)):
         raise FloatingPointError(f"the slope of {name} overflows")
-    if not np.allclose(*slopes, rtol=0.0, atol=_TOL * max(1.0, float(np.max(np.abs(slopes[0]))))):
-        raise ValueError(f"{name} is not affine in its state arguments, or its slope depends on the measure")
-    return slopes[0]
+    return s
 
 
-def _mean_slope(name: str, q: Callable, n: int) -> np.ndarray:
-    """The L with q(base, points + v) = q(base, points) + L v for v in R^n
-    (q's slope in the mean of the points' measure), read at each of
-    :data:`_BASES` with a last column, q's move when the points collapse to
-    their mean, that must be 0.  An L that depends on them or a q that moves
-    is a ValueError naming the map, and an L that overflows a FloatingPointError."""
-    reads = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for base, cloud in _BASES:
-            points = np.outer(cloud, np.ones(n))
-            moved = [points + e for e in np.eye(n)] + [points.mean(axis=0, keepdims=True)]
-            reads.append(np.stack([q(base, pts) for pts in moved], axis=1) - q(base, points)[:, None])
-    if not np.all(np.isfinite(reads)):
-        raise FloatingPointError(f"the mean slope of {name} overflows")
-    if not np.allclose(*reads, rtol=0.0, atol=_TOL * max(1.0, float(np.max(np.abs(reads[0]))))):
-        raise ValueError(f"{name} is not affine in the mean of the measure")
-    return reads[0][:, :n]
+def _blocks(table: AffineCoeffs, t: float, keys) -> np.ndarray:
+    """The table's matrices of ``keys`` at time t side by side, an absent term as 0."""
+    node, zero = table.at(t), np.zeros((table.dim, table.dim))
+    return np.hstack([node.get(key, zero) for key in keys])
 
 
 def _sup_over_z(s: np.ndarray, nv: int) -> np.ndarray | None:
@@ -283,57 +206,39 @@ def smallness_bound(k: float, k_prime: float, variant: str) -> float:
     return min(2.0 * (math.sqrt(2.0) - 1.0) * k_prime, math.sqrt(2.0) / 2.0 * k)
 
 
-def check_H1(p: MfProblem, grid: TimeGrid) -> H1Report:
-    """The problem's gate: k, k', C_nu and C_g_nu computed from its
-    coefficients, next to the declared ones.
+def check_H1(p: MfProblem) -> H1Report:
+    """The problem's gate: k, k', C_nu and C_g_nu read from its tables,
+    next to the declared ones.
 
-    The coefficients are read once per piece of the f, h and sigma tables
-    (:func:`sample_times`), and at ``grid``'s nodes too when one of them is a
-    callback.  With A = w'S(t)w in w = u - u', k = min over t of -lambda_max
-    of S(t) (H1) or of its sup over dz (H1prime; -inf if unbounded), and k' =
-    lambda_min of sym(g's slope).  C_nu = sup over t of ||L(t)||, L(t) the
-    slope of the stacked (f, h, sigma) in the mean of the joint law (a
-    law-free sigma adds no rows), and C_g_nu = ||g's slope in the mean||.
+    The f, h and sigma tables are read once per piece (:func:`sample_times`).
+    With w = (dx, dy, dz), A = w'S(t)w for S(t) = sym([[H_x, H_y, H_z], [F_x,
+    F_y, F_z], [Sigma_x, Sigma_y, Sigma_z]]); k = min over t of -lambda_max of
+    S(t) (H1) or of its sup over dz (H1prime; -inf if unbounded), and k' =
+    lambda_min(sym(G_x(T))).  C_nu = sup over t of ||L(t)||, L(t) =
+    [[F_mean_x, F_mean_y], [H_mean_x, H_mean_y]] plus the row [Sigma_mean_x,
+    Sigma_mean_y] when sigma is not law-free, and C_g_nu = ||G_mean_x(T)||.
     The problem passes when k, k' > 0, both C are below the smallness bound
-    of (k, k'), and every declared constant is on its safe side.  A
-    coefficient not affine in the state and the measure's mean raises
-    ValueError; a failed check is a report.
+    of (k, k'), and every declared constant is on its safe side.  A slope
+    whose symmetric part overflows raises FloatingPointError; a failed check
+    is a report.
     """
-    m, d = p.dim_state, p.dim_bm
+    m = p.dim_state
     mono, lip = p.monotonicity, p.lipschitz
     variant = mono.variant if mono is not None else (H1PRIME if p.law_free_sigma else H1)
-    tables = [c for c in (p.f, p.h, getattr(p.sigma, "table", None)) if isinstance(c, AffineCoeffs)]
-
-    def split(w):
-        return w[:, :m], w[:, m : 2 * m], w[:, 2 * m :].reshape(-1, m, d)
-
-    nodes = grid.nodes if len(tables) < 3 else []  # a callback is read at every node
+    rows = (p.f, p.h) if p.law_free_sigma else (p.f, p.h, p.sigma)
     k, c_nu = math.inf, 0.0
-    for t in np.union1d(nodes, sample_times(p.horizon, tables)).tolist():
-        def q(w, base, cloud, t=t):
-            nu = EmpiricalMeasure(np.outer(cloud, np.ones(2 * m)))
-            return _a_values(p, t, split(w + base), split(np.tile(base, (len(w), 1))), nu)
-
-        def q_mean(base, points, t=t):
-            u, nu = split(np.full((1, 2 * m + m * d), base)), EmpiricalMeasure(points)
-            rows = [p.f(t, *u, nu), p.h(t, *u, nu)] + ([] if p.law_free_sigma else [p.sigma(t, *u, nu)])
-            return np.concatenate([np.ravel(r) for r in rows])
-
-        s = _slope("the operator of f, h and sigma", q, 2 * m + m * d)
+    for t in sample_times(p.horizon, (p.f, p.h, p.sigma)).tolist():
+        form = np.vstack([_blocks(table, t, ("x", "y", "z")) for table in (p.h, p.f, p.sigma)])
+        s = _sym("the operator of f, h and sigma", form)
         if variant == H1PRIME:
             s = _sup_over_z(s, 2 * m)
         k = min(k, -math.inf if s is None else 0.0 - float(np.linalg.eigvalsh(s)[-1]))  # 0.0 - x: no -0.0
-        c_nu = max(c_nu, float(np.linalg.norm(_mean_slope("the operator of f, h and sigma", q_mean, 2 * m), 2)))
+        coupling = np.vstack([_blocks(table, t, ("mean_x", "mean_y")) for table in rows])
+        c_nu = max(c_nu, float(np.linalg.norm(coupling, 2)))
 
-    def q_g(w, base, cloud):
-        mu = EmpiricalMeasure(np.outer(cloud, np.ones(m)))
-        return np.sum((np.asarray(p.g(w + base, mu)) - np.asarray(p.g(base[None], mu))) * w, axis=1)
-
-    def q_g_mean(base, points):
-        return np.ravel(p.g(np.full((1, m), base), EmpiricalMeasure(points)))
-
-    kp = float(np.linalg.eigvalsh(_slope("g", q_g, m))[0])
-    computed = {"k": k, "k_prime": kp, "C_nu": c_nu, "C_g_nu": float(np.linalg.norm(_mean_slope("g", q_g_mean, m), 2))}
+    kp = float(np.linalg.eigvalsh(_sym("g", _blocks(p.g, p.horizon, ("x",))))[0])
+    c_g_nu = float(np.linalg.norm(_blocks(p.g, p.horizon, ("mean_x",)), 2))
+    computed = {"k": k, "k_prime": kp, "C_nu": c_nu, "C_g_nu": c_g_nu}
     declared = {**({} if mono is None else {"k": mono.k, "k_prime": mono.k_prime}),
                 **({} if lip is None else {"C_nu": lip.c_nu, "C_g_nu": lip.c_g_nu})}
     # 0.0 - (how far a declaration is past its safe side): no -0.0
@@ -342,7 +247,7 @@ def check_H1(p: MfProblem, grid: TimeGrid) -> H1Report:
     safe = {key: margins.get(key, 0.0) >= -_TOL for key in computed}
     bound = smallness_bound(k, kp, variant)
     checks = (k > 0 and safe["k"], kp > 0 and safe["k_prime"],
-              max(c_nu, computed["C_g_nu"]) < bound and safe["C_nu"] and safe["C_g_nu"])
+              max(c_nu, c_g_nu) < bound and safe["C_nu"] and safe["C_g_nu"])
     return H1Report(variant, computed, declared, margins, bound, *checks, all(checks))
 
 
@@ -458,8 +363,7 @@ def shaped_path(spec, shape: tuple, name: str) -> PiecewiseConstant:
     Accepts a :class:`PiecewiseConstant`, a scalar/array (constant path),
     or the config-file forms ``{"const": value}`` and
     ``{"piecewise": [{"t_from": t0, "value": v0}, ...]}``.  A callable is
-    rejected: time-varying or random coefficients are written as
-    :class:`MfProblem` callbacks.
+    rejected: every coefficient is deterministic and piecewise constant.
     """
     if isinstance(spec, PiecewiseConstant):
         bp, vals = spec.breakpoints, spec.values
@@ -509,9 +413,8 @@ class AffineCoeffs:
     m-vector path for const; (xi_1, xi_2) are the X and Y halves of the
     measure's points.  Terms are coefficient specs (see
     :func:`shaped_path`) coerced once to piecewise tables of their shapes;
-    absent terms, and terms that are zero everywhere, are dropped.  The z
-    term assumes a one-dimensional Brownian motion (z is taken as an
-    m-vector).
+    absent terms, and terms that are zero everywhere, are dropped.  With
+    one Brownian motion, z is an m-vector.
 
     The terms are compiled once per evaluation time (:meth:`at`): a
     solver evaluates the table at its grid nodes on every sweep, so after
@@ -545,14 +448,14 @@ class AffineCoeffs:
         return node
 
     def __call__(self, t: float, x, y=None, z=None, nu=None) -> np.ndarray:
-        """The map at time t on particle arrays x, y (P, m) and z (P, m, 1).
+        """The map at time t on particle arrays x, y and z, each (P, m).
 
         Evaluated component-major, C x' + (const + mean terms)[:, None];
         the (P, m) result is the transposed view of that (m, P) array.
         """
         node = self.at(t)
         out = None
-        for key, arg in (("x", x), ("y", y), ("z", None if z is None else z[:, :, 0])):
+        for key, arg in (("x", x), ("y", y), ("z", z)):
             if key in node:
                 term = matmul(node[key], arg.T)
                 if out is None:
@@ -571,34 +474,6 @@ class AffineCoeffs:
         if shift:
             out += sum(shift)[:, None]
         return out.T
-
-
-class _Diffusion:
-    """The law-free diffusion (P, m, 1) of an affine table for one Brownian motion; the table stays readable."""
-
-    def __init__(self, table: AffineCoeffs):
-        self.table = table
-
-    def __call__(self, t: float, x, y, z, nu) -> np.ndarray:
-        return self.table(t, x, y, z)[:, :, None]
-
-
-def affine_problem(x0, horizon: float, f: AffineCoeffs, h: AffineCoeffs, sigma: AffineCoeffs,
-                   g: AffineCoeffs) -> MfProblem:
-    """MfProblem of four affine tables, with a one-dimensional Brownian
-    motion.  sigma must have no measure terms (it is marked law-free) and
-    g(x, mu) reads its terms (x, mean_x, const) at the horizon."""
-    return MfProblem(
-        dim_state=f.dim,
-        dim_bm=1,
-        x0=x0,
-        horizon=horizon,
-        f=f,
-        sigma=_Diffusion(sigma),
-        h=h,
-        g=lambda x, mu: g(horizon, x, nu=mu),
-        law_free_sigma=True,
-    )
 
 
 # the keys each config block takes; any other key is a config error
@@ -657,8 +532,8 @@ def problem_from_config(cfg: dict) -> MfProblem:
 
     where each coeff is a number, a matrix, ``{"const": ...}`` or
     ``{"piecewise": [{"t_from":, "value":}, ...]}`` (g's are read at T).
-    Config problems are restricted to a one-dimensional Brownian motion
-    and a law-free sigma; anything richer needs library callbacks.
+    A config sigma is law-free; a library :class:`MfProblem` may give sigma
+    mean terms.
     """
     if cfg.get("kind", "problem") != "problem":
         raise ValueError(f"expected a problem config, got kind={cfg.get('kind')!r}")
@@ -679,4 +554,4 @@ def problem_from_config(cfg: dict) -> MfProblem:
         mc = cfg["monotonicity"]
         require_keys(mc, "monotonicity block", ("k", "k_prime"))
         mono = MonotonicityProfile(float(mc["k"]), float(mc["k_prime"]), str(mc.get("variant", H1PRIME)))
-    return replace(affine_problem(x0, horizon, **tables), lipschitz=lip, monotonicity=mono)
+    return MfProblem(x0, horizon, **tables, lipschitz=lip, monotonicity=mono)

@@ -85,3 +85,40 @@ def example3_mean_path(horizon: float, times: np.ndarray) -> np.ndarray:
     c2 = np.array([-2.0, 1.0])
     slope = u * c1 + v * c2
     return np.array([1.0, 2.0])[None, :] + np.asarray(times)[:, None] * slope[None, :]
+
+
+def toy_moments(horizon: float, steps: int, coupling: float = 0.1, substeps: int = 20):
+    """E[X], Var(X), E[Y] and P on the uniform grid of ``steps`` steps of the README toy problem
+
+        f = -y + c E[X],  h = -x - 0.3 z + c E[Y],  sigma = 0.3 x + 0.2,  g = x + c E[X_T],  x0 = 1
+
+    with c = ``coupling``.  The affine ansatz Y = P X + phi gives
+    Z = P (0.3 X + 0.2) and (the mean terms of f and h cancel in phi's drift)
+
+        P' = P^2 - 0.09 P - 1,                                  P(T) = 1
+        phi' = (P + c) phi - 0.06 P,                            phi(T) = c E[X_T]
+        E[X]' = (c - P) E[X] - phi,                             E[X](0) = 1
+        Var(X)' = (0.09 - 2 P) Var(X) + 0.09 E[X]^2 + 0.12 E[X] + 0.04,   Var(X)(0) = 0
+
+    with E[Y] = P E[X] + phi.  P(0) comes from a backward pass; the rest
+    runs forward with P, and phi(0) solves the linear two-point condition
+    by shooting.  Returns (mean_x, var_x, mean_y, p), each of length steps + 1.
+    """
+
+    def deriv(t, s):
+        p, m, phi, v = s
+        return np.array([p * p - 0.09 * p - 1.0, (coupling - p) * m - phi, (p + coupling) * phi - 0.06 * p,
+                         (0.09 - 2.0 * p) * v + 0.09 * m * m + 0.12 * m + 0.04])
+
+    p0 = rk4(lambda t, p: p * p - 0.09 * p - 1.0, np.array([1.0]), horizon, 0.0, steps * substeps)[0]
+
+    def run(phi0):
+        dt, states = horizon / steps, [np.array([p0, 1.0, phi0, 0.0])]
+        for k in range(steps):
+            states.append(rk4(deriv, states[-1], k * dt, (k + 1) * dt, substeps))
+        return np.array(states)
+
+    miss = [run(phi0)[-1] @ np.array([0.0, -coupling, 1.0, 0.0]) for phi0 in (0.0, 1.0)]
+    path = run(-miss[0] / (miss[1] - miss[0]))
+    p, m, phi, v = path.T
+    return m, v, p * m + phi, p

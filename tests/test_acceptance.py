@@ -18,7 +18,7 @@ from mfbsde.backward import solve_backward
 from mfbsde.forward import propagate
 from mfbsde.measure import EmpiricalMeasure, w2_exact, w2_paired_bound
 from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle, marginal
-from mfbsde.problem import MfProblem, check_H1, contraction_constants
+from mfbsde.problem import AffineCoeffs, MfProblem, check_H1, contraction_constants
 from conftest import h1prime_toy, pure_martingale
 from oracles import example3_boundary_det, example3_solution, scalar_lq_riccati, w2_brute_force
 
@@ -90,7 +90,7 @@ def test_criterion_2_condition_gate():
 def test_criterion_3_contraction_property():
     start = time.time()
     p = h1prime_toy(horizon=0.25)
-    rep = check_H1(p, TimeGrid(0.25, 100))
+    rep = check_H1(p)
     lam, theta = contraction_constants(rep.computed, rep.variant, eps=1.0, alpha=math.sqrt(2) / 2, delta=0.01)
     theory = theta / lam
     params = fixpoint.SchemeParams(delta=0.01, particles=5000, max_outer=8, tol=1e-5)
@@ -126,14 +126,8 @@ def test_criterion_4_bsde_oracle():
     martingale_ok = y0_err < 3 * se_y0 and z_err < 3 * se_z
 
     a = 0.5
-    p2 = MfProblem(
-        dim_state=1, dim_bm=1, x0=[0.0], horizon=1.0,
-        f=lambda t, xx, yy, zz, nu: np.zeros_like(xx),
-        sigma=lambda t, xx, yy, zz, nu: np.ones((xx.shape[0], 1, 1)),
-        h=lambda t, xx, yy, zz, nu: -a * yy,
-        g=lambda xx, mu: np.ones_like(xx),
-        law_free_sigma=True,
-    )
+    p2 = MfProblem(x0=[0.0], horizon=1.0, f=AffineCoeffs(1, "f"), h=AffineCoeffs(1, "h", y=-a),
+                   sigma=AffineCoeffs(1, "sigma", const=1.0), g=AffineCoeffs(1, "g", const=1.0))
     y2, _, _ = solve_backward(p2, grid, bundle, x, flow, marginal(x, 100))
     rel = abs(y2.values[:, 0, 0].mean() - math.exp(a)) / math.exp(a)
     driver_ok = rel < 0.01

@@ -9,8 +9,8 @@ from mfbsde import backward, lqgame
 from mfbsde.backward import solve_backward
 from mfbsde.forward import propagate
 from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle, marginal
-from mfbsde.problem import AffineCoeffs, MfProblem, affine_problem, problem_from_config
-from conftest import TOY_PROBLEM, pure_martingale
+from mfbsde.problem import AffineCoeffs, MfProblem, PiecewiseConstant, problem_from_config
+from conftest import TOY_PROBLEM, pure_martingale, scalar_problem
 
 
 def brownian_paths(problem, grid, particles, seed):
@@ -30,12 +30,12 @@ def affine_design(x):
 def per_step_backward(p, grid, bundle, x_ens, flow, mu):
     """Reference recursion: each step's affine design, Gram matrix, ridge
     shift and eigenvalue flag formed on its own, particle-major."""
-    m, d, steps, dt = p.dim_state, p.dim_bm, grid.steps, grid.dt
+    m, steps, dt = p.dim_state, grid.steps, grid.dt
     xv, dw = x_ens.values, bundle.increments
     y = np.empty((xv.shape[0], steps + 1, m))
-    z = np.empty((xv.shape[0], steps, m, d))
+    z = np.empty((xv.shape[0], steps, m))
     ridge = []
-    y[:, steps] = p.g(xv[:, steps], mu)
+    y[:, steps] = p.g(p.horizon, xv[:, steps], nu=mu)
     for k in range(steps - 1, -1, -1):
         design = affine_design(xv[:, k])
         gram = design.T @ design
@@ -47,25 +47,17 @@ def per_step_backward(p, grid, bundle, x_ens, flow, mu):
         def fit(targets):
             return design @ np.linalg.solve(shifted, design.T @ targets)
 
-        z_targets = y[:, k + 1, :, None] * dw[:, k, None, :] / dt
-        z[:, k] = fit(z_targets.reshape(-1, m * d)).reshape(-1, m, d)
+        z[:, k] = fit(y[:, k + 1] * dw[:, k] / dt)
         guess = y[:, k + 1]
         for _ in range(backward._PICARD_PASSES):
             guess = fit(y[:, k + 1] - p.h(grid.nodes[k], xv[:, k], guess, z[:, k], flow[k]) * dt)
         y[:, k] = guess
-    return y, z.reshape(-1, steps, m * d), ridge
+    return y, z, ridge
 
 
 class TestSolveBackward:
     def test_constant_terminal_no_driver(self):
-        p = MfProblem(
-            dim_state=1, dim_bm=1, x0=[0.0], horizon=1.0,
-            f=lambda t, x, y, z, nu: np.zeros_like(x),
-            sigma=lambda t, x, y, z, nu: np.ones((x.shape[0], 1, 1)),
-            h=lambda t, x, y, z, nu: np.zeros_like(x),
-            g=lambda x, mu: np.full_like(x, 2.5),
-            law_free_sigma=True,
-        )
+        p = scalar_problem(sigma={"const": 1.0}, g={"const": 2.5})
         grid = TimeGrid(1.0, 20)
         particles = 2000
         bundle, x, flow = brownian_paths(p, grid, particles, seed=0)
@@ -98,14 +90,7 @@ class TestSolveBackward:
 
     def test_linear_driver_exponential(self):
         a = 0.5
-        p = MfProblem(
-            dim_state=1, dim_bm=1, x0=[0.0], horizon=1.0,
-            f=lambda t, x, y, z, nu: np.zeros_like(x),
-            sigma=lambda t, x, y, z, nu: np.ones((x.shape[0], 1, 1)),
-            h=lambda t, x, y, z, nu: -a * y,
-            g=lambda x, mu: np.ones_like(x),
-            law_free_sigma=True,
-        )
+        p = scalar_problem(h={"y": -a}, sigma={"const": 1.0}, g={"const": 1.0})
         grid = TimeGrid(1.0, 100)
         bundle, x, flow = brownian_paths(p, grid, 2000, seed=2)
         y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 100))
@@ -126,14 +111,7 @@ class TestSolveBackward:
         assert np.allclose(design @ coef, y.values[:, 5, :], atol=1e-9)
 
     def test_noiseless_affine_problem_zero_residuals(self):
-        p = MfProblem(
-            dim_state=1, dim_bm=1, x0=[1.0], horizon=1.0,
-            f=lambda t, x, y, z, nu: 0.5 * x,
-            sigma=lambda t, x, y, z, nu: np.zeros((x.shape[0], 1, 1)),
-            h=lambda t, x, y, z, nu: -0.3 * x + 0.2 * y,
-            g=lambda x, mu: 2.0 * x + 1.0,
-            law_free_sigma=True,
-        )
+        p = scalar_problem(1.0, f={"x": 0.5}, h={"x": -0.3, "y": 0.2}, g={"x": 2.0, "const": 1.0})
         grid = TimeGrid(1.0, 20)
         bundle, x, flow = brownian_paths(p, grid, 50, seed=4)
         _, _, diag = solve_backward(p, grid, bundle, x, flow, marginal(x, 20))
@@ -160,14 +138,7 @@ class TestSolveBackward:
     def test_frozen_flow_is_used_for_measure_terms(self):
         # h reads the frozen cloud's Y-mean; feeding a shifted flow must
         # shift the solution accordingly
-        p = MfProblem(
-            dim_state=1, dim_bm=1, x0=[0.0], horizon=1.0,
-            f=lambda t, x, y, z, nu: np.zeros_like(x),
-            sigma=lambda t, x, y, z, nu: np.ones((x.shape[0], 1, 1)),
-            h=lambda t, x, y, z, nu: np.full_like(x, -nu.mean()[1]),
-            g=lambda x, mu: np.zeros_like(x),
-            law_free_sigma=True,
-        )
+        p = scalar_problem(h={"mean_y": -1.0}, sigma={"const": 1.0})
         grid = TimeGrid(1.0, 10)
         bundle, x, _ = brownian_paths(p, grid, 200, seed=8)
         ones = PathEnsemble(np.ones((200, 11, 1)))
@@ -177,8 +148,7 @@ class TestSolveBackward:
         assert y.values[:, 0, 0].mean() == pytest.approx(1.0, abs=1e-8)
 
     def test_terminal_law_argument_feeds_g(self):
-        p = pure_martingale()
-        p.g = lambda x, mu: x + mu.mean()
+        p = dataclasses.replace(pure_martingale(), g=AffineCoeffs(1, "g", x=1.0, mean_x=1.0))
         grid = TimeGrid(1.0, 10)
         bundle, x, flow = brownian_paths(p, grid, 200, seed=9)
         frozen = PathEnsemble(np.full((200, 11, 1), 5.0))
@@ -200,7 +170,7 @@ class TestSolveBackward:
         walk = np.concatenate([np.zeros((particles, 1)), np.cumsum(bundle.increments[:, :, 0], axis=1)], axis=1)
         spread = rng.standard_normal((particles, grid.steps + 1)) * (np.arange(grid.steps + 1) >= 3)
         x = PathEnsemble(np.stack([1.0 + walk, 0.5 - 2.0 * walk + 0.3 * spread], axis=2))
-        p = affine_problem(
+        p = MfProblem(
             [1.0, 0.5], 0.5, f=AffineCoeffs(2), sigma=AffineCoeffs(2, const=[1.0, -2.0]),
             h=AffineCoeffs(2, x=[[0.3, 0.1], [0.0, 0.2]], y=-0.5, z=0.2, mean_x=0.1, mean_y=[[0.0, 0.1], [0.2, 0.0]],
                            const=[0.1, -0.2]),
@@ -237,10 +207,9 @@ class TestSolveBackward:
             assert diag.ridge_steps == diag_ref.ridge_steps
 
     def test_blowup_names_the_first_step_swept(self, martingale_problem):
-        # h is infinite on steps 2, 1, 0; step 2 is swept first
-        p = dataclasses.replace(
-            martingale_problem, h=lambda t, x, y, z, nu: np.full_like(x, np.inf if t < 0.3 else 0.0)
-        )
+        # h = 1e308 on steps 2, 1, 0, whose regression sums overflow; step 2 is swept first
+        h = AffineCoeffs(1, "h", const=PiecewiseConstant([0.0, 0.3], [1e308, 0.0]))
+        p = dataclasses.replace(martingale_problem, h=h)
         grid = TimeGrid(1.0, 10)
         bundle, x, flow = brownian_paths(p, grid, 200, seed=1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -310,8 +279,11 @@ class TestPredictorPasses:
                 return super().__call__(*args)
 
         counted = Counted(1, "h", **TOY_PROBLEM["h"])
+        # the same map with a zero y term kept in, so the solver runs both passes
+        with_y = Counted(1, "h", **TOY_PROBLEM["h"])
+        with_y.terms["y"] = PiecewiseConstant([0.0], [[[0.0]]])
         outs = []
-        for h in (counted, lambda *args: counted(*args)):
+        for h in (counted, with_y):
             y, z, _ = solve_backward(dataclasses.replace(p, h=h), grid, bundle, x, flow, marginal(x, grid.steps))
             outs.append((y.component_major.tobytes(), z.component_major.tobytes(), len(calls)))
             calls.clear()

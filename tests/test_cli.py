@@ -321,7 +321,7 @@ class TestGameCommand:
         assert code == cli.EXIT_CONFIG
         assert not calls
         assert capsys.readouterr().err == (
-            f"config error: --deviation-magnitude must be finite, got {float(magnitude)}\n"
+            f"usage error: --deviation-magnitude must be finite, got {float(magnitude)}\n"
         )
 
     def test_problem_config_rejected(self, tmp_path):
@@ -434,17 +434,41 @@ class TestCounterexampleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: --T-sweep ")
+        assert len(err) == 1 and err[0].startswith("usage error: --T-sweep ")
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("solve", "--tol", "1e-300", "--tol 1e-300 is too small: the inner target (tol/10)^2 underflows to 0"),
+        ("solve", "--delta", "-1", "--delta must be nonnegative"),
+        ("solve", "--steps", "0", "--steps must be >= 1, got 0"),
+        ("solve", "--particles", "1", "--particles must be >= 2"),
+        ("solve", "--max-outer", "0", "--max-outer must be >= 1"),
+        ("game", "--tol", "0", "--tol must be positive"),
+        ("game", "--deviations", "0", "--deviations must be >= 1, got 0"),
+        ("counterexample", "--T", "nan", "--T must be positive and finite, got nan"),
+        ("counterexample", "--T-sweep", "0:1:0", "--T-sweep expects finite a <= b and step > 0, got '0:1:0'"),
+    ])
+    def test_bad_flag_value_is_a_usage_error_naming_the_flag(self, tmp_path, capsys, command, flag, value, message):
+        # exit 1 as for a config error, but the message names the flag as typed, not the config
+        cfg = write_config(tmp_path, SCALAR_GAME if command == "game" else TOY_PROBLEM)
+        argv = [command] + ([] if command == "counterexample" else [cfg, "--out", str(tmp_path / "o")])
+        assert cli.main(argv + [flag, value]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_error_keeps_its_prefix_next_to_a_bad_flag(self, tmp_path, capsys):
+        # the config is read first, so its error is the one reported
+        cfg = write_config(tmp_path, {**TOY_PROBLEM, "horizon": -1.0})
+        assert cli.main(["solve", cfg, "--tol", "1e-300", "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: horizon must be positive and finite, got -1.0\n"
+
     @pytest.mark.parametrize("flag,value", [("--delta", "nan"), ("--tol", "inf"), ("--tol", "nan")])
     def test_non_finite_scheme_value_is_config_error(self, tmp_path, capsys, flag, value):
         cfg = write_config(tmp_path, TOY_PROBLEM)
         out = tmp_path / "o"
         assert cli.main(["solve", cfg, flag, value, "--out", str(out)]) == cli.EXIT_CONFIG
-        name = flag.lstrip("-")
-        assert capsys.readouterr().err == f"config error: {name} must be finite, got {float(value)}\n"
+        assert capsys.readouterr().err == f"usage error: {flag} must be finite, got {float(value)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("payload,key", [
@@ -519,7 +543,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         argv = [command, str(tmp_path / "missing.json"), "--seed", "-1", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: --seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "usage error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "game"])
@@ -529,7 +553,7 @@ class TestExitCodes:
         config = write_config(tmp_path, SCALAR_GAME if command == "game" else TOY_PROBLEM)
         argv = [command, config, "--seed", str(2**64), "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: seed must be in [0, 2**64), got {2**64}\n"
+        assert capsys.readouterr().err == f"usage error: --seed must be in [0, 2**64), got {2**64}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "game"])

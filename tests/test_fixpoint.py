@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import io
 import math
@@ -12,19 +13,13 @@ from mfbsde.backward import solve_backward
 from mfbsde.fixpoint import Diverged, IterationDiagnostics, MfSolution, SchemeParams
 from mfbsde.forward import propagate
 from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, make_bundle, node_msd
-from mfbsde.problem import MfProblem, check_H1, contraction_constants, problem_from_config
-from conftest import TOY_PROBLEM, h1prime_toy
+from mfbsde.problem import AffineCoeffs, check_H1, contraction_constants, problem_from_config
+from conftest import TOY_PROBLEM, h1prime_toy, scalar_problem
+from oracles import toy_moments
 
 
 def decoupled_problem():
-    return MfProblem(
-        dim_state=1, dim_bm=1, x0=[1.0], horizon=1.0,
-        f=lambda t, x, y, z, nu: np.full_like(x, 0.2),
-        sigma=lambda t, x, y, z, nu: np.full((x.shape[0], 1, 1), 0.5),
-        h=lambda t, x, y, z, nu: -x,
-        g=lambda x, mu: x,
-        law_free_sigma=True,
-    )
+    return scalar_problem(1.0, f={"const": 0.2}, h={"x": -1.0}, sigma={"const": 0.5}, g={"x": 1.0})
 
 
 class TestSchemeParams:
@@ -90,7 +85,7 @@ class TestSolve:
         p = h1prime_toy()
         params = SchemeParams(delta=0.01, particles=1500, max_outer=6, tol=1e-7)
         sol = fixpoint.solve(p, TimeGrid(0.25, 60), params, seed=11)
-        rep = check_H1(p, TimeGrid(0.25, 60))
+        rep = check_H1(p)
         lam, theta = contraction_constants(rep.computed, rep.variant, eps=1.0, alpha=math.sqrt(2) / 2, delta=0.01)
         for rec in sol.history[1:6]:
             assert rec.ratio <= theta / lam + 0.1
@@ -119,14 +114,7 @@ class TestSolve:
 
     def test_particle_blowup_diverges_naming_the_step(self):
         # the forward sweep of the first outer iteration overflows at step 1
-        p = MfProblem(
-            dim_state=1, dim_bm=1, x0=[10.0], horizon=1.0,
-            f=lambda t, x, y, z, nu: np.exp(x) * 1e6,
-            sigma=lambda t, x, y, z, nu: np.zeros((x.shape[0], 1, 1)),
-            h=lambda t, x, y, z, nu: np.zeros_like(x),
-            g=lambda x, mu: x,
-            law_free_sigma=True,
-        )
+        p = scalar_problem(10.0, f={"x": 1e306}, g={"x": 1.0})
         with pytest.raises(Diverged) as err:
             fixpoint.solve(p, TimeGrid(1.0, 50), SchemeParams(particles=4), seed=0)
         assert str(err.value) == (
@@ -182,17 +170,14 @@ class TestSolve:
         # A = -|dx|^2 - |dy|^2 - 0.5 ||dz||^2 gives k = 0.5
         from mfbsde.problem import LipschitzProfile, MonotonicityProfile, check_H1
 
-        p = MfProblem(
-            dim_state=1, dim_bm=1, x0=[0.5], horizon=0.3,
-            f=lambda t, x, y, z, nu: -y + 0.05 * nu.mean()[0],
-            h=lambda t, x, y, z, nu: -x,
-            sigma=lambda t, x, y, z, nu: (0.2 - 0.5 * z[:, :, 0] + 0.05 * nu.mean()[1])[:, :, None],
-            g=lambda x, mu: x,
-            law_free_sigma=False,
+        p = scalar_problem(
+            0.5, 0.3, f={"y": -1.0, "mean_x": 0.05}, h={"x": -1.0},
+            sigma={"z": -0.5, "mean_y": 0.05, "const": 0.2}, g={"x": 1.0},
             lipschitz=LipschitzProfile(c_u=1.0, c_nu=0.05, c_g_x=1.0, c_g_nu=0.0),
             monotonicity=MonotonicityProfile(k=0.5, k_prime=1.0, variant="H1"),
         )
-        assert check_H1(p, TimeGrid(0.3, 50)).passed
+        assert not p.law_free_sigma
+        assert check_H1(p).passed
         sol = fixpoint.solve(
             p, TimeGrid(0.3, 50),
             SchemeParams(delta=1e-3, particles=1000, max_outer=15, tol=1e-4),
@@ -223,32 +208,6 @@ class TestSolve:
             assert (rec.inner_gap < (1e-3 / 10) ** 2) == (rec.inner_exit == "target")
         assert sol.history[-1].inner_exit == "target"
         assert sol.history[-1].to_record()["inner_gap"] == sol.history[-1].inner_gap
-
-    def test_two_dimensional_brownian_motion(self):
-        # X = W in R^2, f = h = 0, sigma = I and g(x) = A x: Y_t = A W_t and Z = A
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        p = MfProblem(
-            dim_state=2, dim_bm=2, x0=[0.0, 0.0], horizon=1.0,
-            f=lambda t, x, y, z, nu: np.zeros_like(x),
-            sigma=lambda t, x, y, z, nu: np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)),
-            h=lambda t, x, y, z, nu: np.zeros_like(x),
-            g=lambda x, mu: x @ a.T,
-            law_free_sigma=True,
-        )
-        grid, particles = TimeGrid(1.0, 20), 4000
-        sol = fixpoint.solve(p, grid, SchemeParams(particles=particles), seed=1)
-        assert sol.converged
-        z_mean = sol.z_ens.values.mean(axis=(0, 1)).reshape(2, 2)
-        # each Z fit keeps the mean of its targets Y_{k+1} dW_k' / dt (the
-        # constant is a feature), so Z's mean carries the Monte Carlo error of
-        # the per-particle time averages of those targets; bound: 4 of its
-        # standard errors per entry
-        y_next, dw = sol.y_ens.values[:, 1:, :], sol.bundle.increments
-        targets = y_next[:, :, :, None] * dw[:, :, None, :] / grid.dt
-        se = targets.mean(axis=1).std(axis=0) / math.sqrt(particles)
-        assert np.all(np.abs(z_mean - a) <= 4 * se)
-        fwd, _, _ = fixpoint.residual(p, sol)
-        assert fwd <= 1e-12
 
     def test_grid_problem_horizon_mismatch(self):
         p = h1prime_toy(horizon=0.25)
@@ -416,16 +375,36 @@ class TestAndersonMemory:
         assert toy_solve_peak[1] <= 11.2
 
 
+class TestToyOracle:
+    def test_oracle_riccati_is_the_closed_form_tanh(self):
+        # P' = (P - b/2)^2 - w^2 with b = 0.09, w^2 = b^2/4 + 1: P = b/2 - w tanh(w (t - t0)), P(T) = 1
+        b, horizon = 0.09, 0.25
+        w = math.sqrt(b * b / 4 + 1.0)
+        t0 = horizon - math.atanh((b / 2 - 1.0) / w) / w
+        exact = b / 2 - w * np.tanh(w * (np.linspace(0.0, horizon, 101) - t0))
+        for coupling in (0.0, 0.1):
+            mean_x, _, mean_y, p = toy_moments(horizon, 100, coupling=coupling)
+            assert np.abs(p - exact).max() < 1e-12
+            # the terminal condition Y_T = X_T + c E[X_T] in the mean
+            assert mean_y[-1] == pytest.approx((1.0 + coupling) * mean_x[-1], abs=1e-12)
+
+    def test_particle_moments_match_the_exact_oracle(self):
+        # the toy benchmark's solve: E[X], Var(X) and E[Y] within 3 (dt + N^-1/2) at every node
+        # (measured 7.1e-3, 7.2e-4 and 1.0e-2 against a bound of 5.0e-2)
+        grid, particles = TimeGrid(0.25, 100), 5000
+        params = SchemeParams(delta=0.01, tol=1e-5, max_outer=8, particles=particles)
+        sol = fixpoint.solve(problem_from_config(TOY_PROBLEM), grid, params, seed=11)
+        assert sol.converged
+        mean_x, var_x, mean_y, _ = toy_moments(0.25, 100)
+        x, y = sol.x_ens.values[:, :, 0], sol.y_ens.values[:, :, 0]
+        bound = 3.0 * (grid.dt + particles**-0.5)
+        for got, want in ((x.mean(axis=0), mean_x), (x.var(axis=0), var_x), (y.mean(axis=0), mean_y)):
+            assert np.abs(got - want).max() < bound
+
+
 class TestResidual:
     def test_exact_discrete_solution_has_zero_residuals(self):
-        p = MfProblem(
-            dim_state=1, dim_bm=1, x0=[1.0], horizon=1.0,
-            f=lambda t, x, y, z, nu: np.zeros_like(x),
-            sigma=lambda t, x, y, z, nu: np.zeros((x.shape[0], 1, 1)),
-            h=lambda t, x, y, z, nu: np.zeros_like(x),
-            g=lambda x, mu: np.full_like(x, 3.0),
-            law_free_sigma=True,
-        )
+        p = scalar_problem(1.0, g={"const": 3.0})
         grid = TimeGrid(1.0, 10)
         particles = 50
         bundle = make_bundle(grid, particles, 1, seed=0)
@@ -439,8 +418,7 @@ class TestResidual:
         assert fwd == 0.0 and bwd == 0.0 and term == 0.0
 
     def test_zero_triple_has_positive_terminal_residual(self):
-        p = decoupled_problem()
-        p.g = lambda x, mu: x + 1.0
+        p = dataclasses.replace(decoupled_problem(), g=AffineCoeffs(1, "g", x=1.0, const=1.0))
         grid = TimeGrid(1.0, 10)
         particles = 20
         bundle = make_bundle(grid, particles, 1, seed=0)

@@ -3,20 +3,13 @@ import pytest
 
 from mfbsde.forward import propagate
 from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle
-from mfbsde.problem import MfProblem
+from conftest import scalar_problem
 from oracles import rk4
 
 
-def make_problem(f, sigma, dim=1, x0=None, horizon=1.0, law_free=True):
-    return MfProblem(
-        dim_state=dim, dim_bm=1,
-        x0=np.zeros(dim) if x0 is None else x0,
-        horizon=horizon,
-        f=f, sigma=sigma,
-        h=lambda t, x, y, z, nu: np.zeros_like(x),
-        g=lambda x, mu: x,
-        law_free_sigma=law_free,
-    )
+def make_problem(x0, f=None, sigma=None):
+    """1-D problem on [0, 1] with the drift terms ``f`` and diffusion terms ``sigma``, h = 0 and g = x."""
+    return scalar_problem(x0, f=f, sigma=sigma, g={"x": 1.0})
 
 
 def zero_state(particles, steps, dim=1):
@@ -28,11 +21,7 @@ def zero_state(particles, steps, dim=1):
 
 class TestPropagate:
     def test_no_dynamics_stays_at_x0(self):
-        p = make_problem(
-            lambda t, x, y, z, nu: np.zeros_like(x),
-            lambda t, x, y, z, nu: np.zeros((x.shape[0], 1, 1)),
-            x0=[1.3],
-        )
+        p = make_problem(1.3)
         grid = TimeGrid(1.0, 20)
         bundle = make_bundle(grid, 16, 1, seed=0)
         y, z, flow = zero_state(16, 20)
@@ -40,11 +29,7 @@ class TestPropagate:
         assert np.allclose(x.values, 1.3)
 
     def test_constant_drift_integrates_exactly(self):
-        p = make_problem(
-            lambda t, x, y, z, nu: np.ones_like(x),
-            lambda t, x, y, z, nu: np.zeros((x.shape[0], 1, 1)),
-            x0=[0.0],
-        )
+        p = make_problem(0.0, f={"const": 1.0})
         grid = TimeGrid(1.0, 13)
         bundle = make_bundle(grid, 8, 1, seed=0)
         y, z, flow = zero_state(8, 13)
@@ -53,11 +38,7 @@ class TestPropagate:
 
     def test_linear_drift_converges_to_exponential(self):
         a = 0.8
-        p = make_problem(
-            lambda t, x, y, z, nu: a * x,
-            lambda t, x, y, z, nu: np.zeros((x.shape[0], 1, 1)),
-            x0=[1.0],
-        )
+        p = make_problem(1.0, f={"x": a})
         errs = []
         for steps in (50, 100, 200):
             grid = TimeGrid(1.0, steps)
@@ -71,11 +52,7 @@ class TestPropagate:
         assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.2)
 
     def test_zero_delta_matches_positive_delta_with_equal_prev(self):
-        p = make_problem(
-            lambda t, x, y, z, nu: -x + y,
-            lambda t, x, y, z, nu: (0.5 * x)[:, :, None],
-            x0=[1.0],
-        )
+        p = make_problem(1.0, f={"x": -1.0, "y": 1.0}, sigma={"x": 0.5})
         grid = TimeGrid(1.0, 30)
         bundle = make_bundle(grid, 32, 1, seed=1)
         rng = np.random.default_rng(2)
@@ -87,11 +64,7 @@ class TestPropagate:
         assert np.array_equal(x0.values, x1.values)
 
     def test_delta_term_active_when_prev_differs(self):
-        p = make_problem(
-            lambda t, x, y, z, nu: np.zeros_like(x),
-            lambda t, x, y, z, nu: np.zeros((x.shape[0], 1, 1)),
-            x0=[0.0],
-        )
+        p = make_problem(0.0)
         grid = TimeGrid(1.0, 10)
         bundle = make_bundle(grid, 4, 1, seed=0)
         y = PathEnsemble(np.ones((4, 11, 1)))
@@ -105,11 +78,7 @@ class TestPropagate:
     def test_mean_field_drift_matches_ode_oracle(self):
         # f = a x + d E[x] + beta: ensemble mean follows m' = (a + d) m + beta
         a, d, beta = 0.4, -0.9, 0.3
-
-        def f(t, x, y, z, nu):
-            return a * x + d * nu.mean()[0] + beta
-
-        p = make_problem(f, lambda t, x, y, z, nu: np.full((x.shape[0], 1, 1), 0.5), x0=[1.0])
+        p = make_problem(1.0, f={"x": a, "mean_x": d, "const": beta}, sigma={"const": 0.5})
         grid = TimeGrid(1.0, 200)
         particles = 20_000
         bundle = make_bundle(grid, particles, 1, seed=3)
@@ -145,15 +114,11 @@ class TestPropagate:
             propagate(toy_problem, grid, bundle, y_bad, z, y, z, flow, 0.0)
 
     def test_blowup_aborts_with_step_index(self):
-        p = make_problem(
-            lambda t, x, y, z, nu: np.exp(x) * 1e6,
-            lambda t, x, y, z, nu: np.zeros((x.shape[0], 1, 1)),
-            x0=[10.0],
-        )
+        p = make_problem(10.0, f={"x": 1e306})
         grid = TimeGrid(1.0, 50)
         bundle = make_bundle(grid, 4, 1, seed=0)
         y, z, flow = zero_state(4, 50)
-        # step 0 reaches X = 10 + 0.02 e^10 1e6 = 4.4e8; step 1 overflows
+        # step 0 reaches X = 10 + 0.02 1e306 10 = 2e305; step 1 overflows
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="^forward propagation produced non-finite values at step 1$"):
                 propagate(p, grid, bundle, y, z, y, z, flow, 0.0)

@@ -157,11 +157,10 @@ class TestBuildAggregated:
                              C=[[[1.0]]], N=[[[1.0]]], Q=[[[1.0]]], M=[[[1.0]]])
         agg = lqgame.build_aggregated(gs)
         rng = np.random.default_rng(0)
-        x, y = rng.standard_normal((2, 6, 1))
-        z = rng.standard_normal((6, 1, 1))
+        x, y, z = rng.standard_normal((3, 6, 1))
         nu = EmpiricalMeasure(rng.standard_normal((8, 2)))
         assert np.allclose(agg.f(0.2, x, y, z, nu), 0.4 * x - y + 0.7)
-        computed = check_H1(agg, TimeGrid(1.0, 10)).computed
+        computed = check_H1(agg).computed
         assert computed["C_nu"] == 0.0
         assert computed["k"] == pytest.approx(1.0)
         assert computed["k_prime"] == pytest.approx(1.0)
@@ -169,7 +168,7 @@ class TestBuildAggregated:
 
     def test_mean_coupling_constants(self):
         gs = scalar_game(D=[[0.3]], R=[[[0.2]]])
-        computed = check_H1(lqgame.build_aggregated(gs), TimeGrid(1.0, 10)).computed
+        computed = check_H1(lqgame.build_aggregated(gs)).computed
         assert computed["C_nu"] == pytest.approx(0.3)
         assert computed["C_g_nu"] == pytest.approx(0.2)  # ||sum K_i R_i||, K = 1
 
@@ -177,7 +176,7 @@ class TestBuildAggregated:
         gs = scalar_game(D=[[0.3]], Gamma=[[[0.4]]])
         block = np.array([[0.3, 0.0], [0.4, 0.3]])  # [[D, 0], [K Gamma, D']], K = 1
         rep = lqgame.check_H2(gs, TimeGrid(1.0, 10))
-        assert rep.aggregated == check_H1(lqgame.build_aggregated(gs), TimeGrid(1.0, 10))
+        assert rep.aggregated == check_H1(lqgame.build_aggregated(gs))
         assert rep.aggregated.computed["C_nu"] == pytest.approx(np.linalg.norm(block, 2))
 
     def test_operator_form_matches_reduced_expression(self):
@@ -191,16 +190,11 @@ class TestBuildAggregated:
         )
         agg = lqgame.build_aggregated(gs)
         skm = gs.k_matrices()[0] @ np.array([[2.0, 0.5], [0.5, 1.0]])
-        rng = np.random.default_rng(1)
-        nu = EmpiricalMeasure(rng.standard_normal((8, 4)))
-        from mfbsde.problem import eval_A
-
-        for _ in range(10):
-            u = (rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal((2, 1)))
-            v = (rng.standard_normal(2), rng.standard_normal(2), rng.standard_normal((2, 1)))
-            dx, dy = u[0] - v[0], u[1] - v[1]
-            expected = -float(dy @ dy) - float(dx @ skm @ dx)
-            assert eval_A(agg, 0.4, u, v, nu) == pytest.approx(expected, abs=1e-10)
+        # the A and sigma terms cancel in A, and the law-free sigma's dz is taken out by the sup:
+        # k = lambda_min of the form diag(sum K_i M_i, I)
+        assert agg.law_free_sigma
+        expected = min(1.0, float(np.linalg.eigvalsh((skm + skm.T) / 2)[0]))
+        assert check_H1(agg).computed["k"] == pytest.approx(expected, abs=1e-12)
 
     @staticmethod
     def coupled_game():
@@ -222,44 +216,42 @@ class TestBuildAggregated:
         K = gs.k_matrices()
         agg = lqgame.build_aggregated(gs)
         rng = np.random.default_rng(4)
-        x, y = rng.standard_normal((2, 6, 2))
-        z = rng.standard_normal((6, 2, 1))
+        x, y, z = rng.standard_normal((3, 6, 2))
         nu = EmpiricalMeasure(rng.standard_normal((9, 4)))
         mu = EmpiricalMeasure(rng.standard_normal((9, 2)))
         m1, m2 = nu.mean()[:2], nu.mean()[2:]
-        zv = z[:, :, 0]
         for t in (0.2, 0.5, 0.7):
             a, d, s = gs.A(t), gs.D(t), gs.sigma(t)
             skm = sum(k @ m(t) for k, m in zip(K, gs.M))
             skg = sum(k @ g(t) for k, g in zip(K, gs.Gamma))
             checks = [
                 (agg.f(t, x, y, z, nu), x @ a.T - y + m1 @ d.T + gs.beta(t)),
-                (agg.sigma(t, x, y, z, None)[:, :, 0], x @ s.T + gs.alpha(t)),
-                (agg.h(t, x, y, z, nu), -(y @ a + x @ skm.T + m2 @ d + zv @ s + m1 @ skg.T)),
+                (agg.sigma(t, x, y, z), x @ s.T + gs.alpha(t)),
+                (agg.h(t, x, y, z, nu), -(y @ a + x @ skm.T + m2 @ d + z @ s + m1 @ skg.T)),
             ]
             for i in range(gs.players):
                 adj = lqgame._adjoint_problem(gs, i)
-                want = -(y @ a + x @ gs.M[i](t).T + m2 @ d + zv @ s + m1 @ gs.Gamma[i](t).T)
+                want = -(y @ a + x @ gs.M[i](t).T + m2 @ d + z @ s + m1 @ gs.Gamma[i](t).T)
                 checks.append((adj.h(t, x, y, z, nu), want))
                 checks.append((adj.f(t, x, y, z, nu), np.zeros_like(x)))
-                checks.append((adj.g(x, mu), x @ gs.Q[i].T + gs.R[i] @ mu.mean()))
+                checks.append((adj.g(gs.horizon, x, nu=mu), x @ gs.Q[i].T + gs.R[i] @ mu.mean()))
             for got, want in checks:
                 assert np.allclose(got, want, rtol=0.0, atol=1e-12)
         skq = sum(k @ q for k, q in zip(K, gs.Q))
         skr = sum(k @ r for k, r in zip(K, gs.R))
-        assert np.allclose(agg.g(x, mu), x @ skq.T + skr @ mu.mean(), rtol=0.0, atol=1e-12)
+        assert np.allclose(agg.g(gs.horizon, x, nu=mu), x @ skq.T + skr @ mu.mean(), rtol=0.0, atol=1e-12)
 
     def test_no_monotonicity_profile_when_the_gate_fails(self):
         # the aggregated problem declares no constants; the computed k' of example 3 is -1
         agg = lqgame.build_aggregated(lqgame.example3_game(0.5))
         assert agg.monotonicity is None and agg.lipschitz is None
-        assert check_H1(agg, TimeGrid(0.5, 10)).computed["k_prime"] == pytest.approx(-1.0, abs=1e-12)
+        assert check_H1(agg).computed["k_prime"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_sups_are_taken_through_the_gate(self):
         # a piecewise D switching inside [0, T]
         gs = scalar_game(D=PiecewiseConstant([0.0, 0.5], [[[0.1]], [[-0.3]]]))
         rep = lqgame.check_H2(gs, TimeGrid(gs.horizon, 7))
-        assert rep.aggregated == check_H1(lqgame.build_aggregated(gs), TimeGrid(gs.horizon, 7))
+        assert rep.aggregated == check_H1(lqgame.build_aggregated(gs))
         assert rep.aggregated.computed["C_nu"] == pytest.approx(0.3, abs=1e-15)
 
     @pytest.mark.parametrize("name,overrides", [
@@ -278,7 +270,7 @@ class TestBuildAggregated:
         gs = scalar_game(D=PiecewiseConstant([0.0, 2.0], [[[0.1]], [[5.0]]]))
         assert lqgame.check_H2(gs, TimeGrid(1.0, 20)).passed
         agg = lqgame.build_aggregated(gs)
-        assert check_H1(agg, TimeGrid(1.0, 10)).computed["C_nu"] == pytest.approx(0.1, abs=1e-15)
+        assert check_H1(agg).computed["C_nu"] == pytest.approx(0.1, abs=1e-15)
         sol = fixpoint.solve(agg, TimeGrid(1.0, 10), fixpoint.SchemeParams(particles=200, max_outer=3), seed=0)
         assert all(rec.to_record()["theory_ratio"] is not None for rec in sol.history)
 

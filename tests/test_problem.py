@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mfbsde.measure import EmpiricalMeasure
-from mfbsde.paths import TimeGrid
 from mfbsde.problem import (
     H1,
     H1PRIME,
@@ -19,7 +18,6 @@ from mfbsde.problem import (
     shaped_path,
     check_H1,
     contraction_constants,
-    eval_A,
     problem_from_config,
     smallness_bound,
 )
@@ -32,81 +30,10 @@ def gaussian_cloud(rng, n, d):
 def affine_problem_from_blocks(s11, s12, s21, s22, sigma_const=0.4):
     """Problem with f = -(S21 x + S22 y), h = -(S11 x + S12 y), constant
     sigma, so that A(t,u,u',nu) = -(dx, dy)' S (dx, dy)."""
-    m = np.atleast_2d(np.asarray(s11, dtype=float)).shape[0]
-
-    def f(t, x, y, z, nu):
-        return -(x @ np.atleast_2d(s21).T + y @ np.atleast_2d(s22).T)
-
-    def h(t, x, y, z, nu):
-        return -(x @ np.atleast_2d(s11).T + y @ np.atleast_2d(s12).T)
-
-    return MfProblem(
-        dim_state=m,
-        dim_bm=1,
-        x0=np.zeros(m),
-        horizon=1.0,
-        f=f,
-        sigma=lambda t, x, y, z, nu: np.full((x.shape[0], m, 1), sigma_const),
-        h=h,
-        g=lambda x, mu: x,
-        law_free_sigma=True,
-    )
-
-
-class TestEvalA:
-    def test_identical_arguments_vanish(self, toy_problem):
-        rng = np.random.default_rng(0)
-        u = (rng.standard_normal(1), rng.standard_normal(1), rng.standard_normal((1, 1)))
-        nu = gaussian_cloud(rng, 16, 2)
-        assert eval_A(toy_problem, 0.1, u, u, nu) == pytest.approx(0.0, abs=1e-14)
-
-    def test_lq_reduced_value(self):
-        # aggregated structure with sum K_i M_i = I and A = sigma = D = 0:
-        # A(t, u, u', nu) = -|dy|^2 - |dx|^2 = -4 - 1 = -5
-        from mfbsde.lqgame import GameSpec, build_aggregated
-
-        gs = GameSpec(n=2, horizon=1.0, x0=[0.0, 0.0], A=np.zeros((2, 2)),
-                      C=[np.eye(2)], N=[np.eye(2)], Q=[np.eye(2)], M=[np.eye(2)])
-        agg = build_aggregated(gs)
-        nu = EmpiricalMeasure(np.zeros((4, 4)))
-        val = eval_A(
-            agg, 0.3,
-            (np.array([1.0, 0.0]), np.array([2.0, 0.0]), np.zeros((2, 1))),
-            (np.zeros(2), np.zeros(2), np.zeros((2, 1))),
-            nu,
-        )
-        assert val == pytest.approx(-5.0, abs=1e-12)
-
-    def test_linear_in_y_drift_only(self):
-        p = MfProblem(
-            dim_state=1, dim_bm=1, x0=[0.0], horizon=1.0,
-            f=lambda t, x, y, z, nu: -y,
-            sigma=lambda t, x, y, z, nu: np.full((x.shape[0], 1, 1), 0.7),
-            h=lambda t, x, y, z, nu: np.zeros_like(x),
-            g=lambda x, mu: x, law_free_sigma=True,
-        )
-        rng = np.random.default_rng(1)
-        nu = gaussian_cloud(rng, 8, 2)
-        for _ in range(20):
-            u = (rng.standard_normal(1), rng.standard_normal(1), rng.standard_normal((1, 1)))
-            v = (rng.standard_normal(1), rng.standard_normal(1), rng.standard_normal((1, 1)))
-            dy = u[1] - v[1]
-            assert eval_A(p, 0.5, u, v, nu) == pytest.approx(-float(dy @ dy), abs=1e-12)
-
-    def test_matches_symbolic_bilinear_form_on_random_affine(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            m = int(rng.integers(1, 3))
-            s = rng.standard_normal((2 * m, 2 * m))
-            p = affine_problem_from_blocks(
-                s[:m, :m], s[:m, m:], s[m:, :m], s[m:, m:]
-            )
-            nu = gaussian_cloud(rng, 8, 2 * m)
-            u = (rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal((m, 1)))
-            v = (rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal((m, 1)))
-            w = np.concatenate([u[0] - v[0], u[1] - v[1]])
-            expected = -float(w @ s @ w)
-            assert eval_A(p, 0.3, u, v, nu) == pytest.approx(expected, abs=1e-10)
+    s11, s12, s21, s22 = (-np.atleast_2d(np.asarray(s, dtype=float)) for s in (s11, s12, s21, s22))
+    m = len(s11)
+    return MfProblem(np.zeros(m), 1.0, f=AffineCoeffs(m, "f", x=s21, y=s22), h=AffineCoeffs(m, "h", x=s11, y=s12),
+                     sigma=AffineCoeffs(m, "sigma", const=sigma_const), g=AffineCoeffs(m, "g", x=1.0))
 
 
 def block_matrix(seed):
@@ -122,19 +49,19 @@ class TestCheckH1:
 
         gs = GameSpec(n=1, horizon=1.0, x0=[0.0], A=np.zeros((1, 1)),
                       C=[[[1.0]]], N=[[[1.0]]], Q=[[[1.0]]], M=[[[0.5]]])
-        rep = check_H1(build_aggregated(gs), TimeGrid(1.0, 10))
+        rep = check_H1(build_aggregated(gs))
         assert rep.passed
         assert rep.computed["k"] == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_terminal_estimates_k_prime(self, martingale_problem):
-        rep = check_H1(martingale_problem, TimeGrid(1.0, 10))
+        rep = check_H1(martingale_problem)
         assert rep.computed["k_prime"] == pytest.approx(1.0, abs=1e-12)
 
     def test_counterexample_terminal_monotonicity_fails(self):
         from mfbsde.lqgame import build_aggregated, example3_game
 
         agg = build_aggregated(example3_game(1.0))
-        rep = check_H1(agg, TimeGrid(1.0, 10))
+        rep = check_H1(agg)
         assert not rep.terminal_ok
         assert rep.computed["k_prime"] == pytest.approx(-1.0, abs=1e-12)  # eigenvalues {-1, 3}
         assert not rep.passed
@@ -146,7 +73,7 @@ class TestCheckH1:
         s = (raw + raw.T) / 2 + 1.5 * np.eye(2)
         p = affine_problem_from_blocks(s[:1, :1], s[:1, 1:], s[1:, :1], s[1:, 1:])
         p.monotonicity = MonotonicityProfile(k=1e-6, k_prime=1e-6, variant=H1PRIME)
-        rep = check_H1(p, TimeGrid(1.0, 10))
+        rep = check_H1(p)
         lam_min = float(np.linalg.eigvalsh(s)[0])
         assert rep.computed["k"] == pytest.approx(lam_min, abs=1e-12)
 
@@ -154,7 +81,7 @@ class TestCheckH1:
     def test_block_problem_k_is_the_smallest_eigenvalue(self, seed):
         s = block_matrix(seed)
         p = affine_problem_from_blocks(s[:2, :2], s[:2, 2:], s[2:, :2], s[2:, 2:])
-        rep = check_H1(p, TimeGrid(1.0, 10))
+        rep = check_H1(p)
         assert rep.computed["k"] == pytest.approx(float(np.linalg.eigvalsh(s)[0]), abs=1e-12)
 
     def test_declared_k_above_the_exact_k_fails(self):
@@ -162,7 +89,7 @@ class TestCheckH1:
         s = block_matrix(4)
         p = affine_problem_from_blocks(s[:2, :2], s[:2, 2:], s[2:, :2], s[2:, 2:])
         p.monotonicity = MonotonicityProfile(k=1.615, k_prime=1.0, variant=H1PRIME)
-        rep = check_H1(p, TimeGrid(1.0, 10))
+        rep = check_H1(p)
         assert rep.computed["k"] == pytest.approx(1.6070996, abs=1e-7)
         assert not rep.operator_ok and rep.terminal_ok and not rep.passed
         assert rep.to_dict()["margins"]["k"] == pytest.approx(rep.computed["k"] - 1.615, abs=1e-15)
@@ -176,14 +103,14 @@ class TestCheckH1:
         # A = -dx^2 - dy^2 + a dx dz - c dz^2: sup over dz is -(1 - a^2 / 4c) dx^2 - dy^2 for c > 0
         p = problem_from_config({"dim": 1, "horizon": 1.0, "x0": [0.0], "f": {"y": -1.0},
                                  "h": {"x": -1.0, "z": a}, "sigma": {"z": -c, "const": 0.2}, "g": {"x": 1.0}})
-        assert check_H1(p, TimeGrid(1.0, 10)).computed["k"] == pytest.approx(k, abs=1e-12)
+        assert check_H1(p).computed["k"] == pytest.approx(k, abs=1e-12)
 
     def test_strong_variant_counts_dz(self):
         # the same A under H1 bounds the whole form: k = -lambda_max([[-1, 1/2], [1/2, -1]]) = 1/2
         p = problem_from_config({"dim": 1, "horizon": 1.0, "x0": [0.0], "f": {"y": -1.0},
                                  "h": {"x": -1.0, "z": 1.0}, "sigma": {"z": -1.0},
                                  "g": {"x": 1.0}, "monotonicity": {"k": 0.5, "k_prime": 1.0, "variant": "H1"}})
-        rep = check_H1(p, TimeGrid(1.0, 10))
+        rep = check_H1(p)
         assert rep.computed["k"] == pytest.approx(0.5, abs=1e-12) and rep.passed
 
     def test_piecewise_coefficient_read_at_every_node(self):
@@ -191,14 +118,14 @@ class TestCheckH1:
         pieces = [{"t_from": 0.0, "value": -1.0}, {"t_from": 0.5, "value": -0.2}, {"t_from": 0.6, "value": -1.0}]
         p = problem_from_config({"dim": 1, "horizon": 1.0, "x0": [0.0], "f": {"y": -1.0},
                                  "h": {"x": {"piecewise": pieces}}, "sigma": {"const": 0.2}, "g": {"x": 1.0}})
-        assert check_H1(p, TimeGrid(1.0, 10)).computed["k"] == pytest.approx(0.2, abs=1e-12)
+        assert check_H1(p).computed["k"] == pytest.approx(0.2, abs=1e-12)
 
     @pytest.mark.parametrize("h_x, pieces, k", [
         (-1.0, [0.0], 1.0),
         ({"piecewise": [{"t_from": 0.0, "value": -1.0}, {"t_from": 0.5, "value": -0.2}]}, [0.0, 0.5], 0.2),
     ], ids=["constant", "two_pieces"])
     def test_table_problem_is_read_once_per_piece(self, monkeypatch, h_x, pieces, k):
-        # a table is constant between its breakpoints, so the grid's 101 nodes add no read
+        # a table is constant between its breakpoints, so it is read once per piece
         p = problem_from_config({"dim": 1, "horizon": 1.0, "x0": [0.0], "f": {"y": -1.0},
                                  "h": {"x": h_x}, "sigma": {"const": 0.2}, "g": {"x": 1.0}})
         times, at = [], AffineCoeffs.at
@@ -209,27 +136,43 @@ class TestCheckH1:
             return at(table, t)
 
         monkeypatch.setattr(AffineCoeffs, "at", counted_at)
-        rep = check_H1(p, TimeGrid(1.0, 100))
+        rep = check_H1(p)
         assert sorted(set(times)) == pieces
         assert rep.computed["k"] == pytest.approx(k, abs=1e-12)
 
-    @pytest.mark.parametrize("f, g, name", [
-        (lambda t, x, y, z, nu: -y**3, lambda x, mu: x, "f, h and sigma"),
-        (lambda t, x, y, z, nu: -y * (1.0 + nu.mean()[0]), lambda x, mu: x, "f, h and sigma"),
-        (lambda t, x, y, z, nu: -y, lambda x, mu: x**3, "g"),
-        # A cancels nu, so only the read in the mean sees that the drift depends on the cloud's spread
-        (lambda t, x, y, z, nu: -y + nu.points.var(), lambda x, mu: x, "f, h and sigma is not affine in the mean"),
-        (lambda t, x, y, z, nu: -y, lambda x, mu: x + mu.points.var(), "g is not affine in the mean"),
+    @pytest.mark.parametrize("name, callback", [
+        ("f", lambda t, x, y, z, nu: -y**3),
+        ("f", lambda t, x, y, z, nu: -y * (1.0 + nu.mean()[0])),
+        ("g", lambda x, mu: x**3),
+        ("f", lambda t, x, y, z, nu: -y + nu.points.var()),
+        ("g", lambda x, mu: x + mu.points.var()),
     ], ids=["cubic_drift", "measure_dependent_slope", "cubic_terminal", "variance_drift", "variance_terminal"])
-    def test_non_affine_coefficient_is_rejected(self, f, g, name):
-        p = MfProblem(dim_state=1, dim_bm=1, x0=[0.0], horizon=1.0, f=f,
-                      h=lambda t, x, y, z, nu: -x, sigma=lambda t, x, y, z, nu: np.zeros((len(x), 1, 1)),
-                      g=g, law_free_sigma=True)
-        with pytest.raises(ValueError, match=name):
-            check_H1(p, TimeGrid(1.0, 10))
+    def test_non_affine_coefficient_is_rejected(self, name, callback):
+        # a coefficient is a table, so a callable one is rejected on construction, naming it
+        tables = {key: AffineCoeffs(1, key, **terms) for key, terms in
+                  (("f", {"y": -1.0}), ("h", {"x": -1.0}), ("sigma", {}), ("g", {"x": 1.0}))}
+        with pytest.raises(ValueError, match=f"^{name} must be an AffineCoeffs table, got function$"):
+            MfProblem([0.0], 1.0, **{**tables, name: callback})
+
+    def test_drift_linear_in_y_alone_gives_k_zero(self):
+        # f = -y, h = 0 and a constant sigma: A = -|dy|^2, whose form [[0, 0], [0, -1]] leaves k = 0
+        p = problem_from_config({"dim": 1, "horizon": 1.0, "x0": [0.0], "f": {"y": -1.0},
+                                 "sigma": {"const": 0.7}, "g": {"x": 1.0}})
+        rep = check_H1(p)
+        assert rep.computed["k"] == 0.0 and not rep.operator_ok
+
+    def test_random_block_problem_k_is_the_smallest_eigenvalue_of_the_symmetric_part(self):
+        # A = -w'Sw for a non-symmetric S: only sym(S) enters k
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            m = int(rng.integers(1, 3))
+            s = rng.standard_normal((2 * m, 2 * m))
+            p = affine_problem_from_blocks(s[:m, :m], s[:m, m:], s[m:, :m], s[m:, m:])
+            want = float(np.linalg.eigvalsh((s + s.T) / 2)[0])
+            assert check_H1(p).computed["k"] == pytest.approx(want, abs=1e-12)
 
     def test_report_serializes(self, toy_problem):
-        d = check_H1(toy_problem, TimeGrid(0.25, 100)).to_dict()
+        d = check_H1(toy_problem).to_dict()
         assert d["pass"] is True
         assert d["computed"] == pytest.approx({"k": 1.0, "k_prime": 1.0, "C_nu": 0.1, "C_g_nu": 0.1}, abs=1e-12)
         assert set(d["declared"]) == set(d["margins"]) == set(d["computed"])
@@ -245,7 +188,7 @@ class TestCheckH1:
         r = np.array([[0.2, 0.05], [0.05, 0.1]])
         gs = GameSpec(n=2, horizon=1.0, x0=[0.0, 0.0], A=np.zeros((2, 2)), D=d,
                       C=[np.eye(2)], N=[np.eye(2)], Q=[np.eye(2)], M=[np.eye(2)], Gamma=[gamma], R=[r])
-        rep = check_H1(build_aggregated(gs), TimeGrid(1.0, 10))
+        rep = check_H1(build_aggregated(gs))
         block = np.block([[d, np.zeros((2, 2))], [gamma, d.T]])
         assert rep.computed["C_nu"] == pytest.approx(np.linalg.norm(block, 2), abs=1e-12)
         assert rep.computed["C_g_nu"] == pytest.approx(np.linalg.norm(r, 2), abs=1e-12)
@@ -263,19 +206,19 @@ def mean_coupled(c_nu, c_g_nu, variant):
 
 class TestCheckSmallness:
     def test_zero_coupling_passes(self):
-        rep = check_H1(mean_coupled(0.0, 0.0, H1), TimeGrid(1.0, 10))
+        rep = check_H1(mean_coupled(0.0, 0.0, H1))
         assert rep.computed["C_nu"] == 0.0 and rep.computed["C_g_nu"] == 0.0
         assert rep.smallness_ok and rep.passed
 
     def test_relaxed_variant_bound(self):
-        rep = check_H1(mean_coupled(0.1, 0.1, H1PRIME), TimeGrid(1.0, 10))
+        rep = check_H1(mean_coupled(0.1, 0.1, H1PRIME))
         assert rep.bound == smallness_bound(1.0, 1.0, H1PRIME)
         assert rep.bound == pytest.approx(min(2 * (math.sqrt(2) - 1), math.sqrt(2) / 2))
         assert rep.bound == pytest.approx(0.70710678, abs=1e-7)
         assert rep.passed and rep.variant == H1PRIME
 
     def test_strong_variant_fail(self):
-        rep = check_H1(mean_coupled(0.6, 0.0, H1), TimeGrid(1.0, 10))
+        rep = check_H1(mean_coupled(0.6, 0.0, H1))
         assert rep.bound == pytest.approx(min(math.sqrt(3) - 1, math.sqrt(3) / 3))
         assert rep.bound == pytest.approx(0.57735027, abs=1e-7)
         assert rep.computed["C_nu"] == pytest.approx(0.6, abs=1e-12)
@@ -283,7 +226,7 @@ class TestCheckSmallness:
         assert not rep.smallness_ok and not rep.passed and rep.variant == H1
 
     def test_report_json_shape(self):
-        d = check_H1(mean_coupled(0.1, 0.1, H1PRIME), TimeGrid(1.0, 10)).to_dict()
+        d = check_H1(mean_coupled(0.1, 0.1, H1PRIME)).to_dict()
         assert set(d["computed"]) == {"k", "k_prime", "C_nu", "C_g_nu"}
         # only the declared constants get a margin
         assert set(d["declared"]) == set(d["margins"]) == {"k", "k_prime"}
@@ -381,38 +324,43 @@ class TestProfiles:
 
     @pytest.mark.parametrize("law_free", [True, False])
     def test_relaxed_variant_needs_law_free_sigma(self, law_free):
+        # sigma is law-free when it has no mean term
         base = affine_problem_from_blocks(1.0, 0.0, 0.0, 1.0)
+        sigma = AffineCoeffs(1, "sigma", const=0.4, **({} if law_free else {"mean_y": 0.1}))
+        assert dataclasses.replace(base, sigma=sigma).law_free_sigma is law_free
         for variant in (H1, H1PRIME):
             mono = MonotonicityProfile(1.0, 1.0, variant)
             if variant == H1PRIME and not law_free:
                 with pytest.raises(ValueError, match='^variant "H1prime" needs a law-free sigma; declare variant="H1"$'):
-                    dataclasses.replace(base, law_free_sigma=law_free, monotonicity=mono)
+                    dataclasses.replace(base, sigma=sigma, monotonicity=mono)
             else:
-                assert dataclasses.replace(base, law_free_sigma=law_free, monotonicity=mono).monotonicity is mono
+                assert dataclasses.replace(base, sigma=sigma, monotonicity=mono).monotonicity is mono
+
+
+def two_dim_tables(**overrides):
+    """Zero f, h and sigma and g = x on R^2, with ``overrides`` in their place."""
+    tables = {name: AffineCoeffs(2, name) for name in ("f", "h", "sigma")}
+    return {**tables, "g": AffineCoeffs(2, "g", x=1.0), **overrides}
 
 
 class TestSpotCheck:
-    def test_law_free_flag_violation_detected(self):
-        p = MfProblem(
-            dim_state=1, dim_bm=1, x0=[0.0], horizon=1.0,
-            f=lambda t, x, y, z, nu: np.zeros_like(x),
-            sigma=lambda t, x, y, z, nu: np.full((x.shape[0], 1, 1), 1.0 if nu is None else float(nu.mean()[0])),
-            h=lambda t, x, y, z, nu: np.zeros_like(x),
-            g=lambda x, mu: x, law_free_sigma=True,
-        )
-        with pytest.raises(ValueError, match="law_free"):
+    def test_shape_violation_detected(self):
+        # every table must have the dimension of x0, checked on construction
+        with pytest.raises(ValueError, match="^f has dimension 1, but x0 has 2 entries$"):
+            MfProblem([0.0, 0.0], 1.0, **two_dim_tables(f=AffineCoeffs(1, "f", y=-1.0)))
+        p = MfProblem([0.0, 0.0], 1.0, **two_dim_tables())
+        p.x0 = np.zeros(3)
+        with pytest.raises(ValueError, match="^f has dimension 2, but x0 has 3 entries$"):
             p.spot_check()
 
-    def test_shape_violation_detected(self):
-        p = MfProblem(
-            dim_state=2, dim_bm=1, x0=[0.0, 0.0], horizon=1.0,
-            f=lambda t, x, y, z, nu: x[:, :1],  # wrong width
-            sigma=lambda t, x, y, z, nu: np.zeros((x.shape[0], 2, 1)),
-            h=lambda t, x, y, z, nu: np.zeros_like(x),
-            g=lambda x, mu: x, law_free_sigma=True,
-        )
-        with pytest.raises(ValueError, match="shape"):
-            p.spot_check()
+    def test_terminal_map_reads_only_x_and_its_mean(self):
+        with pytest.raises(ValueError, match=r"^g supports the terms x, mean_x and const; got \['mean_y', 'y'\]$"):
+            MfProblem([0.0, 0.0], 1.0, **two_dim_tables(g=AffineCoeffs(2, "g", x=1.0, y=0.5, mean_y=0.1)))
+
+    @pytest.mark.parametrize("x0", [[], [[1.0, 2.0]], [np.nan]])
+    def test_x0_must_be_a_finite_vector(self, x0):
+        with pytest.raises(ValueError, match="^x0 must be a nonempty finite vector"):
+            MfProblem(x0, 1.0, **two_dim_tables())
 
 
 class TestPiecewisePaths:
@@ -474,11 +422,10 @@ class TestAffineCoeffs:
         cx, cy, cz, cmx, cmy = rng.standard_normal((5, 2, 2))
         c0 = rng.standard_normal(2)
         table = AffineCoeffs(2, "f", x=cx, y=cy, z=cz, mean_x=cmx, mean_y=cmy, const=c0)
-        x, y = rng.standard_normal((2, 5, 2))
-        z = rng.standard_normal((5, 2, 1))
+        x, y, z = rng.standard_normal((3, 5, 2))
         nu = EmpiricalMeasure(rng.standard_normal((7, 4)))
         mu = nu.mean()
-        want = x @ cx.T + y @ cy.T + z[:, :, 0] @ cz.T + cmx @ mu[:2] + cmy @ mu[2:] + c0
+        want = x @ cx.T + y @ cy.T + z @ cz.T + cmx @ mu[:2] + cmy @ mu[2:] + c0
         assert np.allclose(table(0.3, x, y, z, nu), want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -543,21 +490,20 @@ class TestProblemFromConfig:
     def test_matches_hand_built_toy(self, toy_problem):
         p = problem_from_config(self.config())
         rng = np.random.default_rng(0)
-        x, y = rng.standard_normal((2, 5, 1))
-        z = rng.standard_normal((5, 1, 1))
+        x, y, z = rng.standard_normal((3, 5, 1))
         nu = gaussian_cloud(rng, 8, 2)
         mu = gaussian_cloud(rng, 8, 1)
         assert np.allclose(p.f(0.1, x, y, z, nu), toy_problem.f(0.1, x, y, z, nu))
         assert np.allclose(p.h(0.1, x, y, z, nu), toy_problem.h(0.1, x, y, z, nu))
-        assert np.allclose(p.sigma(0.1, x, y, z, None), toy_problem.sigma(0.1, x, y, z, None))
-        assert np.allclose(p.g(x, mu), toy_problem.g(x, mu))
+        assert np.allclose(p.sigma(0.1, x, y, z), toy_problem.sigma(0.1, x, y, z))
+        assert np.allclose(p.g(p.horizon, x, nu=mu), toy_problem.g(p.horizon, x, nu=mu))
         assert p.law_free_sigma
         assert p.monotonicity.variant == H1PRIME
 
     def test_probes_pass_on_config_problem(self):
         p = problem_from_config(self.config())
         p.spot_check()
-        rep = check_H1(p, TimeGrid(0.25, 100))
+        rep = check_H1(p)
         assert rep.passed and rep.smallness_ok
         assert (rep.computed["C_nu"], rep.computed["C_g_nu"]) == pytest.approx((0.1, 0.1), abs=1e-12)
 
@@ -589,7 +535,7 @@ class TestProblemFromConfig:
         p = problem_from_config(cfg)
         x = np.ones((3, 1))
         y = np.zeros((3, 1))
-        z = np.zeros((3, 1, 1))
+        z = np.zeros((3, 1))
         nu = EmpiricalMeasure(np.zeros((4, 2)))
         assert np.allclose(p.h(0.05, x, y, z, nu), -1.0)
         assert np.allclose(p.h(0.2, x, y, z, nu), -2.0)
