@@ -19,6 +19,9 @@ with h's implicit Y_k resolved by two predictor-corrector sub-iterations
 started from Y_{k+1} (one when h reads no Y), and
 nu_k always the FROZEN flow's cloud (the measure-freezing that decouples
 the outer iteration).
+Each fit solves for a (1 + m, m) table c_k with fitted values c_k^T [1; X_k];
+a sweep returns the tables as :class:`FittedMap`s on its paths, which
+evaluate nodes with the sweep's bits and build (nodes, m, P) paths on request.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .measure import EmpiricalMeasure
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major
 from .problem import MfProblem
 
-__all__ = ["RegressionDiagnostics", "regression_factors", "solve_backward"]
+__all__ = ["FittedMap", "RegressionDiagnostics", "regression_factors", "solve_backward"]
 
 # ridge scale used when the design matrix is rank deficient
 _RIDGE = 1e-10
@@ -65,6 +68,31 @@ class RegressionDiagnostics:
     @property
     def used_ridge(self) -> bool:
         return bool(self.ridge_steps)
+
+
+class FittedMap:
+    """The affine map a backward sweep fitted, V_k = coef_k^T [1; X_k], on the X paths ``x_ens`` it was
+    fitted on: ``coef`` is (fits, 1 + m, dim), ``last`` the (dim, P) node past the tables (Y's g(X_T)) or
+    None, and ``design`` a (1 + m, P) buffer of ones that maps on the same paths may share.  :meth:`node`
+    evaluates a node as the product the sweep made, and :meth:`paths` builds the ensemble."""
+
+    def __init__(self, x_ens: PathEnsemble, coef: np.ndarray, last: np.ndarray | None = None, design=None):
+        self.x, self.coef, self.last = x_ens.component_major, coef, last
+        self.nodes = len(coef) + (last is not None)
+        self.design = np.ones((1 + x_ens.dim, x_ens.particles)) if design is None else design
+
+    def node(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The (dim, P) values at node k, written to ``out`` when given."""
+        if k == len(self.coef):
+            return self.last if out is None else np.copyto(out, self.last) or out
+        self.design[1:] = self.x[k]
+        return np.matmul(self.coef[k].T, self.design, out=out)
+
+    def paths(self) -> PathEnsemble:
+        out = np.empty((self.nodes, self.coef.shape[2], self.x.shape[2]))
+        for k, block in enumerate(out):
+            self.node(k, out=block)
+        return from_component_major(out)
 
 
 def regression_factors(x_ens: PathEnsemble) -> tuple[np.ndarray, list]:
@@ -107,16 +135,16 @@ def solve_backward(
     frozen_flow,
     terminal_law: EmpiricalMeasure,
     factors: tuple | None = None,
-) -> tuple[PathEnsemble, PathEnsemble, RegressionDiagnostics]:
+) -> tuple[FittedMap, FittedMap, RegressionDiagnostics]:
     """Backward regression sweep along given forward paths.
 
     ``terminal_law`` must be the X_T cloud of the FROZEN iterate, not of
     ``x_ens``.  ``factors`` is :func:`regression_factors` of ``x_ens``,
     for callers that sweep the same paths more than once; it is built here
-    when omitted.  Returns (y_ens, z_ens, diagnostics); z_ens holds one
-    m-vector per step.  A non-finite Y or Z,
-    checked once after the last step, raises FloatingPointError naming the
-    step swept first that made one (later steps only carry it forward).
+    when omitted.  Returns (y_map, z_map, diagnostics), the fitted maps on
+    ``x_ens`` (Z's with one m-vector per step): only each step's (1 + m, m)
+    tables and the node being swept are stored.  A non-finite Y or Z raises
+    FloatingPointError naming the step swept first that made one.
     """
     m = p.dim_state
     particles, steps = bundle.particles, bundle.steps
@@ -131,42 +159,42 @@ def solve_backward(
     times = grid.nodes
     # component-major (nodes, dim, particles); the tables get (particles, dim) views
     xv = x_ens.component_major
-    y = np.empty((steps + 1, m, particles))
-    z = np.empty((steps, m, particles))
+    coef_y, coef_z = np.empty((2, steps, 1 + m, m))
     diag = RegressionDiagnostics()
 
-    y[steps] = p.g(p.horizon, xv[steps].T, nu=terminal_law).T
-    if not np.all(np.isfinite(y[steps])):
+    terminal = np.ascontiguousarray(p.g(p.horizon, xv[steps].T, nu=terminal_law).T)
+    if not all_finite(terminal):
         raise FloatingPointError("terminal condition produced non-finite values")
     shifted, ridge_steps = regression_factors(x_ens) if factors is None else factors
     diag.ridge_steps.extend(ridge_steps)
     passes = 1 if "y" not in p.h.terms else _PICARD_PASSES
     design = np.ones((1 + m, particles))  # [1, X_k] of the step being swept
+    y_next = terminal
 
     for k in range(steps - 1, -1, -1):
         t_k = float(times[k])
         nu_k = frozen_flow[k]
         xk = xv[k].T
-        y_next = y[k + 1]
         design[1:] = xv[k]
-        fit = lambda targets: np.linalg.solve(shifted[k], design @ targets.T).T @ design
 
         z_targets = y_next * bundle.component_major[k] / dt
-        z[k] = fit(z_targets)
-        diag.z_residuals.append(_rms(z_targets, z[k]))
-        zk = z[k].T
+        coef_z[k] = np.linalg.solve(shifted[k], design @ z_targets.T)
+        z_k = coef_z[k].T @ design
+        diag.z_residuals.append(_rms(z_targets, z_k))
 
         y_guess = y_next
         for _ in range(passes):
-            hk = p.h(t_k, xk, y_guess.T, zk, nu_k).T
+            hk = p.h(t_k, xk, y_guess.T, z_k.T, nu_k).T
             targets = y_next - hk * dt
-            y_guess = fit(targets)
+            coef_y[k] = np.linalg.solve(shifted[k], design @ targets.T)
+            y_guess = coef_y[k].T @ design
         diag.y_residuals.append(_rms(targets, y_guess))
-        y[k] = y_guess
+        # a non-finite fit makes its residual non-finite (the converse fails only when squares overflow)
+        res = diag.y_residuals[-1] + diag.z_residuals[-1]
+        if not (math.isfinite(res) or np.isfinite(y_guess).all() and np.isfinite(z_k).all()):
+            raise FloatingPointError(f"backward regression produced non-finite values at step {k}")
+        y_next = y_guess
 
-    if not (all_finite(y) and all_finite(z)):
-        k = next(k for k in range(steps - 1, -1, -1) if not (all_finite(y[k]) and all_finite(z[k])))
-        raise FloatingPointError(f"backward regression produced non-finite values at step {k}")
     diag.y_residuals.reverse()
     diag.z_residuals.reverse()
-    return from_component_major(y), from_component_major(z), diag
+    return FittedMap(x_ens, coef_y, terminal, design), FittedMap(x_ens, coef_z, design=design), diag

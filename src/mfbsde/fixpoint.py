@@ -207,55 +207,60 @@ class _Anderson:
     ``depth`` (Walker & Ni, SIAM J. Numer. Anal. 2011).  X is not mixed, so
     the mixer sees only (Y, Z) pairs.
 
-    Ring buffers of the last ``depth`` residual (dR) and output (dFU)
-    differences, r = F(u) - u, are allocated once per solve, with one mix
-    buffer; the slot the next observe overwrites holds the last r and F
-    themselves (observe writes r once its products are taken, mix writes F
-    once it has read the slot, so a mix follows each observe), and no other
-    buffer is kept.  gamma solves the Gram system (dR' dR) gamma = dR' r
-    with ``lstsq`` (minimum norm when singular); the mix is F(u) - dFU gamma,
-    or F(u) when there is no history or the Gram matrix, the right-hand side
-    or the mix is not finite.  Either way it is written to the mix buffer,
-    so the caller may drop F.  Both passes of a sweep run one node block (a
-    Y node or a Z step, (dim, P)) at a time, while it is in cache:
-    :meth:`observe` forms r, the differences, the Gram row, the right-hand
-    side and the per-node squared residuals, and :meth:`mix` writes the mix
-    and checks it once, whole.
+    The sweep outputs F are the (Y, Z) fitted maps of the backward sweeps;
+    the last ``depth + 1`` are kept (the oldest is dropped after each mix),
+    so the output differences dF are formed from them, block by block, when
+    a mix needs them.  A ring of the last ``depth`` residual differences
+    (dR), r = F(u) - u, and one mix buffer are allocated once per solve; the
+    dR slot the next observe overwrites holds the last r itself (observe
+    writes r once its products are taken).  gamma solves the Gram system
+    (dR' dR) gamma = dR' r with ``lstsq`` (minimum norm when singular); the
+    mix is F(u) - dF gamma, or F(u) when there is no history or the Gram
+    matrix, the right-hand side or the mix is not finite.  Both passes of a
+    sweep run one node block (a Y node or a Z step, (dim, P)) at a time,
+    while it is in cache: :meth:`observe` forms r, the dR difference, the
+    Gram row, the right-hand side and the per-node squared residuals, and
+    writes F to the mix buffer, and :meth:`mix` evaluates the older outputs,
+    writes the mix and checks it once, whole.
     """
 
     def __init__(self, depth: int, y_shape: tuple, z_shape: tuple):
         self.depth, self.shapes, self.cut = depth, (y_shape, z_shape), int(np.prod(y_shape))
         cuts = np.cumsum([int(np.prod(s[1:])) for s in self.shapes for _ in range(s[0])])
-        ring = np.zeros((2, depth, cuts[-1]))
+        dr = np.zeros((depth, cuts[-1]))
         self.out = np.empty(cuts[-1])
-        # per node block: its columns of dR and dFU, and its part of the mix
-        self.blocks = list(zip(*(np.split(a, cuts[:-1], axis=-1) for a in (*ring, self.out))))
+        # per node block: which map of a sweep output gives it and at which node, its columns of dR and its part
+        # of the mix; and per map, a (depth, dim, P) scratch buffer for outputs' values at one node
+        self.blocks = list(zip([(j, k) for j, s in enumerate(self.shapes) for k in range(s[0])],
+                               np.split(dr, cuts[:-1], axis=-1), np.split(self.out, cuts[:-1])))
+        self.scratch = [np.empty((depth, *s[1:])) for s in self.shapes]
         self.gram, self.rhs = np.zeros((depth, depth)), np.zeros(depth)
         self.restart()
 
     def restart(self) -> None:
-        """Forget the history (a new inner solve starts)."""
-        self.fu, self.stored = None, -1
+        """Forget the history and the outputs in it (an inner solve ends)."""
+        self.maps, self.stored = [], -1
 
     def observe(self, new, old) -> tuple[np.ndarray, np.ndarray]:
-        """Pass 1 for the sweep from the iterate ``old`` = (Y, Z) to
-        ``new`` = F(old); returns the per-node means over particles of
-        |r|^2, for the Y nodes and for the Z steps."""
-        self.fu = tuple(new)
+        """Pass 1 for the sweep from the iterate ``old`` = (Y, Z) paths to
+        ``new`` = F(old), a (Y, Z) pair of fitted maps; returns the per-node
+        means over particles of |r|^2, for the Y nodes and for the Z steps.
+        F is written to the mix buffer, so ``old`` may be its views."""
+        self.maps.append(tuple(new))
         slot, self.stored = self.stored % self.depth, self.stored + 1
         hist, nxt = min(self.stored, self.depth), self.stored % self.depth
         row, rhs = np.zeros(hist), np.zeros(hist)
         sq = np.empty(len(self.blocks))
-        rows = (_rows(*(e.component_major for e in pair)) for pair in (new, old))
-        for b, (f, v, (dr, dfu, _)) in enumerate(zip(*rows, self.blocks)):
+        for b, (v, ((j, k), dr, out)) in enumerate(zip(_rows(*(e.component_major for e in old)), self.blocks)):
+            f = new[j].node(k, out=self.scratch[j][0]).reshape(-1)
             r = f - v
             sq[b] = r @ r
             if hist:
                 np.subtract(r, dr[slot], out=dr[slot])
-                np.subtract(f, dfu[slot], out=dfu[slot])
                 row += dr[:hist] @ dr[slot]
                 rhs += dr[:hist] @ r
             dr[nxt] = r
+            np.copyto(out, f)
         if hist:
             self.gram[slot, :hist] = self.gram[:hist, slot] = row
             self.rhs[:hist] = rhs
@@ -264,23 +269,28 @@ class _Anderson:
 
     def mix(self) -> tuple[PathEnsemble, PathEnsemble]:
         """Pass 2: the next iterate (Y, Z) after the output last observed,
-        or a copy of that output when there is no history or the step is
-        not finite, as views of the mix buffer.  The output moves into the
-        ring; no reference to it is kept."""
-        hist, nxt = min(self.stored, self.depth), self.stored % self.depth
+        or that output's values when there is no history or the step is
+        not finite, as views of the mix buffer."""
+        hist = min(self.stored, self.depth)
         order = [(self.stored - hist + i) % self.depth for i in range(hist)]
         gram, rhs = self.gram[np.ix_(order, order)], self.rhs[order]
-        mixing = bool(order) and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))
-        gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0] if mixing else ()
-        fu, self.fu = self.fu, None
-        for f, (_, dfu, out) in zip(_rows(*(e.component_major for e in fu)), self.blocks):
-            np.copyto(out, f)
-            for g, j in zip(gamma, order):
-                out -= g * dfu[j]
-            dfu[nxt] = f
-        if mixing and not all_finite(self.out):
-            for _, dfu, out in self.blocks:
-                np.copyto(out, dfu[nxt])
+        if order and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs)):
+            gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            older = self.maps[-1 - hist : -1]
+            for (j, k), _, out in self.blocks:
+                # dF_i = F_{i+1} - F_i over the last hist + 1 outputs, the newest of them in the mix buffer
+                for i, maps in enumerate(older):
+                    maps[j].node(k, out=self.scratch[j][i])
+                vals = self.scratch[j].reshape(self.depth, -1)
+                for i in range(hist):
+                    np.subtract(vals[i + 1] if i + 1 < hist else out, vals[i], out=vals[i])
+                for g, df in zip(gamma, vals):
+                    df *= g
+                    out -= df
+            if not all_finite(self.out):
+                for (j, k), _, out in self.blocks:
+                    np.copyto(out, self.maps[-1][j].node(k).reshape(-1))
+        del self.maps[: -self.depth]
         return tuple(from_component_major(a.reshape(s)) for a, s in zip(np.split(self.out, [self.cut]), self.shapes))
 
 
@@ -290,18 +300,17 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel
     One sweep propagates X under the current (Y, Z) and re-regresses the
     backward pair along the new paths; the next sweep starts from the
     Anderson mix of the swept pairs.  The X part of the sweep gap is taken
-    as soon as the new paths exist, so the previous sweep's X is freed
-    before the backward sweep.  Runs at least _INNER_MIN_SWEEPS
+    as soon as the new paths exist.  Runs at least _INNER_MIN_SWEEPS
     sweeps and stops once the sweep-to-sweep gap drops below (tol/10)^2
     (well below the outer stopping threshold), when :func:`diverging`
     flags the sweep gaps (left to the outer solve to classify) or at the
-    sweep cap.  Returns the last swept (X, Y, Z), its regression
-    diagnostics, why the solve stopped ("target", "growth" or "cap"), its
-    sweep count and its last sweep-to-sweep gap.
+    sweep cap.  Returns the last swept (X, Y, Z), its (Y, Z) paths built
+    from the fitted maps once the mixer has dropped its history, its
+    regression diagnostics, why the solve stopped ("target", "growth" or
+    "cap"), its sweep count and its last sweep-to-sweep gap.
     """
     x_cur, y_cur, z_cur = x_prev, y_prev, z_prev = start
     target = (0.1 * params.tol) ** 2
-    accel.restart()
     gaps = []
     for sweep in range(1, _INNER_MAX_SWEEPS + 1):
         x_new = propagate(p, grid, bundle, y_cur, z_cur, y_prev, z_prev, flow, params.delta)
@@ -316,8 +325,8 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel
         if sweep == _INNER_MAX_SWEEPS or (sweep >= _INNER_MIN_SWEEPS and stop):
             break
         y_cur, z_cur = accel.mix()
-        del y_hat, z_hat  # the sweep output lives in the mixer's ring now: free it before the next sweep allocates
-    return x_new, y_hat, z_hat, reg_diag, stop or "cap", sweep, gap
+    accel.restart()  # the kept outputs and their X paths go before the last output's paths are built
+    return x_new, y_hat.paths(), z_hat.paths(), reg_diag, stop or "cap", sweep, gap
 
 
 def _theory_ratio(p: MfProblem, params: SchemeParams) -> float:

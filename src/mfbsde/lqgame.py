@@ -480,12 +480,12 @@ def _solve_adjoint(gs, i, sol, params, factors) -> tuple[PathEnsemble, PathEnsem
     grid, bundle, x_ens = sol.grid, sol.bundle, sol.x_ens
     terminal = marginal(x_ens, x_ens.nodes - 1)
     p_ens = from_component_major(np.zeros((grid.steps + 1, gs.n, bundle.particles)))
-    q_ens = None
     gaps = []
     for n in range(1, _ADJOINT_MAX_PASSES + 1):
         with fixpoint.blowups_diverge(f"adjoint of player {i} blew up at pass {n}", sol.history):
             flow = [joint_marginal(x_ens, p_ens, k) for k in range(x_ens.nodes)]
-            p_new, q_ens, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal, factors=factors)
+            p_map, q_map, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal, factors=factors)
+            p_new = p_map.paths()
             gap = float(np.trapezoid(node_msd(p_new.component_major, p_ens.component_major), dx=grid.dt))
         gaps.append(gap)
         p_ens = p_new
@@ -493,7 +493,7 @@ def _solve_adjoint(gs, i, sol, params, factors) -> tuple[PathEnsemble, PathEnsem
             break
         if fixpoint.diverging(gaps):
             raise fixpoint.Diverged(f"adjoint reconstruction diverged for player {i}", sol.history)
-    return p_ens, q_ens, gaps
+    return p_ens, q_map.paths(), gaps
 
 
 def solve_nash(

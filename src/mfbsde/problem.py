@@ -90,7 +90,7 @@ class MonotonicityProfile:
             raise ValueError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MfProblem:
     """The four coefficient tables and the metadata of one mean-field BFSDE.
 
@@ -98,7 +98,8 @@ class MfProblem:
     (``law_free_sigma``) when it has no mean term; the solver then uses the
     relaxed iteration (no delta-perturbation of the diffusion), and an
     H1prime profile needs it.  The table invariants are checked on
-    construction (:meth:`spot_check`).
+    construction (:meth:`spot_check`); the problem is frozen, so a changed
+    copy comes from ``dataclasses.replace``, which checks them again.
     """
 
     x0: np.ndarray
@@ -116,7 +117,7 @@ class MfProblem:
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if x0.ndim != 1 or not x0.size or not np.all(np.isfinite(x0)):
             raise ValueError(f"x0 must be a nonempty finite vector, got shape {x0.shape}")
-        self.x0 = x0
+        object.__setattr__(self, "x0", x0)
         self.spot_check()
         if self.monotonicity is not None and self.monotonicity.variant == H1PRIME and not self.law_free_sigma:
             raise ValueError(f'variant "{H1PRIME}" needs a law-free sigma; declare variant="{H1}"')

@@ -117,7 +117,7 @@ def test_criterion_4_bsde_oracle():
     zeros_z = PathEnsemble(np.zeros((particles, 100, 1)))
     flow = [joint_marginal(zeros_y, zeros_y, k) for k in range(101)]
     x = propagate(p, grid, bundle, zeros_y, zeros_z, zeros_y, zeros_z, flow, 0.0)
-    y, z, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 100))
+    y, z = (e.paths() for e in solve_backward(p, grid, bundle, x, flow, marginal(x, 100))[:2])
     se_y0 = x.values[:, -1, 0].std() / math.sqrt(particles)
     y0_err = abs(y.values[:, 0, 0].mean() - 0.7)
     targets = x.values[:, 1:, 0][:, :, None] * bundle.increments / grid.dt
@@ -128,7 +128,7 @@ def test_criterion_4_bsde_oracle():
     a = 0.5
     p2 = MfProblem(x0=[0.0], horizon=1.0, f=AffineCoeffs(1, "f"), h=AffineCoeffs(1, "h", y=-a),
                    sigma=AffineCoeffs(1, "sigma", const=1.0), g=AffineCoeffs(1, "g", const=1.0))
-    y2, _, _ = solve_backward(p2, grid, bundle, x, flow, marginal(x, 100))
+    y2 = solve_backward(p2, grid, bundle, x, flow, marginal(x, 100))[0].paths()
     rel = abs(y2.values[:, 0, 0].mean() - math.exp(a)) / math.exp(a)
     driver_ok = rel < 0.01
     elapsed = time.time() - start

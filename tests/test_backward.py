@@ -22,6 +22,12 @@ def brownian_paths(problem, grid, particles, seed):
     return bundle, x, flow
 
 
+def backward_paths(*args, **kwargs):
+    """solve_backward with its fitted maps built into (Y, Z) paths."""
+    y, z, diag = solve_backward(*args, **kwargs)
+    return y.paths(), z.paths(), diag
+
+
 def affine_design(x):
     """The [1, x] design (P, 1 + m) of particle-major states x (P, m)."""
     return np.column_stack([np.ones(len(x)), x])
@@ -61,7 +67,7 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 20)
         particles = 2000
         bundle, x, flow = brownian_paths(p, grid, particles, seed=0)
-        y, z, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 20))
+        y, z, _ = backward_paths(p, grid, bundle, x, flow, marginal(x, 20))
         assert np.allclose(y.values, 2.5, atol=1e-10)
         # Z is zero only in expectation: each fit carries Monte Carlo noise
         # of order std(c dW/dt) * sqrt(n_features / particles)
@@ -74,7 +80,7 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 50)
         particles = 5000
         bundle, x, flow = brownian_paths(martingale_problem, grid, particles, seed=2)
-        y, z, _ = solve_backward(martingale_problem, grid, bundle, x, flow, marginal(x, 50))
+        y, z, _ = backward_paths(martingale_problem, grid, bundle, x, flow, marginal(x, 50))
         x0 = martingale_problem.x0[0]
         se_y0 = x.values[:, -1, 0].std() / math.sqrt(particles)
         assert abs(y.values[:, 0, 0].mean() - x0) < 3 * se_y0
@@ -93,13 +99,13 @@ class TestSolveBackward:
         p = scalar_problem(h={"y": -a}, sigma={"const": 1.0}, g={"const": 1.0})
         grid = TimeGrid(1.0, 100)
         bundle, x, flow = brownian_paths(p, grid, 2000, seed=2)
-        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, 100))
+        y, _, _ = backward_paths(p, grid, bundle, x, flow, marginal(x, 100))
         assert y.values[:, 0, 0].mean() == pytest.approx(math.exp(a), rel=0.01)
 
     def test_tower_property_fitted_values_are_functions_of_state(self, martingale_problem):
         grid = TimeGrid(1.0, 10)
         bundle, x, flow = brownian_paths(martingale_problem, grid, 300, seed=3)
-        y, z, _ = solve_backward(martingale_problem, grid, bundle, x, flow, marginal(x, 10))
+        y, z, _ = backward_paths(martingale_problem, grid, bundle, x, flow, marginal(x, 10))
         # two particles with (numerically) equal states get equal fits
         xs = x.values[:, 5, 0]
         i, j = np.argsort(xs)[:2]
@@ -123,7 +129,7 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 40)
         particles = 4000
         bundle, x, flow = brownian_paths(martingale_problem, grid, particles, seed=7)
-        y, z, _ = solve_backward(martingale_problem, grid, bundle, x, flow, marginal(x, 40))
+        y, z, _ = backward_paths(martingale_problem, grid, bundle, x, flow, marginal(x, 40))
         zv = z.values.reshape(particles, 40, 1)
         for k in range(40):
             # the Y-update part has exactly zero mean (the regression
@@ -143,7 +149,7 @@ class TestSolveBackward:
         bundle, x, _ = brownian_paths(p, grid, 200, seed=8)
         ones = PathEnsemble(np.ones((200, 11, 1)))
         flow_shifted = [joint_marginal(x, ones, k) for k in range(11)]
-        y, _, _ = solve_backward(p, grid, bundle, x, flow_shifted, marginal(x, 10))
+        y, _, _ = backward_paths(p, grid, bundle, x, flow_shifted, marginal(x, 10))
         # dY = -1 dt integrated from T: Y_0 = 0 + 1.0
         assert y.values[:, 0, 0].mean() == pytest.approx(1.0, abs=1e-8)
 
@@ -152,7 +158,7 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 10)
         bundle, x, flow = brownian_paths(p, grid, 200, seed=9)
         frozen = PathEnsemble(np.full((200, 11, 1), 5.0))
-        y, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(frozen, 10))
+        y, _, _ = backward_paths(p, grid, bundle, x, flow, marginal(frozen, 10))
         assert np.allclose(y.values[:, -1, 0], x.values[:, -1, 0] + 5.0)
 
     def test_degenerate_cloud_flagged_as_ridge(self, martingale_problem):
@@ -177,7 +183,7 @@ class TestSolveBackward:
             g=AffineCoeffs(2, x=[[1.0, 0.5], [0.5, 2.0]], mean_x=0.1, const=[0.0, 0.3]),
         )
         flow = [joint_marginal(x, x, k) for k in range(grid.steps + 1)]
-        y, z, diag = solve_backward(p, grid, bundle, x, flow, marginal(x, grid.steps))
+        y, z, diag = backward_paths(p, grid, bundle, x, flow, marginal(x, grid.steps))
         y_ref, z_ref, ridge = per_step_backward(p, grid, bundle, x, flow, marginal(x, grid.steps))
         assert diag.ridge_steps == ridge == [2, 1, 0]
         # the Gram sums run in another order; on the collinear steps the
@@ -196,11 +202,11 @@ class TestSolveBackward:
         x = lqgame.simulate_state(gs, grid, bundle, [zero, zero])
         flow = [joint_marginal(x, x, k) for k in range(grid.steps + 1)]
         args = (lqgame._adjoint_problem(gs, 0), grid, bundle, x, flow, marginal(x, grid.steps))
-        y_ref, z_ref, diag_ref = solve_backward(*args)
+        y_ref, z_ref, diag_ref = backward_paths(*args)
         assert len(diag_ref.ridge_steps) == grid.steps
         factors = backward.regression_factors(x)
         for _ in range(2):  # a second sweep reuses the same factors
-            y, z, diag = solve_backward(*args, factors=factors)
+            y, z, diag = backward_paths(*args, factors=factors)
             assert y.values.tobytes() == y_ref.values.tobytes()
             assert z.values.tobytes() == z_ref.values.tobytes()
             assert (diag.y_residuals, diag.z_residuals) == (diag_ref.y_residuals, diag_ref.z_residuals)
@@ -284,8 +290,70 @@ class TestPredictorPasses:
         with_y.terms["y"] = PiecewiseConstant([0.0], [[[0.0]]])
         outs = []
         for h in (counted, with_y):
-            y, z, _ = solve_backward(dataclasses.replace(p, h=h), grid, bundle, x, flow, marginal(x, grid.steps))
+            y, z, _ = backward_paths(dataclasses.replace(p, h=h), grid, bundle, x, flow, marginal(x, grid.steps))
             outs.append((y.component_major.tobytes(), z.component_major.tobytes(), len(calls)))
             calls.clear()
         assert outs[0][:2] == outs[1][:2]
         assert (outs[0][2], outs[1][2]) == (100, 200)
+
+
+def path_writing_backward(p, grid, bundle, x_ens, flow, mu):
+    """The sweep as it wrote (nodes, m, P) paths: each step's fitted values stored, Y_N = g(X_T) stored."""
+    m, steps, dt = p.dim_state, grid.steps, grid.dt
+    xv = x_ens.component_major
+    shifted, _ = backward.regression_factors(x_ens)
+    y, z = np.empty((steps + 1, m, bundle.particles)), np.empty((steps, m, bundle.particles))
+    y[steps] = p.g(p.horizon, xv[steps].T, nu=mu).T
+    design = np.ones((1 + m, bundle.particles))
+    for k in range(steps - 1, -1, -1):
+        design[1:] = xv[k]
+        fit = lambda targets: np.linalg.solve(shifted[k], design @ targets.T).T @ design
+        z[k] = fit(y[k + 1] * bundle.component_major[k] / dt)
+        guess = y[k + 1]
+        for _ in range(backward._PICARD_PASSES if "y" in p.h.terms else 1):
+            guess = fit(y[k + 1] - p.h(float(grid.nodes[k]), xv[k].T, guess.T, z[k].T, flow[k]).T * dt)
+        y[k] = guess
+    return y, z
+
+
+class TestFittedMap:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("particles", [777, 5000, 10_001])
+    def test_nodes_and_paths_have_the_bits_of_the_sweep_product(self, particles, m):
+        # a sweep fits solve(shifted[k], design @ t.T).T @ design through its own design buffer; a map keeps the
+        # solve in a table and evaluates the product through its own buffer, per node and into built paths
+        rng = np.random.default_rng(particles + m)
+        steps = 3
+        x = from_component_major(rng.standard_normal((steps + 1, m, particles)))
+        shifted, _ = backward.regression_factors(x)
+        design, coef, sweep = np.ones((1 + m, particles)), np.empty((steps, 1 + m, m)), []
+        for k in range(steps):
+            design[1:] = x.component_major[k]
+            t = rng.standard_normal((m, particles))
+            sweep.append(np.linalg.solve(shifted[k], design @ t.T).T @ design)
+            coef[k] = np.linalg.solve(shifted[k], design @ t.T)
+        last = rng.standard_normal((m, particles))
+        fitted = backward.FittedMap(x, coef, last)
+        assert all(np.array_equal(fitted.node(k), sweep[k]) for k in range(steps))
+        assert np.array_equal(fitted.node(steps), last)
+        assert np.array_equal(fitted.paths().component_major, np.stack([*sweep, last]))
+
+    @pytest.mark.parametrize("game", [False, True])
+    def test_sweep_maps_build_the_paths_the_path_writing_sweep_wrote(self, game):
+        # the README toy (m = 1, one predictor pass) and the example-3 adjoint (m = 2, two passes, every step
+        # ridge-flagged) along its state
+        if game:
+            gs = lqgame.example3_game(0.25)
+            grid = TimeGrid(gs.horizon, 10)
+            bundle = make_bundle(grid, 500, 1, seed=4)
+            zero = PathEnsemble(np.zeros((500, grid.steps + 1, 1)))
+            x = lqgame.simulate_state(gs, grid, bundle, [zero, zero])
+            p = lqgame._adjoint_problem(gs, 0)
+        else:
+            p = problem_from_config(TOY_PROBLEM)
+            grid = TimeGrid(0.25, 10)
+            bundle, x, _ = brownian_paths(p, grid, 777, seed=5)
+        flow = [joint_marginal(x, x, k) for k in range(grid.steps + 1)]
+        y, z, _ = backward_paths(p, grid, bundle, x, flow, marginal(x, grid.steps))
+        y_ref, z_ref = path_writing_backward(p, grid, bundle, x, flow, marginal(x, grid.steps))
+        assert np.array_equal(y.component_major, y_ref) and np.array_equal(z.component_major, z_ref)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mfbsde import fixpoint
-from mfbsde.backward import solve_backward
+from mfbsde.backward import FittedMap, solve_backward
 from mfbsde.fixpoint import Diverged, IterationDiagnostics, MfSolution, SchemeParams
 from mfbsde.forward import propagate
 from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, make_bundle, node_msd
@@ -232,16 +232,29 @@ def split(v, y_shape, z_shape):
     return [from_component_major(a.reshape(s)) for a, s in zip(np.split(v.copy(), [cut]), (y_shape, z_shape))]
 
 
+def fitted(e, terminal):
+    """A fitted map whose node values are the paths ``e`` exactly: [0; I] tables on ``e`` itself (0 * 1 + 1 * x
+    is x), with the last node held as terminal values when ``terminal`` (a Y map) and not otherwise (a Z map)."""
+    nodes, dim, _ = e.component_major.shape
+    coef = np.zeros((nodes - 1 if terminal else nodes, 1 + dim, dim))
+    coef[:, 1:] = np.eye(dim)
+    return FittedMap(e, coef, e.component_major[-1] if terminal else None)
+
+
+def fitted_pair(y, z):
+    return fitted(y, True), fitted(z, False)
+
+
 class FlatAnderson:
     """Drives fixpoint._Anderson on flat vectors, each split into a
-    component-major (Y, Z) pair."""
+    component-major (Y, Z) pair; the sweep outputs are fed as fitted maps."""
 
     def __init__(self, depth, y_shape, z_shape):
         self.acc = fixpoint._Anderson(depth, y_shape, z_shape)
         self.shapes = (y_shape, z_shape)
 
     def next(self, u, fu):
-        self.acc.observe(split(fu, *self.shapes), split(u, *self.shapes))
+        self.acc.observe(fitted_pair(*split(fu, *self.shapes)), split(u, *self.shapes))
         return np.concatenate([e.component_major.ravel() for e in self.acc.mix()])
 
 
@@ -294,7 +307,7 @@ class TestAnderson:
         for _ in range(3):
             new = [from_component_major(rng.standard_normal(s)) for s in shapes]
             per_x = node_msd(new[0].component_major, old[0].component_major)
-            gap = sum(fixpoint._gap_parts(per_x, *acc.observe(new[1:], old[1:]), grid.dt))
+            gap = sum(fixpoint._gap_parts(per_x, *acc.observe(fitted_pair(*new[1:]), old[1:]), grid.dt))
             assert gap == pytest.approx(sum(fixpoint._gaps(grid, new, old)), rel=1e-12, abs=0.0)
             old = new
 
@@ -316,37 +329,36 @@ def toy_solve_peak():
 
 
 class TestAndersonMemory:
-    def test_mix_keeps_no_reference_to_the_sweep_output(self):
+    def test_mix_keeps_only_the_outputs_the_next_mix_reads(self):
         rng = np.random.default_rng(0)
         shapes = (3, 1, 5), (2, 1, 5)
         acc = fixpoint._Anderson(2, *shapes)
         u = [from_component_major(np.zeros(s)) for s in shapes]
-        for _ in range(3):
-            fu = [from_component_major(rng.standard_normal(s)) for s in shapes]
+        swept = []
+        for _ in range(4):
+            fu = fitted_pair(*(from_component_major(rng.standard_normal(s)) for s in shapes))
+            swept.append(weakref.ref(fu[0].x))
             acc.observe(fu, u)
             u = acc.mix()
-        # the third mix has history: it returns a new iterate, and the output lives on only as ring data
-        assert u[0] is not fu[0]
-        swept_y = weakref.ref(fu[0].component_major)
-        del fu
-        assert swept_y() is None
+            assert not any(np.shares_memory(e.component_major, f.x) for e in u for f in fu)
+            del fu
+        # the next observe and mix read the last depth = 2 outputs: older ones and their paths are gone
+        assert [ref() is None for ref in swept] == [True, True, False, False]
 
     def test_mix_without_history_returns_a_copy_of_the_sweep_output(self):
         rng = np.random.default_rng(1)
         shapes = (3, 1, 5), (2, 1, 5)
         acc = fixpoint._Anderson(2, *shapes)
-        fu = [from_component_major(rng.standard_normal(s)) for s in shapes]
+        fu = fitted_pair(*(from_component_major(rng.standard_normal(s)) for s in shapes))
         acc.observe(fu, [from_component_major(np.zeros(s)) for s in shapes])
         for got, swept in zip(acc.mix(), fu):
-            assert not np.shares_memory(got.component_major, swept.component_major)
-            assert got.component_major.tobytes() == swept.component_major.tobytes()
-        swept_y = weakref.ref(fu[0].component_major)
-        del fu, got, swept
-        assert swept_y() is None
+            assert not np.shares_memory(got.component_major, swept.x)
+            assert got.component_major.tobytes() == swept.paths().component_major.tobytes()
 
-    def test_backward_sweep_runs_beside_two_forward_path_sets(self, monkeypatch):
-        # the newest paths and the outer iterate's: the previous sweep's X is gone once its gap is taken
-        paths, alive = [], []
+    def test_backward_sweep_runs_beside_depth_plus_two_forward_path_sets(self, monkeypatch):
+        # the mixer's last depth outputs hold their X paths, beside the newest paths and the outer iterate's;
+        # the sweep itself builds fitted maps, not (Y, Z) paths
+        paths, alive, grown = [], [], []
 
         def tracked_propagate(*args):
             x = propagate(*args)
@@ -355,14 +367,25 @@ class TestAndersonMemory:
 
         def counting_backward(*args):
             alive.append(sum(ref() is not None for ref in paths))
-            return solve_backward(*args)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = solve_backward(*args)
+            grown.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
 
         monkeypatch.setattr(fixpoint, "propagate", tracked_propagate)
         monkeypatch.setattr(fixpoint, "solve_backward", counting_backward)
         p = problem_from_config(TOY_PROBLEM)
-        sol = fixpoint.solve(p, TimeGrid(0.25, 10), SchemeParams(delta=0.01, tol=1e-5, max_outer=3, particles=200))
+        params = SchemeParams(delta=0.01, tol=1e-5, max_outer=3, particles=200)
+        tracemalloc.start()
+        try:
+            sol = fixpoint.solve(p, TimeGrid(0.25, 40), params)
+        finally:
+            tracemalloc.stop()
         assert len(sol.history) == 3 and len(alive) == sum(rec.inner_sweeps for rec in sol.history)
-        assert max(alive) == 2
+        assert max(alive) == fixpoint._ANDERSON_DEPTH + 2
+        # one (Y, Z) path set is 81 nodes of 200 particles; the sweep's Gram chunk is 8 steps of [1, X]
+        assert max(grown) < 0.5 * 81 * 200 * 8
 
     def test_solve_peak_memory(self, toy_solve_peak):
         sol, peak = toy_solve_peak
@@ -370,9 +393,9 @@ class TestAndersonMemory:
         assert peak <= 13.5
 
     def test_solve_peak_holds_only_what_a_sweep_reads(self, toy_solve_peak):
-        # bundle (0.5 U), previous iterate (1.5 U), the Anderson rings (6 U) and mix buffer (1 U), the
-        # newest X paths (0.5 U) and the sweep output being built (1 U): 10.5 U, and 10.83 U measured
-        assert toy_solve_peak[1] <= 11.2
+        # bundle (0.5 U), previous iterate (1.5 U), the dR ring (3 U) and mix buffer (1 U), and four X path
+        # sets (2 U): the mixer's last three outputs' and the newest: 8.0 U, and 8.54 U measured
+        assert toy_solve_peak[1] <= 8.8
 
 
 class TestToyOracle:

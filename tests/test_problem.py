@@ -72,7 +72,7 @@ class TestCheckH1:
         raw = rng.standard_normal((2, 2))
         s = (raw + raw.T) / 2 + 1.5 * np.eye(2)
         p = affine_problem_from_blocks(s[:1, :1], s[:1, 1:], s[1:, :1], s[1:, 1:])
-        p.monotonicity = MonotonicityProfile(k=1e-6, k_prime=1e-6, variant=H1PRIME)
+        p = dataclasses.replace(p, monotonicity=MonotonicityProfile(k=1e-6, k_prime=1e-6, variant=H1PRIME))
         rep = check_H1(p)
         lam_min = float(np.linalg.eigvalsh(s)[0])
         assert rep.computed["k"] == pytest.approx(lam_min, abs=1e-12)
@@ -88,7 +88,7 @@ class TestCheckH1:
         # a random probe's minimum overestimates k (1.6206 against 1.6071) and passed this declaration
         s = block_matrix(4)
         p = affine_problem_from_blocks(s[:2, :2], s[:2, 2:], s[2:, :2], s[2:, 2:])
-        p.monotonicity = MonotonicityProfile(k=1.615, k_prime=1.0, variant=H1PRIME)
+        p = dataclasses.replace(p, monotonicity=MonotonicityProfile(k=1.615, k_prime=1.0, variant=H1PRIME))
         rep = check_H1(p)
         assert rep.computed["k"] == pytest.approx(1.6070996, abs=1e-7)
         assert not rep.operator_ok and rep.terminal_ok and not rep.passed
@@ -349,9 +349,15 @@ class TestSpotCheck:
         with pytest.raises(ValueError, match="^f has dimension 1, but x0 has 2 entries$"):
             MfProblem([0.0, 0.0], 1.0, **two_dim_tables(f=AffineCoeffs(1, "f", y=-1.0)))
         p = MfProblem([0.0, 0.0], 1.0, **two_dim_tables())
-        p.x0 = np.zeros(3)
         with pytest.raises(ValueError, match="^f has dimension 2, but x0 has 3 entries$"):
-            p.spot_check()
+            dataclasses.replace(p, x0=np.zeros(3))
+
+    @pytest.mark.parametrize("name", ["x0", "h"])
+    def test_fields_cannot_be_assigned_after_construction(self, name):
+        # a table assigned later would skip the checks; a changed copy comes from dataclasses.replace
+        p = MfProblem([0.0, 0.0], 1.0, **two_dim_tables())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, lambda t, x, y, z, nu: -x)
 
     def test_terminal_map_reads_only_x_and_its_mean(self):
         with pytest.raises(ValueError, match=r"^g supports the terms x, mean_x and const; got \['mean_y', 'y'\]$"):
