@@ -72,14 +72,17 @@ class RegressionDiagnostics:
 
 class FittedMap:
     """The affine map a backward sweep fitted, V_k = coef_k^T [1; X_k], on the X paths ``x_ens`` it was
-    fitted on: ``coef`` is (fits, 1 + m, dim), ``last`` the (dim, P) node past the tables (Y's g(X_T)) or
-    None, and ``design`` a (1 + m, P) buffer of ones that maps on the same paths may share.  :meth:`node`
-    evaluates a node as the product the sweep made, and :meth:`paths` builds the ensemble."""
+    fitted on: ``coef`` is (fits, 1 + m, dim), ``last`` the read-only (dim, P) node past the tables (Y's g(X_T))
+    or None, and ``design`` a (1 + m, P) buffer of ones that maps on the same paths may share.  :meth:`node`
+    evaluates a node as the product the sweep made, iterating yields them through one buffer, and :meth:`paths`
+    builds the ensemble."""
 
     def __init__(self, x_ens: PathEnsemble, coef: np.ndarray, last: np.ndarray | None = None, design=None):
         self.x, self.coef, self.last = x_ens.component_major, coef, last
-        self.nodes = len(coef) + (last is not None)
+        self.nodes, self.dim, self.particles = len(coef) + (last is not None), coef.shape[2], x_ens.particles
         self.design = np.ones((1 + x_ens.dim, x_ens.particles)) if design is None else design
+        if last is not None:
+            last.flags.writeable = False
 
     def node(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
         """The (dim, P) values at node k, written to ``out`` when given."""
@@ -88,8 +91,12 @@ class FittedMap:
         self.design[1:] = self.x[k]
         return np.matmul(self.coef[k].T, self.design, out=out)
 
+    def __iter__(self):
+        buf = np.empty((self.dim, self.particles))
+        return (self.node(k, out=buf) for k in range(self.nodes))
+
     def paths(self) -> PathEnsemble:
-        out = np.empty((self.nodes, self.coef.shape[2], self.x.shape[2]))
+        out = np.empty((self.nodes, self.dim, self.particles))
         for k, block in enumerate(out):
             self.node(k, out=block)
         return from_component_major(out)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backward import solve_backward
+from .backward import FittedMap, solve_backward
 from .forward import propagate
 from .paths import (
     BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major, joint_marginal, make_bundle, marginal,
@@ -193,8 +193,8 @@ def _gap_parts(per_x, per_y, per_z, dt: float) -> tuple[float, float]:
 
 
 def _gaps(grid: TimeGrid, new, old) -> tuple[float, float]:
-    """Cauchy gap pair of two (X, Y, Z) iterates."""
-    return _gap_parts(*(node_msd(a.component_major, b.component_major) for a, b in zip(new, old)), grid.dt)
+    """Cauchy gap pair of two (X, Y, Z) iterates, each part path ensembles or fitted maps, read node by node."""
+    return _gap_parts(*(node_msd(a, b) for a, b in zip(new, old)), grid.dt)
 
 
 def _rows(*arrays) -> list[np.ndarray]:
@@ -228,7 +228,7 @@ class _Anderson:
         self.depth, self.shapes, self.cut = depth, (y_shape, z_shape), int(np.prod(y_shape))
         cuts = np.cumsum([int(np.prod(s[1:])) for s in self.shapes for _ in range(s[0])])
         dr = np.zeros((depth, cuts[-1]))
-        self.out = np.empty(cuts[-1])
+        self.out = np.zeros(cuts[-1])  # the zero triple's (Y, Z) until the first observe
         # per node block: which map of a sweep output gives it and at which node, its columns of dR and its part
         # of the mix; and per map, a (depth, dim, P) scratch buffer for outputs' values at one node
         self.blocks = list(zip([(j, k) for j, s in enumerate(self.shapes) for k in range(s[0])],
@@ -240,6 +240,10 @@ class _Anderson:
     def restart(self) -> None:
         """Forget the history and the outputs in it (an inner solve ends)."""
         self.maps, self.stored = [], -1
+
+    def iterate(self) -> tuple[PathEnsemble, PathEnsemble]:
+        """The mix buffer's (Y, Z) as its views: the last mix, the output last observed if no mix followed, or 0."""
+        return tuple(from_component_major(a.reshape(s)) for a, s in zip(np.split(self.out, [self.cut]), self.shapes))
 
     def observe(self, new, old) -> tuple[np.ndarray, np.ndarray]:
         """Pass 1 for the sweep from the iterate ``old`` = (Y, Z) paths to
@@ -289,27 +293,31 @@ class _Anderson:
                     out -= df
             if not all_finite(self.out):
                 for (j, k), _, out in self.blocks:
-                    np.copyto(out, self.maps[-1][j].node(k).reshape(-1))
+                    self.maps[-1][j].node(k, out=out.reshape(self.shapes[j][1:]))
         del self.maps[: -self.depth]
-        return tuple(from_component_major(a.reshape(s)) for a, s in zip(np.split(self.out, [self.cut]), self.shapes))
+        return self.iterate()
 
 
-def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel: _Anderson):
+def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, prev, accel: _Anderson):
     """Solve the frozen-flow (standard) FBSDE by alternating sweeps.
 
-    One sweep propagates X under the current (Y, Z) and re-regresses the
-    backward pair along the new paths; the next sweep starts from the
-    Anderson mix of the swept pairs.  The X part of the sweep gap is taken
-    as soon as the new paths exist.  Runs at least _INNER_MIN_SWEEPS
-    sweeps and stops once the sweep-to-sweep gap drops below (tol/10)^2
-    (well below the outer stopping threshold), when :func:`diverging`
-    flags the sweep gaps (left to the outer solve to classify) or at the
-    sweep cap.  Returns the last swept (X, Y, Z), its (Y, Z) paths built
-    from the fitted maps once the mixer has dropped its history, its
-    regression diagnostics, why the solve stopped ("target", "growth" or
-    "cap"), its sweep count and its last sweep-to-sweep gap.
+    ``prev`` is the previous outer iterate, X paths and (Y, Z) fitted maps:
+    the maps give the damping pair, and the sweeps start from their values,
+    which the mixer's buffer holds, so the current (Y, Z) is always paths
+    in that buffer.  One sweep propagates X under the current (Y, Z) and
+    re-regresses the backward pair along the new paths; the next sweep
+    starts from the Anderson mix of the swept pairs.  The X part of the
+    sweep gap is taken as soon as the new paths exist.  Runs at least
+    _INNER_MIN_SWEEPS sweeps and stops once the sweep-to-sweep gap drops
+    below (tol/10)^2 (well below the outer stopping threshold), when
+    :func:`diverging` flags the sweep gaps (left to the outer solve to
+    classify) or at the sweep cap.  Returns the last swept X paths and
+    (Y, Z) maps (their values stay in the buffer), its regression
+    diagnostics, why the solve stopped ("target", "growth" or "cap"), its
+    sweep count and its last sweep-to-sweep gap.
     """
-    x_cur, y_cur, z_cur = x_prev, y_prev, z_prev = start
+    x_cur, y_prev, z_prev = prev
+    y_cur, z_cur = accel.iterate()
     target = (0.1 * params.tol) ** 2
     gaps = []
     for sweep in range(1, _INNER_MAX_SWEEPS + 1):
@@ -325,8 +333,8 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, start, accel
         if sweep == _INNER_MAX_SWEEPS or (sweep >= _INNER_MIN_SWEEPS and stop):
             break
         y_cur, z_cur = accel.mix()
-    accel.restart()  # the kept outputs and their X paths go before the last output's paths are built
-    return x_new, y_hat.paths(), z_hat.paths(), reg_diag, stop or "cap", sweep, gap
+    accel.restart()  # the kept outputs and their X paths go; the last output lives on as the outer iterate
+    return x_new, y_hat, z_hat, reg_diag, stop or "cap", sweep, gap
 
 
 def _theory_ratio(p: MfProblem, params: SchemeParams) -> float:
@@ -351,9 +359,11 @@ def solve(
     """Run the frozen-measure iteration until the Cauchy gap is below
     tol^2 or max_outer is reached.
 
-    The iterate starts from the zero triple.  Raises :class:`Diverged`
-    when the gap is not finite or grows by more than 10x across 3
-    consecutive outer steps, or when the particle system blows up
+    The iterate starts from the zero triple and is kept as X paths and the
+    last sweep's (Y, Z) fitted maps; the (Y, Z) paths are built once, at
+    the end, after the mixer is released.  Raises :class:`Diverged` when
+    the gap is not finite or grows by more than 10x across 3 consecutive
+    outer steps, or when the particle system blows up
     (:func:`blowups_diverge`).
     """
     if abs(grid.horizon - p.horizon) > 1e-12 * max(1.0, p.horizon):
@@ -362,23 +372,24 @@ def solve(
     bundle = make_bundle(grid, params.particles, 1, seed)
     theory = _theory_ratio(p, params)
 
-    # the (Y, Z) shapes; X shares Y's, and the iteration starts from the zero triple
+    # the (Y, Z) shapes; X shares Y's, and the iteration starts from the zero triple: zero tables on zero paths
     shapes = (grid.steps + 1, m, params.particles), (grid.steps, m, params.particles)
-    x_cur, y_cur, z_cur = x_prev, y_prev, z_prev = [from_component_major(np.zeros(s)) for s in (shapes[0], *shapes)]
+    x_cur, tables = from_component_major(np.zeros(shapes[0])), np.zeros((grid.steps, 1 + m, m))
+    prev = x_cur, FittedMap(x_cur, tables, np.zeros(shapes[0][1:])), FittedMap(x_cur, tables)
 
     history: list[IterationDiagnostics] = []
     converged = False
     accel = _Anderson(_ANDERSON_DEPTH, *shapes)
 
     for n in range(1, params.max_outer + 1):
-        flow = [joint_marginal(x_prev, y_prev, k) for k in range(x_prev.nodes)]
-        mu_t = marginal(x_prev, x_prev.nodes - 1)
+        flow = [joint_marginal(prev[0], prev[1], k) for k in range(grid.steps + 1)]
+        mu_t = marginal(prev[0], grid.steps)
         with blowups_diverge(f"particle system blew up at outer iteration {n}", history):
             x_cur, y_cur, z_cur, reg_diag, inner_exit, sweeps, inner_gap = _inner_solve(
-                p, grid, bundle, params, flow, mu_t, (x_prev, y_prev, z_prev), accel
+                p, grid, bundle, params, flow, mu_t, prev, accel
             )
 
-        gap_xt, gap_u = _gaps(grid, (x_cur, y_cur, z_cur), (x_prev, y_prev, z_prev))
+        gap_xt, gap_u = _gaps(grid, (x_cur, *accel.iterate()), prev)  # the new (Y, Z) values are in the buffer
         gap_total = gap_xt + gap_u
         prev_gap = history[-1].gap_total if history else math.nan
         ratio = gap_total / prev_gap if 0 < prev_gap < math.inf else math.nan
@@ -398,7 +409,7 @@ def solve(
                 inner_exit=inner_exit,
             )
         )
-        x_prev, y_prev, z_prev = x_cur, y_cur, z_cur
+        prev = x_cur, y_cur, z_cur
         if converged:
             break
         if diverging([rec.gap_total for rec in history]):
@@ -408,12 +419,13 @@ def solve(
                 history,
             )
 
+    del accel, flow, mu_t  # the mixer's buffers and the last frozen flow go before the paths are built
     return MfSolution(
         grid=grid,
         bundle=bundle,
         x_ens=x_cur,
-        y_ens=y_cur,
-        z_ens=z_cur,
+        y_ens=y_cur.paths(),
+        z_ens=z_cur.paths(),
         history=history,
         converged=converged,
     )

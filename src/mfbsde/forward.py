@@ -24,18 +24,20 @@ def propagate(
     bundle: BrownianBundle,
     y_ens: PathEnsemble,
     z_ens: PathEnsemble,
-    y_prev: PathEnsemble,
-    z_prev: PathEnsemble,
+    y_prev,
+    z_prev,
     frozen_flow,
     delta: float,
 ) -> PathEnsemble:
     """One forward Euler sweep; returns the X ensemble on all grid nodes.
 
     ``frozen_flow`` supplies the joint (X, Y) cloud at each node of the
-    previous iterate; the step from t_k uses the cloud at t_k.  All
-    particles start at the problem's x0.  A non-finite X, checked once after
-    the last step, raises FloatingPointError naming the first step that made
-    one (later steps only carry it forward).
+    previous iterate; the step from t_k uses the cloud at t_k.  The damping
+    pair (``y_prev``, ``z_prev``) is path ensembles or fitted maps, read a
+    node at a time into a buffer.  All particles start at the problem's x0.
+    A non-finite X, checked once after the last step, raises
+    FloatingPointError naming the first step that made one (later steps
+    only carry it forward).
     """
     m = p.dim_state
     particles, steps = bundle.particles, bundle.steps
@@ -45,8 +47,8 @@ def propagate(
         raise ValueError("delta must be nonnegative")
     for name, e, nodes in (("y_ens", y_ens, steps + 1), ("y_prev", y_prev, steps + 1),
                            ("z_ens", z_ens, steps), ("z_prev", z_prev, steps)):
-        if e.values.shape != (particles, nodes, m):
-            raise ValueError(f"{name} has shape {e.values.shape}, expected ({particles}, {nodes}, {m})")
+        if (e.particles, e.nodes, e.dim) != (particles, nodes, m):
+            raise ValueError(f"{name} has shape {(e.particles, e.nodes, e.dim)}, expected ({particles}, {nodes}, {m})")
     if len(frozen_flow) < steps:
         raise ValueError(f"frozen_flow must provide one measure per node, got {len(frozen_flow)}")
 
@@ -55,10 +57,10 @@ def propagate(
     # component-major (nodes, dim, particles); the tables get (particles, dim) views
     x = np.empty((steps + 1, m, particles))
     x[0] = p.x0[:, None]
-    yv, ypv = y_ens.component_major, y_prev.component_major
-    zv, zpv = z_ens.component_major, z_prev.component_major
+    yv, zv = y_ens.component_major, z_ens.component_major
     dw = bundle.component_major
     damp_sigma = delta > 0.0 and not p.law_free_sigma
+    dy, dz = np.empty((2, m, particles))  # the damping differences, one node at a time
 
     for k in range(steps):
         t_k = float(times[k])
@@ -66,10 +68,10 @@ def propagate(
         xk, yk, zk = x[k].T, yv[k].T, zv[k].T
         drift = p.f(t_k, xk, yk, zk, nu_k).T
         if delta > 0.0:
-            drift = drift - delta * (yv[k] - ypv[k])
+            drift = drift - delta * np.subtract(yv[k], y_prev.node(k, out=dy), out=dy)
         diff = p.sigma(t_k, xk, yk, zk, nu_k).T
         if damp_sigma:
-            diff = diff - delta * (zv[k] - zpv[k])
+            diff = diff - delta * np.subtract(zv[k], z_prev.node(k, out=dz), out=dz)
         x[k + 1] = x[k] + drift * dt + diff * dw[k]
 
     if not all_finite(x):

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fixpoint
-from .backward import regression_factors, solve_backward
+from .backward import FittedMap, regression_factors, solve_backward
 from .measure import from_checked
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, marginal, node_msd
 from .problem import (
@@ -472,28 +472,28 @@ def _solve_adjoint(gs, i, sol, params, factors) -> tuple[PathEnsemble, PathEnsem
     """Iterate the adjoint mean-field BSDE, regressing on the solved
     state's shared ``factors``, to a fixed point of its own mean coupling
     (frozen (X, p_i) flow, refrozen each pass) until a gap is below tol^2,
-    for at most _ADJOINT_MAX_PASSES passes.  Returns (p_i, q_i) and the gap
-    of every pass; the iteration count is its length.  A pass that blows
-    up, and gaps that :func:`fixpoint.diverging` flags, raise
-    :class:`fixpoint.Diverged` with the aggregated solve's history."""
+    for at most _ADJOINT_MAX_PASSES passes; p_i stays a fitted map (zero at
+    first) that the flow and the gap read node by node.  Returns (p_i, q_i),
+    built once, and the gap of every pass; the iteration count is its
+    length.  A pass that blows up, and gaps that :func:`fixpoint.diverging`
+    flags, raise :class:`fixpoint.Diverged` with the aggregated solve's history."""
     prob = _adjoint_problem(gs, i)
     grid, bundle, x_ens = sol.grid, sol.bundle, sol.x_ens
     terminal = marginal(x_ens, x_ens.nodes - 1)
-    p_ens = from_component_major(np.zeros((grid.steps + 1, gs.n, bundle.particles)))
+    p_map = FittedMap(x_ens, np.zeros((grid.steps, 1 + gs.n, gs.n)), np.zeros((gs.n, bundle.particles)))
     gaps = []
     for n in range(1, _ADJOINT_MAX_PASSES + 1):
         with fixpoint.blowups_diverge(f"adjoint of player {i} blew up at pass {n}", sol.history):
-            flow = [joint_marginal(x_ens, p_ens, k) for k in range(x_ens.nodes)]
-            p_map, q_map, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal, factors=factors)
-            p_new = p_map.paths()
-            gap = float(np.trapezoid(node_msd(p_new.component_major, p_ens.component_major), dx=grid.dt))
+            flow = [joint_marginal(x_ens, p_map, k) for k in range(x_ens.nodes)]
+            p_new, q_map, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal, factors=factors)
+            gap = float(np.trapezoid(node_msd(p_new, p_map), dx=grid.dt))
         gaps.append(gap)
-        p_ens = p_new
+        p_map = p_new
         if gap < params.tol**2:
             break
         if fixpoint.diverging(gaps):
             raise fixpoint.Diverged(f"adjoint reconstruction diverged for player {i}", sol.history)
-    return p_ens, q_map.paths(), gaps
+    return p_map.paths(), q_map.paths(), gaps
 
 
 def solve_nash(

@@ -133,6 +133,13 @@ class PathEnsemble:
     def dim(self) -> int:
         return self.component_major.shape[1]
 
+    def node(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The (dim, particles) block of node k, a read-only view or copied to ``out`` (a fitted map's interface)."""
+        return self.component_major[k] if out is None else np.copyto(out, self.component_major[k]) or out
+
+    def __iter__(self):
+        return iter(self.component_major)
+
 
 def from_component_major(arr: np.ndarray) -> PathEnsemble:
     """The ensemble that stores ``arr``, a finite C-contiguous (nodes, dim,
@@ -170,36 +177,38 @@ def marginal(e: PathEnsemble, node: int) -> EmpiricalMeasure:
 
 
 class _JointCloud(EmpiricalMeasure):
-    """The (X, Y) cloud of a node as a view of its two (dim, P) blocks: ``points`` concatenates them on each
-    read, and the mean, the concatenated blocks' means, has the bits of the concatenated cloud's."""
+    """The (X, Y) cloud of a node, kept as X's (dim, P) block and Y's source: ``blocks`` reads the node's two
+    blocks (a view of Y's paths, or a fitted map's node evaluated on each read), ``points`` concatenates them,
+    and the mean, the blocks' means taken once from a transient read, has the bits of the concatenated cloud's."""
 
-    def __init__(self, *blocks: np.ndarray):
-        mean = np.concatenate([b.T.mean(axis=0) for b in blocks])
-        mean.flags.writeable = False
-        self.__dict__.update(blocks=blocks, _mean=mean)
+    def __init__(self, x: np.ndarray, y, k: int):
+        self.__dict__.update(x=x, y=y, k=k, _mean=np.concatenate([x.T.mean(axis=0), y.node(k).T.mean(axis=0)]))
+        self._mean.flags.writeable = False
 
+    blocks = property(lambda self: (self.x, self.y.node(self.k)))
     points = property(lambda self: np.concatenate(self.blocks).T)
 
 
-def joint_marginal(x_ens: PathEnsemble, y_ens: PathEnsemble, node: int) -> EmpiricalMeasure:
-    """Joint (X, Y) cloud at a node: per-particle concatenation of components, a view of the two ensembles."""
-    if x_ens.particles != y_ens.particles or x_ens.nodes != y_ens.nodes:
+def joint_marginal(x_ens: PathEnsemble, y, node: int) -> EmpiricalMeasure:
+    """Joint (X, Y) cloud at a node: per-particle concatenation of components, with ``y`` a path ensemble or a
+    fitted map on the same particles; the cloud keeps a view of X's block and ``y`` itself, not Y's block."""
+    if x_ens.particles != y.particles or x_ens.nodes != y.nodes:
         raise ValueError("x and y ensembles must share particle and node counts")
     if not (0 <= node < x_ens.nodes):
         raise IndexError(f"node {node} out of range [0, {x_ens.nodes})")
-    return _JointCloud(x_ens.component_major[node], y_ens.component_major[node])
+    return _JointCloud(x_ens.component_major[node], y, node)
 
 
-def node_msd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-node mean over particles of |a - b|^2, for component-major
-    arrays (nodes, dim, particles).  One node block is differenced and
-    squared at a time, in one (dim, particles) buffer; each block's sum has
-    the bits of the whole-array ``((a - b) ** 2).reshape(nodes, -1).sum(axis=1)``."""
-    d, sums = np.empty(a.shape[1:]), np.empty(len(a))
-    for k, (u, v) in enumerate(zip(a, b)):
-        np.subtract(u, v, out=d)
-        sums[k] = np.square(d, out=d).sum()
-    return sums / a.shape[-1]
+def node_msd(a, b) -> np.ndarray:
+    """Per-node mean over particles of |a - b|^2, for two equal-length sequences of (dim, particles) node
+    blocks: component-major (nodes, dim, particles) arrays, path ensembles or fitted maps.  One node block is
+    differenced and squared at a time, in one buffer; each block's sum has the bits of the whole-array
+    ``((a - b) ** 2).reshape(nodes, -1).sum(axis=1)``."""
+    d, sums = None, []
+    for u, v in zip(a, b, strict=True):
+        d = np.subtract(u, v, out=d)
+        sums.append(np.square(d, out=d).sum())
+    return np.array(sums) / d.shape[-1]
 
 
 def all_finite(a: np.ndarray) -> bool:

@@ -338,6 +338,44 @@ class TestFittedMap:
         assert np.array_equal(fitted.node(steps), last)
         assert np.array_equal(fitted.paths().component_major, np.stack([*sweep, last]))
 
+    def test_terminal_node_is_read_only(self):
+        x = from_component_major(np.random.default_rng(2).standard_normal((3, 1, 40)))
+        fitted = backward.FittedMap(x, np.ones((2, 2, 1)), np.ones((1, 40)))
+        with pytest.raises(ValueError, match="read-only"):
+            fitted.node(2)[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.subtract(x.component_major[2], 1.0, out=fitted.node(2))
+        assert np.array_equal(fitted.node(2), np.ones((1, 40)))
+
+    @pytest.mark.parametrize("game", [False, True])
+    def test_flow_cloud_of_a_fitted_map_has_the_bits_of_the_cloud_of_its_paths(self, game):
+        # the toy (m = 1) and the example-3 adjoint (m = 2); one U is a (Y, Z) path set of the sweep
+        if game:
+            gs = lqgame.example3_game(0.25)
+            grid = TimeGrid(gs.horizon, 40)
+            bundle = make_bundle(grid, 2000, 1, seed=4)
+            zero = PathEnsemble(np.zeros((2000, grid.steps + 1, 1)))
+            x = lqgame.simulate_state(gs, grid, bundle, [zero, zero])
+            p = lqgame._adjoint_problem(gs, 0)
+        else:
+            p = problem_from_config(TOY_PROBLEM)
+            grid = TimeGrid(0.25, 40)
+            bundle, x, _ = brownian_paths(p, grid, 2000, seed=5)
+        flow = [joint_marginal(x, x, k) for k in range(grid.steps + 1)]
+        y_map, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, grid.steps))
+        y_paths = y_map.paths()
+        [joint_marginal(x, y_map, k).mean() for k in range(2)]  # numpy's first-use allocations are not counted
+        tracemalloc.start()
+        try:
+            clouds = [joint_marginal(x, y_map, k) for k in range(grid.steps + 1)]
+            grown = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grown < 0.1 * (2 * grid.steps + 1) * p.dim_state * 2000 * 8
+        for k, cloud in enumerate(clouds):
+            ref = joint_marginal(x, y_paths, k)
+            assert np.array_equal(cloud.mean(), ref.mean()) and np.array_equal(cloud.points, ref.points)
+
     @pytest.mark.parametrize("game", [False, True])
     def test_sweep_maps_build_the_paths_the_path_writing_sweep_wrote(self, game):
         # the README toy (m = 1, one predictor pass) and the example-3 adjoint (m = 2, two passes, every step

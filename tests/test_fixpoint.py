@@ -12,7 +12,7 @@ from mfbsde import fixpoint
 from mfbsde.backward import FittedMap, solve_backward
 from mfbsde.fixpoint import Diverged, IterationDiagnostics, MfSolution, SchemeParams
 from mfbsde.forward import propagate
-from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, make_bundle, node_msd
+from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle, marginal, node_msd
 from mfbsde.problem import AffineCoeffs, check_H1, contraction_constants, problem_from_config
 from conftest import TOY_PROBLEM, h1prime_toy, scalar_problem
 from oracles import toy_moments
@@ -393,9 +393,28 @@ class TestAndersonMemory:
         assert peak <= 13.5
 
     def test_solve_peak_holds_only_what_a_sweep_reads(self, toy_solve_peak):
-        # bundle (0.5 U), previous iterate (1.5 U), the dR ring (3 U) and mix buffer (1 U), and four X path
-        # sets (2 U): the mixer's last three outputs' and the newest: 8.0 U, and 8.54 U measured
-        assert toy_solve_peak[1] <= 8.8
+        # bundle (0.5 U), the previous iterate's X paths (0.5 U; its Y and Z are fitted maps), the dR ring (3 U)
+        # and mix buffer (1 U), and four X path sets (2 U): the mixer's last three outputs' and the newest:
+        # 7.0 U, and 7.59 U measured
+        assert toy_solve_peak[1] <= 7.8
+
+    def test_outer_gap_over_maps_has_the_bits_of_the_gap_over_built_paths(self):
+        # two sweeps' (X paths, Y map, Z map) on different paths, read node by node against the built paths
+        p, grid = problem_from_config(TOY_PROBLEM), TimeGrid(0.25, 20)
+        iterates = []
+        for seed in (1, 2):
+            bundle = make_bundle(grid, 1500, 1, seed)
+            y, z = from_component_major(np.zeros((21, 1, 1500))), from_component_major(np.zeros((20, 1, 1500)))
+            flow = [joint_marginal(y, y, k) for k in range(21)]
+            x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
+            iterates.append((x, *solve_backward(p, grid, bundle, x, flow, marginal(x, 20))[:2]))
+        new, old = iterates
+        paths = [[e.component_major if i == 0 else e.paths().component_major for i, e in enumerate(it)]
+                 for it in iterates]
+        want = fixpoint._gap_parts(*(node_msd(a, b) for a, b in zip(*paths)), grid.dt)
+        assert fixpoint._gaps(grid, new, old) == want
+        # the form the outer solve takes: the new (Y, Z) as paths, the old iterate's as maps
+        assert fixpoint._gaps(grid, [new[0], *(from_component_major(a) for a in paths[0][1:])], old) == want
 
 
 class TestToyOracle:
