@@ -16,7 +16,7 @@ from .lqgame import (
     solve_nash,
 )
 from .measure import EmpiricalMeasure, w2_exact, w2_paired_bound
-from .paths import BrownianBundle, PathEnsemble, TimeGrid, make_bundle, marginal
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, make_bundle
 from .problem import (
     AffineCoeffs,
     LipschitzProfile,
@@ -51,7 +51,6 @@ __all__ = [
     "deviation_test",
     "example3_game",
     "make_bundle",
-    "marginal",
     "propagate",
     "residual",
     "smallness_bound",

@@ -11,14 +11,14 @@ show the Monte Carlo misfit.
 
 The recursion, for k = steps-1 .. 0 with dt the step size:
 
-    Y_N = g(X_T, mu_T)                      (mu_T from the frozen iterate)
+    Y_N = g(X_T, m_N)
     Z_k = regress(Y_{k+1} dW_k / dt | X_k)
-    Y_k = regress(Y_{k+1} - h(t_k, X_k, Y_k, Z_k, nu_k) dt | X_k)
+    Y_k = regress(Y_{k+1} - h(t_k, X_k, Y_k, Z_k, m_k) dt | X_k)
 
 with h's implicit Y_k resolved by two predictor-corrector sub-iterations
-started from Y_{k+1} (one when h reads no Y), and
-nu_k always the FROZEN flow's cloud (the measure-freezing that decouples
-the outer iteration).
+started from Y_{k+1} (one when h reads no Y), and m_k = (E[X_k], E[Y_k])
+always row k of the FROZEN flow's table (the measure-freezing that
+decouples the outer iteration), so g reads the frozen E[X_T].
 Each fit solves for a (1 + m, m) table c_k with fitted values c_k^T [1; X_k];
 a sweep returns the tables as :class:`FittedMap`s on its paths, which
 evaluate nodes with the sweep's bits and build (nodes, m, P) paths on request.
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import EmpiricalMeasure
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major
 from .problem import MfProblem
 
@@ -139,18 +138,18 @@ def solve_backward(
     grid: TimeGrid,
     bundle: BrownianBundle,
     x_ens: PathEnsemble,
-    frozen_flow,
-    terminal_law: EmpiricalMeasure,
+    frozen_flow: np.ndarray,
     factors: tuple | None = None,
 ) -> tuple[FittedMap, FittedMap, RegressionDiagnostics]:
     """Backward regression sweep along given forward paths.
 
-    ``terminal_law`` must be the X_T cloud of the FROZEN iterate, not of
-    ``x_ens``.  ``factors`` is :func:`regression_factors` of ``x_ens``,
-    for callers that sweep the same paths more than once; it is built here
-    when omitted.  Returns (y_map, z_map, diagnostics), the fitted maps on
-    ``x_ens`` (Z's with one m-vector per step): only each step's (1 + m, m)
-    tables and the node being swept are stored.  A non-finite Y or Z raises
+    ``frozen_flow`` is the frozen iterate's (steps + 1, 2m) table of means
+    (:func:`~mfbsde.paths.joint_marginal`): h reads row k and g the last.
+    ``factors`` is :func:`regression_factors` of ``x_ens``, for callers that
+    sweep the same paths more than once; it is built here when omitted.
+    Returns (y_map, z_map, diagnostics), the fitted maps on ``x_ens`` (Z's
+    with one m-vector per step): only each step's (1 + m, m) tables and the
+    node being swept are stored.  A non-finite Y or Z raises
     FloatingPointError naming the step swept first that made one.
     """
     m = p.dim_state
@@ -159,8 +158,8 @@ def solve_backward(
         raise ValueError(
             f"x_ens has shape {x_ens.values.shape}, expected ({particles}, {steps + 1}, {m})"
         )
-    if len(frozen_flow) < steps:
-        raise ValueError("frozen_flow must provide one measure per node")
+    if np.shape(frozen_flow) != (steps + 1, 2 * m):
+        raise ValueError(f"frozen_flow has shape {np.shape(frozen_flow)}, expected ({steps + 1}, {2 * m})")
 
     dt = grid.dt
     times = grid.nodes
@@ -169,7 +168,7 @@ def solve_backward(
     coef_y, coef_z = np.empty((2, steps, 1 + m, m))
     diag = RegressionDiagnostics()
 
-    terminal = np.ascontiguousarray(p.g(p.horizon, xv[steps].T, nu=terminal_law).T)
+    terminal = np.ascontiguousarray(p.g(p.horizon, xv[steps].T, mean=frozen_flow[steps]).T)
     if not all_finite(terminal):
         raise FloatingPointError("terminal condition produced non-finite values")
     shifted, ridge_steps = regression_factors(x_ens) if factors is None else factors
@@ -180,7 +179,6 @@ def solve_backward(
 
     for k in range(steps - 1, -1, -1):
         t_k = float(times[k])
-        nu_k = frozen_flow[k]
         xk = xv[k].T
         design[1:] = xv[k]
 
@@ -191,7 +189,7 @@ def solve_backward(
 
         y_guess = y_next
         for _ in range(passes):
-            hk = p.h(t_k, xk, y_guess.T, z_k.T, nu_k).T
+            hk = p.h(t_k, xk, y_guess.T, z_k.T, frozen_flow[k]).T
             targets = y_next - hk * dt
             coef_y[k] = np.linalg.solve(shifted[k], design @ targets.T)
             y_guess = coef_y[k].T @ design

@@ -1,8 +1,8 @@
 """Outer measure-freezing iteration for coupled mean-field BFSDEs.
 
 Starting from the zero triple (X^0, Y^0, Z^0) = (0, 0, 0), each outer
-step freezes the empirical flow nu^n_t = law(X^n_t, Y^n_t) and terminal
-law mu^n_T = law(X^n_T) of the previous iterate and solves the resulting
+step freezes the previous iterate's flow nu^n_t = law(X^n_t, Y^n_t), kept
+as its table of means (E[X^n_t], E[Y^n_t]), and solves the resulting
 standard (non-mean-field) FBSDE for iterate n+1, with damping terms
 -delta (Y^{n+1} - Y^n) in the forward drift (and -delta (Z^{n+1} - Z^n)
 in the diffusion unless sigma is law-free).  The inner coupled FBSDE is
@@ -37,8 +37,7 @@ import numpy as np
 from .backward import FittedMap, solve_backward
 from .forward import propagate
 from .paths import (
-    BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major, joint_marginal, make_bundle, marginal,
-    node_msd,
+    BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major, joint_marginal, make_bundle, node_msd,
 )
 from .problem import MfProblem, check_H1, contraction_constants
 
@@ -298,7 +297,7 @@ class _Anderson:
         return self.iterate()
 
 
-def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, prev, accel: _Anderson):
+def _inner_solve(p, grid, bundle, params: SchemeParams, flow, prev, accel: _Anderson):
     """Solve the frozen-flow (standard) FBSDE by alternating sweeps.
 
     ``prev`` is the previous outer iterate, X paths and (Y, Z) fitted maps:
@@ -324,7 +323,7 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, mu_t, prev, accel:
         x_new = propagate(p, grid, bundle, y_cur, z_cur, y_prev, z_prev, flow, params.delta)
         per_x = np.array([d @ d for d in map(np.subtract, *(_rows(e.component_major) for e in (x_new, x_cur)))])
         x_cur = x_new
-        y_hat, z_hat, reg_diag = solve_backward(p, grid, bundle, x_new, flow, mu_t)
+        y_hat, z_hat, reg_diag = solve_backward(p, grid, bundle, x_new, flow)
         gap = sum(_gap_parts(per_x / bundle.particles, *accel.observe((y_hat, z_hat), (y_cur, z_cur)), grid.dt))
         if not math.isfinite(gap):
             raise FloatingPointError(f"inner sweep gap became non-finite at sweep {sweep}")
@@ -382,11 +381,10 @@ def solve(
     accel = _Anderson(_ANDERSON_DEPTH, *shapes)
 
     for n in range(1, params.max_outer + 1):
-        flow = [joint_marginal(prev[0], prev[1], k) for k in range(grid.steps + 1)]
-        mu_t = marginal(prev[0], grid.steps)
+        flow = joint_marginal(prev[0], prev[1])
         with blowups_diverge(f"particle system blew up at outer iteration {n}", history):
             x_cur, y_cur, z_cur, reg_diag, inner_exit, sweeps, inner_gap = _inner_solve(
-                p, grid, bundle, params, flow, mu_t, prev, accel
+                p, grid, bundle, params, flow, prev, accel
             )
 
         gap_xt, gap_u = _gaps(grid, (x_cur, *accel.iterate()), prev)  # the new (Y, Z) values are in the buffer
@@ -419,7 +417,7 @@ def solve(
                 history,
             )
 
-    del accel, flow, mu_t  # the mixer's buffers and the last frozen flow go before the paths are built
+    del accel  # the mixer's buffers go before the paths are built
     return MfSolution(
         grid=grid,
         bundle=bundle,
@@ -445,22 +443,22 @@ def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:
     dt = grid.dt
     times = grid.nodes
 
+    flow = joint_marginal(sol.x_ens, sol.y_ens)
     fwd = 0.0
     bwd = 0.0
     for k in range(steps):
         t_k = float(times[k])
-        nu_k = joint_marginal(sol.x_ens, sol.y_ens, k)
-        xk, yk, zk = xv[k].T, yv[k].T, zv[k].T
+        xk, yk, zk, mean_k = xv[k].T, yv[k].T, zv[k].T, flow[k]
         dw = bundle.component_major[k]
-        fv = p.f(t_k, xk, yk, zk, nu_k).T
-        sv = p.sigma(t_k, xk, yk, zk, nu_k).T
+        fv = p.f(t_k, xk, yk, zk, mean_k).T
+        sv = p.sigma(t_k, xk, yk, zk, mean_k).T
         fdef = xv[k + 1] - xv[k] - fv * dt - sv * dw
         fwd = max(fwd, float(np.mean(np.sum(fdef * fdef, axis=0))))
-        hv = p.h(t_k, xk, yk, zk, nu_k).T
+        hv = p.h(t_k, xk, yk, zk, mean_k).T
         bdef = yv[k + 1] - yv[k] - hv * dt - zv[k] * dw
         bwd = max(bwd, float(np.mean(np.sum(bdef * bdef, axis=0))))
 
-    tdef = yv[steps] - p.g(p.horizon, xv[steps].T, nu=marginal(sol.x_ens, steps)).T
+    tdef = yv[steps] - p.g(p.horizon, xv[steps].T, mean=flow[steps]).T
     term = float(np.mean(np.sum(tdef * tdef, axis=0)))
     return fwd, bwd, term
 

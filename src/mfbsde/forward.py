@@ -26,15 +26,15 @@ def propagate(
     z_ens: PathEnsemble,
     y_prev,
     z_prev,
-    frozen_flow,
+    frozen_flow: np.ndarray,
     delta: float,
 ) -> PathEnsemble:
     """One forward Euler sweep; returns the X ensemble on all grid nodes.
 
-    ``frozen_flow`` supplies the joint (X, Y) cloud at each node of the
-    previous iterate; the step from t_k uses the cloud at t_k.  The damping
-    pair (``y_prev``, ``z_prev``) is path ensembles or fitted maps, read a
-    node at a time into a buffer.  All particles start at the problem's x0.
+    ``frozen_flow`` is the previous iterate's (steps + 1, 2m) table of
+    (E[X_k], E[Y_k]) (:func:`~mfbsde.paths.joint_marginal`); the step from
+    t_k reads row k.  The damping pair (``y_prev``, ``z_prev``) is path
+    ensembles or fitted maps, read a node at a time into a buffer.  All particles start at the problem's x0.
     A non-finite X, checked once after the last step, raises
     FloatingPointError naming the first step that made one (later steps
     only carry it forward).
@@ -49,8 +49,8 @@ def propagate(
                            ("z_ens", z_ens, steps), ("z_prev", z_prev, steps)):
         if (e.particles, e.nodes, e.dim) != (particles, nodes, m):
             raise ValueError(f"{name} has shape {(e.particles, e.nodes, e.dim)}, expected ({particles}, {nodes}, {m})")
-    if len(frozen_flow) < steps:
-        raise ValueError(f"frozen_flow must provide one measure per node, got {len(frozen_flow)}")
+    if np.shape(frozen_flow) != (steps + 1, 2 * m):
+        raise ValueError(f"frozen_flow has shape {np.shape(frozen_flow)}, expected ({steps + 1}, {2 * m})")
 
     dt = grid.dt
     times = grid.nodes
@@ -64,12 +64,11 @@ def propagate(
 
     for k in range(steps):
         t_k = float(times[k])
-        nu_k = frozen_flow[k]
-        xk, yk, zk = x[k].T, yv[k].T, zv[k].T
-        drift = p.f(t_k, xk, yk, zk, nu_k).T
+        xk, yk, zk, mean_k = x[k].T, yv[k].T, zv[k].T, frozen_flow[k]
+        drift = p.f(t_k, xk, yk, zk, mean_k).T
         if delta > 0.0:
             drift = drift - delta * np.subtract(yv[k], y_prev.node(k, out=dy), out=dy)
-        diff = p.sigma(t_k, xk, yk, zk, nu_k).T
+        diff = p.sigma(t_k, xk, yk, zk, mean_k).T
         if damp_sigma:
             diff = diff - delta * np.subtract(zv[k], z_prev.node(k, out=dz), out=dz)
         x[k + 1] = x[k] + drift * dt + diff * dw[k]

@@ -39,8 +39,7 @@ import numpy as np
 
 from . import fixpoint
 from .backward import FittedMap, regression_factors, solve_backward
-from .measure import from_checked
-from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, marginal, node_msd
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, node_msd
 from .problem import (
     AffineCoeffs,
     H1Report,
@@ -82,6 +81,11 @@ _SINGULARITY_RTOL = 1e-9
 _ADJOINT_MAX_PASSES = 50
 # contiguous particle blocks behind a cost's batch-means standard error
 _COST_BATCHES = 20
+
+
+def _check_player(gs: GameSpec, i: int) -> None:
+    if not 0 <= i < gs.players:
+        raise ValueError(f"player index {i} is out of range for a game of {gs.players} players")
 
 
 def _check_symmetric(mat: np.ndarray, name: str) -> None:
@@ -259,11 +263,11 @@ def build_aggregated(gs: GameSpec) -> MfProblem:
 
     Coefficients:
 
-        f(t, x, y, z, nu)     = A_t x - y + D_t E[xi_1] + beta_t
+        f(t, x, y, z, mean)   = A_t x - y + D_t E[X] + beta_t
         sigma(t, x, y, z)     = sigma_t x + alpha_t              (law-free)
-        h(t, x, y, z, nu)     = -A_t' y - (sum K_i M_i) x - (sum K_i Gamma_i) E[xi_1]
-                                - D_t' E[xi_2] - sigma_t' z
-        g(x, mu)              = (sum K_i Q_i) x + (sum K_i R_i) E[mu]
+        h(t, x, y, z, mean)   = -A_t' y - (sum K_i M_i) x - (sum K_i Gamma_i) E[X]
+                                - D_t' E[Y] - sigma_t' z
+        g(x, mean)            = (sum K_i Q_i) x + (sum K_i R_i) E[X_T]
 
     (h and g are the K-weighted sums of the players' adjoint tables).  The
     problem declares no constants: :func:`~mfbsde.problem.check_H1` computes
@@ -289,10 +293,10 @@ def build_aggregated(gs: GameSpec) -> MfProblem:
 
 def _adjoint_tables(gs: GameSpec, m, gamma, q, r) -> tuple[AffineCoeffs, AffineCoeffs]:
     """The adjoint equation's driver and terminal map for the cost weights
-    (M, Gamma, Q, R), on the joint (X, p) measure:
+    (M, Gamma, Q, R), on the means (E[X], E[p]) of the joint (X, p) law:
 
-        h(t, x, y, z, nu) = -A_t' y - M_t x - Gamma_t E[X] - D_t' E[p] - sigma_t' z
-        g(x, mu)          = Q x + R E[mu]
+        h(t, x, y, z, mean) = -A_t' y - M_t x - Gamma_t E[X] - D_t' E[p] - sigma_t' z
+        g(x, mean)          = Q x + R E[X_T]
     """
     h = AffineCoeffs(gs.n, "h", x=map_path(np.negative, m), y=_neg_t(gs.A), z=_neg_t(gs.sigma),
                      mean_x=map_path(np.negative, gamma), mean_y=_neg_t(gs.D))
@@ -341,8 +345,7 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
     for k in range(grid.steps):
         t_k = float(times[k])
         xk = x[k].T
-        # x[k] is finite: GameSpec checks x0, and each step checks the row it writes
-        drift = f(t_k, xk, nu=from_checked(xk)).T
+        drift = f(t_k, xk, mean=xk.mean(axis=0)).T
         for c, u in zip(gs.C, controls):
             drift += matmul(c, u.component_major[k])
         # (x + drift dt) + sigma dW, built in place
@@ -410,8 +413,9 @@ def cost(gs: GameSpec, i: int, x_ens: PathEnsemble, controls, grid: TimeGrid) ->
     ``controls`` holds one PathEnsemble per player.  Quadrature is
     trapezoidal in time; the E[X]-product terms use plug-in ensemble
     means, and the standard error comes from batch means over contiguous
-    particle blocks.
+    particle blocks.  A player index outside [0, players) raises ValueError.
     """
+    _check_player(gs, i)
     u_cm = controls[i].component_major
     if u_cm.shape[2] != x_ens.particles or u_cm.shape[0] != x_ens.nodes:
         raise ValueError("control and state ensembles must share particles and nodes")
@@ -462,8 +466,8 @@ class NashResult:
 
 def _adjoint_problem(gs: GameSpec, i: int) -> MfProblem:
     """Player i's adjoint backward equation (:func:`_adjoint_tables` with
-    (M_i, Gamma_i, Q_i, R_i)) packaged for the regression solver; the
-    measure argument carries the joint (X, p_i) cloud."""
+    (M_i, Gamma_i, Q_i, R_i)) packaged for the regression solver; its
+    mean argument is a row (E[X], E[p_i]) of the frozen (X, p_i) flow table."""
     h, g = _adjoint_tables(gs, gs.M[i], gs.Gamma[i], gs.Q[i], gs.R[i])
     return MfProblem(gs.x0, gs.horizon, f=AffineCoeffs(gs.n), h=h, sigma=AffineCoeffs(gs.n), g=g)
 
@@ -479,13 +483,12 @@ def _solve_adjoint(gs, i, sol, params, factors) -> tuple[PathEnsemble, PathEnsem
     flags, raise :class:`fixpoint.Diverged` with the aggregated solve's history."""
     prob = _adjoint_problem(gs, i)
     grid, bundle, x_ens = sol.grid, sol.bundle, sol.x_ens
-    terminal = marginal(x_ens, x_ens.nodes - 1)
     p_map = FittedMap(x_ens, np.zeros((grid.steps, 1 + gs.n, gs.n)), np.zeros((gs.n, bundle.particles)))
     gaps = []
     for n in range(1, _ADJOINT_MAX_PASSES + 1):
         with fixpoint.blowups_diverge(f"adjoint of player {i} blew up at pass {n}", sol.history):
-            flow = [joint_marginal(x_ens, p_map, k) for k in range(x_ens.nodes)]
-            p_new, q_map, _ = solve_backward(prob, grid, bundle, x_ens, flow, terminal, factors=factors)
+            flow = joint_marginal(x_ens, p_map)
+            p_new, q_map, _ = solve_backward(prob, grid, bundle, x_ens, flow, factors=factors)
             gap = float(np.trapezoid(node_msd(p_new, p_map), dx=grid.dt))
         gaps.append(gap)
         p_map = p_new
@@ -595,8 +598,10 @@ def deviation_test(
     passes when the most favorable probe does not beat the candidate by
     more than 3 standard errors of the paired difference.  Full open-loop
     function-space deviations are not verifiable numerically; this finite
-    family is a documented limitation.
+    family is a documented limitation.  A player index outside [0, players)
+    raises ValueError.
     """
+    _check_player(gs, i)
     if perturbations < 1:
         raise ValueError(f"perturbations must be >= 1, got {perturbations}")
     if not math.isfinite(magnitude):
@@ -775,7 +780,7 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
     if times is None:
         times = np.linspace(0.0, T, 201)
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or times.min() < 0 or times.max() > T + 1e-12:
+    if times.size == 0 or not np.all(np.isfinite(times)) or times.min() < 0 or times.max() > T + 1e-12:
         raise ValueError(f"output times must lie in [0, {T}]")
     order = np.argsort(times)[::-1]
     values = np.empty((times.size, dim))

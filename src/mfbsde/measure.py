@@ -57,23 +57,8 @@ class EmpiricalMeasure:
         return self.points.shape[0]
 
     def mean(self) -> np.ndarray:
-        """Coordinate-wise mean of the cloud, shape (d,): computed on first
-        use, then kept and returned read-only."""
-        cached = self.__dict__.get("_mean")
-        if cached is None:
-            cached = self.points.mean(axis=0)
-            cached.flags.writeable = False
-            object.__setattr__(self, "_mean", cached)
-        return cached
-
-
-def from_checked(points: np.ndarray) -> EmpiricalMeasure:
-    """The measure on ``points``, a nonempty (n, d) float array whose
-    producer has already checked that it is finite (a solver's particle
-    cloud): no copy and no finiteness scan."""
-    m = object.__new__(EmpiricalMeasure)
-    object.__setattr__(m, "points", points)
-    return m
+        """Coordinate-wise mean of the cloud, shape (d,)."""
+        return self.points.mean(axis=0)
 
 
 def _check_pair(a: EmpiricalMeasure, b: EmpiricalMeasure) -> None:

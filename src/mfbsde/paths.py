@@ -15,6 +15,9 @@ left and averages along its last axis.  The particle-major
 (``PathEnsemble.values``, ``BrownianBundle.increments``) are read-only
 transposed views of it, and ``component_major[k].T`` is the ``(particles,
 dim)`` view that the coefficient tables receive.
+
+A table reads a law only through its mean, so a frozen flow is one
+``(nodes, 2m)`` table of (E[X_k], E[Y_k]), :func:`joint_marginal`.
 """
 
 from __future__ import annotations
@@ -24,15 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import EmpiricalMeasure, from_checked
-
 __all__ = [
     "TimeGrid",
     "BrownianBundle",
     "PathEnsemble",
     "from_component_major",
     "make_bundle",
-    "marginal",
     "joint_marginal",
     "moments_to_csv",
     "node_msd",
@@ -169,34 +169,15 @@ def make_bundle(grid: TimeGrid, particles: int, dim: int, seed: int) -> Brownian
     return BrownianBundle(component_major=_component_major_copy(incr))
 
 
-def marginal(e: PathEnsemble, node: int) -> EmpiricalMeasure:
-    """Cloud of the ensemble at a grid node, one point per particle."""
-    if not (0 <= node < e.nodes):
-        raise IndexError(f"node {node} out of range [0, {e.nodes})")
-    return from_checked(e.component_major[node].T)
-
-
-class _JointCloud(EmpiricalMeasure):
-    """The (X, Y) cloud of a node, kept as X's (dim, P) block and Y's source: ``blocks`` reads the node's two
-    blocks (a view of Y's paths, or a fitted map's node evaluated on each read), ``points`` concatenates them,
-    and the mean, the blocks' means taken once from a transient read, has the bits of the concatenated cloud's."""
-
-    def __init__(self, x: np.ndarray, y, k: int):
-        self.__dict__.update(x=x, y=y, k=k, _mean=np.concatenate([x.T.mean(axis=0), y.node(k).T.mean(axis=0)]))
-        self._mean.flags.writeable = False
-
-    blocks = property(lambda self: (self.x, self.y.node(self.k)))
-    points = property(lambda self: np.concatenate(self.blocks).T)
-
-
-def joint_marginal(x_ens: PathEnsemble, y, node: int) -> EmpiricalMeasure:
-    """Joint (X, Y) cloud at a node: per-particle concatenation of components, with ``y`` a path ensemble or a
-    fitted map on the same particles; the cloud keeps a view of X's block and ``y`` itself, not Y's block."""
+def joint_marginal(x_ens: PathEnsemble, y) -> np.ndarray:
+    """The flow table of (X, Y): the read-only (nodes, 2m) array whose row k is (E[X_k], E[Y_k]), with ``y`` a
+    path ensemble or a fitted map on the same particles, read one node at a time.  Each row has the bits of the
+    mean of the node's concatenated (P, 2m) cloud."""
     if x_ens.particles != y.particles or x_ens.nodes != y.nodes:
         raise ValueError("x and y ensembles must share particle and node counts")
-    if not (0 <= node < x_ens.nodes):
-        raise IndexError(f"node {node} out of range [0, {x_ens.nodes})")
-    return _JointCloud(x_ens.component_major[node], y, node)
+    table = np.array([np.concatenate([xk.T.mean(axis=0), yk.T.mean(axis=0)]) for xk, yk in zip(x_ens, y)])
+    table.flags.writeable = False
+    return table
 
 
 def node_msd(a, b) -> np.ndarray:

@@ -8,8 +8,8 @@ An :class:`MfProblem` bundles four :class:`AffineCoeffs` tables
 driven by one Brownian motion, where nu_s is the joint law of (X_s, Y_s)
 and mu_T the law of X_T, plus optional declared Lipschitz and monotonicity
 constants.  Tables are evaluated across the particle axis: x, y and z have
-shape (P, m), and nu is an :class:`~mfbsde.measure.EmpiricalMeasure` whose
-points concatenate the X components (first m) and Y components (last m).
+shape (P, m), and a table reads a law only through its mean, the 2m-vector
+(E[X_s], E[Y_s]) (g reads its first m entries, E[X_T]).
 
 This module also gates the coupled-coefficient dissipativity functional
 
@@ -94,7 +94,7 @@ class MonotonicityProfile:
 class MfProblem:
     """The four coefficient tables and the metadata of one mean-field BFSDE.
 
-    g is read at the horizon, g(T, x, nu=mu_T).  sigma is law-free
+    g is read at the horizon, g(T, x, mean=(E[X_T], ...)).  sigma is law-free
     (``law_free_sigma``) when it has no mean term; the solver then uses the
     relaxed iteration (no delta-perturbation of the diffusion), and an
     H1prime profile needs it.  The table invariants are checked on
@@ -407,12 +407,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class AffineCoeffs:
     """Affine coefficient table of a drift, driver, diffusion or terminal map
 
-        c(t, x, y, z, nu) = C^x_t x + C^y_t y + C^z_t z
-                          + C^mean_x_t E[xi_1] + C^mean_y_t E[xi_2] + c^const_t
+        c(t, x, y, z, mean) = C^x_t x + C^y_t y + C^z_t z
+                            + C^mean_x_t E[X_t] + C^mean_y_t E[Y_t] + c^const_t
 
     with (m, m) matrix paths for the terms x, y, z, mean_x, mean_y and an
-    m-vector path for const; (xi_1, xi_2) are the X and Y halves of the
-    measure's points.  Terms are coefficient specs (see
+    m-vector path for const; the law enters only through ``mean`` =
+    (E[X_t], E[Y_t]), a row of a flow table.  Terms are coefficient specs (see
     :func:`shaped_path`) coerced once to piecewise tables of their shapes;
     absent terms, and terms that are zero everywhere, are dropped.  With
     one Brownian motion, z is an m-vector.
@@ -448,8 +448,8 @@ class AffineCoeffs:
             node = self._compiled[t] = {key: path(t) for key, path in self.terms.items()}
         return node
 
-    def __call__(self, t: float, x, y=None, z=None, nu=None) -> np.ndarray:
-        """The map at time t on particle arrays x, y and z, each (P, m).
+    def __call__(self, t: float, x, y=None, z=None, mean=None) -> np.ndarray:
+        """The map at time t on particle arrays x, y and z, each (P, m), and the means ``mean`` = (E[X], E[Y]).
 
         Evaluated component-major, C x' + (const + mean terms)[:, None];
         the (P, m) result is the transposed view of that (m, P) array.
@@ -465,8 +465,7 @@ class AffineCoeffs:
                     out += term
         shift = []
         if "mean_x" in node or "mean_y" in node:
-            mu = nu.mean()
-            halves = (("mean_x", mu[: self.dim]), ("mean_y", mu[self.dim :]))
+            halves = (("mean_x", mean[: self.dim]), ("mean_y", mean[self.dim :]))
             shift += [node[key] @ half for key, half in halves if key in node]
         if "const" in node:
             shift.append(node["const"])

@@ -17,7 +17,7 @@ from mfbsde import cli, fixpoint, lqgame
 from mfbsde.backward import solve_backward
 from mfbsde.forward import propagate
 from mfbsde.measure import EmpiricalMeasure, w2_exact, w2_paired_bound
-from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle, marginal
+from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle
 from mfbsde.problem import AffineCoeffs, MfProblem, check_H1, contraction_constants
 from conftest import h1prime_toy, pure_martingale
 from oracles import example3_boundary_det, example3_solution, scalar_lq_riccati, w2_brute_force
@@ -115,9 +115,9 @@ def test_criterion_4_bsde_oracle():
     bundle = make_bundle(grid, particles, 1, seed=2)
     zeros_y = PathEnsemble(np.zeros((particles, 101, 1)))
     zeros_z = PathEnsemble(np.zeros((particles, 100, 1)))
-    flow = [joint_marginal(zeros_y, zeros_y, k) for k in range(101)]
+    flow = joint_marginal(zeros_y, zeros_y)
     x = propagate(p, grid, bundle, zeros_y, zeros_z, zeros_y, zeros_z, flow, 0.0)
-    y, z = (e.paths() for e in solve_backward(p, grid, bundle, x, flow, marginal(x, 100))[:2])
+    y, z = (e.paths() for e in solve_backward(p, grid, bundle, x, flow)[:2])
     se_y0 = x.values[:, -1, 0].std() / math.sqrt(particles)
     y0_err = abs(y.values[:, 0, 0].mean() - 0.7)
     targets = x.values[:, 1:, 0][:, :, None] * bundle.increments / grid.dt
@@ -128,7 +128,7 @@ def test_criterion_4_bsde_oracle():
     a = 0.5
     p2 = MfProblem(x0=[0.0], horizon=1.0, f=AffineCoeffs(1, "f"), h=AffineCoeffs(1, "h", y=-a),
                    sigma=AffineCoeffs(1, "sigma", const=1.0), g=AffineCoeffs(1, "g", const=1.0))
-    y2 = solve_backward(p2, grid, bundle, x, flow, marginal(x, 100))[0].paths()
+    y2 = solve_backward(p2, grid, bundle, x, flow)[0].paths()
     rel = abs(y2.values[:, 0, 0].mean() - math.exp(a)) / math.exp(a)
     driver_ok = rel < 0.01
     elapsed = time.time() - start

@@ -8,7 +8,7 @@ import pytest
 from mfbsde import backward, lqgame
 from mfbsde.backward import solve_backward
 from mfbsde.forward import propagate
-from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle, marginal
+from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle
 from mfbsde.problem import AffineCoeffs, MfProblem, PiecewiseConstant, problem_from_config
 from conftest import TOY_PROBLEM, pure_martingale, scalar_problem
 
@@ -17,7 +17,7 @@ def brownian_paths(problem, grid, particles, seed):
     bundle = make_bundle(grid, particles, 1, seed)
     y = PathEnsemble(np.zeros((particles, grid.steps + 1, 1)))
     z = PathEnsemble(np.zeros((particles, grid.steps, 1)))
-    flow = [joint_marginal(y, y, k) for k in range(grid.steps + 1)]
+    flow = joint_marginal(y, y)
     x = propagate(problem, grid, bundle, y, z, y, z, flow, 0.0)
     return bundle, x, flow
 
@@ -33,7 +33,7 @@ def affine_design(x):
     return np.column_stack([np.ones(len(x)), x])
 
 
-def per_step_backward(p, grid, bundle, x_ens, flow, mu):
+def per_step_backward(p, grid, bundle, x_ens, flow):
     """Reference recursion: each step's affine design, Gram matrix, ridge
     shift and eigenvalue flag formed on its own, particle-major."""
     m, steps, dt = p.dim_state, grid.steps, grid.dt
@@ -41,7 +41,7 @@ def per_step_backward(p, grid, bundle, x_ens, flow, mu):
     y = np.empty((xv.shape[0], steps + 1, m))
     z = np.empty((xv.shape[0], steps, m))
     ridge = []
-    y[:, steps] = p.g(p.horizon, xv[:, steps], nu=mu)
+    y[:, steps] = p.g(p.horizon, xv[:, steps], mean=flow[steps])
     for k in range(steps - 1, -1, -1):
         design = affine_design(xv[:, k])
         gram = design.T @ design
@@ -67,7 +67,7 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 20)
         particles = 2000
         bundle, x, flow = brownian_paths(p, grid, particles, seed=0)
-        y, z, _ = backward_paths(p, grid, bundle, x, flow, marginal(x, 20))
+        y, z, _ = backward_paths(p, grid, bundle, x, flow)
         assert np.allclose(y.values, 2.5, atol=1e-10)
         # Z is zero only in expectation: each fit carries Monte Carlo noise
         # of order std(c dW/dt) * sqrt(n_features / particles)
@@ -80,7 +80,7 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 50)
         particles = 5000
         bundle, x, flow = brownian_paths(martingale_problem, grid, particles, seed=2)
-        y, z, _ = backward_paths(martingale_problem, grid, bundle, x, flow, marginal(x, 50))
+        y, z, _ = backward_paths(martingale_problem, grid, bundle, x, flow)
         x0 = martingale_problem.x0[0]
         se_y0 = x.values[:, -1, 0].std() / math.sqrt(particles)
         assert abs(y.values[:, 0, 0].mean() - x0) < 3 * se_y0
@@ -99,13 +99,13 @@ class TestSolveBackward:
         p = scalar_problem(h={"y": -a}, sigma={"const": 1.0}, g={"const": 1.0})
         grid = TimeGrid(1.0, 100)
         bundle, x, flow = brownian_paths(p, grid, 2000, seed=2)
-        y, _, _ = backward_paths(p, grid, bundle, x, flow, marginal(x, 100))
+        y, _, _ = backward_paths(p, grid, bundle, x, flow)
         assert y.values[:, 0, 0].mean() == pytest.approx(math.exp(a), rel=0.01)
 
     def test_tower_property_fitted_values_are_functions_of_state(self, martingale_problem):
         grid = TimeGrid(1.0, 10)
         bundle, x, flow = brownian_paths(martingale_problem, grid, 300, seed=3)
-        y, z, _ = backward_paths(martingale_problem, grid, bundle, x, flow, marginal(x, 10))
+        y, z, _ = backward_paths(martingale_problem, grid, bundle, x, flow)
         # two particles with (numerically) equal states get equal fits
         xs = x.values[:, 5, 0]
         i, j = np.argsort(xs)[:2]
@@ -120,7 +120,7 @@ class TestSolveBackward:
         p = scalar_problem(1.0, f={"x": 0.5}, h={"x": -0.3, "y": 0.2}, g={"x": 2.0, "const": 1.0})
         grid = TimeGrid(1.0, 20)
         bundle, x, flow = brownian_paths(p, grid, 50, seed=4)
-        _, _, diag = solve_backward(p, grid, bundle, x, flow, marginal(x, 20))
+        _, _, diag = solve_backward(p, grid, bundle, x, flow)
         # Y-fit exact by affinity up to the stabilizing ridge's O(1e-10)
         # shrinkage; Z targets carry dW noise by design
         assert max(diag.y_residuals) < 1e-8
@@ -129,7 +129,7 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 40)
         particles = 4000
         bundle, x, flow = brownian_paths(martingale_problem, grid, particles, seed=7)
-        y, z, _ = backward_paths(martingale_problem, grid, bundle, x, flow, marginal(x, 40))
+        y, z, _ = backward_paths(martingale_problem, grid, bundle, x, flow)
         zv = z.values.reshape(particles, 40, 1)
         for k in range(40):
             # the Y-update part has exactly zero mean (the regression
@@ -148,23 +148,31 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 10)
         bundle, x, _ = brownian_paths(p, grid, 200, seed=8)
         ones = PathEnsemble(np.ones((200, 11, 1)))
-        flow_shifted = [joint_marginal(x, ones, k) for k in range(11)]
-        y, _, _ = backward_paths(p, grid, bundle, x, flow_shifted, marginal(x, 10))
+        flow_shifted = joint_marginal(x, ones)
+        y, _, _ = backward_paths(p, grid, bundle, x, flow_shifted)
         # dY = -1 dt integrated from T: Y_0 = 0 + 1.0
         assert y.values[:, 0, 0].mean() == pytest.approx(1.0, abs=1e-8)
 
-    def test_terminal_law_argument_feeds_g(self):
+    def test_flow_last_row_feeds_g(self):
+        # g reads E[X_T] from the frozen flow's last row, not from the paths being swept
         p = dataclasses.replace(pure_martingale(), g=AffineCoeffs(1, "g", x=1.0, mean_x=1.0))
         grid = TimeGrid(1.0, 10)
-        bundle, x, flow = brownian_paths(p, grid, 200, seed=9)
+        bundle, x, _ = brownian_paths(p, grid, 200, seed=9)
         frozen = PathEnsemble(np.full((200, 11, 1), 5.0))
-        y, _, _ = backward_paths(p, grid, bundle, x, flow, marginal(frozen, 10))
+        y, _, _ = backward_paths(p, grid, bundle, x, joint_marginal(frozen, frozen))
         assert np.allclose(y.values[:, -1, 0], x.values[:, -1, 0] + 5.0)
+
+    def test_flow_of_one_row_per_step_rejected(self, martingale_problem):
+        # a flow must carry a row for every node: g reads the last one
+        grid = TimeGrid(1.0, 5)
+        bundle, x, flow = brownian_paths(martingale_problem, grid, 16, seed=0)
+        with pytest.raises(ValueError, match=r"frozen_flow has shape \(5, 2\), expected \(6, 2\)"):
+            solve_backward(martingale_problem, grid, bundle, x, flow[:5])
 
     def test_degenerate_cloud_flagged_as_ridge(self, martingale_problem):
         grid = TimeGrid(1.0, 5)
         bundle, x, flow = brownian_paths(martingale_problem, grid, 100, seed=10)
-        _, _, diag = solve_backward(martingale_problem, grid, bundle, x, flow, marginal(x, 5))
+        _, _, diag = solve_backward(martingale_problem, grid, bundle, x, flow)
         assert 0 in diag.ridge_steps  # X_0 is a point mass
         assert diag.used_ridge
 
@@ -182,9 +190,9 @@ class TestSolveBackward:
                            const=[0.1, -0.2]),
             g=AffineCoeffs(2, x=[[1.0, 0.5], [0.5, 2.0]], mean_x=0.1, const=[0.0, 0.3]),
         )
-        flow = [joint_marginal(x, x, k) for k in range(grid.steps + 1)]
-        y, z, diag = backward_paths(p, grid, bundle, x, flow, marginal(x, grid.steps))
-        y_ref, z_ref, ridge = per_step_backward(p, grid, bundle, x, flow, marginal(x, grid.steps))
+        flow = joint_marginal(x, x)
+        y, z, diag = backward_paths(p, grid, bundle, x, flow)
+        y_ref, z_ref, ridge = per_step_backward(p, grid, bundle, x, flow)
         assert diag.ridge_steps == ridge == [2, 1, 0]
         # the Gram sums run in another order; on the collinear steps the
         # ridge-shifted solve turns that into ~1e-12 absolute, so entries
@@ -200,8 +208,8 @@ class TestSolveBackward:
         bundle = make_bundle(grid, particles, 1, seed=4)
         zero = PathEnsemble(np.zeros((particles, grid.steps + 1, 1)))
         x = lqgame.simulate_state(gs, grid, bundle, [zero, zero])
-        flow = [joint_marginal(x, x, k) for k in range(grid.steps + 1)]
-        args = (lqgame._adjoint_problem(gs, 0), grid, bundle, x, flow, marginal(x, grid.steps))
+        flow = joint_marginal(x, x)
+        args = (lqgame._adjoint_problem(gs, 0), grid, bundle, x, flow)
         y_ref, z_ref, diag_ref = backward_paths(*args)
         assert len(diag_ref.ridge_steps) == grid.steps
         factors = backward.regression_factors(x)
@@ -220,7 +228,7 @@ class TestSolveBackward:
         bundle, x, flow = brownian_paths(p, grid, 200, seed=1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="^backward regression produced non-finite values at step 2$"):
-                solve_backward(p, grid, bundle, x, flow, marginal(x, 10))
+                solve_backward(p, grid, bundle, x, flow)
 
     def test_overflowing_gram_names_its_first_step(self):
         # finite paths of size 1e200 from node 2 on: the Gram sums of steps 2 and 3 overflow
@@ -266,9 +274,9 @@ class TestSolveBackward:
         grid = TimeGrid(1.0, 5)
         bundle = make_bundle(grid, 16, 1, seed=0)
         bad_x = PathEnsemble(np.zeros((16, 5, 1)))
-        flow = [joint_marginal(bad_x, bad_x, k) for k in range(5)]
+        flow = joint_marginal(bad_x, bad_x)
         with pytest.raises(ValueError, match="x_ens"):
-            solve_backward(martingale_problem, grid, bundle, bad_x, flow, marginal(bad_x, 4))
+            solve_backward(martingale_problem, grid, bundle, bad_x, flow)
 
 
 class TestPredictorPasses:
@@ -290,20 +298,20 @@ class TestPredictorPasses:
         with_y.terms["y"] = PiecewiseConstant([0.0], [[[0.0]]])
         outs = []
         for h in (counted, with_y):
-            y, z, _ = backward_paths(dataclasses.replace(p, h=h), grid, bundle, x, flow, marginal(x, grid.steps))
+            y, z, _ = backward_paths(dataclasses.replace(p, h=h), grid, bundle, x, flow)
             outs.append((y.component_major.tobytes(), z.component_major.tobytes(), len(calls)))
             calls.clear()
         assert outs[0][:2] == outs[1][:2]
         assert (outs[0][2], outs[1][2]) == (100, 200)
 
 
-def path_writing_backward(p, grid, bundle, x_ens, flow, mu):
+def path_writing_backward(p, grid, bundle, x_ens, flow):
     """The sweep as it wrote (nodes, m, P) paths: each step's fitted values stored, Y_N = g(X_T) stored."""
     m, steps, dt = p.dim_state, grid.steps, grid.dt
     xv = x_ens.component_major
     shifted, _ = backward.regression_factors(x_ens)
     y, z = np.empty((steps + 1, m, bundle.particles)), np.empty((steps, m, bundle.particles))
-    y[steps] = p.g(p.horizon, xv[steps].T, nu=mu).T
+    y[steps] = p.g(p.horizon, xv[steps].T, mean=flow[steps]).T
     design = np.ones((1 + m, bundle.particles))
     for k in range(steps - 1, -1, -1):
         design[1:] = xv[k]
@@ -361,20 +369,17 @@ class TestFittedMap:
             p = problem_from_config(TOY_PROBLEM)
             grid = TimeGrid(0.25, 40)
             bundle, x, _ = brownian_paths(p, grid, 2000, seed=5)
-        flow = [joint_marginal(x, x, k) for k in range(grid.steps + 1)]
-        y_map, _, _ = solve_backward(p, grid, bundle, x, flow, marginal(x, grid.steps))
-        y_paths = y_map.paths()
-        [joint_marginal(x, y_map, k).mean() for k in range(2)]  # numpy's first-use allocations are not counted
+        flow = joint_marginal(x, x)
+        y_map, _, _ = solve_backward(p, grid, bundle, x, flow)
+        joint_marginal(x, y_map)  # numpy's first-use allocations are not counted
         tracemalloc.start()
         try:
-            clouds = [joint_marginal(x, y_map, k) for k in range(grid.steps + 1)]
+            table = joint_marginal(x, y_map)
             grown = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert grown < 0.1 * (2 * grid.steps + 1) * p.dim_state * 2000 * 8
-        for k, cloud in enumerate(clouds):
-            ref = joint_marginal(x, y_paths, k)
-            assert np.array_equal(cloud.mean(), ref.mean()) and np.array_equal(cloud.points, ref.points)
+        assert table.tobytes() == joint_marginal(x, y_map.paths()).tobytes()
 
     @pytest.mark.parametrize("game", [False, True])
     def test_sweep_maps_build_the_paths_the_path_writing_sweep_wrote(self, game):
@@ -391,7 +396,7 @@ class TestFittedMap:
             p = problem_from_config(TOY_PROBLEM)
             grid = TimeGrid(0.25, 10)
             bundle, x, _ = brownian_paths(p, grid, 777, seed=5)
-        flow = [joint_marginal(x, x, k) for k in range(grid.steps + 1)]
-        y, z, _ = backward_paths(p, grid, bundle, x, flow, marginal(x, grid.steps))
-        y_ref, z_ref = path_writing_backward(p, grid, bundle, x, flow, marginal(x, grid.steps))
+        flow = joint_marginal(x, x)
+        y, z, _ = backward_paths(p, grid, bundle, x, flow)
+        y_ref, z_ref = path_writing_backward(p, grid, bundle, x, flow)
         assert np.array_equal(y.component_major, y_ref) and np.array_equal(z.component_major, z_ref)

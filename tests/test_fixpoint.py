@@ -12,7 +12,7 @@ from mfbsde import fixpoint
 from mfbsde.backward import FittedMap, solve_backward
 from mfbsde.fixpoint import Diverged, IterationDiagnostics, MfSolution, SchemeParams
 from mfbsde.forward import propagate
-from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle, marginal, node_msd
+from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle, node_msd
 from mfbsde.problem import AffineCoeffs, check_H1, contraction_constants, problem_from_config
 from conftest import TOY_PROBLEM, h1prime_toy, scalar_problem
 from oracles import toy_moments
@@ -405,9 +405,9 @@ class TestAndersonMemory:
         for seed in (1, 2):
             bundle = make_bundle(grid, 1500, 1, seed)
             y, z = from_component_major(np.zeros((21, 1, 1500))), from_component_major(np.zeros((20, 1, 1500)))
-            flow = [joint_marginal(y, y, k) for k in range(21)]
+            flow = joint_marginal(y, y)
             x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
-            iterates.append((x, *solve_backward(p, grid, bundle, x, flow, marginal(x, 20))[:2]))
+            iterates.append((x, *solve_backward(p, grid, bundle, x, flow)[:2]))
         new, old = iterates
         paths = [[e.component_major if i == 0 else e.paths().component_major for i, e in enumerate(it)]
                  for it in iterates]

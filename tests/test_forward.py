@@ -15,7 +15,7 @@ def make_problem(x0, f=None, sigma=None):
 def zero_state(particles, steps, dim=1):
     y = PathEnsemble(np.zeros((particles, steps + 1, dim)))
     z = PathEnsemble(np.zeros((particles, steps, dim)))
-    flow = [joint_marginal(y, y, k) for k in range(steps + 1)]
+    flow = joint_marginal(y, y)
     return y, z, flow
 
 
@@ -85,10 +85,10 @@ class TestPropagate:
         y = PathEnsemble(np.zeros((particles, 201, 1)))
         z = PathEnsemble(np.zeros((particles, 200, 1)))
         # self-consistent flow: iterate the plug-in mean twice
-        flow = [joint_marginal(y, y, k) for k in range(201)]
+        flow = joint_marginal(y, y)
         x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
         for _ in range(3):
-            flow = [joint_marginal(x, y, k) for k in range(201)]
+            flow = joint_marginal(x, y)
             x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
         oracle = rk4(lambda t, m: (a + d) * m + beta, np.array([1.0]), 0.0, 1.0, 4000)
         tol = 5 * (grid.dt + particles**-0.5)
@@ -100,7 +100,7 @@ class TestPropagate:
         rng = np.random.default_rng(6)
         y = PathEnsemble(rng.standard_normal((64, 21, 1)))
         z = PathEnsemble(rng.standard_normal((64, 20, 1)))
-        flow = [joint_marginal(y, y, k) for k in range(21)]
+        flow = joint_marginal(y, y)
         a = propagate(toy_problem, grid, bundle, y, z, y, z, flow, 1e-3)
         b = propagate(toy_problem, grid, bundle, y, z, y, z, flow, 1e-3)
         assert np.array_equal(a.values, b.values)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mfbsde import fixpoint, lqgame
-from mfbsde.measure import EmpiricalMeasure
 from mfbsde.paths import PathEnsemble, TimeGrid, make_bundle
 from mfbsde.problem import PiecewiseConstant, check_H1
 from oracles import (
@@ -158,8 +157,8 @@ class TestBuildAggregated:
         agg = lqgame.build_aggregated(gs)
         rng = np.random.default_rng(0)
         x, y, z = rng.standard_normal((3, 6, 1))
-        nu = EmpiricalMeasure(rng.standard_normal((8, 2)))
-        assert np.allclose(agg.f(0.2, x, y, z, nu), 0.4 * x - y + 0.7)
+        mean = rng.standard_normal((8, 2)).mean(axis=0)
+        assert np.allclose(agg.f(0.2, x, y, z, mean), 0.4 * x - y + 0.7)
         computed = check_H1(agg).computed
         assert computed["C_nu"] == 0.0
         assert computed["k"] == pytest.approx(1.0)
@@ -217,29 +216,29 @@ class TestBuildAggregated:
         agg = lqgame.build_aggregated(gs)
         rng = np.random.default_rng(4)
         x, y, z = rng.standard_normal((3, 6, 2))
-        nu = EmpiricalMeasure(rng.standard_normal((9, 4)))
-        mu = EmpiricalMeasure(rng.standard_normal((9, 2)))
-        m1, m2 = nu.mean()[:2], nu.mean()[2:]
+        mean = rng.standard_normal((9, 4)).mean(axis=0)
+        mean_t = rng.standard_normal((9, 2)).mean(axis=0)
+        m1, m2 = mean[:2], mean[2:]
         for t in (0.2, 0.5, 0.7):
             a, d, s = gs.A(t), gs.D(t), gs.sigma(t)
             skm = sum(k @ m(t) for k, m in zip(K, gs.M))
             skg = sum(k @ g(t) for k, g in zip(K, gs.Gamma))
             checks = [
-                (agg.f(t, x, y, z, nu), x @ a.T - y + m1 @ d.T + gs.beta(t)),
+                (agg.f(t, x, y, z, mean), x @ a.T - y + m1 @ d.T + gs.beta(t)),
                 (agg.sigma(t, x, y, z), x @ s.T + gs.alpha(t)),
-                (agg.h(t, x, y, z, nu), -(y @ a + x @ skm.T + m2 @ d + z @ s + m1 @ skg.T)),
+                (agg.h(t, x, y, z, mean), -(y @ a + x @ skm.T + m2 @ d + z @ s + m1 @ skg.T)),
             ]
             for i in range(gs.players):
                 adj = lqgame._adjoint_problem(gs, i)
                 want = -(y @ a + x @ gs.M[i](t).T + m2 @ d + z @ s + m1 @ gs.Gamma[i](t).T)
-                checks.append((adj.h(t, x, y, z, nu), want))
-                checks.append((adj.f(t, x, y, z, nu), np.zeros_like(x)))
-                checks.append((adj.g(gs.horizon, x, nu=mu), x @ gs.Q[i].T + gs.R[i] @ mu.mean()))
+                checks.append((adj.h(t, x, y, z, mean), want))
+                checks.append((adj.f(t, x, y, z, mean), np.zeros_like(x)))
+                checks.append((adj.g(gs.horizon, x, mean=mean_t), x @ gs.Q[i].T + gs.R[i] @ mean_t))
             for got, want in checks:
                 assert np.allclose(got, want, rtol=0.0, atol=1e-12)
         skq = sum(k @ q for k, q in zip(K, gs.Q))
         skr = sum(k @ r for k, r in zip(K, gs.R))
-        assert np.allclose(agg.g(gs.horizon, x, nu=mu), x @ skq.T + skr @ mu.mean(), rtol=0.0, atol=1e-12)
+        assert np.allclose(agg.g(gs.horizon, x, mean=mean_t), x @ skq.T + skr @ mean_t, rtol=0.0, atol=1e-12)
 
     def test_no_monotonicity_profile_when_the_gate_fails(self):
         # the aggregated problem declares no constants; the computed k' of example 3 is -1
@@ -332,6 +331,15 @@ class TestCost:
         want = 0.5 * (float(np.mean(terminal)) + float(m_t @ gs.R[0] @ m_t) + float(np.mean(running)))
         assert lqgame._cost_with_batches(gs, 0, x_cm, u_cm, grid)[0] == want
 
+    def test_player_index_out_of_range(self):
+        gs = lqgame.example3_game(0.25)
+        grid = TimeGrid(0.25, 10)
+        x = PathEnsemble(np.ones((30, 11, 2)))
+        u = [PathEnsemble(np.zeros((30, 11, 1)))] * 2
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match=f"^player index {i} is out of range for a game of 2 players$"):
+                lqgame.cost(gs, i, x, u, grid)
+
 
 class TestSimulateState:
     @staticmethod
@@ -379,7 +387,7 @@ class TestSimulateState:
         ref[0] = gs.x0[:, None]
         for k in range(grid.steps):
             t, xk = float(grid.nodes[k]), ref[k].T
-            drift = f(t, xk, nu=EmpiricalMeasure(xk)).T
+            drift = f(t, xk, mean=xk.mean(axis=0)).T
             drift = drift + gs.C[0] @ u0.component_major[k] + gs.C[1] @ u1.component_major[k]
             ref[k + 1] = ref[k] + drift * grid.dt + sigma(t, xk).T * bundle.component_major[k]
         assert np.array_equal(x, ref)
@@ -555,6 +563,14 @@ class TestDeviation:
         nash.controls = corrupted
         assert lqgame.deviation_test(gs, nash, 0, perturbations=2, seed=0).deltas == rep.deltas
 
+    def test_player_index_out_of_range(self, monkeypatch):
+        # -1 would price the last player under the name -1, and 2 would index past the controls
+        gs, nash = self.example3_nash()
+        monkeypatch.setattr(lqgame, "simulate_state", lambda *a: pytest.fail("simulated for a bad player index"))
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match=f"^player index {i} is out of range for a game of 2 players$"):
+                lqgame.deviation_test(gs, nash, i, perturbations=2)
+
     def test_perturbation_count_must_be_positive(self):
         gs = scalar_game()
         nash = lqgame.solve_nash(gs, TimeGrid(1.0, 10), fixpoint.SchemeParams(particles=200, max_outer=10), seed=1)
@@ -645,6 +661,12 @@ class TestMeanReduction:
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match=r"boundary matrix B\(400\) is not finite"):
                 lqgame.solve_mean_fbode(self.growing_game(400.0))
+
+    @pytest.mark.parametrize("times", [[np.nan], [0.1, np.nan]])
+    def test_non_finite_times_rejected(self, times):
+        # NaN fails both range comparisons, so it must be rejected as input, not reported as a non-finite trajectory
+        with pytest.raises(ValueError, match=r"^output times must lie in \[0, 0\.5\]$"):
+            lqgame.solve_mean_fbode(lqgame.example3_game(0.5), times=times)
 
     def test_multiplicative_noise_rejected(self):
         gs = scalar_game()  # sigma = 0.2 x

@@ -10,7 +10,6 @@ from mfbsde.paths import (
     from_component_major,
     joint_marginal,
     make_bundle,
-    marginal,
     moments_to_csv,
     node_msd,
 )
@@ -110,7 +109,7 @@ class TestTimeMajorLayout:
         assert e.component_major is cm and not cm.flags.writeable
         assert (e.particles, e.nodes, e.dim) == (4, 3, 2)
         assert np.array_equal(e.values[3, 1], cm[1, :, 3])
-        assert np.array_equal(marginal(e, 2).points, cm[2].T)
+        assert np.shares_memory(e.node(2), cm) and np.array_equal(e.node(2), cm[2])
         with pytest.raises(ValueError):
             from_component_major(np.zeros((3, 4, 2)).transpose(0, 2, 1))
 
@@ -154,48 +153,47 @@ class TestTimeMajorLayout:
 class TestMarginal:
     def test_point_mass_from_constant_ensemble(self):
         e = PathEnsemble(np.full((5, 3, 2), 1.5))
-        m = marginal(e, 1)
-        assert np.allclose(m.points, 1.5)
-        assert m.size == 5 and m.dim == 2
+        table = joint_marginal(e, e)
+        assert table.shape == (3, 4)
+        assert np.array_equal(table, np.full((3, 4), 1.5))
 
     def test_values_at_node(self):
         vals = np.zeros((2, 2, 1))
         vals[0, 1, 0], vals[1, 1, 0] = 1.0, 3.0
-        m = marginal(PathEnsemble(vals), 1)
-        assert sorted(m.points[:, 0]) == [1.0, 3.0]
+        e = PathEnsemble(vals)
+        assert np.array_equal(joint_marginal(e, e), [[0.0, 0.0], [2.0, 2.0]])
 
-    def test_cloud_shares_the_ensemble_memory(self):
+    def test_table_is_read_only(self):
         e = PathEnsemble(np.random.default_rng(1).standard_normal((5, 3, 2)))
-        m = marginal(e, 1)
-        assert np.shares_memory(m.points, e.component_major[1])
-        assert np.array_equal(m.points, e.values[:, 1, :])
+        table = joint_marginal(e, e)
+        with pytest.raises(ValueError, match="read-only"):
+            table[1, 0] = 0.0
 
-    def test_out_of_range(self):
-        e = PathEnsemble(np.zeros((2, 3, 1)))
-        with pytest.raises(IndexError):
-            marginal(e, 3)
+    def test_shape_mismatch(self):
+        x = PathEnsemble(np.zeros((4, 3, 1)))
+        for y in (PathEnsemble(np.zeros((5, 3, 1))), PathEnsemble(np.zeros((4, 2, 1)))):
+            with pytest.raises(ValueError, match="share particle and node counts"):
+                joint_marginal(x, y)
 
     def test_joint_concatenation(self):
         rng = np.random.default_rng(0)
         x = PathEnsemble(rng.standard_normal((4, 3, 2)))
         y = PathEnsemble(rng.standard_normal((4, 3, 1)))
-        j = joint_marginal(x, y, 2)
+        table = joint_marginal(x, y)
         manual = np.concatenate([x.values[:, 2, :], y.values[:, 2, :]], axis=1)
-        assert np.array_equal(j.points, manual)
-        assert j.dim == 3
+        assert np.allclose(table[2], manual.mean(axis=0), rtol=1e-15, atol=0.0)
+        assert table.shape == (3, 3)
 
     @pytest.mark.parametrize("m, particles", [(1, 10_000), (2, 2_001), (3, 7)])
-    def test_joint_cloud_is_a_view_with_the_mean_of_the_copy(self, m, particles):
+    def test_table_rows_have_the_bits_of_the_copy_mean(self, m, particles):
         rng = np.random.default_rng(particles)
         x = from_component_major(1e3 * rng.standard_normal((3, m, particles)) + 7.0)
         y = from_component_major(rng.standard_normal((3, m, particles)) - 3.0)
-        copied = np.concatenate([x.component_major[1], y.component_major[1]]).T
-        j = joint_marginal(x, y, 1)
-        assert all(np.shares_memory(b, e.component_major) for b, e in zip(j.blocks, (x, y)))
-        assert j.mean().tobytes() == copied.mean(axis=0).tobytes()
-        assert not j.mean().flags.writeable
-        assert np.array_equal(j.points, copied)
-        assert (j.dim, j.size) == (2 * m, particles)
+        table = joint_marginal(x, y)
+        assert table.shape == (3, 2 * m)
+        for k in range(3):
+            copied = np.concatenate([x.component_major[k], y.component_major[k]]).T
+            assert table[k].tobytes() == copied.mean(axis=0).tobytes()
 
 
 class TestExports:

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from mfbsde.measure import EmpiricalMeasure
 from mfbsde.problem import (
     H1,
     H1PRIME,
@@ -23,8 +22,9 @@ from mfbsde.problem import (
 )
 
 
-def gaussian_cloud(rng, n, d):
-    return EmpiricalMeasure(rng.standard_normal((n, d)))
+def gaussian_mean(rng, n, d):
+    """The mean of a Gaussian cloud of n points in R^d: what a table reads of a law."""
+    return rng.standard_normal((n, d)).mean(axis=0)
 
 
 def affine_problem_from_blocks(s11, s12, s21, s22, sigma_const=0.4):
@@ -429,10 +429,9 @@ class TestAffineCoeffs:
         c0 = rng.standard_normal(2)
         table = AffineCoeffs(2, "f", x=cx, y=cy, z=cz, mean_x=cmx, mean_y=cmy, const=c0)
         x, y, z = rng.standard_normal((3, 5, 2))
-        nu = EmpiricalMeasure(rng.standard_normal((7, 4)))
-        mu = nu.mean()
-        want = x @ cx.T + y @ cy.T + z @ cz.T + cmx @ mu[:2] + cmy @ mu[2:] + c0
-        assert np.allclose(table(0.3, x, y, z, nu), want, rtol=0.0, atol=1e-12)
+        mean = gaussian_mean(rng, 7, 4)
+        want = x @ cx.T + y @ cy.T + z @ cz.T + cmx @ mean[:2] + cmy @ mean[2:] + c0
+        assert np.allclose(table(0.3, x, y, z, mean), want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_one_column_product_equals_the_matmul(self, rows):
@@ -466,12 +465,12 @@ class TestAffineCoeffs:
 
         rng = np.random.default_rng(4)
         cm = rng.standard_normal((2, 6))
-        nu = EmpiricalMeasure(rng.standard_normal((7, 4)))
-        f_ordered = table(0.5, cm.T, nu=nu)
-        c_ordered = table(0.5, np.ascontiguousarray(cm.T), nu=nu)
+        mean = gaussian_mean(rng, 7, 4)
+        f_ordered = table(0.5, cm.T, mean=mean)
+        c_ordered = table(0.5, np.ascontiguousarray(cm.T), mean=mean)
         assert f_ordered.shape == (6, 2) and f_ordered.T.flags.c_contiguous
         assert np.array_equal(f_ordered, c_ordered)
-        assert np.allclose(f_ordered, 3.0 * cm.T + 0.5 * nu.mean()[:2], rtol=0.0, atol=1e-12)
+        assert np.allclose(f_ordered, 3.0 * cm.T + 0.5 * mean[:2], rtol=0.0, atol=1e-12)
 
     def test_shapes_checked_once_with_term_names(self):
         with pytest.raises(ValueError, match=r"g\.x: expected shape \(2, 2\)"):
@@ -497,12 +496,12 @@ class TestProblemFromConfig:
         p = problem_from_config(self.config())
         rng = np.random.default_rng(0)
         x, y, z = rng.standard_normal((3, 5, 1))
-        nu = gaussian_cloud(rng, 8, 2)
-        mu = gaussian_cloud(rng, 8, 1)
-        assert np.allclose(p.f(0.1, x, y, z, nu), toy_problem.f(0.1, x, y, z, nu))
-        assert np.allclose(p.h(0.1, x, y, z, nu), toy_problem.h(0.1, x, y, z, nu))
+        mean = gaussian_mean(rng, 8, 2)
+        mean_t = gaussian_mean(rng, 8, 1)
+        assert np.allclose(p.f(0.1, x, y, z, mean), toy_problem.f(0.1, x, y, z, mean))
+        assert np.allclose(p.h(0.1, x, y, z, mean), toy_problem.h(0.1, x, y, z, mean))
         assert np.allclose(p.sigma(0.1, x, y, z), toy_problem.sigma(0.1, x, y, z))
-        assert np.allclose(p.g(p.horizon, x, nu=mu), toy_problem.g(p.horizon, x, nu=mu))
+        assert np.allclose(p.g(p.horizon, x, mean=mean_t), toy_problem.g(p.horizon, x, mean=mean_t))
         assert p.law_free_sigma
         assert p.monotonicity.variant == H1PRIME
 
@@ -542,9 +541,9 @@ class TestProblemFromConfig:
         x = np.ones((3, 1))
         y = np.zeros((3, 1))
         z = np.zeros((3, 1))
-        nu = EmpiricalMeasure(np.zeros((4, 2)))
-        assert np.allclose(p.h(0.05, x, y, z, nu), -1.0)
-        assert np.allclose(p.h(0.2, x, y, z, nu), -2.0)
+        mean = np.zeros(2)
+        assert np.allclose(p.h(0.05, x, y, z, mean), -1.0)
+        assert np.allclose(p.h(0.2, x, y, z, mean), -2.0)
 
     def test_wrong_kind_rejected(self):
         cfg = self.config()
