@@ -362,6 +362,22 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
 # ---------------------------------------------------------------------------
 
 
+def _trapezoid_weights(grid: TimeGrid) -> np.ndarray:
+    w = np.full(grid.steps + 1, grid.dt)
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def _batch_bounds(particles: int) -> np.ndarray:
+    """Edges of the min(_COST_BATCHES, particles) contiguous particle blocks."""
+    return np.linspace(0, particles, min(_COST_BATCHES, particles) + 1).astype(int)
+
+
+def _batch_stderr(batch_vals: np.ndarray) -> float:
+    """Batch-means standard error of the mean of ``batch_vals``."""
+    return float(np.std(batch_vals, ddof=1) / math.sqrt(len(batch_vals))) if len(batch_vals) > 1 else 0.0
+
+
 def _cost_with_batches(
     gs: GameSpec, i: int, x_cm: np.ndarray, u_cm: np.ndarray, grid: TimeGrid
 ) -> tuple[float, float, np.ndarray]:
@@ -369,8 +385,7 @@ def _cost_with_batches(
     costs of _COST_BATCHES contiguous particle blocks (E[X] terms use the
     means within each block).  ``x_cm`` and ``u_cm`` are component-major
     (nodes, dim, particles); the per-particle terms are formed once."""
-    w = np.full(grid.steps + 1, grid.dt)  # trapezoid weights
-    w[[0, -1]] *= 0.5
+    w = _trapezoid_weights(grid)
     x_t = x_cm[-1]
     terminal = np.sum(x_t * (gs.Q[i] @ x_t), axis=0)
     # u' N u, its components added in order into the first: np.sum(..., axis=1)'s values without its slow path
@@ -400,11 +415,9 @@ def _cost_with_batches(
         return 0.5 * total
 
     particles = x_cm.shape[-1]
-    batches = min(_COST_BATCHES, particles)
-    bounds = np.linspace(0, particles, batches + 1).astype(int)
+    bounds = _batch_bounds(particles)
     batch_vals = np.array([block(a, b) for a, b in zip(bounds[:-1], bounds[1:])])
-    stderr = float(np.std(batch_vals, ddof=1) / math.sqrt(batches)) if batches > 1 else 0.0
-    return block(0, particles), stderr, batch_vals
+    return block(0, particles), _batch_stderr(batch_vals), batch_vals
 
 
 def cost(gs: GameSpec, i: int, x_ens: PathEnsemble, controls, grid: TimeGrid) -> tuple[float, float]:
@@ -579,6 +592,76 @@ class DeviationReport:
         return out
 
 
+def _probe_gram(gs: GameSpec, i: int, grid: TimeGrid, bundle: BrownianBundle,
+                x_base: np.ndarray, u_base: np.ndarray) -> np.ndarray:
+    """The cost's bilinear form B on (z*, zeta_1, ..., zeta_q), whole sample first and then per particle block.
+
+    z* = (X*, u_i*) is the candidate's state and control, and zeta_l =
+    (xi_l, phi_l) the linear response to one of the q = m_i (1 + n) probe
+    directions: phi = e_r for the a part and e_r X*_c for the b part, so
+    that direction m_i + r n + c is b's entry (r, c).  The responses solve
+    the state's Euler scheme with beta, alpha and the other players' controls
+    dropped,
+
+        xi_0 = 0,  xi_{k+1} = xi_k + (A_k xi_k + D_k E[xi_k] + C_i phi_k) dt + sigma_k xi_k dW_k,
+
+    and are stepped together, one node at a time, beside X*: nothing of
+    theirs is kept past its node.  J_i(z) = B(z, z), with B the form of
+    :func:`_cost_with_batches` (E[X] terms on the means of the whole sample
+    or of the block), so a probe c = (a, vec b) at magnitude eps changes
+    the cost by eps * 2 B(z*, zeta c) + eps^2 B(zeta c, zeta c).  Returns
+    the (1 + batches, 1 + q, 1 + q) stack of these Gram matrices."""
+    n, m_i, particles = gs.n, gs.control_dims[i], x_base.shape[-1]
+    q = m_i * (1 + n)
+    w = _trapezoid_weights(grid)
+    bounds = _batch_bounds(particles)
+    sizes = np.diff(bounds)
+
+    def means(v):
+        """Means of v over its particle (last) axis, moved first: the whole sample, then each block."""
+        blocks = np.add.reduceat(v, bounds[:-1], axis=-1) / sizes
+        return np.concatenate([v.mean(axis=-1)[None], np.moveaxis(blocks, -1, 0)])
+
+    def gram(v, weight):
+        """(1 + q, 1 + q, particles) per-particle products v_a' weight v_b."""
+        wv = matmul(weight, v)
+        out = v[:, None, 0] * wv[None, :, 0]
+        for c in range(1, v.shape[1]):
+            out += v[:, None, c] * wv[None, :, c]
+        return out
+
+    def mean_gram(v, weight):
+        mv = means(v)
+        return mv @ weight @ np.swapaxes(mv, -1, -2)
+
+    # slot 0 is the candidate, slots 1..q the responses and their directions
+    s = np.zeros((1 + q, n, particles))
+    phi = np.zeros((1 + q, m_i, particles))
+    phi[1 + np.arange(m_i), np.arange(m_i)] = 1.0
+    per_particle = np.zeros((1 + q, 1 + q, particles))
+    mean_terms = np.zeros((1 + len(sizes), 1 + q, 1 + q))
+    xi = s[1:]
+    for k, t in enumerate(grid.nodes):
+        s[0] = x_base[k]
+        phi[0] = u_base[k]
+        for r in range(m_i):
+            phi[1 + m_i + r * n : 1 + m_i + (r + 1) * n, r] = x_base[k]
+        running = gram(phi, gs.N[i])
+        m_k, gamma_k = gs.M[i](t), gs.Gamma[i](t)
+        if np.any(m_k):
+            running += gram(s, m_k)
+        running *= w[k]
+        per_particle += running
+        if np.any(gamma_k):
+            mean_terms += w[k] * mean_gram(s, gamma_k)
+        if k < grid.steps:
+            drift = matmul(gs.A(t), xi) + (xi.mean(axis=-1) @ gs.D(t).T)[..., None] + matmul(gs.C[i], phi[1:])
+            xi += drift * grid.dt + matmul(gs.sigma(t), xi) * bundle.component_major[k]
+    per_particle += gram(s, gs.Q[i])
+    mean_terms += mean_gram(s, gs.R[i])
+    return 0.5 * (means(per_particle) + mean_terms)
+
+
 def deviation_test(
     gs: GameSpec,
     nash: NashResult,
@@ -592,14 +675,20 @@ def deviation_test(
     Each probe is an open-loop control u_i* + magnitude * (a + b X*), with
     X* the state under the candidate controls u*: a random vector a for an
     even probe, and a random vector a and matrix b for an odd one.  The
-    state is re-simulated with the SAME Brownian bundle, so cost
-    differences are paired, and since a probe does not read the deviated
-    state its cost change is exactly quadratic in ``magnitude``.  The test
-    passes when the most favorable probe does not beat the candidate by
-    more than 3 standard errors of the paired difference.  Full open-loop
-    function-space deviations are not verifiable numerically; this finite
-    family is a documented limitation.  A player index outside [0, players)
-    raises ValueError.
+    state is affine in the controls and the cost quadratic, and a probe
+    does not read the deviated state, so its cost change is exactly
+    eps c'g + eps^2 c'Hc in c = (a, vec b) and eps = ``magnitude``.  g and
+    H come from one simulation of X* and one pass that steps the q =
+    m_i (1 + n) linear responses to the basis directions on the SAME
+    Brownian bundle (:func:`_probe_gram`), so the cost of a call grows with
+    the probes only by O(q^2) arithmetic per probe.  Differences are
+    paired, per particle block as well.  The test passes when the most
+    favorable probe does not beat the candidate by more than 3 standard
+    errors of the paired difference.  Full open-loop function-space
+    deviations are not verifiable numerically; this finite family is a
+    documented limitation.  A player index outside [0, players) raises
+    ValueError, and a probe whose cost change overflows raises
+    FloatingPointError.
     """
     _check_player(gs, i)
     if perturbations < 1:
@@ -613,22 +702,20 @@ def deviation_test(
 
     x_base = simulate_state(gs, grid, bundle, base_controls).component_major
     base_i = base_controls[i].component_major
-    j_base, _, base_batches = _cost_with_batches(gs, i, x_base, base_i, grid)
+    j_base = _cost_with_batches(gs, i, x_base, base_i, grid)[0]
 
     deltas, stderrs = [], []
-    for j in range(perturbations):
-        a = rng.standard_normal(m_i)[:, None]
-        b = rng.standard_normal((m_i, gs.n)) / math.sqrt(gs.n) if j % 2 else None
-        controls = list(base_controls)
-        # an overflowing deviation raises here instead of warning first
-        with np.errstate(over="raise", invalid="raise"):
-            u_dev = base_i + magnitude * (a if b is None else a + b @ x_base)
-            controls[i] = from_component_major(u_dev)
-            x_cm = simulate_state(gs, grid, bundle, controls).component_major
-            j_dev, _, dev_batches = _cost_with_batches(gs, i, x_cm, u_dev, grid)
-        deltas.append(j_dev - j_base)
-        paired = dev_batches - base_batches
-        stderrs.append(float(np.std(paired, ddof=1) / math.sqrt(len(paired))) if len(paired) > 1 else 0.0)
+    # an overflowing response or deviation raises here instead of warning first
+    with np.errstate(over="raise", invalid="raise"):
+        gram = _probe_gram(gs, i, grid, bundle, x_base, base_i)
+        g, h = 2.0 * gram[:, 0, 1:], gram[:, 1:, 1:]
+        for j in range(perturbations):
+            a = rng.standard_normal(m_i)
+            b = rng.standard_normal((m_i, gs.n)) / math.sqrt(gs.n) if j % 2 else np.zeros((m_i, gs.n))
+            c = np.concatenate([a, b.ravel()])
+            delta = magnitude * (g @ c + magnitude * (h @ c @ c))
+            deltas.append(float(delta[0]))
+            stderrs.append(_batch_stderr(delta[1:]))
 
     idx = int(np.argmin(deltas))
     return DeviationReport(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mfbsde import fixpoint, lqgame
-from mfbsde.paths import PathEnsemble, TimeGrid, make_bundle
+from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, make_bundle
 from mfbsde.problem import PiecewiseConstant, check_H1
 from oracles import (
     example3_boundary_det,
@@ -533,9 +533,16 @@ class TestDeviation:
         real = lqgame.simulate_state
         monkeypatch.setattr(lqgame, "simulate_state", lambda *a: calls.append(1) or real(*a))
         reports = [lqgame.deviation_test(gs, nash, i, perturbations=3, seed=i) for i in (0, 1)]
-        assert len(calls) == 2 + 2 * 3
+        assert len(calls) == 2
         for rep, ref in zip(reports, expected):
             assert rep.deltas == ref.deltas and rep.baseline_cost == ref.baseline_cost
+        # the probes are priced from the base state and its responses: ten times the probes, no more simulations
+        counts = []
+        for count in (3, 30):
+            calls.clear()
+            lqgame.deviation_test(gs, nash, 0, perturbations=count, seed=0)
+            counts.append(len(calls))
+        assert counts == [1, 1]
 
     def test_deltas_are_exactly_quadratic_in_the_magnitude(self):
         # an open-loop probe moves the state by magnitude * xi, with xi free
@@ -556,12 +563,78 @@ class TestDeviation:
         real = lqgame.simulate_state
         monkeypatch.setattr(lqgame, "simulate_state", lambda *a: calls.append(1) or real(*a))
         rep = lqgame.deviation_test(gs, bad, 0, perturbations=2, seed=0)
-        assert len(calls) == 1 + 2
+        assert len(calls) == 1
         x_bad = real(gs, nash.aggregated.grid, nash.aggregated.bundle, corrupted)
         assert rep.baseline_cost == lqgame.cost(gs, 0, x_bad, corrupted, nash.aggregated.grid)[0]
         # and the same result object picks up an in-place swap of its controls
         nash.controls = corrupted
         assert lqgame.deviation_test(gs, nash, 0, perturbations=2, seed=0).deltas == rep.deltas
+
+    @staticmethod
+    def simulated_deviations(gs, nash, i, perturbations, magnitude, seed):
+        """Each probe's state re-simulated and its cost priced directly: the deltas and paired stderrs."""
+        grid, bundle = nash.aggregated.grid, nash.aggregated.bundle
+        rng = np.random.default_rng(seed)
+        x_base = lqgame.simulate_state(gs, grid, bundle, nash.controls).component_major
+        base_i = nash.controls[i].component_major
+        j_base, _, base_batches = lqgame._cost_with_batches(gs, i, x_base, base_i, grid)
+        deltas, stderrs = [], []
+        for j in range(perturbations):
+            a = rng.standard_normal(gs.control_dims[i])[:, None]
+            b = rng.standard_normal((gs.control_dims[i], gs.n)) / np.sqrt(gs.n) if j % 2 else None
+            u_dev = base_i + magnitude * (a if b is None else a + b @ x_base)
+            controls = list(nash.controls)
+            controls[i] = from_component_major(u_dev)
+            x_dev = lqgame.simulate_state(gs, grid, bundle, controls).component_major
+            j_dev, _, dev_batches = lqgame._cost_with_batches(gs, i, x_dev, u_dev, grid)
+            deltas.append(j_dev - j_base)
+            paired = dev_batches - base_batches
+            stderrs.append(np.std(paired, ddof=1) / np.sqrt(len(paired)))
+        return deltas, stderrs
+
+    @pytest.mark.parametrize("game", ["example3", "criterion6", "mean_weights", "two_controls"])
+    def test_probes_are_priced_as_their_simulated_deviations(self, game):
+        # the streamed responses give every probe's cost change and paired
+        # stderr as re-simulating its state and pricing it would
+        particles = 400
+        if game == "example3":  # sigma = 0, M = Gamma = R = 0
+            gs = lqgame.example3_game(0.25)
+        elif game == "criterion6":  # M = 1, multiplicative noise 0.2
+            gs = scalar_game()
+        elif game == "mean_weights":  # Gamma and R on the plug-in means, uneven particle blocks
+            particles = 410
+            gs = lqgame.GameSpec(
+                n=2, horizon=0.5, x0=[1.0, -0.5], A=0.2 * np.eye(2), D=0.1 * np.eye(2), beta=[0.1, 0.2],
+                sigma=0.3 * np.eye(2), alpha=[0.4, 0.2], C=[[[1.0], [-2.0]], [[-2.0], [1.0]]],
+                N=[[[1.0]], [[2.0]]], Q=[np.diag([1.0, 0.5]), np.diag([0.2, 1.0])],
+                M=[{"piecewise": [{"t_from": 0.0, "value": np.diag([0.5, 0.1])},
+                                  {"t_from": 0.25, "value": np.diag([1.0, 0.3])}]}, 0.2 * np.eye(2)],
+                Gamma=[{"piecewise": [{"t_from": 0.0, "value": [[1.0, 0.3], [0.3, 0.5]]},
+                                      {"t_from": 0.3, "value": 2.0 * np.eye(2)}]}, np.eye(2)],
+                R=[[[0.7, 0.2], [0.2, 0.4]], 0.5 * np.eye(2)],
+            )
+        else:  # player 0 has a two-component control: q = 2 (1 + 2) = 6 directions
+            gs = lqgame.GameSpec(
+                n=2, horizon=0.25, x0=[1.0, 2.0], A=np.eye(2), D=-np.eye(2), sigma=0.3 * np.eye(2),
+                alpha=[1.0, 1.0], C=[np.eye(2), [[-2.0], [1.0]]], N=[[[1.0, 0.2], [0.2, 2.0]], [[1.0]]],
+                Q=[np.diag([1.0, 0.5]), np.diag([0.0, 1.0])],
+            )
+        params = fixpoint.SchemeParams(particles=particles, max_outer=30, tol=1e-3)
+        nash = lqgame.solve_nash(gs, TimeGrid(gs.horizon, 20), params, seed=2)
+        for i in range(gs.players):
+            rep = lqgame.deviation_test(gs, nash, i, perturbations=6, magnitude=0.1, seed=3 + i)
+            deltas, stderrs = self.simulated_deviations(gs, nash, i, 6, 0.1, 3 + i)
+            assert rep.deltas == pytest.approx(deltas, rel=1e-9, abs=0.0)
+            assert rep.stderrs == pytest.approx(stderrs, rel=1e-9, abs=0.0)
+
+    def test_overflowing_probe_raises_without_warning(self):
+        gs = scalar_game()
+        nash = lqgame.solve_nash(gs, TimeGrid(1.0, 20), fixpoint.SchemeParams(particles=200, max_outer=10), seed=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError):
+                lqgame.deviation_test(gs, nash, 0, perturbations=2, magnitude=1e300)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_player_index_out_of_range(self, monkeypatch):
         # -1 would price the last player under the name -1, and 2 would index past the controls
