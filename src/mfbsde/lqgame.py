@@ -696,12 +696,11 @@ def deviation_test(
     if not math.isfinite(magnitude):
         raise ValueError(f"magnitude must be finite, got {magnitude}")
     grid, bundle = nash.aggregated.grid, nash.aggregated.bundle
-    base_controls = list(nash.controls)
     m_i = gs.control_dims[i]
     rng = np.random.default_rng(seed)
 
-    x_base = simulate_state(gs, grid, bundle, base_controls).component_major
-    base_i = base_controls[i].component_major
+    x_base = simulate_state(gs, grid, bundle, nash.controls).component_major
+    base_i = nash.controls[i].component_major
     j_base = _cost_with_batches(gs, i, x_base, base_i, grid)[0]
 
     deltas, stderrs = [], []
@@ -723,9 +722,9 @@ def deviation_test(
         perturbations=perturbations,
         magnitude=magnitude,
         baseline_cost=j_base,
-        deltas=[float(d) for d in deltas],
+        deltas=deltas,
         stderrs=stderrs,
-        min_delta=float(deltas[idx]),
+        min_delta=deltas[idx],
         min_stderr=stderrs[idx],
         passed=bool(deltas[idx] >= -3.0 * stderrs[idx]),
     )
