@@ -713,7 +713,7 @@ def deviation_test(
             b = rng.standard_normal((m_i, gs.n)) / math.sqrt(gs.n) if j % 2 else np.zeros((m_i, gs.n))
             c = np.concatenate([a, b.ravel()])
             delta = magnitude * (g @ c + magnitude * (h @ c @ c))
-            deltas.append(float(delta[0]))
+            deltas.append(float(delta[0]) + 0.0)  # a zero magnitude's -0.0 reads 0.0, as J - J did
             stderrs.append(_batch_stderr(delta[1:]))
 
     idx = int(np.argmin(deltas))

@@ -665,6 +665,7 @@ class TestDeviation:
         nash = lqgame.solve_nash(gs, grid, fixpoint.SchemeParams(particles=500, max_outer=15, tol=1e-3), seed=5)
         rep = lqgame.deviation_test(gs, nash, 0, perturbations=6, magnitude=0.0, seed=0)
         assert rep.deltas == [0.0] * 6
+        assert all(np.copysign(1.0, d) == 1.0 for d in rep.deltas)  # no -0.0 in the report
         assert rep.passed
 
     def test_equilibrium_passes_and_corruption_fails(self):
