@@ -178,8 +178,9 @@ def cmd_game(args) -> int:
     _check_seed(args.seed)
     if args.deviations < 1:
         raise UsageError(f"--deviations must be >= 1, got {args.deviations}")
-    if not math.isfinite(args.deviation_magnitude):
-        raise UsageError(f"--deviation-magnitude must be finite, got {args.deviation_magnitude}")
+    for flag, v in (("--deviation-magnitude", args.deviation_magnitude), ("--corrupt-control", args.corrupt_control)):
+        if v is not None and not math.isfinite(v):
+            raise UsageError(f"{flag} must be finite, got {v}")
     kind, cfg = _load_config(args.config)
     if kind != "game":
         raise ValueError("the game command needs a game config")

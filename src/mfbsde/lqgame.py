@@ -319,6 +319,14 @@ def _dynamics(gs: GameSpec, **terms) -> tuple[AffineCoeffs, AffineCoeffs]:
 # ---------------------------------------------------------------------------
 
 
+def _check_control(gs: GameSpec, i: int, u, grid: TimeGrid, particles: int) -> None:
+    """Player i's control must be a PathEnsemble of shape (steps + 1, m_i, particles) component-major."""
+    want = (grid.steps + 1, gs.control_dims[i], particles)
+    got = u.component_major.shape if isinstance(u, PathEnsemble) else type(u).__name__
+    if got != want:
+        raise ValueError(f"control of player {i} must be a PathEnsemble of shape {want}, got {got}")
+
+
 def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, controls) -> PathEnsemble:
     """Euler simulation of the controlled state with plug-in ensemble mean.
 
@@ -332,11 +340,8 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
         raise ValueError("bundle and grid step counts differ")
     if len(controls) != gs.players:
         raise ValueError(f"need one control per player, got {len(controls)}")
-    for i, (u, m_i) in enumerate(zip(controls, gs.control_dims)):
-        want = (grid.steps + 1, m_i, bundle.particles)
-        got = u.component_major.shape if isinstance(u, PathEnsemble) else type(u).__name__
-        if got != want:
-            raise ValueError(f"control of player {i} must be a PathEnsemble of shape {want}, got {got}")
+    for i, u in enumerate(controls):
+        _check_control(gs, i, u, grid, bundle.particles)
     f, sigma = _dynamics(gs)
     # component-major (nodes, n, particles); the tables get (particles, n) views
     x = np.empty((grid.steps + 1, gs.n, bundle.particles))
@@ -362,78 +367,81 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid_weights(grid: TimeGrid) -> np.ndarray:
-    w = np.full(grid.steps + 1, grid.dt)
-    w[[0, -1]] *= 0.5
-    return w
-
-
-def _batch_bounds(particles: int) -> np.ndarray:
-    """Edges of the min(_COST_BATCHES, particles) contiguous particle blocks."""
-    return np.linspace(0, particles, min(_COST_BATCHES, particles) + 1).astype(int)
-
-
 def _batch_stderr(batch_vals: np.ndarray) -> float:
     """Batch-means standard error of the mean of ``batch_vals``."""
     return float(np.std(batch_vals, ddof=1) / math.sqrt(len(batch_vals))) if len(batch_vals) > 1 else 0.0
 
 
-def _cost_with_batches(
-    gs: GameSpec, i: int, x_cm: np.ndarray, u_cm: np.ndarray, grid: TimeGrid
-) -> tuple[float, float, np.ndarray]:
-    """Plug-in cost of player i, its batch-means standard error and the
-    costs of _COST_BATCHES contiguous particle blocks (E[X] terms use the
-    means within each block).  ``x_cm`` and ``u_cm`` are component-major
-    (nodes, dim, particles); the per-particle terms are formed once."""
-    w = _trapezoid_weights(grid)
-    x_t = x_cm[-1]
-    terminal = np.sum(x_t * (gs.Q[i] @ x_t), axis=0)
-    # u' N u, its components added in order into the first: np.sum(..., axis=1)'s values without its slow path
-    run = matmul(gs.N[i], u_cm)
-    run *= u_cm
-    for j in range(1, u_cm.shape[1]):
-        run[:, 0] += run[:, j]
-    mean_terms = []
-    if np.any(gs.M[i].values) or np.any(gs.Gamma[i].values):  # else no node has a term
-        for k, t in enumerate(grid.nodes):
-            m_k = gs.M[i](t)
-            if np.any(m_k):
-                run[k, 0] += np.sum(x_cm[k] * (m_k @ x_cm[k]), axis=0)
-            g_k = gs.Gamma[i](t)
-            if np.any(g_k):
-                mean_terms.append((k, g_k))
-    running = w @ run[:, 0]
+def _cost_with_batches(gs: GameSpec, i: int, slots, grid: TimeGrid) -> np.ndarray:
+    """The bilinear form B of player i's cost on slots z_0, ..., z_q, whole sample first and then per particle block.
 
-    def block(a: int, b: int) -> float:
-        total = float(np.mean(terminal[a:b]))
-        m_t = x_t[:, a:b].mean(axis=1)
-        total += float(m_t @ gs.R[i] @ m_t)
-        for k, g_k in mean_terms:
-            m_k = x_cm[k, :, a:b].mean(axis=1)
-            total += w[k] * float(m_k @ g_k @ m_k)
-        total += float(np.mean(running[a:b]))
-        return 0.5 * total
+    A slot z = (X, u) is a state and a control of player i, and
 
-    particles = x_cm.shape[-1]
-    bounds = _batch_bounds(particles)
-    batch_vals = np.array([block(a, b) for a, b in zip(bounds[:-1], bounds[1:])])
-    return block(0, particles), _batch_stderr(batch_vals), batch_vals
+        B(z, z') = 1/2 ( E[X_T' Q_i X'_T] + E[X_T]' R_i E[X'_T]
+                 + E int_0^T (X' M_i X' + u' N_i u' + E[X]' Gamma_i E[X']) dt ),
+
+    so J_i(z) = B(z, z): the one place the cost is written down.  ``slots``
+    yields per grid node the slots' states (1 + q, n, particles) and
+    controls (1 + q, m_i, particles), each pair read before the next is
+    asked for (and none after the last node), so a generator may step them
+    in place.  The integral is trapezoidal, and every expectation is the
+    plug-in mean of one sample: the whole ensemble, then each of the
+    min(_COST_BATCHES, particles) contiguous particle blocks.  Returns the
+    (1 + batches, 1 + q, 1 + q) stack of these Gram matrices."""
+    w = np.full(grid.steps + 1, grid.dt)
+    w[[0, -1]] *= 0.5
+
+    def means(v):
+        """Means of v over its particle (last) axis, moved first: the whole sample, then each block."""
+        bounds = np.linspace(0, v.shape[-1], min(_COST_BATCHES, v.shape[-1]) + 1).astype(int)
+        blocks = np.add.reduceat(v, bounds[:-1], axis=-1) / np.diff(bounds)
+        return np.concatenate([v.mean(axis=-1)[None], np.moveaxis(blocks, -1, 0)])
+
+    def gram(v, weight):
+        """(1 + q, 1 + q, particles) per-particle products v_a' weight v_b."""
+        wv = matmul(weight, v)
+        out = v[:, None, 0] * wv[None, :, 0]
+        for c in range(1, v.shape[1]):
+            out += v[:, None, c] * wv[None, :, c]
+        return out
+
+    def mean_gram(v, weight):
+        mv = means(v)
+        return mv @ weight @ np.swapaxes(mv, -1, -2)
+
+    per_particle = mean_terms = 0.0
+    for k, (t, (x, u)) in enumerate(zip(grid.nodes, slots)):
+        running = gram(u, gs.N[i])
+        m_k, gamma_k = gs.M[i](t), gs.Gamma[i](t)
+        if np.any(m_k):
+            running += gram(x, m_k)
+        running *= w[k]
+        per_particle += running
+        if np.any(gamma_k):
+            mean_terms += w[k] * mean_gram(x, gamma_k)
+    # x is the last node's: the terminal terms
+    per_particle += gram(x, gs.Q[i])
+    mean_terms += mean_gram(x, gs.R[i])
+    return 0.5 * (means(per_particle) + mean_terms)
 
 
 def cost(gs: GameSpec, i: int, x_ens: PathEnsemble, controls, grid: TimeGrid) -> tuple[float, float]:
-    """Monte Carlo estimate of J_i with its standard error.
+    """Monte Carlo estimate of J_i, B(z, z) of :func:`_cost_with_batches` on
+    the one slot z = (X, u_i), with its batch-means standard error.
 
-    ``controls`` holds one PathEnsemble per player.  Quadrature is
-    trapezoidal in time; the E[X]-product terms use plug-in ensemble
-    means, and the standard error comes from batch means over contiguous
-    particle blocks.  A player index outside [0, players) raises ValueError.
+    ``x_ens`` is the state (n components on the grid nodes) and
+    ``controls`` holds one PathEnsemble per player; player i's must have
+    the shape :func:`simulate_state` asks for, on the state's particles.
+    Either of another shape, or a player index outside [0, players),
+    raises ValueError.
     """
     _check_player(gs, i)
-    u_cm = controls[i].component_major
-    if u_cm.shape[2] != x_ens.particles or u_cm.shape[0] != x_ens.nodes:
-        raise ValueError("control and state ensembles must share particles and nodes")
-    value, stderr, _ = _cost_with_batches(gs, i, x_ens.component_major, u_cm, grid)
-    return value, stderr
+    x_cm = x_ens.component_major
+    if x_cm.shape[:2] != (grid.steps + 1, gs.n):
+        raise ValueError(f"state must have {grid.steps + 1} nodes of {gs.n} components, got {x_cm.shape[:2]}")
+    _check_control(gs, i, controls[i], grid, x_ens.particles)
+    b = _cost_with_batches(gs, i, zip(x_cm[:, None], controls[i].component_major[:, None]), grid)[:, 0, 0]
+    return float(b[0]), _batch_stderr(b[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -592,74 +600,33 @@ class DeviationReport:
         return out
 
 
-def _probe_gram(gs: GameSpec, i: int, grid: TimeGrid, bundle: BrownianBundle,
-                x_base: np.ndarray, u_base: np.ndarray) -> np.ndarray:
-    """The cost's bilinear form B on (z*, zeta_1, ..., zeta_q), whole sample first and then per particle block.
+def _probe_slots(gs: GameSpec, i: int, grid: TimeGrid, bundle: BrownianBundle,
+                 x_base: np.ndarray, u_base: np.ndarray):
+    """Node by node, the slots (z*, zeta_1, ..., zeta_q) that :func:`_cost_with_batches` prices a probe on.
 
     z* = (X*, u_i*) is the candidate's state and control, and zeta_l =
     (xi_l, phi_l) the linear response to one of the q = m_i (1 + n) probe
     directions: phi = e_r for the a part and e_r X*_c for the b part, so
     that direction m_i + r n + c is b's entry (r, c).  The responses solve
-    the state's Euler scheme with beta, alpha and the other players' controls
-    dropped,
+    the state's Euler scheme, on the candidate's Brownian bundle, with
+    beta, alpha and the other players' controls dropped,
 
         xi_0 = 0,  xi_{k+1} = xi_k + (A_k xi_k + D_k E[xi_k] + C_i phi_k) dt + sigma_k xi_k dW_k,
 
-    and are stepped together, one node at a time, beside X*: nothing of
-    theirs is kept past its node.  J_i(z) = B(z, z), with B the form of
-    :func:`_cost_with_batches` (E[X] terms on the means of the whole sample
-    or of the block), so a probe c = (a, vec b) at magnitude eps changes
-    the cost by eps * 2 B(z*, zeta c) + eps^2 B(zeta c, zeta c).  Returns
-    the (1 + batches, 1 + q, 1 + q) stack of these Gram matrices."""
+    stepped together in place after each node is yielded: nothing of theirs is kept past its node."""
     n, m_i, particles = gs.n, gs.control_dims[i], x_base.shape[-1]
-    q = m_i * (1 + n)
-    w = _trapezoid_weights(grid)
-    bounds = _batch_bounds(particles)
-    sizes = np.diff(bounds)
-
-    def means(v):
-        """Means of v over its particle (last) axis, moved first: the whole sample, then each block."""
-        blocks = np.add.reduceat(v, bounds[:-1], axis=-1) / sizes
-        return np.concatenate([v.mean(axis=-1)[None], np.moveaxis(blocks, -1, 0)])
-
-    def gram(v, weight):
-        """(1 + q, 1 + q, particles) per-particle products v_a' weight v_b."""
-        wv = matmul(weight, v)
-        out = v[:, None, 0] * wv[None, :, 0]
-        for c in range(1, v.shape[1]):
-            out += v[:, None, c] * wv[None, :, c]
-        return out
-
-    def mean_gram(v, weight):
-        mv = means(v)
-        return mv @ weight @ np.swapaxes(mv, -1, -2)
-
-    # slot 0 is the candidate, slots 1..q the responses and their directions
-    s = np.zeros((1 + q, n, particles))
-    phi = np.zeros((1 + q, m_i, particles))
+    s = np.zeros((1 + m_i * (1 + n), n, particles))
+    phi = np.zeros((len(s), m_i, particles))
     phi[1 + np.arange(m_i), np.arange(m_i)] = 1.0
-    per_particle = np.zeros((1 + q, 1 + q, particles))
-    mean_terms = np.zeros((1 + len(sizes), 1 + q, 1 + q))
     xi = s[1:]
     for k, t in enumerate(grid.nodes):
-        s[0] = x_base[k]
-        phi[0] = u_base[k]
+        s[0], phi[0] = x_base[k], u_base[k]
         for r in range(m_i):
             phi[1 + m_i + r * n : 1 + m_i + (r + 1) * n, r] = x_base[k]
-        running = gram(phi, gs.N[i])
-        m_k, gamma_k = gs.M[i](t), gs.Gamma[i](t)
-        if np.any(m_k):
-            running += gram(s, m_k)
-        running *= w[k]
-        per_particle += running
-        if np.any(gamma_k):
-            mean_terms += w[k] * mean_gram(s, gamma_k)
+        yield s, phi
         if k < grid.steps:
             drift = matmul(gs.A(t), xi) + (xi.mean(axis=-1) @ gs.D(t).T)[..., None] + matmul(gs.C[i], phi[1:])
             xi += drift * grid.dt + matmul(gs.sigma(t), xi) * bundle.component_major[k]
-    per_particle += gram(s, gs.Q[i])
-    mean_terms += mean_gram(s, gs.R[i])
-    return 0.5 * (means(per_particle) + mean_terms)
 
 
 def deviation_test(
@@ -677,18 +644,19 @@ def deviation_test(
     even probe, and a random vector a and matrix b for an odd one.  The
     state is affine in the controls and the cost quadratic, and a probe
     does not read the deviated state, so its cost change is exactly
-    eps c'g + eps^2 c'Hc in c = (a, vec b) and eps = ``magnitude``.  g and
-    H come from one simulation of X* and one pass that steps the q =
-    m_i (1 + n) linear responses to the basis directions on the SAME
-    Brownian bundle (:func:`_probe_gram`), so the cost of a call grows with
-    the probes only by O(q^2) arithmetic per probe.  Differences are
-    paired, per particle block as well.  The test passes when the most
+    eps c'g + eps^2 c'Hc in c = (a, vec b) and eps = ``magnitude``.  One
+    simulation of X* and one pass of :func:`_cost_with_batches` over z* and
+    the linear responses zeta to the q = m_i (1 + n) basis directions on
+    the SAME Brownian bundle (:func:`_probe_slots`) give the baseline
+    J_i(u*) = B(z*, z*), g = 2 B(z*, zeta) and H = B(zeta, zeta), so a
+    call grows with the probes only by O(q^2) arithmetic per probe.
+    Differences are paired, per particle block as well.  The test passes when the most
     favorable probe does not beat the candidate by more than 3 standard
     errors of the paired difference.  Full open-loop function-space
     deviations are not verifiable numerically; this finite family is a
     documented limitation.  A player index outside [0, players) raises
-    ValueError, and a probe whose cost change overflows raises
-    FloatingPointError.
+    ValueError, and a candidate state, baseline or probe whose pricing
+    overflows raises FloatingPointError.
     """
     _check_player(gs, i)
     if perturbations < 1:
@@ -699,14 +667,12 @@ def deviation_test(
     m_i = gs.control_dims[i]
     rng = np.random.default_rng(seed)
 
-    x_base = simulate_state(gs, grid, bundle, nash.controls).component_major
-    base_i = nash.controls[i].component_major
-    j_base = _cost_with_batches(gs, i, x_base, base_i, grid)[0]
-
     deltas, stderrs = [], []
-    # an overflowing response or deviation raises here instead of warning first
+    # an overflowing state, response or deviation raises here instead of warning first
     with np.errstate(over="raise", invalid="raise"):
-        gram = _probe_gram(gs, i, grid, bundle, x_base, base_i)
+        x_base = simulate_state(gs, grid, bundle, nash.controls).component_major
+        slots = _probe_slots(gs, i, grid, bundle, x_base, nash.controls[i].component_major)
+        gram = _cost_with_batches(gs, i, slots, grid)
         g, h = 2.0 * gram[:, 0, 1:], gram[:, 1:, 1:]
         for j in range(perturbations):
             a = rng.standard_normal(m_i)
@@ -721,7 +687,7 @@ def deviation_test(
         player=i,
         perturbations=perturbations,
         magnitude=magnitude,
-        baseline_cost=j_base,
+        baseline_cost=float(gram[0, 0, 0]),
         deltas=deltas,
         stderrs=stderrs,
         min_delta=deltas[idx],

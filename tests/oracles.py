@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values by a different route than the
 library under test: brute-force enumeration for optimal transport,
-Runge-Kutta integration for ODE benchmarks, and the hand-reduced closed
-form of the built-in counterexample's boundary matrix.
+Runge-Kutta integration for ODE benchmarks, the hand-reduced closed
+form of the built-in counterexample's boundary matrix, and a game cost
+priced term by term on one state and control.
 """
 
 from __future__ import annotations
@@ -122,3 +123,27 @@ def toy_moments(horizon: float, steps: int, coupling: float = 0.1, substeps: int
     path = run(-miss[0] / (miss[1] - miss[0]))
     p, m, phi, v = path.T
     return m, v, p * m + phi, p
+
+
+def lq_cost_blocks(x_cm, u_cm, times, Q, R, N, M, Gamma, blocks=20):
+    """Player cost 1/2 (E[X_T' Q X_T] + E[X_T]' R E[X_T] + E int (X' M X + u' N u + E[X]' Gamma E[X]) dt),
+    priced directly on one (X, u) pair for the whole sample and for each block.
+
+    ``x_cm`` and ``u_cm`` are component-major (nodes, dim, particles) on
+    ``times``; M and Gamma are functions of t.  The time integral is
+    np.trapezoid of the node values, and the E[X] terms use the means of
+    the sample priced.  The blocks are the min(blocks, particles)
+    contiguous runs with edges np.linspace(0, particles, count + 1)
+    rounded down.  Returns (whole-sample cost, array of block costs).
+    """
+
+    def price(x, u):
+        mean = x.mean(axis=-1)
+        node = [np.einsum("ip,ij,jp->p", x[k], M(t), x[k]).mean() + np.einsum("ip,ij,jp->p", u[k], N, u[k]).mean()
+                + mean[k] @ Gamma(t) @ mean[k] for k, t in enumerate(times)]
+        terminal = np.einsum("ip,ij,jp->p", x[-1], Q, x[-1]).mean() + mean[-1] @ R @ mean[-1]
+        return 0.5 * (terminal + np.trapezoid(node, x=times))
+
+    particles = x_cm.shape[-1]
+    edges = np.linspace(0, particles, min(blocks, particles) + 1).astype(int)
+    return price(x_cm, u_cm), np.array([price(x_cm[..., a:b], u_cm[..., a:b]) for a, b in zip(edges[:-1], edges[1:])])

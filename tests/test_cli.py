@@ -302,6 +302,21 @@ class TestGameCommand:
         assert report["numerical_blowup"] is True
         assert lines[0] == f"numerical blow-up: {report['message']}"
 
+    def test_overflowing_corrupted_control_is_one_blowup_line(self, tmp_path, capsys):
+        # the candidate state, its baseline cost and the probes are priced
+        # under one raising errstate: no RuntimeWarning before the exit line
+        cfg = write_config(tmp_path, SCALAR_GAME)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([
+                "game", cfg, "--particles", "200", "--steps", "10",
+                "--corrupt-control", "1e308", "--out", str(tmp_path / "o"),
+            ])
+        assert code == cli.EXIT_NOT_CONVERGED
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical blow-up: ")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_nonpositive_deviation_count_rejected_before_solving(self, tmp_path, capsys, monkeypatch, count):
         calls = []
@@ -446,6 +461,8 @@ class TestExitCodes:
         ("solve", "--max-outer", "0", "--max-outer must be >= 1"),
         ("game", "--tol", "0", "--tol must be positive"),
         ("game", "--deviations", "0", "--deviations must be >= 1, got 0"),
+        ("game", "--corrupt-control", "nan", "--corrupt-control must be finite, got nan"),
+        ("game", "--corrupt-control", "inf", "--corrupt-control must be finite, got inf"),
         ("counterexample", "--T", "nan", "--T must be positive and finite, got nan"),
         ("counterexample", "--T-sweep", "0:1:0", "--T-sweep expects finite a <= b and step > 0, got '0:1:0'"),
     ])

@@ -12,6 +12,7 @@ from oracles import (
     example3_boundary_det,
     example3_mean_path,
     example3_solution,
+    lq_cost_blocks,
     scalar_lq_riccati,
 )
 
@@ -25,6 +26,25 @@ def scalar_game(**overrides):
     )
     kwargs.update(overrides)
     return lqgame.GameSpec(**kwargs)
+
+
+def mean_weights_game():
+    """Two players on a 2-D state with piecewise M and Gamma, and R != 0."""
+    return lqgame.GameSpec(
+        n=2, horizon=0.5, x0=[1.0, -0.5], A=0.2 * np.eye(2), D=0.1 * np.eye(2), beta=[0.1, 0.2],
+        sigma=0.3 * np.eye(2), alpha=[0.4, 0.2], C=[[[1.0], [-2.0]], [[-2.0], [1.0]]],
+        N=[[[1.0]], [[2.0]]], Q=[np.diag([1.0, 0.5]), np.diag([0.2, 1.0])],
+        M=[{"piecewise": [{"t_from": 0.0, "value": np.diag([0.5, 0.1])},
+                          {"t_from": 0.25, "value": np.diag([1.0, 0.3])}]}, 0.2 * np.eye(2)],
+        Gamma=[{"piecewise": [{"t_from": 0.0, "value": [[1.0, 0.3], [0.3, 0.5]]},
+                              {"t_from": 0.3, "value": 2.0 * np.eye(2)}]}, np.eye(2)],
+        R=[[[0.7, 0.2], [0.2, 0.4]], 0.5 * np.eye(2)],
+    )
+
+
+def oracle_cost(gs, i, x_cm, u_cm, grid):
+    """Player i's cost of one (X, u) pair priced directly: the whole sample and the block costs."""
+    return lq_cost_blocks(x_cm, u_cm, grid.nodes, gs.Q[i], gs.R[i], gs.N[i], gs.M[i], gs.Gamma[i])
 
 
 class TestGameSpec:
@@ -313,9 +333,10 @@ class TestCost:
         value, _ = lqgame.cost(gs, 0, x, [u], grid)
         assert value == pytest.approx(0.5 * (2.0 * 4.0 + 3.0 * 4.0))
 
-    def test_two_component_control_prices_with_the_bits_of_the_axis_sum(self):
+    def test_two_component_control_prices_as_the_axis_sum(self):
         # the running term u' N u, summed over the control components by a
-        # loop, against np.sum(u * (N @ u), axis=1)
+        # loop, against np.sum(u * (N @ u), axis=1); the form's node-by-node
+        # quadrature moves the last bit
         gs = lqgame.GameSpec(
             n=2, horizon=1.0, x0=[0.3, -0.2], A=[[0.3, 0.1], [-0.2, 0.2]],
             C=[np.array([[0.2, 0.0], [1.0, -0.4]])], N=[[[1.3, 0.4], [0.4, 0.9]]], Q=[[[1.0, 0.2], [0.2, 0.5]]],
@@ -329,7 +350,38 @@ class TestCost:
         running = w @ np.sum(u_cm * (gs.N[0] @ u_cm), axis=1)
         m_t = x_cm[-1].mean(axis=1)
         want = 0.5 * (float(np.mean(terminal)) + float(m_t @ gs.R[0] @ m_t) + float(np.mean(running)))
-        assert lqgame._cost_with_batches(gs, 0, x_cm, u_cm, grid)[0] == want
+        value, _ = lqgame.cost(gs, 0, from_component_major(x_cm), [from_component_major(u_cm)], grid)
+        assert value == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_matches_the_direct_pricing_oracle(self):
+        # piecewise M and Gamma, R != 0 and 410 particles (uneven blocks):
+        # the value and the batch-means stderr of the oracle's per-block pricing
+        gs = mean_weights_game()
+        grid = TimeGrid(gs.horizon, 20)
+        rng = np.random.default_rng(12)
+        x_cm = 1.0 + rng.standard_normal((grid.steps + 1, 2, 410))
+        for i, m_i in enumerate(gs.control_dims):
+            u_cm = 0.5 + rng.standard_normal((grid.steps + 1, m_i, 410))
+            controls = [from_component_major(u_cm)] * gs.players
+            value, stderr = lqgame.cost(gs, i, from_component_major(x_cm), controls, grid)
+            want, blocks = oracle_cost(gs, i, x_cm, u_cm, grid)
+            assert len(blocks) == 20 and value == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert stderr == pytest.approx(np.std(blocks, ddof=1) / np.sqrt(20), rel=1e-10, abs=0.0)
+
+    def test_control_or_state_of_the_wrong_shape_is_rejected(self):
+        # a 1x1 N would broadcast over a second control column and price it too
+        gs = scalar_game()
+        grid = TimeGrid(1.0, 10)
+        x, u = self.make_constant_ensembles(30, 11, 1.0, 1.0)
+        wide = PathEnsemble(np.ones((30, 11, 2)))
+        with pytest.raises(ValueError, match=r"^control of player 0 must be a PathEnsemble of shape \(11, 1, 30\), got \(11, 2, 30\)$"):
+            lqgame.cost(gs, 0, x, [wide], grid)
+        with pytest.raises(ValueError, match=r"^control of player 0 must be a PathEnsemble of shape \(11, 1, 30\), got \(11, 1, 20\)$"):
+            lqgame.cost(gs, 0, x, [PathEnsemble(np.ones((20, 11, 1)))], grid)
+        with pytest.raises(ValueError, match=r"^state must have 11 nodes of 1 components, got \(11, 2\)$"):
+            lqgame.cost(gs, 0, wide, [u], grid)
+        with pytest.raises(ValueError, match=r"^state must have 13 nodes of 1 components, got \(11, 1\)$"):
+            lqgame.cost(gs, 0, x, [u], TimeGrid(1.0, 12))
 
     def test_player_index_out_of_range(self):
         gs = lqgame.example3_game(0.25)
@@ -577,7 +629,7 @@ class TestDeviation:
         rng = np.random.default_rng(seed)
         x_base = lqgame.simulate_state(gs, grid, bundle, nash.controls).component_major
         base_i = nash.controls[i].component_major
-        j_base, _, base_batches = lqgame._cost_with_batches(gs, i, x_base, base_i, grid)
+        j_base, base_batches = oracle_cost(gs, i, x_base, base_i, grid)
         deltas, stderrs = [], []
         for j in range(perturbations):
             a = rng.standard_normal(gs.control_dims[i])[:, None]
@@ -586,7 +638,7 @@ class TestDeviation:
             controls = list(nash.controls)
             controls[i] = from_component_major(u_dev)
             x_dev = lqgame.simulate_state(gs, grid, bundle, controls).component_major
-            j_dev, _, dev_batches = lqgame._cost_with_batches(gs, i, x_dev, u_dev, grid)
+            j_dev, dev_batches = oracle_cost(gs, i, x_dev, u_dev, grid)
             deltas.append(j_dev - j_base)
             paired = dev_batches - base_batches
             stderrs.append(np.std(paired, ddof=1) / np.sqrt(len(paired)))
@@ -603,16 +655,7 @@ class TestDeviation:
             gs = scalar_game()
         elif game == "mean_weights":  # Gamma and R on the plug-in means, uneven particle blocks
             particles = 410
-            gs = lqgame.GameSpec(
-                n=2, horizon=0.5, x0=[1.0, -0.5], A=0.2 * np.eye(2), D=0.1 * np.eye(2), beta=[0.1, 0.2],
-                sigma=0.3 * np.eye(2), alpha=[0.4, 0.2], C=[[[1.0], [-2.0]], [[-2.0], [1.0]]],
-                N=[[[1.0]], [[2.0]]], Q=[np.diag([1.0, 0.5]), np.diag([0.2, 1.0])],
-                M=[{"piecewise": [{"t_from": 0.0, "value": np.diag([0.5, 0.1])},
-                                  {"t_from": 0.25, "value": np.diag([1.0, 0.3])}]}, 0.2 * np.eye(2)],
-                Gamma=[{"piecewise": [{"t_from": 0.0, "value": [[1.0, 0.3], [0.3, 0.5]]},
-                                      {"t_from": 0.3, "value": 2.0 * np.eye(2)}]}, np.eye(2)],
-                R=[[[0.7, 0.2], [0.2, 0.4]], 0.5 * np.eye(2)],
-            )
+            gs = mean_weights_game()
         else:  # player 0 has a two-component control: q = 2 (1 + 2) = 6 directions
             gs = lqgame.GameSpec(
                 n=2, horizon=0.25, x0=[1.0, 2.0], A=np.eye(2), D=-np.eye(2), sigma=0.3 * np.eye(2),
