@@ -163,12 +163,11 @@ def solve_backward(
 
     dt = grid.dt
     times = grid.nodes
-    # component-major (nodes, dim, particles); the tables get (particles, dim) views
     xv = x_ens.component_major
     coef_y, coef_z = np.empty((2, steps, 1 + m, m))
     diag = RegressionDiagnostics()
 
-    terminal = np.ascontiguousarray(p.g(p.horizon, xv[steps].T, mean=frozen_flow[steps]).T)
+    terminal = p.g(p.horizon, xv[steps], mean=frozen_flow[steps])
     if not all_finite(terminal):
         raise FloatingPointError("terminal condition produced non-finite values")
     shifted, ridge_steps = regression_factors(x_ens) if factors is None else factors
@@ -179,7 +178,6 @@ def solve_backward(
 
     for k in range(steps - 1, -1, -1):
         t_k = float(times[k])
-        xk = xv[k].T
         design[1:] = xv[k]
 
         z_targets = y_next * bundle.component_major[k] / dt
@@ -189,7 +187,7 @@ def solve_backward(
 
         y_guess = y_next
         for _ in range(passes):
-            hk = p.h(t_k, xk, y_guess.T, z_k.T, frozen_flow[k]).T
+            hk = p.h(t_k, xv[k], y_guess, z_k, frozen_flow[k])
             targets = y_next - hk * dt
             coef_y[k] = np.linalg.solve(shifted[k], design @ targets.T)
             y_guess = coef_y[k].T @ design

@@ -368,7 +368,7 @@ def solve(
     if abs(grid.horizon - p.horizon) > 1e-12 * max(1.0, p.horizon):
         raise ValueError(f"grid horizon {grid.horizon} does not match problem horizon {p.horizon}")
     m = p.dim_state
-    bundle = make_bundle(grid, params.particles, 1, seed)
+    bundle = make_bundle(grid, params.particles, seed)
     theory = _theory_ratio(p, params)
 
     # the (Y, Z) shapes; X shares Y's, and the iteration starts from the zero triple: zero tables on zero paths
@@ -448,17 +448,16 @@ def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:
     bwd = 0.0
     for k in range(steps):
         t_k = float(times[k])
-        xk, yk, zk, mean_k = xv[k].T, yv[k].T, zv[k].T, flow[k]
         dw = bundle.component_major[k]
-        fv = p.f(t_k, xk, yk, zk, mean_k).T
-        sv = p.sigma(t_k, xk, yk, zk, mean_k).T
+        fv = p.f(t_k, xv[k], yv[k], zv[k], flow[k])
+        sv = p.sigma(t_k, xv[k], yv[k], zv[k], flow[k])
         fdef = xv[k + 1] - xv[k] - fv * dt - sv * dw
         fwd = max(fwd, float(np.mean(np.sum(fdef * fdef, axis=0))))
-        hv = p.h(t_k, xk, yk, zk, mean_k).T
+        hv = p.h(t_k, xv[k], yv[k], zv[k], flow[k])
         bdef = yv[k + 1] - yv[k] - hv * dt - zv[k] * dw
         bwd = max(bwd, float(np.mean(np.sum(bdef * bdef, axis=0))))
 
-    tdef = yv[steps] - p.g(p.horizon, xv[steps].T, mean=flow[steps]).T
+    tdef = yv[steps] - p.g(p.horizon, xv[steps], mean=flow[steps])
     term = float(np.mean(np.sum(tdef * tdef, axis=0)))
     return fwd, bwd, term
 

@@ -41,8 +41,8 @@ def propagate(
     """
     m = p.dim_state
     particles, steps = bundle.particles, bundle.steps
-    if steps != grid.steps or bundle.dim != 1:
-        raise ValueError("bundle does not match the grid or the one-dimensional Brownian motion")
+    if steps != grid.steps:
+        raise ValueError("bundle and grid step counts differ")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     for name, e, nodes in (("y_ens", y_ens, steps + 1), ("y_prev", y_prev, steps + 1),
@@ -54,7 +54,6 @@ def propagate(
 
     dt = grid.dt
     times = grid.nodes
-    # component-major (nodes, dim, particles); the tables get (particles, dim) views
     x = np.empty((steps + 1, m, particles))
     x[0] = p.x0[:, None]
     yv, zv = y_ens.component_major, z_ens.component_major
@@ -64,11 +63,10 @@ def propagate(
 
     for k in range(steps):
         t_k = float(times[k])
-        xk, yk, zk, mean_k = x[k].T, yv[k].T, zv[k].T, frozen_flow[k]
-        drift = p.f(t_k, xk, yk, zk, mean_k).T
+        drift = p.f(t_k, x[k], yv[k], zv[k], frozen_flow[k])
         if delta > 0.0:
             drift = drift - delta * np.subtract(yv[k], y_prev.node(k, out=dy), out=dy)
-        diff = p.sigma(t_k, xk, yk, zk, mean_k).T
+        diff = p.sigma(t_k, x[k], yv[k], zv[k], frozen_flow[k])
         if damp_sigma:
             diff = diff - delta * np.subtract(zv[k], z_prev.node(k, out=dz), out=dz)
         x[k + 1] = x[k] + drift * dt + diff * dw[k]

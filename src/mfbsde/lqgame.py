@@ -39,7 +39,7 @@ import numpy as np
 
 from . import fixpoint
 from .backward import FittedMap, regression_factors, solve_backward
-from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, node_msd
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major, joint_marginal, node_msd
 from .problem import (
     AffineCoeffs,
     H1Report,
@@ -52,6 +52,7 @@ from .problem import (
     matmul,
     require_json,
     require_keys,
+    require_numbers,
     sample_times,
     shaped_path,
 )
@@ -334,8 +335,6 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
     control values on the grid nodes, of shape (steps + 1, m_i, particles)
     component-major.  Anything else raises ValueError naming the player.
     """
-    if bundle.dim != 1:
-        raise ValueError("the game layer uses a one-dimensional Brownian motion")
     if bundle.steps != grid.steps:
         raise ValueError("bundle and grid step counts differ")
     if len(controls) != gs.players:
@@ -343,21 +342,19 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
     for i, u in enumerate(controls):
         _check_control(gs, i, u, grid, bundle.particles)
     f, sigma = _dynamics(gs)
-    # component-major (nodes, n, particles); the tables get (particles, n) views
     x = np.empty((grid.steps + 1, gs.n, bundle.particles))
     x[0] = gs.x0[:, None]
     times = grid.nodes
     for k in range(grid.steps):
         t_k = float(times[k])
-        xk = x[k].T
-        drift = f(t_k, xk, mean=xk.mean(axis=0)).T
+        drift = f(t_k, x[k], mean=x[k].mean(axis=-1))
         for c, u in zip(gs.C, controls):
             drift += matmul(c, u.component_major[k])
         # (x + drift dt) + sigma dW, built in place
         nxt = np.multiply(drift, grid.dt, out=x[k + 1])
         nxt += x[k]
-        nxt += sigma(t_k, xk).T * bundle.component_major[k]
-        if not np.all(np.isfinite(nxt)):
+        nxt += sigma(t_k, x[k]) * bundle.component_major[k]
+        if not all_finite(nxt):
             raise FloatingPointError(f"state simulation produced non-finite values at step {k}")
     return from_component_major(x)
 
@@ -464,12 +461,15 @@ class NashResult:
     cost_stderrs: list
     aggregation_residual_y: float
     aggregation_residual_z: float
-    adjoint_iterations: list
     adjoint_gaps: list
 
     @property
     def x_ens(self) -> PathEnsemble:
         return self.aggregated.x_ens
+
+    @property
+    def adjoint_iterations(self) -> list:
+        return [len(gaps) for gaps in self.adjoint_gaps]
 
     def summary(self) -> dict:
         return {
@@ -570,7 +570,6 @@ def solve_nash(
         cost_stderrs=stderrs,
         aggregation_residual_y=float(np.max(res_y)),
         aggregation_residual_z=float(np.max(res_z)),
-        adjoint_iterations=[len(gaps) for gaps in adjoint_gaps],
         adjoint_gaps=adjoint_gaps,
     )
 
@@ -879,7 +878,8 @@ def game_from_config(cfg: dict) -> GameSpec:
     ``t_from``), and the per-player lists hold one entry per player (M and
     Gamma entries may be piecewise; C, N, Q, R are constant matrices).
     Omitted blocks (A, D, beta, sigma, alpha, M, Gamma, Q, R) default to
-    zero.  Coefficients are deterministic and piecewise constant.
+    zero.  Coefficients are deterministic and piecewise constant, and every
+    number (T, x0, coefficient values, t_from) must be a JSON number.
     """
     if cfg.get("kind", "game") != "game":
         raise ValueError(f"expected a game config, got kind={cfg.get('kind')!r}")
@@ -887,6 +887,9 @@ def game_from_config(cfg: dict) -> GameSpec:
     require_keys(cfg, "game config", ("n", "m", "T", "x0", "C", "N"))
     for key in ("C", "N", "M", "Gamma", "Q", "R"):
         require_json(cfg.get(key, []), list, key)
+    for key, value in cfg.items():
+        if key not in ("kind", "n", "m"):
+            require_numbers(value, key)
     if len(cfg["C"]) != int(cfg["m"]):
         raise ValueError(f"C must list one entry per player ({int(cfg['m'])})")
     # GameSpec checks the shapes, the per-player lengths and the values, and zero-fills the omitted blocks

@@ -6,15 +6,14 @@ because Z multiplies dW over a step.  One ``BrownianBundle`` is drawn per
 solve and reused across all outer iterations (common random numbers), so
 two runs with the same configuration and seed are bit-identical.
 
-Ensembles and bundles are stored component-major: one read-only
-C-contiguous ``(nodes, dim, particles)`` array, ``component_major``, so
-the solver's per-step work reads one contiguous ``(dim, particles)``
-block per node, multiplies it by small coefficient matrices from the
-left and averages along its last axis.  The particle-major
-``(particles, nodes, dim)`` arrays of the public API
-(``PathEnsemble.values``, ``BrownianBundle.increments``) are read-only
-transposed views of it, and ``component_major[k].T`` is the ``(particles,
-dim)`` view that the coefficient tables receive.
+Ensembles are stored component-major: one read-only C-contiguous
+``(nodes, dim, particles)`` array, ``component_major``, so the solver's
+per-step work reads one contiguous ``(dim, particles)`` block per node,
+passes it to the coefficient tables, which read and return such blocks,
+and averages along its last axis.  The one Brownian motion's bundle is a
+``(steps, particles)`` array.  The particle-major arrays of the public
+API (``PathEnsemble.values``, ``BrownianBundle.increments``) are
+read-only transposed views.
 
 A table reads a law only through its mean, so a frozen flow is one
 ``(nodes, 2m)`` table of (E[X_k], E[Y_k]), :func:`joint_marginal`.
@@ -61,41 +60,35 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
-def _component_major_copy(arr: np.ndarray) -> np.ndarray:
-    """Read-only C-contiguous (nodes, dim, particles) copy of a particle-major array."""
-    out = arr.transpose(1, 2, 0).copy()
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class BrownianBundle:
-    """Reusable bundle of Brownian increments, one N(0, dt) draw per
-    (particle, step, component).
+    """Reusable bundle of the one Brownian motion's increments, one N(0, dt)
+    draw per (particle, step).
 
     :func:`make_bundle` draws it from a Philox stream keyed on its seed, so
     the array is reproducible bit-for-bit and independent of scheduling order.
-    ``component_major`` is (steps, dim, particles); ``increments`` is its
-    read-only (particles, steps, dim) view.
+    ``component_major`` is a (steps, particles) array, made read-only (any
+    other rank is rejected), and ``increments`` its (particles, steps) view.
     """
 
     component_major: np.ndarray
 
+    def __post_init__(self):
+        if np.ndim(self.component_major) != 2:
+            raise ValueError(f"a bundle is a (steps, particles) array, got shape {np.shape(self.component_major)}")
+        self.component_major.flags.writeable = False
+
     @property
     def increments(self) -> np.ndarray:
-        return self.component_major.transpose(2, 0, 1)
+        return self.component_major.T
 
     @property
     def particles(self) -> int:
-        return self.component_major.shape[2]
+        return self.component_major.shape[1]
 
     @property
     def steps(self) -> int:
         return self.component_major.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.component_major.shape[1]
 
 
 @dataclass(frozen=True)
@@ -104,9 +97,7 @@ class PathEnsemble:
 
     The constructor copies and checks the array and stores it
     component-major (``component_major``, C-contiguous (nodes, dim,
-    particles)); ``values`` is the read-only particle-major view.  For
-    matrix-valued processes (Z) the dim axis stores the row-major
-    flattening; ``dim`` is then rows * cols.
+    particles)); ``values`` is the read-only particle-major view.
     """
 
     values: np.ndarray
@@ -115,7 +106,8 @@ class PathEnsemble:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 3:
             raise ValueError(f"values must be (particles, nodes, dim), got shape {vals.shape}")
-        cm = _component_major_copy(vals)
+        cm = vals.transpose(1, 2, 0).copy()
+        cm.flags.writeable = False
         if not np.all(np.isfinite(cm)):
             raise ValueError("ensemble values must be finite")
         object.__setattr__(self, "component_major", cm)
@@ -154,19 +146,19 @@ def from_component_major(arr: np.ndarray) -> PathEnsemble:
     return e
 
 
-def make_bundle(grid: TimeGrid, particles: int, dim: int, seed: int) -> BrownianBundle:
-    """Draw the (particles, steps, dim) increment array for ``grid``.
+def make_bundle(grid: TimeGrid, particles: int, seed: int) -> BrownianBundle:
+    """Draw the (particles, steps) increment array for ``grid``.
 
-    Deterministic given (grid, particles, dim, seed); ``seed`` is the
-    Philox key, so it must lie in [0, 2**64).
+    Deterministic given (grid, particles, seed); ``seed`` is the Philox
+    key, so it must lie in [0, 2**64).
     """
-    if particles < 1 or dim < 1:
-        raise ValueError(f"particles and dim must be positive, got {particles}, {dim}")
+    if particles < 1:
+        raise ValueError(f"particles must be positive, got {particles}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    incr = rng.standard_normal((particles, grid.steps, dim)) * np.sqrt(grid.dt)
-    return BrownianBundle(component_major=_component_major_copy(incr))
+    incr = rng.standard_normal((particles, grid.steps)) * np.sqrt(grid.dt)
+    return BrownianBundle(component_major=incr.T.copy())
 
 
 def joint_marginal(x_ens: PathEnsemble, y) -> np.ndarray:
@@ -175,7 +167,7 @@ def joint_marginal(x_ens: PathEnsemble, y) -> np.ndarray:
     mean of the node's concatenated (P, 2m) cloud."""
     if x_ens.particles != y.particles or x_ens.nodes != y.nodes:
         raise ValueError("x and y ensembles must share particle and node counts")
-    table = np.array([np.concatenate([xk.T.mean(axis=0), yk.T.mean(axis=0)]) for xk, yk in zip(x_ens, y)])
+    table = np.array([np.concatenate([xk.mean(axis=-1), yk.mean(axis=-1)]) for xk, yk in zip(x_ens, y)])
     table.flags.writeable = False
     return table
 
@@ -198,15 +190,9 @@ def all_finite(a: np.ndarray) -> bool:
         return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
 
 
-def _node_times(e: PathEnsemble, grid: TimeGrid) -> np.ndarray:
-    # X/Y ensembles carry steps+1 nodes; Z carries one value per step,
-    # stamped with the left endpoint.
-    return grid.nodes[: e.nodes]
-
-
 def moments_to_csv(e: PathEnsemble, grid: TimeGrid, fileobj) -> None:
     """Write rows (time, mean_0, ..., var_0, ...) of the cross-particle moments."""
-    times = _node_times(e, grid)
+    times = grid.nodes[: e.nodes]  # X and Y carry steps + 1 nodes; Z one per step, stamped with its left endpoint
     means = e.component_major.mean(axis=2)
     variances = e.component_major.var(axis=2)
     writer = csv.writer(fileobj)

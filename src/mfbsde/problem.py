@@ -7,8 +7,8 @@ An :class:`MfProblem` bundles four :class:`AffineCoeffs` tables
 
 driven by one Brownian motion, where nu_s is the joint law of (X_s, Y_s)
 and mu_T the law of X_T, plus optional declared Lipschitz and monotonicity
-constants.  Tables are evaluated across the particle axis: x, y and z have
-shape (P, m), and a table reads a law only through its mean, the 2m-vector
+constants.  Tables are evaluated across the particle axis: x, y and z are
+(m, P) blocks, and a table reads a law only through its mean, the 2m-vector
 (E[X_s], E[Y_s]) (g reads its first m entries, E[X_T]).
 
 This module also gates the coupled-coefficient dissipativity functional
@@ -449,16 +449,13 @@ class AffineCoeffs:
         return node
 
     def __call__(self, t: float, x, y=None, z=None, mean=None) -> np.ndarray:
-        """The map at time t on particle arrays x, y and z, each (P, m), and the means ``mean`` = (E[X], E[Y]).
-
-        Evaluated component-major, C x' + (const + mean terms)[:, None];
-        the (P, m) result is the transposed view of that (m, P) array.
-        """
+        """The map at time t on the solver's (m, P) blocks x, y and z and the means ``mean`` = (E[X], E[Y]):
+        the (m, P) block C x + (const + mean terms)[:, None]."""
         node = self.at(t)
         out = None
         for key, arg in (("x", x), ("y", y), ("z", z)):
             if key in node:
-                term = matmul(node[key], arg.T)
+                term = matmul(node[key], arg)
                 if out is None:
                     out = term
                 else:
@@ -470,10 +467,10 @@ class AffineCoeffs:
         if "const" in node:
             shift.append(node["const"])
         if out is None:
-            out = np.zeros((self.dim, len(x)))
+            out = np.zeros((self.dim, x.shape[-1]))
         if shift:
             out += sum(shift)[:, None]
-        return out.T
+        return out
 
 
 # the keys each config block takes; any other key is a config error
@@ -490,11 +487,22 @@ _CONFIG_KEYS = {
 
 
 def require_json(value, kind: type, name: str) -> None:
-    """Reject a config value ``name`` that is not a JSON ``kind`` (dict or list), naming the JSON type given."""
-    if not isinstance(value, kind):
+    """Reject a config value ``name`` that is not a JSON ``kind`` (dict, list or float: a number), naming its type."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number if kind is float else isinstance(value, kind)):
         types = {dict: "object", list: "array", str: "string", bool: "boolean", int: "number", float: "number"}
         given = "null" if value is None else types.get(type(value), type(value).__name__)
         raise ValueError(f"{name} must be a JSON {types[kind]}, got {given}")
+
+
+def require_numbers(value, name: str) -> None:
+    """Reject a config value ``name`` unless each entry of its arrays and objects is a JSON number, naming the
+    entry (``x0[1]``, ``h.x.piecewise[0].t_from``) and the JSON type given."""
+    if isinstance(value, (dict, list)):
+        for key, v in value.items() if isinstance(value, dict) else enumerate(value):
+            require_numbers(v, f"{name}.{key}" if isinstance(value, dict) else f"{name}[{key}]")
+    else:
+        require_json(value, float, name)
 
 
 def check_config_keys(block, name: str) -> None:
@@ -532,8 +540,9 @@ def problem_from_config(cfg: dict) -> MfProblem:
 
     where each coeff is a number, a matrix, ``{"const": ...}`` or
     ``{"piecewise": [{"t_from":, "value":}, ...]}`` (g's are read at T).
-    A config sigma is law-free; a library :class:`MfProblem` may give sigma
-    mean terms.
+    Every number in it (horizon, x0, coefficient values, t_from and the
+    declared constants) must be a JSON number.  A config sigma is
+    law-free; a library :class:`MfProblem` may give sigma mean terms.
     """
     if cfg.get("kind", "problem") != "problem":
         raise ValueError(f"expected a problem config, got kind={cfg.get('kind')!r}")
@@ -541,6 +550,9 @@ def problem_from_config(cfg: dict) -> MfProblem:
     for name in ("f", "h", "sigma", "g", "lipschitz", "monotonicity"):
         check_config_keys(cfg.get(name, {}), name)
     require_keys(cfg, "problem config", ("dim", "horizon", "x0"))
+    for key in ("horizon", "x0", "f", "h", "sigma", "g", "lipschitz"):
+        require_numbers(cfg.get(key, {}), key)
+    require_numbers({key: v for key, v in cfg.get("monotonicity", {}).items() if key != "variant"}, "monotonicity")
     m = int(cfg["dim"])
     horizon = float(cfg["horizon"])
     x0 = coerce(cfg["x0"], (m,), "x0")

@@ -14,7 +14,7 @@ from conftest import TOY_PROBLEM, pure_martingale, scalar_problem
 
 
 def brownian_paths(problem, grid, particles, seed):
-    bundle = make_bundle(grid, particles, 1, seed)
+    bundle = make_bundle(grid, particles, seed)
     y = PathEnsemble(np.zeros((particles, grid.steps + 1, 1)))
     z = PathEnsemble(np.zeros((particles, grid.steps, 1)))
     flow = joint_marginal(y, y)
@@ -41,7 +41,7 @@ def per_step_backward(p, grid, bundle, x_ens, flow):
     y = np.empty((xv.shape[0], steps + 1, m))
     z = np.empty((xv.shape[0], steps, m))
     ridge = []
-    y[:, steps] = p.g(p.horizon, xv[:, steps], mean=flow[steps])
+    y[:, steps] = p.g(p.horizon, xv[:, steps].T, mean=flow[steps]).T
     for k in range(steps - 1, -1, -1):
         design = affine_design(xv[:, k])
         gram = design.T @ design
@@ -53,10 +53,10 @@ def per_step_backward(p, grid, bundle, x_ens, flow):
         def fit(targets):
             return design @ np.linalg.solve(shifted, design.T @ targets)
 
-        z[:, k] = fit(y[:, k + 1] * dw[:, k] / dt)
+        z[:, k] = fit(y[:, k + 1] * dw[:, k, None] / dt)
         guess = y[:, k + 1]
         for _ in range(backward._PICARD_PASSES):
-            guess = fit(y[:, k + 1] - p.h(grid.nodes[k], xv[:, k], guess, z[:, k], flow[k]) * dt)
+            guess = fit(y[:, k + 1] - p.h(grid.nodes[k], xv[:, k].T, guess.T, z[:, k].T, flow[k]).T * dt)
         y[:, k] = guess
     return y, z, ridge
 
@@ -89,8 +89,8 @@ class TestSolveBackward:
         assert np.corrcoef(y.values[:, mid, 0], x.values[:, mid, 0])[0, 1] > 0.999
         # Z estimate: regression means equal raw-target means, so the MC
         # standard error comes from the per-particle time-averaged targets
-        targets = x.values[:, 1:, 0][:, :, None] * bundle.increments / grid.dt
-        per_particle = targets.mean(axis=(1, 2))
+        targets = x.values[:, 1:, 0] * bundle.increments / grid.dt
+        per_particle = targets.mean(axis=1)
         se_z = per_particle.std() / math.sqrt(particles)
         assert abs(z.values.mean() - 1.0) < 3 * se_z
 
@@ -135,7 +135,7 @@ class TestSolveBackward:
             # the Y-update part has exactly zero mean (the regression
             # residual is orthogonal to the constant feature) ...
             dy = y.values[:, k + 1, 0] - y.values[:, k, 0]
-            prod = zv[:, k, 0] * bundle.increments[:, k, 0]
+            prod = zv[:, k, 0] * bundle.increments[:, k]
             defect = dy - prod
             # ... so the defect's Monte Carlo error is that of mean(Z dW)
             se = prod.std() / math.sqrt(particles)
@@ -179,9 +179,9 @@ class TestSolveBackward:
     def test_batched_factors_match_the_per_step_reference(self):
         # a 2-D cloud that is collinear (rank deficient) on the first 3 steps
         grid, particles = TimeGrid(0.5, 8), 400
-        bundle = make_bundle(grid, particles, 1, seed=2)
+        bundle = make_bundle(grid, particles, seed=2)
         rng = np.random.default_rng(3)
-        walk = np.concatenate([np.zeros((particles, 1)), np.cumsum(bundle.increments[:, :, 0], axis=1)], axis=1)
+        walk = np.concatenate([np.zeros((particles, 1)), np.cumsum(bundle.increments, axis=1)], axis=1)
         spread = rng.standard_normal((particles, grid.steps + 1)) * (np.arange(grid.steps + 1) >= 3)
         x = PathEnsemble(np.stack([1.0 + walk, 0.5 - 2.0 * walk + 0.3 * spread], axis=2))
         p = MfProblem(
@@ -205,7 +205,7 @@ class TestSolveBackward:
         # X^1 - X^2 is deterministic, so every step is ridge-flagged
         gs = lqgame.example3_game(0.25)
         grid, particles = TimeGrid(gs.horizon, 10), 500
-        bundle = make_bundle(grid, particles, 1, seed=4)
+        bundle = make_bundle(grid, particles, seed=4)
         zero = PathEnsemble(np.zeros((particles, grid.steps + 1, 1)))
         x = lqgame.simulate_state(gs, grid, bundle, [zero, zero])
         flow = joint_marginal(x, x)
@@ -272,7 +272,7 @@ class TestSolveBackward:
 
     def test_shape_mismatch_rejected(self, martingale_problem):
         grid = TimeGrid(1.0, 5)
-        bundle = make_bundle(grid, 16, 1, seed=0)
+        bundle = make_bundle(grid, 16, seed=0)
         bad_x = PathEnsemble(np.zeros((16, 5, 1)))
         flow = joint_marginal(bad_x, bad_x)
         with pytest.raises(ValueError, match="x_ens"):
@@ -311,7 +311,7 @@ def path_writing_backward(p, grid, bundle, x_ens, flow):
     xv = x_ens.component_major
     shifted, _ = backward.regression_factors(x_ens)
     y, z = np.empty((steps + 1, m, bundle.particles)), np.empty((steps, m, bundle.particles))
-    y[steps] = p.g(p.horizon, xv[steps].T, mean=flow[steps]).T
+    y[steps] = p.g(p.horizon, xv[steps], mean=flow[steps])
     design = np.ones((1 + m, bundle.particles))
     for k in range(steps - 1, -1, -1):
         design[1:] = xv[k]
@@ -319,7 +319,7 @@ def path_writing_backward(p, grid, bundle, x_ens, flow):
         z[k] = fit(y[k + 1] * bundle.component_major[k] / dt)
         guess = y[k + 1]
         for _ in range(backward._PICARD_PASSES if "y" in p.h.terms else 1):
-            guess = fit(y[k + 1] - p.h(float(grid.nodes[k]), xv[k].T, guess.T, z[k].T, flow[k]).T * dt)
+            guess = fit(y[k + 1] - p.h(float(grid.nodes[k]), xv[k], guess, z[k], flow[k]) * dt)
         y[k] = guess
     return y, z
 
@@ -361,7 +361,7 @@ class TestFittedMap:
         if game:
             gs = lqgame.example3_game(0.25)
             grid = TimeGrid(gs.horizon, 40)
-            bundle = make_bundle(grid, 2000, 1, seed=4)
+            bundle = make_bundle(grid, 2000, seed=4)
             zero = PathEnsemble(np.zeros((2000, grid.steps + 1, 1)))
             x = lqgame.simulate_state(gs, grid, bundle, [zero, zero])
             p = lqgame._adjoint_problem(gs, 0)
@@ -388,7 +388,7 @@ class TestFittedMap:
         if game:
             gs = lqgame.example3_game(0.25)
             grid = TimeGrid(gs.horizon, 10)
-            bundle = make_bundle(grid, 500, 1, seed=4)
+            bundle = make_bundle(grid, 500, seed=4)
             zero = PathEnsemble(np.zeros((500, grid.steps + 1, 1)))
             x = lqgame.simulate_state(gs, grid, bundle, [zero, zero])
             p = lqgame._adjoint_problem(gs, 0)

@@ -435,6 +435,14 @@ class TestCounterexampleCommand:
         changes = np.sum(signs[1:] * signs[:-1] < 0)
         assert changes == 1
 
+    def test_sweep_builds_no_mean_trajectory(self, capsys, monkeypatch):
+        # a row prints det alone: one transition for B(T) and one to the single output time t = 0 per horizon
+        calls, transition = [], cli.lqgame._backward_transition
+        monkeypatch.setattr(cli.lqgame, "_backward_transition", lambda *args: calls.append(1) or transition(*args))
+        assert cli.main(["counterexample", "--T-sweep", "0.1:0.3:0.1"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "T,det\n0.1,1.1700000000000002\n0.2,1.28\n0.3,1.33\n"
+        assert len(calls) == 2 * 3
+
     @pytest.mark.parametrize("spec, ts", [("0:1:0.6", [0.0, 0.6]), ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3])])
     def test_sweep_never_passes_b(self, capsys, spec, ts):
         # 0:1:0.6 used to round its point count up and print T = 1.2, past the nonexistence horizon T = 1
@@ -609,6 +617,28 @@ class TestExitCodes:
     ], ids=["lipschitz_number", "piece_number", "piecewise_number", "f_array", "monotonicity_null", "game_C_number",
             "game_Q_string"])
     def test_wrong_json_type_names_the_field_and_the_type(self, tmp_path, capsys, payload, message):
+        assert cli.main(["check", write_config(tmp_path, payload)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("payload, message", [
+        (dict(TOY_PROBLEM, horizon="0.25"), "horizon must be a JSON number, got string"),
+        (dict(TOY_PROBLEM, x0=[True]), "x0[0] must be a JSON number, got boolean"),
+        (dict(TOY_PROBLEM, f={"y": "-1.0", "mean_x": 0.1}), "f.y must be a JSON number, got string"),
+        (dict(TOY_PROBLEM, f={"y": None, "mean_x": 0.1}), "f.y must be a JSON number, got null"),
+        (dict(TOY_PROBLEM, h={"x": {"piecewise": [{"t_from": "0", "value": -1.0}]}, "z": -0.3, "mean_y": 0.1}),
+         "h.x.piecewise[0].t_from must be a JSON number, got string"),
+        (dict(TOY_PROBLEM, monotonicity={"k": "1.0", "k_prime": 1.0}),
+         "monotonicity.k must be a JSON number, got string"),
+        (dict(SCALAR_GAME, T=True), "T must be a JSON number, got boolean"),
+        (dict(SCALAR_GAME, x0=["1.0"]), "x0[0] must be a JSON number, got string"),
+        (dict(SCALAR_GAME, A=[["0.3"]]), "A[0][0] must be a JSON number, got string"),
+        (dict(EXAMPLE3, x0=[True, 0.5]), "x0[0] must be a JSON number, got boolean"),
+        (dict(EXAMPLE3, x0=[1.0, True]), "x0[1] must be a JSON number, got boolean"),
+    ], ids=["horizon_string", "x0_boolean", "coefficient_string", "coefficient_null", "t_from_string",
+            "declared_k_string", "game_T_boolean", "game_x0_string", "game_A_string", "mixed_list_first",
+            "mixed_list_second"])
+    def test_config_number_of_another_json_type_is_a_config_error(self, tmp_path, capsys, payload, message):
+        # "0.25" and true used to be read as numbers, and a null term was dropped
         assert cli.main(["check", write_config(tmp_path, payload)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 

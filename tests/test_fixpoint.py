@@ -403,7 +403,7 @@ class TestAndersonMemory:
         p, grid = problem_from_config(TOY_PROBLEM), TimeGrid(0.25, 20)
         iterates = []
         for seed in (1, 2):
-            bundle = make_bundle(grid, 1500, 1, seed)
+            bundle = make_bundle(grid, 1500, seed)
             y, z = from_component_major(np.zeros((21, 1, 1500))), from_component_major(np.zeros((20, 1, 1500)))
             flow = joint_marginal(y, y)
             x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
@@ -449,7 +449,7 @@ class TestResidual:
         p = scalar_problem(1.0, g={"const": 3.0})
         grid = TimeGrid(1.0, 10)
         particles = 50
-        bundle = make_bundle(grid, particles, 1, seed=0)
+        bundle = make_bundle(grid, particles, seed=0)
         x = PathEnsemble(np.ones((particles, 11, 1)))
         y = PathEnsemble(np.full((particles, 11, 1), 3.0))
         z = PathEnsemble(np.zeros((particles, 10, 1)))
@@ -463,7 +463,7 @@ class TestResidual:
         p = dataclasses.replace(decoupled_problem(), g=AffineCoeffs(1, "g", x=1.0, const=1.0))
         grid = TimeGrid(1.0, 10)
         particles = 20
-        bundle = make_bundle(grid, particles, 1, seed=0)
+        bundle = make_bundle(grid, particles, seed=0)
         zeros_n = PathEnsemble(np.zeros((particles, 11, 1)))
         zeros_s = PathEnsemble(np.zeros((particles, 10, 1)))
         sol = MfSolution(

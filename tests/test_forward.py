@@ -23,7 +23,7 @@ class TestPropagate:
     def test_no_dynamics_stays_at_x0(self):
         p = make_problem(1.3)
         grid = TimeGrid(1.0, 20)
-        bundle = make_bundle(grid, 16, 1, seed=0)
+        bundle = make_bundle(grid, 16, seed=0)
         y, z, flow = zero_state(16, 20)
         x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
         assert np.allclose(x.values, 1.3)
@@ -31,7 +31,7 @@ class TestPropagate:
     def test_constant_drift_integrates_exactly(self):
         p = make_problem(0.0, f={"const": 1.0})
         grid = TimeGrid(1.0, 13)
-        bundle = make_bundle(grid, 8, 1, seed=0)
+        bundle = make_bundle(grid, 8, seed=0)
         y, z, flow = zero_state(8, 13)
         x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
         assert np.allclose(x.values[:, -1, 0], 1.0, atol=1e-14)
@@ -42,7 +42,7 @@ class TestPropagate:
         errs = []
         for steps in (50, 100, 200):
             grid = TimeGrid(1.0, steps)
-            bundle = make_bundle(grid, 4, 1, seed=0)
+            bundle = make_bundle(grid, 4, seed=0)
             y, z, flow = zero_state(4, steps)
             x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
             errs.append(abs(x.values[0, -1, 0] - np.exp(a)))
@@ -54,7 +54,7 @@ class TestPropagate:
     def test_zero_delta_matches_positive_delta_with_equal_prev(self):
         p = make_problem(1.0, f={"x": -1.0, "y": 1.0}, sigma={"x": 0.5})
         grid = TimeGrid(1.0, 30)
-        bundle = make_bundle(grid, 32, 1, seed=1)
+        bundle = make_bundle(grid, 32, seed=1)
         rng = np.random.default_rng(2)
         y = PathEnsemble(rng.standard_normal((32, 31, 1)))
         z = PathEnsemble(rng.standard_normal((32, 30, 1)))
@@ -66,7 +66,7 @@ class TestPropagate:
     def test_delta_term_active_when_prev_differs(self):
         p = make_problem(0.0)
         grid = TimeGrid(1.0, 10)
-        bundle = make_bundle(grid, 4, 1, seed=0)
+        bundle = make_bundle(grid, 4, seed=0)
         y = PathEnsemble(np.ones((4, 11, 1)))
         z = PathEnsemble(np.zeros((4, 10, 1)))
         y_prev = PathEnsemble(np.zeros((4, 11, 1)))
@@ -81,7 +81,7 @@ class TestPropagate:
         p = make_problem(1.0, f={"x": a, "mean_x": d, "const": beta}, sigma={"const": 0.5})
         grid = TimeGrid(1.0, 200)
         particles = 20_000
-        bundle = make_bundle(grid, particles, 1, seed=3)
+        bundle = make_bundle(grid, particles, seed=3)
         y = PathEnsemble(np.zeros((particles, 201, 1)))
         z = PathEnsemble(np.zeros((particles, 200, 1)))
         # self-consistent flow: iterate the plug-in mean twice
@@ -96,7 +96,7 @@ class TestPropagate:
 
     def test_deterministic_repeat(self, toy_problem):
         grid = TimeGrid(0.25, 20)
-        bundle = make_bundle(grid, 64, 1, seed=5)
+        bundle = make_bundle(grid, 64, seed=5)
         rng = np.random.default_rng(6)
         y = PathEnsemble(rng.standard_normal((64, 21, 1)))
         z = PathEnsemble(rng.standard_normal((64, 20, 1)))
@@ -107,7 +107,7 @@ class TestPropagate:
 
     def test_shape_mismatch_rejected(self, toy_problem):
         grid = TimeGrid(0.25, 10)
-        bundle = make_bundle(grid, 8, 1, seed=0)
+        bundle = make_bundle(grid, 8, seed=0)
         y, z, flow = zero_state(8, 10)
         y_bad = PathEnsemble(np.zeros((8, 9, 1)))
         with pytest.raises(ValueError, match="y_ens"):
@@ -116,7 +116,7 @@ class TestPropagate:
     def test_blowup_aborts_with_step_index(self):
         p = make_problem(10.0, f={"x": 1e306})
         grid = TimeGrid(1.0, 50)
-        bundle = make_bundle(grid, 4, 1, seed=0)
+        bundle = make_bundle(grid, 4, seed=0)
         y, z, flow = zero_state(4, 50)
         # step 0 reaches X = 10 + 0.02 1e306 10 = 2e305; step 1 overflows
         with np.errstate(over="ignore", invalid="ignore"):

@@ -176,7 +176,7 @@ class TestBuildAggregated:
                              C=[[[1.0]]], N=[[[1.0]]], Q=[[[1.0]]], M=[[[1.0]]])
         agg = lqgame.build_aggregated(gs)
         rng = np.random.default_rng(0)
-        x, y, z = rng.standard_normal((3, 6, 1))
+        x, y, z = rng.standard_normal((3, 1, 6))  # (m, P) blocks
         mean = rng.standard_normal((8, 2)).mean(axis=0)
         assert np.allclose(agg.f(0.2, x, y, z, mean), 0.4 * x - y + 0.7)
         computed = check_H1(agg).computed
@@ -235,7 +235,7 @@ class TestBuildAggregated:
         K = gs.k_matrices()
         agg = lqgame.build_aggregated(gs)
         rng = np.random.default_rng(4)
-        x, y, z = rng.standard_normal((3, 6, 2))
+        x, y, z = rng.standard_normal((3, 2, 6))  # (m, P) blocks
         mean = rng.standard_normal((9, 4)).mean(axis=0)
         mean_t = rng.standard_normal((9, 2)).mean(axis=0)
         m1, m2 = mean[:2], mean[2:]
@@ -244,21 +244,21 @@ class TestBuildAggregated:
             skm = sum(k @ m(t) for k, m in zip(K, gs.M))
             skg = sum(k @ g(t) for k, g in zip(K, gs.Gamma))
             checks = [
-                (agg.f(t, x, y, z, mean), x @ a.T - y + m1 @ d.T + gs.beta(t)),
-                (agg.sigma(t, x, y, z), x @ s.T + gs.alpha(t)),
-                (agg.h(t, x, y, z, mean), -(y @ a + x @ skm.T + m2 @ d + z @ s + m1 @ skg.T)),
+                (agg.f(t, x, y, z, mean), a @ x - y + (d @ m1 + gs.beta(t))[:, None]),
+                (agg.sigma(t, x, y, z), s @ x + gs.alpha(t)[:, None]),
+                (agg.h(t, x, y, z, mean), -(a.T @ y + skm @ x + (d.T @ m2 + skg @ m1)[:, None] + s.T @ z)),
             ]
             for i in range(gs.players):
                 adj = lqgame._adjoint_problem(gs, i)
-                want = -(y @ a + x @ gs.M[i](t).T + m2 @ d + z @ s + m1 @ gs.Gamma[i](t).T)
+                want = -(a.T @ y + gs.M[i](t) @ x + (d.T @ m2 + gs.Gamma[i](t) @ m1)[:, None] + s.T @ z)
                 checks.append((adj.h(t, x, y, z, mean), want))
                 checks.append((adj.f(t, x, y, z, mean), np.zeros_like(x)))
-                checks.append((adj.g(gs.horizon, x, mean=mean_t), x @ gs.Q[i].T + gs.R[i] @ mean_t))
+                checks.append((adj.g(gs.horizon, x, mean=mean_t), gs.Q[i] @ x + (gs.R[i] @ mean_t)[:, None]))
             for got, want in checks:
-                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+                assert got.shape == want.shape and np.allclose(got, want, rtol=0.0, atol=1e-12)
         skq = sum(k @ q for k, q in zip(K, gs.Q))
         skr = sum(k @ r for k, r in zip(K, gs.R))
-        assert np.allclose(agg.g(gs.horizon, x, mean=mean_t), x @ skq.T + skr @ mean_t, rtol=0.0, atol=1e-12)
+        assert np.allclose(agg.g(gs.horizon, x, mean=mean_t), skq @ x + (skr @ mean_t)[:, None], rtol=0.0, atol=1e-12)
 
     def test_no_monotonicity_profile_when_the_gate_fails(self):
         # the aggregated problem declares no constants; the computed k' of example 3 is -1
@@ -409,7 +409,7 @@ class TestSimulateState:
         gs = self.two_player_game(PiecewiseConstant([0.0, 0.3], [[[0.3, 0.1], [-0.2, 0.2]], [[0.1, 0.4], [0.0, -0.3]]]))
         grid = TimeGrid(1.0, 4)
         particles = 50
-        bundle = make_bundle(grid, particles, 1, seed=7)
+        bundle = make_bundle(grid, particles, seed=7)
         rng = np.random.default_rng(8)
         u0 = PathEnsemble(rng.standard_normal((particles, grid.steps + 1, 1)))
         u1 = PathEnsemble(rng.standard_normal((particles, grid.steps + 1, 2)))
@@ -420,7 +420,7 @@ class TestSimulateState:
             drift = (xk @ gs.A(t).T + xk.mean(axis=0) @ gs.D(t).T + gs.beta(t)
                      + u0.values[:, k] @ gs.C[0].T + u1.values[:, k] @ gs.C[1].T)
             diffusion = xk @ gs.sigma(t).T + gs.alpha(t)
-            xk = xk + drift * grid.dt + diffusion * bundle.increments[:, k]
+            xk = xk + drift * grid.dt + diffusion * bundle.increments[:, k, None]
             assert np.allclose(x[:, k + 1], xk, rtol=1e-12, atol=0.0)
 
     def test_one_column_controls_match_the_matmul_step(self):
@@ -429,7 +429,7 @@ class TestSimulateState:
         gs = self.two_player_game([[0.3, 0.1], [-0.2, 0.2]])
         grid = TimeGrid(1.0, 20)
         particles = 300
-        bundle = make_bundle(grid, particles, 1, seed=3)
+        bundle = make_bundle(grid, particles, seed=3)
         rng = np.random.default_rng(4)
         u0 = PathEnsemble(rng.standard_normal((particles, grid.steps + 1, 1)))
         u1 = PathEnsemble(rng.standard_normal((particles, grid.steps + 1, 2)))
@@ -438,10 +438,10 @@ class TestSimulateState:
         ref = np.empty_like(x)
         ref[0] = gs.x0[:, None]
         for k in range(grid.steps):
-            t, xk = float(grid.nodes[k]), ref[k].T
-            drift = f(t, xk, mean=xk.mean(axis=0)).T
+            t, xk = float(grid.nodes[k]), ref[k]
+            drift = f(t, xk, mean=xk.mean(axis=-1))
             drift = drift + gs.C[0] @ u0.component_major[k] + gs.C[1] @ u1.component_major[k]
-            ref[k + 1] = ref[k] + drift * grid.dt + sigma(t, xk).T * bundle.component_major[k]
+            ref[k + 1] = ref[k] + drift * grid.dt + sigma(t, xk) * bundle.component_major[k]
         assert np.array_equal(x, ref)
 
     @pytest.mark.parametrize("control, got", [
@@ -455,7 +455,7 @@ class TestSimulateState:
         grid = TimeGrid(1.0, 10)
         good = PathEnsemble(np.zeros((30, 11, 1)))
         with pytest.raises(ValueError, match=rf"^control of player 1 must be a PathEnsemble of shape \(11, 2, 30\), got {re.escape(got)}$"):
-            lqgame.simulate_state(gs, grid, make_bundle(grid, 30, 1, seed=0), [good, control])
+            lqgame.simulate_state(gs, grid, make_bundle(grid, 30, seed=0), [good, control])
 
 
 class TestNash:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mfbsde.paths import (
+    BrownianBundle,
     PathEnsemble,
     TimeGrid,
     from_component_major,
@@ -30,42 +31,46 @@ class TestTimeGrid:
 class TestMakeBundle:
     def test_same_seed_bit_identical(self):
         g = TimeGrid(1.0, 10)
-        a = make_bundle(g, 32, 2, seed=42)
-        b = make_bundle(g, 32, 2, seed=42)
+        a = make_bundle(g, 32, seed=42)
+        b = make_bundle(g, 32, seed=42)
         assert np.array_equal(a.increments, b.increments)
 
     def test_different_seed_differs(self):
         g = TimeGrid(1.0, 10)
         assert not np.array_equal(
-            make_bundle(g, 32, 1, seed=1).increments,
-            make_bundle(g, 32, 1, seed=2).increments,
+            make_bundle(g, 32, seed=1).increments,
+            make_bundle(g, 32, seed=2).increments,
         )
 
     def test_empirical_moments(self):
         g = TimeGrid(1.0, 100)  # dt = 0.01
-        b = make_bundle(g, 100_000, 1, seed=7)
+        b = make_bundle(g, 100_000, seed=7)
         var = b.increments.var(axis=0)
         assert np.all(np.abs(var - g.dt) < 0.05 * g.dt)
         assert np.all(np.abs(b.increments.mean(axis=0)) < 5 * np.sqrt(g.dt / 100_000))
 
     def test_quadratic_variation_concentrates(self):
         g = TimeGrid(2.0, 100)
-        b = make_bundle(g, 4000, 1, seed=3)
-        qv = np.sum(b.increments[:, :, 0] ** 2, axis=1)
+        b = make_bundle(g, 4000, seed=3)
+        qv = np.sum(b.increments**2, axis=1)
         assert abs(qv.mean() - g.horizon) < 0.1 * g.horizon
 
     def test_zero_sizes_rejected(self):
         g = TimeGrid(1.0, 10)
         with pytest.raises(ValueError):
-            make_bundle(g, 0, 1, seed=0)
-        with pytest.raises(ValueError):
-            make_bundle(g, 4, 0, seed=0)
+            make_bundle(g, 0, seed=0)
+
+    @pytest.mark.parametrize("shape", [(10, 2, 50), (10,)])
+    def test_bundle_of_more_than_one_brownian_motion_rejected(self, shape):
+        # every problem and game is driven by one Brownian motion: a bundle is (steps, particles)
+        with pytest.raises(ValueError, match=r"^a bundle is a \(steps, particles\) array"):
+            BrownianBundle(np.zeros(shape))
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_the_key_range_rejected(self, seed):
         # the Philox key is a uint64: taken mod 2**64, these would alias 2**64 - 1, 0 and 5
         with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
-            make_bundle(TimeGrid(1.0, 4), 3, 1, seed)
+            make_bundle(TimeGrid(1.0, 4), 3, seed)
 
 
 class TestPathEnsemble:
@@ -115,14 +120,14 @@ class TestTimeMajorLayout:
 
     def test_bundle_layout_and_draws(self):
         g = TimeGrid(1.0, 7)
-        b = make_bundle(g, 6, 2, seed=3)
+        b = make_bundle(g, 6, seed=3)
         assert b.component_major.flags.c_contiguous and not b.component_major.flags.writeable
         assert not b.increments.flags.writeable
-        assert np.array_equal(b.increments, b.component_major.transpose(2, 0, 1))
-        assert (b.particles, b.steps, b.dim) == (6, 7, 2)
+        assert np.array_equal(b.increments, b.component_major.T)
+        assert (b.particles, b.steps) == (6, 7) and b.component_major.shape == (7, 6)
         # the draws are the particle-major stream of the seed's Philox generator
         rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
-        expected = rng.standard_normal((6, 7, 2)) * np.sqrt(g.dt)
+        expected = rng.standard_normal((6, 7)) * np.sqrt(g.dt)
         assert b.increments.tobytes() == expected.tobytes()
 
     def test_node_msd(self):

@@ -428,10 +428,11 @@ class TestAffineCoeffs:
         cx, cy, cz, cmx, cmy = rng.standard_normal((5, 2, 2))
         c0 = rng.standard_normal(2)
         table = AffineCoeffs(2, "f", x=cx, y=cy, z=cz, mean_x=cmx, mean_y=cmy, const=c0)
-        x, y, z = rng.standard_normal((3, 5, 2))
+        x, y, z = rng.standard_normal((3, 2, 5))  # (m, P) blocks
         mean = gaussian_mean(rng, 7, 4)
-        want = x @ cx.T + y @ cy.T + z @ cz.T + cmx @ mean[:2] + cmy @ mean[2:] + c0
-        assert np.allclose(table(0.3, x, y, z, mean), want, rtol=0.0, atol=1e-12)
+        want = cx @ x + cy @ y + cz @ z + (cmx @ mean[:2] + cmy @ mean[2:] + c0)[:, None]
+        got = table(0.3, x, y, z, mean)
+        assert got.shape == (2, 5) and np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_one_column_product_equals_the_matmul(self, rows):
@@ -448,7 +449,7 @@ class TestAffineCoeffs:
             mean_x=np.zeros((2, 2)), const={"piecewise": [{"t_from": 0.0, "value": 0.0}, {"t_from": 0.3, "value": 0.0}]},
         )
         assert sorted(table.terms) == ["y"]
-        x = np.ones((3, 2))
+        x = np.ones((2, 3))
         # no measure is needed once the mean terms are gone
         assert np.array_equal(table(0.7, x, 2 * x), 2 * x)
 
@@ -466,11 +467,11 @@ class TestAffineCoeffs:
         rng = np.random.default_rng(4)
         cm = rng.standard_normal((2, 6))
         mean = gaussian_mean(rng, 7, 4)
-        f_ordered = table(0.5, cm.T, mean=mean)
-        c_ordered = table(0.5, np.ascontiguousarray(cm.T), mean=mean)
-        assert f_ordered.shape == (6, 2) and f_ordered.T.flags.c_contiguous
+        c_ordered = table(0.5, cm, mean=mean)
+        f_ordered = table(0.5, np.asfortranarray(cm), mean=mean)
+        assert c_ordered.shape == (2, 6) and c_ordered.flags.c_contiguous
         assert np.array_equal(f_ordered, c_ordered)
-        assert np.allclose(f_ordered, 3.0 * cm.T + 0.5 * mean[:2], rtol=0.0, atol=1e-12)
+        assert np.allclose(c_ordered, 3.0 * cm + 0.5 * mean[:2, None], rtol=0.0, atol=1e-12)
 
     def test_shapes_checked_once_with_term_names(self):
         with pytest.raises(ValueError, match=r"g\.x: expected shape \(2, 2\)"):
@@ -495,7 +496,7 @@ class TestProblemFromConfig:
     def test_matches_hand_built_toy(self, toy_problem):
         p = problem_from_config(self.config())
         rng = np.random.default_rng(0)
-        x, y, z = rng.standard_normal((3, 5, 1))
+        x, y, z = rng.standard_normal((3, 1, 5))  # (m, P) blocks
         mean = gaussian_mean(rng, 8, 2)
         mean_t = gaussian_mean(rng, 8, 1)
         assert np.allclose(p.f(0.1, x, y, z, mean), toy_problem.f(0.1, x, y, z, mean))
@@ -538,9 +539,9 @@ class TestProblemFromConfig:
         cfg = self.config()
         cfg["h"]["x"] = {"piecewise": [{"t_from": 0.0, "value": -1.0}, {"t_from": 0.1, "value": -2.0}]}
         p = problem_from_config(cfg)
-        x = np.ones((3, 1))
-        y = np.zeros((3, 1))
-        z = np.zeros((3, 1))
+        x = np.ones((1, 3))
+        y = np.zeros((1, 3))
+        z = np.zeros((1, 3))
         mean = np.zeros(2)
         assert np.allclose(p.h(0.05, x, y, z, mean), -1.0)
         assert np.allclose(p.h(0.2, x, y, z, mean), -2.0)
