@@ -196,43 +196,33 @@ def _gaps(grid: TimeGrid, new, old) -> tuple[float, float]:
     return _gap_parts(*(node_msd(a, b) for a, b in zip(new, old)), grid.dt)
 
 
-def _rows(*arrays) -> list[np.ndarray]:
-    """The node blocks of component-major arrays in order, each a flat (dim * P,) view."""
-    return [row for a in arrays for row in a.reshape(len(a), -1)]
-
-
 class _Anderson:
     """Anderson mixing of the sweep map u -> F(u), u = (Y, Z), with memory
-    ``depth`` (Walker & Ni, SIAM J. Numer. Anal. 2011).  X is not mixed, so
-    the mixer sees only (Y, Z) pairs.
+    ``depth`` (Walker & Ni, SIAM J. Numer. Anal. 2011).  X is not mixed.
 
     The sweep outputs F are the (Y, Z) fitted maps of the backward sweeps;
-    the last ``depth + 1`` are kept (the oldest is dropped after each mix),
-    so the output differences dF are formed from them, block by block, when
-    a mix needs them.  A ring of the last ``depth`` residual differences
-    (dR), r = F(u) - u, and one mix buffer are allocated once per solve; the
-    dR slot the next observe overwrites holds the last r itself (observe
-    writes r once its products are taken).  gamma solves the Gram system
-    (dR' dR) gamma = dR' r with ``lstsq`` (minimum norm when singular); the
-    mix is F(u) - dF gamma, or F(u) when there is no history or the Gram
-    matrix, the right-hand side or the mix is not finite.  Both passes of a
-    sweep run one node block (a Y node or a Z step, (dim, P)) at a time,
-    while it is in cache: :meth:`observe` forms r, the dR difference, the
-    Gram row, the right-hand side and the per-node squared residuals, and
-    writes F to the mix buffer, and :meth:`mix` evaluates the older outputs,
-    writes the mix and checks it once, whole.
+    the last ``depth + 1`` are kept.  Y and Z each have a current-iterate
+    array of their paths' shape and a (depth, *shape) ring of the last
+    residual differences dR, r = F(u) - u, allocated once per solve; the
+    ring slot the next observe overwrites holds the last r itself.  gamma
+    solves (dR' dR) gamma = dR' r with ``lstsq`` (minimum norm when
+    singular), and the mix F_n - sum_i gamma_i (F_{i+1} - F_i) is
+    sum_j alpha_j F_j, alpha = diff([0, gamma, 1]); it is F(u) when there
+    is no history or the Gram matrix, the right-hand side or the mix is not
+    finite.  Both passes run one node block (part, k) of (dim, P) values at
+    a time, while it is in cache: :meth:`observe` forms r, its ring
+    difference, the Gram row, the right-hand side and the per-node squared
+    residuals, and writes F to the current iterate; :meth:`mix` scales it by
+    the newest weight and adds each older output, evaluated into one node
+    of scratch, times its weight.  The products over particles are
+    ``einsum``s, so their bits do not depend on the BLAS thread count.
     """
 
     def __init__(self, depth: int, y_shape: tuple, z_shape: tuple):
-        self.depth, self.shapes, self.cut = depth, (y_shape, z_shape), int(np.prod(y_shape))
-        cuts = np.cumsum([int(np.prod(s[1:])) for s in self.shapes for _ in range(s[0])])
-        dr = np.zeros((depth, cuts[-1]))
-        self.out = np.zeros(cuts[-1])  # the zero triple's (Y, Z) until the first observe
-        # per node block: which map of a sweep output gives it and at which node, its columns of dR and its part
-        # of the mix; and per map, a (depth, dim, P) scratch buffer for outputs' values at one node
-        self.blocks = list(zip([(j, k) for j, s in enumerate(self.shapes) for k in range(s[0])],
-                               np.split(dr, cuts[:-1], axis=-1), np.split(self.out, cuts[:-1])))
-        self.scratch = [np.empty((depth, *s[1:])) for s in self.shapes]
+        self.depth, shapes = depth, (y_shape, z_shape)
+        self.cur = [np.zeros(s) for s in shapes]  # the zero triple's (Y, Z) until the first observe
+        self.dr = [np.zeros((depth, *s)) for s in shapes]
+        self.scratch = [np.empty(s[1:]) for s in shapes]
         self.gram, self.rhs = np.zeros((depth, depth)), np.zeros(depth)
         self.restart()
 
@@ -241,58 +231,55 @@ class _Anderson:
         self.maps, self.stored = [], -1
 
     def iterate(self) -> tuple[PathEnsemble, PathEnsemble]:
-        """The mix buffer's (Y, Z) as its views: the last mix, the output last observed if no mix followed, or 0."""
-        return tuple(from_component_major(a.reshape(s)) for a, s in zip(np.split(self.out, [self.cut]), self.shapes))
+        """The current (Y, Z) as views: the last mix, the output last observed if no mix followed, or 0."""
+        return tuple(from_component_major(c[:]) for c in self.cur)
 
     def observe(self, new, old) -> tuple[np.ndarray, np.ndarray]:
         """Pass 1 for the sweep from the iterate ``old`` = (Y, Z) paths to
         ``new`` = F(old), a (Y, Z) pair of fitted maps; returns the per-node
         means over particles of |r|^2, for the Y nodes and for the Z steps.
-        F is written to the mix buffer, so ``old`` may be its views."""
+        F becomes the current iterate, so ``old`` may be its views."""
         self.maps.append(tuple(new))
         slot, self.stored = self.stored % self.depth, self.stored + 1
         hist, nxt = min(self.stored, self.depth), self.stored % self.depth
-        row, rhs = np.zeros(hist), np.zeros(hist)
-        sq = np.empty(len(self.blocks))
-        for b, (v, ((j, k), dr, out)) in enumerate(zip(_rows(*(e.component_major for e in old)), self.blocks)):
-            f = new[j].node(k, out=self.scratch[j][0]).reshape(-1)
-            r = f - v
-            sq[b] = r @ r
-            if hist:
-                np.subtract(r, dr[slot], out=dr[slot])
-                row += dr[:hist] @ dr[slot]
-                rhs += dr[:hist] @ r
-            dr[nxt] = r
-            np.copyto(out, f)
+        row, rhs, msr = np.zeros(hist), np.zeros(hist), []
+        for fmap, e, cur, dr, buf in zip(new, old, self.cur, self.dr, self.scratch):
+            sq = np.empty(len(cur))
+            for k, v in enumerate(e.component_major):
+                f = fmap.node(k, out=buf)
+                r = f - v
+                sq[k] = np.einsum("ij,ij->", r, r)
+                if hist:
+                    np.subtract(r, dr[slot, k], out=dr[slot, k])
+                    row += np.einsum("hij,ij->h", dr[:hist, k], dr[slot, k])
+                    rhs += np.einsum("hij,ij->h", dr[:hist, k], r)
+                dr[nxt, k] = r
+                cur[k] = f
+            msr.append(sq / cur.shape[-1])
         if hist:
             self.gram[slot, :hist] = self.gram[:hist, slot] = row
             self.rhs[:hist] = rhs
-        (nodes, _, particles), _ = self.shapes
-        return sq[:nodes] / particles, sq[nodes:] / particles
+        return tuple(msr)
 
     def mix(self) -> tuple[PathEnsemble, PathEnsemble]:
         """Pass 2: the next iterate (Y, Z) after the output last observed,
         or that output's values when there is no history or the step is
-        not finite, as views of the mix buffer."""
+        not finite, as views of the current iterate."""
         hist = min(self.stored, self.depth)
         order = [(self.stored - hist + i) % self.depth for i in range(hist)]
         gram, rhs = self.gram[np.ix_(order, order)], self.rhs[order]
         if order and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs)):
-            gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            alpha = np.diff(np.linalg.lstsq(gram, rhs, rcond=None)[0], prepend=0.0, append=1.0)
             older = self.maps[-1 - hist : -1]
-            for (j, k), _, out in self.blocks:
-                # dF_i = F_{i+1} - F_i over the last hist + 1 outputs, the newest of them in the mix buffer
-                for i, maps in enumerate(older):
-                    maps[j].node(k, out=self.scratch[j][i])
-                vals = self.scratch[j].reshape(self.depth, -1)
-                for i in range(hist):
-                    np.subtract(vals[i + 1] if i + 1 < hist else out, vals[i], out=vals[i])
-                for g, df in zip(gamma, vals):
-                    df *= g
-                    out -= df
-            if not all_finite(self.out):
-                for (j, k), _, out in self.blocks:
-                    self.maps[-1][j].node(k, out=out.reshape(self.shapes[j][1:]))
+            for j, (cur, buf) in enumerate(zip(self.cur, self.scratch)):
+                for k, node in enumerate(cur):
+                    node *= alpha[-1]  # the newest output, observed into the current iterate
+                    for a, maps in zip(alpha, older):
+                        node += np.multiply(maps[j].node(k, out=buf), a, out=buf)
+            if not all(map(all_finite, self.cur)):
+                for fmap, cur in zip(self.maps[-1], self.cur):
+                    for k, node in enumerate(cur):
+                        fmap.node(k, out=node)
         del self.maps[: -self.depth]
         return self.iterate()
 
@@ -302,16 +289,16 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, prev, accel: _Ande
 
     ``prev`` is the previous outer iterate, X paths and (Y, Z) fitted maps:
     the maps give the damping pair, and the sweeps start from their values,
-    which the mixer's buffer holds, so the current (Y, Z) is always paths
-    in that buffer.  One sweep propagates X under the current (Y, Z) and
-    re-regresses the backward pair along the new paths; the next sweep
-    starts from the Anderson mix of the swept pairs.  The X part of the
-    sweep gap is taken as soon as the new paths exist.  Runs at least
-    _INNER_MIN_SWEEPS sweeps and stops once the sweep-to-sweep gap drops
+    which the mixer's current iterate holds, so the current (Y, Z) is
+    always paths in the mixer's arrays.  One sweep propagates X under the
+    current (Y, Z) and re-regresses the backward pair along the new paths;
+    the next sweep starts from the Anderson mix of the swept pairs.  The X
+    part of the sweep gap is taken as soon as the new paths exist.  Runs at
+    least _INNER_MIN_SWEEPS sweeps and stops once the sweep-to-sweep gap drops
     below (tol/10)^2 (well below the outer stopping threshold), when
     :func:`diverging` flags the sweep gaps (left to the outer solve to
     classify) or at the sweep cap.  Returns the last swept X paths and
-    (Y, Z) maps (their values stay in the buffer), its regression
+    (Y, Z) maps (their values stay in the mixer), its regression
     diagnostics, why the solve stopped ("target", "growth" or "cap"), its
     sweep count and its last sweep-to-sweep gap.
     """
@@ -321,10 +308,9 @@ def _inner_solve(p, grid, bundle, params: SchemeParams, flow, prev, accel: _Ande
     gaps = []
     for sweep in range(1, _INNER_MAX_SWEEPS + 1):
         x_new = propagate(p, grid, bundle, y_cur, z_cur, y_prev, z_prev, flow, params.delta)
-        per_x = np.array([d @ d for d in map(np.subtract, *(_rows(e.component_major) for e in (x_new, x_cur)))])
-        x_cur = x_new
+        per_x, x_cur = node_msd(x_new, x_cur), x_new
         y_hat, z_hat, reg_diag = solve_backward(p, grid, bundle, x_new, flow)
-        gap = sum(_gap_parts(per_x / bundle.particles, *accel.observe((y_hat, z_hat), (y_cur, z_cur)), grid.dt))
+        gap = sum(_gap_parts(per_x, *accel.observe((y_hat, z_hat), (y_cur, z_cur)), grid.dt))
         if not math.isfinite(gap):
             raise FloatingPointError(f"inner sweep gap became non-finite at sweep {sweep}")
         gaps.append(gap)
@@ -387,7 +373,7 @@ def solve(
                 p, grid, bundle, params, flow, prev, accel
             )
 
-        gap_xt, gap_u = _gaps(grid, (x_cur, *accel.iterate()), prev)  # the new (Y, Z) values are in the buffer
+        gap_xt, gap_u = _gaps(grid, (x_cur, *accel.iterate()), prev)  # the new (Y, Z) values are the mixer's
         gap_total = gap_xt + gap_u
         prev_gap = history[-1].gap_total if history else math.nan
         ratio = gap_total / prev_gap if 0 < prev_gap < math.inf else math.nan
@@ -417,7 +403,7 @@ def solve(
                 history,
             )
 
-    del accel  # the mixer's buffers go before the paths are built
+    del accel  # the mixer's arrays go before the paths are built
     return MfSolution(
         grid=grid,
         bundle=bundle,

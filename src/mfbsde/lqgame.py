@@ -320,9 +320,12 @@ def _dynamics(gs: GameSpec, **terms) -> tuple[AffineCoeffs, AffineCoeffs]:
 # ---------------------------------------------------------------------------
 
 
-def _check_control(gs: GameSpec, i: int, u, grid: TimeGrid, particles: int) -> None:
-    """Player i's control must be a PathEnsemble of shape (steps + 1, m_i, particles) component-major."""
-    want = (grid.steps + 1, gs.control_dims[i], particles)
+def _check_control(gs: GameSpec, i: int, controls, grid: TimeGrid, particles: int) -> None:
+    """``controls`` must hold one control per player, and player i's must be a PathEnsemble of shape
+    (steps + 1, m_i, particles) component-major."""
+    if len(controls) != gs.players:
+        raise ValueError(f"need one control per player, got {len(controls)}")
+    u, want = controls[i], (grid.steps + 1, gs.control_dims[i], particles)
     got = u.component_major.shape if isinstance(u, PathEnsemble) else type(u).__name__
     if got != want:
         raise ValueError(f"control of player {i} must be a PathEnsemble of shape {want}, got {got}")
@@ -337,10 +340,8 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
     """
     if bundle.steps != grid.steps:
         raise ValueError("bundle and grid step counts differ")
-    if len(controls) != gs.players:
-        raise ValueError(f"need one control per player, got {len(controls)}")
-    for i, u in enumerate(controls):
-        _check_control(gs, i, u, grid, bundle.particles)
+    for i in range(gs.players):
+        _check_control(gs, i, controls, grid, bundle.particles)
     f, sigma = _dynamics(gs)
     x = np.empty((grid.steps + 1, gs.n, bundle.particles))
     x[0] = gs.x0[:, None]
@@ -429,14 +430,14 @@ def cost(gs: GameSpec, i: int, x_ens: PathEnsemble, controls, grid: TimeGrid) ->
     ``x_ens`` is the state (n components on the grid nodes) and
     ``controls`` holds one PathEnsemble per player; player i's must have
     the shape :func:`simulate_state` asks for, on the state's particles.
-    Either of another shape, or a player index outside [0, players),
-    raises ValueError.
+    Either of another shape, another number of controls, or a player
+    index outside [0, players), raises ValueError.
     """
     _check_player(gs, i)
     x_cm = x_ens.component_major
     if x_cm.shape[:2] != (grid.steps + 1, gs.n):
         raise ValueError(f"state must have {grid.steps + 1} nodes of {gs.n} components, got {x_cm.shape[:2]}")
-    _check_control(gs, i, controls[i], grid, x_ens.particles)
+    _check_control(gs, i, controls, grid, x_ens.particles)
     b = _cost_with_batches(gs, i, zip(x_cm[:, None], controls[i].component_major[:, None]), grid)[:, 0, 0]
     return float(b[0]), _batch_stderr(b[1:])
 
@@ -535,8 +536,9 @@ def solve_nash(
     regression backward solves along the solved state, and applies the
     closed-form control map.  The identity sum K_i p_i = Ytilde (and its
     q/Ztilde analogue) is recorded as an aggregation residual.  The solver
-    starts no threads of its own, but BLAS may use more, and the output
-    bits depend on how many; ``threads`` is kept for existing callers and
+    starts no threads of its own; BLAS may use more, but the output bits
+    do not depend on how many (the iteration's particle sums are numpy's
+    own, not BLAS dots).  ``threads`` is kept for existing callers and
     must be 1.
     """
     if threads != 1:
@@ -831,7 +833,8 @@ def solve_mean_fbode(gs: GameSpec, times: np.ndarray | None = None):
     if times is None:
         times = np.linspace(0.0, T, 201)
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or not np.all(np.isfinite(times)) or times.min() < 0 or times.max() > T + 1e-12:
+    unusable = times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
+    if unusable or times.min() < 0 or times.max() > T + 1e-12:
         raise ValueError(f"output times must lie in [0, {T}]")
     order = np.argsort(times)[::-1]
     values = np.empty((times.size, dim))

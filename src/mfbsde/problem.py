@@ -497,7 +497,12 @@ def require_json(value, kind: type, name: str) -> None:
 
 def require_numbers(value, name: str) -> None:
     """Reject a config value ``name`` unless each entry of its arrays and objects is a JSON number, naming the
-    entry (``x0[1]``, ``h.x.piecewise[0].t_from``) and the JSON type given."""
+    entry (``x0[1]``, ``h.x.piecewise[0].t_from``) and the JSON type given; a coefficient's ``piecewise`` must
+    be an array of objects first, as :func:`shaped_path` reads it."""
+    if isinstance(value, dict) and "piecewise" in value:
+        require_json(value["piecewise"], list, f"{name} piecewise")
+        for piece in value["piecewise"]:
+            require_json(piece, dict, f"{name} piece")
     if isinstance(value, (dict, list)):
         for key, v in value.items() if isinstance(value, dict) else enumerate(value):
             require_numbers(v, f"{name}.{key}" if isinstance(value, dict) else f"{name}[{key}]")

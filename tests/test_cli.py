@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,12 @@ SCALAR_GAME = {
     "alpha": {"const": [0.1]},
     "C": [[[1.0]]], "N": [[[1.0]]],
     "Q": [[[1.0]]], "M": [{"const": [[1.0]]}],
+}
+
+# the scalar game of the CI workflow's exit-code and byte-identity steps
+CI_SCALAR_GAME = {
+    "kind": "game", "n": 1, "m": 1, "T": 1.0, "x0": [1.0],
+    "A": [[0.3]], "C": [[[1.0]]], "N": [[[1.0]]], "Q": [[[1.0]]], "M": [[[1.0]]],
 }
 
 EXAMPLE3 = {
@@ -276,6 +286,23 @@ class TestGameCommand:
         assert len(report["nash"]["costs"]) == 1
         deviations = json.loads((out / "deviations.json").read_text())
         assert deviations[0]["pass"] is True
+
+    def test_files_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 12,000 particles: OpenBLAS splits a dot product of more than about 10,000 values across its threads,
+        # so a particle-axis reduction left to BLAS would change the last bits between these runs
+        cfg = write_config(tmp_path, CI_SCALAR_GAME)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"threads_{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            argv = ["game", cfg, "--particles", "12000", "--steps", "20", "--seed", "5", "--out", str(out)]
+            done = subprocess.run([sys.executable, "-m", "mfbsde.cli", *argv], env=env, capture_output=True, text=True)
+            assert "Traceback" not in done.stderr
+            runs.append((done.returncode, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+        assert sorted(runs[0][1]) == ["deviations.json", "diagnostics.jsonl", "moments.csv", "report.json"]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_corrupted_control_exits_four(self, tmp_path):
         cfg = write_config(tmp_path, SCALAR_GAME)
@@ -583,13 +610,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["solve", "game"])
     def test_overflowing_regression_gram_is_divergence(self, tmp_path, capsys, command):
-        # example 3 at T = 40: the forward paths stay finite, but their
+        # example 3 at T = 50: the forward paths stay finite, but their
         # regression Gram sums overflow (eigvalsh used to fail on them, a config error)
         out = tmp_path / "o"
-        cfg = write_config(tmp_path, dict(EXAMPLE3, T=40.0))
+        cfg = write_config(tmp_path, dict(EXAMPLE3, T=50.0))
         argv = [command, cfg, "--particles", "300", "--steps", "40", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_NOT_CONVERGED
-        message = "particle system blew up at outer iteration 3: regression Gram matrix overflows at step 3"
+        message = "particle system blew up at outer iteration 4: regression Gram matrix overflows at step 25"
         assert capsys.readouterr().err == f"diverged: {message}\n"
         report = json.loads((out / "report.json").read_text())
         assert report["diverged"] is True and report["message"] == message
@@ -614,9 +641,14 @@ class TestExitCodes:
         (dict(TOY_PROBLEM, monotonicity=None), "monotonicity must be a JSON object, got null"),
         (dict(SCALAR_GAME, C=5), "C must be a JSON array, got number"),
         (dict(SCALAR_GAME, Q="1"), "Q must be a JSON array, got string"),
+        (dict(TOY_PROBLEM, h={"x": {"piecewise": "abc"}}), "h.x piecewise must be a JSON array, got string"),
+        (dict(TOY_PROBLEM, h={"x": {"piecewise": ["abc"]}}), "h.x piece must be a JSON object, got string"),
+        (dict(SCALAR_GAME, A={"piecewise": "abc"}), "A piecewise must be a JSON array, got string"),
+        (dict(SCALAR_GAME, A={"piecewise": ["abc"]}), "A piece must be a JSON object, got string"),
     ], ids=["lipschitz_number", "piece_number", "piecewise_number", "f_array", "monotonicity_null", "game_C_number",
-            "game_Q_string"])
+            "game_Q_string", "piecewise_string", "piece_string", "game_piecewise_string", "game_piece_string"])
     def test_wrong_json_type_names_the_field_and_the_type(self, tmp_path, capsys, payload, message):
+        # a string where a piecewise array or a piece object belongs used to be named a wrong JSON number
         assert cli.main(["check", write_config(tmp_path, payload)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 

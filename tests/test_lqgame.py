@@ -392,6 +392,16 @@ class TestCost:
             with pytest.raises(ValueError, match=f"^player index {i} is out of range for a game of 2 players$"):
                 lqgame.cost(gs, i, x, u, grid)
 
+    def test_control_count_other_than_the_player_count_is_rejected(self):
+        # cost reads only player i's control, and used to raise IndexError when the list stopped short of it
+        gs = lqgame.example3_game(0.25)
+        grid = TimeGrid(0.25, 10)
+        x = PathEnsemble(np.ones((30, 11, 2)))
+        u = PathEnsemble(np.zeros((30, 11, 1)))
+        for controls in ([u], [u] * 3):
+            with pytest.raises(ValueError, match=f"^need one control per player, got {len(controls)}$"):
+                lqgame.cost(gs, 1, x, controls, grid)
+
 
 class TestSimulateState:
     @staticmethod
@@ -782,6 +792,12 @@ class TestMeanReduction:
     @pytest.mark.parametrize("times", [[np.nan], [0.1, np.nan]])
     def test_non_finite_times_rejected(self, times):
         # NaN fails both range comparisons, so it must be rejected as input, not reported as a non-finite trajectory
+        with pytest.raises(ValueError, match=r"^output times must lie in \[0, 0\.5\]$"):
+            lqgame.solve_mean_fbode(lqgame.example3_game(0.5), times=times)
+
+    @pytest.mark.parametrize("times", [[[0.1]], 0.1], ids=["nested", "scalar"])
+    def test_times_other_than_a_flat_list_rejected(self, times):
+        # [[0.1]] used to raise TypeError and 0.1 IndexError, past the range check
         with pytest.raises(ValueError, match=r"^output times must lie in \[0, 0\.5\]$"):
             lqgame.solve_mean_fbode(lqgame.example3_game(0.5), times=times)
 
