@@ -1,32 +1,32 @@
 """Least-squares Monte Carlo solver for the backward pair (Y, Z).
 
 Conditional expectations are estimated by global affine regression on
-the state: at each step the targets are projected onto the constant and
-the components of X_k (the scheme of Gobet, Lemor & Warin, AAP 2005,
-with an affine basis), so the fitted Y_k and Z_k are measurable
-functions of X_k by construction.  The problem's coefficients are affine
-tables, so the solution is affine in the state and the affine design is
-exact; the per-step regression residuals in :class:`RegressionDiagnostics`
-show the Monte Carlo misfit.
-
-The recursion, for k = steps-1 .. 0 with dt the step size:
+the state (the scheme of Gobet, Lemor & Warin, AAP 2005, with an affine
+basis), so the fitted Y_k and Z_k are affine functions of X_k.  The
+recursion, for k = steps-1 .. 0 with dt the step size:
 
     Y_N = g(X_T, m_N)
     Z_k = regress(Y_{k+1} dW_k / dt | X_k)
     Y_k = regress(Y_{k+1} - h(t_k, X_k, Y_k, Z_k, m_k) dt | X_k)
 
 with h's implicit Y_k resolved by two predictor-corrector sub-iterations
-started from Y_{k+1} (one when h reads no Y), and m_k = (E[X_k], E[Y_k])
-always row k of the FROZEN flow's table (the measure-freezing that
-decouples the outer iteration), so g reads the frozen E[X_T].
-Each fit solves for a (1 + m, m) table c_k with fitted values c_k^T [1; X_k];
-a sweep returns the tables as :class:`FittedMap`s on its paths, which
-evaluate nodes with the sweep's bits and build (nodes, m, P) paths on request.
+started from Y_{k+1}, and m_k = (E[X_k], E[Y_k]) always row k of the
+FROZEN flow's table (the measure-freezing that decouples the outer
+iteration), so g reads the frozen E[X_T].  Each fit is the moment form
+
+    fit(T) = E[T] + Cov(T, X_k) Cov(X_k)^+ (X_k - E[X_k]),
+
+whose pseudo-inverse drops the directions the cloud does not span.  The
+coefficients are affine tables, so every target is affine in X_k and in
+w_k = [dW_k; dW_k X_{k+1}; X_{k+1}]: a sweep reads only the per-step
+moments of :func:`regression_factors`, runs on (1 + m, m) tables and
+returns them as :class:`FittedMap`s on its paths, which evaluate nodes
+and build (nodes, m, P) paths on request.  The per-step residuals in
+:class:`RegressionDiagnostics` show the Monte Carlo misfit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,24 +36,16 @@ from .problem import MfProblem
 
 __all__ = ["FittedMap", "RegressionDiagnostics", "regression_factors", "solve_backward"]
 
-# ridge scale used when the design matrix is rank deficient
-_RIDGE = 1e-10
 # predictor-corrector passes that resolve h's implicit Y_k on each step
 _PICARD_PASSES = 2
-# steps per batched Gram product.  An einsum over >= 2 steps has the bits of the whole-path einsum; a 1-step one
-# does not for more than 8,192 particles (numpy's einsum buffer), so every batch holds this many steps, or all
-_GRAM_CHUNK = 8
-
-
-def _rms(targets: np.ndarray, fit: np.ndarray) -> float:
-    """Root mean square of targets - fit: the bits of np.sqrt(np.mean((targets - fit) ** 2)) with one temporary."""
-    r = targets - fit
-    return math.sqrt(np.square(r, out=r).sum() / r.size)
+# steps per batched moment product: a small buffer of [Xc_k; dW_k; dW_k Xc_{k+1}; Xc_{k+1}; 1] rows
+_MOMENT_CHUNK = 2
 
 
 @dataclass
 class RegressionDiagnostics:
-    """Per-step regression residual norms and rank-deficiency flags."""
+    """Per-step regression residual norms (the root mean square of targets - fit over particles and
+    components) and the steps where the fit dropped a direction the cloud does not span."""
 
     y_residuals: list = field(default_factory=list)
     z_residuals: list = field(default_factory=list)
@@ -73,8 +65,8 @@ class FittedMap:
     """The affine map a backward sweep fitted, V_k = coef_k^T [1; X_k], on the X paths ``x_ens`` it was
     fitted on: ``coef`` is (fits, 1 + m, dim), ``last`` the read-only (dim, P) node past the tables (Y's g(X_T))
     or None, and ``design`` a (1 + m, P) buffer of ones that maps on the same paths may share.  :meth:`node`
-    evaluates a node as the product the sweep made, iterating yields them through one buffer, and :meth:`paths`
-    builds the ensemble."""
+    evaluates a node as that product, iterating yields them through one buffer, and :meth:`paths` builds the
+    ensemble."""
 
     def __init__(self, x_ens: PathEnsemble, coef: np.ndarray, last: np.ndarray | None = None, design=None):
         self.x, self.coef, self.last = x_ens.component_major, coef, last
@@ -101,36 +93,54 @@ class FittedMap:
         return from_component_major(out)
 
 
-def regression_factors(x_ens: PathEnsemble) -> tuple[np.ndarray, list]:
-    """What every backward sweep along the forward paths ``x_ens`` shares:
-    the ridge-shifted Gram matrices (steps, F, F) of the affine designs
-    [1, X_k] and the steps with a near-singular design, last step first.
-    The Grams are formed through one design buffer of min(steps,
-    _GRAM_CHUNK) steps, the last chunk aligned to the final step, so no
-    whole-path design is held.  The tiny relative regularizer is always on:
-    it keeps the fit a smooth (branch-free) function of the particle states
-    even when the cloud degenerates onto an affine subspace and the design
-    matrix turns rank deficient, where hard rank decisions would flip
-    between sweeps and destabilize the outer iteration.  Fitted values at
-    the sample points match the unregularized fit to O(ridge).  Gram sums
-    that overflow raise FloatingPointError naming the first such step.
+def regression_factors(x_ens: PathEnsemble, bundle: BrownianBundle) -> tuple:
+    """What every backward sweep along the forward paths ``x_ens`` and the
+    increments of ``bundle`` shares, as (mu, proj, innov_w, innov_x,
+    dropped), with Xc_k = X_k - mu_k, c_k = [1; Xc_k] and w_k = [dW_k;
+    dW_k Xc_{k+1}; Xc_{k+1}]:
+
+    - ``mu``, the (steps + 1, m) node means;
+    - ``proj``, the (steps, 1 + m, 1 + 2m) projections of w_k on c_k, so
+      that proj_k' c_k is w_k's fit: E[w_k] over Cov(X_k)^+ E[Xc_k w_k'];
+    - ``innov_w`` and ``innov_x``, the second moments of the innovations
+      w_k - proj_k' c_k of the [dW_k; dW_k Xc_{k+1}] and Xc_{k+1} blocks;
+    - ``dropped``, the steps where Cov(X_k)^+, the pseudo-inverse from
+      ``eigh``, drops an eigenvalue below 1e-12 (tr Cov(X_k) + |mu_k|^2 +
+      1), last step first (a point mass drops every direction).
+
+    The sums run through one product per step of [Xc_k; w_k] against
+    [Xc_k; w_k; 1] (distinct operands: numpy's syrk path for a @ a.T is
+    slower), _MOMENT_CHUNK steps to a buffer.  Moments that overflow raise
+    FloatingPointError naming the first such step.
     """
-    xv = x_ens.component_major
-    steps, features = len(xv) - 1, 1 + xv.shape[1]
-    chunk = min(steps, _GRAM_CHUNK)
-    design = np.ones((chunk, features, xv.shape[2]))
-    gram = np.empty((steps, features, features))
-    for start in range(0, steps, chunk):
-        lo = min(start, steps - chunk)
-        design[:, 1:] = xv[lo : lo + chunk]
-        gram[lo : lo + chunk] = np.einsum("kfp,kgp->kfg", design, design)
-    if not all_finite(gram):
-        k = int(np.argmin(np.isfinite(gram).all(axis=(1, 2))))
-        raise FloatingPointError(f"regression Gram matrix overflows at step {k}")
-    scale = np.trace(gram, axis1=1, axis2=2) / features + 1.0
-    flagged = np.linalg.eigvalsh(gram)[:, 0] < 1e-10 * scale
-    shifted = gram + (_RIDGE * scale)[:, None, None] * np.eye(features)
-    return shifted, np.flatnonzero(flagged)[::-1].tolist()
+    xv, dw = x_ens.component_major, bundle.component_major
+    steps, m, particles = len(xv) - 1, xv.shape[1], xv.shape[2]
+    chunk = min(steps, _MOMENT_CHUNK)
+    rows = np.empty((chunk, 2 + 3 * m, particles))  # [Xc_k; dW_k; dW_k Xc_{k+1}; Xc_{k+1}; 1]
+    rows[:, -1] = 1.0
+    mom = np.empty((steps, 1 + 3 * m, 2 + 3 * m))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, naming its step
+        mu = xv.sum(axis=2) / particles
+        for start in range(0, steps, chunk):
+            lo = min(start, steps - chunk)
+            np.subtract(xv[lo : lo + chunk], mu[lo : lo + chunk, :, None], out=rows[:, :m])
+            rows[:, m] = dw[lo : lo + chunk]
+            nxt = rows[:, 1 + 2 * m : -1]
+            np.subtract(xv[lo + 1 : lo + chunk + 1], mu[lo + 1 : lo + chunk + 1, :, None], out=nxt)
+            np.multiply(rows[:, m : m + 1], nxt, out=rows[:, m + 1 : 1 + 2 * m])
+            np.matmul(rows[:, :-1], rows.transpose(0, 2, 1), out=mom[lo : lo + chunk])
+        mom /= particles
+    finite = np.isfinite(mom).all(axis=(1, 2))
+    if not finite.all():
+        raise FloatingPointError(f"regression Gram matrix overflows at step {int(np.argmin(finite))}")
+    cov, cross, mean_w = mom[:, :m, :m], mom[:, :m, m:-1], mom[:, m:, -1]
+    lam, vec = np.linalg.eigh(cov)
+    keep = lam > 1e-12 * (np.trace(cov, axis1=1, axis2=2) + np.square(mu[:-1]).sum(axis=1) + 1.0)[:, None]
+    pinv = (vec * np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)[:, None, :]) @ vec.transpose(0, 2, 1)
+    proj = np.concatenate([mean_w[:, None], pinv @ cross], axis=1)
+    innov = mom[:, m:, m:-1] - mean_w[:, :, None] * mean_w[:, None, :] - cross.transpose(0, 2, 1) @ proj[:, 1:]
+    dropped = np.flatnonzero(~keep.all(axis=1))[::-1].tolist()
+    return mu, proj, innov[:, : 1 + m, : 1 + m], innov[:, 1 + m :, 1 + m :], dropped
 
 
 def solve_backward(
@@ -145,59 +155,56 @@ def solve_backward(
 
     ``frozen_flow`` is the frozen iterate's (steps + 1, 2m) table of means
     (:func:`~mfbsde.paths.joint_marginal`): h reads row k and g the last.
-    ``factors`` is :func:`regression_factors` of ``x_ens``, for callers that
-    sweep the same paths more than once; it is built here when omitted.
-    Returns (y_map, z_map, diagnostics), the fitted maps on ``x_ens`` (Z's
-    with one m-vector per step): only each step's (1 + m, m) tables and the
-    node being swept are stored.  A non-finite Y or Z raises
-    FloatingPointError naming the step swept first that made one.
+    ``factors`` is :func:`regression_factors` of ``x_ens`` and ``bundle``,
+    for callers that sweep the same paths more than once; it is built here
+    when omitted.  The recursion runs on tables on [1; X_k - mu_k]: Y_N's
+    from g's terms, then Z_k's and E[Y_{k+1} | X_k]'s by projection and
+    the predictor passes with h's term matrices.  Returns (y_map, z_map,
+    diagnostics), the fitted maps on ``x_ens`` (Z's with one m-vector per
+    step, Y's last node g(X_T) on the particles).  A non-finite table
+    raises FloatingPointError naming the step swept first that made one.
     """
     m = p.dim_state
     particles, steps = bundle.particles, bundle.steps
     if x_ens.particles != particles or x_ens.nodes != steps + 1 or x_ens.dim != m:
-        raise ValueError(
-            f"x_ens has shape {x_ens.values.shape}, expected ({particles}, {steps + 1}, {m})"
-        )
+        raise ValueError(f"x_ens has shape {x_ens.values.shape}, expected ({particles}, {steps + 1}, {m})")
     if np.shape(frozen_flow) != (steps + 1, 2 * m):
         raise ValueError(f"frozen_flow has shape {np.shape(frozen_flow)}, expected ({steps + 1}, {2 * m})")
 
-    dt = grid.dt
-    times = grid.nodes
-    xv = x_ens.component_major
-    coef_y, coef_z = np.empty((2, steps, 1 + m, m))
-    diag = RegressionDiagnostics()
-
+    dt, times, xv = grid.dt, grid.nodes, x_ens.component_major
     terminal = p.g(p.horizon, xv[steps], mean=frozen_flow[steps])
     if not all_finite(terminal):
         raise FloatingPointError("terminal condition produced non-finite values")
-    shifted, ridge_steps = regression_factors(x_ens) if factors is None else factors
-    diag.ridge_steps.extend(ridge_steps)
-    passes = 1 if "y" not in p.h.terms else _PICARD_PASSES
-    design = np.ones((1 + m, particles))  # [1, X_k] of the step being swept
-    y_next = terminal
+    mu, proj, innov_w, innov_x, dropped = regression_factors(x_ens, bundle) if factors is None else factors
 
+    # centred tables: values tab' [1; X_k - mu_k]; args holds [X_k, Y guess, Z_k]'s tables for h's slopes
+    y_tab, z_tab = np.empty((steps + 1, 1 + m, m)), np.empty((steps, 1 + m, m))
+    slopes, shift = p.g.affine(p.horizon, frozen_flow[steps])
+    y_tab[steps, 0], y_tab[steps, 1:] = slopes[:, :m] @ mu[steps] + shift, slopes[:, :m].T
+    args = np.zeros((1 + m, 3 * m))
+    args[1:, :m] = np.eye(m)
     for k in range(steps - 1, -1, -1):
-        t_k = float(times[k])
-        design[1:] = xv[k]
+        a = y_tab[k + 1]
+        np.divide(proj[k, :, : 1 + m] @ a, dt, out=z_tab[k])
+        cond = proj[k, :, 1 + m :] @ a[1:]  # E[Y_{k+1} | X_k]
+        cond[0] += a[0]
+        slopes, shift = p.h.affine(float(times[k]), frozen_flow[k])
+        args[0, :m], args[:, 2 * m :] = mu[k], z_tab[k]
+        guess = cond
+        for _ in range(_PICARD_PASSES):
+            args[:, m : 2 * m] = guess
+            guess = cond - dt * (args @ slopes.T)
+            guess[0] -= dt * shift
+        y_tab[k] = guess
 
-        z_targets = y_next * bundle.component_major[k] / dt
-        coef_z[k] = np.linalg.solve(shifted[k], design @ z_targets.T)
-        z_k = coef_z[k].T @ design
-        diag.z_residuals.append(_rms(z_targets, z_k))
-
-        y_guess = y_next
-        for _ in range(passes):
-            hk = p.h(t_k, xv[k], y_guess, z_k, frozen_flow[k])
-            targets = y_next - hk * dt
-            coef_y[k] = np.linalg.solve(shifted[k], design @ targets.T)
-            y_guess = coef_y[k].T @ design
-        diag.y_residuals.append(_rms(targets, y_guess))
-        # a non-finite fit makes its residual non-finite (the converse fails only when squares overflow)
-        res = diag.y_residuals[-1] + diag.z_residuals[-1]
-        if not (math.isfinite(res) or np.isfinite(y_guess).all() and np.isfinite(z_k).all()):
-            raise FloatingPointError(f"backward regression produced non-finite values at step {k}")
-        y_next = y_guess
-
-    diag.y_residuals.reverse()
-    diag.z_residuals.reverse()
-    return FittedMap(x_ens, coef_y, terminal, design), FittedMap(x_ens, coef_z, design=design), diag
+    bad = np.flatnonzero(~(np.isfinite(y_tab[:steps]).all(axis=(1, 2)) & np.isfinite(z_tab).all(axis=(1, 2))))
+    if bad.size:
+        raise FloatingPointError(f"backward regression produced non-finite values at step {bad[-1]}")
+    # the misfits: Y's targets miss by Y_{k+1}'s innovation (the h terms are affine in X_k), Z's by Y_{k+1} dW_k / dt's
+    y_ms = np.einsum("kij,kil,klj->k", y_tab[1:, 1:], innov_x, y_tab[1:, 1:]) / m
+    z_ms = np.einsum("kij,kil,klj->k", y_tab[1:], innov_w, y_tab[1:]) / (m * dt * dt)
+    diag = RegressionDiagnostics(*(np.sqrt(np.maximum(ms, 0.0)).tolist() for ms in (y_ms, z_ms)), list(dropped))
+    for tab in (y_tab, z_tab):  # the tables on [1; X_k]
+        tab[:, 0] -= np.einsum("ki,kij->kj", mu[: len(tab)], tab[:, 1:])
+    design = np.ones((1 + m, particles))
+    return FittedMap(x_ens, y_tab[:steps], terminal, design), FittedMap(x_ens, z_tab, design=design), diag

@@ -212,9 +212,10 @@ class _Anderson:
     finite.  Both passes run one node block (part, k) of (dim, P) values at
     a time, while it is in cache: :meth:`observe` forms r, its ring
     difference, the Gram row, the right-hand side and the per-node squared
-    residuals, and writes F to the current iterate; :meth:`mix` scales it by
-    the newest weight and adds each older output, evaluated into one node
-    of scratch, times its weight.  The products over particles are
+    residuals, and writes F to the current iterate; :meth:`mix` writes each
+    node of each part as one product of the window's alpha-scaled, stacked
+    tables with [1; X^(0)_k; X^(1)_k; ...], each output's own X paths (Y's
+    last node is sum_j alpha_j g(X^(j)_T)).  The sums over particles are
     ``einsum``s, so their bits do not depend on the BLAS thread count.
     """
 
@@ -270,12 +271,21 @@ class _Anderson:
         gram, rhs = self.gram[np.ix_(order, order)], self.rhs[order]
         if order and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs)):
             alpha = np.diff(np.linalg.lstsq(gram, rhs, rcond=None)[0], prepend=0.0, append=1.0)
-            older = self.maps[-1 - hist : -1]
-            for j, (cur, buf) in enumerate(zip(self.cur, self.scratch)):
-                for k, node in enumerate(cur):
-                    node *= alpha[-1]  # the newest output, observed into the current iterate
-                    for a, maps in zip(alpha, older):
-                        node += np.multiply(maps[j].node(k, out=buf), a, out=buf)
+            parts = list(zip(*self.maps[-1 - hist :]))  # per part, the window's maps, oldest first
+            # node k of a part as one product [sum_i alpha_i c_i; alpha_0 C_0; ...]' [1; X^(0)_k; ...] of the
+            # outputs' tables [c_i; C_i], through one design per part, or one for both when they share X paths
+            tables = [np.concatenate([np.einsum("i,ikd->kd", alpha, [f.coef[:, 0] for f in maps])[:, None],
+                                      *(a * f.coef[:, 1:] for a, f in zip(alpha, maps))], axis=1) for maps in parts]
+            shared = all(f.x is g.x for f, g in zip(*parts))
+            designs = [np.ones((t.shape[1], self.cur[0].shape[-1])) for t in tables[: 1 if shared else None]]
+            for k in range(len(self.cur[0])):
+                for j, (maps, table, cur) in enumerate(zip(parts, tables, self.cur)):
+                    if k < len(table):
+                        if j == 0 or not shared:
+                            np.concatenate([f.x[k] for f in maps], out=designs[j][1:])
+                        np.matmul(table[k].T, designs[0 if shared else j], out=cur[k])
+                    elif k < len(cur):  # Y's last node, past the tables
+                        np.einsum("i,ijp->jp", alpha, [f.last for f in maps], out=cur[k])
             if not all(map(all_finite, self.cur)):
                 for fmap, cur in zip(self.maps[-1], self.cur):
                     for k, node in enumerate(cur):

@@ -34,7 +34,10 @@ def propagate(
     ``frozen_flow`` is the previous iterate's (steps + 1, 2m) table of
     (E[X_k], E[Y_k]) (:func:`~mfbsde.paths.joint_marginal`); the step from
     t_k reads row k.  The damping pair (``y_prev``, ``z_prev``) is path
-    ensembles or fitted maps, read a node at a time into a buffer.  All particles start at the problem's x0.
+    ensembles or fitted maps, read a node at a time into the step's design
+    rows.  All particles start at the problem's x0.  Each step is
+    x_{k+1} = D' [1; x_k; y_k; z_k; dW_k; y_k - y_prev] + diffusion dW_k, one
+    stacked product with f's and sigma's tables at (t_k, row k).
     A non-finite X, checked once after the last step, raises
     FloatingPointError naming the first step that made one (later steps
     only carry it forward).
@@ -52,24 +55,36 @@ def propagate(
     if np.shape(frozen_flow) != (steps + 1, 2 * m):
         raise ValueError(f"frozen_flow has shape {np.shape(frozen_flow)}, expected ({steps + 1}, {2 * m})")
 
-    dt = grid.dt
-    times = grid.nodes
+    dt, times = grid.dt, grid.nodes
     x = np.empty((steps + 1, m, particles))
     x[0] = p.x0[:, None]
-    yv, zv = y_ens.component_major, z_ens.component_major
-    dw = bundle.component_major
-    damp_sigma = delta > 0.0 and not p.law_free_sigma
-    dy, dz = np.empty((2, m, particles))  # the damping differences, one node at a time
+    yv, zv, dw = y_ens.component_major, z_ens.component_major, bundle.component_major
+    # the damping differences that are on: y - y_prev and, unless sigma is law-free, z - z_prev
+    damp = [(y_prev, yv), (z_prev, zv)][: 0 if delta <= 0.0 else 1 if p.law_free_sigma else 2]
+    noisy = len(damp) == 2 or bool({"x", "y", "z"} & set(p.sigma.terms))  # else the diffusion is shift * dW_k
+    # one product per step: the table [drift dt | diffusion slopes], with dt, the identity and -delta folded in,
+    # on the design [1; x_k; y_k; z_k; dW_k; the damping differences]
+    design = np.ones((2 + (3 + len(damp)) * m, particles))
+    table, eye = np.zeros((len(design), 2 * m if noisy else m)), np.eye(m)
+    for j in range(len(damp)):  # -delta dt on y's difference in the drift, -delta on z's in the diffusion
+        table[2 + (3 + j) * m : 2 + (4 + j) * m, j * m : (j + 1) * m] = -delta * (dt, 1.0)[j] * eye
+    out = np.empty((2 * m, particles)) if noisy else None
 
     for k in range(steps):
         t_k = float(times[k])
-        drift = p.f(t_k, x[k], yv[k], zv[k], frozen_flow[k])
-        if delta > 0.0:
-            drift = drift - delta * np.subtract(yv[k], y_prev.node(k, out=dy), out=dy)
-        diff = p.sigma(t_k, x[k], yv[k], zv[k], frozen_flow[k])
-        if damp_sigma:
-            diff = diff - delta * np.subtract(zv[k], z_prev.node(k, out=dz), out=dz)
-        x[k + 1] = x[k] + drift * dt + diff * dw[k]
+        slopes, shift = p.f.affine(t_k, frozen_flow[k])
+        table[0, :m], table[1 : 1 + 3 * m, :m] = shift * dt, slopes.T * dt
+        table[1 : 1 + m, :m] += eye
+        slopes, table[1 + 3 * m, :m] = p.sigma.affine(t_k, frozen_flow[k])
+        if noisy:
+            table[1 : 1 + 3 * m, m:] = slopes.T
+        np.concatenate([x[k], yv[k], zv[k], dw[k][None]], out=design[1 : 2 + 3 * m])
+        for j, (prev, v) in enumerate(damp):
+            rows = design[2 + (3 + j) * m : 2 + (4 + j) * m]
+            np.subtract(v[k], prev.node(k, out=rows), out=rows)
+        np.matmul(table.T, design, out=out if noisy else x[k + 1])
+        if noisy:
+            np.add(out[:m], np.multiply(out[m:], dw[k], out=out[m:]), out=x[k + 1])
 
     if not all_finite(x):
         k = next(k for k in range(steps) if not all_finite(x[k + 1]))

@@ -547,7 +547,7 @@ def solve_nash(
     sol = fixpoint.solve(agg, grid, params, seed)
 
     players = gs.players
-    factors = regression_factors(sol.x_ens)
+    factors = regression_factors(sol.x_ens, sol.bundle)
     results = [_solve_adjoint(gs, i, sol, params, factors) for i in range(players)]
     p_list, q_list, adjoint_gaps = map(list, zip(*results))
 

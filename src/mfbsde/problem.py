@@ -434,6 +434,7 @@ class AffineCoeffs:
             if np.any(path.values):
                 self.terms[key] = path
         self._compiled: dict[float, dict] = {}
+        self._slopes: dict[float, np.ndarray] = {}
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -448,29 +449,26 @@ class AffineCoeffs:
             node = self._compiled[t] = {key: path(t) for key, path in self.terms.items()}
         return node
 
-    def __call__(self, t: float, x, y=None, z=None, mean=None) -> np.ndarray:
-        """The map at time t on the solver's (m, P) blocks x, y and z and the means ``mean`` = (E[X], E[Y]):
-        the (m, P) block C x + (const + mean terms)[:, None]."""
+    def affine(self, t: float, mean=None) -> tuple[np.ndarray, np.ndarray]:
+        """The map at time t and means ``mean`` = (E[X], E[Y]) as (slopes, shift): the (m, 3m) matrices
+        [C^x C^y C^z] side by side, absent terms 0 (compiled once per time), and the m-vector
+        c^const + C^mean_x E[X] + C^mean_y E[Y], so that c(t, x, y, z, mean) = slopes [x; y; z] + shift."""
         node = self.at(t)
-        out = None
-        for key, arg in (("x", x), ("y", y), ("z", z)):
+        slopes = self._slopes.get(t)
+        if slopes is None:
+            slopes = self._slopes[t] = _blocks(self, t, ("x", "y", "z"))
+        shift = node.get("const", np.zeros(self.dim))
+        for key, half in (("mean_x", slice(None, self.dim)), ("mean_y", slice(self.dim, None))):
             if key in node:
-                term = matmul(node[key], arg)
-                if out is None:
-                    out = term
-                else:
-                    out += term
-        shift = []
-        if "mean_x" in node or "mean_y" in node:
-            halves = (("mean_x", mean[: self.dim]), ("mean_y", mean[self.dim :]))
-            shift += [node[key] @ half for key, half in halves if key in node]
-        if "const" in node:
-            shift.append(node["const"])
-        if out is None:
-            out = np.zeros((self.dim, x.shape[-1]))
-        if shift:
-            out += sum(shift)[:, None]
-        return out
+                shift = shift + node[key] @ mean[half]
+        return slopes, shift
+
+    def __call__(self, t: float, x, y=None, z=None, mean=None) -> np.ndarray:
+        """The map at time t on the solver's (m, P) blocks x, then y and z when given, and the means ``mean`` =
+        (E[X], E[Y]): the (m, P) block slopes [x; y; z] + shift of :meth:`affine`."""
+        slopes, shift = self.affine(t, mean)
+        args = [a for a in (x, y, z) if a is not None]
+        return slopes[:, : len(args) * self.dim] @ np.concatenate(args) + shift[:, None]
 
 
 # the keys each config block takes; any other key is a config error

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfbsde import backward, lqgame
+from mfbsde import backward, fixpoint, lqgame
 from mfbsde.backward import solve_backward
 from mfbsde.forward import propagate
 from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle
@@ -33,32 +33,60 @@ def affine_design(x):
     return np.column_stack([np.ones(len(x)), x])
 
 
+def moment_fit(x, targets):
+    """The moment-form least-squares fit of particle-major targets (P, d) on the states x (P, m), formed on its own:
+    the [1, x] table of E[T] + (x - E x) Cov(x)^+ Cov(x, T), the pseudo-inverse without the eigenvalues below
+    1e-12 (tr Cov(x) + |E x|^2 + 1), and whether it dropped a direction."""
+    mean = x.mean(axis=0)
+    xc = x - mean
+    cov = xc.T @ xc / len(x)
+    lam, vec = np.linalg.eigh(cov)
+    keep = lam > 1e-12 * (np.trace(cov) + mean @ mean + 1.0)
+    slope = (vec[:, keep] / lam[keep]) @ vec[:, keep].T @ (xc.T @ targets) / len(x)
+    return np.vstack([targets.mean(axis=0) - mean @ slope, slope]), not keep.all()
+
+
 def per_step_backward(p, grid, bundle, x_ens, flow):
-    """Reference recursion: each step's affine design, Gram matrix, ridge
-    shift and eigenvalue flag formed on its own, particle-major."""
+    """Reference recursion on particles: each step's targets formed particle by particle and fitted in moment
+    form on their own, particle-major; returns the (Y, Z) paths and the steps that dropped a direction."""
     m, steps, dt = p.dim_state, grid.steps, grid.dt
     xv, dw = x_ens.values, bundle.increments
     y = np.empty((xv.shape[0], steps + 1, m))
     z = np.empty((xv.shape[0], steps, m))
-    ridge = []
+    dropped = []
     y[:, steps] = p.g(p.horizon, xv[:, steps].T, mean=flow[steps]).T
+
+    def fit(targets):
+        coef, flagged = moment_fit(xv[:, k], targets)
+        return affine_design(xv[:, k]) @ coef, flagged
+
     for k in range(steps - 1, -1, -1):
-        design = affine_design(xv[:, k])
-        gram = design.T @ design
-        scale = np.trace(gram) / gram.shape[0] + 1.0
-        shifted = gram + backward._RIDGE * scale * np.eye(gram.shape[0])
-        if np.linalg.eigvalsh(gram)[0] < 1e-10 * scale:
-            ridge.append(k)
-
-        def fit(targets):
-            return design @ np.linalg.solve(shifted, design.T @ targets)
-
-        z[:, k] = fit(y[:, k + 1] * dw[:, k, None] / dt)
+        z[:, k], flagged = fit(y[:, k + 1] * dw[:, k, None] / dt)
         guess = y[:, k + 1]
-        for _ in range(backward._PICARD_PASSES):
-            guess = fit(y[:, k + 1] - p.h(grid.nodes[k], xv[:, k].T, guess.T, z[:, k].T, flow[k]).T * dt)
+        for _ in range(backward._PICARD_PASSES if "y" in p.h.terms else 1):
+            guess = fit(y[:, k + 1] - p.h(grid.nodes[k], xv[:, k].T, guess.T, z[:, k].T, flow[k]).T * dt)[0]
         y[:, k] = guess
-    return y, z, ridge
+        if flagged:
+            dropped.append(k)
+    return y, z, dropped
+
+
+def collinear_start_problem(h_reads_y: bool):
+    """A 2-D problem on [0, 0.5] (its h with or without a y term), 8 steps, and a 400-particle cloud that is
+    collinear (rank deficient) on the first 3 steps: (problem, grid, bundle, X paths)."""
+    grid, particles = TimeGrid(0.5, 8), 400
+    bundle = make_bundle(grid, particles, seed=2)
+    rng = np.random.default_rng(3)
+    walk = np.concatenate([np.zeros((particles, 1)), np.cumsum(bundle.increments, axis=1)], axis=1)
+    spread = rng.standard_normal((particles, grid.steps + 1)) * (np.arange(grid.steps + 1) >= 3)
+    x = PathEnsemble(np.stack([1.0 + walk, 0.5 - 2.0 * walk + 0.3 * spread], axis=2))
+    p = MfProblem(
+        [1.0, 0.5], 0.5, f=AffineCoeffs(2), sigma=AffineCoeffs(2, const=[1.0, -2.0]),
+        h=AffineCoeffs(2, x=[[0.3, 0.1], [0.0, 0.2]], y=-0.5 if h_reads_y else None, z=0.2, mean_x=0.1,
+                       mean_y=[[0.0, 0.1], [0.2, 0.0]], const=[0.1, -0.2]),
+        g=AffineCoeffs(2, x=[[1.0, 0.5], [0.5, 2.0]], mean_x=0.1, const=[0.0, 0.3]),
+    )
+    return p, grid, bundle, x
 
 
 class TestSolveBackward:
@@ -178,31 +206,19 @@ class TestSolveBackward:
 
     def test_batched_factors_match_the_per_step_reference(self):
         # a 2-D cloud that is collinear (rank deficient) on the first 3 steps
-        grid, particles = TimeGrid(0.5, 8), 400
-        bundle = make_bundle(grid, particles, seed=2)
-        rng = np.random.default_rng(3)
-        walk = np.concatenate([np.zeros((particles, 1)), np.cumsum(bundle.increments, axis=1)], axis=1)
-        spread = rng.standard_normal((particles, grid.steps + 1)) * (np.arange(grid.steps + 1) >= 3)
-        x = PathEnsemble(np.stack([1.0 + walk, 0.5 - 2.0 * walk + 0.3 * spread], axis=2))
-        p = MfProblem(
-            [1.0, 0.5], 0.5, f=AffineCoeffs(2), sigma=AffineCoeffs(2, const=[1.0, -2.0]),
-            h=AffineCoeffs(2, x=[[0.3, 0.1], [0.0, 0.2]], y=-0.5, z=0.2, mean_x=0.1, mean_y=[[0.0, 0.1], [0.2, 0.0]],
-                           const=[0.1, -0.2]),
-            g=AffineCoeffs(2, x=[[1.0, 0.5], [0.5, 2.0]], mean_x=0.1, const=[0.0, 0.3]),
-        )
+        p, grid, bundle, x = collinear_start_problem(h_reads_y=True)
         flow = joint_marginal(x, x)
         y, z, diag = backward_paths(p, grid, bundle, x, flow)
         y_ref, z_ref, ridge = per_step_backward(p, grid, bundle, x, flow)
         assert diag.ridge_steps == ridge == [2, 1, 0]
-        # the Gram sums run in another order; on the collinear steps the
-        # ridge-shifted solve turns that into ~1e-12 absolute, so entries
-        # are compared at 1e-10 of their array's scale
+        # the sweep runs on tables and the reference on particles, so the sums run in other orders: entries are
+        # compared at 1e-10 of their array's scale
         for got, ref in ((y.values, y_ref), (z.values, z_ref)):
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
     def test_shared_factors_give_identical_sweeps(self):
         # the adjoint problem of the 2-D example-3 game along a state whose
-        # X^1 - X^2 is deterministic, so every step is ridge-flagged
+        # X^1 - X^2 is deterministic, so every step drops that direction
         gs = lqgame.example3_game(0.25)
         grid, particles = TimeGrid(gs.horizon, 10), 500
         bundle = make_bundle(grid, particles, seed=4)
@@ -212,7 +228,7 @@ class TestSolveBackward:
         args = (lqgame._adjoint_problem(gs, 0), grid, bundle, x, flow)
         y_ref, z_ref, diag_ref = backward_paths(*args)
         assert len(diag_ref.ridge_steps) == grid.steps
-        factors = backward.regression_factors(x)
+        factors = backward.regression_factors(x, bundle)
         for _ in range(2):  # a second sweep reuses the same factors
             y, z, diag = backward_paths(*args, factors=factors)
             assert y.values.tobytes() == y_ref.values.tobytes()
@@ -221,54 +237,97 @@ class TestSolveBackward:
             assert diag.ridge_steps == diag_ref.ridge_steps
 
     def test_blowup_names_the_first_step_swept(self, martingale_problem):
-        # h = 1e308 on steps 2, 1, 0, whose regression sums overflow; step 2 is swept first
-        h = AffineCoeffs(1, "h", const=PiecewiseConstant([0.0, 0.3], [1e308, 0.0]))
-        p = dataclasses.replace(martingale_problem, h=h)
-        grid = TimeGrid(1.0, 10)
+        # h = 1e308 on steps 2, 1, 0 and dt = 2, so their tables overflow; step 2 is swept first
+        h = AffineCoeffs(1, "h", const=PiecewiseConstant([0.0, 6.0], [1e308, 0.0]))
+        p = dataclasses.replace(martingale_problem, h=h, horizon=20.0)
+        grid = TimeGrid(20.0, 10)
         bundle, x, flow = brownian_paths(p, grid, 200, seed=1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="^backward regression produced non-finite values at step 2$"):
                 solve_backward(p, grid, bundle, x, flow)
 
     def test_overflowing_gram_names_its_first_step(self):
-        # finite paths of size 1e200 from node 2 on: the Gram sums of steps 2 and 3 overflow
+        # finite paths that spread by 1e200 from node 3 on: step 2's moments read node 3 and overflow first
         x = np.ones((5, 1, 10))
-        x[2:] = 1e200
+        x[3:] = 1e200 * np.random.default_rng(0).standard_normal((2, 1, 10))
+        bundle = make_bundle(TimeGrid(1.0, 4), 10, seed=0)
         with pytest.raises(FloatingPointError, match="^regression Gram matrix overflows at step 2$"):
-            backward.regression_factors(PathEnsemble(x.transpose(2, 0, 1)))
+            backward.regression_factors(from_component_major(x), bundle)
 
     @pytest.mark.parametrize("particles", [777, 10_000])
     @pytest.mark.parametrize("steps", [1, 2, 7, 9, 100])
-    def test_chunked_grams_have_the_bits_of_the_whole_path_product(self, steps, particles):
+    def test_chunked_grams_have_the_bits_of_the_whole_path_product(self, steps, particles, monkeypatch):
         rng = np.random.default_rng(steps)
         xv = rng.standard_normal((steps + 1, 2, particles))
-        xv[::2, 1] = 2.0 * xv[::2, 0] + 1.0  # even steps are rank deficient and flagged
-        design = np.ones((steps, 3, particles))
-        design[:, 1:] = xv[:-1]
-        gram = np.einsum("kfp,kgp->kfg", design, design)
-        scale = np.trace(gram, axis1=1, axis2=2) / 3 + 1.0
-        flagged = np.flatnonzero(np.linalg.eigvalsh(gram)[:, 0] < 1e-10 * scale)[::-1].tolist()
-        shifted, ridge_steps = backward.regression_factors(from_component_major(xv))
-        assert np.array_equal(shifted, gram + (1e-10 * scale)[:, None, None] * np.eye(3))
-        assert ridge_steps == flagged == [k for k in range(steps - 1, -1, -1) if k % 2 == 0]
+        xv[::2, 1] = 2.0 * xv[::2, 0] + 1.0  # even steps are rank deficient and drop a direction
+        x, bundle = from_component_major(xv), make_bundle(TimeGrid(1.0, steps), particles, seed=steps)
+        chunked = backward.regression_factors(x, bundle)
+        monkeypatch.setattr(backward, "_MOMENT_CHUNK", steps)  # one product over the whole path
+        whole = backward.regression_factors(x, bundle)
+        assert all(np.array_equal(a, b) for a, b in zip(chunked[:4], whole[:4]))
+        assert chunked[4] == whole[4] == [k for k in range(steps - 1, -1, -1) if k % 2 == 0]
 
     def test_factors_hold_no_whole_path_design(self):
-        # a whole-path (100, 3, 10,000) design is 24 MB; one chunk of 8 steps is 1.9 MB
+        # a whole-path (100, 8, 10,000) buffer of moment rows is 64 MB; one chunk of 2 steps is 1.3 MB
         x = from_component_major(np.random.default_rng(0).standard_normal((101, 2, 10_000)))
-        backward.regression_factors(x)  # numpy's first-use imports are not counted
+        bundle = make_bundle(TimeGrid(1.0, 100), 10_000, seed=0)
+        backward.regression_factors(x, bundle)  # numpy's first-use imports are not counted
         tracemalloc.start()
         try:
-            backward.regression_factors(x)
+            backward.regression_factors(x, bundle)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
 
-    def test_residual_has_the_bits_of_the_numpy_formula(self):
-        rng = np.random.default_rng(5)
-        for shape in ((1, 5000), (3, 777)):
-            targets, fit = rng.standard_normal((2, *shape)) * 10.0 ** rng.integers(-6, 6, (2, *shape))
-            assert backward._rms(targets, fit) == float(np.sqrt(np.mean((targets - fit) ** 2)))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_residuals_are_the_particle_rms_of_targets_minus_fit(self, dim):
+        # the README toy, and a 2-D cloud that is collinear on its first 3 steps; neither h reads Y, so each
+        # step's Y targets and fit are read off the returned (Y, Z) paths
+        if dim == 1:
+            p, grid = problem_from_config(TOY_PROBLEM), TimeGrid(0.25, 40)
+            bundle, x, _ = brownian_paths(p, grid, 3000, seed=6)
+            flow = joint_marginal(x, x)
+        else:
+            p, grid, bundle, x = collinear_start_problem(h_reads_y=False)
+            flow = joint_marginal(x, x)
+        y, z, diag = backward_paths(p, grid, bundle, x, flow)
+        xv, yv, zv, dw = x.component_major, y.component_major, z.component_major, bundle.component_major
+        rms = lambda r: math.sqrt(np.mean(r**2))
+        for k in range(grid.steps):
+            y_targets = yv[k + 1] - p.h(float(grid.nodes[k]), xv[k], yv[k], zv[k], flow[k]) * grid.dt
+            assert diag.y_residuals[k] == pytest.approx(rms(y_targets - yv[k]), rel=1e-8)
+            assert diag.z_residuals[k] == pytest.approx(rms(yv[k + 1] * dw[k] / grid.dt - zv[k]), rel=1e-8)
+
+    def test_fit_along_a_direction_the_cloud_does_not_span_has_no_slope(self):
+        # example 3's X^1 - X^2 is the same for every particle: the fitted Y and Z tables have no slope along it
+        gs = lqgame.example3_game(0.25)
+        p, grid = lqgame.build_aggregated(gs), TimeGrid(0.25, 20)
+        sol = fixpoint.solve(p, grid, fixpoint.SchemeParams(particles=2000), seed=3)
+        y, z, _ = solve_backward(p, grid, sol.bundle, sol.x_ens, joint_marginal(sol.x_ens, sol.y_ens))
+        d = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        for fitted in (y, z):
+            assert np.abs(np.einsum("kij,i->kj", fitted.coef[:, 1:], d)).max() < 1e-6
+
+    def test_identical_particles_fit_the_target_mean_at_every_step(self):
+        # example 3 with sigma = alpha = 0: every particle follows the same path, so every step drops every
+        # direction, and each fit is its targets' mean over the particles
+        gs = dataclasses.replace(lqgame.example3_game(0.25), alpha=[0.0, 0.0])
+        p, grid = lqgame.build_aggregated(gs), TimeGrid(0.25, 10)
+        bundle = make_bundle(grid, 300, seed=2)
+        y0, z0 = (from_component_major(np.zeros((nodes, 2, 300))) for nodes in (grid.steps + 1, grid.steps))
+        x = propagate(p, grid, bundle, y0, z0, y0, z0, joint_marginal(y0, y0), 0.0)
+        flow = joint_marginal(x, x)
+        y, z, diag = backward_paths(p, grid, bundle, x, flow)
+        assert diag.ridge_steps == list(range(grid.steps - 1, -1, -1))
+        xv, yv, zv, dw = x.component_major, y.component_major, z.component_major, bundle.component_major
+        means = lambda targets: np.broadcast_to(targets.mean(axis=1, keepdims=True), targets.shape)
+        for k in range(grid.steps):
+            np.testing.assert_allclose(zv[k], means(yv[k + 1] * dw[k] / grid.dt), rtol=1e-12, atol=0.0)
+            guess = yv[k + 1]
+            for _ in range(backward._PICARD_PASSES):
+                guess = means(yv[k + 1] - p.h(float(grid.nodes[k]), xv[k], guess, zv[k], flow[k]) * grid.dt)
+            np.testing.assert_allclose(yv[k], guess, rtol=1e-12, atol=0.0)
 
     def test_shape_mismatch_rejected(self, martingale_problem):
         grid = TimeGrid(1.0, 5)
@@ -280,66 +339,38 @@ class TestSolveBackward:
 
 
 class TestPredictorPasses:
-    def test_affine_driver_that_reads_no_y_takes_one_pass(self):
-        # the README toy's h = -x - 0.3 z + 0.1 E[Y] reads no Y: a second pass would give the same fit
+    def test_driver_tables_are_read_once_per_step(self):
+        # the predictor passes run on h's term matrices, so h is read once per step, with a y term (two passes
+        # that differ) or without one (the README toy's h = -x - 0.3 z + 0.1 E[Y])
         p = problem_from_config(TOY_PROBLEM)
         grid = TimeGrid(0.25, 100)
         bundle, x, flow = brownian_paths(p, grid, 500, 3)
         calls = []
 
         class Counted(AffineCoeffs):
-            def __call__(self, *args):
+            def affine(self, *args):
                 calls.append(args[0])
-                return super().__call__(*args)
+                return super().affine(*args)
 
-        counted = Counted(1, "h", **TOY_PROBLEM["h"])
-        # the same map with a zero y term kept in, so the solver runs both passes
-        with_y = Counted(1, "h", **TOY_PROBLEM["h"])
-        with_y.terms["y"] = PiecewiseConstant([0.0], [[[0.0]]])
-        outs = []
-        for h in (counted, with_y):
-            y, z, _ = backward_paths(dataclasses.replace(p, h=h), grid, bundle, x, flow)
-            outs.append((y.component_major.tobytes(), z.component_major.tobytes(), len(calls)))
+        counts = []
+        for terms in (TOY_PROBLEM["h"], dict(TOY_PROBLEM["h"], y=0.5)):
+            backward_paths(dataclasses.replace(p, h=Counted(1, "h", **terms)), grid, bundle, x, flow)
+            counts.append(len(calls))
             calls.clear()
-        assert outs[0][:2] == outs[1][:2]
-        assert (outs[0][2], outs[1][2]) == (100, 200)
-
-
-def path_writing_backward(p, grid, bundle, x_ens, flow):
-    """The sweep as it wrote (nodes, m, P) paths: each step's fitted values stored, Y_N = g(X_T) stored."""
-    m, steps, dt = p.dim_state, grid.steps, grid.dt
-    xv = x_ens.component_major
-    shifted, _ = backward.regression_factors(x_ens)
-    y, z = np.empty((steps + 1, m, bundle.particles)), np.empty((steps, m, bundle.particles))
-    y[steps] = p.g(p.horizon, xv[steps], mean=flow[steps])
-    design = np.ones((1 + m, bundle.particles))
-    for k in range(steps - 1, -1, -1):
-        design[1:] = xv[k]
-        fit = lambda targets: np.linalg.solve(shifted[k], design @ targets.T).T @ design
-        z[k] = fit(y[k + 1] * bundle.component_major[k] / dt)
-        guess = y[k + 1]
-        for _ in range(backward._PICARD_PASSES if "y" in p.h.terms else 1):
-            guess = fit(y[k + 1] - p.h(float(grid.nodes[k]), xv[k], guess, z[k], flow[k]) * dt)
-        y[k] = guess
-    return y, z
+        assert counts == [100, 100]
 
 
 class TestFittedMap:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("particles", [777, 5000, 10_001])
     def test_nodes_and_paths_have_the_bits_of_the_sweep_product(self, particles, m):
-        # a sweep fits solve(shifted[k], design @ t.T).T @ design through its own design buffer; a map keeps the
-        # solve in a table and evaluates the product through its own buffer, per node and into built paths
+        # a map evaluates coef_k' [1; X_k] through its own design buffer, per node and into built paths, with the
+        # bits of that product formed on its own; its tables are moment-form fits of random targets
         rng = np.random.default_rng(particles + m)
         steps = 3
         x = from_component_major(rng.standard_normal((steps + 1, m, particles)))
-        shifted, _ = backward.regression_factors(x)
-        design, coef, sweep = np.ones((1 + m, particles)), np.empty((steps, 1 + m, m)), []
-        for k in range(steps):
-            design[1:] = x.component_major[k]
-            t = rng.standard_normal((m, particles))
-            sweep.append(np.linalg.solve(shifted[k], design @ t.T).T @ design)
-            coef[k] = np.linalg.solve(shifted[k], design @ t.T)
+        coef = np.stack([moment_fit(x.values[:, k], rng.standard_normal((particles, m)))[0] for k in range(steps)])
+        sweep = [coef[k].T @ np.vstack([np.ones(particles), x.component_major[k]]) for k in range(steps)]
         last = rng.standard_normal((m, particles))
         fitted = backward.FittedMap(x, coef, last)
         assert all(np.array_equal(fitted.node(k), sweep[k]) for k in range(steps))
@@ -384,7 +415,7 @@ class TestFittedMap:
     @pytest.mark.parametrize("game", [False, True])
     def test_sweep_maps_build_the_paths_the_path_writing_sweep_wrote(self, game):
         # the README toy (m = 1, one predictor pass) and the example-3 adjoint (m = 2, two passes, every step
-        # ridge-flagged) along its state
+        # dropping a direction) along its state, against the recursion on particles
         if game:
             gs = lqgame.example3_game(0.25)
             grid = TimeGrid(gs.horizon, 10)
@@ -398,5 +429,6 @@ class TestFittedMap:
             bundle, x, _ = brownian_paths(p, grid, 777, seed=5)
         flow = joint_marginal(x, x)
         y, z, _ = backward_paths(p, grid, bundle, x, flow)
-        y_ref, z_ref = path_writing_backward(p, grid, bundle, x, flow)
-        assert np.array_equal(y.component_major, y_ref) and np.array_equal(z.component_major, z_ref)
+        y_ref, z_ref, _ = per_step_backward(p, grid, bundle, x, flow)
+        for got, ref in ((y.values, y_ref), (z.values, z_ref)):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())

@@ -287,10 +287,11 @@ class TestGameCommand:
         deviations = json.loads((out / "deviations.json").read_text())
         assert deviations[0]["pass"] is True
 
-    def test_files_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # 12,000 particles: OpenBLAS splits a dot product of more than about 10,000 values across its threads,
-        # so a particle-axis reduction left to BLAS would change the last bits between these runs
-        cfg = write_config(tmp_path, CI_SCALAR_GAME)
+    @staticmethod
+    def game_files_at_1_2_and_4_blas_threads(tmp_path, config) -> list:
+        """(exit code, {file name: bytes}) of `game` on ``config`` at 12,000 particles and 20 steps, run in a fresh
+        process at 1, 2 and 4 OpenBLAS threads."""
+        cfg = write_config(tmp_path, config)
         src = str(Path(cli.__file__).resolve().parents[1])
         runs = []
         for threads in ("1", "2", "4"):
@@ -302,6 +303,18 @@ class TestGameCommand:
             assert "Traceback" not in done.stderr
             runs.append((done.returncode, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
         assert sorted(runs[0][1]) == ["deviations.json", "diagnostics.jsonl", "moments.csv", "report.json"]
+        return runs
+
+    def test_files_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 12,000 particles: OpenBLAS splits a dot product of more than about 10,000 values across its threads,
+        # so a particle-axis reduction left to BLAS would change the last bits between these runs
+        runs = self.game_files_at_1_2_and_4_blas_threads(tmp_path, CI_SCALAR_GAME)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_example3_files_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the same at m = 2: the regression moments, the forward step and the Anderson mix are (1 + 3m)-row and
+        # (2m)-column products over the particles, not dot products
+        runs = self.game_files_at_1_2_and_4_blas_threads(tmp_path, dict(EXAMPLE3, T=0.25))
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_corrupted_control_exits_four(self, tmp_path):
@@ -610,13 +623,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["solve", "game"])
     def test_overflowing_regression_gram_is_divergence(self, tmp_path, capsys, command):
-        # example 3 at T = 50: the forward paths stay finite, but their
-        # regression Gram sums overflow (eigvalsh used to fail on them, a config error)
+        # example 3 at T = 85: the forward paths stay finite, but their
+        # regression moment sums overflow (eigvalsh used to fail on them, a config error)
         out = tmp_path / "o"
-        cfg = write_config(tmp_path, dict(EXAMPLE3, T=50.0))
+        cfg = write_config(tmp_path, dict(EXAMPLE3, T=85.0))
         argv = [command, cfg, "--particles", "300", "--steps", "40", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_NOT_CONVERGED
-        message = "particle system blew up at outer iteration 4: regression Gram matrix overflows at step 25"
+        message = "particle system blew up at outer iteration 2: regression Gram matrix overflows at step 17"
         assert capsys.readouterr().err == f"diverged: {message}\n"
         report = json.loads((out / "report.json").read_text())
         assert report["diverged"] is True and report["message"] == message
