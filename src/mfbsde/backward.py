@@ -19,10 +19,10 @@ iteration), so g reads the frozen E[X_T].  Each fit is the moment form
 whose pseudo-inverse drops the directions the cloud does not span.  The
 coefficients are affine tables, so every target is affine in X_k and in
 w_k = [dW_k; dW_k X_{k+1}; X_{k+1}]: a sweep reads only the per-step
-moments of :func:`regression_factors`, runs on (1 + m, m) tables and
-returns them as :class:`FittedMap`s on its paths, which evaluate nodes
-and build (nodes, m, P) paths on request.  The per-step residuals in
-:class:`RegressionDiagnostics` show the Monte Carlo misfit.
+moments of :func:`regression_factors`, runs on (1 + m, m) tables (Y_N's
+is g's own) and returns them as :class:`FittedMap`s on its paths, which
+evaluate nodes and build (nodes, m, P) paths on request.  The per-step
+residuals in :class:`RegressionDiagnostics` show the Monte Carlo misfit.
 """
 
 from __future__ import annotations
@@ -31,15 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paths import BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major
 from .problem import MfProblem
 
 __all__ = ["FittedMap", "RegressionDiagnostics", "regression_factors", "solve_backward"]
 
 # predictor-corrector passes that resolve h's implicit Y_k on each step
 _PICARD_PASSES = 2
-# steps per batched moment product: a small buffer of [Xc_k; dW_k; dW_k Xc_{k+1}; Xc_{k+1}; 1] rows
-_MOMENT_CHUNK = 2
 
 
 @dataclass
@@ -63,22 +61,17 @@ class RegressionDiagnostics:
 
 class FittedMap:
     """The affine map a backward sweep fitted, V_k = coef_k^T [1; X_k], on the X paths ``x_ens`` it was
-    fitted on: ``coef`` is (fits, 1 + m, dim), ``last`` the read-only (dim, P) node past the tables (Y's g(X_T))
-    or None, and ``design`` a (1 + m, P) buffer of ones that maps on the same paths may share.  :meth:`node`
-    evaluates a node as that product, iterating yields them through one buffer, and :meth:`paths` builds the
-    ensemble."""
+    fitted on: ``coef`` is (nodes, 1 + m, dim), one table per node (Y's last is g's), and ``design`` a
+    (1 + m, P) buffer of ones that maps on the same paths may share.  :meth:`node` evaluates a node as that
+    product, iterating yields them through one buffer, and :meth:`paths` builds the ensemble."""
 
-    def __init__(self, x_ens: PathEnsemble, coef: np.ndarray, last: np.ndarray | None = None, design=None):
-        self.x, self.coef, self.last = x_ens.component_major, coef, last
-        self.nodes, self.dim, self.particles = len(coef) + (last is not None), coef.shape[2], x_ens.particles
+    def __init__(self, x_ens: PathEnsemble, coef: np.ndarray, design=None):
+        self.x, self.coef = x_ens.component_major, coef
+        self.nodes, self.dim, self.particles = len(coef), coef.shape[2], x_ens.particles
         self.design = np.ones((1 + x_ens.dim, x_ens.particles)) if design is None else design
-        if last is not None:
-            last.flags.writeable = False
 
     def node(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
         """The (dim, P) values at node k, written to ``out`` when given."""
-        if k == len(self.coef):
-            return self.last if out is None else np.copyto(out, self.last) or out
         self.design[1:] = self.x[k]
         return np.matmul(self.coef[k].T, self.design, out=out)
 
@@ -110,25 +103,23 @@ def regression_factors(x_ens: PathEnsemble, bundle: BrownianBundle) -> tuple:
 
     The sums run through one product per step of [Xc_k; w_k] against
     [Xc_k; w_k; 1] (distinct operands: numpy's syrk path for a @ a.T is
-    slower), _MOMENT_CHUNK steps to a buffer.  Moments that overflow raise
+    slower), in one row buffer.  Moments that overflow raise
     FloatingPointError naming the first such step.
     """
     xv, dw = x_ens.component_major, bundle.component_major
     steps, m, particles = len(xv) - 1, xv.shape[1], xv.shape[2]
-    chunk = min(steps, _MOMENT_CHUNK)
-    rows = np.empty((chunk, 2 + 3 * m, particles))  # [Xc_k; dW_k; dW_k Xc_{k+1}; Xc_{k+1}; 1]
-    rows[:, -1] = 1.0
+    rows = np.empty((2 + 3 * m, particles))  # [Xc_k; dW_k; dW_k Xc_{k+1}; Xc_{k+1}; 1]
+    rows[-1] = 1.0
+    nxt = rows[1 + 2 * m : -1]
     mom = np.empty((steps, 1 + 3 * m, 2 + 3 * m))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, naming its step
         mu = xv.sum(axis=2) / particles
-        for start in range(0, steps, chunk):
-            lo = min(start, steps - chunk)
-            np.subtract(xv[lo : lo + chunk], mu[lo : lo + chunk, :, None], out=rows[:, :m])
-            rows[:, m] = dw[lo : lo + chunk]
-            nxt = rows[:, 1 + 2 * m : -1]
-            np.subtract(xv[lo + 1 : lo + chunk + 1], mu[lo + 1 : lo + chunk + 1, :, None], out=nxt)
-            np.multiply(rows[:, m : m + 1], nxt, out=rows[:, m + 1 : 1 + 2 * m])
-            np.matmul(rows[:, :-1], rows.transpose(0, 2, 1), out=mom[lo : lo + chunk])
+        for k in range(steps):
+            np.subtract(xv[k], mu[k, :, None], out=rows[:m])
+            rows[m] = dw[k]
+            np.subtract(xv[k + 1], mu[k + 1, :, None], out=nxt)
+            np.multiply(rows[m], nxt, out=rows[m + 1 : 1 + 2 * m])
+            np.matmul(rows[:-1], rows.T, out=mom[k])
         mom /= particles
     finite = np.isfinite(mom).all(axis=(1, 2))
     if not finite.all():
@@ -160,9 +151,10 @@ def solve_backward(
     when omitted.  The recursion runs on tables on [1; X_k - mu_k]: Y_N's
     from g's terms, then Z_k's and E[Y_{k+1} | X_k]'s by projection and
     the predictor passes with h's term matrices.  Returns (y_map, z_map,
-    diagnostics), the fitted maps on ``x_ens`` (Z's with one m-vector per
-    step, Y's last node g(X_T) on the particles).  A non-finite table
-    raises FloatingPointError naming the step swept first that made one.
+    diagnostics), the fitted maps on ``x_ens``: Y's with a table per node,
+    its last g's, and Z's with one per step.  A non-finite g table raises
+    FloatingPointError, and so does a non-finite step table, naming the
+    step swept first that made one.
     """
     m = p.dim_state
     particles, steps = bundle.particles, bundle.steps
@@ -171,16 +163,15 @@ def solve_backward(
     if np.shape(frozen_flow) != (steps + 1, 2 * m):
         raise ValueError(f"frozen_flow has shape {np.shape(frozen_flow)}, expected ({steps + 1}, {2 * m})")
 
-    dt, times, xv = grid.dt, grid.nodes, x_ens.component_major
-    terminal = p.g(p.horizon, xv[steps], mean=frozen_flow[steps])
-    if not all_finite(terminal):
-        raise FloatingPointError("terminal condition produced non-finite values")
+    dt, times = grid.dt, grid.nodes
     mu, proj, innov_w, innov_x, dropped = regression_factors(x_ens, bundle) if factors is None else factors
 
     # centred tables: values tab' [1; X_k - mu_k]; args holds [X_k, Y guess, Z_k]'s tables for h's slopes
     y_tab, z_tab = np.empty((steps + 1, 1 + m, m)), np.empty((steps, 1 + m, m))
     slopes, shift = p.g.affine(p.horizon, frozen_flow[steps])
     y_tab[steps, 0], y_tab[steps, 1:] = slopes[:, :m] @ mu[steps] + shift, slopes[:, :m].T
+    if not np.isfinite(y_tab[steps]).all():
+        raise FloatingPointError("terminal condition produced non-finite values")
     args = np.zeros((1 + m, 3 * m))
     args[1:, :m] = np.eye(m)
     for k in range(steps - 1, -1, -1):
@@ -207,4 +198,4 @@ def solve_backward(
     for tab in (y_tab, z_tab):  # the tables on [1; X_k]
         tab[:, 0] -= np.einsum("ki,kij->kj", mu[: len(tab)], tab[:, 1:])
     design = np.ones((1 + m, particles))
-    return FittedMap(x_ens, y_tab[:steps], terminal, design), FittedMap(x_ens, z_tab, design=design), diag
+    return FittedMap(x_ens, y_tab, design), FittedMap(x_ens, z_tab, design), diag

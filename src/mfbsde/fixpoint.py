@@ -200,28 +200,29 @@ class _Anderson:
     """Anderson mixing of the sweep map u -> F(u), u = (Y, Z), with memory
     ``depth`` (Walker & Ni, SIAM J. Numer. Anal. 2011).  X is not mixed.
 
-    The sweep outputs F are the (Y, Z) fitted maps of the backward sweeps;
-    the last ``depth + 1`` are kept.  Y and Z each have a current-iterate
-    array of their paths' shape and a (depth, *shape) ring of the last
-    residual differences dR, r = F(u) - u, allocated once per solve; the
-    ring slot the next observe overwrites holds the last r itself.  gamma
-    solves (dR' dR) gamma = dR' r with ``lstsq`` (minimum norm when
-    singular), and the mix F_n - sum_i gamma_i (F_{i+1} - F_i) is
-    sum_j alpha_j F_j, alpha = diff([0, gamma, 1]); it is F(u) when there
-    is no history or the Gram matrix, the right-hand side or the mix is not
-    finite.  Both passes run one node block (part, k) of (dim, P) values at
-    a time, while it is in cache: :meth:`observe` forms r, its ring
-    difference, the Gram row, the right-hand side and the per-node squared
-    residuals, and writes F to the current iterate; :meth:`mix` writes each
-    node of each part as one product of the window's alpha-scaled, stacked
-    tables with [1; X^(0)_k; X^(1)_k; ...], each output's own X paths (Y's
-    last node is sum_j alpha_j g(X^(j)_T)).  The sums over particles are
-    ``einsum``s, so their bits do not depend on the BLAS thread count.
+    The sweep outputs F are the (Y, Z) fitted maps of the backward sweeps,
+    each pair on its sweep's X paths; the last ``depth + 1`` are kept.  Y
+    and Z each have a mix array of their paths' shape, which only
+    :meth:`mix` writes, and a (depth, *shape) ring of the last residual
+    differences dR, r = F(u) - u, allocated once per solve; the ring slot
+    the next observe overwrites holds the last r itself.  gamma solves
+    (dR' dR) gamma = dR' r with ``lstsq`` (minimum norm when singular), and
+    the mix F_n - sum_i gamma_i (F_{i+1} - F_i) is sum_j alpha_j F_j,
+    alpha = diff([0, gamma, 1]); alpha = [1] on the newest output when
+    there is no history or the Gram matrix, the right-hand side or the mix
+    is not finite.  Both passes run one node block (part, k) of (dim, P)
+    values at a time, while it is in cache: :meth:`observe` forms r, its
+    ring difference, the Gram row, the right-hand side and the per-node
+    squared residuals; :meth:`mix` writes each node of both parts as
+    products of the window's alpha-scaled, stacked tables with one design
+    [1; X^(0)_k; X^(1)_k; ...] of the outputs' X paths.  The sums over
+    particles are ``einsum``s, so their bits do not depend on the BLAS
+    thread count.
     """
 
     def __init__(self, depth: int, y_shape: tuple, z_shape: tuple):
         self.depth, shapes = depth, (y_shape, z_shape)
-        self.cur = [np.zeros(s) for s in shapes]  # the zero triple's (Y, Z) until the first observe
+        self.mixes = [np.empty(s) for s in shapes]
         self.dr = [np.zeros((depth, *s)) for s in shapes]
         self.scratch = [np.empty(s[1:]) for s in shapes]
         self.gram, self.rhs = np.zeros((depth, depth)), np.zeros(depth)
@@ -231,32 +232,26 @@ class _Anderson:
         """Forget the history and the outputs in it (an inner solve ends)."""
         self.maps, self.stored = [], -1
 
-    def iterate(self) -> tuple[PathEnsemble, PathEnsemble]:
-        """The current (Y, Z) as views: the last mix, the output last observed if no mix followed, or 0."""
-        return tuple(from_component_major(c[:]) for c in self.cur)
-
     def observe(self, new, old) -> tuple[np.ndarray, np.ndarray]:
-        """Pass 1 for the sweep from the iterate ``old`` = (Y, Z) paths to
-        ``new`` = F(old), a (Y, Z) pair of fitted maps; returns the per-node
-        means over particles of |r|^2, for the Y nodes and for the Z steps.
-        F becomes the current iterate, so ``old`` may be its views."""
+        """Pass 1 for the sweep from the iterate ``old`` = (Y, Z), path
+        ensembles or fitted maps, to ``new`` = F(old), a (Y, Z) pair of
+        fitted maps; returns the per-node means over particles of |r|^2, for
+        the Y nodes and for the Z steps."""
         self.maps.append(tuple(new))
         slot, self.stored = self.stored % self.depth, self.stored + 1
         hist, nxt = min(self.stored, self.depth), self.stored % self.depth
         row, rhs, msr = np.zeros(hist), np.zeros(hist), []
-        for fmap, e, cur, dr, buf in zip(new, old, self.cur, self.dr, self.scratch):
-            sq = np.empty(len(cur))
-            for k, v in enumerate(e.component_major):
-                f = fmap.node(k, out=buf)
-                r = f - v
+        for fmap, e, dr, buf in zip(new, old, self.dr, self.scratch):
+            sq = np.empty(fmap.nodes)
+            for k in range(fmap.nodes):
+                r = np.subtract(fmap.node(k, out=buf), e.node(k), out=buf)
                 sq[k] = np.einsum("ij,ij->", r, r)
                 if hist:
                     np.subtract(r, dr[slot, k], out=dr[slot, k])
                     row += np.einsum("hij,ij->h", dr[:hist, k], dr[slot, k])
                     rhs += np.einsum("hij,ij->h", dr[:hist, k], r)
                 dr[nxt, k] = r
-                cur[k] = f
-            msr.append(sq / cur.shape[-1])
+            msr.append(sq / fmap.particles)
         if hist:
             self.gram[slot, :hist] = self.gram[:hist, slot] = row
             self.rhs[:hist] = rhs
@@ -265,55 +260,55 @@ class _Anderson:
     def mix(self) -> tuple[PathEnsemble, PathEnsemble]:
         """Pass 2: the next iterate (Y, Z) after the output last observed,
         or that output's values when there is no history or the step is
-        not finite, as views of the current iterate."""
+        not finite, as views of the mix arrays."""
         hist = min(self.stored, self.depth)
         order = [(self.stored - hist + i) % self.depth for i in range(hist)]
         gram, rhs = self.gram[np.ix_(order, order)], self.rhs[order]
+        alpha = np.ones(1)  # the newest output
         if order and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs)):
             alpha = np.diff(np.linalg.lstsq(gram, rhs, rcond=None)[0], prepend=0.0, append=1.0)
-            parts = list(zip(*self.maps[-1 - hist :]))  # per part, the window's maps, oldest first
-            # node k of a part as one product [sum_i alpha_i c_i; alpha_0 C_0; ...]' [1; X^(0)_k; ...] of the
-            # outputs' tables [c_i; C_i], through one design per part, or one for both when they share X paths
-            tables = [np.concatenate([np.einsum("i,ikd->kd", alpha, [f.coef[:, 0] for f in maps])[:, None],
-                                      *(a * f.coef[:, 1:] for a, f in zip(alpha, maps))], axis=1) for maps in parts]
-            shared = all(f.x is g.x for f, g in zip(*parts))
-            designs = [np.ones((t.shape[1], self.cur[0].shape[-1])) for t in tables[: 1 if shared else None]]
-            for k in range(len(self.cur[0])):
-                for j, (maps, table, cur) in enumerate(zip(parts, tables, self.cur)):
-                    if k < len(table):
-                        if j == 0 or not shared:
-                            np.concatenate([f.x[k] for f in maps], out=designs[j][1:])
-                        np.matmul(table[k].T, designs[0 if shared else j], out=cur[k])
-                    elif k < len(cur):  # Y's last node, past the tables
-                        np.einsum("i,ijp->jp", alpha, [f.last for f in maps], out=cur[k])
-            if not all(map(all_finite, self.cur)):
-                for fmap, cur in zip(self.maps[-1], self.cur):
-                    for k, node in enumerate(cur):
-                        fmap.node(k, out=node)
+        if not self._combine(alpha) and len(alpha) > 1:
+            self._combine(np.ones(1))
         del self.maps[: -self.depth]
-        return self.iterate()
+        return tuple(from_component_major(a[:]) for a in self.mixes)
+
+    def _combine(self, alpha: np.ndarray) -> bool:
+        """Write sum_j alpha_j F_j over the last len(alpha) outputs, oldest first, to the mix arrays and
+        return whether it is finite: node k of a part is one product [sum_j alpha_j c_j; alpha_0 C_0; ...]'
+        [1; X^(0)_k; ...] of the outputs' tables [c_j; C_j], through one design for both parts (an output's Y
+        and Z maps share its X paths)."""
+        window = self.maps[-len(alpha) :]
+        tables = [np.concatenate([np.einsum("i,ikd->kd", alpha, [f.coef[:, 0] for f in maps])[:, None],
+                                  *(a * f.coef[:, 1:] for a, f in zip(alpha, maps))], axis=1)
+                  for maps in zip(*window)]
+        design = np.ones((tables[0].shape[1], self.mixes[0].shape[-1]))
+        for k in range(len(self.mixes[0])):
+            np.concatenate([y.x[k] for y, _ in window], out=design[1:])
+            for table, out in zip(tables, self.mixes):
+                if k < len(table):
+                    np.matmul(table[k].T, design, out=out[k])
+        return all(map(all_finite, self.mixes))
 
 
 def _inner_solve(p, grid, bundle, params: SchemeParams, flow, prev, accel: _Anderson):
     """Solve the frozen-flow (standard) FBSDE by alternating sweeps.
 
     ``prev`` is the previous outer iterate, X paths and (Y, Z) fitted maps:
-    the maps give the damping pair, and the sweeps start from their values,
-    which the mixer's current iterate holds, so the current (Y, Z) is
-    always paths in the mixer's arrays.  One sweep propagates X under the
-    current (Y, Z) and re-regresses the backward pair along the new paths;
-    the next sweep starts from the Anderson mix of the swept pairs.  The X
-    part of the sweep gap is taken as soon as the new paths exist.  Runs at
-    least _INNER_MIN_SWEEPS sweeps and stops once the sweep-to-sweep gap drops
+    the maps give the damping pair and the first sweep's (Y, Z); later
+    sweeps start from the Anderson mix of the swept pairs, which the
+    mixer's arrays hold.  One sweep propagates X under the current (Y, Z)
+    and re-regresses the backward pair along the new paths.  The X part of
+    the sweep gap is taken as soon as the new paths exist.  Runs at least
+    _INNER_MIN_SWEEPS sweeps and stops once the sweep-to-sweep gap drops
     below (tol/10)^2 (well below the outer stopping threshold), when
     :func:`diverging` flags the sweep gaps (left to the outer solve to
     classify) or at the sweep cap.  Returns the last swept X paths and
-    (Y, Z) maps (their values stay in the mixer), its regression
-    diagnostics, why the solve stopped ("target", "growth" or "cap"), its
-    sweep count and its last sweep-to-sweep gap.
+    (Y, Z) maps, its regression diagnostics, why the solve stopped
+    ("target", "growth" or "cap"), its sweep count and its last
+    sweep-to-sweep gap.
     """
     x_cur, y_prev, z_prev = prev
-    y_cur, z_cur = accel.iterate()
+    y_cur, z_cur = y_prev, z_prev
     target = (0.1 * params.tol) ** 2
     gaps = []
     for sweep in range(1, _INNER_MAX_SWEEPS + 1):
@@ -369,8 +364,8 @@ def solve(
 
     # the (Y, Z) shapes; X shares Y's, and the iteration starts from the zero triple: zero tables on zero paths
     shapes = (grid.steps + 1, m, params.particles), (grid.steps, m, params.particles)
-    x_cur, tables = from_component_major(np.zeros(shapes[0])), np.zeros((grid.steps, 1 + m, m))
-    prev = x_cur, FittedMap(x_cur, tables, np.zeros(shapes[0][1:])), FittedMap(x_cur, tables)
+    x_cur, tables = from_component_major(np.zeros(shapes[0])), np.zeros((grid.steps + 1, 1 + m, m))
+    prev = x_cur, FittedMap(x_cur, tables), FittedMap(x_cur, tables[:-1])
 
     history: list[IterationDiagnostics] = []
     converged = False
@@ -383,7 +378,7 @@ def solve(
                 p, grid, bundle, params, flow, prev, accel
             )
 
-        gap_xt, gap_u = _gaps(grid, (x_cur, *accel.iterate()), prev)  # the new (Y, Z) values are the mixer's
+        gap_xt, gap_u = _gaps(grid, (x_cur, y_cur, z_cur), prev)
         gap_total = gap_xt + gap_u
         prev_gap = history[-1].gap_total if history else math.nan
         ratio = gap_total / prev_gap if 0 < prev_gap < math.inf else math.nan

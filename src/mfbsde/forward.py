@@ -33,9 +33,11 @@ def propagate(
 
     ``frozen_flow`` is the previous iterate's (steps + 1, 2m) table of
     (E[X_k], E[Y_k]) (:func:`~mfbsde.paths.joint_marginal`); the step from
-    t_k reads row k.  The damping pair (``y_prev``, ``z_prev``) is path
-    ensembles or fitted maps, read a node at a time into the step's design
-    rows.  All particles start at the problem's x0.  Each step is
+    t_k reads row k.  The iterate (``y_ens``, ``z_ens``) and the damping
+    pair (``y_prev``, ``z_prev``) are path ensembles or fitted maps, each
+    read a node at a time into the step's design rows, and the damping
+    differences subtract from the iterate's rows.  All particles start at
+    the problem's x0.  Each step is
     x_{k+1} = D' [1; x_k; y_k; z_k; dW_k; y_k - y_prev] + diffusion dW_k, one
     stacked product with f's and sigma's tables at (t_k, row k).
     A non-finite X, checked once after the last step, raises
@@ -58,13 +60,14 @@ def propagate(
     dt, times = grid.dt, grid.nodes
     x = np.empty((steps + 1, m, particles))
     x[0] = p.x0[:, None]
-    yv, zv, dw = y_ens.component_major, z_ens.component_major, bundle.component_major
+    dw = bundle.component_major
     # the damping differences that are on: y - y_prev and, unless sigma is law-free, z - z_prev
-    damp = [(y_prev, yv), (z_prev, zv)][: 0 if delta <= 0.0 else 1 if p.law_free_sigma else 2]
+    damp = [y_prev, z_prev][: 0 if delta <= 0.0 else 1 if p.law_free_sigma else 2]
     noisy = len(damp) == 2 or bool({"x", "y", "z"} & set(p.sigma.terms))  # else the diffusion is shift * dW_k
     # one product per step: the table [drift dt | diffusion slopes], with dt, the identity and -delta folded in,
     # on the design [1; x_k; y_k; z_k; dW_k; the damping differences]
     design = np.ones((2 + (3 + len(damp)) * m, particles))
+    rows = design[1 + m : 1 + 2 * m], design[1 + 2 * m : 1 + 3 * m]  # y_k's and z_k's
     table, eye = np.zeros((len(design), 2 * m if noisy else m)), np.eye(m)
     for j in range(len(damp)):  # -delta dt on y's difference in the drift, -delta on z's in the diffusion
         table[2 + (3 + j) * m : 2 + (4 + j) * m, j * m : (j + 1) * m] = -delta * (dt, 1.0)[j] * eye
@@ -78,10 +81,12 @@ def propagate(
         slopes, table[1 + 3 * m, :m] = p.sigma.affine(t_k, frozen_flow[k])
         if noisy:
             table[1 : 1 + 3 * m, m:] = slopes.T
-        np.concatenate([x[k], yv[k], zv[k], dw[k][None]], out=design[1 : 2 + 3 * m])
-        for j, (prev, v) in enumerate(damp):
-            rows = design[2 + (3 + j) * m : 2 + (4 + j) * m]
-            np.subtract(v[k], prev.node(k, out=rows), out=rows)
+        design[1 : 1 + m], design[1 + 3 * m] = x[k], dw[k]
+        for e, r in zip((y_ens, z_ens), rows):
+            e.node(k, out=r)
+        for j, (prev, r) in enumerate(zip(damp, rows)):
+            diff = design[2 + (3 + j) * m : 2 + (4 + j) * m]
+            np.subtract(r, prev.node(k, out=diff), out=diff)
         np.matmul(table.T, design, out=out if noisy else x[k + 1])
         if noisy:
             np.add(out[:m], np.multiply(out[m:], dw[k], out=out[m:]), out=x[k + 1])

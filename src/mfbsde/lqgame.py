@@ -198,11 +198,15 @@ class GameSpec:
         return [np.linalg.solve(nn, c.T) for c, nn in zip(self.C, self.N)]
 
     def k_matrices(self) -> list[np.ndarray]:
-        """K_i = C_i N_i^{-1} C_i', symmetric positive semidefinite."""
+        """K_i = C_i N_i^{-1} C_i', symmetric positive semidefinite; one that overflows raises
+        FloatingPointError naming it."""
         out = []
-        for c, nn in zip(self.C, self.N):
-            k = c @ np.linalg.solve(nn, c.T)
-            out.append((k + k.T) / 2.0)
+        for i, (c, nn) in enumerate(zip(self.C, self.N)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                k = c @ np.linalg.solve(nn, c.T)
+                out.append((k + k.T) / 2.0)
+            if not np.isfinite(out[-1]).all():
+                raise FloatingPointError(f"K_{i} = C_{i} N_{i}^-1 C_{i}' overflows")
         return out
 
 
@@ -505,7 +509,7 @@ def _solve_adjoint(gs, i, sol, params, factors) -> tuple[PathEnsemble, PathEnsem
     flags, raise :class:`fixpoint.Diverged` with the aggregated solve's history."""
     prob = _adjoint_problem(gs, i)
     grid, bundle, x_ens = sol.grid, sol.bundle, sol.x_ens
-    p_map = FittedMap(x_ens, np.zeros((grid.steps, 1 + gs.n, gs.n)), np.zeros((gs.n, bundle.particles)))
+    p_map = FittedMap(x_ens, np.zeros((grid.steps + 1, 1 + gs.n, gs.n)))
     gaps = []
     for n in range(1, _ADJOINT_MAX_PASSES + 1):
         with fixpoint.blowups_diverge(f"adjoint of player {i} blew up at pass {n}", sol.history):

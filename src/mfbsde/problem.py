@@ -557,6 +557,8 @@ def problem_from_config(cfg: dict) -> MfProblem:
         require_numbers(cfg.get(key, {}), key)
     require_numbers({key: v for key, v in cfg.get("monotonicity", {}).items() if key != "variant"}, "monotonicity")
     m = int(cfg["dim"])
+    if m < 1:
+        raise ValueError(f"dim must be >= 1, got {m}")
     horizon = float(cfg["horizon"])
     x0 = coerce(cfg["x0"], (m,), "x0")
     tables = {name: AffineCoeffs(m, name, **cfg.get(name, {})) for name in ("f", "h", "sigma", "g")}

@@ -254,19 +254,6 @@ class TestSolveBackward:
         with pytest.raises(FloatingPointError, match="^regression Gram matrix overflows at step 2$"):
             backward.regression_factors(from_component_major(x), bundle)
 
-    @pytest.mark.parametrize("particles", [777, 10_000])
-    @pytest.mark.parametrize("steps", [1, 2, 7, 9, 100])
-    def test_chunked_grams_have_the_bits_of_the_whole_path_product(self, steps, particles, monkeypatch):
-        rng = np.random.default_rng(steps)
-        xv = rng.standard_normal((steps + 1, 2, particles))
-        xv[::2, 1] = 2.0 * xv[::2, 0] + 1.0  # even steps are rank deficient and drop a direction
-        x, bundle = from_component_major(xv), make_bundle(TimeGrid(1.0, steps), particles, seed=steps)
-        chunked = backward.regression_factors(x, bundle)
-        monkeypatch.setattr(backward, "_MOMENT_CHUNK", steps)  # one product over the whole path
-        whole = backward.regression_factors(x, bundle)
-        assert all(np.array_equal(a, b) for a, b in zip(chunked[:4], whole[:4]))
-        assert chunked[4] == whole[4] == [k for k in range(steps - 1, -1, -1) if k % 2 == 0]
-
     def test_factors_hold_no_whole_path_design(self):
         # a whole-path (100, 8, 10,000) buffer of moment rows is 64 MB; one chunk of 2 steps is 1.3 MB
         x = from_component_major(np.random.default_rng(0).standard_normal((101, 2, 10_000)))
@@ -301,13 +288,14 @@ class TestSolveBackward:
 
     def test_fit_along_a_direction_the_cloud_does_not_span_has_no_slope(self):
         # example 3's X^1 - X^2 is the same for every particle: the fitted Y and Z tables have no slope along it
+        # (Y's last table is g's own, whose slope is not fitted)
         gs = lqgame.example3_game(0.25)
         p, grid = lqgame.build_aggregated(gs), TimeGrid(0.25, 20)
         sol = fixpoint.solve(p, grid, fixpoint.SchemeParams(particles=2000), seed=3)
         y, z, _ = solve_backward(p, grid, sol.bundle, sol.x_ens, joint_marginal(sol.x_ens, sol.y_ens))
         d = np.array([1.0, -1.0]) / math.sqrt(2.0)
         for fitted in (y, z):
-            assert np.abs(np.einsum("kij,i->kj", fitted.coef[:, 1:], d)).max() < 1e-6
+            assert np.abs(np.einsum("kij,i->kj", fitted.coef[: grid.steps, 1:], d)).max() < 1e-6
 
     def test_identical_particles_fit_the_target_mean_at_every_step(self):
         # example 3 with sigma = alpha = 0: every particle follows the same path, so every step drops every
@@ -365,26 +353,16 @@ class TestFittedMap:
     @pytest.mark.parametrize("particles", [777, 5000, 10_001])
     def test_nodes_and_paths_have_the_bits_of_the_sweep_product(self, particles, m):
         # a map evaluates coef_k' [1; X_k] through its own design buffer, per node and into built paths, with the
-        # bits of that product formed on its own; its tables are moment-form fits of random targets
+        # bits of that product formed on its own; its tables, the terminal node's included, are moment-form fits
+        # of random targets
         rng = np.random.default_rng(particles + m)
-        steps = 3
-        x = from_component_major(rng.standard_normal((steps + 1, m, particles)))
-        coef = np.stack([moment_fit(x.values[:, k], rng.standard_normal((particles, m)))[0] for k in range(steps)])
-        sweep = [coef[k].T @ np.vstack([np.ones(particles), x.component_major[k]]) for k in range(steps)]
-        last = rng.standard_normal((m, particles))
-        fitted = backward.FittedMap(x, coef, last)
-        assert all(np.array_equal(fitted.node(k), sweep[k]) for k in range(steps))
-        assert np.array_equal(fitted.node(steps), last)
-        assert np.array_equal(fitted.paths().component_major, np.stack([*sweep, last]))
-
-    def test_terminal_node_is_read_only(self):
-        x = from_component_major(np.random.default_rng(2).standard_normal((3, 1, 40)))
-        fitted = backward.FittedMap(x, np.ones((2, 2, 1)), np.ones((1, 40)))
-        with pytest.raises(ValueError, match="read-only"):
-            fitted.node(2)[0, 0] = 5.0
-        with pytest.raises(ValueError, match="read-only"):
-            np.subtract(x.component_major[2], 1.0, out=fitted.node(2))
-        assert np.array_equal(fitted.node(2), np.ones((1, 40)))
+        nodes = 4
+        x = from_component_major(rng.standard_normal((nodes, m, particles)))
+        coef = np.stack([moment_fit(x.values[:, k], rng.standard_normal((particles, m)))[0] for k in range(nodes)])
+        sweep = [coef[k].T @ np.vstack([np.ones(particles), x.component_major[k]]) for k in range(nodes)]
+        fitted = backward.FittedMap(x, coef)
+        assert all(np.array_equal(fitted.node(k), sweep[k]) for k in range(nodes))
+        assert np.array_equal(fitted.paths().component_major, np.stack(sweep))
 
     @pytest.mark.parametrize("game", [False, True])
     def test_flow_cloud_of_a_fitted_map_has_the_bits_of_the_cloud_of_its_paths(self, game):

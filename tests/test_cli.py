@@ -271,6 +271,14 @@ class TestSolveCommand:
         assert (outs[0] / "moments.csv").read_bytes() == (outs[1] / "moments.csv").read_bytes()
 
 
+    def test_files_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the README toy (m = 1) at 12,000 particles: its sigma reads the state, so the forward step takes its
+        # diffusion-product branch, and the inner solve mixes and reads (Y, Z) maps at every sweep
+        runs = TestGameCommand.game_files_at_1_2_and_4_blas_threads(tmp_path, TOY_PROBLEM, command="solve")
+        assert runs[0][0] == cli.EXIT_OK
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 class TestGameCommand:
     def test_scalar_game_full_run(self, tmp_path):
         cfg = write_config(tmp_path, SCALAR_GAME)
@@ -288,9 +296,9 @@ class TestGameCommand:
         assert deviations[0]["pass"] is True
 
     @staticmethod
-    def game_files_at_1_2_and_4_blas_threads(tmp_path, config) -> list:
-        """(exit code, {file name: bytes}) of `game` on ``config`` at 12,000 particles and 20 steps, run in a fresh
-        process at 1, 2 and 4 OpenBLAS threads."""
+    def game_files_at_1_2_and_4_blas_threads(tmp_path, config, command="game") -> list:
+        """(exit code, {file name: bytes}) of ``command`` (`game`, or `solve`, which writes no deviations.json) on
+        ``config`` at 12,000 particles and 20 steps, run in a fresh process at 1, 2 and 4 OpenBLAS threads."""
         cfg = write_config(tmp_path, config)
         src = str(Path(cli.__file__).resolve().parents[1])
         runs = []
@@ -298,11 +306,12 @@ class TestGameCommand:
             out = tmp_path / f"threads_{threads}"
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            argv = ["game", cfg, "--particles", "12000", "--steps", "20", "--seed", "5", "--out", str(out)]
+            argv = [command, cfg, "--particles", "12000", "--steps", "20", "--seed", "5", "--out", str(out)]
             done = subprocess.run([sys.executable, "-m", "mfbsde.cli", *argv], env=env, capture_output=True, text=True)
             assert "Traceback" not in done.stderr
             runs.append((done.returncode, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
-        assert sorted(runs[0][1]) == ["deviations.json", "diagnostics.jsonl", "moments.csv", "report.json"]
+        files = ["diagnostics.jsonl", "moments.csv", "report.json"]
+        assert sorted(runs[0][1]) == sorted(files + ["deviations.json"] if command == "game" else files)
         return runs
 
     def test_files_do_not_depend_on_the_blas_thread_count(self, tmp_path):
@@ -592,6 +601,21 @@ class TestExitCodes:
         if command == "game":
             report = json.loads((out / "report.json").read_text())
             assert report["numerical_blowup"] is True and report["message"] == message
+
+    @pytest.mark.parametrize("command", ["check", "solve", "game"])
+    def test_overflowing_k_matrix_is_numerical_blowup(self, tmp_path, capsys, command):
+        # K_0 = C_0 N_0^-1 C_0' = 1e200 * 1e200 / 1e-200 overflows although C_0 and N_0 are finite
+        game = {"kind": "game", "n": 1, "m": 1, "T": 1, "x0": [1], "C": [[[1e200]]], "N": [[[1e-200]]]}
+        argv = [command, write_config(tmp_path, game)] + ([] if command == "check" else ["--out", str(tmp_path / "o")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == cli.EXIT_NOT_CONVERGED
+        assert capsys.readouterr().err == "numerical blow-up: K_0 = C_0 N_0^-1 C_0' overflows\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_nonpositive_dimension_is_config_error(self, tmp_path, capsys):
+        assert cli.main(["check", write_config(tmp_path, dict(TOY_PROBLEM, dim=-1))]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: dim must be >= 1, got -1\n"
 
     @pytest.mark.parametrize("payload, key", [
         (dict(TOY_PROBLEM, dim=1.9), "dim"),

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mfbsde import fixpoint
+from mfbsde import backward, fixpoint, lqgame
 from mfbsde.backward import FittedMap, solve_backward
 from mfbsde.fixpoint import Diverged, IterationDiagnostics, MfSolution, SchemeParams
 from mfbsde.forward import propagate
@@ -232,17 +232,19 @@ def split(v, y_shape, z_shape):
     return [from_component_major(a.reshape(s)) for a, s in zip(np.split(v.copy(), [cut]), (y_shape, z_shape))]
 
 
-def fitted(e, terminal):
-    """A fitted map whose node values are the paths ``e`` exactly: [0; I] tables on ``e`` itself (0 * 1 + 1 * x
-    is x), with the last node held as terminal values when ``terminal`` (a Y map) and not otherwise (a Z map)."""
-    nodes, dim, _ = e.component_major.shape
-    coef = np.zeros((nodes - 1 if terminal else nodes, 1 + dim, dim))
-    coef[:, 1:] = np.eye(dim)
-    return FittedMap(e, coef, e.component_major[-1] if terminal else None)
-
-
 def fitted_pair(y, z):
-    return fitted(y, True), fitted(z, False)
+    """The (Y, Z) maps of one sweep whose node values are the paths ``y`` and ``z`` exactly: tables on one shared
+    X path set on which particle p sits at the unit vector e_p at every node, each part's node-k table [0; V_k']
+    holding its values, so that [0; V_k'] times [1; e_p] is particle p's V_k (the other products are zero for
+    finite values, and there are none on one particle)."""
+    particles = y.particles
+    x = from_component_major(np.tile(np.eye(particles), (y.nodes, 1, 1)))
+    maps = []
+    for e in (y, z):
+        coef = np.zeros((e.nodes, 1 + particles, e.dim))
+        coef[:, 1:] = e.component_major.transpose(0, 2, 1)
+        maps.append(FittedMap(x, coef))
+    return tuple(maps)
 
 
 class FlatAnderson:
@@ -415,6 +417,36 @@ class TestAndersonMemory:
         assert fixpoint._gaps(grid, new, old) == want
         # the form the outer solve takes: the new (Y, Z) as paths, the old iterate's as maps
         assert fixpoint._gaps(grid, [new[0], *(from_component_major(a) for a in paths[0][1:])], old) == want
+
+
+class TestDroppedDirections:
+    @pytest.mark.parametrize("game", [False, True], ids=["toy", "example3"])
+    def test_dropped_steps_are_the_same_on_every_sweep_of_an_inner_solve(self, game, monkeypatch):
+        # the sweeps of one inner solve iterate one map only if each step keeps the same directions: example 3's
+        # X^1 - X^2 is the same for every particle, so every step drops it, and the toy's cloud is a point mass
+        # only at node 0
+        dropped, factors = [], backward.regression_factors
+
+        def recording(*args):
+            out = factors(*args)
+            dropped.append(out[4])
+            return out
+
+        monkeypatch.setattr(backward, "regression_factors", recording)
+        if game:
+            p, grid, seed = lqgame.build_aggregated(lqgame.example3_game(0.25)), TimeGrid(0.25, 20), 3
+            params = SchemeParams(particles=2000)
+        else:
+            p, grid, seed = problem_from_config(TOY_PROBLEM), TimeGrid(0.25, 40), 11
+            params = SchemeParams(delta=0.01, tol=1e-5, max_outer=8, particles=2000)
+        sol = fixpoint.solve(p, grid, params, seed=seed)
+        assert sol.converged and len(dropped) == sum(rec.inner_sweeps for rec in sol.history)
+        start = 0
+        for rec in sol.history:
+            sweeps = dropped[start : start + rec.inner_sweeps]
+            assert all(steps == sweeps[0] for steps in sweeps)
+            start += rec.inner_sweeps
+        assert all(steps == (list(range(grid.steps - 1, -1, -1)) if game else [0]) for steps in dropped)
 
 
 class TestToyOracle:
