@@ -60,13 +60,15 @@ class RegressionDiagnostics:
 
 
 class FittedMap:
-    """The affine map a backward sweep fitted, V_k = coef_k^T [1; X_k], on the X paths ``x_ens`` it was
-    fitted on: ``coef`` is (nodes, 1 + m, dim), one table per node (Y's last is g's), and ``design`` a
-    (1 + m, P) buffer of ones that maps on the same paths may share.  :meth:`node` evaluates a node as that
-    product, iterating yields them through one buffer, and :meth:`paths` builds the ensemble."""
+    """The affine map V_k = coef_k^T [1; X_k] on the X paths ``x_ens``, the stored form of every fitted
+    quantity a solve returns (Y, Z, each p_i and q_i, each control): ``coef`` is (nodes, 1 + m, dim), one
+    table per node (Y's last is g's), made read-only, and ``design`` a (1 + m, P) buffer of ones that maps on
+    the same paths may share.  :meth:`node` evaluates a node as that product, iterating yields them through
+    one buffer, :meth:`paths` builds the ensemble and ``values`` its particle-major array, on each read."""
 
     def __init__(self, x_ens: PathEnsemble, coef: np.ndarray, design=None):
         self.x, self.coef = x_ens.component_major, coef
+        coef.flags.writeable = False
         self.nodes, self.dim, self.particles = len(coef), coef.shape[2], x_ens.particles
         self.design = np.ones((1 + x_ens.dim, x_ens.particles)) if design is None else design
 
@@ -84,6 +86,10 @@ class FittedMap:
         for k, block in enumerate(out):
             self.node(k, out=block)
         return from_component_major(out)
+
+    @property
+    def values(self) -> np.ndarray:  # the (particles, nodes, dim) values, built on each read
+        return self.paths().values
 
 
 def regression_factors(x_ens: PathEnsemble, bundle: BrownianBundle) -> tuple:

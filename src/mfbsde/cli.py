@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixpoint, lqgame
-from .paths import TimeGrid, moments_to_csv
+from .paths import PathEnsemble, TimeGrid, moments_to_csv
 from .problem import check_H1, problem_from_config
 
 EXIT_OK = 0
@@ -193,7 +193,7 @@ def cmd_game(args) -> int:
     if args.corrupt_control is not None:
         # test hook: shift player 0's control and re-evaluate
         corrupted = list(nash.controls)
-        corrupted[0] = dataclasses.replace(corrupted[0], values=corrupted[0].values + args.corrupt_control)
+        corrupted[0] = PathEnsemble(corrupted[0].values + args.corrupt_control)
         nash = dataclasses.replace(nash, controls=corrupted)
     reports = [
         lqgame.deviation_test(

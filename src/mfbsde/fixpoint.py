@@ -102,6 +102,8 @@ class SchemeParams:
             raise ValueError("delta must be nonnegative")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.tol * self.tol == math.inf:
+            raise ValueError(f"tol {self.tol!r} is too large: the outer target tol^2 overflows")
         if (0.1 * self.tol) ** 2 == 0:
             raise ValueError(f"tol {self.tol!r} is too small: the inner target (tol/10)^2 underflows to 0")
         if self.max_outer < 1:
@@ -151,13 +153,13 @@ class IterationDiagnostics:
 
 @dataclass
 class MfSolution:
-    """Converged (or last) iterate of the scheme."""
+    """Converged (or last) iterate of the scheme: X paths and the last sweep's (Y, Z) fitted maps on them."""
 
     grid: TimeGrid
     bundle: BrownianBundle
     x_ens: PathEnsemble
-    y_ens: PathEnsemble
-    z_ens: PathEnsemble
+    y_ens: FittedMap
+    z_ens: FittedMap
     history: list
     converged: bool
 
@@ -350,8 +352,8 @@ def solve(
     tol^2 or max_outer is reached.
 
     The iterate starts from the zero triple and is kept as X paths and the
-    last sweep's (Y, Z) fitted maps; the (Y, Z) paths are built once, at
-    the end, after the mixer is released.  Raises :class:`Diverged` when
+    last sweep's (Y, Z) fitted maps, which the solution returns as they
+    are (no (Y, Z) paths are built).  Raises :class:`Diverged` when
     the gap is not finite or grows by more than 10x across 3 consecutive
     outer steps, or when the particle system blows up
     (:func:`blowups_diverge`).
@@ -408,16 +410,8 @@ def solve(
                 history,
             )
 
-    del accel  # the mixer's arrays go before the paths are built
-    return MfSolution(
-        grid=grid,
-        bundle=bundle,
-        x_ens=x_cur,
-        y_ens=y_cur.paths(),
-        z_ens=z_cur.paths(),
-        history=history,
-        converged=converged,
-    )
+    return MfSolution(grid=grid, bundle=bundle, x_ens=x_cur, y_ens=y_cur, z_ens=z_cur, history=history,
+                      converged=converged)
 
 
 def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:
@@ -427,28 +421,28 @@ def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:
     Returns (forward_residual, backward_residual, terminal_residual): the
     max over steps of the mean squared one-step defects of the forward
     and backward Euler relations, and the mean squared terminal mismatch.
+    Y and Z, fitted maps or path ensembles, are read node by node.
     """
     grid, bundle = sol.grid, sol.bundle
     steps = bundle.steps
-    xv, yv, zv = sol.x_ens.component_major, sol.y_ens.component_major, sol.z_ens.component_major
-    dt = grid.dt
-    times = grid.nodes
+    xv, y_next = sol.x_ens.component_major, sol.y_ens.node(0)
+    dt, times = grid.dt, grid.nodes
 
     flow = joint_marginal(sol.x_ens, sol.y_ens)
-    fwd = 0.0
-    bwd = 0.0
+    fwd = bwd = 0.0
     for k in range(steps):
         t_k = float(times[k])
         dw = bundle.component_major[k]
-        fv = p.f(t_k, xv[k], yv[k], zv[k], flow[k])
-        sv = p.sigma(t_k, xv[k], yv[k], zv[k], flow[k])
+        yk, y_next, zk = y_next, sol.y_ens.node(k + 1), sol.z_ens.node(k)
+        fv = p.f(t_k, xv[k], yk, zk, flow[k])
+        sv = p.sigma(t_k, xv[k], yk, zk, flow[k])
         fdef = xv[k + 1] - xv[k] - fv * dt - sv * dw
         fwd = max(fwd, float(np.mean(np.sum(fdef * fdef, axis=0))))
-        hv = p.h(t_k, xv[k], yv[k], zv[k], flow[k])
-        bdef = yv[k + 1] - yv[k] - hv * dt - zv[k] * dw
+        hv = p.h(t_k, xv[k], yk, zk, flow[k])
+        bdef = y_next - yk - hv * dt - zk * dw
         bwd = max(bwd, float(np.mean(np.sum(bdef * bdef, axis=0))))
 
-    tdef = yv[steps] - p.g(p.horizon, xv[steps], mean=flow[steps])
+    tdef = y_next - p.g(p.horizon, xv[steps], mean=flow[steps])
     term = float(np.mean(np.sum(tdef * tdef, axis=0)))
     return fwd, bwd, term
 

@@ -325,22 +325,24 @@ def _dynamics(gs: GameSpec, **terms) -> tuple[AffineCoeffs, AffineCoeffs]:
 
 
 def _check_control(gs: GameSpec, i: int, controls, grid: TimeGrid, particles: int) -> None:
-    """``controls`` must hold one control per player, and player i's must be a PathEnsemble of shape
-    (steps + 1, m_i, particles) component-major."""
+    """``controls`` must hold one control per player, and player i's must be a PathEnsemble or a FittedMap
+    with (nodes, dim, particles) = (steps + 1, m_i, particles)."""
     if len(controls) != gs.players:
         raise ValueError(f"need one control per player, got {len(controls)}")
     u, want = controls[i], (grid.steps + 1, gs.control_dims[i], particles)
-    got = u.component_major.shape if isinstance(u, PathEnsemble) else type(u).__name__
+    got = (u.nodes, u.dim, u.particles) if isinstance(u, (PathEnsemble, FittedMap)) else type(u).__name__
     if got != want:
-        raise ValueError(f"control of player {i} must be a PathEnsemble of shape {want}, got {got}")
+        raise ValueError(f"control of player {i} must be a PathEnsemble or a FittedMap with "
+                         f"(nodes, dim, particles) = {want}, got {got}")
 
 
 def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, controls) -> PathEnsemble:
     """Euler simulation of the controlled state with plug-in ensemble mean.
 
-    ``controls`` holds one PathEnsemble per player: its per-particle
-    control values on the grid nodes, of shape (steps + 1, m_i, particles)
-    component-major.  Anything else raises ValueError naming the player.
+    ``controls`` holds one control per player, a PathEnsemble or a
+    FittedMap of its values on the grid nodes, read node by node, with
+    (nodes, dim, particles) = (steps + 1, m_i, particles).  Anything else
+    raises ValueError naming the player.
     """
     if bundle.steps != grid.steps:
         raise ValueError("bundle and grid step counts differ")
@@ -354,7 +356,7 @@ def simulate_state(gs: GameSpec, grid: TimeGrid, bundle: BrownianBundle, control
         t_k = float(times[k])
         drift = f(t_k, x[k], mean=x[k].mean(axis=-1))
         for c, u in zip(gs.C, controls):
-            drift += matmul(c, u.component_major[k])
+            drift += matmul(c, u.node(k))
         # (x + drift dt) + sigma dW, built in place
         nxt = np.multiply(drift, grid.dt, out=x[k + 1])
         nxt += x[k]
@@ -432,8 +434,9 @@ def cost(gs: GameSpec, i: int, x_ens: PathEnsemble, controls, grid: TimeGrid) ->
     the one slot z = (X, u_i), with its batch-means standard error.
 
     ``x_ens`` is the state (n components on the grid nodes) and
-    ``controls`` holds one PathEnsemble per player; player i's must have
-    the shape :func:`simulate_state` asks for, on the state's particles.
+    ``controls`` holds one control per player; player i's, a PathEnsemble
+    or a FittedMap read node by node, must have the shape
+    :func:`simulate_state` asks for, on the state's particles.
     Either of another shape, another number of controls, or a player
     index outside [0, players), raises ValueError.
     """
@@ -442,7 +445,7 @@ def cost(gs: GameSpec, i: int, x_ens: PathEnsemble, controls, grid: TimeGrid) ->
     if x_cm.shape[:2] != (grid.steps + 1, gs.n):
         raise ValueError(f"state must have {grid.steps + 1} nodes of {gs.n} components, got {x_cm.shape[:2]}")
     _check_control(gs, i, controls, grid, x_ens.particles)
-    b = _cost_with_batches(gs, i, zip(x_cm[:, None], controls[i].component_major[:, None]), grid)[:, 0, 0]
+    b = _cost_with_batches(gs, i, ((x[None], u[None]) for x, u in zip(x_cm, controls[i])), grid)[:, 0, 0]
     return float(b[0]), _batch_stderr(b[1:])
 
 
@@ -455,7 +458,8 @@ def cost(gs: GameSpec, i: int, x_ens: PathEnsemble, controls, grid: TimeGrid) ->
 class NashResult:
     """Synthesized equilibrium candidate with Monte Carlo costs; converged
     means the aggregated solve converged and every player's adjoint gap
-    trace ends below tol^2."""
+    trace ends below tol^2.  The controls and adjoints are fitted maps on
+    the solved state's paths."""
 
     aggregated: fixpoint.MfSolution
     converged: bool
@@ -498,14 +502,14 @@ def _adjoint_problem(gs: GameSpec, i: int) -> MfProblem:
     return MfProblem(gs.x0, gs.horizon, f=AffineCoeffs(gs.n), h=h, sigma=AffineCoeffs(gs.n), g=g)
 
 
-def _solve_adjoint(gs, i, sol, params, factors) -> tuple[PathEnsemble, PathEnsemble, list]:
+def _solve_adjoint(gs, i, sol, params, factors) -> tuple[FittedMap, FittedMap, list]:
     """Iterate the adjoint mean-field BSDE, regressing on the solved
     state's shared ``factors``, to a fixed point of its own mean coupling
     (frozen (X, p_i) flow, refrozen each pass) until a gap is below tol^2,
     for at most _ADJOINT_MAX_PASSES passes; p_i stays a fitted map (zero at
-    first) that the flow and the gap read node by node.  Returns (p_i, q_i),
-    built once, and the gap of every pass; the iteration count is its
-    length.  A pass that blows up, and gaps that :func:`fixpoint.diverging`
+    first) that the flow and the gap read node by node.  Returns the last
+    pass's (p_i, q_i) maps and the gap of every pass; the iteration count
+    is its length.  A pass that blows up, and gaps that :func:`fixpoint.diverging`
     flags, raise :class:`fixpoint.Diverged` with the aggregated solve's history."""
     prob = _adjoint_problem(gs, i)
     grid, bundle, x_ens = sol.grid, sol.bundle, sol.x_ens
@@ -522,7 +526,7 @@ def _solve_adjoint(gs, i, sol, params, factors) -> tuple[PathEnsemble, PathEnsem
             break
         if fixpoint.diverging(gaps):
             raise fixpoint.Diverged(f"adjoint reconstruction diverged for player {i}", sol.history)
-    return p_map.paths(), q_map.paths(), gaps
+    return p_map, q_map, gaps
 
 
 def solve_nash(
@@ -538,8 +542,9 @@ def solve_nash(
     (counterexample instances run and are caught by divergence
     detection), reconstructs each player's adjoint pair by
     regression backward solves along the solved state, and applies the
-    closed-form control map.  The identity sum K_i p_i = Ytilde (and its
-    q/Ztilde analogue) is recorded as an aggregation residual.  The solver
+    closed-form control map u_i = -N_i^{-1} C_i' p_i to each p_i table.
+    The identity sum K_i p_i = Ytilde (and its q/Ztilde analogue) is
+    recorded as an aggregation residual, read node by node.  The solver
     starts no threads of its own; BLAS may use more, but the output bits
     do not depend on how many (the iteration's particle sums are numpy's
     own, not BLAS dots).  ``threads`` is kept for existing callers and
@@ -555,14 +560,10 @@ def solve_nash(
     results = [_solve_adjoint(gs, i, sol, params, factors) for i in range(players)]
     p_list, q_list, adjoint_gaps = map(list, zip(*results))
 
-    gains = gs.control_gains()
-    controls = [from_component_major(-(gain @ p.component_major)) for p, gain in zip(p_list, gains)]
-
-    K = gs.k_matrices()
-    ky = sum(k @ p.component_major for p, k in zip(p_list, K))
-    res_y = node_msd(ky, sol.y_ens.component_major)
-    kq = sum(k @ q.component_major for q, k in zip(q_list, K))
-    res_z = node_msd(kq, sol.z_ens.component_major)
+    x, K = sol.x_ens, gs.k_matrices()  # each K_i is symmetric, so K_i p_i has the table p_i K_i
+    controls = [FittedMap(x, p.coef @ -gain.T) for p, gain in zip(p_list, gs.control_gains())]
+    res_y = node_msd(FittedMap(x, sum(p.coef @ k for p, k in zip(p_list, K))), sol.y_ens)
+    res_z = node_msd(FittedMap(x, sum(q.coef @ k for q, k in zip(q_list, K))), sol.z_ens)
 
     costs, stderrs = map(list, zip(*(cost(gs, i, sol.x_ens, controls, grid) for i in range(players))))
 
@@ -605,11 +606,10 @@ class DeviationReport:
         return out
 
 
-def _probe_slots(gs: GameSpec, i: int, grid: TimeGrid, bundle: BrownianBundle,
-                 x_base: np.ndarray, u_base: np.ndarray):
+def _probe_slots(gs: GameSpec, i: int, grid: TimeGrid, bundle: BrownianBundle, x_base: np.ndarray, u_base):
     """Node by node, the slots (z*, zeta_1, ..., zeta_q) that :func:`_cost_with_batches` prices a probe on.
 
-    z* = (X*, u_i*) is the candidate's state and control, and zeta_l =
+    z* = (X*, u_i*) is the candidate's state and control ``u_base``, read node by node, and zeta_l =
     (xi_l, phi_l) the linear response to one of the q = m_i (1 + n) probe
     directions: phi = e_r for the a part and e_r X*_c for the b part, so
     that direction m_i + r n + c is b's entry (r, c).  The responses solve
@@ -625,7 +625,8 @@ def _probe_slots(gs: GameSpec, i: int, grid: TimeGrid, bundle: BrownianBundle,
     phi[1 + np.arange(m_i), np.arange(m_i)] = 1.0
     xi = s[1:]
     for k, t in enumerate(grid.nodes):
-        s[0], phi[0] = x_base[k], u_base[k]
+        s[0] = x_base[k]
+        u_base.node(k, out=phi[0])
         for r in range(m_i):
             phi[1 + m_i + r * n : 1 + m_i + (r + 1) * n, r] = x_base[k]
         yield s, phi
@@ -676,7 +677,7 @@ def deviation_test(
     # an overflowing state, response or deviation raises here instead of warning first
     with np.errstate(over="raise", invalid="raise"):
         x_base = simulate_state(gs, grid, bundle, nash.controls).component_major
-        slots = _probe_slots(gs, i, grid, bundle, x_base, nash.controls[i].component_major)
+        slots = _probe_slots(gs, i, grid, bundle, x_base, nash.controls[i])
         gram = _cost_with_batches(gs, i, slots, grid)
         g, h = 2.0 * gram[:, 0, 1:], gram[:, 1:, 1:]
         for j in range(perturbations):

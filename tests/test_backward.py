@@ -255,7 +255,7 @@ class TestSolveBackward:
             backward.regression_factors(from_component_major(x), bundle)
 
     def test_factors_hold_no_whole_path_design(self):
-        # a whole-path (100, 8, 10,000) buffer of moment rows is 64 MB; one chunk of 2 steps is 1.3 MB
+        # a whole-path (100, 8, 10,000) buffer of moment rows is 64 MB; the single (2 + 3m, P) row buffer is 0.64 MB
         x = from_component_major(np.random.default_rng(0).standard_normal((101, 2, 10_000)))
         bundle = make_bundle(TimeGrid(1.0, 100), 10_000, seed=0)
         backward.regression_factors(x, bundle)  # numpy's first-use imports are not counted

@@ -512,11 +512,13 @@ class TestCounterexampleCommand:
 class TestExitCodes:
     @pytest.mark.parametrize("command, flag, value, message", [
         ("solve", "--tol", "1e-300", "--tol 1e-300 is too small: the inner target (tol/10)^2 underflows to 0"),
+        ("solve", "--tol", "5e154", "--tol 5e+154 is too large: the outer target tol^2 overflows"),
         ("solve", "--delta", "-1", "--delta must be nonnegative"),
         ("solve", "--steps", "0", "--steps must be >= 1, got 0"),
         ("solve", "--particles", "1", "--particles must be >= 2"),
         ("solve", "--max-outer", "0", "--max-outer must be >= 1"),
         ("game", "--tol", "0", "--tol must be positive"),
+        ("game", "--tol", "1e200", "--tol 1e+200 is too large: the outer target tol^2 overflows"),
         ("game", "--deviations", "0", "--deviations must be >= 1, got 0"),
         ("game", "--corrupt-control", "nan", "--corrupt-control must be finite, got nan"),
         ("game", "--corrupt-control", "inf", "--corrupt-control must be finite, got inf"),

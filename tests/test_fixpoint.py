@@ -34,6 +34,7 @@ class TestSchemeParams:
             {"tol": math.inf},
             {"tol": math.nan},
             {"delta": math.inf},
+            {"tol": 5e154},
         ],
     )
     def test_validation(self, kwargs):
@@ -386,7 +387,7 @@ class TestAndersonMemory:
             tracemalloc.stop()
         assert len(sol.history) == 3 and len(alive) == sum(rec.inner_sweeps for rec in sol.history)
         assert max(alive) == fixpoint._ANDERSON_DEPTH + 2
-        # one (Y, Z) path set is 81 nodes of 200 particles; the sweep's Gram chunk is 8 steps of [1, X]
+        # one (Y, Z) path set is 81 nodes of 200 particles; the sweep's moment rows are one (2 + 3m, P) buffer
         assert max(grown) < 0.5 * 81 * 200 * 8
 
     def test_solve_peak_memory(self, toy_solve_peak):

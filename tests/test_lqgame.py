@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from mfbsde import fixpoint, lqgame
+from mfbsde.backward import FittedMap
 from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, make_bundle
 from mfbsde.problem import PiecewiseConstant, check_H1
 from oracles import (
@@ -374,9 +377,9 @@ class TestCost:
         grid = TimeGrid(1.0, 10)
         x, u = self.make_constant_ensembles(30, 11, 1.0, 1.0)
         wide = PathEnsemble(np.ones((30, 11, 2)))
-        with pytest.raises(ValueError, match=r"^control of player 0 must be a PathEnsemble of shape \(11, 1, 30\), got \(11, 2, 30\)$"):
+        with pytest.raises(ValueError, match=r"^control of player 0 must be a PathEnsemble or a FittedMap with \(nodes, dim, particles\) = \(11, 1, 30\), got \(11, 2, 30\)$"):
             lqgame.cost(gs, 0, x, [wide], grid)
-        with pytest.raises(ValueError, match=r"^control of player 0 must be a PathEnsemble of shape \(11, 1, 30\), got \(11, 1, 20\)$"):
+        with pytest.raises(ValueError, match=r"^control of player 0 must be a PathEnsemble or a FittedMap with \(nodes, dim, particles\) = \(11, 1, 30\), got \(11, 1, 20\)$"):
             lqgame.cost(gs, 0, x, [PathEnsemble(np.ones((20, 11, 1)))], grid)
         with pytest.raises(ValueError, match=r"^state must have 11 nodes of 1 components, got \(11, 2\)$"):
             lqgame.cost(gs, 0, wide, [u], grid)
@@ -464,7 +467,7 @@ class TestSimulateState:
         gs = self.two_player_game([[0.3, 0.1], [-0.2, 0.2]])
         grid = TimeGrid(1.0, 10)
         good = PathEnsemble(np.zeros((30, 11, 1)))
-        with pytest.raises(ValueError, match=rf"^control of player 1 must be a PathEnsemble of shape \(11, 2, 30\), got {re.escape(got)}$"):
+        with pytest.raises(ValueError, match=rf"^control of player 1 must be a PathEnsemble or a FittedMap with \(nodes, dim, particles\) = \(11, 2, 30\), got {re.escape(got)}$"):
             lqgame.simulate_state(gs, grid, make_bundle(grid, 30, seed=0), [good, control])
 
 
@@ -563,6 +566,52 @@ class TestNash:
             lqgame.solve_nash(lqgame.example3_game(0.25), TimeGrid(0.25, 5), params, threads=threads)
 
 
+class TestResultsAreMaps:
+    def test_result_holds_the_state_paths_and_per_node_tables(self):
+        # U is one X path set (21 nodes of 2 components and 2,000 particles).  The result keeps X (1 U), the
+        # bundle (0.48 U) and, for Y, Z, each p_i, q_i and control, per-node tables and (1 + n, P) designs:
+        # 1.87 U measured.  The same fields as path ensembles held 8.36 U
+        gs = lqgame.example3_game(0.25)
+        # a small solve first, so that modules numpy imports on first use are not counted
+        lqgame.solve_nash(gs, TimeGrid(0.25, 4), fixpoint.SchemeParams(particles=200, max_outer=3), seed=0)
+        params = fixpoint.SchemeParams(particles=2000, max_outer=30, tol=1e-3)
+        tracemalloc.start()
+        try:
+            nash = lqgame.solve_nash(gs, TimeGrid(0.25, 20), params, seed=3)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert nash.x_ens.nodes == 21
+        assert held <= 2.5 * 21 * 2 * 2000 * 8
+
+    def test_a_control_map_prices_as_the_ensemble_of_its_values(self):
+        # simulate_state, cost and deviation_test read a control node by node, as a map or as an ensemble
+        gs = lqgame.example3_game(0.25)
+        grid = TimeGrid(0.25, 20)
+        nash = lqgame.solve_nash(gs, grid, fixpoint.SchemeParams(particles=400, max_outer=30, tol=1e-3), seed=2)
+        rng = np.random.default_rng(5)
+        maps = [FittedMap(nash.x_ens, 0.3 * rng.standard_normal((grid.steps + 1, 1 + gs.n, m)))
+                for m in gs.control_dims]
+        ensembles = [PathEnsemble(u.values) for u in maps]
+        x_map, x_ens = (lqgame.simulate_state(gs, grid, nash.aggregated.bundle, c) for c in (maps, ensembles))
+        assert np.allclose(x_map.values, x_ens.values, rtol=1e-12, atol=0.0)
+        for i in range(gs.players):
+            want = lqgame.cost(gs, i, x_ens, ensembles, grid)
+            assert lqgame.cost(gs, i, x_map, maps, grid) == pytest.approx(want, rel=1e-12, abs=0.0)
+            got, want = (lqgame.deviation_test(gs, dataclasses.replace(nash, controls=c), i, perturbations=4, seed=7)
+                         for c in (maps, ensembles))
+            assert got.baseline_cost == pytest.approx(want.baseline_cost, rel=1e-12, abs=0.0)
+            assert got.deltas == pytest.approx(want.deltas, rel=1e-12, abs=0.0)
+
+    def test_result_tables_are_read_only(self):
+        gs = scalar_game()
+        nash = lqgame.solve_nash(gs, TimeGrid(1.0, 10), fixpoint.SchemeParams(particles=200, max_outer=10), seed=1)
+        for fitted in (nash.aggregated.y_ens, nash.adjoints_p[0], nash.controls[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                fitted.coef[0, 0, 0] = 1.0
+
+
 class TestIterationCounts:
     @pytest.mark.parametrize("seed,gap", [(1, 8.557979e-07), (3, 8.397955e-07)])
     def test_example3_counts_and_final_gap(self, monkeypatch, seed, gap):
@@ -619,7 +668,7 @@ class TestDeviation:
         gs, nash = self.example3_nash()
         lqgame.deviation_test(gs, nash, 0, perturbations=2, seed=0)
         corrupted = list(nash.controls)
-        corrupted[0] = dataclasses.replace(corrupted[0], values=corrupted[0].values + 0.5)
+        corrupted[0] = PathEnsemble(corrupted[0].values + 0.5)
         bad = dataclasses.replace(nash, controls=corrupted)
         calls = []
         real = lqgame.simulate_state
@@ -638,7 +687,7 @@ class TestDeviation:
         grid, bundle = nash.aggregated.grid, nash.aggregated.bundle
         rng = np.random.default_rng(seed)
         x_base = lqgame.simulate_state(gs, grid, bundle, nash.controls).component_major
-        base_i = nash.controls[i].component_major
+        base_i = nash.controls[i].paths().component_major
         j_base, base_batches = oracle_cost(gs, i, x_base, base_i, grid)
         deltas, stderrs = [], []
         for j in range(perturbations):
