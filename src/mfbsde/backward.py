@@ -43,11 +43,13 @@ _PICARD_PASSES = 2
 @dataclass
 class RegressionDiagnostics:
     """Per-step regression residual norms (the root mean square of targets - fit over particles and
-    components) and the steps where the fit dropped a direction the cloud does not span."""
+    components), the steps where the fit dropped a direction the cloud does not span, and the
+    :func:`regression_factors` the sweep read, for later sweeps along the same paths."""
 
     y_residuals: list = field(default_factory=list)
     z_residuals: list = field(default_factory=list)
     ridge_steps: list = field(default_factory=list)
+    factors: tuple | None = field(default=None, repr=False)
 
     @property
     def max_residual(self) -> float:
@@ -63,8 +65,9 @@ class FittedMap:
     """The affine map V_k = coef_k^T [1; X_k] on the X paths ``x_ens``, the stored form of every fitted
     quantity a solve returns (Y, Z, each p_i and q_i, each control): ``coef`` is (nodes, 1 + m, dim), one
     table per node (Y's last is g's), made read-only, and ``design`` a (1 + m, P) buffer of ones that maps on
-    the same paths may share.  :meth:`node` evaluates a node as that product, iterating yields them through
-    one buffer, :meth:`paths` builds the ensemble and ``values`` its particle-major array, on each read."""
+    the same paths may share; inside a solve ``x_ens`` is a slot of the path slab, kept while a map on it is in
+    use.  :meth:`node` evaluates a node as that product, iterating yields them through one buffer,
+    :meth:`paths` builds the ensemble and ``values`` its particle-major array, on each read."""
 
     def __init__(self, x_ens: PathEnsemble, coef: np.ndarray, design=None):
         self.x, self.coef = x_ens.component_major, coef
@@ -109,23 +112,27 @@ def regression_factors(x_ens: PathEnsemble, bundle: BrownianBundle) -> tuple:
 
     The sums run through one product per step of [Xc_k; w_k] against
     [Xc_k; w_k; 1] (distinct operands: numpy's syrk path for a @ a.T is
-    slower), in one row buffer.  Moments that overflow raise
+    slower), in one row buffer whose two Xc blocks trade places each step,
+    so that each node is centred once.  Moments that overflow raise
     FloatingPointError naming the first such step.
     """
     xv, dw = x_ens.component_major, bundle.component_major
     steps, m, particles = len(xv) - 1, xv.shape[1], xv.shape[2]
-    rows = np.empty((2 + 3 * m, particles))  # [Xc_k; dW_k; dW_k Xc_{k+1}; Xc_{k+1}; 1]
+    rows = np.empty((2 + 3 * m, particles))  # [Xc_k; dW_k; dW_k Xc_{k+1}; Xc_{k+1}; 1] at even k
     rows[-1] = 1.0
-    nxt = rows[1 + 2 * m : -1]
+    centred = rows[:m], rows[1 + 2 * m : -1]  # at odd k Xc_{k+1} is in the first block and Xc_k in the last
     mom = np.empty((steps, 1 + 3 * m, 2 + 3 * m))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, naming its step
         mu = xv.sum(axis=2) / particles
+        np.subtract(xv[0], mu[0, :, None], out=centred[0])
         for k in range(steps):
-            np.subtract(xv[k], mu[k, :, None], out=rows[:m])
+            nxt = centred[1 - k % 2]
             rows[m] = dw[k]
             np.subtract(xv[k + 1], mu[k + 1, :, None], out=nxt)
             np.multiply(rows[m], nxt, out=rows[m + 1 : 1 + 2 * m])
             np.matmul(rows[:-1], rows.T, out=mom[k])
+        order = np.r_[1 + 2 * m : 1 + 3 * m, m : 1 + 2 * m, :m]  # the odd steps' moments in even-step order
+        mom[1::2] = mom[1::2][:, order][:, :, np.r_[order, 1 + 3 * m]]
         mom /= particles
     finite = np.isfinite(mom).all(axis=(1, 2))
     if not finite.all():
@@ -154,11 +161,12 @@ def solve_backward(
     (:func:`~mfbsde.paths.joint_marginal`): h reads row k and g the last.
     ``factors`` is :func:`regression_factors` of ``x_ens`` and ``bundle``,
     for callers that sweep the same paths more than once; it is built here
-    when omitted.  The recursion runs on tables on [1; X_k - mu_k]: Y_N's
-    from g's terms, then Z_k's and E[Y_{k+1} | X_k]'s by projection and
-    the predictor passes with h's term matrices.  Returns (y_map, z_map,
-    diagnostics), the fitted maps on ``x_ens``: Y's with a table per node,
-    its last g's, and Z's with one per step.  A non-finite g table raises
+    when omitted, and the diagnostics carry the factors the sweep read.
+    The recursion runs on tables on [1; X_k - mu_k]: Y_N's from g's terms,
+    then Z_k's and E[Y_{k+1} | X_k]'s by projection and the predictor
+    passes with h's term matrices, read for all steps in one call.  Returns
+    (y_map, z_map, diagnostics), the fitted maps on ``x_ens``: Y's with a
+    table per node, its last g's, and Z's with one per step.  A non-finite g table raises
     FloatingPointError, and so does a non-finite step table, naming the
     step swept first that made one.
     """
@@ -170,22 +178,23 @@ def solve_backward(
         raise ValueError(f"frozen_flow has shape {np.shape(frozen_flow)}, expected ({steps + 1}, {2 * m})")
 
     dt, times = grid.dt, grid.nodes
-    mu, proj, innov_w, innov_x, dropped = regression_factors(x_ens, bundle) if factors is None else factors
+    mu, proj, innov_w, innov_x, dropped = factors = regression_factors(x_ens, bundle) if factors is None else factors
 
     # centred tables: values tab' [1; X_k - mu_k]; args holds [X_k, Y guess, Z_k]'s tables for h's slopes
     y_tab, z_tab = np.empty((steps + 1, 1 + m, m)), np.empty((steps, 1 + m, m))
-    slopes, shift = p.g.affine(p.horizon, frozen_flow[steps])
+    slopes, shift = (a[0] for a in p.g.affine([p.horizon], frozen_flow[steps:]))
     y_tab[steps, 0], y_tab[steps, 1:] = slopes[:, :m] @ mu[steps] + shift, slopes[:, :m].T
     if not np.isfinite(y_tab[steps]).all():
         raise FloatingPointError("terminal condition produced non-finite values")
     args = np.zeros((1 + m, 3 * m))
     args[1:, :m] = np.eye(m)
+    h_slopes, h_shifts = p.h.affine(times[:-1], frozen_flow[:-1])
     for k in range(steps - 1, -1, -1):
         a = y_tab[k + 1]
         np.divide(proj[k, :, : 1 + m] @ a, dt, out=z_tab[k])
         cond = proj[k, :, 1 + m :] @ a[1:]  # E[Y_{k+1} | X_k]
         cond[0] += a[0]
-        slopes, shift = p.h.affine(float(times[k]), frozen_flow[k])
+        slopes, shift = h_slopes[k], h_shifts[k]
         args[0, :m], args[:, 2 * m :] = mu[k], z_tab[k]
         guess = cond
         for _ in range(_PICARD_PASSES):
@@ -200,7 +209,8 @@ def solve_backward(
     # the misfits: Y's targets miss by Y_{k+1}'s innovation (the h terms are affine in X_k), Z's by Y_{k+1} dW_k / dt's
     y_ms = np.einsum("kij,kil,klj->k", y_tab[1:, 1:], innov_x, y_tab[1:, 1:]) / m
     z_ms = np.einsum("kij,kil,klj->k", y_tab[1:], innov_w, y_tab[1:]) / (m * dt * dt)
-    diag = RegressionDiagnostics(*(np.sqrt(np.maximum(ms, 0.0)).tolist() for ms in (y_ms, z_ms)), list(dropped))
+    diag = RegressionDiagnostics(*(np.sqrt(np.maximum(ms, 0.0)).tolist() for ms in (y_ms, z_ms)), list(dropped),
+                                 factors)
     for tab in (y_tab, z_tab):  # the tables on [1; X_k]
         tab[:, 0] -= np.einsum("ki,kij->kj", mu[: len(tab)], tab[:, 1:])
     design = np.ones((1 + m, particles))

@@ -29,16 +29,14 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .backward import FittedMap, solve_backward
 from .forward import propagate
-from .paths import (
-    BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major, joint_marginal, make_bundle, node_msd,
-)
+from .paths import BrownianBundle, PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle, node_msd
 from .problem import MfProblem, check_H1, contraction_constants
 
 __all__ = [
@@ -153,7 +151,8 @@ class IterationDiagnostics:
 
 @dataclass
 class MfSolution:
-    """Converged (or last) iterate of the scheme: X paths and the last sweep's (Y, Z) fitted maps on them."""
+    """Converged (or last) iterate of the scheme: X paths, the last sweep's (Y, Z) fitted maps on them and
+    the :func:`~mfbsde.backward.regression_factors` of the paths that the sweep read, if given."""
 
     grid: TimeGrid
     bundle: BrownianBundle
@@ -162,6 +161,7 @@ class MfSolution:
     z_ens: FittedMap
     history: list
     converged: bool
+    factors: tuple | None = field(default=None, repr=False)
 
 
 class Diverged(RuntimeError):
@@ -198,135 +198,136 @@ def _gaps(grid: TimeGrid, new, old) -> tuple[float, float]:
     return _gap_parts(*(node_msd(a, b) for a, b in zip(new, old)), grid.dt)
 
 
+def _slab_table(coefs, slots, weights, rows: int) -> np.ndarray:
+    """sum_j w_j V_j as a (nodes, 1 + rows, d) table on the path slab's node blocks [1; slab_k], for the
+    affine maps V_j with (nodes, 1 + m, d) tables ``coefs[j]`` on the distinct slab slots ``slots[j]``."""
+    m = coefs[0].shape[1] - 1
+    table = np.zeros((len(coefs[0]), 1 + rows, coefs[0].shape[2]))
+    table[:, 0] = np.einsum("j,jkd->kd", weights, [c[:, 0] for c in coefs])
+    for w, c, s in zip(weights, coefs, slots):
+        np.multiply(w, c[:, 1:], out=table[:, 1 + s * m : 1 + (s + 1) * m])
+    return table
+
+
 class _Anderson:
     """Anderson mixing of the sweep map u -> F(u), u = (Y, Z), with memory
     ``depth`` (Walker & Ni, SIAM J. Numer. Anal. 2011).  X is not mixed.
 
     The sweep outputs F are the (Y, Z) fitted maps of the backward sweeps,
-    each pair on its sweep's X paths; the last ``depth + 1`` are kept.  Y
-    and Z each have a mix array of their paths' shape, which only
-    :meth:`mix` writes, and a (depth, *shape) ring of the last residual
-    differences dR, r = F(u) - u, allocated once per solve; the ring slot
-    the next observe overwrites holds the last r itself.  gamma solves
+    each on its slot of the path slab ``slab`` (:func:`solve`); the last
+    ``depth + 1`` are kept in ``window`` with their slots.  The iterate u
+    and the mix are (Y, Z) tables on the slab's node blocks.  A node-major
+    (nodes, depth, dy + dz, P) ring, Y rows above Z rows (the last node
+    has no Z), holds the last residual differences dR, r = F(u) - u; the
+    slot the next observe overwrites holds the last r itself.  gamma solves
     (dR' dR) gamma = dR' r with ``lstsq`` (minimum norm when singular), and
-    the mix F_n - sum_i gamma_i (F_{i+1} - F_i) is sum_j alpha_j F_j,
-    alpha = diff([0, gamma, 1]); alpha = [1] on the newest output when
-    there is no history or the Gram matrix, the right-hand side or the mix
-    is not finite.  Both passes run one node block (part, k) of (dim, P)
-    values at a time, while it is in cache: :meth:`observe` forms r, its
-    ring difference, the Gram row, the right-hand side and the per-node
-    squared residuals; :meth:`mix` writes each node of both parts as
-    products of the window's alpha-scaled, stacked tables with one design
-    [1; X^(0)_k; X^(1)_k; ...] of the outputs' X paths.  The sums over
-    particles are ``einsum``s, so their bits do not depend on the BLAS
-    thread count.
+    the mix F_n - sum_i gamma_i (F_{i+1} - F_i) is the table of sum_j
+    alpha_j F_j, alpha = diff([0, gamma, 1]); alpha = [1] on the newest
+    output when there is no history or the Gram matrix, the right-hand side
+    or the mixed tables are not finite.  :meth:`observe` forms each node's
+    r as one product of the stacked [F - u] table with the slab's node
+    block and takes its ring difference, Gram row, right-hand side and
+    squares while it is in cache; the sums over particles are ``einsum``s,
+    so their bits do not depend on the BLAS thread count.
     """
 
-    def __init__(self, depth: int, y_shape: tuple, z_shape: tuple):
-        self.depth, shapes = depth, (y_shape, z_shape)
-        self.mixes = [np.empty(s) for s in shapes]
-        self.dr = [np.zeros((depth, *s)) for s in shapes]
-        self.scratch = [np.empty(s[1:]) for s in shapes]
+    def __init__(self, depth: int, slab: np.ndarray, dims: tuple[int, int]):
+        nodes, slots, m, particles = slab.shape
+        self.depth, self.dims = depth, dims
+        self.blocks = slab.reshape(nodes, slots * m, particles)
+        self.ring = np.zeros((nodes, depth, sum(dims), particles))
+        self.buf = np.empty((sum(dims), particles))
         self.gram, self.rhs = np.zeros((depth, depth)), np.zeros(depth)
         self.restart()
 
     def restart(self) -> None:
         """Forget the history and the outputs in it (an inner solve ends)."""
-        self.maps, self.stored = [], -1
+        self.window, self.stored = [], -1
 
-    def observe(self, new, old) -> tuple[np.ndarray, np.ndarray]:
-        """Pass 1 for the sweep from the iterate ``old`` = (Y, Z), path
-        ensembles or fitted maps, to ``new`` = F(old), a (Y, Z) pair of
-        fitted maps; returns the per-node means over particles of |r|^2, for
-        the Y nodes and for the Z steps."""
-        self.maps.append(tuple(new))
-        slot, self.stored = self.stored % self.depth, self.stored + 1
+    def observe(self, slot: int, new, old) -> tuple[np.ndarray, np.ndarray]:
+        """The sweep from the iterate ``old`` = (Y, Z), slab tables, to
+        ``new`` = F(old), a (Y, Z) pair of fitted maps on slab slot ``slot``;
+        returns the per-node means over particles of |r|^2, for the Y nodes
+        and for the Z steps."""
+        self.window = (self.window + [(slot, [f.coef for f in new])])[-(self.depth + 1) :]
+        (nodes, rows, particles), dy, steps = self.blocks.shape, self.dims[0], len(new[1].coef)
+        table = np.zeros((nodes, 1 + rows, sum(self.dims)))  # [F_Y - u_Y | F_Z - u_Z]
+        table[:, :, :dy] = _slab_table([new[0].coef], [slot], [1.0], rows) - old[0]
+        table[:steps, :, dy:] = _slab_table([new[1].coef], [slot], [1.0], rows) - old[1]
+        last, self.stored = self.stored % self.depth, self.stored + 1
         hist, nxt = min(self.stored, self.depth), self.stored % self.depth
-        row, rhs, msr = np.zeros(hist), np.zeros(hist), []
-        for fmap, e, dr, buf in zip(new, old, self.dr, self.scratch):
-            sq = np.empty(fmap.nodes)
-            for k in range(fmap.nodes):
-                r = np.subtract(fmap.node(k, out=buf), e.node(k), out=buf)
-                sq[k] = np.einsum("ij,ij->", r, r)
-                if hist:
-                    np.subtract(r, dr[slot, k], out=dr[slot, k])
-                    row += np.einsum("hij,ij->h", dr[:hist, k], dr[slot, k])
-                    rhs += np.einsum("hij,ij->h", dr[:hist, k], r)
-                dr[nxt, k] = r
-            msr.append(sq / fmap.particles)
+        ring, row, rhs, sq = self.ring, np.zeros(hist), np.zeros(hist), np.empty((nodes, sum(self.dims)))
+        for k in range(nodes):
+            r = np.matmul(table[k, 1:].T, self.blocks[k], out=self.buf)
+            r += table[k, 0, :, None]
+            sq[k] = np.einsum("ij,ij->i", r, r)
+            if hist:
+                np.subtract(r, ring[k, last], out=ring[k, last])
+                row += np.einsum("hij,ij->h", ring[k, :hist], ring[k, last])
+                rhs += np.einsum("hij,ij->h", ring[k, :hist], r)
+            ring[k, nxt] = r
         if hist:
-            self.gram[slot, :hist] = self.gram[:hist, slot] = row
+            self.gram[last, :hist] = self.gram[:hist, last] = row
             self.rhs[:hist] = rhs
-        return tuple(msr)
+        return sq[:, :dy].sum(axis=1) / particles, sq[:steps, dy:].sum(axis=1) / particles
 
-    def mix(self) -> tuple[PathEnsemble, PathEnsemble]:
-        """Pass 2: the next iterate (Y, Z) after the output last observed,
-        or that output's values when there is no history or the step is
-        not finite, as views of the mix arrays."""
+    def mix(self) -> tuple[np.ndarray, np.ndarray]:
+        """The next iterate (Y, Z) after the output last observed, as slab
+        tables, or that output's tables when there is no history or the
+        step is not finite."""
         hist = min(self.stored, self.depth)
         order = [(self.stored - hist + i) % self.depth for i in range(hist)]
         gram, rhs = self.gram[np.ix_(order, order)], self.rhs[order]
         alpha = np.ones(1)  # the newest output
         if order and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs)):
             alpha = np.diff(np.linalg.lstsq(gram, rhs, rcond=None)[0], prepend=0.0, append=1.0)
-        if not self._combine(alpha) and len(alpha) > 1:
-            self._combine(np.ones(1))
-        del self.maps[: -self.depth]
-        return tuple(from_component_major(a[:]) for a in self.mixes)
+        tables = self._combine(alpha)
+        if not all(np.isfinite(t).all() for t in tables) and len(alpha) > 1:
+            tables = self._combine(np.ones(1))
+        return tables
 
-    def _combine(self, alpha: np.ndarray) -> bool:
-        """Write sum_j alpha_j F_j over the last len(alpha) outputs, oldest first, to the mix arrays and
-        return whether it is finite: node k of a part is one product [sum_j alpha_j c_j; alpha_0 C_0; ...]'
-        [1; X^(0)_k; ...] of the outputs' tables [c_j; C_j], through one design for both parts (an output's Y
-        and Z maps share its X paths)."""
-        window = self.maps[-len(alpha) :]
-        tables = [np.concatenate([np.einsum("i,ikd->kd", alpha, [f.coef[:, 0] for f in maps])[:, None],
-                                  *(a * f.coef[:, 1:] for a, f in zip(alpha, maps))], axis=1)
-                  for maps in zip(*window)]
-        design = np.ones((tables[0].shape[1], self.mixes[0].shape[-1]))
-        for k in range(len(self.mixes[0])):
-            np.concatenate([y.x[k] for y, _ in window], out=design[1:])
-            for table, out in zip(tables, self.mixes):
-                if k < len(table):
-                    np.matmul(table[k].T, design, out=out[k])
-        return all(map(all_finite, self.mixes))
+    def _combine(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum_j alpha_j F_j over the last len(alpha) outputs, oldest first, as (Y, Z) slab tables."""
+        window = self.window[-len(alpha) :]
+        slots, rows = [slot for slot, _ in window], self.blocks.shape[1]
+        return tuple(_slab_table([coefs[i] for _, coefs in window], slots, alpha, rows) for i in (0, 1))
 
 
-def _inner_solve(p, grid, bundle, params: SchemeParams, flow, prev, accel: _Anderson):
+def _inner_solve(p, grid, bundle, params: SchemeParams, flow, slab, outer: int, prev, accel: _Anderson):
     """Solve the frozen-flow (standard) FBSDE by alternating sweeps.
 
-    ``prev`` is the previous outer iterate, X paths and (Y, Z) fitted maps:
-    the maps give the damping pair and the first sweep's (Y, Z); later
-    sweeps start from the Anderson mix of the swept pairs, which the
-    mixer's arrays hold.  One sweep propagates X under the current (Y, Z)
-    and re-regresses the backward pair along the new paths.  The X part of
-    the sweep gap is taken as soon as the new paths exist.  Runs at least
-    _INNER_MIN_SWEEPS sweeps and stops once the sweep-to-sweep gap drops
-    below (tol/10)^2 (well below the outer stopping threshold), when
-    :func:`diverging` flags the sweep gaps (left to the outer solve to
-    classify) or at the sweep cap.  Returns the last swept X paths and
-    (Y, Z) maps, its regression diagnostics, why the solve stopped
-    ("target", "growth" or "cap"), its sweep count and its last
-    sweep-to-sweep gap.
+    ``prev`` is the previous outer iterate's (Y, Z) fitted maps on slab
+    slot ``outer``, its X paths: they give the damping pair and the first
+    sweep's (Y, Z); later sweeps start from the Anderson mix of the swept
+    pairs.  One sweep propagates X into a free slot under the current
+    (Y, Z), which also gives the X part of the sweep gap, and re-regresses
+    the backward pair along the new paths.  Runs at least _INNER_MIN_SWEEPS
+    sweeps and stops once the sweep-to-sweep gap drops below (tol/10)^2
+    (well below the outer stopping threshold), when :func:`diverging` flags
+    the sweep gaps (left to the outer solve to classify) or at the sweep
+    cap.  Returns the last swept slot, its X paths and (Y, Z) maps, its
+    regression diagnostics, why the solve stopped ("target", "growth" or
+    "cap"), its sweep count and its last sweep-to-sweep gap.
     """
-    x_cur, y_prev, z_prev = prev
-    y_cur, z_cur = y_prev, z_prev
+    rows = slab.shape[1] * slab.shape[2]
+    damping = tuple(_slab_table([f.coef], [outer], [1.0], rows) for f in prev)
+    iterate, last = damping, outer
     target = (0.1 * params.tol) ** 2
     gaps = []
     for sweep in range(1, _INNER_MAX_SWEEPS + 1):
-        x_new = propagate(p, grid, bundle, y_cur, z_cur, y_prev, z_prev, flow, params.delta)
-        per_x, x_cur = node_msd(x_new, x_cur), x_new
+        slot = min(set(range(slab.shape[1])) - {outer, *(s for s, _ in accel.window)})
+        x_new, per_x = propagate(p, grid, bundle, slab, slot, iterate, damping, flow, params.delta, last)
         y_hat, z_hat, reg_diag = solve_backward(p, grid, bundle, x_new, flow)
-        gap = sum(_gap_parts(per_x, *accel.observe((y_hat, z_hat), (y_cur, z_cur)), grid.dt))
+        gap = sum(_gap_parts(per_x, *accel.observe(slot, (y_hat, z_hat), iterate), grid.dt))
         if not math.isfinite(gap):
             raise FloatingPointError(f"inner sweep gap became non-finite at sweep {sweep}")
         gaps.append(gap)
         stop = "target" if gap < target else "growth" if diverging(gaps) else None
         if sweep == _INNER_MAX_SWEEPS or (sweep >= _INNER_MIN_SWEEPS and stop):
             break
-        y_cur, z_cur = accel.mix()
-    accel.restart()  # the kept outputs and their X paths go; the last output lives on as the outer iterate
-    return x_new, y_hat, z_hat, reg_diag, stop or "cap", sweep, gap
+        iterate, last = accel.mix(), slot
+    accel.restart()  # the kept outputs' slots are free again; the last output lives on as the outer iterate
+    return slot, x_new, y_hat, z_hat, reg_diag, stop or "cap", sweep, gap
 
 
 def _theory_ratio(p: MfProblem, params: SchemeParams) -> float:
@@ -351,9 +352,14 @@ def solve(
     """Run the frozen-measure iteration until the Cauchy gap is below
     tol^2 or max_outer is reached.
 
-    The iterate starts from the zero triple and is kept as X paths and the
-    last sweep's (Y, Z) fitted maps, which the solution returns as they
-    are (no (Y, Z) paths are built).  Raises :class:`Diverged` when
+    Every X path set an inner solve reads is a slot of one path slab, a
+    (nodes, _ANDERSON_DEPTH + 3, m, P) array: the outer iterate's X, the
+    mixer's window of up to depth + 1 outputs and the X being propagated,
+    so that node k of all of them is one contiguous block.  The iterate
+    starts from the zero triple and is kept as its slot's X paths and the
+    last sweep's (Y, Z) fitted maps on them; the solution returns a copy of
+    the last slot, made once the mixer's ring is freed, the maps' tables
+    on it and the last sweep's regression factors.  Raises :class:`Diverged` when
     the gap is not finite or grows by more than 10x across 3 consecutive
     outer steps, or when the particle system blows up
     (:func:`blowups_diverge`).
@@ -364,20 +370,22 @@ def solve(
     bundle = make_bundle(grid, params.particles, seed)
     theory = _theory_ratio(p, params)
 
-    # the (Y, Z) shapes; X shares Y's, and the iteration starts from the zero triple: zero tables on zero paths
-    shapes = (grid.steps + 1, m, params.particles), (grid.steps, m, params.particles)
-    x_cur, tables = from_component_major(np.zeros(shapes[0])), np.zeros((grid.steps + 1, 1 + m, m))
+    # every X path set an inner solve reads, node-major; the iteration starts from the zero triple: zero tables
+    # on slot 0's zero paths
+    slab = np.zeros((grid.steps + 1, _ANDERSON_DEPTH + 3, m, params.particles))
+    outer, tables = 0, np.zeros((grid.steps + 1, 1 + m, m))
+    x_cur = from_component_major(slab[:, outer])
     prev = x_cur, FittedMap(x_cur, tables), FittedMap(x_cur, tables[:-1])
 
     history: list[IterationDiagnostics] = []
     converged = False
-    accel = _Anderson(_ANDERSON_DEPTH, *shapes)
+    accel = _Anderson(_ANDERSON_DEPTH, slab, (m, m))
 
     for n in range(1, params.max_outer + 1):
         flow = joint_marginal(prev[0], prev[1])
         with blowups_diverge(f"particle system blew up at outer iteration {n}", history):
-            x_cur, y_cur, z_cur, reg_diag, inner_exit, sweeps, inner_gap = _inner_solve(
-                p, grid, bundle, params, flow, prev, accel
+            slot, x_cur, y_cur, z_cur, reg_diag, inner_exit, sweeps, inner_gap = _inner_solve(
+                p, grid, bundle, params, flow, slab, outer, prev[1:], accel
             )
 
         gap_xt, gap_u = _gaps(grid, (x_cur, y_cur, z_cur), prev)
@@ -400,7 +408,7 @@ def solve(
                 inner_exit=inner_exit,
             )
         )
-        prev = x_cur, y_cur, z_cur
+        prev, outer = (x_cur, y_cur, z_cur), slot
         if converged:
             break
         if diverging([rec.gap_total for rec in history]):
@@ -410,8 +418,11 @@ def solve(
                 history,
             )
 
-    return MfSolution(grid=grid, bundle=bundle, x_ens=x_cur, y_ens=y_cur, z_ens=z_cur, history=history,
-                      converged=converged)
+    del accel  # the ring goes before the last X paths are copied out of the slab
+    x_ens = from_component_major(slab[:, outer].copy())
+    return MfSolution(grid=grid, bundle=bundle, x_ens=x_ens, y_ens=FittedMap(x_ens, y_cur.coef),
+                      z_ens=FittedMap(x_ens, z_cur.coef), history=history, converged=converged,
+                      factors=reg_diag.factors)
 
 
 def residual(p: MfProblem, sol: MfSolution) -> tuple[float, float, float]:

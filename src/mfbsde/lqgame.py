@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fixpoint
-from .backward import FittedMap, regression_factors, solve_backward
+from .backward import FittedMap, solve_backward
 from .paths import BrownianBundle, PathEnsemble, TimeGrid, all_finite, from_component_major, joint_marginal, node_msd
 from .problem import (
     AffineCoeffs,
@@ -556,8 +556,7 @@ def solve_nash(
     sol = fixpoint.solve(agg, grid, params, seed)
 
     players = gs.players
-    factors = regression_factors(sol.x_ens, sol.bundle)
-    results = [_solve_adjoint(gs, i, sol, params, factors) for i in range(players)]
+    results = [_solve_adjoint(gs, i, sol, params, sol.factors) for i in range(players)]
     p_list, q_list, adjoint_gaps = map(list, zip(*results))
 
     x, K = sol.x_ens, gs.k_matrices()  # each K_i is symmetric, so K_i p_i has the table p_i K_i

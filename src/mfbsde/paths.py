@@ -6,8 +6,9 @@ because Z multiplies dW over a step.  One ``BrownianBundle`` is drawn per
 solve and reused across all outer iterations (common random numbers), so
 two runs with the same configuration and seed are bit-identical.
 
-Ensembles are stored component-major: one read-only C-contiguous
-``(nodes, dim, particles)`` array, ``component_major``, so the solver's
+Ensembles are stored component-major: one read-only ``(nodes, dim,
+particles)`` array of C-contiguous node blocks, ``component_major``
+(C-contiguous, or one slot of the solver's path slab), so the solver's
 per-step work reads one contiguous ``(dim, particles)`` block per node,
 passes it to the coefficient tables, which read and return such blocks,
 and averages along its last axis.  The one Brownian motion's bundle is a
@@ -134,11 +135,13 @@ class PathEnsemble:
 
 
 def from_component_major(arr: np.ndarray) -> PathEnsemble:
-    """The ensemble that stores ``arr``, a finite C-contiguous (nodes, dim,
-    particles) array, itself: no copy and no finiteness scan (the solver's
-    sweeps check their own output), and ``arr`` becomes read-only."""
-    if arr.ndim != 3 or not arr.flags.c_contiguous:
-        raise ValueError(f"expected a C-contiguous (nodes, dim, particles) array, got shape {arr.shape}")
+    """The ensemble that stores ``arr``, a finite (nodes, dim, particles)
+    array whose node blocks are C-contiguous (a C-contiguous array, or one
+    slot of the solver's path slab), itself: no copy and no finiteness scan
+    (the solver's sweeps check their own output), and ``arr`` becomes
+    read-only."""
+    if arr.ndim != 3 or not (len(arr) and arr[0].flags.c_contiguous):
+        raise ValueError(f"expected a (nodes, dim, particles) array of C-contiguous nodes, got shape {arr.shape}")
     arr.flags.writeable = False
     e = object.__new__(PathEnsemble)
     object.__setattr__(e, "component_major", arr)

@@ -417,9 +417,10 @@ class AffineCoeffs:
     absent terms, and terms that are zero everywhere, are dropped.  With
     one Brownian motion, z is an m-vector.
 
-    The terms are compiled once per evaluation time (:meth:`at`): a
-    solver evaluates the table at its grid nodes on every sweep, so after
-    the first sweep a call looks up no piece.
+    The terms are compiled once per evaluation time (:meth:`at`), and
+    stacked once per array of times (:meth:`affine`): a solver evaluates
+    the table at its grid nodes on every sweep, so after the first sweep a
+    call looks up no piece.
     """
 
     TERMS = ("x", "y", "z", "mean_x", "mean_y", "const")
@@ -434,7 +435,7 @@ class AffineCoeffs:
             if np.any(path.values):
                 self.terms[key] = path
         self._compiled: dict[float, dict] = {}
-        self._slopes: dict[float, np.ndarray] = {}
+        self._stacks: dict[bytes, dict] = {}
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -449,26 +450,32 @@ class AffineCoeffs:
             node = self._compiled[t] = {key: path(t) for key, path in self.terms.items()}
         return node
 
-    def affine(self, t: float, mean=None) -> tuple[np.ndarray, np.ndarray]:
-        """The map at time t and means ``mean`` = (E[X], E[Y]) as (slopes, shift): the (m, 3m) matrices
-        [C^x C^y C^z] side by side, absent terms 0 (compiled once per time), and the m-vector
-        c^const + C^mean_x E[X] + C^mean_y E[Y], so that c(t, x, y, z, mean) = slopes [x; y; z] + shift."""
-        node = self.at(t)
-        slopes = self._slopes.get(t)
-        if slopes is None:
-            slopes = self._slopes[t] = _blocks(self, t, ("x", "y", "z"))
-        shift = node.get("const", np.zeros(self.dim))
+    def affine(self, times, means=None) -> tuple[np.ndarray, np.ndarray]:
+        """The map at each of ``times`` and the matching row of ``means`` (rows (E[X], E[Y]) of a flow table) as
+        (slopes, shifts): the (n, m, 3m) matrices [C^x C^y C^z] side by side, absent terms 0, and the (n, m)
+        vectors c^const + C^mean_x E[X] + C^mean_y E[Y], so that c(t_i, x, y, z, mean_i) = slopes_i [x; y; z] +
+        shifts_i.  The term stacks are built on the first call with an array of times and kept; callers do not
+        write to them."""
+        times = np.asarray(times, dtype=float)
+        stack = self._stacks.get(times.tobytes())
+        if stack is None:
+            ts = times.tolist()
+            stack = {key: np.array([self.at(t)[key] for t in ts]) for key in ("const", "mean_x", "mean_y")
+                     if key in self.terms}
+            stack["slopes"] = np.array([_blocks(self, t, ("x", "y", "z")) for t in ts])
+            self._stacks[times.tobytes()] = stack
+        shifts = stack["const"] if "const" in stack else np.zeros((len(times), self.dim))
         for key, half in (("mean_x", slice(None, self.dim)), ("mean_y", slice(self.dim, None))):
-            if key in node:
-                shift = shift + node[key] @ mean[half]
-        return slopes, shift
+            if key in stack:
+                shifts = shifts + np.einsum("kij,kj->ki", stack[key], np.asarray(means)[:, half])
+        return stack["slopes"], shifts
 
     def __call__(self, t: float, x, y=None, z=None, mean=None) -> np.ndarray:
         """The map at time t on the solver's (m, P) blocks x, then y and z when given, and the means ``mean`` =
         (E[X], E[Y]): the (m, P) block slopes [x; y; z] + shift of :meth:`affine`."""
-        slopes, shift = self.affine(t, mean)
+        slopes, shift = self.affine([t], None if mean is None else [mean])
         args = [a for a in (x, y, z) if a is not None]
-        return slopes[:, : len(args) * self.dim] @ np.concatenate(args) + shift[:, None]
+        return slopes[0, :, : len(args) * self.dim] @ np.concatenate(args) + shift[0, :, None]
 
 
 # the keys each config block takes; any other key is a config error

@@ -1,10 +1,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from mfbsde.forward import propagate
 from mfbsde.problem import AffineCoeffs, LipschitzProfile, MfProblem, MonotonicityProfile
 
 # the README's 1-D problem config: the toy problem of h1prime_toy as affine tables
@@ -51,6 +53,31 @@ def scalar_problem(x0=0.0, horizon=1.0, f=None, h=None, sigma=None, g=None, **pr
 def pure_martingale(x0: float = 0.7, horizon: float = 1.0) -> MfProblem:
     """Zero-driver problem whose backward solution is Y_t = E[X_T | F_t]."""
     return scalar_problem(x0, horizon, sigma={"const": 1.0}, g={"x": 1.0})
+
+
+def slab_tables(steps, m, particles, *parts):
+    """A path slab whose slot 0 is left for X, and a table on its node blocks for each of ``parts``, a Y (steps + 1
+    nodes) and a Z (steps) in turn: a number is a constant table, and a component-major (nodes, m, P) array is
+    copied to a slot of its own and read through an identity table."""
+    arrays = [v for v in parts if np.ndim(v)]
+    slab = np.zeros((steps + 1, 1 + len(arrays), m, particles))
+    rows, tables, slot = slab.shape[1] * m, [], 0
+    for j, v in enumerate(parts):
+        table = np.zeros((steps + 1 - j % 2, 1 + rows, m))
+        if np.ndim(v):
+            slot += 1
+            slab[: len(table), slot] = v
+            table[:, 1 + slot * m : 1 + (slot + 1) * m] = np.eye(m)
+        else:
+            table[:, 0] = v
+        tables.append(table)
+    return slab, tables
+
+
+def zero_sweep(p, grid, bundle, flow):
+    """The X paths of one forward sweep from x0 under the zero (Y, Z), without damping."""
+    slab, tables = slab_tables(grid.steps, p.dim_state, bundle.particles, 0.0, 0.0)
+    return propagate(p, grid, bundle, slab, 0, tuple(tables), tuple(tables), flow, 0.0, 0)[0]
 
 
 @pytest.fixture

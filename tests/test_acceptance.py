@@ -15,11 +15,10 @@ import pytest
 
 from mfbsde import cli, fixpoint, lqgame
 from mfbsde.backward import solve_backward
-from mfbsde.forward import propagate
 from mfbsde.measure import EmpiricalMeasure, w2_exact, w2_paired_bound
 from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle
 from mfbsde.problem import AffineCoeffs, MfProblem, check_H1, contraction_constants
-from conftest import h1prime_toy, pure_martingale
+from conftest import h1prime_toy, pure_martingale, zero_sweep
 from oracles import example3_boundary_det, example3_solution, scalar_lq_riccati, w2_brute_force
 
 
@@ -114,9 +113,8 @@ def test_criterion_4_bsde_oracle():
     p = pure_martingale(x0=0.7)
     bundle = make_bundle(grid, particles, seed=2)
     zeros_y = PathEnsemble(np.zeros((particles, 101, 1)))
-    zeros_z = PathEnsemble(np.zeros((particles, 100, 1)))
     flow = joint_marginal(zeros_y, zeros_y)
-    x = propagate(p, grid, bundle, zeros_y, zeros_z, zeros_y, zeros_z, flow, 0.0)
+    x = zero_sweep(p, grid, bundle, flow)
     y, z = (e.paths() for e in solve_backward(p, grid, bundle, x, flow)[:2])
     se_y0 = x.values[:, -1, 0].std() / math.sqrt(particles)
     y0_err = abs(y.values[:, 0, 0].mean() - 0.7)

@@ -7,18 +7,16 @@ import pytest
 
 from mfbsde import backward, fixpoint, lqgame
 from mfbsde.backward import solve_backward
-from mfbsde.forward import propagate
 from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle
 from mfbsde.problem import AffineCoeffs, MfProblem, PiecewiseConstant, problem_from_config
-from conftest import TOY_PROBLEM, pure_martingale, scalar_problem
+from conftest import TOY_PROBLEM, pure_martingale, scalar_problem, zero_sweep
 
 
 def brownian_paths(problem, grid, particles, seed):
     bundle = make_bundle(grid, particles, seed)
     y = PathEnsemble(np.zeros((particles, grid.steps + 1, 1)))
-    z = PathEnsemble(np.zeros((particles, grid.steps, 1)))
     flow = joint_marginal(y, y)
-    x = propagate(problem, grid, bundle, y, z, y, z, flow, 0.0)
+    x = zero_sweep(problem, grid, bundle, flow)
     return bundle, x, flow
 
 
@@ -303,8 +301,8 @@ class TestSolveBackward:
         gs = dataclasses.replace(lqgame.example3_game(0.25), alpha=[0.0, 0.0])
         p, grid = lqgame.build_aggregated(gs), TimeGrid(0.25, 10)
         bundle = make_bundle(grid, 300, seed=2)
-        y0, z0 = (from_component_major(np.zeros((nodes, 2, 300))) for nodes in (grid.steps + 1, grid.steps))
-        x = propagate(p, grid, bundle, y0, z0, y0, z0, joint_marginal(y0, y0), 0.0)
+        y0 = from_component_major(np.zeros((grid.steps + 1, 2, 300)))
+        x = zero_sweep(p, grid, bundle, joint_marginal(y0, y0))
         flow = joint_marginal(x, x)
         y, z, diag = backward_paths(p, grid, bundle, x, flow)
         assert diag.ridge_steps == list(range(grid.steps - 1, -1, -1))
@@ -328,8 +326,8 @@ class TestSolveBackward:
 
 class TestPredictorPasses:
     def test_driver_tables_are_read_once_per_step(self):
-        # the predictor passes run on h's term matrices, so h is read once per step, with a y term (two passes
-        # that differ) or without one (the README toy's h = -x - 0.3 z + 0.1 E[Y])
+        # the predictor passes run on h's term matrices, read for all steps in one call, so h is read once per
+        # step, with a y term (two passes that differ) or without one (the README toy's h = -x - 0.3 z + 0.1 E[Y])
         p = problem_from_config(TOY_PROBLEM)
         grid = TimeGrid(0.25, 100)
         bundle, x, flow = brownian_paths(p, grid, 500, 3)
@@ -343,9 +341,9 @@ class TestPredictorPasses:
         counts = []
         for terms in (TOY_PROBLEM["h"], dict(TOY_PROBLEM["h"], y=0.5)):
             backward_paths(dataclasses.replace(p, h=Counted(1, "h", **terms)), grid, bundle, x, flow)
-            counts.append(len(calls))
+            counts.append([len(times) for times in calls])
             calls.clear()
-        assert counts == [100, 100]
+        assert counts == [[100], [100]]
 
 
 class TestFittedMap:

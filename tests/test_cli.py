@@ -655,7 +655,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path, dict(EXAMPLE3, T=85.0))
         argv = [command, cfg, "--particles", "300", "--steps", "40", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_NOT_CONVERGED
-        message = "particle system blew up at outer iteration 2: regression Gram matrix overflows at step 17"
+        message = "particle system blew up at outer iteration 2: regression Gram matrix overflows at step 18"
         assert capsys.readouterr().err == f"diverged: {message}\n"
         report = json.loads((out / "report.json").read_text())
         assert report["diverged"] is True and report["message"] == message

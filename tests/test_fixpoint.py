@@ -2,8 +2,11 @@ import dataclasses
 import json
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
-import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +17,20 @@ from mfbsde.fixpoint import Diverged, IterationDiagnostics, MfSolution, SchemePa
 from mfbsde.forward import propagate
 from mfbsde.paths import PathEnsemble, TimeGrid, from_component_major, joint_marginal, make_bundle, node_msd
 from mfbsde.problem import AffineCoeffs, check_H1, contraction_constants, problem_from_config
-from conftest import TOY_PROBLEM, h1prime_toy, scalar_problem
+from conftest import TOY_PROBLEM, h1prime_toy, scalar_problem, zero_sweep
 from oracles import toy_moments
+
+
+def law_dependent_sigma_problem():
+    """A 1-D problem whose sigma = -0.5 z + 0.05 E[Y] + 0.2 reads z and the law (k = 0.5, variant H1)."""
+    from mfbsde.problem import LipschitzProfile, MonotonicityProfile
+
+    return scalar_problem(
+        0.5, 0.3, f={"y": -1.0, "mean_x": 0.05}, h={"x": -1.0},
+        sigma={"z": -0.5, "mean_y": 0.05, "const": 0.2}, g={"x": 1.0},
+        lipschitz=LipschitzProfile(c_u=1.0, c_nu=0.05, c_g_x=1.0, c_g_nu=0.0),
+        monotonicity=MonotonicityProfile(k=0.5, k_prime=1.0, variant="H1"),
+    )
 
 
 def decoupled_problem():
@@ -169,14 +184,7 @@ class TestSolve:
         # sigma depends on z and the measure, so the strong variant applies
         # and the iteration damps the diffusion too;
         # A = -|dx|^2 - |dy|^2 - 0.5 ||dz||^2 gives k = 0.5
-        from mfbsde.problem import LipschitzProfile, MonotonicityProfile, check_H1
-
-        p = scalar_problem(
-            0.5, 0.3, f={"y": -1.0, "mean_x": 0.05}, h={"x": -1.0},
-            sigma={"z": -0.5, "mean_y": 0.05, "const": 0.2}, g={"x": 1.0},
-            lipschitz=LipschitzProfile(c_u=1.0, c_nu=0.05, c_g_x=1.0, c_g_nu=0.0),
-            monotonicity=MonotonicityProfile(k=0.5, k_prime=1.0, variant="H1"),
-        )
+        p = law_dependent_sigma_problem()
         assert not p.law_free_sigma
         assert check_H1(p).passed
         sol = fixpoint.solve(
@@ -233,32 +241,51 @@ def split(v, y_shape, z_shape):
     return [from_component_major(a.reshape(s)) for a, s in zip(np.split(v.copy(), [cut]), (y_shape, z_shape))]
 
 
-def fitted_pair(y, z):
-    """The (Y, Z) maps of one sweep whose node values are the paths ``y`` and ``z`` exactly: tables on one shared
-    X path set on which particle p sits at the unit vector e_p at every node, each part's node-k table [0; V_k']
-    holding its values, so that [0; V_k'] times [1; e_p] is particle p's V_k (the other products are zero for
-    finite values, and there are none on one particle)."""
-    particles = y.particles
-    x = from_component_major(np.tile(np.eye(particles), (y.nodes, 1, 1)))
-    maps = []
-    for e in (y, z):
-        coef = np.zeros((e.nodes, 1 + particles, e.dim))
-        coef[:, 1:] = e.component_major.transpose(0, 2, 1)
-        maps.append(FittedMap(x, coef))
-    return tuple(maps)
+def identity_slab(nodes, slots, particles):
+    """A path slab whose every slot holds the X paths on which particle p sits at the unit vector e_p at every node,
+    so that a table [c; V_k'] in a slot's rows gives particle p the values c + V_k[:, p] exactly (the other products
+    are zero for finite values)."""
+    slab = np.zeros((nodes, slots, particles, particles))
+    slab[:] = np.eye(particles)
+    return slab
+
+
+def on_slot(values, slot, rows):
+    """The table on a slab of ``rows`` rows a node whose node k holds the (d, P) values V_k of the component-major
+    ``values`` on an identity slot: [0; V_k'] in the slot's rows."""
+    nodes, d, particles = values.shape
+    table = np.zeros((nodes, 1 + rows, d))
+    table[:, 1 + slot * particles : 1 + (slot + 1) * particles] = values.transpose(0, 2, 1)
+    return table
+
+
+def slab_values(table, slab):
+    """The component-major values of a slab table, node by node."""
+    blocks = slab.reshape(len(slab), -1, slab.shape[-1])
+    return np.stack([t[1:].T @ b + t[0, :, None] for t, b in zip(table, blocks)])
+
+
+def fitted_on_slot(slab, slot, values):
+    """The fitted map on an identity slot of ``slab`` whose node values are the component-major ``values``."""
+    return FittedMap(from_component_major(slab[:, slot]), on_slot(values, 0, values.shape[2]))
 
 
 class FlatAnderson:
-    """Drives fixpoint._Anderson on flat vectors, each split into a
-    component-major (Y, Z) pair; the sweep outputs are fed as fitted maps."""
+    """Drives fixpoint._Anderson on flat vectors, each split into a component-major (Y, Z) pair, on a slab of
+    identity slots: the sweep outputs are fitted maps on slots 0, 1, ... in turn (depth + 2 of them, so that a new
+    output never takes a kept one's slot) and the iterates tables on the last slot."""
 
     def __init__(self, depth, y_shape, z_shape):
-        self.acc = fixpoint._Anderson(depth, y_shape, z_shape)
-        self.shapes = (y_shape, z_shape)
+        self.slab = identity_slab(y_shape[0], depth + 3, y_shape[2])
+        self.acc = fixpoint._Anderson(depth, self.slab, (y_shape[1], z_shape[1]))
+        self.shapes, self.sweeps = (y_shape, z_shape), 0
 
     def next(self, u, fu):
-        self.acc.observe(fitted_pair(*split(fu, *self.shapes)), split(u, *self.shapes))
-        return np.concatenate([e.component_major.ravel() for e in self.acc.mix()])
+        slots, rows = self.slab.shape[1], self.slab.shape[1] * self.slab.shape[2]
+        slot, self.sweeps = self.sweeps % (slots - 1), self.sweeps + 1
+        fitted = [fitted_on_slot(self.slab, slot, e.component_major) for e in split(fu, *self.shapes)]
+        self.acc.observe(slot, fitted, [on_slot(e.component_major, slots - 1, rows) for e in split(u, *self.shapes)])
+        return np.concatenate([slab_values(t, self.slab).ravel() for t in self.acc.mix()])
 
 
 class TestAnderson:
@@ -278,6 +305,33 @@ class TestAnderson:
             ref = stacked_anderson(hist_u, hist_fu)
             np.testing.assert_allclose(acc.next(u, fu), ref, rtol=1e-9, atol=0.0)
             u = ref
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_gram_step_on_residuals_that_shrink_by_a_tenth(self, depth):
+        # plain sweeps u_{n+1} = F(u_n) of F(u) = A u + b, A's eigenvalues spread over [0.85, 0.95]: each residual
+        # is about 0.9 times the last, so a residual difference is about a tenth of a residual.  The bound 1e-8
+        # was written for a mixer that formed the differences' Gram matrix as D R D' from the residuals' Gram
+        # matrix R (entries 100 times larger, two digits lost to cancellation), which read 3.9e-8 at depth 3; the
+        # ring keeps explicit differences, whose Gram matrix loses no digits that way, and reads 1.1e-10 at depth
+        # 3 (the normal equations square the conditioning of the differences, a Krylov basis of A - 0.9 I)
+        rng = np.random.default_rng(10 + depth)
+        size = 400
+        q = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        a = (q * rng.uniform(0.85, 0.95, size)) @ q.T
+        b = rng.standard_normal(size)
+        acc = FlatAnderson(depth, (3, 2, 40), (2, 2, 40))
+        hist_u, hist_fu, ratios, errors = [], [], [], []
+        u = np.zeros(size)
+        for _ in range(8):
+            fu = a @ u + b
+            hist_u, hist_fu = (hist_u + [u])[-depth - 1 :], (hist_fu + [fu])[-depth - 1 :]
+            ref = stacked_anderson(hist_u, hist_fu)
+            errors.append(np.abs(acc.next(u, fu) - ref).max() / np.abs(ref).max())
+            if len(hist_u) > 1:
+                ratios.append(np.linalg.norm(hist_fu[-1] - hist_u[-1]) / np.linalg.norm(hist_fu[-2] - hist_u[-2]))
+            u = fu
+        assert all(0.85 < r < 0.95 for r in ratios)
+        assert max(errors) < 1e-8
 
     def test_rank_deficient_history_gives_min_norm_step(self):
         # residual differences d and 2d are collinear (exact in floating point)
@@ -305,12 +359,15 @@ class TestAnderson:
         rng = np.random.default_rng(d)
         grid, m, particles = TimeGrid(0.5, 6), 2, 30
         shapes = [(grid.steps + 1, m, particles)] * 2 + [(grid.steps, m * d, particles)]
-        acc = fixpoint._Anderson(3, *shapes[1:])
+        slab = identity_slab(grid.steps + 1, 6, particles)
+        acc = fixpoint._Anderson(3, slab, (m, m * d))
         old = [from_component_major(rng.standard_normal(s)) for s in shapes]
-        for _ in range(3):
+        for sweep in range(3):
             new = [from_component_major(rng.standard_normal(s)) for s in shapes]
             per_x = node_msd(new[0].component_major, old[0].component_major)
-            gap = sum(fixpoint._gap_parts(per_x, *acc.observe(fitted_pair(*new[1:]), old[1:]), grid.dt))
+            fitted = [fitted_on_slot(slab, sweep, e.component_major) for e in new[1:]]
+            tables = [on_slot(e.component_major, 5, 6 * particles) for e in old[1:]]
+            gap = sum(fixpoint._gap_parts(per_x, *acc.observe(sweep, fitted, tables), grid.dt))
             assert gap == pytest.approx(sum(fixpoint._gaps(grid, new, old)), rel=1e-12, abs=0.0)
             old = new
 
@@ -333,43 +390,45 @@ def toy_solve_peak():
 
 class TestAndersonMemory:
     def test_mix_keeps_only_the_outputs_the_next_mix_reads(self):
+        # depth 2 on a slab of depth + 3 = 5 identity slots: the outputs take slots 0..3 in turn, the iterate's
+        # tables are on slot 4, and each mix is a pair of tables on the last three outputs' slots
         rng = np.random.default_rng(0)
-        shapes = (3, 1, 5), (2, 1, 5)
-        acc = fixpoint._Anderson(2, *shapes)
-        u = [from_component_major(np.zeros(s)) for s in shapes]
-        swept = []
-        for _ in range(4):
-            fu = fitted_pair(*(from_component_major(rng.standard_normal(s)) for s in shapes))
-            swept.append(weakref.ref(fu[0].x))
-            acc.observe(fu, u)
+        slab, particles = identity_slab(3, 5, 5), 5
+        acc = fixpoint._Anderson(2, slab, (1, 1))
+        u = [on_slot(rng.standard_normal((n, 1, particles)), 4, 5 * particles) for n in (3, 2)]
+        for sweep in range(6):
+            fu = [fitted_on_slot(slab, sweep % 4, rng.standard_normal((n, 1, particles))) for n in (3, 2)]
+            acc.observe(sweep % 4, fu, u)
             u = acc.mix()
-            assert not any(np.shares_memory(e.component_major, f.x) for e in u for f in fu)
-            del fu
-        # the next observe and mix read the last depth = 2 outputs: older ones and their paths are gone
-        assert [ref() is None for ref in swept] == [True, True, False, False]
+            kept = {(sweep - i) % 4 for i in range(min(sweep, 2) + 1)}
+            assert {s for s, _ in acc.window} == kept
+            assert [t.shape for t in u] == [(3, 1 + 5 * particles, 1), (2, 1 + 5 * particles, 1)]
+            used = {s for s in range(5) if any(np.any(t[:, 1 + s * particles : 1 + (s + 1) * particles]) for t in u)}
+            assert used == kept
 
     def test_mix_without_history_returns_a_copy_of_the_sweep_output(self):
         rng = np.random.default_rng(1)
-        shapes = (3, 1, 5), (2, 1, 5)
-        acc = fixpoint._Anderson(2, *shapes)
-        fu = fitted_pair(*(from_component_major(rng.standard_normal(s)) for s in shapes))
-        acc.observe(fu, [from_component_major(np.zeros(s)) for s in shapes])
+        slab, particles = identity_slab(3, 5, 5), 5
+        acc = fixpoint._Anderson(2, slab, (1, 1))
+        fu = [fitted_on_slot(slab, 2, rng.standard_normal((n, 1, particles))) for n in (3, 2)]
+        acc.observe(2, fu, [np.zeros((n, 1 + 5 * particles, 1)) for n in (3, 2)])
         for got, swept in zip(acc.mix(), fu):
-            assert not np.shares_memory(got.component_major, swept.x)
-            assert got.component_major.tobytes() == swept.paths().component_major.tobytes()
+            assert not np.shares_memory(got, swept.coef)
+            assert np.array_equal(got[:, 0], swept.coef[:, 0])
+            assert np.array_equal(got[:, 1 + 2 * particles : 1 + 3 * particles], swept.coef[:, 1:])
+            assert slab_values(got, slab).tobytes() == swept.paths().component_major.tobytes()
 
-    def test_backward_sweep_runs_beside_depth_plus_two_forward_path_sets(self, monkeypatch):
-        # the mixer's last depth outputs hold their X paths, beside the newest paths and the outer iterate's;
-        # the sweep itself builds fitted maps, not (Y, Z) paths
-        paths, alive, grown = [], [], []
+    def test_backward_sweep_runs_beside_one_slab(self, monkeypatch):
+        # every sweep of a solve writes a slot of one slab, allocated once: never the outer iterate's slot nor one
+        # of the mixer's last depth + 1 outputs'; the sweep itself builds fitted maps, not (Y, Z) paths
+        slabs, writes, grown = [], [], []
 
         def tracked_propagate(*args):
-            x = propagate(*args)
-            paths.append(weakref.ref(x.component_major))
-            return x
+            slabs.append(args[3])
+            writes.append(args[4])
+            return propagate(*args)
 
         def counting_backward(*args):
-            alive.append(sum(ref() is not None for ref in paths))
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             out = solve_backward(*args)
@@ -385,8 +444,18 @@ class TestAndersonMemory:
             sol = fixpoint.solve(p, TimeGrid(0.25, 40), params)
         finally:
             tracemalloc.stop()
-        assert len(sol.history) == 3 and len(alive) == sum(rec.inner_sweeps for rec in sol.history)
-        assert max(alive) == fixpoint._ANDERSON_DEPTH + 2
+        depth = fixpoint._ANDERSON_DEPTH
+        assert len(sol.history) == 3 and len(writes) == sum(rec.inner_sweeps for rec in sol.history)
+        assert all(slab is slabs[0] for slab in slabs) and slabs[0].shape[1] == depth + 3
+        start, outer = 0, None
+        for rec in sol.history:
+            inner = writes[start : start + rec.inner_sweeps]
+            assert outer not in inner
+            assert all(len(set(inner[i : i + depth + 2])) == len(inner[i : i + depth + 2]) for i in range(len(inner)))
+            start, outer = start + rec.inner_sweeps, inner[-1]
+        # the solution's X paths are a copy of the last slot
+        assert not np.shares_memory(sol.x_ens.component_major, slabs[0])
+        assert sol.x_ens.component_major.tobytes() == slabs[0][:, outer].tobytes()
         # one (Y, Z) path set is 81 nodes of 200 particles; the sweep's moment rows are one (2 + 3m, P) buffer
         assert max(grown) < 0.5 * 81 * 200 * 8
 
@@ -396,10 +465,18 @@ class TestAndersonMemory:
         assert peak <= 13.5
 
     def test_solve_peak_holds_only_what_a_sweep_reads(self, toy_solve_peak):
-        # bundle (0.5 U), the previous iterate's X paths (0.5 U; its Y and Z are fitted maps), the dR ring (3 U)
-        # and mix buffer (1 U), and four X path sets (2 U): the mixer's last three outputs' and the newest:
-        # 7.0 U, and 7.59 U measured
+        # the bound of the mixer that kept mix arrays: bundle (0.5 U), the previous iterate's X paths (0.5 U), the
+        # dR ring (3 U), mix buffer (1 U) and four X path sets (2 U), 7.0 U, and 7.59 U measured; the slab's
+        # inventory is the next test's
         assert toy_solve_peak[1] <= 7.8
+
+    def test_solve_peak_is_the_slab_the_ring_and_the_bundle(self, toy_solve_peak):
+        # the inventory in U (81 nodes of 2,000 particles): the slab's depth + 3 X path sets of 41 nodes, the
+        # node-major residual ring's depth (Y, Z) rows on 41 nodes and the bundle's 40 steps, 6.57 U, plus the
+        # 0.35 U that the parent's peak (7.35 U) held above its own inventory (7.0 U) for the sweep's buffers
+        depth = fixpoint._ANDERSON_DEPTH
+        inventory = ((depth + 3) * 41 + depth * 2 * 41 + 40) / 81
+        assert toy_solve_peak[1] <= inventory + 0.35
 
     def test_outer_gap_over_maps_has_the_bits_of_the_gap_over_built_paths(self):
         # two sweeps' (X paths, Y map, Z map) on different paths, read node by node against the built paths
@@ -407,9 +484,9 @@ class TestAndersonMemory:
         iterates = []
         for seed in (1, 2):
             bundle = make_bundle(grid, 1500, seed)
-            y, z = from_component_major(np.zeros((21, 1, 1500))), from_component_major(np.zeros((20, 1, 1500)))
+            y = from_component_major(np.zeros((21, 1, 1500)))
             flow = joint_marginal(y, y)
-            x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
+            x = zero_sweep(p, grid, bundle, flow)
             iterates.append((x, *solve_backward(p, grid, bundle, x, flow)[:2]))
         new, old = iterates
         paths = [[e.component_major if i == 0 else e.paths().component_major for i, e in enumerate(it)]
@@ -418,6 +495,59 @@ class TestAndersonMemory:
         assert fixpoint._gaps(grid, new, old) == want
         # the form the outer solve takes: the new (Y, Z) as paths, the old iterate's as maps
         assert fixpoint._gaps(grid, [new[0], *(from_component_major(a) for a in paths[0][1:])], old) == want
+
+
+class TestSweepGap:
+    @pytest.mark.parametrize("game", [False, True], ids=["toy", "example3"])
+    def test_forward_step_gap_has_the_bits_of_node_msd_of_the_two_slots(self, game, monkeypatch):
+        # every sweep of a solve: the X gap the forward step forms against the previous sweep's slot (the outer
+        # iterate's on an inner solve's first sweep) is node_msd of the two slots, bit for bit
+        checked = []
+
+        def checking(*args):
+            x, per_x = propagate(*args)
+            slab, slot, prev = args[3], args[4], args[-1]
+            checked.append(per_x.tobytes() == node_msd(slab[:, slot], slab[:, prev]).tobytes())
+            return x, per_x
+
+        monkeypatch.setattr(fixpoint, "propagate", checking)
+        if game:
+            p, grid, params = lqgame.build_aggregated(lqgame.example3_game(0.25)), TimeGrid(0.25, 20), SchemeParams(
+                particles=1000)
+        else:
+            p, grid, params = problem_from_config(TOY_PROBLEM), TimeGrid(0.25, 30), SchemeParams(
+                delta=0.01, tol=1e-5, max_outer=8, particles=1000)
+        sol = fixpoint.solve(p, grid, params, seed=11)
+        assert sol.converged and len(checked) == sum(rec.inner_sweeps for rec in sol.history)
+        assert all(checked)
+
+
+class TestThreads:
+    def test_law_dependent_sigma_solve_does_not_depend_on_the_blas_thread_count(self):
+        # sigma reads z and the law, so every forward step's diffusion columns carry the iterate's Z table and
+        # the damping difference -delta (Z - Z_prev); 12,000 particles is above the ~10,000 values at which
+        # OpenBLAS splits a dot product across its threads
+        src = str(Path(fixpoint.__file__).resolve().parents[1])
+        code = "\n".join([
+            "import hashlib",
+            "from test_fixpoint import law_dependent_sigma_problem",
+            "from mfbsde import fixpoint",
+            "from mfbsde.paths import TimeGrid",
+            "sol = fixpoint.solve(law_dependent_sigma_problem(), TimeGrid(0.3, 20),",
+            "                     fixpoint.SchemeParams(delta=1e-3, particles=12000, max_outer=15, tol=1e-4), seed=5)",
+            "print(len(sol.history), sum(r.inner_sweeps for r in sol.history), sol.converged)",
+            "for e in (sol.x_ens, sol.y_ens.paths(), sol.z_ens.paths()):",
+            "    print(hashlib.sha256(e.component_major.tobytes()).hexdigest())",
+        ])
+        runs = []
+        for threads in ("1", "2", "4"):
+            path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            runs.append(done.stdout)
+        assert runs[0].splitlines()[0].endswith("True") and len(runs[0].splitlines()) == 4
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestDroppedDirections:

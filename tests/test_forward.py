@@ -3,7 +3,7 @@ import pytest
 
 from mfbsde.forward import propagate
 from mfbsde.paths import PathEnsemble, TimeGrid, joint_marginal, make_bundle
-from conftest import scalar_problem
+from conftest import scalar_problem, slab_tables, zero_sweep
 from oracles import rk4
 
 
@@ -24,16 +24,16 @@ class TestPropagate:
         p = make_problem(1.3)
         grid = TimeGrid(1.0, 20)
         bundle = make_bundle(grid, 16, seed=0)
-        y, z, flow = zero_state(16, 20)
-        x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
+        _, _, flow = zero_state(16, 20)
+        x = zero_sweep(p, grid, bundle, flow)
         assert np.allclose(x.values, 1.3)
 
     def test_constant_drift_integrates_exactly(self):
         p = make_problem(0.0, f={"const": 1.0})
         grid = TimeGrid(1.0, 13)
         bundle = make_bundle(grid, 8, seed=0)
-        y, z, flow = zero_state(8, 13)
-        x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
+        _, _, flow = zero_state(8, 13)
+        x = zero_sweep(p, grid, bundle, flow)
         assert np.allclose(x.values[:, -1, 0], 1.0, atol=1e-14)
 
     def test_linear_drift_converges_to_exponential(self):
@@ -43,8 +43,8 @@ class TestPropagate:
         for steps in (50, 100, 200):
             grid = TimeGrid(1.0, steps)
             bundle = make_bundle(grid, 4, seed=0)
-            y, z, flow = zero_state(4, steps)
-            x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
+            _, _, flow = zero_state(4, steps)
+            x = zero_sweep(p, grid, bundle, flow)
             errs.append(abs(x.values[0, -1, 0] - np.exp(a)))
         assert errs[0] < 0.02
         # first-order convergence: halving dt roughly halves the error
@@ -56,22 +56,19 @@ class TestPropagate:
         grid = TimeGrid(1.0, 30)
         bundle = make_bundle(grid, 32, seed=1)
         rng = np.random.default_rng(2)
-        y = PathEnsemble(rng.standard_normal((32, 31, 1)))
-        z = PathEnsemble(rng.standard_normal((32, 30, 1)))
+        slab, (y, z) = slab_tables(30, 1, 32, rng.standard_normal((31, 1, 32)), rng.standard_normal((30, 1, 32)))
         _, _, flow = zero_state(32, 30)
-        x0 = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
-        x1 = propagate(p, grid, bundle, y, z, y, z, flow, 0.7)
-        assert np.array_equal(x0.values, x1.values)
+        x0 = propagate(p, grid, bundle, slab, 0, (y, z), (y, z), flow, 0.0, 0)[0].values.copy()
+        x1 = propagate(p, grid, bundle, slab, 0, (y, z), (y.copy(), z.copy()), flow, 0.7, 0)[0]
+        assert np.array_equal(x0, x1.values)
 
     def test_delta_term_active_when_prev_differs(self):
         p = make_problem(0.0)
         grid = TimeGrid(1.0, 10)
         bundle = make_bundle(grid, 4, seed=0)
-        y = PathEnsemble(np.ones((4, 11, 1)))
-        z = PathEnsemble(np.zeros((4, 10, 1)))
-        y_prev = PathEnsemble(np.zeros((4, 11, 1)))
+        slab, (y, z, y_prev, z_prev) = slab_tables(10, 1, 4, 1.0, 0.0, 0.0, 0.0)
         _, _, flow = zero_state(4, 10)
-        x = propagate(p, grid, bundle, y, z, y_prev, z, flow, 0.5)
+        x, _ = propagate(p, grid, bundle, slab, 0, (y, z), (y_prev, z_prev), flow, 0.5, 0)
         # drift is -delta (y - y_prev) = -0.5, so X_T = -0.5
         assert np.allclose(x.values[:, -1, 0], -0.5, atol=1e-14)
 
@@ -86,10 +83,10 @@ class TestPropagate:
         z = PathEnsemble(np.zeros((particles, 200, 1)))
         # self-consistent flow: iterate the plug-in mean twice
         flow = joint_marginal(y, y)
-        x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
+        x = zero_sweep(p, grid, bundle, flow)
         for _ in range(3):
             flow = joint_marginal(x, y)
-            x = propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
+            x = zero_sweep(p, grid, bundle, flow)
         oracle = rk4(lambda t, m: (a + d) * m + beta, np.array([1.0]), 0.0, 1.0, 4000)
         tol = 5 * (grid.dt + particles**-0.5)
         assert abs(x.values[:, -1, 0].mean() - oracle[0]) < tol
@@ -99,26 +96,26 @@ class TestPropagate:
         bundle = make_bundle(grid, 64, seed=5)
         rng = np.random.default_rng(6)
         y = PathEnsemble(rng.standard_normal((64, 21, 1)))
-        z = PathEnsemble(rng.standard_normal((64, 20, 1)))
+        slab, (ty, tz) = slab_tables(20, 1, 64, y.component_major, rng.standard_normal((20, 1, 64)))
         flow = joint_marginal(y, y)
-        a = propagate(toy_problem, grid, bundle, y, z, y, z, flow, 1e-3)
-        b = propagate(toy_problem, grid, bundle, y, z, y, z, flow, 1e-3)
-        assert np.array_equal(a.values, b.values)
+        a = propagate(toy_problem, grid, bundle, slab, 0, (ty, tz), (ty, tz), flow, 1e-3, 0)[0].values.copy()
+        b = propagate(toy_problem, grid, bundle, slab, 0, (ty, tz), (ty, tz), flow, 1e-3, 0)[0]
+        assert np.array_equal(a, b.values)
 
     def test_shape_mismatch_rejected(self, toy_problem):
         grid = TimeGrid(0.25, 10)
         bundle = make_bundle(grid, 8, seed=0)
-        y, z, flow = zero_state(8, 10)
-        y_bad = PathEnsemble(np.zeros((8, 9, 1)))
-        with pytest.raises(ValueError, match="y_ens"):
-            propagate(toy_problem, grid, bundle, y_bad, z, y, z, flow, 0.0)
+        _, _, flow = zero_state(8, 10)
+        slab, (y, z) = slab_tables(10, 1, 8, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^iterate Y table has shape"):
+            propagate(toy_problem, grid, bundle, slab, 0, (y[:-1], z), (y, z), flow, 0.0, 0)
 
     def test_blowup_aborts_with_step_index(self):
         p = make_problem(10.0, f={"x": 1e306})
         grid = TimeGrid(1.0, 50)
         bundle = make_bundle(grid, 4, seed=0)
-        y, z, flow = zero_state(4, 50)
+        _, _, flow = zero_state(4, 50)
         # step 0 reaches X = 10 + 0.02 1e306 10 = 2e305; step 1 overflows
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="^forward propagation produced non-finite values at step 1$"):
-                propagate(p, grid, bundle, y, z, y, z, flow, 0.0)
+                zero_sweep(p, grid, bundle, flow)
